@@ -1,6 +1,5 @@
 (* The benchmark harness: regenerates every table and figure of the paper
-   and runs one Bechamel benchmark per table/figure over the simulated
-   stacks.
+   from the simulated stacks.
 
    Two kinds of numbers come out of this executable:
 
@@ -8,12 +7,13 @@
       produced by the architectural model.  These are the paper's numbers
       (Tables 1, 6, 7 and Figure 2) and are printed as paper-style tables.
 
-   2. The *wall-clock* cost of producing them, measured by Bechamel (one
-      Test.make per table/figure), which tracks the simulator's own
-      performance. *)
+   2. With [--json], a trajectory snapshot: per configuration, the
+      simulated-cycle and trap rates next to the wall-clock rate at which
+      this build retires simulated instructions (CI's perf guard compares
+      it against the committed baseline).
 
-open Bechamel
-open Toolkit
+   The simulator's wall-clock cost, end to end and layer by layer, is
+   measured by [perfbench/] (see perfbench/README.md). *)
 
 (* --- paper tables, regenerated --- *)
 
@@ -151,108 +151,6 @@ let regen_migration () =
     columns;
   paper_note "downtime = residual dirty pages x copy cost + state transfer;";
   paper_note "nested columns carry virtual EL2 state at the same downtime"
-
-(* --- bechamel benchmarks: one Test.make per table/figure --- *)
-
-let nested_machine config =
-  let m = Hyp.Machine.create ~ncpus:2 config Hyp.Host_hyp.Nested in
-  Hyp.Machine.boot m;
-  m
-
-let test_table1 =
-  (* the dominant cost of Table 1: a nested hypercall on ARMv8.3 *)
-  let m = nested_machine (Hyp.Config.v Hyp.Config.Hw_v8_3) in
-  Test.make ~name:"table1/nested-hypercall-v8.3"
-    (Staged.stage (fun () -> Hyp.Machine.hypercall m ~cpu:0))
-
-let test_table6 =
-  let m = nested_machine (Hyp.Config.v Hyp.Config.Hw_neve) in
-  Test.make ~name:"table6/nested-hypercall-neve"
-    (Staged.stage (fun () -> Hyp.Machine.hypercall m ~cpu:0))
-
-let test_table7 =
-  let m = nested_machine (Hyp.Config.v ~guest_vhe:true Hyp.Config.Hw_neve) in
-  Test.make ~name:"table7/nested-hypercall-neve-vhe"
-    (Staged.stage (fun () -> Hyp.Machine.hypercall m ~cpu:0))
-
-let test_table1_x86 =
-  let t = X86.Turtles.create ~nested:true () in
-  Test.make ~name:"table1/nested-hypercall-x86"
-    (Staged.stage (fun () -> X86.Turtles.hypercall t))
-
-let test_fig2 =
-  Test.make ~name:"fig2/full-figure"
-    (Staged.stage (fun () -> ignore (Workloads.App_bench.figure2 ())))
-
-let test_validate =
-  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_3) () in
-  Arm.Cpu.poke_sysreg cpu Arm.Sysreg.HCR_EL2
-    (Hyp.Config.target_hcr (Hyp.Config.v Hyp.Config.Hw_v8_3));
-  cpu.Arm.Cpu.el2_handler <- Some (fun c _ -> Arm.Cpu.do_eret c);
-  cpu.Arm.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
-  Test.make ~name:"validate/single-trap"
-    (Staged.stage (fun () -> Arm.Cpu.exec cpu (Arm.Insn.Hvc 0)))
-
-(* ablation benches: the design-choice knobs DESIGN.md calls out *)
-let test_ablation_pv =
-  let m = nested_machine (Hyp.Config.v Hyp.Config.Pv_neve) in
-  Test.make ~name:"ablation/neve-paravirt-twin"
-    (Staged.stage (fun () -> Hyp.Machine.hypercall m ~cpu:0))
-
-let test_ablation_ipi =
-  let m = nested_machine (Hyp.Config.v Hyp.Config.Hw_neve) in
-  Test.make ~name:"ablation/nested-ipi-neve"
-    (Staged.stage (fun () ->
-         Hyp.Machine.send_ipi m ~cpu:0 ~target:1 ~intid:5;
-         match Hyp.Machine.vm_ack m ~cpu:1 with
-         | Some v -> ignore (Hyp.Machine.vm_eoi m ~cpu:1 ~vintid:v)
-         | None -> ()))
-
-let test_migrate =
-  (* full pre-copy migration of an idle nested NEVE+VHE guest: machine
-     build, snapshot, restore, tracker attach/detach per iteration *)
-  Test.make ~name:"migrate/nested-neve-vhe"
-    (Staged.stage (fun () ->
-         let src =
-           Workloads.Scenario.make_arm
-             (Workloads.Scenario.Arm_nested
-                (Hyp.Config.v ~guest_vhe:true Hyp.Config.Hw_neve))
-         in
-         ignore
-           (Snap.Migrate.run ~workload:(fun _ ~round:_ -> ()) src
-             : Hyp.Machine.t * Snap.Migrate.report)))
-
-let benchmarks () =
-  let tests =
-    [ test_table1; test_table1_x86; test_table6; test_table7; test_fig2;
-      test_validate; test_ablation_pv; test_ablation_ipi; test_migrate ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"neve" tests)
-  in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let merged = Analyze.merge ols instances results in
-  hr "Bechamel: wall-clock cost of the simulator (ns per operation)";
-  Hashtbl.iter
-    (fun measure tbl ->
-      let rows =
-        Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) tbl []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> Fmt.pr "%-40s %12.0f %s@." name e measure
-          | _ -> Fmt.pr "%-40s %12s@." name "n/a")
-        rows)
-    merged
 
 (* --- bench trajectory (--json): machine-readable throughput snapshot ---
 
@@ -489,6 +387,5 @@ let () =
   Fmt.pr "%a" Riscv.Nested.pp (Riscv.Nested.run ());
   paper_note "RISC-V's built-in s*->vs* aliasing plays the role of VHE;";
   paper_note "a VNCR-like deferral would play the role of NEVE";
-  benchmarks ();
   Fmt.pr "@.done.@."
   end

@@ -46,9 +46,27 @@ type t = {
      here so every machine gets its own — the former module-global decode
      cache in Interp was shared across machines. *)
   xlate : Xlate.t;
+  (* EL2 trap entries keyed by (EC, ISS).  A trap site raises the same
+     syndrome every time it traps, and entries are immutable, so the
+     record handed to the handler is reused instead of rebuilt per trap. *)
+  trap_entries : Exn.entry Memo.t;
+  (* The trap log's entry for each trapping instruction, built by the
+     first logged trap: a trap site logs the same entry every time, and
+     the log keeps every entry for the meter's life. *)
+  mutable labels : (Insn.t, Cost.trap_kind * string) Hashtbl.t option;
 }
 
 and handler = t -> Exn.entry -> unit
+
+(* Trap-entry memo keys: the EC above the 25-bit ISS. *)
+let iss_bits = 25
+
+let entry_of_key k =
+  match Exn.ec_of_code (k lsr iss_bits) with
+  | Some ec ->
+    { Exn.target = Pstate.EL2; ec; iss = k land ((1 lsl iss_bits) - 1);
+      fault_addr = None }
+  | None -> assert false
 
 let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
   let mem = match mem with Some m -> m | None -> Memory.create () in
@@ -70,15 +88,27 @@ let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
     hcr_raw = 0L;
     hcr_cached = Hcr.decode 0L;
     xlate = Xlate.create ();
+    trap_entries = Memo.create entry_of_key;
+    labels = None;
   }
 
+(* Register 31 is XZR: A64's 5-bit register fields encode it, and the
+   decoder passes it through.  It reads zero and ignores writes, the
+   convention [get_trapped_reg] already follows.  (Where A64 would mean
+   SP — an ADD/SUB immediate operand, a load/store base — the simulator
+   has no stack pointer and treats it as XZR too.) *)
 let get_reg t n =
-  if n < 0 || n > 30 then invalid_arg "Cpu.get_reg";
-  t.regs.(n)
+  if n = 31 then 0L
+  else begin
+    if n < 0 || n > 30 then invalid_arg "Cpu.get_reg";
+    t.regs.(n)
+  end
 
 let set_reg t n v =
-  if n < 0 || n > 30 then invalid_arg "Cpu.set_reg";
-  t.regs.(n) <- v
+  if n <> 31 then begin
+    if n < 0 || n > 30 then invalid_arg "Cpu.set_reg";
+    t.regs.(n) <- v
+  end
 
 let operand_value t = function
   | Insn.Imm i -> i
@@ -88,9 +118,33 @@ let addr_value t = function
   | Insn.Abs a -> a
   | Insn.Based (r, off) -> Int64.add (get_reg t r) off
 
+(* Unboxed register-file words, by dense index.  The trap round trip
+   reads and writes a handful of registers per exception; going through
+   [Sysreg_file.read]/[hw_write] would box every value at the module
+   boundary.  [sr_set] is [Sysreg_file.hw_write]: value plus dirty bit. *)
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] sr_get t i = get_word t.sysregs.Sysreg_file.values (i * 8)
+
+let[@inline] sr_set t i v =
+  set_word t.sysregs.Sysreg_file.values (i * 8) v;
+  Bytes.unsafe_set t.sysregs.Sysreg_file.dirty i '\001'
+
+let i_hcr = Sysreg.index Sysreg.HCR_EL2
+let i_esr_el2 = Sysreg.index Sysreg.ESR_EL2
+let i_elr_el2 = Sysreg.index Sysreg.ELR_EL2
+let i_spsr_el2 = Sysreg.index Sysreg.SPSR_EL2
+let i_far_el2 = Sysreg.index Sysreg.FAR_EL2
+let i_hpfar_el2 = Sysreg.index Sysreg.HPFAR_EL2
+let i_esr_el1 = Sysreg.index Sysreg.ESR_EL1
+let i_elr_el1 = Sysreg.index Sysreg.ELR_EL1
+let i_spsr_el1 = Sysreg.index Sysreg.SPSR_EL1
+let i_far_el1 = Sysreg.index Sysreg.FAR_EL1
+
 let hcr_view t =
-  let raw = Sysreg_file.read t.sysregs Sysreg.HCR_EL2 in
-  if raw <> t.hcr_raw then begin
+  let raw = sr_get t i_hcr in
+  if not (Int64.equal raw t.hcr_raw) then begin
     t.hcr_raw <- raw;
     t.hcr_cached <- Hcr.decode raw
   end;
@@ -107,18 +161,23 @@ let poke_sysreg t r v = Sysreg_file.hw_write t.sysregs r v
 
 (* --- exception entry and return --- *)
 
+(* The entry for an EL2 trap with this syndrome, from the per-CPU memo. *)
+let trap_entry t ec iss =
+  if iss >= 0 && iss < 1 lsl iss_bits then
+    Memo.find t.trap_entries ((Exn.ec_code ec lsl iss_bits) lor iss)
+  else { Exn.target = Pstate.EL2; ec; iss; fault_addr = None }
+
 let exception_entry t (e : Exn.entry) =
   let c = table t in
   match e.target with
   | Pstate.EL2 ->
-    Sysreg_file.hw_write t.sysregs Sysreg.ESR_EL2 (Exn.esr ~ec:e.ec ~iss:e.iss);
-    Sysreg_file.hw_write t.sysregs Sysreg.ELR_EL2 t.pc;
-    Sysreg_file.hw_write t.sysregs Sysreg.SPSR_EL2 (Pstate.to_spsr t.pstate);
+    sr_set t i_esr_el2 (Int64.of_int (Exn.esr_bits ~ec:e.ec ~iss:e.iss));
+    sr_set t i_elr_el2 t.pc;
+    sr_set t i_spsr_el2 (Int64.of_int (Pstate.spsr_bits t.pstate));
     (match e.fault_addr with
      | Some a ->
-       Sysreg_file.hw_write t.sysregs Sysreg.FAR_EL2 a;
-       Sysreg_file.hw_write t.sysregs Sysreg.HPFAR_EL2
-         (Int64.shift_right_logical a 8)
+       sr_set t i_far_el2 a;
+       sr_set t i_hpfar_el2 (Int64.shift_right_logical a 8)
      | None -> ());
     t.pstate <- Pstate.at Pstate.EL2;
     t.saved_regs <- Array.copy t.regs :: t.saved_regs;
@@ -131,11 +190,11 @@ let exception_entry t (e : Exn.entry) =
      | Some h -> h t e
      | None -> raise (No_el2_handler e))
   | Pstate.EL1 ->
-    Sysreg_file.hw_write t.sysregs Sysreg.ESR_EL1 (Exn.esr ~ec:e.ec ~iss:e.iss);
-    Sysreg_file.hw_write t.sysregs Sysreg.ELR_EL1 t.pc;
-    Sysreg_file.hw_write t.sysregs Sysreg.SPSR_EL1 (Pstate.to_spsr t.pstate);
+    sr_set t i_esr_el1 (Int64.of_int (Exn.esr_bits ~ec:e.ec ~iss:e.iss));
+    sr_set t i_elr_el1 t.pc;
+    sr_set t i_spsr_el1 (Int64.of_int (Pstate.spsr_bits t.pstate));
     (match e.fault_addr with
-     | Some a -> Sysreg_file.hw_write t.sysregs Sysreg.FAR_EL1 a
+     | Some a -> sr_set t i_far_el1 a
      | None -> ());
     t.pstate <- Pstate.at Pstate.EL1;
     Cost.charge t.meter c.Cost.exc_entry_el1;
@@ -151,22 +210,30 @@ let exception_entry t (e : Exn.entry) =
 (* Architectural eret at the current EL. *)
 let do_eret t =
   let c = table t in
-  let spsr, elr =
+  let at_el2 =
     match t.pstate.Pstate.el with
     | Pstate.EL2 ->
       (match t.saved_regs with
        | saved :: rest ->
-         Array.blit saved 0 t.regs 0 (Array.length saved);
+         (* The snapshot shares every value the handler did not replace
+            with the live file, so only replaced slots are stored back:
+            a store into the long-lived file pays the write barrier. *)
+         let n = Array.length saved in
+         if n <> Array.length t.regs then Array.blit saved 0 t.regs 0 n
+         else
+           for i = 0 to n - 1 do
+             let v = Array.unsafe_get saved i in
+             if Array.unsafe_get t.regs i != v then Array.unsafe_set t.regs i v
+           done;
          t.saved_regs <- rest
        | [] -> ());
-      ( Sysreg_file.read t.sysregs Sysreg.SPSR_EL2,
-        Sysreg_file.read t.sysregs Sysreg.ELR_EL2 )
-    | Pstate.EL1 ->
-      ( Sysreg_file.read t.sysregs Sysreg.SPSR_EL1,
-        Sysreg_file.read t.sysregs Sysreg.ELR_EL1 )
+      true
+    | Pstate.EL1 -> false
     | Pstate.EL0 -> invalid_arg "Cpu.do_eret at EL0"
   in
-  (match Pstate.of_spsr_opt spsr with
+  let spsr = sr_get t (if at_el2 then i_spsr_el2 else i_spsr_el1) in
+  let elr = sr_get t (if at_el2 then i_elr_el2 else i_elr_el1) in
+  (match Pstate.of_spsr_bits (Int64.to_int spsr) with
    | Some p -> t.pstate <- p
    | None ->
      (* Illegal exception return: hardware sets PSTATE.IL and stays at
@@ -274,6 +341,29 @@ let exec_local t (insn : Insn.t) =
   | Insn.Eret | Insn.B _ | Insn.Cbz _ | Insn.Cbnz _ -> ()
   | _ -> advance_pc t
 
+(* The trap log's entry for [insn] trapping as [kind]: the rendered
+   instruction, shared between the traps of one site.  An instruction
+   that traps under another kind elsewhere (a TVM trap from a VM, a
+   virtual-EL2 trap from the guest hypervisor) shares the text only. *)
+let log_entry t insn kind =
+  let tbl =
+    match t.labels with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 64 in
+      t.labels <- Some tbl;
+      tbl
+  in
+  match Hashtbl.find_opt tbl insn with
+  | Some ((k, text) as e) -> if k == kind then e else (kind, text)
+  | None ->
+    let e = (kind, Insn.to_string insn) in
+    Hashtbl.add tbl insn e;
+    e
+
+let undef_entry =
+  { Exn.target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0; fault_addr = None }
+
 let rec exec t (insn : Insn.t) =
   match insn with
   | Insn.Ldr _ | Insn.Str _ | Insn.Mov _ | Insn.Add _ | Insn.Sub _
@@ -312,10 +402,9 @@ and exec_action t (insn : Insn.t) action =
   | Trap_rules.Execute_exposed { feature } ->
     (* OoH: the access runs against the real register at its ordinary
        execute cost; only the saved exit is attributed. *)
-    let detail =
-      if t.meter.Cost.logging || !Trace.on then Insn.to_string insn else ""
-    in
-    Cost.record_exposed ~detail t.meter feature;
+    if t.meter.Cost.logging || !Trace.on then
+      Cost.record_exposed ~detail:(Insn.to_string insn) t.meter feature
+    else Cost.record_exposed t.meter feature;
     exec_local t insn
   | Trap_rules.Execute_redirected target -> begin
       match insn with
@@ -356,23 +445,21 @@ and exec_action t (insn : Insn.t) action =
   | Trap_rules.Trap_to_el2 { ec; iss; kind } ->
     (* The detail string is only observable through the trap log and the
        tracer; don't pay for rendering the instruction otherwise. *)
-    let detail =
-      if t.meter.Cost.logging || !Trace.on then Insn.to_string insn else ""
-    in
-    Cost.record_trap ~detail t.meter kind;
+    if t.meter.Cost.logging || !Trace.on then
+      Cost.record_trap_entry t.meter (log_entry t insn kind)
+    else Cost.record_trap t.meter kind;
     advance_pc t;
     (* ELR on a trapped instruction points at the *next* instruction once
        the handler has emulated it; we advance first so the handler's eret
        resumes after the trapping instruction. *)
-    exception_entry t { target = Pstate.EL2; ec; iss; fault_addr = None }
+    exception_entry t (trap_entry t ec iss)
   | Trap_rules.Undef ->
     if
       t.pstate.Pstate.el <> Pstate.EL2
       && (t.el1_vectors || t.el1_handler <> None)
     then begin
       advance_pc t;
-      exception_entry t
-        { target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0; fault_addr = None }
+      exception_entry t undef_entry
     end
     else raise (Undefined_instruction (insn, t.pstate.Pstate.el))
 
@@ -387,8 +474,7 @@ let deliver_irq t =
   if t.pstate.Pstate.el <> Pstate.EL2 && hcr.Hcr.h_imo then begin
     Cost.record_trap ~detail:"irq" t.meter Cost.Trap_irq;
     Cost.charge t.meter c.Cost.irq_delivery;
-    exception_entry t
-      { target = Pstate.EL2; ec = Exn.EC_irq; iss = 0; fault_addr = None };
+    exception_entry t (trap_entry t Exn.EC_irq 0);
     true
   end
   else false
@@ -434,13 +520,58 @@ let deliver_vserror t =
   else false
 
 (* Convenience accessors used by hypervisor code: execute a real MRS/MSR on
-   the simulated CPU (so it is costed and routed) and move data in/out. *)
+   the simulated CPU (so it is costed and routed) and move data in/out.
+
+   The host's own accesses take an EL2 path that builds no instruction
+   and skips the router.  It is exact because at EL2 [Trap_rules.route]
+   reduces to [route_sysreg_el2] (plus the CurrentEL-write Undef check
+   for MSR): a [Direct] access answers [Execute] unless HCR_EL2.E2H is
+   set on a VHE-capable CPU and the register has an E2H twin.  Exactly
+   those [Execute] cases take the path below, which then does what
+   [exec_local] does for the instruction — the same register-file
+   access, scratch-register write, meter charge and PC advance.  Every
+   other case still runs [exec]. *)
+let el2_executes t (a : Sysreg.access) =
+  t.pstate.Pstate.el == Pstate.EL2
+  && a.Sysreg.alias == Sysreg.Direct
+  &&
+  match Trap_rules.vhe_el2_twin a.Sysreg.reg with
+  | None -> true
+  | Some _ -> not ((hcr_view t).Hcr.h_e2h && Features.has_vhe t.features)
 
 let mrs t access =
-  exec t (Insn.Mrs (scratch_reg, access));
+  if el2_executes t access then begin
+    set_reg t scratch_reg (read_sysreg_hw t access.Sysreg.reg);
+    Cost.charge_insn t.meter (table t).Cost.sysreg_read;
+    advance_pc t
+  end
+  else exec t (Insn.Mrs (scratch_reg, access));
   get_reg t scratch_reg
 
-let msr t access v = exec t (Insn.Msr (access, Insn.Imm v))
+(* MSR to CurrentEL is UNDEFINED even at EL2. *)
+let writable_access (a : Sysreg.access) =
+  match a.Sysreg.reg with Sysreg.CurrentEL -> false | _ -> true
+
+let msr t access v =
+  if el2_executes t access && writable_access access then begin
+    write_sysreg_hw t access.Sysreg.reg v;
+    Cost.charge_insn t.meter (table t).Cost.sysreg_write;
+    advance_pc t
+  end
+  else exec t (Insn.Msr (access, Insn.Imm v))
+
+(* [msr t access (Sysreg_file.read src r)], moving the value as an
+   unboxed word on the EL2 path. *)
+let msr_from t access (src : Sysreg_file.t) r =
+  if el2_executes t access && writable_access access then begin
+    let i = Sysreg.index access.Sysreg.reg in
+    if Sysreg_file.writable_index i then
+      sr_set t i
+        (Bytes.get_int64_ne src.Sysreg_file.values (Sysreg.index r * 8));
+    Cost.charge_insn t.meter (table t).Cost.sysreg_write;
+    advance_pc t
+  end
+  else msr t access (Sysreg_file.read src r)
 
 (* Access the guest registers as they were at the current trap (and as
    they will be restored by the handler's eret).  Register numbers

@@ -47,6 +47,12 @@ type t = {
   xlate : Xlate.t;
       (** per-CPU superblock translation + decode cache (each machine
           gets its own; the interpreter executes through it) *)
+  trap_entries : Exn.entry Memo.t;
+      (** memo of EL2 trap entries keyed by (EC, ISS), so a repeated
+          trap reuses its immutable entry record *)
+  mutable labels : (Insn.t, Cost.trap_kind * string) Hashtbl.t option;
+      (** the trap log's entry for each trapping instruction, shared
+          between the traps of one site; built by the first logged trap *)
 }
 
 and handler = t -> Exn.entry -> unit
@@ -62,7 +68,12 @@ val create :
     between CPUs of one machine. *)
 
 val get_reg : t -> int -> int64
+(** Register 31 is XZR and reads zero.
+    @raise Invalid_argument outside 0..31. *)
+
 val set_reg : t -> int -> int64 -> unit
+(** Writes to register 31 (XZR) are discarded.
+    @raise Invalid_argument outside 0..31. *)
 
 val hcr_view : t -> Hcr.view
 val vncr_value : t -> int64
@@ -133,10 +144,18 @@ val deliver_vserror : t -> bool
     HCR_EL2.VSE set; returns whether it was delivered. *)
 
 val mrs : t -> Sysreg.access -> int64
-(** Execute a real MRS through {!exec} (costed and routed) and return the
-    value read. *)
+(** Execute a real MRS (costed and routed, as by {!exec}) into
+    {!scratch_reg} and return the value read.  At EL2, where the router
+    would answer [Execute], the access runs directly with no
+    instruction built and no routing. *)
 
 val msr : t -> Sysreg.access -> int64 -> unit
+(** Execute an immediate MSR, as by {!exec}; same EL2 path as {!mrs}. *)
+
+val msr_from : t -> Sysreg.access -> Sysreg_file.t -> Sysreg.t -> unit
+(** [msr_from t access src r] is [msr t access (Sysreg_file.read src r)]
+    (loading a register from a virtual register file), without boxing
+    the value on the EL2 path. *)
 
 val get_trapped_reg : t -> int -> int64
 (** Guest registers as they were at the current trap (and as the

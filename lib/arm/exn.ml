@@ -58,10 +58,12 @@ let ec_name = function
   | EC_irq -> "IRQ"
 
 (* ESR layout: EC in [31:26], IL in [25], ISS in [24:0]. *)
-let esr ~ec ~iss =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int (ec_code ec)) 26)
-    (Int64.logor 0x0200_0000L (Int64.of_int (iss land 0x1ff_ffff)))
+(* EC in [31:26], IL (bit 25), ISS in [24:0]: the whole syndrome sits
+   below bit 32, so it is built as an [int]. *)
+let esr_bits ~ec ~iss =
+  (ec_code ec lsl 26) lor 0x0200_0000 lor (iss land 0x1ff_ffff)
+
+let esr ~ec ~iss = Int64.of_int (esr_bits ~ec ~iss)
 
 let esr_ec v =
   ec_of_code (Int64.to_int (Int64.logand (Int64.shift_right_logical v 26) 0x3fL))

@@ -24,6 +24,10 @@ val ec_name : ec -> string
 val esr : ec:ec -> iss:int -> int64
 (** Build an ESR value: EC in [31:26], IL set, ISS in [24:0]. *)
 
+val esr_bits : ec:ec -> iss:int -> int
+(** {!esr} as an [int] (the syndrome lies below bit 32), for callers that
+    must not box the value. *)
+
 val esr_ec : int64 -> ec option
 val esr_iss : int64 -> int
 

@@ -102,12 +102,104 @@ let read64 t addr =
   let p = find_page t (page_index addr) in
   if p == no_page then 0L else get_word p (byte_index addr)
 
+(* After-store bookkeeping shared by every word store: invalidate decoded
+   code inside the envelope, then notify the write observer. *)
+let[@inline] stored t addr =
+  if addr >= t.code_lo && addr < t.code_hi then t.code_gen <- t.code_gen + 1;
+  match t.on_write with None -> () | Some f -> f addr
+
 let write64 t addr v =
   check_aligned addr;
   let p = get_or_create_page t (page_index addr) in
   set_word p (byte_index addr) v;
-  if addr >= t.code_lo && addr < t.code_hi then t.code_gen <- t.code_gen + 1;
-  match t.on_write with None -> () | Some f -> f addr
+  stored t addr
+
+(* Word kernels: move words between pages and a caller's byte buffer (a
+   register file), entirely inside this module.  A value crossing a
+   module boundary as an [int64] is boxed, so the world-switch copy loops
+   use these instead of [read64]/[write64] pairs.  Addresses are a base
+   plus an [int] offset, so callers keep per-register layouts as plain
+   [int array]s; word [w] of a buffer is its bytes [8w, 8w+8).  Each word
+   moved is observably one [read64] or [write64]. *)
+
+let[@inline never] bad_word w =
+  invalid_arg (Printf.sprintf "Memory: buffer word %d out of bounds" w)
+
+let[@inline] check_word (b : Bytes.t) w =
+  if w < 0 || w >= Bytes.length b / 8 then bad_word w
+
+let store_from t ~base off (src : Bytes.t) w =
+  check_word src w;
+  let addr = Int64.add base (Int64.of_int off) in
+  check_aligned addr;
+  let p = get_or_create_page t (page_index addr) in
+  set_word p (byte_index addr) (get_word src (w * 8));
+  stored t addr
+
+let load_into t ~base off (dst : Bytes.t) w =
+  check_word dst w;
+  let addr = Int64.add base (Int64.of_int off) in
+  check_aligned addr;
+  let p = find_page t (page_index addr) in
+  set_word dst (w * 8)
+    (if p == no_page then 0L else get_word p (byte_index addr))
+
+(* Whole copy loops: a loop's context slots share a page, so the page
+   found for one word serves the next without another lookup.  A write
+   observer may touch memory, so after it runs the next word looks its
+   page up afresh. *)
+let store_words t ~base (offs : int array) (src : Bytes.t)
+    (words : int array) =
+  let n = Array.length offs in
+  if Array.length words <> n then invalid_arg "Memory.store_words";
+  let last_pi = ref min_int and last_p = ref no_page in
+  for k = 0 to n - 1 do
+    let w = Array.unsafe_get words k in
+    check_word src w;
+    let addr = Int64.add base (Int64.of_int (Array.unsafe_get offs k)) in
+    check_aligned addr;
+    let pi = page_index addr in
+    if pi <> !last_pi then begin
+      last_p := get_or_create_page t pi;
+      last_pi := pi
+    end;
+    set_word !last_p (byte_index addr) (get_word src (w * 8));
+    if addr >= t.code_lo && addr < t.code_hi then t.code_gen <- t.code_gen + 1;
+    match t.on_write with
+    | None -> ()
+    | Some f ->
+      f addr;
+      last_pi := min_int
+  done
+
+let load_words t ~base (offs : int array) (dst : Bytes.t)
+    (words : int array) =
+  let n = Array.length offs in
+  if Array.length words <> n then invalid_arg "Memory.load_words";
+  let last_pi = ref min_int and last_p = ref no_page in
+  for k = 0 to n - 1 do
+    let w = Array.unsafe_get words k in
+    check_word dst w;
+    let addr = Int64.add base (Int64.of_int (Array.unsafe_get offs k)) in
+    check_aligned addr;
+    let pi = page_index addr in
+    if pi <> !last_pi then begin
+      last_p := find_page t pi;
+      last_pi := pi
+    end;
+    let p = !last_p in
+    set_word dst (w * 8)
+      (if p == no_page then 0L else get_word p (byte_index addr))
+  done
+
+let copy64 t ~src ~dst =
+  check_aligned src;
+  let sp = find_page t (page_index src) in
+  let v = if sp == no_page then 0L else get_word sp (byte_index src) in
+  check_aligned dst;
+  let p = get_or_create_page t (page_index dst) in
+  set_word p (byte_index dst) v;
+  stored t dst
 
 let add_mmio_region t ~start ~len ~name =
   t.mmio <- (start, Int64.add start len, name) :: t.mmio

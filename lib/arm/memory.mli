@@ -30,6 +30,37 @@ val read64 : t -> int64 -> int64
 val write64 : t -> int64 -> int64 -> unit
 (** @raise Invalid_argument on unaligned access. *)
 
+(** {2 Word kernels}
+
+    Unboxed word moves between memory and a byte buffer (a register
+    file's storage), for the world-switch copy loops.  An address is
+    [base] plus an [int] offset; word [w] of a buffer is its bytes
+    [\[8w, 8w+8)].  Each word moved is observably one {!write64} or
+    {!read64} (alignment check, code-envelope invalidation, write
+    observer), and none allocates.
+    @raise Invalid_argument on an out-of-bounds word or unaligned
+    address. *)
+
+val store_from : t -> base:int64 -> int -> Bytes.t -> int -> unit
+(** [store_from t ~base off src w] is [write64 t (base + off) v] where [v]
+    is word [w] of [src]. *)
+
+val load_into : t -> base:int64 -> int -> Bytes.t -> int -> unit
+(** [load_into t ~base off dst w] stores [read64 t (base + off)] as word
+    [w] of [dst]. *)
+
+val store_words : t -> base:int64 -> int array -> Bytes.t -> int array -> unit
+(** [store_words t ~base offs src words] runs
+    [store_from t ~base offs.(k) src words.(k)] for every [k], in order:
+    a whole copy loop, reusing the page of one word for the next. *)
+
+val load_words : t -> base:int64 -> int array -> Bytes.t -> int array -> unit
+(** [load_words t ~base offs dst words] runs
+    [load_into t ~base offs.(k) dst words.(k)] for every [k], in order. *)
+
+val copy64 : t -> src:int64 -> dst:int64 -> unit
+(** [copy64 t ~src ~dst] is [write64 t dst (read64 t src)], unboxed. *)
+
 val add_mmio_region : t -> start:int64 -> len:int64 -> name:string -> unit
 (** Register a device region (left unmapped at stage 2 so accesses fault
     for emulation). *)

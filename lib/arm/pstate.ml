@@ -21,30 +21,56 @@ type t = {
 
 let reset = { el = EL2; sp_sel = true; irq_masked = true; fiq_masked = true; nzcv = 0 }
 
-let at el = { reset with el }
+(* Every PSTATE value is one of 3 ELs x 2 stack selections x 4 DAIF
+   masks x 16 NZCV settings, so all 384 are built once here and shared:
+   exception entry and return pick a record from this table instead of
+   allocating one.  The records are immutable, so sharing is
+   unobservable.
+   domain-safety: allowlisted global — read-only after module load. *)
+let table_slot ~el ~sp_sel ~irq ~fiq ~nzcv =
+  (((((el_level el * 2) + Bool.to_int sp_sel) * 2 + Bool.to_int irq) * 2)
+   + Bool.to_int fiq)
+  * 16
+  + (nzcv land 0xf)
+
+let table : t option array =
+  Array.init (3 * 2 * 64) (fun i ->
+      Some
+        {
+          el = (match i / 128 with 0 -> EL0 | 1 -> EL1 | _ -> EL2);
+          sp_sel = (i / 64) land 1 = 1;
+          irq_masked = (i / 32) land 1 = 1;
+          fiq_masked = (i / 16) land 1 = 1;
+          nzcv = i land 0xf;
+        })
+
+(* [reset] at [el]: handler mode, interrupts masked, flags clear. *)
+let at el =
+  Option.get
+    table.(table_slot ~el ~sp_sel:true ~irq:true ~fiq:true ~nzcv:0)
 
 (* SPSR-style encoding used when PSTATE is saved on exception entry.
-   M[3:0] selects the EL and stack pointer; DAIF occupy bits [9:6]. *)
-let to_spsr t =
+   M[3:0] selects the EL and stack pointer; DAIF occupy bits [9:6].
+   Every field sits below bit 32, so the encoding fits an [int]. *)
+let spsr_bits t =
   let m =
     match (t.el, t.sp_sel) with
-    | EL0, _ -> 0L
-    | EL1, false -> 4L
-    | EL1, true -> 5L
-    | EL2, false -> 8L
-    | EL2, true -> 9L
+    | EL0, _ -> 0
+    | EL1, false -> 4
+    | EL1, true -> 5
+    | EL2, false -> 8
+    | EL2, true -> 9
   in
-  let bit b v = if b then v else 0L in
-  Int64.logor m
-    (Int64.logor
-       (bit t.irq_masked 0x80L)
-       (Int64.logor (bit t.fiq_masked 0x40L)
-          (Int64.shift_left (Int64.of_int (t.nzcv land 0xf)) 28)))
+  m
+  lor (if t.irq_masked then 0x80 else 0)
+  lor (if t.fiq_masked then 0x40 else 0)
+  lor ((t.nzcv land 0xf) lsl 28)
 
-let of_spsr_opt v =
-  let m = Int64.to_int (Int64.logand v 0xfL) in
+let to_spsr t = Int64.of_int (spsr_bits t)
+
+let of_spsr_bits v =
   let mode =
-    match m with
+    match v land 0xf with
     | 0 -> Some (EL0, false)
     | 4 -> Some (EL1, false)
     | 5 -> Some (EL1, true)
@@ -52,17 +78,14 @@ let of_spsr_opt v =
     | 9 -> Some (EL2, true)
     | _ -> None
   in
-  Option.map
-    (fun (el, sp_sel) ->
-      {
-        el;
-        sp_sel;
-        irq_masked = Int64.logand v 0x80L <> 0L;
-        fiq_masked = Int64.logand v 0x40L <> 0L;
-        nzcv =
-          Int64.to_int (Int64.logand (Int64.shift_right_logical v 28) 0xfL);
-      })
-    mode
+  match mode with
+  | None -> None
+  | Some (el, sp_sel) ->
+    table.(table_slot ~el ~sp_sel ~irq:(v land 0x80 <> 0)
+             ~fiq:(v land 0x40 <> 0) ~nzcv:((v lsr 28) land 0xf))
+
+(* Only bits [31:0] carry fields, and [Int64.to_int] keeps them. *)
+let of_spsr_opt v = of_spsr_bits (Int64.to_int v)
 
 let of_spsr v =
   match of_spsr_opt v with

@@ -24,11 +24,20 @@ val reset : t
 (** Cold-boot state: EL2h with interrupts masked. *)
 
 val at : el -> t
-(** [at el] is {!reset} at the given exception level. *)
+(** [at el] is {!reset} at the given exception level.  Allocates
+    nothing: every PSTATE value is a shared, preallocated record. *)
 
 val to_spsr : t -> int64
 (** SPSR-format encoding saved on exception entry (M[3:0] mode bits,
     DAIF, NZCV). *)
+
+val spsr_bits : t -> int
+(** {!to_spsr} as an [int] (every field lies below bit 32), for callers
+    that must not box the value. *)
+
+val of_spsr_bits : int -> t option
+(** {!of_spsr_opt} of the low 32 bits given as an [int].  Allocates
+    nothing: the result is a shared, preallocated value. *)
 
 val of_spsr : int64 -> t
 (** Inverse of {!to_spsr}.
@@ -37,6 +46,6 @@ val of_spsr : int64 -> t
 val of_spsr_opt : int64 -> t option
 (** [None] on illegal mode bits — for callers modelling what hardware
     does with a corrupt SPSR (illegal exception return) instead of
-    aborting the simulation. *)
+    aborting the simulation.  Allocates nothing. *)
 
 val pp : Format.formatter -> t -> unit

@@ -130,10 +130,6 @@ type alias = Direct | EL12 | EL02
 
 type access = { reg : t; alias : alias }
 
-let direct reg = { reg; alias = Direct }
-let el12 reg = { reg; alias = EL12 }
-let el02 reg = { reg; alias = EL02 }
-
 let lr_count = 16
 let apr_count = 4
 let pmu_counters = 6   (* event counters implemented *)
@@ -689,6 +685,35 @@ let of_index_tbl : t array =
 let of_index i =
   if i < 0 || i >= count then invalid_arg "Sysreg.of_index";
   of_index_tbl.(i)
+
+(* Access records, one per (register, alias), built once: hypervisor code
+   names accesses on every world switch, and an access is immutable, so
+   handing out a shared record is unobservable.
+   domain-safety: allowlisted global — read-only after module load. *)
+let accesses alias =
+  Array.init count (fun i -> { reg = of_index_tbl.(i); alias })
+let direct_tbl = accesses Direct
+let el12_tbl = accesses EL12
+let el02_tbl = accesses EL02
+
+(* Whether a parameterized register's number is one the model implements
+   (the registers [index] numbers without aliasing a neighbour). *)
+let in_range = function
+  | PMEVCNTR_EL0 n | PMEVTYPER_EL0 n -> n >= 0 && n < pmu_counters
+  | DBGBVR_EL1 n | DBGBCR_EL1 n | DBGWVR_EL1 n | DBGWCR_EL1 n ->
+    n >= 0 && n < debug_bkpts
+  | ICH_AP0R_EL2 n | ICH_AP1R_EL2 n -> n >= 0 && n < apr_count
+  | ICH_LR_EL2 n -> n >= 0 && n < lr_count
+  | _ -> true
+
+(* The shared record for a register of the model, a fresh one for an
+   out-of-range parameterized register. *)
+let shared_access tbl reg alias =
+  if in_range reg then Array.unsafe_get tbl (index reg) else { reg; alias }
+
+let direct reg = shared_access direct_tbl reg Direct
+let el12 reg = shared_access el12_tbl reg EL12
+let el02 reg = shared_access el02_tbl reg EL02
 
 (* --- Deferred-access-page layout ---
 

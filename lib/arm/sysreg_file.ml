@@ -54,9 +54,11 @@ let writable : Bytes.t =
   Bytes.init Sysreg.count (fun i ->
       if Sysreg.read_only (Sysreg.of_index i) then '\000' else '\001')
 
+let writable_index i = Bytes.get writable i = '\001'
+
 let write t r v =
   let i = Sysreg.index r in
-  if Bytes.unsafe_get writable i = '\001' then begin
+  if writable_index i then begin
     set_index t i v;
     Bytes.unsafe_set t.dirty i '\001'
   end
@@ -85,6 +87,33 @@ let copy_indices ~src ~dst (indices : int array) =
     set_index dst i (get_index src i);
     Bytes.unsafe_set dst.dirty i '\001'
   done
+
+(* --- word kernels: register file <-> memory ---
+
+   The world-switch copy loops move register values between a file and
+   context slots in memory.  Done as [read] + [Memory.write64] (or the
+   reverse) the value crosses a module boundary as an [int64] and is
+   boxed on every copy; these kernels hand [Memory] the file's byte
+   buffer instead, so a copy is two unboxed word moves.  The memory side
+   is exactly [Memory.write64]/[read64]: alignment check, code-envelope
+   invalidation, write observer. *)
+
+let save_word t i mem ~base off = Memory.store_from mem ~base off t.values i
+
+let load_word t i mem ~base off =
+  Memory.load_into mem ~base off t.values i;
+  Bytes.unsafe_set t.dirty i '\001'
+
+let save t (indices : int array) mem ~base (offs : int array) =
+  Memory.store_words mem ~base offs t.values indices
+
+let restore t (indices : int array) mem ~base (offs : int array) =
+  Memory.load_words mem ~base offs t.values indices;
+  for k = 0 to Array.length indices - 1 do
+    Bytes.unsafe_set t.dirty (Array.unsafe_get indices k) '\001'
+  done
+
+let holds t r v = Int64.equal (read t r) v
 
 let dump t =
   Sysreg.all

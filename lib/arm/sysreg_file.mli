@@ -38,5 +38,32 @@ val copy_indices : src:t -> dst:t -> int array -> unit
 (** {!copy} over a precomputed dense-index array — no per-register
     dispatch, just an indexed loop. *)
 
+val writable_index : int -> bool
+(** Whether a software write ({!write}) to the register with this dense
+    index takes effect. *)
+
+val save_word : t -> int -> Memory.t -> base:int64 -> int -> unit
+(** [save_word t i mem ~base off] is
+    [Memory.write64 mem (base + off) (get_index t i)], without boxing the
+    value. *)
+
+val load_word : t -> int -> Memory.t -> base:int64 -> int -> unit
+(** [load_word t i mem ~base off] is {!hw_write} of
+    [Memory.read64 mem (base + off)] into the register with dense index
+    [i], without boxing the value. *)
+
+val save : t -> int array -> Memory.t -> base:int64 -> int array -> unit
+(** [save t indices mem ~base offs] runs
+    [save_word t indices.(k) mem ~base offs.(k)] for every [k], in order:
+    the world-switch save loop as one word kernel.  Allocates nothing. *)
+
+val restore : t -> int array -> Memory.t -> base:int64 -> int array -> unit
+(** [restore t indices mem ~base offs] runs {!load_word} for each pair in
+    order (hardware-write semantics: no writability check — callers
+    modelling an MSR drop unwritable registers beforehand). *)
+
+val holds : t -> Sysreg.t -> int64 -> bool
+(** [holds t r v] is [read t r = v], without boxing the read. *)
+
 val dump : t -> (Sysreg.t * int64) list
 (** Written, non-zero registers in {!Sysreg.all} order, for debugging. *)

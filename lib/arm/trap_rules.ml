@@ -185,21 +185,20 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
   let defer_on = nv2_on && mask.m_defer in
   let redirect_on = nv2_on && mask.m_redirect in
   let cached_on = nv2_on && mask.m_cached in
-  let trap () = sysreg_trap ~access ~rt ~is_read in
   match access.alias with
   | EL02 ->
     (* VHE guest hypervisor programming the VM's EL0 timer.  These "always
        trap" (Section 7.1): timer values are updated by hardware, so a
        cached copy cannot serve reads. *)
-    trap ()
+    sysreg_trap ~access ~rt ~is_read
   | EL12 ->
     (* VHE guest hypervisor accessing the VM's EL1 state. *)
-    if not defer_on then trap ()
+    if not defer_on then sysreg_trap ~access ~rt ~is_read
     else if nv2_defers_reads access.reg || not is_read then
       if Sysreg.has_vncr_offset access.reg then
         deferred_slot ~vncr access.reg
-      else trap ()
-    else trap ()
+      else sysreg_trap ~access ~rt ~is_read
+    else sysreg_trap ~access ~rt ~is_read
   | Direct ->
     if Sysreg.min_el access.reg = Pstate.EL2 then begin
       (* EL2 register access from virtual EL2.  An OoH grant wins over
@@ -208,27 +207,28 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
       match exposed_feature expose access.reg with
       | Some feature -> Execute_exposed { feature }
       | None ->
-      if not nv2_on then trap ()
+      if not nv2_on then sysreg_trap ~access ~rt ~is_read
       else begin
         match Sysreg.neve_class access.reg with
         | NV_vm_reg ->
-          if defer_on then deferred_slot ~vncr access.reg else trap ()
+          if defer_on then deferred_slot ~vncr access.reg
+          else sysreg_trap ~access ~rt ~is_read
         | NV_redirect tgt | NV_redirect_vhe tgt ->
           if redirect_on then Execute_redirected (Sysreg.direct tgt)
-          else trap ()
+          else sysreg_trap ~access ~rt ~is_read
         | NV_trap_on_write ->
           if is_read && cached_on then deferred_slot ~vncr access.reg
-          else trap ()
+          else sysreg_trap ~access ~rt ~is_read
         | NV_redirect_or_trap tgt ->
           (* NV1=1 marks a non-VHE guest hypervisor: the EL2 format differs
              from EL1 and cannot be redirected (Section 6.1). *)
           if hcr.h_nv1 then
             if is_read && cached_on then deferred_slot ~vncr access.reg
-            else trap ()
+            else sysreg_trap ~access ~rt ~is_read
           else if redirect_on then Execute_redirected (Sysreg.direct tgt)
-          else trap ()
-        | NV_timer_trap -> trap ()
-        | NV_none -> trap ()
+          else sysreg_trap ~access ~rt ~is_read
+        | NV_timer_trap -> sysreg_trap ~access ~rt ~is_read
+        | NV_none -> sysreg_trap ~access ~rt ~is_read
       end
     end
     else if Sysreg.min_el access.reg = Pstate.EL1 then
@@ -239,7 +239,8 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
            CurrentEL being read-only *)
         if is_read then Read_disguised (Pstate.currentel_bits Pstate.EL2)
         else Undef
-      | Sysreg.ICC_SGI1R_EL1 -> trap () (* IPIs are always emulated *)
+      | Sysreg.ICC_SGI1R_EL1 ->
+        sysreg_trap ~access ~rt ~is_read (* IPIs are always emulated *)
       | Sysreg.ICC_IAR1_EL1 | Sysreg.ICC_EOIR1_EL1 | Sysreg.ICC_DIR_EL1
       | Sysreg.ICC_PMR_EL1 | Sysreg.ICC_BPR1_EL1 | Sysreg.ICC_CTLR_EL1
       | Sysreg.ICC_IGRPEN1_EL1 ->
@@ -255,7 +256,7 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
           deferred_slot ~vncr r
         else if is_read && not hcr.h_trvm && Sysreg.neve_class r <> NV_vm_reg
         then Execute
-        else trap ()
+        else sysreg_trap ~access ~rt ~is_read
     else Execute
 
 (* Route a system-register access for a regular VM (EL1, NV clear). *)

@@ -14,6 +14,7 @@
 
 module Sysreg = Arm.Sysreg
 module Memory = Arm.Memory
+module Sysreg_file = Arm.Sysreg_file
 
 type t = {
   base : int64;          (* physical address, page-aligned *)
@@ -69,6 +70,39 @@ let drain t ~write_virtual =
   for i = 0 to layout_len - 1 do
     let r, off = Array.unsafe_get layout_slots i in
     write_virtual r (Memory.read64 t.mem (Int64.add t.base off))
+  done;
+  if !Trace.on then
+    Trace.emit ~a0:(Int64.of_int layout_len) ~a1:t.base Trace.Page_drain
+
+(* The same two copies between the page and a vCPU's virtual register
+   files, as word kernels: each slot moves as an unboxed word instead of
+   a boxed value through a per-slot closure.  EL2-level registers live in
+   [el2], the rest in [el1]; slots are visited in layout order. *)
+let layout_idx = Array.of_list (List.map Sysreg.index Sysreg.vncr_layout)
+
+let layout_off = Array.map (fun (_, off) -> Int64.to_int off) layout_slots
+
+let layout_el2 =
+  Array.of_list
+    (List.map (fun r -> Sysreg.min_el r = Arm.Pstate.EL2) Sysreg.vncr_layout)
+
+let populate_from t ~el2 ~el1 =
+  for i = 0 to layout_len - 1 do
+    Sysreg_file.save_word
+      (if Array.unsafe_get layout_el2 i then el2 else el1)
+      (Array.unsafe_get layout_idx i) t.mem ~base:t.base
+      (Array.unsafe_get layout_off i)
+  done;
+  if !Trace.on then
+    Trace.emit ~a0:(Int64.of_int layout_len) ~a1:t.base Trace.Page_populate
+
+let drain_into t ~el2 ~el1 ~skip =
+  for i = 0 to layout_len - 1 do
+    let idx = Array.unsafe_get layout_idx i in
+    if not skip.(idx) then
+      Sysreg_file.load_word
+        (if Array.unsafe_get layout_el2 i then el2 else el1)
+        idx t.mem ~base:t.base (Array.unsafe_get layout_off i)
   done;
   if !Trace.on then
     Trace.emit ~a0:(Int64.of_int layout_len) ~a1:t.base Trace.Page_drain

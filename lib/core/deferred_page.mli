@@ -45,6 +45,19 @@ val drain : t -> write_virtual:(Arm.Sysreg.t -> int64 -> unit) -> unit
 (** Read every slot back into a register sink, when the host needs the
     authoritative values (trapped eret, vCPU descheduling). *)
 
+val populate_from :
+  t -> el2:Arm.Sysreg_file.t -> el1:Arm.Sysreg_file.t -> unit
+(** {!populate} from a vCPU's virtual register files — EL2-level
+    registers from [el2], the rest from [el1] — moving each slot as an
+    unboxed word.  Allocates nothing. *)
+
+val drain_into :
+  t -> el2:Arm.Sysreg_file.t -> el1:Arm.Sysreg_file.t -> skip:bool array ->
+  unit
+(** {!drain} into the virtual register files (hardware-write semantics),
+    leaving alone every register whose dense {!Arm.Sysreg.index} is set
+    in [skip].  Allocates nothing. *)
+
 val vm_execution_state : Arm.Sysreg.t list
 (** The Table 3 "VM Execution Control" subset: page-resident values that
     are real EL1 machine state for the nested VM and must be pushed into

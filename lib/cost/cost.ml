@@ -241,14 +241,27 @@ let count_insns m n =
    from the trap router and IRQ delivery, x86 VM exits from Vtx.  Emitting
    the trace event here is what makes the tracer's per-class counter sums
    equal the meters' trap totals by construction. *)
-let record_trap ?(detail = "") m kind =
+let count_trap m kind =
   m.traps <- m.traps + 1;
   let i = kind_index kind in
-  Array.unsafe_set m.by_kind i (Array.unsafe_get m.by_kind i + 1);
-  if m.logging then m.log <- (kind, detail) :: m.log;
+  Array.unsafe_set m.by_kind i (Array.unsafe_get m.by_kind i + 1)
+
+let trace_trap m kind detail =
   if !Trace.on then
     Trace.emit ~cycles:m.cycles ~tid:m.tid ~cls:(trap_kind_name kind) ~detail
       Trace.Trap
+
+let record_trap ?(detail = "") m kind =
+  count_trap m kind;
+  if m.logging then m.log <- (kind, detail) :: m.log;
+  trace_trap m kind detail
+
+(* The same, given the log entry itself: a trap site that traps again and
+   again logs one shared entry instead of a fresh pair per trap. *)
+let record_trap_entry m ((kind, detail) as entry) =
+  count_trap m kind;
+  if m.logging then m.log <- entry :: m.log;
+  trace_trap m kind detail
 
 (* The exposure twin of [record_trap]: called where the router returned
    [Execute_exposed] instead of a trap.  No cycle charge here — the

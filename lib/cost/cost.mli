@@ -132,6 +132,11 @@ val record_trap : ?detail:string -> meter -> trap_kind -> unit
     {!trap_kind_name}, which is why the tracer's per-class counter sums
     equal the meters' trap totals by construction. *)
 
+val record_trap_entry : meter -> trap_kind * string -> unit
+(** [record_trap_entry m (kind, detail)] is
+    [record_trap ~detail m kind], logging the given pair itself: a caller
+    that logs the same trap again and again shares one entry. *)
+
 val record_exposed : ?detail:string -> meter -> Expose.Policy.feature -> unit
 (** The exposure twin of {!record_trap}: attribute a trap-free access
     to the OoH grant that saved the exit.  Charges no cycles — the

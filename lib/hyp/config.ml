@@ -46,14 +46,27 @@ let target_features t =
    hypervisor under the *target* architecture: NV always; NV2 for NEVE;
    NV1 + TVM/TRVM for a non-VHE guest hypervisor on plain v8.3 (the
    "existing ARMv8.0 mechanisms" for trapping EL1 accesses, Section 4). *)
-let target_hcr t =
+let target_hcr_of ~neve ~vhe =
   let open Arm.Hcr in
   let v = List.fold_left set 0L [ vm; imo; fmo; tsc; twi; nv ] in
-  let v = if is_neve t then set v nv2 else v in
-  if t.guest_vhe then v
+  let v = if neve then set v nv2 else v in
+  if vhe then v
   else
     let v = set v nv1 in
-    if is_neve t then v else set (set v tvm) trvm
+    if neve then v else set (set v tvm) trvm
+
+(* Computed once: the host programs it on every trap return. *)
+let hcr_v8_3 = target_hcr_of ~neve:false ~vhe:false
+let hcr_v8_3_vhe = target_hcr_of ~neve:false ~vhe:true
+let hcr_neve = target_hcr_of ~neve:true ~vhe:false
+let hcr_neve_vhe = target_hcr_of ~neve:true ~vhe:true
+
+let target_hcr t =
+  match (is_neve t, t.guest_vhe) with
+  | false, false -> hcr_v8_3
+  | false, true -> hcr_v8_3_vhe
+  | true, false -> hcr_neve
+  | true, true -> hcr_neve_vhe
 
 let mechanism_name = function
   | Hw_v8_3 -> "ARMv8.3 (hw)"

@@ -18,18 +18,20 @@ module Sysreg = Arm.Sysreg
    resolves to one of three things: a register-file move ([G_sys], the
    route said Execute or redirected to a twin), a deferred-page memory
    move ([G_mem], NV2 deferral with a precomputed page address), or a
-   full [Cpu.exec] replay of the preallocated instruction ([G_exec] —
-   traps, disguised reads, UNDEFs, and anything with hardware side
-   effects).  Plans are memoized per (context, register set, direction,
-   alias form) and validated against the complete routing key; G_exec
-   boundaries flush aggregated accounting so a trap handler observes the
-   exact meter, PC and data-register state the interpreted loop would
-   show it. *)
+   replay of the preallocated instruction under its precomputed route
+   ([G_exec] — traps, disguised reads, UNDEFs, and anything with hardware
+   side effects).  [G_sys] and [G_mem] copies move their value as an
+   unboxed word ([Sysreg_file.save_word]/[load_word], [Memory.copy64]).
+   Plans are memoized per (context, register set, direction, alias form)
+   and validated against the complete routing key; G_exec boundaries
+   flush aggregated accounting so a trap handler observes the exact
+   meter, PC and data-register state the interpreted loop would show
+   it. *)
 
 type gop =
-  | G_sys of Sysreg.t
+  | G_sys of int  (* dense register index *)
   | G_mem of int64
-  | G_exec of Insn.t
+  | G_exec of Insn.t * Arm.Trap_rules.action
 
 type gcopy = { g_op : gop; g_slot : int64 }
 
@@ -193,9 +195,13 @@ let via_access ~el12 r =
 (* Registers whose hardware read is not a plain register-file load
    (CurrentEL synthesis, CNTVCT from the cycle count): a compiled loop
    charging cycles in aggregate would read them at the wrong mid-loop
-   instant, so their copies replay through [Cpu.exec] instead. *)
+   instant, so their copies replay as instructions ([G_exec]) instead. *)
 let hw_special (r : Sysreg.t) =
   match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
+
+(* Registers the routing key reads. *)
+let routing_input (r : Sysreg.t) =
+  match r with Sysreg.HCR_EL2 | Sysreg.VNCR_EL2 -> true | _ -> false
 
 let key_now (cpu : Cpu.t) =
   {
@@ -207,11 +213,15 @@ let key_now (cpu : Cpu.t) =
     gk_el = cpu.Cpu.pstate.Arm.Pstate.el;
   }
 
-let key_eq a b =
-  a.gk_hcr = b.gk_hcr && a.gk_vncr = b.gk_vncr && a.gk_feats == b.gk_feats
-  && a.gk_mask == b.gk_mask
-  && Expose.Policy.equal a.gk_expose b.gk_expose
-  && a.gk_el = b.gk_el
+(* Whether the CPU's routing state is still [k] (without building a key
+   for the comparison). *)
+let key_holds k (cpu : Cpu.t) =
+  Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 k.gk_hcr
+  && Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.VNCR_EL2 k.gk_vncr
+  && k.gk_feats == cpu.Cpu.features
+  && k.gk_mask == cpu.Cpu.nv2_mask
+  && Expose.Policy.equal k.gk_expose cpu.Cpu.expose
+  && k.gk_el = cpu.Cpu.pstate.Arm.Pstate.el
 
 (* The compiled path only replays what the plain hardware funnel would
    do: no paravirt rewriting, no pending fault corruption, no per-access
@@ -226,46 +236,46 @@ let route_for (cpu : Cpu.t) insn =
 
 let compile_seq t ~el12 ~ctx ~save regs =
   let cpu = t.cpu in
-  Array.map
-    (fun r ->
+  let slots = Array.map (WS.slot ctx) regs in
+  Array.mapi
+    (fun k r ->
       let access = via_access ~el12 r in
-      let op =
-        if save then begin
-          let insn = Insn.Mrs (data_reg, access) in
-          match route_for cpu insn with
-          | Trap_rules.Execute when not (hw_special access.Sysreg.reg) ->
-            G_sys access.Sysreg.reg
-          | Trap_rules.Execute_redirected a when not (hw_special a.Sysreg.reg)
-            ->
-            G_sys a.Sysreg.reg
-          | Trap_rules.Defer_to_memory { addr; reg = _ } -> G_mem addr
-          | _ -> G_exec insn
-        end
-        else begin
-          let insn = Insn.Msr (access, Insn.Reg data_reg) in
-          match route_for cpu insn with
-          | Trap_rules.Execute -> G_sys access.Sysreg.reg
-          | Trap_rules.Execute_redirected a -> G_sys a.Sysreg.reg
-          | Trap_rules.Defer_to_memory { addr; reg = _ } -> G_mem addr
-          | _ -> G_exec insn
-        end
+      let insn =
+        if save then Insn.Mrs (data_reg, access)
+        else Insn.Msr (access, Insn.Reg data_reg)
       in
-      { g_op = op; g_slot = WS.slot ctx r })
+      let action = route_for cpu insn in
+      let op =
+        match action with
+        | (Trap_rules.Execute | Trap_rules.Execute_redirected _)
+          when (not save) && routing_input access.Sysreg.reg ->
+          (* the write changes the key itself: replay it, then re-check *)
+          G_exec (insn, action)
+        | Trap_rules.Execute when not (save && hw_special access.Sysreg.reg) ->
+          G_sys (Sysreg.index access.Sysreg.reg)
+        | Trap_rules.Execute_redirected a
+          when not (save && hw_special a.Sysreg.reg) ->
+          G_sys (Sysreg.index a.Sysreg.reg)
+        | Trap_rules.Defer_to_memory { addr; reg = _ }
+          when save || not (Array.exists (Int64.equal addr) slots) ->
+          (* A replay leaves the data register holding the last copy's
+             value by reading it back from that copy's context slot at the
+             next flush; a restore's deferred store onto a context slot of
+             the same loop would break that, so it replays instead. *)
+          G_mem addr
+        | _ -> G_exec (insn, action)
+      in
+      { g_op = op; g_slot = slots.(k) })
     regs
 
-let plan_for t ~el12 ~ctx ~save regs key =
+let plan_for t ~el12 ~ctx ~save regs =
   let rec find_entry = function
     | e :: _
       when e.se_regs == regs && e.se_ctx = ctx && e.se_save = save
            && e.se_el12 = el12 ->
-      Some e
+      e
     | _ :: tl -> find_entry tl
-    | [] -> None
-  in
-  let entry =
-    match find_entry t.seqs with
-    | Some e -> e
-    | None ->
+    | [] ->
       let e =
         { se_ctx = ctx; se_save = save; se_el12 = el12; se_regs = regs;
           se_plans = [] }
@@ -273,17 +283,15 @@ let plan_for t ~el12 ~ctx ~save regs key =
       t.seqs <- e :: t.seqs;
       e
   in
+  let entry = find_entry t.seqs in
   let rec find_plan = function
-    | (k, p) :: _ when key_eq k key -> Some p
-    | _ :: tl -> find_plan tl
-    | [] -> None
+    | ((k, _) as kp) :: tl -> if key_holds k t.cpu then kp else find_plan tl
+    | [] ->
+      let kp = (key_now t.cpu, compile_seq t ~el12 ~ctx ~save regs) in
+      entry.se_plans <- kp :: entry.se_plans;
+      kp
   in
-  match find_plan entry.se_plans with
-  | Some p -> p
-  | None ->
-    let p = compile_seq t ~el12 ~ctx ~save regs in
-    entry.se_plans <- (key, p) :: entry.se_plans;
-    p
+  find_plan entry.se_plans
 
 (* Interpreted fallback, element-for-element what
    [World_switch.save_array]/[restore_array] do over [ops] (the copied
@@ -300,25 +308,38 @@ let generic_rest t ~el12 ~ctx regs ~from =
     wr t (via_access ~el12 r) (ld t (WS.slot ctx r))
   done
 
+(* Aggregated accounting of a plan replay between G_exec boundaries.
+   [last] is the copy whose context slot holds the value the data
+   register must end up with (-1: it already does). *)
+type acct = {
+  mutable insns : int;
+  mutable cyc : int;
+  mutable acc : int;
+  mutable pcb : int;
+  mutable last : int;
+}
+
+let flush (cpu : Cpu.t) (plan : gcopy array) a =
+  let m = cpu.Cpu.meter in
+  m.Cost.insns <- m.Cost.insns + a.insns;
+  m.Cost.cycles <- m.Cost.cycles + a.cyc;
+  m.Cost.mem_accesses <- m.Cost.mem_accesses + a.acc;
+  if a.pcb <> 0 then cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int a.pcb);
+  if a.last >= 0 then
+    Cpu.set_reg cpu data_reg
+      (Memory.read64 cpu.Cpu.mem plan.(a.last).g_slot);
+  a.insns <- 0;
+  a.cyc <- 0;
+  a.acc <- 0;
+  a.pcb <- 0;
+  a.last <- -1
+
 let run_save_plan t (plan : gcopy array) key ~el12 ~ctx regs =
   let cpu = t.cpu in
-  let m = cpu.Cpu.meter in
   let c = Cpu.table cpu in
-  let mem = cpu.Cpu.mem in
+  let sr = cpu.Cpu.sysregs and mem = cpu.Cpu.mem in
   let n = Array.length plan in
-  let insns = ref 0 and cyc = ref 0 and acc = ref 0 and pcb = ref 0 in
-  let last = ref (Cpu.get_reg cpu data_reg) in
-  let flush () =
-    m.Cost.insns <- m.Cost.insns + !insns;
-    m.Cost.cycles <- m.Cost.cycles + !cyc;
-    m.Cost.mem_accesses <- m.Cost.mem_accesses + !acc;
-    cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int !pcb);
-    Cpu.set_reg cpu data_reg !last;
-    insns := 0;
-    cyc := 0;
-    acc := 0;
-    pcb := 0
-  in
+  let a = { insns = 0; cyc = 0; acc = 0; pcb = 0; last = -1 } in
   let i = ref 0 in
   let ok = ref true in
   while !ok && !i < n do
@@ -326,112 +347,94 @@ let run_save_plan t (plan : gcopy array) key ~el12 ~ctx regs =
     (match gc.g_op with
      | G_sys r ->
        (* "mrs x10, r; str x10, [slot]" *)
-       let v = Cpu.read_sysreg_hw cpu r in
-       Memory.write64 mem gc.g_slot v;
-       last := v;
-       insns := !insns + 2;
-       cyc := !cyc + c.Cost.sysreg_read + c.Cost.mem_store;
-       acc := !acc + 1;
-       pcb := !pcb + 8
-     | G_mem a ->
+       Arm.Sysreg_file.save_word sr r mem ~base:gc.g_slot 0;
+       a.last <- !i;
+       a.insns <- a.insns + 2;
+       a.cyc <- a.cyc + c.Cost.sysreg_read + c.Cost.mem_store;
+       a.acc <- a.acc + 1;
+       a.pcb <- a.pcb + 8
+     | G_mem addr ->
        (* deferred mrs (a 64-bit load from the VNCR page) + the store *)
-       let v = Memory.read64 mem a in
-       Memory.write64 mem gc.g_slot v;
-       last := v;
-       insns := !insns + 2;
-       cyc := !cyc + c.Cost.mem_load + c.Cost.mem_store;
-       acc := !acc + 2;
-       pcb := !pcb + 8
-     | G_exec insn ->
+       Memory.copy64 mem ~src:addr ~dst:gc.g_slot;
+       a.last <- !i;
+       a.insns <- a.insns + 2;
+       a.cyc <- a.cyc + c.Cost.mem_load + c.Cost.mem_store;
+       a.acc <- a.acc + 2;
+       a.pcb <- a.pcb + 8
+     | G_exec (insn, action) ->
        (* the read leg needs full routing (trap, disguise, UNDEF...);
           hand it the exact machine state the interpreted loop has *)
-       flush ();
-       Cpu.exec cpu insn;
+       flush cpu plan a;
+       Cpu.exec_with_action cpu insn action;
        let v = tampered t (Cpu.get_reg cpu data_reg) in
        (* the store leg is an unconditional plain str *)
        Cpu.set_reg cpu data_reg v;
        Memory.write64 mem gc.g_slot v;
-       last := v;
-       insns := !insns + 1;
-       cyc := !cyc + c.Cost.mem_store;
-       acc := !acc + 1;
-       pcb := !pcb + 4;
+       a.insns <- a.insns + 1;
+       a.cyc <- a.cyc + c.Cost.mem_store;
+       a.acc <- a.acc + 1;
+       a.pcb <- a.pcb + 4;
        (* the handler behind a trap may have moved the routing state *)
-       if not (fast_ok t && key_eq key (key_now cpu)) then begin
-         flush ();
+       if not (fast_ok t && key_holds key cpu) then begin
+         flush cpu plan a;
          generic_save t ~el12 ~ctx regs ~from:(!i + 1);
          ok := false
        end);
     incr i
   done;
-  if !ok then flush ()
+  if !ok then flush cpu plan a
 
 let run_rest_plan t (plan : gcopy array) key ~el12 ~ctx regs =
   let cpu = t.cpu in
-  let m = cpu.Cpu.meter in
   let c = Cpu.table cpu in
-  let mem = cpu.Cpu.mem in
+  let sr = cpu.Cpu.sysregs and mem = cpu.Cpu.mem in
   let n = Array.length plan in
-  let insns = ref 0 and cyc = ref 0 and acc = ref 0 and pcb = ref 0 in
-  let last = ref (Cpu.get_reg cpu data_reg) in
-  let flush () =
-    m.Cost.insns <- m.Cost.insns + !insns;
-    m.Cost.cycles <- m.Cost.cycles + !cyc;
-    m.Cost.mem_accesses <- m.Cost.mem_accesses + !acc;
-    cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int !pcb);
-    Cpu.set_reg cpu data_reg !last;
-    insns := 0;
-    cyc := 0;
-    acc := 0;
-    pcb := 0
-  in
+  let a = { insns = 0; cyc = 0; acc = 0; pcb = 0; last = -1 } in
   let i = ref 0 in
   let ok = ref true in
   while !ok && !i < n do
     let gc = Array.unsafe_get plan !i in
     (match gc.g_op with
      | G_sys r ->
-       (* "ldr x10, [slot]; msr r, x10" *)
-       let v = Memory.read64 mem gc.g_slot in
-       Cpu.write_sysreg_hw cpu r v;
-       last := v;
-       insns := !insns + 2;
-       cyc := !cyc + c.Cost.mem_load + c.Cost.sysreg_write;
-       acc := !acc + 1;
-       pcb := !pcb + 8
-     | G_mem a ->
+       (* "ldr x10, [slot]; msr r, x10" (a write to a read-only register
+          is ignored, as [Cpu.write_sysreg_hw] does) *)
+       if Arm.Sysreg_file.writable_index r then
+         Arm.Sysreg_file.load_word sr r mem ~base:gc.g_slot 0;
+       a.last <- !i;
+       a.insns <- a.insns + 2;
+       a.cyc <- a.cyc + c.Cost.mem_load + c.Cost.sysreg_write;
+       a.acc <- a.acc + 1;
+       a.pcb <- a.pcb + 8
+     | G_mem addr ->
        (* the load + a deferred msr (a 64-bit store to the VNCR page) *)
-       let v = Memory.read64 mem gc.g_slot in
-       Memory.write64 mem a v;
-       last := v;
-       insns := !insns + 2;
-       cyc := !cyc + c.Cost.mem_load + c.Cost.mem_store;
-       acc := !acc + 2;
-       pcb := !pcb + 8
-     | G_exec insn ->
+       Memory.copy64 mem ~src:gc.g_slot ~dst:addr;
+       a.last <- !i;
+       a.insns <- a.insns + 2;
+       a.cyc <- a.cyc + c.Cost.mem_load + c.Cost.mem_store;
+       a.acc <- a.acc + 2;
+       a.pcb <- a.pcb + 8
+     | G_exec (insn, action) ->
        (* the load leg is an unconditional plain ldr; charge it, then
-          flush and replay the write leg with full routing *)
-       let v = Memory.read64 mem gc.g_slot in
-       last := v;
-       insns := !insns + 1;
-       cyc := !cyc + c.Cost.mem_load;
-       acc := !acc + 1;
-       pcb := !pcb + 4;
-       flush ();
-       Cpu.exec cpu insn;
-       if not (fast_ok t && key_eq key (key_now cpu)) then begin
+          flush and replay the write leg under its route *)
+       a.last <- !i;
+       a.insns <- a.insns + 1;
+       a.cyc <- a.cyc + c.Cost.mem_load;
+       a.acc <- a.acc + 1;
+       a.pcb <- a.pcb + 4;
+       flush cpu plan a;
+       Cpu.exec_with_action cpu insn action;
+       if not (fast_ok t && key_holds key cpu) then begin
          generic_rest t ~el12 ~ctx regs ~from:(!i + 1);
          ok := false
        end);
     incr i
   done;
-  if !ok then flush ()
+  if !ok then flush cpu plan a
 
 let save_ctx t ~el12 ~ctx regs =
   WS.add_copies (Array.length regs);
   if fast_ok t then begin
-    let key = key_now t.cpu in
-    let plan = plan_for t ~el12 ~ctx ~save:true regs key in
+    let key, plan = plan_for t ~el12 ~ctx ~save:true regs in
     run_save_plan t plan key ~el12 ~ctx regs
   end
   else generic_save t ~el12 ~ctx regs ~from:0
@@ -439,8 +442,7 @@ let save_ctx t ~el12 ~ctx regs =
 let restore_ctx t ~el12 ~ctx regs =
   WS.add_copies (Array.length regs);
   if fast_ok t then begin
-    let key = key_now t.cpu in
-    let plan = plan_for t ~el12 ~ctx ~save:false regs key in
+    let key, plan = plan_for t ~el12 ~ctx ~save:false regs in
     run_rest_plan t plan key ~el12 ~ctx regs
   end
   else generic_rest t ~el12 ~ctx regs ~from:0

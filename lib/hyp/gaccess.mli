@@ -12,14 +12,16 @@ module Insn = Arm.Insn
 module Sysreg = Arm.Sysreg
 
 (** One pre-resolved register copy of a compiled world-switch sequence:
-    a register-file move ([G_sys]), a deferred-page memory move with a
-    precomputed address ([G_mem]), or a full {!Cpu.exec} replay of the
-    preallocated instruction ([G_exec] — traps, disguised reads, UNDEFs
+    a register-file move of the register with this dense index
+    ([G_sys]), a deferred-page memory move with a precomputed address
+    ([G_mem]) — both moved as unboxed words — or a replay of the
+    preallocated instruction under its precomputed route
+    ({!Cpu.exec_with_action}; [G_exec] — traps, disguised reads, UNDEFs
     and hardware-side-effect registers). *)
 type gop =
-  | G_sys of Sysreg.t
+  | G_sys of int
   | G_mem of int64
-  | G_exec of Insn.t
+  | G_exec of Insn.t * Arm.Trap_rules.action
 
 type gcopy = { g_op : gop; g_slot : int64 }
 
@@ -88,6 +90,7 @@ val save_ctx : t -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
     plan when the routing state allows: paravirt configs, pending
     fault-injection corruption and active tracing fall back to the
     interpreted loop, and copies whose route can trap replay their exact
-    instruction through {!Cpu.exec}. *)
+    instruction under its route ({!Cpu.exec_with_action}); the rest move
+    as unboxed words. *)
 
 val restore_ctx : t -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit

@@ -11,7 +11,14 @@
 
    NEVE changes only the boundaries: the host populates the deferred
    access page before running the guest hypervisor and drains it on the
-   trapped eret; the trap handler itself sees six times fewer traps. *)
+   trapped eret; the trap handler itself sees six times fewer traps.
+
+   The simulator pays for that exit path on every trap too, so the host's
+   side of the round trip allocates nothing per register: the ~70
+   copies of [l0_enter]/[l0_exit] replay as word kernels moving bytes
+   between the register file and memory pages, trap-control writes take
+   {!Cpu.msr}'s EL2 path, and the vEL2 transitions copy between the
+   virtual register files, the stash and hardware the same way. *)
 
 module Sysreg = Arm.Sysreg
 module Cpu = Arm.Cpu
@@ -29,37 +36,48 @@ type scenario = Single_vm | Nested
 
 (* --- compiled l0 world-switch plans ---
 
-   The full non-VHE exit path copies ~50 registers through [Cpu.exec] on
-   EVERY trap: each copy routes an MRS/MSR, allocates an [Insn.t] and a
-   boxed slot address, and charges costs one instruction at a time.  At
-   EL2 with a [Direct] alias the router can only answer [Execute] or
+   The full non-VHE exit path copies 72 registers on EVERY trap.  At EL2
+   with a [Direct] alias the router can only answer [Execute] or
    [Execute_redirected] (a pure function of HCR_EL2.E2H and the feature
-   set), so the loops compile to flat arrays of pre-resolved
-   (source register, context slot) pairs, validated against the raw HCR
-   value and feature record they were compiled under.  Execution
-   replicates the interpreted loops' observable effects exactly: the same
-   register-file and memory writes in the same order, the same meter
-   charges, the same copy counter, the same final scratch-register value
-   and PC advance. *)
+   set), so each loop compiles to flat arrays of pre-resolved hardware
+   registers (dense indices) and context-slot offsets, validated
+   against the raw HCR value and feature record it was compiled under.
+   Replay hands the arrays to [Sysreg_file.save]/[restore], which move
+   each value as an unboxed word, and applies the loop's accounting in
+   aggregate.  It replicates the interpreted loops' observable effects
+   exactly: the same register-file and memory writes in the same order,
+   the same meter charges, the same copy counter, the same final
+   scratch-register value and PC advance. *)
 
-type l0_copy = { lc_src : Sysreg.t; lc_slot : int64 }
-
-type l0_rest = { lr_slot : int64; lr_dst : Sysreg.t; lr_norm : bool }
-(* [lr_norm]: the interpreted path writes through [Cpu.msr] (an
-   immediate MSR), which normalizes to "mov x9, #v; msr" whenever the
-   route is not plain [Execute] — one extra instruction and insn_base
-   cycle charge per copy. *)
-
-type l0_rseq = { lr_ops : l0_rest array; lr_norms : int }
+type l0_loop = {
+  ll_n : int;              (* copies: what the interpreted loop executes *)
+  ll_base : int64;         (* the context area *)
+  ll_regs : int array;     (* the kernel's registers (route applied) ... *)
+  ll_offs : int array;     (* ... and their slots' offsets in the area *)
+  ll_last : int64;         (* slot of the last copy; x9 ends holding it *)
+  ll_norms : int;
+      (* restores whose interpreted MSR normalizes: the path writes
+         through [Cpu.msr] (an immediate MSR), which becomes "mov x9, #v;
+         msr" whenever the route is not plain [Execute] — one extra
+         instruction and insn_base cycle charge per copy *)
+}
 
 type l0_plan = {
   lp_hcr : int64;             (* raw HCR_EL2 the routes were resolved under *)
   lp_feats : Arm.Features.t;  (* physical identity: swapped on ablation *)
-  lp_save_el1 : l0_copy array;   (* guest EL1 state -> guest_stash *)
-  lp_save_el0 : l0_copy array;   (* guest EL0 state -> guest_stash *)
-  lp_rest_host : l0_rseq;        (* l0_ctx -> host EL1 state *)
-  lp_rest_el1 : l0_rseq;         (* guest_stash -> guest EL1 state *)
-  lp_rest_el0 : l0_rseq;         (* guest_stash -> guest EL0 state *)
+  lp_save_el1 : l0_loop;      (* guest EL1 state -> guest_stash *)
+  lp_save_el0 : l0_loop;      (* guest EL0 state -> guest_stash *)
+  lp_rest_host : l0_loop;     (* l0_ctx -> host EL1 state *)
+  lp_rest_el1 : l0_loop;      (* guest_stash -> guest EL1 state *)
+  lp_rest_el0 : l0_loop;      (* guest_stash -> guest EL0 state *)
+}
+
+(* A decoded trapped-access syndrome. *)
+type sysreg_trap = {
+  st_iss : int;
+  st_access : Sysreg.access option;  (* [None]: no register the model knows *)
+  st_rt : int;
+  st_is_read : bool;
 }
 
 type t = {
@@ -105,6 +123,13 @@ type t = {
      list stays tiny (the guest-entry HCR values plus the all-clear host
      value) *)
   mutable l0_plans : l0_plan list;
+  (* Fixed per machine, built once by [create]: *)
+  l0_ops : WS.ops;               (* the host's own EL2 world-switch ops *)
+  twins : Sysreg.t option array; (* [twin_backed], by dense index (shared) *)
+  exposed_regs : Sysreg.t array; (* the OoH grant's install/fold surface *)
+  mutable drain_skip : bool array;
+      (* page slots [neve_drain] leaves alone, built by the first drain *)
+  sysreg_traps : sysreg_trap Arm.Memo.t;  (* decoded syndromes, by ISS *)
 }
 
 let table t = Cpu.table t.cpu
@@ -125,20 +150,26 @@ let hcr_for t ~vel2 =
     else Config.target_hcr t.config
   else basic_hcr
 
-(* World-switch operations executed by the host at EL2 (never trap). *)
-let l0_ops t : WS.ops =
+(* World-switch operations executed by the host at EL2 (never trap).
+   Built once per machine by [create]. *)
+let make_l0_ops cpu : WS.ops =
   {
-    WS.rd = (fun a -> Cpu.mrs t.cpu a);
-    wr = (fun a v -> Cpu.msr t.cpu a v);
+    WS.rd = (fun a -> Cpu.mrs cpu a);
+    wr = (fun a v -> Cpu.msr cpu a v);
     ld =
       (fun addr ->
-        Cpu.exec t.cpu (Insn.Ldr (Cpu.scratch_reg, Insn.Abs addr));
-        Cpu.get_reg t.cpu Cpu.scratch_reg);
+        Cpu.exec cpu (Insn.Ldr (Cpu.scratch_reg, Insn.Abs addr));
+        Cpu.get_reg cpu Cpu.scratch_reg);
     st =
       (fun addr v ->
-        Cpu.set_reg t.cpu Cpu.scratch_reg v;
-        Cpu.exec t.cpu (Insn.Str (Cpu.scratch_reg, Insn.Abs addr)));
+        Cpu.set_reg cpu Cpu.scratch_reg v;
+        Cpu.exec cpu (Insn.Str (Cpu.scratch_reg, Insn.Abs addr)));
   }
+
+(* Debug logging builds a closure per message; the trap path only builds
+   it when the source would print it. *)
+let debug_on () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false
 
 (* --- virtual EL2 register storage ---
 
@@ -151,18 +182,43 @@ let l0_ops t : WS.ops =
      while NEVE is enabled;
    - everything else lives in the software virtual-EL2 file. *)
 
-let twin_backed t (r : Sysreg.t) =
+let twin_of_config (config : Config.t) (r : Sysreg.t) =
   match Sysreg.neve_class r with
   | Sysreg.NV_redirect twin | Sysreg.NV_redirect_vhe twin ->
-    if t.config.Config.guest_vhe || Config.is_neve t.config then Some twin
+    if config.Config.guest_vhe || Config.is_neve config then Some twin
     else None
   | Sysreg.NV_redirect_or_trap twin ->
-    if t.config.Config.guest_vhe then Some twin else None
+    if config.Config.guest_vhe then Some twin else None
   | _ -> None
+
+(* [twin_of_config] by dense index, one table per configuration class
+   (only [guest_vhe] and NEVE-ness matter), shared by every machine.
+   domain-safety: allowlisted global — read-only after module load. *)
+let twin_tables =
+  Array.init 4 (fun k ->
+      let config =
+        Config.v ~guest_vhe:(k land 1 = 1)
+          (if k land 2 = 2 then Config.Hw_neve else Config.Hw_v8_3)
+      in
+      Array.init Sysreg.count (fun i ->
+          twin_of_config config (Sysreg.of_index i)))
+
+let twins_for (config : Config.t) =
+  twin_tables.(Bool.to_int config.Config.guest_vhe
+               + (2 * Bool.to_int (Config.is_neve config)))
+
+let twin_backed t (r : Sysreg.t) = t.twins.(Sysreg.index r)
 
 let page_backed t r =
   Config.is_neve t.config && t.vcpu.Vcpu.in_vel2
   && Core.Deferred_page.has_slot r
+
+(* The virtual-EL2 execution mapping's twin of each register, by dense
+   index.
+   domain-safety: allowlisted global — read-only after module load. *)
+let mapping_twin : Sysreg.t option array =
+  Array.init Sysreg.count (fun i ->
+      List.assoc_opt (Sysreg.of_index i) Core.Classify.redirected_pairs)
 
 (* While the guest hypervisor is at virtual EL2, the execution mapping
    loaded by [inject_vel2] is live in hardware for EVERY nested
@@ -177,9 +233,10 @@ let stash_twin t r =
   match twin_backed t r with
   | Some _ as s -> s
   | None ->
-    if t.vcpu.Vcpu.in_vel2 then
-      List.assoc_opt r Core.Classify.redirected_pairs
-    else None
+    if t.vcpu.Vcpu.in_vel2 then mapping_twin.(Sysreg.index r) else None
+
+let stash_slot t r =
+  Int64.add t.guest_stash (Int64.of_int (Reglists.ctx_slot r))
 
 (* Read a virtual-EL2 register value from wherever it currently lives.
    Reads of twin-backed registers must use the *stash* when the hardware
@@ -187,9 +244,7 @@ let stash_twin t r =
 let vel2_read ?(from_stash = false) t r =
   match (if from_stash then stash_twin t r else twin_backed t r) with
   | Some twin ->
-    if from_stash then
-      Memory.read64 t.cpu.Cpu.mem
-        (Int64.add t.guest_stash (Int64.of_int (Reglists.ctx_slot twin)))
+    if from_stash then Memory.read64 t.cpu.Cpu.mem (stash_slot t twin)
     else Cpu.mrs t.cpu (Sysreg.direct twin)
   | None ->
     if page_backed t r then begin
@@ -210,8 +265,6 @@ let vel2_write ?(to_hw = true) t r v =
 
 (* --- the host's own full exit path (non-VHE KVM): runs on EVERY trap --- *)
 
-let stash_slot t r = Int64.add t.guest_stash (Int64.of_int (Reglists.ctx_slot r))
-
 (* Resolve one save copy (mrs via Direct, then a store to the context
    slot) under the current routing state.  [Exit] means the route is
    something the compiled loop cannot replay (impossible at EL2/Direct,
@@ -228,66 +281,88 @@ let compile_route t insn =
 let hw_special (r : Sysreg.t) =
   match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
 
-let compile_copy t ~ctx r =
-  let src =
-    match compile_route t (Insn.Mrs (Cpu.scratch_reg, Sysreg.direct r)) with
-    | Arm.Trap_rules.Execute -> r
-    | Arm.Trap_rules.Execute_redirected a -> a.Sysreg.reg
-    | _ -> raise Exit
-  in
-  if hw_special src then raise Exit;
-  { lc_src = src; lc_slot = WS.slot ctx r }
+(* A loop over [regs] (context area [base]) whose copy [k] moves
+   hardware register [hw.(k)]; [keep k] says whether the kernel moves it
+   at all (an MSR to a read-only register is ignored). *)
+let make_loop ~base regs ~hw ~keep ~norms =
+  let n = Array.length regs in
+  let kept = Array.of_seq (Seq.filter keep (Seq.init n Fun.id)) in
+  {
+    ll_n = n;
+    ll_base = base;
+    ll_regs = Array.map (fun k -> Sysreg.index hw.(k)) kept;
+    ll_offs = Array.map (fun k -> Reglists.ctx_slot regs.(k)) kept;
+    ll_last = (if n > 0 then WS.slot base regs.(n - 1) else base);
+    ll_norms = norms;
+  }
 
-let compile_rest t ~ctx r =
-  match compile_route t (Insn.Msr (Sysreg.direct r, Insn.Imm 0L)) with
-  | Arm.Trap_rules.Execute ->
-    { lr_slot = WS.slot ctx r; lr_dst = r; lr_norm = false }
-  | Arm.Trap_rules.Execute_redirected a ->
-    { lr_slot = WS.slot ctx r; lr_dst = a.Sysreg.reg; lr_norm = true }
-  | _ -> raise Exit
-
-let compile_rseq t ~ctx regs =
-  let ops = Array.map (compile_rest t ~ctx) regs in
-  let norms =
-    Array.fold_left (fun n o -> if o.lr_norm then n + 1 else n) 0 ops
+let compile_save t ~ctx regs =
+  let hw =
+    Array.map
+      (fun r ->
+        let src =
+          match
+            compile_route t (Insn.Mrs (Cpu.scratch_reg, Sysreg.direct r))
+          with
+          | Arm.Trap_rules.Execute -> r
+          | Arm.Trap_rules.Execute_redirected a -> a.Sysreg.reg
+          | _ -> raise Exit
+        in
+        if hw_special src then raise Exit;
+        src)
+      regs
   in
-  { lr_ops = ops; lr_norms = norms }
+  make_loop ~base:ctx regs ~hw ~keep:(fun _ -> true) ~norms:0
+
+let compile_rest t ~ctx regs =
+  let norms = ref 0 in
+  let hw =
+    Array.map
+      (fun r ->
+        match compile_route t (Insn.Msr (Sysreg.direct r, Insn.Imm 0L)) with
+        | Arm.Trap_rules.Execute -> r
+        | Arm.Trap_rules.Execute_redirected a ->
+          incr norms;
+          a.Sysreg.reg
+        | _ -> raise Exit)
+      regs
+  in
+  make_loop ~base:ctx regs ~hw
+    ~keep:(fun k -> Arm.Sysreg_file.writable_index (Sysreg.index hw.(k)))
+    ~norms:!norms
 
 let compile_plan t ~hcr_raw =
   {
     lp_hcr = hcr_raw;
     lp_feats = t.cpu.Cpu.features;
-    lp_save_el1 =
-      Array.map (compile_copy t ~ctx:t.guest_stash) Reglists.el1_state_arr;
-    lp_save_el0 =
-      Array.map (compile_copy t ~ctx:t.guest_stash) Reglists.el0_state_arr;
-    lp_rest_host = compile_rseq t ~ctx:t.l0_ctx Reglists.el1_state_arr;
-    lp_rest_el1 = compile_rseq t ~ctx:t.guest_stash Reglists.el1_state_arr;
-    lp_rest_el0 = compile_rseq t ~ctx:t.guest_stash Reglists.el0_state_arr;
+    lp_save_el1 = compile_save t ~ctx:t.guest_stash Reglists.el1_state_arr;
+    lp_save_el0 = compile_save t ~ctx:t.guest_stash Reglists.el0_state_arr;
+    lp_rest_host = compile_rest t ~ctx:t.l0_ctx Reglists.el1_state_arr;
+    lp_rest_el1 = compile_rest t ~ctx:t.guest_stash Reglists.el1_state_arr;
+    lp_rest_el0 = compile_rest t ~ctx:t.guest_stash Reglists.el0_state_arr;
   }
 
 (* The plan valid for the CPU's routing state right now, compiling on
-   first sight of a (HCR, features) pair.  [None] falls back to the
-   interpreted loops. *)
+   first sight of a (HCR, features) pair.  Raises [Exit] where the
+   interpreted loops must run instead. *)
 let plan_for t =
-  if t.cpu.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2 then None
-  else begin
-    let raw = Cpu.peek_sysreg t.cpu Sysreg.HCR_EL2 in
-    let feats = t.cpu.Cpu.features in
-    let rec find = function
-      | p :: _ when p.lp_hcr = raw && p.lp_feats == feats -> Some p
-      | _ :: tl -> find tl
-      | [] -> None
-    in
-    match find t.l0_plans with
-    | Some _ as p -> p
-    | None ->
-      (match compile_plan t ~hcr_raw:raw with
-       | p ->
-         t.l0_plans <- p :: t.l0_plans;
-         Some p
-       | exception Exit -> None)
-  end
+  let cpu = t.cpu in
+  if cpu.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2 then raise Exit;
+  let feats = cpu.Cpu.features in
+  let rec find = function
+    | p :: tl ->
+      if p.lp_feats == feats
+         && Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 p.lp_hcr
+      then p
+      else find tl
+    | [] ->
+      let p =
+        compile_plan t ~hcr_raw:(Cpu.peek_sysreg cpu Sysreg.HCR_EL2)
+      in
+      t.l0_plans <- p :: t.l0_plans;
+      p
+  in
+  find t.l0_plans
 
 (* Replay a compiled save loop.  Per copy the interpreted path executes
    "mrs x9, <src>; str x9, [slot]": two instructions, a sysreg_read and
@@ -295,21 +370,15 @@ let plan_for t =
    left holding the copied value.  Nothing mid-loop can observe the
    meter or PC (no tracing, no special registers), so the charges are
    applied in aggregate. *)
-let run_save t (cs : l0_copy array) =
+let run_save t (l : l0_loop) =
   let cpu = t.cpu in
   let m = cpu.Cpu.meter in
   let c = Cpu.table cpu in
-  let mem = cpu.Cpu.mem in
-  let n = Array.length cs in
-  WS.add_copies n;
-  let last = ref 0L in
-  for i = 0 to n - 1 do
-    let fc = Array.unsafe_get cs i in
-    let v = Cpu.read_sysreg_hw cpu fc.lc_src in
-    Memory.write64 mem fc.lc_slot v;
-    last := v
-  done;
-  if n > 0 then Cpu.set_reg cpu Cpu.scratch_reg !last;
+  let n = l.ll_n in
+  Arm.Sysreg_file.save cpu.Cpu.sysregs l.ll_regs cpu.Cpu.mem ~base:l.ll_base
+    l.ll_offs;
+  if n > 0 then
+    Cpu.set_reg cpu Cpu.scratch_reg (Memory.read64 cpu.Cpu.mem l.ll_last);
   m.Cost.insns <- m.Cost.insns + (2 * n);
   m.Cost.cycles <- m.Cost.cycles + (n * (c.Cost.sysreg_read + c.Cost.mem_store));
   m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
@@ -317,49 +386,49 @@ let run_save t (cs : l0_copy array) =
 
 (* Replay a compiled restore loop: "ldr x9, [slot]; msr <dst>, x9" per
    copy, plus the normalization mov (one instruction, one insn_base
-   cycle) for each copy whose route was redirected. *)
-let run_rest t (rq : l0_rseq) =
+   cycle) for each copy whose route was redirected.  The interpreter
+   synthesizes that mov without moving the PC ([Cpu.exec]), so only the
+   two real instructions advance it. *)
+let run_rest t (l : l0_loop) =
   let cpu = t.cpu in
   let m = cpu.Cpu.meter in
   let c = Cpu.table cpu in
-  let mem = cpu.Cpu.mem in
-  let rs = rq.lr_ops in
-  let n = Array.length rs in
-  WS.add_copies n;
-  let last = ref 0L in
-  for i = 0 to n - 1 do
-    let fr = Array.unsafe_get rs i in
-    let v = Memory.read64 mem fr.lr_slot in
-    Cpu.write_sysreg_hw cpu fr.lr_dst v;
-    last := v
-  done;
-  if n > 0 then Cpu.set_reg cpu Cpu.scratch_reg !last;
-  let k = rq.lr_norms in
+  let n = l.ll_n in
+  Arm.Sysreg_file.restore cpu.Cpu.sysregs l.ll_regs cpu.Cpu.mem ~base:l.ll_base
+    l.ll_offs;
+  if n > 0 then
+    Cpu.set_reg cpu Cpu.scratch_reg (Memory.read64 cpu.Cpu.mem l.ll_last);
+  let k = l.ll_norms in
   m.Cost.insns <- m.Cost.insns + (2 * n) + k;
   m.Cost.cycles <-
     m.Cost.cycles + (n * (c.Cost.mem_load + c.Cost.sysreg_write))
     + (k * c.Cost.insn_base);
   m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int ((8 * n) + (4 * k)))
+  cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int (8 * n))
+
+(* The copy counter only feeds the world-switch trace events. *)
+let copies_now () = if !Trace.on then WS.reg_copies () else 0
 
 let l0_enter t =
-  let copies0 = WS.reg_copies () in
+  let copies0 = copies_now () in
   Cost.charge t.cpu.Cpu.meter (table t).Cost.l0_exit_dispatch;
   (match plan_for t with
-   | Some p ->
+   | p ->
      (* save whoever was running at EL1, restore the host's EL1 world *)
+     WS.add_copies
+       (p.lp_save_el1.ll_n + p.lp_save_el0.ll_n + p.lp_rest_host.ll_n);
      run_save t p.lp_save_el1;
      run_save t p.lp_save_el0;
      run_rest t p.lp_rest_host
-   | None ->
-     let o = l0_ops t in
+   | exception Exit ->
+     let o = t.l0_ops in
      WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
        Reglists.el1_state_arr;
      WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
        Reglists.el0_state_arr;
      WS.restore_array o ~ctx:t.l0_ctx ~via:Sysreg.direct
        Reglists.el1_state_arr);
-  WS.deactivate_traps (l0_ops t) ~vhe:false;
+  WS.deactivate_traps t.l0_ops ~vhe:false;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -367,19 +436,20 @@ let l0_enter t =
       Trace.Ws_enter
 
 let l0_exit t =
-  let copies0 = WS.reg_copies () in
+  let copies0 = copies_now () in
   (* put the interrupted guest context back *)
   (match plan_for t with
-   | Some p ->
+   | p ->
+     WS.add_copies (p.lp_rest_el1.ll_n + p.lp_rest_el0.ll_n);
      run_rest t p.lp_rest_el1;
      run_rest t p.lp_rest_el0
-   | None ->
-     let o = l0_ops t in
+   | exception Exit ->
+     let o = t.l0_ops in
      WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
        Reglists.el1_state_arr;
      WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
        Reglists.el0_state_arr);
-  let o = l0_ops t in
+  let o = t.l0_ops in
   WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
   WS.write_stage2 o ~vttbr:t.shadow_vttbr;
   if !Trace.on then
@@ -391,6 +461,9 @@ let l0_exit t =
 (* Bookkeeping view of the stashed guest EL1 state (cost already paid by
    l0_enter's stores). *)
 let stash_read t r = Memory.read64 t.cpu.Cpu.mem (stash_slot t r)
+
+(* SPSR of an exception return into EL1h with interrupts masked. *)
+let spsr_el1h = Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1)
 
 (* Inject an UNDEF into the interrupted guest context — what KVM's
    kvm_inject_undefined does when a trapped access makes no architectural
@@ -417,22 +490,50 @@ let inject_undef t =
         faulting_pc);
   l0_exit t;
   Cpu.poke_sysreg t.cpu Sysreg.ELR_EL2 vbar;
-  Cpu.poke_sysreg t.cpu Sysreg.SPSR_EL2
-    (Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1));
+  Cpu.poke_sysreg t.cpu Sysreg.SPSR_EL2 spsr_el1h;
   Cpu.do_eret t.cpu
 
-(* --- virtual EL2 <-> hardware transitions --- *)
+(* --- virtual EL2 <-> hardware transitions ---
+
+   These run once or twice per nested exit rather than per trap, but
+   they copy ~60 registers each, so they use the same unboxed word moves
+   as the l0 loops: [Sysreg_file.load_word] from the stash into a
+   virtual file, [Cpu.msr_from] from a virtual file into hardware, and
+   the deferred page's [populate_from]/[drain_into].  The register sets
+   and their accesses are built once, here. *)
 
 (* The register pairs forming the virtual-EL2 execution mapping: while the
    guest hypervisor runs at EL1, hardware EL1 register [twin] holds the
    value of its virtual [el2_reg]. *)
 let exec_mapping = Core.Classify.redirected_pairs
 
+let mapping_el2 = Array.of_list (List.map fst exec_mapping)
+let mapping_el2_idx = Array.map Sysreg.index mapping_el2
+
+let mapping_twin_a =
+  Array.of_list (List.map (fun (_, tw) -> Sysreg.direct tw) exec_mapping)
+
+let mapping_twin_offs =
+  Array.of_list (List.map (fun (_, tw) -> Reglists.ctx_slot tw) exec_mapping)
+
+(* The EL1 + EL0 context a vEL2 transition moves: registers, dense
+   indices, accesses and context-slot offsets. *)
+let ctx_regs = Array.append Reglists.el1_state_arr Reglists.el0_state_arr
+let ctx_idx = Array.map Sysreg.index ctx_regs
+let ctx_access = Array.map Sysreg.direct ctx_regs
+let ctx_offs = Array.map Reglists.ctx_slot ctx_regs
+
+let lr_regs = Array.init Sysreg.lr_count (fun i -> Sysreg.ICH_LR_EL2 i)
+let lr_access = Array.map Sysreg.direct lr_regs
+let ich_hcr_a = Sysreg.direct Sysreg.ICH_HCR_EL2
+let ich_vmcr_a = Sysreg.direct Sysreg.ICH_VMCR_EL2
+let cntvoff_a = Sysreg.direct Sysreg.CNTVOFF_EL2
+
 let used_lrs_of_vel2 t =
   let n = ref 0 in
   for i = 0 to Reglists.vgic_lrs_in_use - 1 do
-    if not (Gic.Vgic.lr_is_free (Vcpu.read_vel2 t.vcpu (Sysreg.ICH_LR_EL2 i)))
-    then n := i + 1
+    if not (Gic.Vgic.lr_is_free (Vcpu.read_vel2 t.vcpu lr_regs.(i))) then
+      n := i + 1
   done;
   !n
 
@@ -451,8 +552,7 @@ let used_lrs_of_vel2 t =
    hypervisor's EL2 accesses keep their trap/forward/defer semantics —
    its grants would be L1's to give, not L0's. *)
 
-let exposed_regs t =
-  let p = t.expose in
+let exposed_regs_of (p : Expose.Policy.t) =
   let timer =
     if Expose.Policy.mem p Expose.Policy.Timer then
       [ Sysreg.CNTHP_CTL_EL2; Sysreg.CNTHP_CVAL_EL2; Sysreg.CNTHV_CTL_EL2;
@@ -468,7 +568,7 @@ let exposed_regs t =
       :: List.init Sysreg.lr_count (fun i -> Sysreg.ICH_LR_EL2 i)
     else []
   in
-  timer @ gic
+  Array.of_list (timer @ gic)
 
 (* Make hardware mirror the virtual-EL2 file for every exposed register
    and arm the routing grant.  The copies go through [Cpu.msr] when
@@ -477,12 +577,12 @@ let exposed_regs t =
    [charged:false] like their surrounding pokes. *)
 let expose_install ?(charged = true) t =
   if not (Expose.Policy.is_none t.expose) then begin
-    List.iter
+    Array.iter
       (fun r ->
-        let v = Vcpu.read_vel2 t.vcpu r in
-        if charged then Cpu.msr t.cpu (Sysreg.direct r) v
-        else Cpu.poke_sysreg t.cpu r v)
-      (exposed_regs t);
+        if charged then
+          Cpu.msr_from t.cpu (Sysreg.direct r) t.vcpu.Vcpu.vel2 r
+        else Cpu.poke_sysreg t.cpu r (Vcpu.read_vel2 t.vcpu r))
+      t.exposed_regs;
     t.cpu.Cpu.expose <- t.expose
   end
 
@@ -493,9 +593,9 @@ let expose_install ?(charged = true) t =
    [neve_drain]. *)
 let expose_fold t =
   if not (Expose.Policy.is_none t.expose) then begin
-    List.iter
+    Array.iter
       (fun r -> Vcpu.write_vel2 t.vcpu r (Cpu.mrs t.cpu (Sysreg.direct r)))
-      (exposed_regs t);
+      t.exposed_regs;
     t.cpu.Cpu.expose <- Expose.Policy.none
   end
 
@@ -503,32 +603,31 @@ let expose_fold t =
    hypervisor: EL2 slots from the virtual EL2 file, EL1/EL0 slots from the
    nested VM's state (Section 6.1 workflow). *)
 let neve_populate t =
-  let read_virtual r =
-    if Sysreg.min_el r = Arm.Pstate.EL2 then Vcpu.read_vel2 t.vcpu r
-    else Vcpu.read_vel1 t.vcpu r
-  in
-  Core.Deferred_page.populate t.page ~read_virtual;
+  Core.Deferred_page.populate_from t.page ~el2:t.vcpu.Vcpu.vel2
+    ~el1:t.vcpu.Vcpu.vel1;
   Cost.charge t.cpu.Cpu.meter
     (Core.Deferred_page.layout_len * (table t).Cost.mem_store)
 
+(* The page slots [neve_drain] must leave alone, by dense index.  A
+   register redirected to a hardware EL1 twin under this configuration is
+   never written through the page while the guest hypervisor runs — its
+   page slot is a stale shadow from [neve_populate], and draining it
+   would clobber the authoritative value the execution-mapping fold took
+   from the twin.  An exposed register's slot is stale the same way: it
+   was populated at entry and never written (the grant routed every
+   access to hardware); draining it would clobber the value
+   [expose_fold] just took from the hardware register. *)
+let drain_skip_of config expose =
+  Array.init Sysreg.count (fun i ->
+      let r = Sysreg.of_index i in
+      twin_of_config config r <> None
+      || Arm.Trap_rules.exposed_feature expose r <> None)
+
 let neve_drain t =
-  let write_virtual r v =
-    (* A register redirected to a hardware EL1 twin under this
-       configuration is never written through the page while the guest
-       hypervisor runs — its page slot is a stale shadow from
-       [neve_populate], and draining it would clobber the authoritative
-       value the execution-mapping fold took from the twin. *)
-    if twin_backed t r <> None then ()
-    else if Arm.Trap_rules.exposed_feature t.expose r <> None then
-      (* Same staleness as the twins: an exposed register's page slot was
-         populated at entry and never written (the grant routed every
-         access to hardware); draining it would clobber the value
-         [expose_fold] just took from the hardware register. *)
-      ()
-    else if Sysreg.min_el r = Arm.Pstate.EL2 then Vcpu.write_vel2 t.vcpu r v
-    else Vcpu.write_vel1 t.vcpu r v
-  in
-  Core.Deferred_page.drain t.page ~write_virtual;
+  if Array.length t.drain_skip = 0 then
+    t.drain_skip <- drain_skip_of t.config t.expose;
+  Core.Deferred_page.drain_into t.page ~el2:t.vcpu.Vcpu.vel2
+    ~el1:t.vcpu.Vcpu.vel1 ~skip:t.drain_skip;
   Cost.charge t.cpu.Cpu.meter
     (Core.Deferred_page.layout_len * (table t).Cost.mem_load)
 
@@ -553,22 +652,21 @@ let set_vncr t ~enable =
    EL1 state was already parked in the stash by l0_enter. *)
 let inject_vel2 t (reason : Vcpu.nested_exit) =
   let c = table t in
-  let o = l0_ops t in
-  Log.debug (fun m ->
-      m "vcpu%d: inject %s into virtual EL2" t.vcpu.Vcpu.id
-        (Vcpu.exit_name reason));
-  Cost.charge t.cpu.Cpu.meter c.Cost.l0_inject_vel2;
+  let cpu = t.cpu and vcpu = t.vcpu in
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: inject %s into virtual EL2" vcpu.Vcpu.id
+          (Vcpu.exit_name reason));
+  Cost.charge cpu.Cpu.meter c.Cost.l0_inject_vel2;
   (* the stashed EL1 state is the nested VM's (or vEL1 kernel's) state *)
-  List.iter
-    (fun r -> Vcpu.write_vel1 t.vcpu r (stash_read t r))
-    (Reglists.el1_state @ Reglists.el0_state);
+  Arm.Sysreg_file.restore vcpu.Vcpu.vel1 ctx_idx cpu.Cpu.mem
+    ~base:t.guest_stash ctx_offs;
   (* save the hardware list registers into the virtual EL2 vgic *)
-  let used = max (used_lrs_of_vel2 t) t.vcpu.Vcpu.used_lrs in
+  let used = max (used_lrs_of_vel2 t) vcpu.Vcpu.used_lrs in
   for i = 0 to used - 1 do
-    Vcpu.write_vel2 t.vcpu (Sysreg.ICH_LR_EL2 i)
-      (Cpu.mrs t.cpu (Sysreg.direct (Sysreg.ICH_LR_EL2 i)))
+    Vcpu.write_vel2 vcpu lr_regs.(i) (Cpu.mrs cpu lr_access.(i))
   done;
-  t.vcpu.Vcpu.in_vel2 <- true;
+  vcpu.Vcpu.in_vel2 <- true;
   (* virtual exception bookkeeping: syndrome, return address, SPSR *)
   let esr =
     match reason with
@@ -590,36 +688,38 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
     | Vcpu.Exit_hyp_eret -> Exn.esr ~ec:Exn.EC_eret ~iss:0
   in
   vel2_write t Sysreg.ESR_EL2 esr;
-  vel2_write t Sysreg.ELR_EL2 (Cpu.peek_sysreg t.cpu Sysreg.ELR_EL2);
-  vel2_write t Sysreg.SPSR_EL2 (Cpu.peek_sysreg t.cpu Sysreg.SPSR_EL2);
+  vel2_write t Sysreg.ELR_EL2 (Cpu.peek_sysreg cpu Sysreg.ELR_EL2);
+  vel2_write t Sysreg.SPSR_EL2 (Cpu.peek_sysreg cpu Sysreg.SPSR_EL2);
   (match reason with
    | Vcpu.Exit_mmio { addr; _ } ->
      vel2_write t Sysreg.FAR_EL2 addr;
      vel2_write t Sysreg.HPFAR_EL2 (Int64.shift_right_logical addr 8)
    | _ -> ());
   (* load the virtual-EL2 execution mapping into hardware EL1 *)
-  List.iter
-    (fun (el2r, twin) ->
-      Cpu.msr t.cpu (Sysreg.direct twin) (Vcpu.read_vel2 t.vcpu el2r))
-    exec_mapping;
+  for k = 0 to Array.length mapping_el2 - 1 do
+    Cpu.msr_from cpu mapping_twin_a.(k) vcpu.Vcpu.vel2 mapping_el2.(k)
+  done;
   if neve_on t then begin
     neve_populate t;
     set_vncr t ~enable:true
   end;
   expose_install t;
   (* enter the guest hypervisor at its (virtual) EL2 vector *)
-  Cpu.poke_sysreg t.cpu Sysreg.ELR_EL2 Guest_hyp.vector_base;
-  Cpu.poke_sysreg t.cpu Sysreg.SPSR_EL2
-    (Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1));
-  WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:true);
-  Cpu.do_eret t.cpu;
+  Cpu.poke_sysreg cpu Sysreg.ELR_EL2 Guest_hyp.vector_base;
+  Cpu.poke_sysreg cpu Sysreg.SPSR_EL2 spsr_el1h;
+  WS.activate_traps t.l0_ops ~vhe:false ~hcr:(hcr_for t ~vel2:true);
+  Cpu.do_eret cpu;
   (* run the guest hypervisor's handler, unless this is the guest
      hypervisor's own kernel->lowvisor transition *)
   if not t.in_l1 then begin
     match t.on_vel2_entry with
-    | Some hook ->
+    | Some hook -> (
       t.in_l1 <- true;
-      Fun.protect ~finally:(fun () -> t.in_l1 <- false) (fun () -> hook reason)
+      match hook reason with
+      | () -> t.in_l1 <- false
+      | exception e ->
+        t.in_l1 <- false;
+        raise e)
     | None -> ()
   end
 
@@ -627,53 +727,49 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
    (its host kernel or its nested VM — the host does not care which). *)
 let emulate_eret t =
   let c = table t in
-  let o = l0_ops t in
-  Log.debug (fun m -> m "vcpu%d: trapped eret, entering virtual EL1/0"
-                t.vcpu.Vcpu.id);
-  Cost.charge t.cpu.Cpu.meter c.Cost.l0_eret_emulate;
+  let cpu = t.cpu and vcpu = t.vcpu in
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: trapped eret, entering virtual EL1/0" vcpu.Vcpu.id);
+  Cost.charge cpu.Cpu.meter c.Cost.l0_eret_emulate;
   (* where does the guest hypervisor want to go? *)
   let target_elr = vel2_read ~from_stash:true t Sysreg.ELR_EL2 in
   let target_spsr = vel2_read ~from_stash:true t Sysreg.SPSR_EL2 in
   (* the stashed hardware EL1 state is the virtual-EL2 execution mapping:
      fold it back into the virtual EL2 file *)
-  List.iter
-    (fun (el2r, twin) -> Vcpu.write_vel2 t.vcpu el2r (stash_read t twin))
-    exec_mapping;
+  Arm.Sysreg_file.restore vcpu.Vcpu.vel2 mapping_el2_idx cpu.Cpu.mem
+    ~base:t.guest_stash mapping_twin_offs;
   expose_fold t;
   if neve_on t then begin
     neve_drain t;
     set_vncr t ~enable:false
   end;
-  t.vcpu.Vcpu.in_vel2 <- false;
+  vcpu.Vcpu.in_vel2 <- false;
   (* load the virtual EL1 context into hardware *)
-  List.iter
-    (fun r -> Cpu.msr t.cpu (Sysreg.direct r) (Vcpu.read_vel1 t.vcpu r))
-    (Reglists.el1_state @ Reglists.el0_state);
+  for k = 0 to Array.length ctx_regs - 1 do
+    Cpu.msr_from cpu ctx_access.(k) vcpu.Vcpu.vel1 ctx_regs.(k)
+  done;
   (* program the hardware vgic from the virtual EL2 interface *)
   let used = used_lrs_of_vel2 t in
-  t.vcpu.Vcpu.used_lrs <- used;
-  Cpu.msr t.cpu (Sysreg.direct Sysreg.ICH_HCR_EL2)
-    (Vcpu.read_vel2 t.vcpu Sysreg.ICH_HCR_EL2);
-  Cpu.msr t.cpu (Sysreg.direct Sysreg.ICH_VMCR_EL2)
-    (Vcpu.read_vel2 t.vcpu Sysreg.ICH_VMCR_EL2);
+  vcpu.Vcpu.used_lrs <- used;
+  Cpu.msr_from cpu ich_hcr_a vcpu.Vcpu.vel2 Sysreg.ICH_HCR_EL2;
+  Cpu.msr_from cpu ich_vmcr_a vcpu.Vcpu.vel2 Sysreg.ICH_VMCR_EL2;
   for i = 0 to used - 1 do
-    Cpu.msr t.cpu (Sysreg.direct (Sysreg.ICH_LR_EL2 i))
-      (Vcpu.read_vel2 t.vcpu (Sysreg.ICH_LR_EL2 i))
+    Cpu.msr_from cpu lr_access.(i) vcpu.Vcpu.vel2 lr_regs.(i)
   done;
-  Cpu.msr t.cpu (Sysreg.direct Sysreg.CNTVOFF_EL2)
-    (Vcpu.read_vel2 t.vcpu Sysreg.CNTVOFF_EL2);
+  Cpu.msr_from cpu cntvoff_a vcpu.Vcpu.vel2 Sysreg.CNTVOFF_EL2;
   (* shadow stage-2 for the nested VM *)
-  WS.write_stage2 o ~vttbr:t.shadow_vttbr;
-  WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:false);
+  WS.write_stage2 t.l0_ops ~vttbr:t.shadow_vttbr;
+  WS.activate_traps t.l0_ops ~vhe:false ~hcr:(hcr_for t ~vel2:false);
   (* Section 6.2: while an L2 hypervisor runs, the hardware VNCR points at
      the page owned by the L1 guest hypervisor (BADDR translated by L0) *)
   (match (t.l2_is_hyp, t.l2_vncr) with
-   | true, Some v -> Cpu.poke_sysreg t.cpu Sysreg.VNCR_EL2 v
+   | true, Some v -> Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 v
    | _ -> ());
-  t.vcpu.Vcpu.nested_launched <- true;
-  Cpu.poke_sysreg t.cpu Sysreg.ELR_EL2 target_elr;
-  Cpu.poke_sysreg t.cpu Sysreg.SPSR_EL2 target_spsr;
-  Cpu.do_eret t.cpu
+  vcpu.Vcpu.nested_launched <- true;
+  Cpu.poke_sysreg cpu Sysreg.ELR_EL2 target_elr;
+  Cpu.poke_sysreg cpu Sysreg.SPSR_EL2 target_spsr;
+  Cpu.do_eret cpu
 
 (* --- trapped system-register emulation --- *)
 
@@ -956,30 +1052,42 @@ let kill_l2 t ~resume_pc =
   t.cpu.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
   t.cpu.Cpu.pc <- resume_pc
 
+(* Decode a trapped-access syndrome: the access it names (an op1=5
+   encoding names an _EL12/_EL02 alias), Rt and the direction. *)
+let decode_sysreg_trap iss =
+  let d = Exn.decode_sysreg_iss iss in
+  let access =
+    match Sysreg.of_enc d.Exn.ds_enc with
+    | Some reg -> Some (Sysreg.direct reg)
+    | None -> begin
+        (* op1=5 alias space *)
+        let op0, _, crn, crm, op2 = d.Exn.ds_enc in
+        match Sysreg.of_enc (op0, 0, crn, crm, op2) with
+        | Some reg -> Some (Sysreg.el12 reg)
+        | None -> begin
+            match Sysreg.of_enc (op0, 3, crn, crm, op2) with
+            | Some reg -> Some (Sysreg.el02 reg)
+            | None -> None
+          end
+      end
+  in
+  { st_iss = iss; st_access = access; st_rt = d.Exn.ds_rt;
+    st_is_read = d.Exn.ds_is_read }
+
+(* The same, memoized per host: a trap site raises the same syndrome
+   every time. *)
+let sysreg_trap t iss = Arm.Memo.find t.sysreg_traps iss
+
 let handler t _cpu (e : Exn.entry) =
   t.exits <- t.exits + 1;
-  Log.debug (fun m ->
-      m "vcpu%d: exit #%d, %a" t.vcpu.Vcpu.id t.exits Exn.pp_entry e);
+  if debug_on () then
+    Log.debug (fun m ->
+        m "vcpu%d: exit #%d, %a" t.vcpu.Vcpu.id t.exits Exn.pp_entry e);
   l0_enter t;
   match e.Exn.ec with
   | Exn.EC_sysreg -> begin
-    let d = Exn.decode_sysreg_iss e.Exn.iss in
-    let access =
-      match Sysreg.of_enc d.Exn.ds_enc with
-      | Some reg -> Some (Sysreg.direct reg)
-      | None -> begin
-          (* op1=5 alias space *)
-          let op0, _, crn, crm, op2 = d.Exn.ds_enc in
-          match Sysreg.of_enc (op0, 0, crn, crm, op2) with
-          | Some reg -> Some (Sysreg.el12 reg)
-          | None -> begin
-              match Sysreg.of_enc (op0, 3, crn, crm, op2) with
-              | Some reg -> Some (Sysreg.el02 reg)
-              | None -> None
-            end
-        end
-    in
-    match access with
+    let d = sysreg_trap t e.Exn.iss in
+    match d.st_access with
     | None ->
       (* A trap syndrome naming no register the simulator knows.  The
          encoding is guest-controlled (the guest executed the access),
@@ -993,11 +1101,10 @@ let handler t _cpu (e : Exn.entry) =
          hypervisor instructions to the L0 host hypervisor, which can
          then forward it to the L1 guest hypervisor") *)
       inject_vel2 t
-        (Vcpu.Exit_hyp_insn
-           { access; rt = d.Exn.ds_rt; is_read = d.Exn.ds_is_read })
+        (Vcpu.Exit_hyp_insn { access; rt = d.st_rt; is_read = d.st_is_read })
     else begin
       let switched =
-        emulate_sysreg t ~access ~rt:d.Exn.ds_rt ~is_read:d.Exn.ds_is_read
+        emulate_sysreg t ~access ~rt:d.st_rt ~is_read:d.st_is_read
       in
       if not switched then begin
         l0_exit t;
@@ -1066,6 +1173,11 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       l2_is_hyp = false;
       l2_vncr = None;
       l0_plans = [];
+      l0_ops = make_l0_ops cpu;
+      twins = twins_for config;
+      exposed_regs = exposed_regs_of expose;
+      drain_skip = [||];
+      sysreg_traps = Arm.Memo.create decode_sysreg_trap;
     }
   in
   cpu.Cpu.el2_handler <- Some (fun cpu e -> handler t cpu e);

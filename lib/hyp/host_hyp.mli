@@ -7,7 +7,9 @@
     the nested VM's EL1 state instead.  Every trap from EL1 runs the full
     non-VHE KVM exit path (save guest EL1 state, restore host state,
     dispatch, reverse) — why each trap costs thousands of cycles and exit
-    multiplication hurts.
+    multiplication hurts.  The simulator replays that path's register
+    copies as unboxed word kernels, so the round trip allocates nothing
+    per copied register.
 
     NEVE changes only the boundaries: the host populates the deferred
     access page before running the guest hypervisor and drains it on the
@@ -19,31 +21,47 @@ module Exn = Arm.Exn
 
 type scenario = Single_vm | Nested
 
-(** One pre-resolved register copy of a compiled l0 world-switch save
-    loop: read [lc_src] (route already applied), store to [lc_slot]. *)
-type l0_copy = { lc_src : Sysreg.t; lc_slot : int64 }
-
-(** One pre-resolved restore copy: load [lr_slot], write [lr_dst];
-    [lr_norm] records that the interpreted path would normalize the
-    immediate MSR (one extra instruction of cost). *)
-type l0_rest = { lr_slot : int64; lr_dst : Sysreg.t; lr_norm : bool }
-
-type l0_rseq = { lr_ops : l0_rest array; lr_norms : int }
+(** One compiled copy loop of the l0 world switch.  [ll_n] copies
+    between hardware and the context area at [ll_base]; the kernel moves
+    register [ll_regs.(k)] (dense index, route applied) to or from the
+    slot at offset [ll_offs.(k)] — for a restore, only the copies whose
+    MSR would take effect; [ll_last] is the slot of the last copy (the
+    scratch register ends holding its value); [ll_norms] counts the
+    restores whose interpreted MSR would normalize its immediate (one
+    extra instruction each). *)
+type l0_loop = {
+  ll_n : int;
+  ll_base : int64;
+  ll_regs : int array;
+  ll_offs : int array;
+  ll_last : int64;
+  ll_norms : int;
+}
 
 (** A compiled full-exit path (the save/restore loops of l0 enter/exit),
     valid while HCR_EL2 equals [lp_hcr] and the feature record is
     physically [lp_feats].  Replaying a plan is observably identical to
     interpreting the loops through {!Cpu.exec} — same state writes,
     meter charges, copy counts and PC movement — without the per-copy
-    routing and allocation. *)
+    routing, and with every value moved as an unboxed word
+    ({!Arm.Sysreg_file.save}/{!Arm.Sysreg_file.restore}). *)
 type l0_plan = {
   lp_hcr : int64;
   lp_feats : Arm.Features.t;
-  lp_save_el1 : l0_copy array;
-  lp_save_el0 : l0_copy array;
-  lp_rest_host : l0_rseq;
-  lp_rest_el1 : l0_rseq;
-  lp_rest_el0 : l0_rseq;
+  lp_save_el1 : l0_loop;
+  lp_save_el0 : l0_loop;
+  lp_rest_host : l0_loop;
+  lp_rest_el1 : l0_loop;
+  lp_rest_el0 : l0_loop;
+}
+
+(** A decoded trapped-access syndrome: the access it names ([None] when
+    the encoding names no register of the model), Rt and direction. *)
+type sysreg_trap = {
+  st_iss : int;
+  st_access : Sysreg.access option;
+  st_rt : int;
+  st_is_read : bool;
 }
 
 type t = {
@@ -88,6 +106,19 @@ type t = {
           L1's virtual VNCR with a translated BADDR *)
   mutable l0_plans : l0_plan list;
       (** compiled world-switch plans, one per (HCR, features) pair seen *)
+  l0_ops : World_switch.ops;
+      (** the host's own world-switch operations, built once *)
+  twins : Sysreg.t option array;
+      (** hardware EL1 twin backing each virtual-EL2 register under this
+          configuration, by dense index (shared between machines) *)
+  exposed_regs : Sysreg.t array;
+      (** registers the OoH grant installs into and folds from hardware *)
+  mutable drain_skip : bool array;
+      (** deferred-page slots the trapped-eret drain leaves alone (twin-
+          backed and exposed registers), by dense index; built by the
+          first drain *)
+  sysreg_traps : sysreg_trap Arm.Memo.t;
+      (** memo of decoded syndromes, keyed by the ISS *)
 }
 
 val table : t -> Cost.table

@@ -202,24 +202,33 @@ let arm_vhe_hyp_timer ops ~cval =
    CNTHCTL through CNTKCTL_EL1 (no trap); HCR/MDCR/HSTR/VTTBR have no EL1
    forms and are written directly by both designs. *)
 
-let cptr_access ~vhe =
-  if vhe then Sysreg.direct Sysreg.CPACR_EL1 else Sysreg.direct Sysreg.CPTR_EL2
+(* The accesses below are built once: the host runs activate/deactivate
+   on every trap, and an access record per write is pure garbage. *)
+let hcr_a = Sysreg.direct Sysreg.HCR_EL2
+let cptr_a = Sysreg.direct Sysreg.CPTR_EL2
+let cpacr_a = Sysreg.direct Sysreg.CPACR_EL1
+let mdcr_a = Sysreg.direct Sysreg.MDCR_EL2
+let hstr_a = Sysreg.direct Sysreg.HSTR_EL2
+let vttbr_a = Sysreg.direct Sysreg.VTTBR_EL2
+let vpidr_a = Sysreg.direct Sysreg.VPIDR_EL2
+let vmpidr_a = Sysreg.direct Sysreg.VMPIDR_EL2
+
+let cptr_access ~vhe = if vhe then cpacr_a else cptr_a
 
 let activate_traps ops ~vhe ~hcr =
-  ops.wr (Sysreg.direct Sysreg.HCR_EL2) hcr;
+  ops.wr hcr_a hcr;
   ops.wr (cptr_access ~vhe) 0x33ffL;
-  ops.wr (Sysreg.direct Sysreg.MDCR_EL2) 0xe66L;
-  if not vhe then ops.wr (Sysreg.direct Sysreg.HSTR_EL2) 0L
+  ops.wr mdcr_a 0xe66L;
+  if not vhe then ops.wr hstr_a 0L
 
 let deactivate_traps ops ~vhe =
-  ops.wr (Sysreg.direct Sysreg.HCR_EL2) 0L;
+  ops.wr hcr_a 0L;
   ops.wr (cptr_access ~vhe) 0L;
-  ops.wr (Sysreg.direct Sysreg.MDCR_EL2) 0L;
-  if not vhe then ops.wr (Sysreg.direct Sysreg.HSTR_EL2) 0L
+  ops.wr mdcr_a 0L;
+  if not vhe then ops.wr hstr_a 0L
 
-let write_stage2 ops ~vttbr =
-  ops.wr (Sysreg.direct Sysreg.VTTBR_EL2) vttbr
+let write_stage2 ops ~vttbr = ops.wr vttbr_a vttbr
 
 let write_vpidr ops ~midr ~mpidr =
-  ops.wr (Sysreg.direct Sysreg.VPIDR_EL2) midr;
-  ops.wr (Sysreg.direct Sysreg.VMPIDR_EL2) mpidr
+  ops.wr vpidr_a midr;
+  ops.wr vmpidr_a mpidr

@@ -310,6 +310,29 @@ let test_patched_image_equivalence () =
   check Alcotest.int "NEVE: none" 0
     (run_patched (Hyp.Config.v Hyp.Config.Hw_neve))
 
+(* Register 31 decodes as XZR: "mov x31, #1" (0xd280003f) must run,
+   discard its write, and leave x31 reading zero — both engines — instead
+   of escaping as Invalid_argument from the register file. *)
+let test_x31_is_xzr () =
+  List.iter
+    (fun superblocks ->
+      let cpu = fresh () in
+      Interp.load cpu.Cpu.mem ~base
+        [| 0xd280003f; Encode.encode (Insn.Add (2, 31, Insn.Imm 5L)) |];
+      (match Interp.run ~superblocks cpu ~entry:base ~max_insns:10 with
+       | Interp.Breakpoint -> ()
+       | o -> Alcotest.failf "expected breakpoint, got %a" Interp.pp_outcome o);
+      check Alcotest.int64 "x31 reads zero" 0L (Cpu.get_reg cpu 31);
+      check Alcotest.int64 "xzr + 5" 5L (Cpu.get_reg cpu 2);
+      check Alcotest.bool "x0..x30 untouched except x2" true
+        (List.for_all
+           (fun n -> n = 2 || Cpu.get_reg cpu n = 0L)
+           (List.init 31 Fun.id)))
+    [ true; false ];
+  let cpu = fresh () in
+  Alcotest.check_raises "x32 is still rejected"
+    (Invalid_argument "Cpu.set_reg") (fun () -> Cpu.set_reg cpu 32 1L)
+
 let suite =
   [
     ("32-bit packing in 64-bit memory", `Quick, test_store_fetch32);
@@ -331,4 +354,5 @@ let suite =
     ("disassembler", `Quick, test_disassemble);
     ("binary-patched image == target hardware", `Quick,
      test_patched_image_equivalence);
+    ("x31 is XZR (mov x31, #1 runs)", `Quick, test_x31_is_xzr);
   ]

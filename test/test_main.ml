@@ -23,4 +23,5 @@ let () =
       ("fleet", Test_fleet.suite);
       ("domain-safety", Test_domain_safety.suite);
       ("shootdown", Test_shootdown.suite);
+      ("trap-path", Test_trap_path.suite);
     ]
