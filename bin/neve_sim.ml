@@ -538,16 +538,6 @@ let fuzz_cmd =
     in
     Arg.(value & opt int 0 & info [ "max-cycles" ] ~doc)
   in
-  let superblocks_arg =
-    let doc =
-      "Force the interpreter's superblock translation cache on or off \
-       for the whole campaign (default: the $(b,NEVE_SUPERBLOCKS) \
-       environment variable, on when unset).  The two engines are \
-       observationally equivalent by construction; CI runs the same \
-       seeds both ways and fails on any divergence."
-    in
-    Arg.(value & opt (some bool) None & info [ "superblocks" ] ~doc)
-  in
   let smp_arg =
     let doc =
       "Run the multi-vCPU SMP campaign instead of the instruction-stream \
@@ -565,7 +555,7 @@ let fuzz_cmd =
     Arg.(value & opt int Fuzz.Smp.default_ops & info [ "smp-ops" ] ~doc)
   in
   let run seed n max_seconds max_cycles json corpus_dir traced snap_oracle
-      superblocks smp smp_ops shards domains verbose =
+      smp smp_ops shards domains verbose =
     setup_logs verbose;
     if smp then begin
       let r = Fuzz.Smp.run ~ops:smp_ops ~seed ~n () in
@@ -574,9 +564,6 @@ let fuzz_cmd =
       if Fuzz.Smp.finding_count r > 0 then exit fault_exit;
       exit 0
     end;
-    (match superblocks with
-     | Some b -> Arm.Xlate.enabled := b
-     | None -> ());
     if shards > 1 && (max_seconds > 0.0 || max_cycles <> 0) then begin
       Fmt.epr
         "neve_sim fuzz: --shards > 1 cannot be combined with a budget \
@@ -612,8 +599,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_arg $ n_arg $ max_seconds_arg $ max_cycles_arg
       $ json_arg $ corpus_arg $ trace_arg $ snap_oracle_arg
-      $ superblocks_arg $ smp_arg $ smp_ops_arg $ shards_arg $ domains_arg
-      $ verbose_arg)
+      $ smp_arg $ smp_ops_arg $ shards_arg $ domains_arg $ verbose_arg)
 
 (* --- snapshot / restore / live migration --- *)
 

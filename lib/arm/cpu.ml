@@ -365,16 +365,11 @@ let undef_entry =
   { Exn.target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0; fault_addr = None }
 
 let rec exec t (insn : Insn.t) =
-  match insn with
-  | Insn.Ldr _ | Insn.Str _ | Insn.Mov _ | Insn.Add _ | Insn.Sub _
-  | Insn.And _ | Insn.Orr _ | Insn.Eor _ | Insn.Lsl _ | Insn.Lsr _
-  | Insn.Isb | Insn.Dsb | Insn.Tlbi_vmalls12e1 | Insn.Tlbi_alle2 | Insn.Nop
-  | Insn.B _ | Insn.Cbz _ | Insn.Cbnz _ | Insn.Svc _ ->
-    (* The router returns Execute for these unconditionally (no HCR, EL or
-       feature sensitivity — see the final arm of [Trap_rules.route]), so
-       skip the route and the HCR/VNCR reads it needs. *)
-    exec_local t insn
-  | _ -> exec_routed t insn
+  (* The router returns Execute for plain instructions unconditionally (no
+     HCR, EL or feature sensitivity — see the final arm of
+     [Trap_rules.route]), so skip the route and the HCR/VNCR reads it
+     needs. *)
+  if Xlate.is_plain insn then exec_local t insn else exec_routed t insn
 
 and exec_routed t (insn : Insn.t) =
   (* Route once per instruction; the only re-route is the immediate-MSR

@@ -2,32 +2,27 @@
 
    Programs are stored as 32-bit words in simulated physical memory
    (packed two per 64-bit word); the interpreter fetches at PC, decodes
-   (Encode.decode) and executes (Cpu.exec), with all the trap machinery
-   applying.  This is what makes the binary-patching flavour of the
-   paper's paravirtualization (Section 4) a real execution path: a guest
-   hypervisor image can be patched word-for-word in memory and then run
-   from memory.
+   and executes, with all the trap machinery applying.  This is what
+   makes the binary-patching flavour of the paper's paravirtualization
+   (Section 4) a real execution path: a guest hypervisor image can be
+   patched word-for-word in memory and then run from memory.
 
-   Two execution engines share the loop semantics:
+   There is one execution engine: it runs through the per-CPU {!Xlate}
+   superblock cache.  Straight-line code is decoded and route-classified
+   once per (block-entry PC, CPU) and replayed with two integer compares
+   of side-exit validation per instruction.  Side exits return control
+   to the dispatch loop whenever PC diverges from the straight line (a
+   branch, an exception, a handler redirect), a store lands in the
+   tracked code envelope (self-modifying code, the Section-4 patching
+   path), route state changes mid-block (HCR_EL2/VNCR_EL2/EL/features),
+   the budget runs out, or [stop] fires.
 
-   - the stepwise engine: the historical one-instruction-at-a-time
-     fetch/decode/route loop, used when [on_step] or tracing demands
-     per-instruction granularity (or when superblocks are disabled);
-   - the superblock engine: runs through the per-CPU {!Xlate} cache —
-     straight-line code is decoded and route-classified once per
-     (block-entry PC, CPU) and replayed with two integer compares of
-     side-exit validation per instruction.  Side exits return control to
-     the dispatch loop whenever PC diverges from the straight line (a
-     branch, an exception, a handler redirect), a store lands in the
-     tracked code envelope (self-modifying code, the Section-4 patching
-     path), route state changes mid-block (HCR_EL2/VNCR_EL2/EL/features),
-     the budget runs out, or [stop] fires.
-
-   Both engines make identical simulated observations by construction:
-   every instruction still executes through [Cpu.exec_local] /
-   [Cpu.exec_with_action] with the same routing results (cached actions
-   are validated against the exact route inputs), the same cost charges,
-   the same trap entries, and the same [stop]-check cadence. *)
+   Every instruction executes through [Cpu.exec_local] /
+   [Cpu.exec_with_action] with the routing result [Cpu.exec] would
+   compute (cached actions are validated against the exact route
+   inputs), so costs, trap entries and trace events are those of a
+   fetch/decode/[Cpu.exec] loop with the same [stop]-check cadence; the
+   test suite keeps such a loop as its reference. *)
 
 type outcome =
   | Halted of int64   (* fetched an unencodable word at this address,
@@ -71,47 +66,15 @@ let load_program mem ~base insns =
 let misaligned pc = Int64.logand pc 3L <> 0L
 
 (* Run from [entry] until the halt marker, an unencodable word, a
-   misaligned PC, or the instruction budget runs out.  [on_step] fires
-   before each executed instruction — the fault injector's hook into
-   straight-line guest code.  Any non-positive budget is already
-   exhausted (a negative one must not run unbounded).
-
-   [superblocks] overrides the global {!Xlate.enabled} default for this
-   run (the equivalence suite runs both engines over identical inputs).
-   [on_step] and live tracing force the stepwise engine regardless: both
-   want per-instruction granularity. *)
-let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
-    ~max_insns =
+   misaligned PC, or the instruction budget runs out.  Any non-positive
+   budget is already exhausted (a negative one must not run unbounded). *)
+let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   cpu.Cpu.pc <- entry;
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:entry
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
   let mem = cpu.Cpu.mem in
   let xc = cpu.Cpu.xlate in
-  let use_blocks =
-    (match superblocks with Some b -> b | None -> !Xlate.enabled)
-    && (match on_step with None -> true | Some _ -> false)
-    && not !Trace.on
-  in
-  (* --- stepwise engine --- *)
-  let rec step budget =
-    if stop cpu then Stopped
-    else if budget <= 0 then Limit
-    else
-      let pc = cpu.Cpu.pc in
-      if misaligned pc then Halted pc
-      else
-        let w = fetch32 mem pc in
-        if w = halt_marker then Breakpoint
-        else
-          match Xlate.decode xc w with
-          | Encode.D_unknown _ -> Halted pc
-          | Encode.D_insn insn ->
-            (match on_step with Some f -> f cpu | None -> ());
-            Cpu.exec cpu insn;
-            step (budget - 1)
-  in
-  (* --- superblock engine --- *)
   (* Route-input validation for cached actions: the exact inputs of
      [Trap_rules.route].  HCR/VNCR are read from the register file (not
      the decoded-HCR cache, which refreshes lazily). *)
@@ -155,7 +118,7 @@ let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
         exec_routed blk r
       end
   in
-  let rec bstep budget =
+  let rec step budget =
     if stop cpu then Stopped
     else if budget <= 0 then Limit
     else
@@ -183,8 +146,7 @@ let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
         else
           (* Execute op [i]; stop/budget/alignment already checked for
              it (by this dispatcher for op 0, by the previous iteration
-             for the rest — the same once-per-instruction cadence as the
-             stepwise engine). *)
+             for the rest — once per instruction). *)
           let rec go i budget =
             (match Array.unsafe_get ops i with
             | Xlate.Plain insn -> Cpu.exec_local cpu insn
@@ -197,10 +159,10 @@ let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
                exception, handler redirect) or code was modified under
                our feet — back to the dispatcher, which re-validates. *)
             if cpu.Cpu.pc <> expected || Memory.code_gen mem <> gen then
-              bstep budget
+              step budget
             else if i + 1 >= n then begin
               match blk.Xlate.term with
-              | Xlate.T_branch | Xlate.T_fallthrough -> bstep budget
+              | Xlate.T_branch | Xlate.T_fallthrough -> step budget
               | Xlate.T_halt ->
                 if stop cpu then Stopped
                 else if budget <= 0 then Limit
@@ -217,7 +179,7 @@ let run ?on_step ?(stop = fun _ -> false) ?superblocks (cpu : Cpu.t) ~entry
           go 0 budget
       end
   in
-  let outcome = if use_blocks then bstep max_insns else step max_insns in
+  let outcome = step max_insns in
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:cpu.Cpu.pc
       ~detail:(Fmt.str "%a" pp_outcome outcome) Trace.Run_end;

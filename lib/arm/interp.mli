@@ -7,12 +7,11 @@
     execution path: patch a guest-hypervisor image word-for-word in
     memory ({!Hyp.Paravirt.patch_text}) and run it from memory.
 
-    The hot loop runs through the per-CPU superblock translation cache
-    ({!Xlate}): straight-line code is decoded and route-classified once
-    per (block-entry PC, CPU) and replayed with cheap side-exit
-    validation, falling back to the stepwise engine when [on_step] or
-    live tracing demands per-instruction granularity.  Both engines are
-    observation-equivalent by construction. *)
+    The one execution loop runs through the per-CPU superblock
+    translation cache ({!Xlate}): straight-line code is decoded and
+    route-classified once per (block-entry PC, CPU) and replayed with
+    cheap side-exit validation.  Traced and untraced runs use the same
+    loop, and its observations equal a fetch/decode/{!Cpu.exec} loop's. *)
 
 type outcome =
   | Halted of int64
@@ -39,20 +38,12 @@ val load_program : Memory.t -> base:int64 -> Insn.t list -> unit
 (** Assemble (encode) and load. *)
 
 val run :
-  ?on_step:(Cpu.t -> unit) ->
-  ?stop:(Cpu.t -> bool) ->
-  ?superblocks:bool ->
-  Cpu.t ->
-  entry:int64 ->
-  max_insns:int ->
-  outcome
-(** [on_step] fires before each executed instruction — the hook used by
-    the fault injector to perturb straight-line guest code (it forces
-    the stepwise engine).  [stop] is checked before each instruction;
-    when it returns [true] the run ends with {!Stopped} — the
-    differential fuzzer's way of ending a program at a semantic boundary
-    (leaving virtual EL2) rather than an address.  [superblocks]
-    overrides the global {!Xlate.enabled} default for this run. *)
+  ?stop:(Cpu.t -> bool) -> Cpu.t -> entry:int64 -> max_insns:int -> outcome
+(** [stop] is checked before each instruction; when it returns [true]
+    the run ends with {!Stopped} — the differential fuzzer's way of
+    ending a program at a semantic boundary (leaving virtual EL2) rather
+    than an address.  A run ends in {!Limit} only after executing
+    exactly [max 0 max_insns] instructions. *)
 
 val disassemble : Memory.t -> base:int64 -> count:int -> (int64 * string) list
 (** Decodes through the pure decoder, never a CPU's execution cache. *)

@@ -29,16 +29,6 @@
    This module deliberately does not depend on [Cpu]: block formation
    takes the route inputs as values, and execution lives in [Interp]. *)
 
-(* Global enable switch (the equivalence suite and CI smoke runs force it
-   both ways; [NEVE_SUPERBLOCKS=0] in the environment disables it).
-   domain-safety: allowlisted global — startup/CLI configuration written
-   before any domain spawns and only read during parallel sections. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "NEVE_SUPERBLOCKS" with
-    | Some ("0" | "off" | "false") -> false
-    | _ -> true)
-
 (* --- program memory packing (two A64 words per 64-bit memory word) --- *)
 
 let fetch32 mem addr =

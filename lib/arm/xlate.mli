@@ -10,13 +10,8 @@
     making the cache an exact memoization of {!Trap_rules.route}.
 
     This module holds the data and formation logic only; execution lives
-    in {!Interp}, which also owns the side-exit rules (PC divergence,
-    mid-block code writes, budget/stop/hook granularity). *)
-
-val enabled : bool ref
-(** Global default for whether {!Interp.run} uses superblocks
-    (initialized from the [NEVE_SUPERBLOCKS] environment variable;
-    [0]/[off]/[false] disable). *)
+    in {!Interp}, the only execution loop, which also owns the side-exit
+    rules (PC divergence, mid-block code writes, budget/stop). *)
 
 val fetch32 : Memory.t -> int64 -> int
 (** Fetch the 32-bit instruction word at an address (words are packed
@@ -26,6 +21,11 @@ val store32 : Memory.t -> int64 -> int -> unit
 
 val halt_marker : int
 (** The parking instruction ([b .+0]) terminating loaded programs. *)
+
+val is_plain : Insn.t -> bool
+(** The constructors {!Trap_rules.route} sends to [Execute] under every
+    input (loads, stores, ALU, barriers, TLBI, branches, SVC): they need
+    no routing at all. *)
 
 type op =
   | Plain of Insn.t

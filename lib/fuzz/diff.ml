@@ -134,8 +134,12 @@ let mem_obs mem =
   in
   go (words - 1) []
 
-let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
-    config words =
+type runner =
+  ?stop:(Cpu.t -> bool) -> Cpu.t -> entry:int64 -> max_insns:int ->
+  Interp.outcome
+
+let run_column ?(run : runner = Interp.run) ?(traced = false)
+    ?(expose = Expose.Policy.none) ~budget config words =
   if traced then Trace.enable ~capacity:8192 ();
   (* capture the column's event stream before the ring is reused, then
      drop back to untraced so corpus replays stay byte-identical *)
@@ -167,7 +171,7 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
        where boot-time paravirt rewriting is not meant to be transparent
        — patching assumes the text only ever runs at EL2. *)
     let stop _ = not host.Host_hyp.vcpu.Vcpu.in_vel2 in
-    let outcome = Interp.run cpu ~stop ~entry:text_base ~max_insns:budget in
+    let outcome = run cpu ~stop ~entry:text_base ~max_insns:budget in
     (* where/how the program stopped, before the fold moves the PC *)
     let pc = cpu.Cpu.pc in
     let pstate = Fmt.str "%a" Pstate.pp cpu.Cpu.pstate in
@@ -209,8 +213,8 @@ let run_column ?(traced = false) ?(expose = Expose.Policy.none) ~budget
    uninterrupted run; anything the snapshot fails to carry (an undrained
    deferred page, a pending fold, meter state, shadow tables) surfaces
    as an ordinary fuzz divergence. *)
-let run_column_snapshot ?(expose = Expose.Policy.none) ~budget ~at config
-    words =
+let run_column_snapshot ?(run : runner = Interp.run)
+    ?(expose = Expose.Policy.none) ~budget ~at config words =
   let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
   let traps_now = ref (fun () -> cpu.Cpu.meter.Cost.traps) in
@@ -227,11 +231,14 @@ let run_column_snapshot ?(expose = Expose.Policy.none) ~budget ~at config
     Interp.load m.Machine.mem ~base:text_base text;
     Cpu.set_reg cpu Paravirt.page_base_reg page_base;
     let stop _ = not host.Host_hyp.vcpu.Vcpu.in_vel2 in
-    let steps = ref 0 in
-    let (_ : Interp.outcome) =
-      Interp.run cpu
-        ~on_step:(fun _ -> incr steps)
-        ~stop ~entry:text_base ~max_insns:(min at budget)
+    let first = run cpu ~stop ~entry:text_base ~max_insns:(min at budget) in
+    (* Segment 1 ends in Limit only after exactly [min at budget]
+       instructions.  Any other outcome recurs on the restored machine
+       before it executes an instruction, so the full budget is kept. *)
+    let rest =
+      match first with
+      | Interp.Limit -> budget - max 0 (min at budget)
+      | _ -> budget
     in
     (* the serialization boundary *)
     let m' = Snap.restore (Snap.to_string m) in
@@ -241,8 +248,7 @@ let run_column_snapshot ?(expose = Expose.Policy.none) ~budget ~at config
     (ctx_now := fun () -> Fault.Error.context_of_cpu cpu');
     let stop' _ = not host'.Host_hyp.vcpu.Vcpu.in_vel2 in
     let outcome =
-      Interp.run cpu' ~stop:stop' ~entry:cpu'.Cpu.pc
-        ~max_insns:(budget - !steps)
+      run cpu' ~stop:stop' ~entry:cpu'.Cpu.pc ~max_insns:rest
     in
     let pc = cpu'.Cpu.pc in
     let pstate = Fmt.str "%a" Pstate.pp cpu'.Cpu.pstate in

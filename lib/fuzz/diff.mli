@@ -62,7 +62,13 @@ type obs = {
           when [traced] was set, empty otherwise *)
 }
 
+type runner =
+  ?stop:(Arm.Cpu.t -> bool) -> Arm.Cpu.t -> entry:int64 -> max_insns:int ->
+  Arm.Interp.outcome
+(** An execution loop with {!Arm.Interp.run}'s contract. *)
+
 val run_column :
+  ?run:runner ->
   ?traced:bool ->
   ?expose:Expose.Policy.t ->
   budget:int ->
@@ -76,9 +82,12 @@ val run_column :
     so every mechanism's state is compared from the same vantage.
     [traced] (default false) records the column's event stream into
     [ob_events]; tracing is switched off again before returning, and the
-    architectural observation is identical either way. *)
+    architectural observation is identical either way.  [run] (default
+    {!Arm.Interp.run}) is the test suite's seam for comparing the
+    interpreter against a reference loop. *)
 
 val run_column_snapshot :
+  ?run:runner ->
   ?expose:Expose.Policy.t ->
   budget:int ->
   at:int ->

@@ -260,37 +260,136 @@ let test_campaign_deterministic_and_clean () =
     0
     (Fuzz.Campaign.divergence_count a)
 
-(* --- superblock on/off equivalence across the full column matrix ------ *)
+(* --- the interpreter against the reference loop, every column --------- *)
 
-(* The two interpreter engines must be observationally indistinguishable:
-   a fuzz campaign (all 8 columns per program, snapshot oracle included)
-   run with superblocks forced on and forced off must produce
-   byte-identical stats — same trap counts, coverage, and zero
-   divergences either way. *)
-let equivalence_seed = 11
-let equivalence_n = 60
+(* [Interp.run] must make exactly the observations of the test-only
+   reference loop ([Ref_interp]: fetch, pure decode, [Cpu.exec]) on
+   every column of the differential matrix and on every column's
+   snapshot-at-k/restore/resume twin: outcome, registers, virtual files,
+   memory, traps and cycles, program by program, over the programs each
+   seed's campaign draws.  Each program also runs at half its length in
+   instructions, so runs end in [Limit] mid-block and the snapshot
+   twin's first segment ends in [Limit]; there the twin must also agree
+   with the uninterrupted run, which checks the resume budget. *)
+let reference_seeds = [ 0; 11; 42 ]
+let reference_n = 300
 
-let test_superblock_equivalence () =
-  let with_superblocks b f =
-    let saved = !Arm.Xlate.enabled in
-    Arm.Xlate.enabled := b;
-    Fun.protect ~finally:(fun () -> Arm.Xlate.enabled := saved) f
+let test_interp_matches_reference () =
+  List.iter
+    (fun seed ->
+      let gen = Fuzz.Gen.create ~seed in
+      for i = 0 to reference_n - 1 do
+        let words = Fuzz.Prog.to_words (Fuzz.Gen.program gen) in
+        List.iter
+          (fun c ->
+            let config = c.Fuzz.Diff.col_config
+            and expose = c.Fuzz.Diff.col_expose in
+            (* [o] from Interp.run, [r] from the reference (or, last,
+               the snapshot twin against the uninterrupted run) *)
+            let same what (o : Fuzz.Diff.obs) (r : Fuzz.Diff.obs) =
+              if o <> r then
+                Alcotest.failf
+                  "seed %d, program %d, %s, %s: %s (%d traps) vs %s (%d \
+                   traps)"
+                  seed i c.Fuzz.Diff.col_name what o.Fuzz.Diff.ob_outcome
+                  o.Fuzz.Diff.ob_traps r.Fuzz.Diff.ob_outcome
+                  r.Fuzz.Diff.ob_traps
+            in
+            let compare budget =
+              let at = budget / 2 in
+              let column = Fuzz.Diff.run_column ~expose ~budget config words in
+              let twin =
+                Fuzz.Diff.run_column_snapshot ~expose ~budget ~at config words
+              in
+              same
+                (Printf.sprintf "column (budget %d)" budget)
+                column
+                (Fuzz.Diff.run_column ~run:Ref_interp.run ~expose ~budget
+                   config words);
+              same
+                (Printf.sprintf "snapshot twin (budget %d)" budget)
+                twin
+                (Fuzz.Diff.run_column_snapshot ~run:Ref_interp.run ~expose
+                   ~budget ~at config words);
+              (column, twin)
+            in
+            ignore (compare (Fuzz.Diff.budget_for words));
+            let column, twin = compare (Array.length words / 2) in
+            same "short-budget snapshot twin vs uninterrupted"
+              { twin with Fuzz.Diff.ob_cycles = 0; ob_ctx = None }
+              { column with Fuzz.Diff.ob_cycles = 0; ob_ctx = None })
+          Fuzz.Diff.columns
+      done)
+    reference_seeds
+
+(* --- Xlate.is_plain: the route-free constructor list ------------------ *)
+
+(* [Cpu.exec] and superblock formation both skip [Trap_rules.route] for
+   [Xlate.is_plain] instructions, so the router must send them to
+   [Execute] under every input a fuzz column can present: every EL, each
+   column's features, NV2 mask and OoH grant, and HCR_EL2/VNCR_EL2 as
+   the column's started guest hypervisor leaves them, as its target
+   configuration sets them, cleared, and (HCR) one architectural bit at
+   a time. *)
+let test_is_plain_routes_to_execute () =
+  let st = Random.State.make [| 0x91a1 |] in
+  let plain =
+    List.filter Arm.Xlate.is_plain (List.init 300 (fun _ -> gen_encodable st))
   in
-  let campaign () =
-    Fuzz.Campaign.run ~snap_oracle:true ~seed:equivalence_seed
-      ~n:equivalence_n ()
+  check Alcotest.int "the draw covers all twelve plain mnemonics" 12
+    (List.length
+       (List.sort_uniq compare
+          (List.map
+             (fun i -> List.hd (String.split_on_char ' ' (Insn.to_string i)))
+             plain)));
+  let hcr_bits =
+    Arm.Hcr.
+      [ vm; fmo; imo; amo; vse; twi; twe; tsc; tvm; tge; trvm; e2h; nv; nv1;
+        at; nv2 ]
   in
-  let on = with_superblocks true campaign in
-  let off = with_superblocks false campaign in
-  check Alcotest.string
-    (Printf.sprintf "superblocks on == off, byte-identical stats (seed=%d)"
-       equivalence_seed)
-    (Fuzz.Campaign.json_stats off)
-    (Fuzz.Campaign.json_stats on);
-  check Alcotest.int
-    (Printf.sprintf "no divergences either way (seed=%d)" equivalence_seed)
-    0
-    (Fuzz.Campaign.divergence_count on + Fuzz.Campaign.divergence_count off)
+  List.iter
+    (fun c ->
+      let config = c.Fuzz.Diff.col_config in
+      let m =
+        Hyp.Machine.create ~ncpus:1 ~expose:c.Fuzz.Diff.col_expose config
+          Hyp.Host_hyp.Nested
+      in
+      let cpu = m.Hyp.Machine.cpus.(0) in
+      Hyp.Host_hyp.start_guest_hypervisor m.Hyp.Machine.hosts.(0);
+      let hcrs =
+        List.sort_uniq compare
+          (0L
+           :: Arm.Cpu.peek_sysreg cpu Sysreg.HCR_EL2
+           :: Config.target_hcr config :: hcr_bits)
+      in
+      let vncrs = [ 0L; Arm.Cpu.peek_sysreg cpu Sysreg.VNCR_EL2 ] in
+      List.iter
+        (fun hcr_raw ->
+          let hcr = Arm.Hcr.decode hcr_raw in
+          List.iter
+            (fun vncr ->
+              List.iter
+                (fun el ->
+                  List.iter
+                    (fun insn ->
+                      match
+                        Arm.Trap_rules.route ~mask:cpu.Arm.Cpu.nv2_mask
+                          ~expose:cpu.Arm.Cpu.expose cpu.Arm.Cpu.features ~hcr
+                          ~vncr ~el insn
+                      with
+                      | Arm.Trap_rules.Execute -> ()
+                      | a ->
+                        Alcotest.failf
+                          "%s: %s at %s (HCR_EL2=0x%Lx VNCR_EL2=0x%Lx) \
+                           routes to %a"
+                          c.Fuzz.Diff.col_name (Insn.to_string insn)
+                          (Arm.Pstate.el_name el) hcr_raw vncr
+                          Arm.Trap_rules.pp_action a)
+                    plain)
+                Arm.Pstate.[ EL0; EL1; EL2 ])
+            vncrs)
+        hcrs)
+    Fuzz.Diff.columns
 
 (* --- OoH twin columns in the differential matrix ---------------------- *)
 
@@ -342,6 +441,8 @@ let suite =
       test_ooh_columns;
     Alcotest.test_case "campaign: deterministic and clean" `Slow
       test_campaign_deterministic_and_clean;
-    Alcotest.test_case "superblocks on == off across all columns" `Slow
-      test_superblock_equivalence;
+    Alcotest.test_case "Interp.run == reference loop, every column" `Slow
+      test_interp_matches_reference;
+    Alcotest.test_case "Xlate.is_plain instructions route to Execute" `Quick
+      test_is_plain_routes_to_execute;
   ]

@@ -117,24 +117,24 @@ let test_decode_cache_equivalence () =
       done)
     (words @ colliders @ words)
 
-(* --- superblock engine vs stepwise engine ----------------------------- *)
+(* --- the interpreter vs the reference loop (Ref_interp) ---------------- *)
 
 (* Regression: [fetch32] used to silently read the containing aligned
    word for a misaligned PC and run a skewed instruction stream; a
-   misaligned PC must be a deterministic alignment halt, under both
-   engines and from both misalignment sources (a misaligned entry and a
-   misaligned ELR restored by eret). *)
+   misaligned PC must be a deterministic alignment halt, under the
+   interpreter and the reference loop and from both misalignment
+   sources (a misaligned entry and a misaligned ELR restored by eret). *)
 let test_misaligned_pc_halts () =
   List.iter
-    (fun sb ->
+    (fun (name, (run : Fuzz.Diff.runner)) ->
       let cpu = fresh () in
       Interp.load_program cpu.Cpu.mem ~base [ Insn.Nop; Insn.Nop ];
       let entry = Int64.add base 2L in
-      (match Interp.run cpu ~superblocks:sb ~entry ~max_insns:10 with
+      (match run cpu ~entry ~max_insns:10 with
        | Interp.Halted a ->
          check Alcotest.int64 "halted at the misaligned entry" entry a
        | o ->
-         Alcotest.failf "superblocks=%b: expected alignment halt, got %a" sb
+         Alcotest.failf "%s: expected alignment halt, got %a" name
            Interp.pp_outcome o);
       (* eret onto a misaligned ELR: the halt happens at dispatch, after
          the eret itself executed *)
@@ -145,19 +145,19 @@ let test_misaligned_pc_halts () =
       Arm.Cpu.poke_sysreg cpu Sysreg.SPSR_EL2
         (Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1));
       Interp.load_program cpu.Cpu.mem ~base [ Insn.Eret ];
-      match Interp.run cpu ~superblocks:sb ~entry:base ~max_insns:10 with
+      match run cpu ~entry:base ~max_insns:10 with
       | Interp.Halted a ->
         check Alcotest.int64 "halted at the misaligned ELR" bad a
       | o ->
-        Alcotest.failf "superblocks=%b: expected halt after eret, got %a" sb
+        Alcotest.failf "%s: expected halt after eret, got %a" name
           Interp.pp_outcome o)
-    [ true; false ]
+    Ref_interp.engines
 
 (* Self-modifying code (the Section-4 binary-patching path at runtime): a
    program that overwrites two later instructions of its own block.  The
-   store bumps the memory's code generation, so the superblock engine
-   must side-exit and re-decode instead of replaying the stale poison
-   ops; both engines must make identical observations. *)
+   store bumps the memory's code generation, so the interpreter must
+   side-exit and re-decode instead of replaying the stale poison ops,
+   and make the reference loop's observations. *)
 let test_self_modifying_code_invalidation () =
   let data = 0x9000L in
   let patch_at = Int64.add base 16L in (* instructions 4 and 5 *)
@@ -167,7 +167,7 @@ let test_self_modifying_code_invalidation () =
       (Int64.shift_left (Int64.of_int nop) 32)
       (Int64.of_int nop)
   in
-  let run sb =
+  let run name (run : Fuzz.Diff.runner) =
     let cpu = fresh () in
     Arm.Memory.write64 cpu.Cpu.mem data packed_nops;
     Arm.Memory.write64 cpu.Cpu.mem (Int64.add data 8L) patch_at;
@@ -178,18 +178,18 @@ let test_self_modifying_code_invalidation () =
         Insn.Str (0, Insn.Based (3, 0L));    (* 3: overwrite 4 and 5 *)
         Insn.Mov (2, Insn.Imm 99L);          (* 4: poison *)
         Insn.Mov (4, Insn.Imm 77L) ];        (* 5: poison *)
-    (match Interp.run cpu ~superblocks:sb ~entry:base ~max_insns:100 with
+    (match run cpu ~entry:base ~max_insns:100 with
      | Interp.Breakpoint -> ()
-     | o -> Alcotest.failf "superblocks=%b: %a" sb Interp.pp_outcome o);
+     | o -> Alcotest.failf "%s: %a" name Interp.pp_outcome o);
     ( Cpu.get_reg cpu 2, Cpu.get_reg cpu 4,
       cpu.Cpu.meter.Cost.cycles, cpu.Cpu.meter.Cost.insns )
   in
-  let x2, x4, cyc, insns = run true in
+  let x2, x4, cyc, insns = run "Interp.run" Interp.run in
   check Alcotest.int64 "patched-over poison (x2) never executed" 0L x2;
   check Alcotest.int64 "patched-over poison (x4) never executed" 0L x4;
-  let x2', x4', cyc', insns' = run false in
-  check Alcotest.int64 "stepwise agrees on x2" x2' x2;
-  check Alcotest.int64 "stepwise agrees on x4" x4' x4;
+  let x2', x4', cyc', insns' = run "reference" Ref_interp.run in
+  check Alcotest.int64 "reference agrees on x2" x2' x2;
+  check Alcotest.int64 "reference agrees on x4" x4' x4;
   check Alcotest.int "identical cycle charges" cyc' cyc;
   check Alcotest.int "identical instruction counts" insns' insns
 
@@ -198,7 +198,7 @@ let test_self_modifying_code_invalidation () =
    their EL2 twins.  A stale block would keep writing SCTLR_EL1. *)
 let test_mid_block_hcr_side_exit () =
   let data = 0x9000L in
-  let run sb =
+  let run name (run : Fuzz.Diff.runner) =
     let cpu =
       Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_4) ()
     in
@@ -212,19 +212,19 @@ let test_mid_block_hcr_side_exit () =
         Insn.Msr (Sysreg.direct Sysreg.HCR_EL2, Insn.Reg 0); (* set E2H *)
         Insn.Mov (3, Insn.Imm 0x22L);
         Insn.Msr (Sysreg.direct Sysreg.SCTLR_EL1, Insn.Reg 3) ];
-    (match Interp.run cpu ~superblocks:sb ~entry:base ~max_insns:100 with
+    (match run cpu ~entry:base ~max_insns:100 with
      | Interp.Breakpoint -> ()
-     | o -> Alcotest.failf "superblocks=%b: %a" sb Interp.pp_outcome o);
+     | o -> Alcotest.failf "%s: %a" name Interp.pp_outcome o);
     ( Arm.Cpu.peek_sysreg cpu Sysreg.SCTLR_EL1,
       Arm.Cpu.peek_sysreg cpu Sysreg.SCTLR_EL2,
       cpu.Cpu.meter.Cost.cycles )
   in
-  let el1, el2, cyc = run true in
+  let el1, el2, cyc = run "Interp.run" Interp.run in
   check Alcotest.int64 "pre-E2H write landed in SCTLR_EL1" 0x11L el1;
   check Alcotest.int64 "post-E2H write redirected to SCTLR_EL2" 0x22L el2;
-  let el1', el2', cyc' = run false in
-  check Alcotest.int64 "stepwise agrees on SCTLR_EL1" el1' el1;
-  check Alcotest.int64 "stepwise agrees on SCTLR_EL2" el2' el2;
+  let el1', el2', cyc' = run "reference" Ref_interp.run in
+  check Alcotest.int64 "reference agrees on SCTLR_EL1" el1' el1;
+  check Alcotest.int64 "reference agrees on SCTLR_EL2" el2' el2;
   check Alcotest.int "identical cycle charges" cyc' cyc
 
 let test_halt_on_garbage () =
@@ -311,24 +311,27 @@ let test_patched_image_equivalence () =
     (run_patched (Hyp.Config.v Hyp.Config.Hw_neve))
 
 (* Register 31 decodes as XZR: "mov x31, #1" (0xd280003f) must run,
-   discard its write, and leave x31 reading zero — both engines — instead
-   of escaping as Invalid_argument from the register file. *)
+   discard its write, and leave x31 reading zero — interpreter and
+   reference loop alike — instead of escaping as Invalid_argument from
+   the register file. *)
 let test_x31_is_xzr () =
   List.iter
-    (fun superblocks ->
+    (fun (name, (run : Fuzz.Diff.runner)) ->
       let cpu = fresh () in
       Interp.load cpu.Cpu.mem ~base
         [| 0xd280003f; Encode.encode (Insn.Add (2, 31, Insn.Imm 5L)) |];
-      (match Interp.run ~superblocks cpu ~entry:base ~max_insns:10 with
+      (match run cpu ~entry:base ~max_insns:10 with
        | Interp.Breakpoint -> ()
-       | o -> Alcotest.failf "expected breakpoint, got %a" Interp.pp_outcome o);
+       | o ->
+         Alcotest.failf "%s: expected breakpoint, got %a" name
+           Interp.pp_outcome o);
       check Alcotest.int64 "x31 reads zero" 0L (Cpu.get_reg cpu 31);
       check Alcotest.int64 "xzr + 5" 5L (Cpu.get_reg cpu 2);
       check Alcotest.bool "x0..x30 untouched except x2" true
         (List.for_all
            (fun n -> n = 2 || Cpu.get_reg cpu n = 0L)
            (List.init 31 Fun.id)))
-    [ true; false ];
+    Ref_interp.engines;
   let cpu = fresh () in
   Alcotest.check_raises "x32 is still rejected"
     (Invalid_argument "Cpu.set_reg") (fun () -> Cpu.set_reg cpu 32 1L)

@@ -128,6 +128,43 @@ let test_traced_obs_carries_events () =
   check (list string) "untraced run records nothing" []
     o'.Fuzz.Diff.ob_events
 
+(* Traced runs execute on the interpreter's one engine: over the seed-11
+   campaign programs, every fuzz column run traced through [Interp.run]
+   and through the test-only reference loop ([Ref_interp]) records the
+   same event stream and the same per-class trap sum, and that sum is
+   still the column's meter trap count. *)
+let traced_engine_seed = 11
+let traced_engine_n = 300
+
+let test_traced_runs_use_the_engine () =
+  let gen = Fuzz.Gen.create ~seed:traced_engine_seed in
+  for i = 0 to traced_engine_n - 1 do
+    let words = Fuzz.Prog.to_words (Fuzz.Gen.program gen) in
+    let budget = Fuzz.Diff.budget_for words in
+    List.iter
+      (fun c ->
+        let traced run =
+          let o =
+            Fuzz.Diff.run_column ~run ~traced:true
+              ~expose:c.Fuzz.Diff.col_expose ~budget c.Fuzz.Diff.col_config
+              words
+          in
+          (o, Trace.class_total ())
+        in
+        let o, sum = traced Arm.Interp.run in
+        let r, rsum = traced Ref_interp.run in
+        let what fmt =
+          Printf.sprintf ("seed %d, program %d, %s: " ^^ fmt) traced_engine_seed
+            i c.Fuzz.Diff.col_name
+        in
+        check (list string) (what "events = reference events")
+          r.Fuzz.Diff.ob_events o.Fuzz.Diff.ob_events;
+        check int (what "class sum = reference class sum") rsum sum;
+        check int (what "class sum = meter traps") o.Fuzz.Diff.ob_traps sum)
+      Fuzz.Diff.columns
+  done;
+  check bool "tracing left disabled" false (Trace.is_on ())
+
 let test_chrome_json_shape () =
   with_trace (fun () ->
       Trace.emit ~cycles:10 ~cls:"hvc" ~detail:"x" Trace.Trap;
@@ -172,6 +209,8 @@ let suite =
      test_tracing_transparent);
     ("fuzz: traced obs carries the event stream", `Quick,
      test_traced_obs_carries_events);
+    ("traced runs: Interp.run = reference, every column", `Slow,
+     test_traced_runs_use_the_engine);
     ("chrome export: structural shape", `Quick, test_chrome_json_shape);
     ("metrics export: structural shape", `Quick, test_metrics_json_shape);
     ("error context: events ride along", `Quick,
