@@ -449,32 +449,25 @@ let trace_cmd =
                Printf.sprintf " (ring wrapped, %d events dropped)" drops
              else ""))
       rows;
-    (match chrome with
-     | None -> ()
-     | Some path ->
-       let streams =
-         List.map (fun (name, _, _, _, events, _) -> (name, events)) rows
-       in
-       let oc = open_out path in
-       output_string oc (Trace.chrome_json streams);
-       close_out oc;
-       Fmt.pr "wrote %s@." path);
-    (match json with
-     | None -> ()
-     | Some path ->
-       let configs =
-         List.map
-           (fun (name, counts, _, meter_traps, _, _) ->
-             (name, counts, meter_traps))
-           rows
-       in
-       let oc = open_out path in
-       output_string oc
-         (Trace.metrics_json
-            ~extra:[ ("iters", iters); ("benches", List.length benches) ]
-            configs);
-       close_out oc;
-       Fmt.pr "wrote %s@." path);
+    let write path report =
+      Option.iter
+        (fun path ->
+          let oc = open_out path in
+          output_string oc (Json.to_string (report ()));
+          close_out oc;
+          Fmt.pr "wrote %s@." path)
+        path
+    in
+    write chrome (fun () ->
+        Trace.chrome_json
+          (List.map (fun (name, _, _, _, events, _) -> (name, events)) rows));
+    write json (fun () ->
+        Trace.metrics_json
+          ~extra:[ ("iters", iters); ("benches", List.length benches) ]
+          (List.map
+             (fun (name, counts, _, meter_traps, _, _) ->
+               (name, counts, meter_traps))
+             rows));
     if not !ok then exit 1
   in
   Cmd.v
@@ -559,7 +552,7 @@ let fuzz_cmd =
     setup_logs verbose;
     if smp then begin
       let r = Fuzz.Smp.run ~ops:smp_ops ~seed ~n () in
-      if json then print_endline (Fuzz.Smp.json_report r)
+      if json then print_endline (Json.to_string (Fuzz.Smp.json r))
       else Fmt.pr "%a@." Fuzz.Smp.pp_report r;
       if Fuzz.Smp.finding_count r > 0 then exit fault_exit;
       exit 0
@@ -583,7 +576,7 @@ let fuzz_cmd =
       Fuzz.Campaign.run ~should_stop ~corpus_dir ~traced ~snap_oracle
         ~max_cycles ~shards ?domains ~seed ~n ()
     in
-    if json then print_endline (Fuzz.Campaign.json_stats stats)
+    if json then print_endline (Json.to_string (Fuzz.Campaign.json stats))
     else Fmt.pr "%a@." Fuzz.Campaign.pp_stats stats;
     if Fuzz.Campaign.divergence_count stats > 0 then exit fault_exit;
     if stats.Fuzz.Campaign.s_timed_out then exit timeout_exit
@@ -1014,7 +1007,7 @@ let fleet_cmd =
       Fleet.run ?domains ~shards ~traced ~ops ~configs ~n ~seed ~profile ()
     in
     let dt = Unix.gettimeofday () -. t0 in
-    if json then print_string (Fleet.json t)
+    if json then print_endline (Json.to_string (Fleet.json t))
     else begin
       Fmt.pr "%a@." Fleet.pp_summary t;
       Fmt.pr "wall: %.2fs, %.0f machines/sec (shards=%d)@." dt
@@ -1075,7 +1068,7 @@ let serve_cmd =
     let t =
       Serve.run ?domains ~shards ~requests ~migrate_every ~expose ~n ~seed ()
     in
-    if json then print_endline (Serve.json t)
+    if json then print_endline (Json.to_string (Serve.json t))
     else Fmt.pr "%a@." Serve.pp_summary t;
     if not t.Serve.s_clean then exit fault_exit
   in

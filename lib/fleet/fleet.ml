@@ -296,37 +296,31 @@ let run ?domains ?(shards = 1) ?(traced = false) ?(ops = default_ops)
 (* --- rendering --- *)
 
 let json { agg; _ } =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"fleet\": {\"n\": %d, \"seed\": %d, \"profile\": %S},\n"
-       agg.a_n agg.a_seed agg.a_profile);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"totals\": {\"ops\": %d, \"cycles\": %d, \"insns\": %d, \"traps\": %d},\n"
-       agg.a_ops agg.a_cycles agg.a_insns agg.a_traps);
-  Buffer.add_string b "  \"configs\": [\n";
-  List.iteri
-    (fun i pc ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"machines\": %d, \"ops\": %d, \"cycles\": %d, \
-            \"insns\": %d, \"traps\": %d}%s\n"
-           pc.pc_name pc.pc_machines pc.pc_ops pc.pc_cycles pc.pc_insns
-           pc.pc_traps
-           (if i = List.length agg.a_by_config - 1 then "" else ",")))
-    agg.a_by_config;
-  Buffer.add_string b "  ],\n  \"classes\": {";
-  List.iteri
-    (fun i (c, n) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s%S: %d" (if i = 0 then "" else ", ") c n))
-    agg.a_classes;
-  Buffer.add_string b "},\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"trace_ok\": %b,\n  \"digest\": \"%s\"\n}\n"
-       agg.a_trace_ok (digest_hex agg.a_digest));
-  Buffer.contents b
+  let ints = List.map (fun (k, v) -> (k, Json.Int v)) in
+  let config pc =
+    Json.Obj
+      (("name", Json.String pc.pc_name)
+      :: ints
+           [ ("machines", pc.pc_machines); ("ops", pc.pc_ops);
+             ("cycles", pc.pc_cycles); ("insns", pc.pc_insns);
+             ("traps", pc.pc_traps) ])
+  in
+  Json.Obj
+    [
+      ( "fleet",
+        Json.Obj
+          (ints [ ("n", agg.a_n); ("seed", agg.a_seed) ]
+          @ [ ("profile", Json.String agg.a_profile) ]) );
+      ( "totals",
+        Json.Obj
+          (ints
+             [ ("ops", agg.a_ops); ("cycles", agg.a_cycles);
+               ("insns", agg.a_insns); ("traps", agg.a_traps) ]) );
+      ("configs", Json.List (List.map config agg.a_by_config));
+      ("classes", Json.Obj (ints agg.a_classes));
+      ("trace_ok", Json.Bool agg.a_trace_ok);
+      ("digest", Json.String (digest_hex agg.a_digest));
+    ]
 
 let pp_summary ppf { agg; _ } =
   Fmt.pf ppf "@[<v>fleet: n=%d seed=%d profile=%s digest=%s@,"

@@ -113,8 +113,8 @@ val run :
 
 val digest_hex : int64 -> string
 
-val json : t -> string
-(** Canonical aggregate + per-config JSON.  Deliberately excludes the
+val json : t -> Json.t
+(** Canonical aggregate + per-config report.  Deliberately excludes the
     shard count, domain count and any wall-clock quantity. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -253,57 +253,34 @@ let pp_stats ppf st =
        fs);
   Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_stats st =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"seed\":%d,\"programs\":%d,\"requested\":%d,\"divergences\":%d,\
-        \"aborts\":%d,\"trap_rules_covered\":%d,\"trap_rules_total\":%d,\
-        \"trap_rule_coverage\":%.4f,\"insn_forms_used\":%d,\
-        \"insn_forms_total\":%d,\"cycles\":%d,\"timed_out\":%b"
-       st.s_seed st.s_programs st.s_requested (divergence_count st)
-       st.s_aborts st.s_rule_covered st.s_rule_total
-       (float_of_int st.s_rule_covered /. float_of_int st.s_rule_total)
-       (List.length st.s_insn_forms)
-       st.s_insn_form_total st.s_cycles st.s_timed_out);
-  Buffer.add_string b ",\"columns\":[";
-  List.iteri
-    (fun i (name, traps) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"traps\":%d}" (json_escape name)
-           traps))
-    st.s_column_traps;
-  Buffer.add_string b "],\"found\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"program\":%d,\"insns\":%d,\"min_insns\":%d,%s\"reports\":[%s]}"
-           f.f_program (Array.length f.f_words)
-           (Array.length f.f_min_words)
-           (match f.f_repro_path with
-            | Some p -> Printf.sprintf "\"repro\":\"%s\"," (json_escape p)
-            | None -> "")
-           (String.concat ","
-              (List.map
-                 (fun d -> "\"" ^ json_escape d ^ "\"")
-                 f.f_divergences))))
-    st.s_found;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let json st =
+  let ints = List.map (fun (k, v) -> (k, Json.Int v)) in
+  let found f =
+    Json.Obj
+      (ints
+         [ ("program", f.f_program); ("insns", Array.length f.f_words);
+           ("min_insns", Array.length f.f_min_words) ]
+      @ (match f.f_repro_path with
+         | Some p -> [ ("repro", Json.String p) ]
+         | None -> [])
+      @ [ ("reports",
+           Json.List (List.map (fun d -> Json.String d) f.f_divergences)) ])
+  in
+  let column (name, traps) =
+    Json.Obj [ ("name", Json.String name); ("traps", Json.Int traps) ]
+  in
+  Json.Obj
+    (ints
+       [ ("seed", st.s_seed); ("programs", st.s_programs);
+         ("requested", st.s_requested); ("divergences", divergence_count st);
+         ("aborts", st.s_aborts); ("trap_rules_covered", st.s_rule_covered);
+         ("trap_rules_total", st.s_rule_total) ]
+    @ [ ("trap_rule_coverage",
+         Json.Float
+           (float_of_int st.s_rule_covered /. float_of_int st.s_rule_total)) ]
+    @ ints
+        [ ("insn_forms_used", List.length st.s_insn_forms);
+          ("insn_forms_total", st.s_insn_form_total); ("cycles", st.s_cycles) ]
+    @ [ ("timed_out", Json.Bool st.s_timed_out);
+        ("columns", Json.List (List.map column st.s_column_traps));
+        ("found", Json.List (List.map found st.s_found)) ])

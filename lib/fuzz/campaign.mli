@@ -82,5 +82,5 @@ val replay : ?snap_oracle:bool -> int array -> string list
     reports, empty on agreement.  Used by corpus regression tests. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-val json_stats : stats -> string
-(** Deterministic single-line JSON (no timestamps, no wall-clock). *)
+val json : stats -> Json.t
+(** The stats report (no timestamps, no wall clock). *)

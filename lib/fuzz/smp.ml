@@ -246,14 +246,17 @@ let pp_report ppf r =
   List.iter (fun d -> Fmt.pf ppf "  DIVERGENCE %s@." d) r.r_divergences;
   List.iter (fun v -> Fmt.pf ppf "  VIOLATION %s@." v) r.r_violations
 
-let json_report r =
-  let esc s = String.concat "\\\"" (String.split_on_char '"' s) in
-  let strs xs =
-    "[" ^ String.concat "," (List.map (fun s -> "\"" ^ esc s ^ "\"") xs) ^ "]"
-  in
-  Printf.sprintf
-    "{\"schema\":\"neve-smp-fuzz/1\",\"seed\":%d,\"programs\":%d,\"ops\":%d,\
-     \"columns\":%s,\"shootdowns\":%d,\"recipients\":%d,\"divergences\":%s,\
-     \"violations\":%s}"
-    r.r_seed r.r_programs r.r_ops_per_program (strs r.r_columns) r.r_shootdowns
-    r.r_recipients (strs r.r_divergences) (strs r.r_violations)
+let json r =
+  let strings xs = Json.List (List.map (fun s -> Json.String s) xs) in
+  Json.Obj
+    [
+      ("schema", Json.String "neve-smp-fuzz/1");
+      ("seed", Json.Int r.r_seed);
+      ("programs", Json.Int r.r_programs);
+      ("ops", Json.Int r.r_ops_per_program);
+      ("columns", strings r.r_columns);
+      ("shootdowns", Json.Int r.r_shootdowns);
+      ("recipients", Json.Int r.r_recipients);
+      ("divergences", strings r.r_divergences);
+      ("violations", strings r.r_violations);
+    ]

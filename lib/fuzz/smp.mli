@@ -39,5 +39,5 @@ val run : ?ops:int -> seed:int -> n:int -> unit -> report
 
 val pp_report : Format.formatter -> report -> unit
 
-val json_report : report -> string
-(** Deterministic single-line JSON, schema [neve-smp-fuzz/1]. *)
+val json : report -> Json.t
+(** The report, schema [neve-smp-fuzz/1]. *)

@@ -565,25 +565,15 @@ let bbm_make t ~cpu ~ipa ~pa =
     Mmu.Shootdown.make (smp t) ~ipa ~pa
   end
 
-(* Remap a (possibly live) page.  [broadcast:true] is the fixed path:
-   full break-before-make with the TLBI broadcast and DSB.
-   [broadcast:false] reproduces the bug this PR fixes — tables rewritten,
-   only the invoking vCPU's TLB invalidated — and exists solely so the
-   regression test can show other vCPUs reading the stale frame. *)
-let smp_remap ?(broadcast = true) t ~cpu ~ipa ~pa =
+(* Remap a (possibly live) page: full break-before-make with the TLBI
+   broadcast and DSB. *)
+let smp_remap t ~cpu ~ipa ~pa =
   if t.hung.(cpu) then ()
-  else if broadcast then begin
+  else begin
     bbm_break t ~cpu ~ipa;
     tlbi_bcast t ~cpu (Mmu.Shootdown.By_page ipa);
     dsb_sync t ~cpu;
     bbm_make t ~cpu ~ipa ~pa
-  end
-  else begin
-    service_faults t ~cpu;
-    let c = t.cpus.(cpu) in
-    Cost.charge c.Cpu.meter
-      ((2 * (Cpu.table c).Cost.mem_store) + (Cpu.table c).Cost.tlbi);
-    Mmu.Shootdown.remap_local_only (smp t) ~cpu ~ipa ~pa
   end
 
 let shootdown_stats t = Option.map Mmu.Shootdown.stats t.smp

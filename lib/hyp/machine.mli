@@ -141,11 +141,9 @@ val tlbi_bcast : t -> cpu:int -> Mmu.Shootdown.scope -> unit
 val dsb_sync : t -> cpu:int -> unit
 val bbm_make : t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
 
-val smp_remap : ?broadcast:bool -> t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
-(** Remap a live page.  [broadcast:true] (default) runs the full fixed
-    protocol; [broadcast:false] reproduces the pre-fix local-only
-    invalidation so the regression test can observe remote stale
-    reads. *)
+val smp_remap : t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
+(** Remap a live page: {!bbm_break}, {!tlbi_bcast} by page,
+    {!dsb_sync}, {!bbm_make}. *)
 
 val shootdown_stats : t -> Mmu.Shootdown.stats option
 (** [None] until the first SMP operation. *)

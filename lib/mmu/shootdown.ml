@@ -150,18 +150,6 @@ let make t ~ipa ~pa =
   if !Trace.on then
     Trace.emit ~a0:page ~a1:(Walk.page_base pa) Trace.Bbm_make
 
-(* The legacy remap path this PR fixes: rewrite the tables and
-   invalidate only the invoking vCPU's TLB — no break, no broadcast, no
-   DSB.  Every other vCPU's TLB keeps serving the old frame, which the
-   checker surfaces as [stale_serves].  Kept (explicitly misnamed) so
-   the regression test can demonstrate the pre-fix behavior. *)
-let remap_local_only t ~cpu ~ipa ~pa =
-  let page = Walk.page_base ipa in
-  Stage2.unmap_page t.s2 ~ipa:page;
-  Stage2.map_page t.s2 ~ipa:page ~pa:(Walk.page_base pa) ~perms:default_perms;
-  Hashtbl.replace t.truth page (Walk.page_base pa);
-  Tlb.invalidate_page t.tlbs.(cpu) ~vmid:t.vmid ~page
-
 (* --- translation, audited --- *)
 
 type serve =

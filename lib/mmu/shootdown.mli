@@ -55,12 +55,6 @@ val make : t -> ipa:int64 -> pa:int64 -> unit
     break window never saw a completed broadcast, counts a BBM
     violation. *)
 
-val remap_local_only : t -> cpu:int -> ipa:int64 -> pa:int64 -> unit
-(** The pre-fix remap path kept for the regression test: rewrite the
-    tables and invalidate only [cpu]'s TLB — no break, no broadcast, no
-    DSB.  Other vCPUs' cached copies survive and show up as stale
-    serves. *)
-
 type serve =
   | Fresh of int64            (** agrees with the tables *)
   | Stale of int64            (** cached copy the protocol should have killed *)

@@ -25,9 +25,9 @@
    Reported as p50/p99/p999 per ARM configuration.  The aggregate is a
    pure function of (n, seed, requests, migrate_every): per-machine
    seeds come from Shard.derive, Shard.map fills slot i with machine i,
-   folds walk slots in index order, and the JSON report is
-   Trace.slo_json — no wall clock, no shard count, byte-identical
-   across reruns and [--shards]. *)
+   folds walk slots in index order, and the JSON report ({!json}) holds
+   no wall clock and no shard count, so it is byte-identical across
+   reruns and [--shards]. *)
 
 module Machine = Hyp.Machine
 module Scenario = Workloads.Scenario
@@ -299,39 +299,31 @@ let run ?domains ?(shards = 1) ?(requests = default_requests)
 
 (* --- rendering --- *)
 
-let rows t =
-  List.map
-    (fun pc ->
-      ( pc.pc_name,
-        [
-          ("machines", pc.pc_machines);
-          ("requests", pc.pc_requests);
-          ("migrations", pc.pc_migrations);
-          ("irq_drops", pc.pc_irq_drops);
-          ("virq_p50", pc.pc_virq_p50);
-          ("virq_p99", pc.pc_virq_p99);
-          ("virq_p999", pc.pc_virq_p999);
-          ("req_p50", pc.pc_req_p50);
-          ("req_p99", pc.pc_req_p99);
-          ("req_p999", pc.pc_req_p999);
-        ] ))
-    t.s_by_config
-
 let json t =
-  Trace.slo_json
-    ~extra:
-      [
-        ("scenario", "serve");
-        ("seed", string_of_int t.s_seed);
-        ("n", string_of_int t.s_n);
-        ("requests", string_of_int t.s_requests);
-        ("migrate_every", string_of_int t.s_migrate_every);
-        ("profiles", String.concat "+" serve_profiles);
-        ("expose", Expose.Policy.to_string t.s_expose);
-        ("clean", if t.s_clean then "true" else "false");
-        ("digest", Fleet.digest_hex t.s_digest);
-      ]
-    (rows t)
+  let config pc =
+    Json.Obj
+      (("name", Json.String pc.pc_name)
+      :: List.map
+           (fun (k, v) -> (k, Json.Int v))
+           [ ("machines", pc.pc_machines); ("requests", pc.pc_requests);
+             ("migrations", pc.pc_migrations); ("irq_drops", pc.pc_irq_drops);
+             ("virq_p50", pc.pc_virq_p50); ("virq_p99", pc.pc_virq_p99);
+             ("virq_p999", pc.pc_virq_p999); ("req_p50", pc.pc_req_p50);
+             ("req_p99", pc.pc_req_p99); ("req_p999", pc.pc_req_p999) ])
+  in
+  (* neve-slo-report/1 carries every top-level field as a string *)
+  Json.Obj
+    (List.map
+       (fun (k, v) -> (k, Json.String v))
+       [ ("schema", "neve-slo-report/1"); ("scenario", "serve");
+         ("seed", string_of_int t.s_seed); ("n", string_of_int t.s_n);
+         ("requests", string_of_int t.s_requests);
+         ("migrate_every", string_of_int t.s_migrate_every);
+         ("profiles", String.concat "+" serve_profiles);
+         ("expose", Expose.Policy.to_string t.s_expose);
+         ("clean", if t.s_clean then "true" else "false");
+         ("digest", Fleet.digest_hex t.s_digest) ]
+    @ [ ("configs", Json.List (List.map config t.s_by_config)) ])
 
 let pp_summary ppf t =
   Fmt.pf ppf

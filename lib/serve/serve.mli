@@ -93,7 +93,11 @@ val run :
   t
 (** Run [n] serving machines ({!spec_of}) over [Shard.map]. *)
 
-val json : t -> string
-(** {!Trace.slo_json} report, schema [neve-slo-report/1]. *)
+val json : t -> Json.t
+(** Tail-latency SLO report, schema [neve-slo-report/1]: string-valued
+    top-level fields (seed, digest, checker verdict, ...), then one row
+    per configuration of integer metrics (percentile latencies, counts).
+    No wall clock, no shard count, so it is byte-identical across
+    reruns and shard counts. *)
 
 val pp_summary : Format.formatter -> t -> unit

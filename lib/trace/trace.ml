@@ -281,123 +281,72 @@ let render v = Fmt.str "%a" pp_view v
 
 (* --- exporters --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Chrome trace-event JSON (the "JSON object format": a {"traceEvents":
    [...]} wrapper).  One process per named stream, every event an instant
    ("ph":"i") stamped with its sequence number — strictly monotonic and
    deterministic, which wall-clock stamps would not be.  Simulated cycles
    ride along in args. *)
 let chrome_json streams =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let add_event s =
-    if !first then first := false else Buffer.add_char b ',';
-    Buffer.add_string b s
+  let meta name pid tid arg =
+    Json.Obj
+      [
+        ("name", Json.String name);
+        ("ph", Json.String "M");
+        ("pid", Json.Int pid);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.String arg) ]);
+      ]
   in
-  List.iteri
-    (fun pid (name, views) ->
-      add_event
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\
-            \"args\":{\"name\":\"%s\"}}"
-           pid (json_escape name));
-      (* one lane per emitting CPU: name each tid so multi-core runs
-         render per-core rows instead of interleaving on tid 0 *)
-      let tids =
-        List.sort_uniq compare (List.map (fun v -> v.v_tid) views)
-      in
-      List.iter
-        (fun tid ->
-          add_event
-            (Printf.sprintf
-               "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\
-                \"tid\":%d,\"args\":{\"name\":\"cpu%d\"}}"
-               pid tid tid))
-        tids;
-      List.iter
-        (fun v ->
-          add_event
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\
-                \"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"cycles\":%d,\
-                \"cls\":\"%s\",\"a0\":\"0x%Lx\",\"a1\":\"0x%Lx\",\
-                \"detail\":\"%s\"}}"
-               (json_escape
-                  (if v.v_cls = "" then kind_name v.v_kind
-                   else kind_name v.v_kind ^ "/" ^ v.v_cls))
-               (json_escape (kind_name v.v_kind))
-               v.v_seq pid v.v_tid v.v_cycles (json_escape v.v_cls) v.v_a0
-               v.v_a1
-               (json_escape v.v_detail)))
-        views)
-    streams;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let instant pid v =
+    Json.Obj
+      [
+        ( "name",
+          Json.String
+            (if v.v_cls = "" then kind_name v.v_kind
+             else kind_name v.v_kind ^ "/" ^ v.v_cls) );
+        ("cat", Json.String (kind_name v.v_kind));
+        ("ph", Json.String "i");
+        ("s", Json.String "t");
+        ("ts", Json.Int v.v_seq);
+        ("pid", Json.Int pid);
+        ("tid", Json.Int v.v_tid);
+        ( "args",
+          Json.Obj
+            [
+              ("cycles", Json.Int v.v_cycles);
+              ("cls", Json.String v.v_cls);
+              ("a0", Json.String (Printf.sprintf "0x%Lx" v.v_a0));
+              ("a1", Json.String (Printf.sprintf "0x%Lx" v.v_a1));
+              ("detail", Json.String v.v_detail);
+            ] );
+      ]
+  in
+  let process pid (name, views) =
+    (* one lane per emitting CPU: name each tid so multi-core runs
+       render per-core rows instead of interleaving on tid 0 *)
+    let tids = List.sort_uniq compare (List.map (fun v -> v.v_tid) views) in
+    let thread tid = meta "thread_name" pid tid (Printf.sprintf "cpu%d" tid) in
+    (meta "process_name" pid 0 name :: List.map thread tids)
+    @ List.map (instant pid) views
+  in
+  Json.Obj
+    [
+      ("traceEvents", Json.List (List.concat (List.mapi process streams)));
+      ("displayTimeUnit", Json.String "ms");
+    ]
 
 (* Aggregate metrics JSON: per-stream class counts and totals. *)
 let metrics_json ?(extra = []) streams =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"neve-trace-metrics/1\"";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf ",\"%s\":%d" (json_escape k) v))
-    extra;
-  Buffer.add_string b ",\"configs\":[";
-  List.iteri
-    (fun i (name, counts, meter_traps) ->
-      if i > 0 then Buffer.add_char b ',';
-      let total = List.fold_left (fun a (_, n) -> a + n) 0 counts in
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"traps\":%d,\"meter_traps\":%d,\
-                         \"classes\":{"
-           (json_escape name) total meter_traps);
-      List.iteri
-        (fun j (cls, n) ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%d" (json_escape cls) n))
-        counts;
-      Buffer.add_string b "}}")
-    streams;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* Tail-latency SLO report: one row per configuration, integer metrics in
-   caller order.  Schema changes must bump the version string — CI's
-   serve-smoke job greps for it. *)
-let slo_json ?(extra = []) rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"schema\":\"neve-slo-report/1\"";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-    extra;
-  Buffer.add_string b ",\"configs\":[";
-  List.iteri
-    (fun i (name, metrics) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\"" (json_escape name));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"%s\":%d" (json_escape k) v))
-        metrics;
-      Buffer.add_char b '}')
-    rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let config (name, counts, meter_traps) =
+    Json.Obj
+      [
+        ("name", Json.String name);
+        ("traps", Json.Int (List.fold_left (fun a (_, n) -> a + n) 0 counts));
+        ("meter_traps", Json.Int meter_traps);
+        ("classes", Json.Obj (List.map (fun (c, n) -> (c, Json.Int n)) counts));
+      ]
+  in
+  Json.Obj
+    ((("schema", Json.String "neve-trace-metrics/1")
+     :: List.map (fun (k, v) -> (k, Json.Int v)) extra)
+    @ [ ("configs", Json.List (List.map config streams)) ])

@@ -141,7 +141,7 @@ val class_total : unit -> int
 val pp_view : Format.formatter -> view -> unit
 val render : view -> string
 
-val chrome_json : (string * view list) list -> string
+val chrome_json : (string * view list) list -> Json.t
 (** Chrome trace-event JSON ({"traceEvents": [...]} object format): one
     process per named stream, one thread lane per emitting CPU id, each
     event an instant stamped with its sequence number, simulated cycles
@@ -150,17 +150,7 @@ val chrome_json : (string * view list) list -> string
 val metrics_json :
   ?extra:(string * int) list ->
   (string * (string * int) list * int) list ->
-  string
+  Json.t
 (** Aggregate metrics JSON over [(name, class_counts, meter_traps)]
     rows; [extra] adds top-level integer fields. *)
 
-val slo_json :
-  ?extra:(string * string) list ->
-  (string * (string * int) list) list ->
-  string
-(** Tail-latency SLO report JSON (schema ["neve-slo-report/1"]): one row
-    per configuration, each an object of integer metrics (percentile
-    latencies, counts) in the order given.  [extra] adds top-level string
-    fields (e.g. a digest).  Purely a function of its arguments — no
-    wall clock, no shard count — so serve reports are byte-identical
-    across reruns and shard counts. *)

@@ -74,7 +74,7 @@ let digests (t : Fleet.t) =
 
 let test_fleet_matrix () =
   let base = run_fleet ~shards:1 ~n:24 ~seed:7 ~profile:"mixed" () in
-  let base_json = Fleet.json base in
+  let base_json = Json.to_string (Fleet.json base) in
   List.iter
     (fun shards ->
       let t =
@@ -82,14 +82,16 @@ let test_fleet_matrix () =
       in
       check string
         (Printf.sprintf "aggregate JSON, shards=%d" shards)
-        base_json (Fleet.json t);
+        base_json
+        (Json.to_string (Fleet.json t));
       check (list int64)
         (Printf.sprintf "per-machine digests, shards=%d" shards)
         (digests base) (digests t))
     [ 2; 4; 8 ];
   (* rerun in-process: no state leaks between campaigns *)
   check string "rerun is byte-identical" base_json
-    (Fleet.json (run_fleet ~shards:1 ~n:24 ~seed:7 ~profile:"mixed" ()))
+    (Json.to_string
+       (Fleet.json (run_fleet ~shards:1 ~n:24 ~seed:7 ~profile:"mixed" ())))
 
 let test_serial_vs_fleet_equivalence () =
   let n = 16 and seed = 11 and profile = "mixed" in
@@ -187,8 +189,8 @@ let test_fuzz_fanout_equals_serial () =
   let serial = Fuzz.Campaign.run ~seed:5 ~n:12 () in
   let sharded = Fuzz.Campaign.run ~seed:5 ~n:12 ~shards:4 ~domains:4 () in
   check string "fuzz stats are byte-identical"
-    (Fuzz.Campaign.json_stats serial)
-    (Fuzz.Campaign.json_stats sharded)
+    (Json.to_string (Fuzz.Campaign.json serial))
+    (Json.to_string (Fuzz.Campaign.json sharded))
 
 let test_fuzz_fanout_rejects_cycle_budget () =
   check bool "sharded fuzz rejects --max-cycles" true

@@ -18,6 +18,7 @@ let () =
       ("properties", Test_properties.suite);
       ("fuzz", Test_fuzz.suite);
       ("trace", Test_trace.suite);
+      ("json", Test_json.suite);
       ("snap", Test_snap.suite);
       ("supervision", Test_supervise.suite);
       ("fleet", Test_fleet.suite);

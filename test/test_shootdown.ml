@@ -122,13 +122,18 @@ let test_make_before_completion_is_flagged () =
 
 let test_local_only_remap_leaves_remote_stale () =
   (* pre-fix behavior: remap on vCPU 0 invalidates only vCPU 0's TLB, so
-     vCPU 1 keeps reading the old frame — and the checker sees it *)
+     vCPU 1 keeps reading the old frame — and the checker sees it.  The
+     pre-fix path is rebuilt here from the protocol's public steps: break,
+     a local-only TLBI on vCPU 0, then make — no broadcast, no DSB *)
   let m = nested Config.Hw_v8_3 in
   Machine.smp_map m ~cpu:0 ~ipa ~pa:pa0;
   (match Machine.smp_read m ~cpu:1 ~ipa with
    | Shootdown.Fresh pa -> check Alcotest.int64 "vCPU 1 caches pa0" pa0 pa
    | _ -> Alcotest.fail "expected fresh");
-  Machine.smp_remap ~broadcast:false m ~cpu:0 ~ipa ~pa:pa1;
+  let s = Machine.smp m in
+  Shootdown.break s ~ipa;
+  Shootdown.invalidate_cpu s ~cpu:0 (Shootdown.By_page ipa);
+  Shootdown.make s ~ipa ~pa:pa1;
   (match Machine.smp_read m ~cpu:0 ~ipa with
    | Shootdown.Fresh pa -> check Alcotest.int64 "invoker sees pa1" pa1 pa
    | _ -> Alcotest.fail "invoker should see the new frame");
@@ -142,7 +147,7 @@ let test_local_only_remap_leaves_remote_stale () =
       (st.Shootdown.s_stale_serves > 0)
   | None -> Alcotest.fail "no shootdown state"
 
-let test_broadcast_remap_is_stale_proof () =
+let test_bbm_remap_is_stale_proof () =
   (* post-fix: the same race through the broadcast protocol — vCPU 1 can
      only see the new frame, and the checker stays clean *)
   let m = nested Config.Hw_v8_3 in
@@ -298,9 +303,10 @@ let run_serve ~shards ?domains () =
   Serve.run ?domains ~shards ~requests ~migrate_every ~n ~seed ()
 
 let test_serve_shard_determinism () =
-  let a = Serve.json (run_serve ~shards:1 ()) in
-  let b = Serve.json (run_serve ~shards:4 ~domains:2 ()) in
-  let c = Serve.json (run_serve ~shards:8 ~domains:3 ()) in
+  let json t = Json.to_string (Serve.json t) in
+  let a = json (run_serve ~shards:1 ()) in
+  let b = json (run_serve ~shards:4 ~domains:2 ()) in
+  let c = json (run_serve ~shards:8 ~domains:3 ()) in
   check Alcotest.string "shards 1 = shards 4" a b;
   check Alcotest.string "shards 1 = shards 8" a c
 
@@ -311,7 +317,7 @@ let contains ~needle hay =
 
 let test_serve_report_shape () =
   let t = run_serve ~shards:1 () in
-  let j = Serve.json t in
+  let j = Json.to_string (Serve.json t) in
   check Alcotest.bool "schema stamped" true
     (contains ~needle:"\"schema\":\"neve-slo-report/1\"" j);
   check Alcotest.bool "checker clean" true t.Serve.s_clean;
@@ -349,8 +355,10 @@ let test_smp_fuzz_no_findings () =
     (List.length r.Fuzz.Smp.r_columns)
 
 let test_smp_fuzz_deterministic () =
-  let a = Fuzz.Smp.json_report (Fuzz.Smp.run ~ops:12 ~seed:3 ~n:2 ()) in
-  let b = Fuzz.Smp.json_report (Fuzz.Smp.run ~ops:12 ~seed:3 ~n:2 ()) in
+  let run () =
+    Json.to_string (Fuzz.Smp.json (Fuzz.Smp.run ~ops:12 ~seed:3 ~n:2 ()))
+  in
+  let a = run () and b = run () in
   check Alcotest.string "same seed, same report" a b
 
 let suite =
@@ -369,7 +377,7 @@ let suite =
     Alcotest.test_case "regression: local-only remap leaves vCPU 1 stale"
       `Quick test_local_only_remap_leaves_remote_stale;
     Alcotest.test_case "regression: broadcast remap is stale-proof" `Quick
-      test_broadcast_remap_is_stale_proof;
+      test_bbm_remap_is_stale_proof;
     Alcotest.test_case "shootdown charges the recipient's meter" `Quick
       test_shootdown_charges_recipient;
     Alcotest.test_case "shootdown reaches the shadow stage-2" `Quick

@@ -169,7 +169,9 @@ let test_chrome_json_shape () =
   with_trace (fun () ->
       Trace.emit ~cycles:10 ~cls:"hvc" ~detail:"x" Trace.Trap;
       Trace.emit ~cycles:20 Trace.Ws_enter;
-      let json = Trace.chrome_json [ ("col", Trace.events ()) ] in
+      let json =
+        Json.to_string (Trace.chrome_json [ ("col", Trace.events ()) ])
+      in
       let has s = contains ~affix:s json in
       check bool "object format" true (String.length json > 2 && json.[0] = '{');
       check bool "traceEvents key" true (has "\"traceEvents\"");
@@ -178,9 +180,10 @@ let test_chrome_json_shape () =
 
 let test_metrics_json_shape () =
   let json =
-    Trace.metrics_json
-      ~extra:[ ("iters", 3) ]
-      [ ("VM", [ ("hvc", 2); ("sysreg", 1) ], 3) ]
+    Json.to_string
+      (Trace.metrics_json
+         ~extra:[ ("iters", 3) ]
+         [ ("VM", [ ("hvc", 2); ("sysreg", 1) ], 3) ])
   in
   let has s = contains ~affix:s json in
   check bool "schema" true (has "neve-trace-metrics/1");
