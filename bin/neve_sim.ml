@@ -36,6 +36,9 @@ let budget_exits =
   :: Cmd.Exit.info timeout_exit ~doc:Workloads.Exit_code.timeout_doc
   :: Cmd.Exit.defaults
 
+(* report a detected fault on stderr and exit with its status *)
+let fail fmt = Fmt.kpf (fun _ -> exit fault_exit) Fmt.stderr (fmt ^^ "@.")
+
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
@@ -43,6 +46,24 @@ let setup_logs verbose =
 let verbose_arg =
   let doc = "Enable hypervisor debug logging." in
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
+
+(* -v, for the commands that drive hypervisors: sets up logging before
+   the command body runs *)
+let logs = Term.(const setup_logs $ verbose_arg)
+
+let seed_arg ?(default = 42) doc =
+  Arg.(value & opt int default & info [ "seed"; "s" ] ~doc)
+
+(* the [--json] flag of the report-printing campaigns; [trace --json FILE]
+   is a different option *)
+let json_flag doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* --max-cycles of the budgeted campaigns (exit 2 when it expires) *)
+let max_cycles_arg doc = Arg.(value & opt int 0 & info [ "max-cycles" ] ~doc)
+
+(* -n of the machine-fleet commands *)
+let machines_arg default doc =
+  Arg.(value & opt int default & info [ "n" ] ~docv:"MACHINES" ~doc)
 
 let iters_arg =
   let doc = "Iterations per measurement." in
@@ -68,81 +89,71 @@ let domains_arg =
 
 (* --- table printers with paper-style relative overheads --- *)
 
-let print_cycles_table rows ~show_overhead =
-  match rows with
+(* one row per microbenchmark, one [width]-wide column per configuration *)
+let print_table ~width cell = function
   | [] -> ()
-  | (first : Workloads.Micro.table_row) :: _ ->
-    let labels = List.map fst first.Workloads.Micro.cells in
+  | (first : Workloads.Micro.table_row) :: _ as rows ->
     Fmt.pr "%-12s" "";
-    List.iter (fun l -> Fmt.pr " %20s" l) labels;
+    List.iter (fun (l, _) -> Fmt.pr " %*s" width l) first.Workloads.Micro.cells;
     Fmt.pr "@.";
-    let vm_baseline row =
-      (* the paper's relative overheads are vs the same platform's VM *)
-      let find l = List.assoc_opt l row.Workloads.Micro.cells in
-      ( Option.map (fun (r : Workloads.Micro.result) -> r.Workloads.Micro.cycles) (find "VM"),
-        Option.map (fun (r : Workloads.Micro.result) -> r.Workloads.Micro.cycles) (find "x86 VM") )
-    in
     List.iter
       (fun (row : Workloads.Micro.table_row) ->
         Fmt.pr "%-12s" (Workloads.Micro.name row.Workloads.Micro.row_bench);
-        let arm_base, x86_base = vm_baseline row in
-        List.iter
-          (fun (label, (r : Workloads.Micro.result)) ->
-            let base =
-              if String.length label >= 3 && String.sub label 0 3 = "x86" then
-                x86_base
-              else arm_base
-            in
-            match (show_overhead, base) with
-            | true, Some b when b > 0. && r.Workloads.Micro.cycles > b ->
-              Fmt.pr " %12.0f (%3.0fx)" r.Workloads.Micro.cycles
-                (r.Workloads.Micro.cycles /. b)
-            | _ -> Fmt.pr " %12.0f       " r.Workloads.Micro.cycles)
-          row.Workloads.Micro.cells;
+        List.iter (cell row) row.Workloads.Micro.cells;
         Fmt.pr "@.")
       rows
+
+let print_cycles_table rows ~show_overhead =
+  let cell (row : Workloads.Micro.table_row) =
+    (* the paper's relative overheads are vs the same platform's VM *)
+    let vm_cycles l =
+      Option.map
+        (fun (r : Workloads.Micro.result) -> r.Workloads.Micro.cycles)
+        (List.assoc_opt l row.Workloads.Micro.cells)
+    in
+    let arm_base = vm_cycles "VM" and x86_base = vm_cycles "x86 VM" in
+    fun (label, (r : Workloads.Micro.result)) ->
+      let base =
+        if String.length label >= 3 && String.sub label 0 3 = "x86" then
+          x86_base
+        else arm_base
+      in
+      match (show_overhead, base) with
+      | true, Some b when b > 0. && r.Workloads.Micro.cycles > b ->
+        Fmt.pr " %12.0f (%3.0fx)" r.Workloads.Micro.cycles
+          (r.Workloads.Micro.cycles /. b)
+      | _ -> Fmt.pr " %12.0f       " r.Workloads.Micro.cycles
+  in
+  print_table ~width:20 cell rows
 
 let print_traps_table rows =
-  match rows with
-  | [] -> ()
-  | (first : Workloads.Micro.table_row) :: _ ->
-    let labels = List.map fst first.Workloads.Micro.cells in
-    Fmt.pr "%-12s" "";
-    List.iter (fun l -> Fmt.pr " %18s" l) labels;
-    Fmt.pr "@.";
-    List.iter
-      (fun (row : Workloads.Micro.table_row) ->
-        Fmt.pr "%-12s" (Workloads.Micro.name row.Workloads.Micro.row_bench);
-        List.iter
-          (fun (_, (r : Workloads.Micro.result)) ->
-            Fmt.pr " %18.1f" r.Workloads.Micro.traps)
-          row.Workloads.Micro.cells;
-        Fmt.pr "@.")
-      rows
+  print_table ~width:18
+    (fun _ (_, (r : Workloads.Micro.result)) ->
+      Fmt.pr " %18.1f" r.Workloads.Micro.traps)
+    rows
+
+(* [tableN]: print the title, then the table measured at [--iters] *)
+let table_cmd n title print =
+  let run iters =
+    Fmt.pr "Table %d: %s@.@." n title;
+    print iters
+  in
+  Cmd.v
+    (Cmd.info (Printf.sprintf "table%d" n)
+       ~doc:(Printf.sprintf "Reproduce paper Table %d" n))
+    Term.(const run $ iters_arg)
 
 let table1_cmd =
-  let run iters =
-    Fmt.pr "Table 1: Microbenchmark Cycle Counts (ARMv8.3, x86)@.@.";
-    print_cycles_table (Workloads.Micro.table1 ~iters ()) ~show_overhead:false
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce paper Table 1")
-    Term.(const run $ iters_arg)
+  table_cmd 1 "Microbenchmark Cycle Counts (ARMv8.3, x86)" (fun iters ->
+      print_cycles_table (Workloads.Micro.table1 ~iters ()) ~show_overhead:false)
 
 let table6_cmd =
-  let run iters =
-    Fmt.pr "Table 6: Microbenchmark Cycle Counts incl. NEVE@.@.";
-    print_cycles_table (Workloads.Micro.table6 ~iters ()) ~show_overhead:true
-  in
-  Cmd.v (Cmd.info "table6" ~doc:"Reproduce paper Table 6")
-    Term.(const run $ iters_arg)
+  table_cmd 6 "Microbenchmark Cycle Counts incl. NEVE" (fun iters ->
+      print_cycles_table (Workloads.Micro.table6 ~iters ()) ~show_overhead:true)
 
 let table7_cmd =
-  let run iters =
-    Fmt.pr "Table 7: Microbenchmark Average Trap Counts@.@.";
-    print_traps_table (Workloads.Micro.table7 ~iters ())
-  in
-  Cmd.v (Cmd.info "table7" ~doc:"Reproduce paper Table 7")
-    Term.(const run $ iters_arg)
+  table_cmd 7 "Microbenchmark Average Trap Counts" (fun iters ->
+      print_traps_table (Workloads.Micro.table7 ~iters ()))
 
 let fig2_cmd =
   let chart_arg =
@@ -178,10 +189,14 @@ let vhe_arg =
   let doc = "Use a VHE guest hypervisor." in
   Arg.(value & flag & info [ "vhe" ] ~doc)
 
+(* --mech and --vhe: the nested configuration *)
+let config_term =
+  Term.(
+    const (fun mech vhe -> Hyp.Config.v ~guest_vhe:vhe mech)
+    $ mech_arg $ vhe_arg)
+
 let traps_cmd =
-  let run mech vhe verbose =
-    setup_logs verbose;
-    let config = Hyp.Config.v ~guest_vhe:vhe mech in
+  let run () config =
     let m =
       Workloads.Scenario.make_arm (Workloads.Scenario.Arm_nested config)
     in
@@ -201,59 +216,55 @@ let traps_cmd =
   Cmd.v
     (Cmd.info "traps"
        ~doc:"Log and classify every trap of one nested hypercall")
-    Term.(const run $ mech_arg $ vhe_arg $ verbose_arg)
+    Term.(const run $ logs $ config_term)
+
+(* a command that takes no option and prints one report *)
+let report_cmd name ~doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ())
 
 let classify_cmd =
-  let run () =
-    Fmt.pr
-      "NEVE register classification (Tables 3, 4, 5; non-VHE guest view)@.@.";
-    Fmt.pr "%a@." Core.Classify.pp_classification ()
-  in
-  Cmd.v
-    (Cmd.info "classify" ~doc:"Print the NEVE register classification")
-    Term.(const run $ const ())
+  report_cmd "classify" ~doc:"Print the NEVE register classification"
+    (fun () ->
+      Fmt.pr
+        "NEVE register classification (Tables 3, 4, 5; non-VHE guest view)@.@.";
+      Fmt.pr "%a@." Core.Classify.pp_classification ())
 
 (* Section 5 validation: the cost of a trap is the same whatever the
    trapping instruction — the assumption underlying the paravirtualization
    methodology. *)
 let validate_cmd =
-  let run () =
-    let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_3) () in
-    Arm.Cpu.poke_sysreg cpu Arm.Sysreg.HCR_EL2
-      (Hyp.Config.target_hcr (Hyp.Config.v Hyp.Config.Hw_v8_3));
-    cpu.Arm.Cpu.el2_handler <-
-      Some (fun c _e -> Arm.Cpu.do_eret c) (* minimal handler: trap + eret *);
-    cpu.Arm.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
-    let trap_cost insn =
-      let before = cpu.Arm.Cpu.meter.Cost.cycles in
-      Arm.Cpu.exec cpu insn;
-      cpu.Arm.Cpu.meter.Cost.cycles - before
-    in
-    Fmt.pr "Section 5 validation: cost of trapping instructions@.@.";
-    let cases =
-      [ ("hvc #0", Arm.Insn.Hvc 0);
-        ("mrs x0, HCR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.HCR_EL2));
-        ("msr VTTBR_EL2, x0", Arm.Insn.Msr (Arm.Sysreg.direct Arm.Sysreg.VTTBR_EL2, Arm.Insn.Reg 0));
-        ("mrs x0, ICH_VTR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.ICH_VTR_EL2));
-        ("eret", Arm.Insn.Eret) ]
-    in
-    let costs =
-      List.map
-        (fun (name, insn) ->
-          let c = trap_cost insn in
-          Fmt.pr "  %-24s %4d cycles@." name c;
-          c)
-        cases
-    in
-    let lo = List.fold_left min max_int costs in
-    let hi = List.fold_left max 0 costs in
-    Fmt.pr "@.spread: %d-%d cycles (%.1f%%) — the paper found <10%%@." lo hi
-      (100. *. float_of_int (hi - lo) /. float_of_int hi)
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Validate trap-cost interchangeability (Section 5)")
-    Term.(const run $ const ())
+  report_cmd "validate"
+    ~doc:"Validate trap-cost interchangeability (Section 5)" (fun () ->
+      let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_3) () in
+      Arm.Cpu.poke_sysreg cpu Arm.Sysreg.HCR_EL2
+        (Hyp.Config.target_hcr (Hyp.Config.v Hyp.Config.Hw_v8_3));
+      cpu.Arm.Cpu.el2_handler <-
+        Some (fun c _e -> Arm.Cpu.do_eret c) (* minimal handler: trap + eret *);
+      cpu.Arm.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
+      let trap_cost insn =
+        let before = cpu.Arm.Cpu.meter.Cost.cycles in
+        Arm.Cpu.exec cpu insn;
+        cpu.Arm.Cpu.meter.Cost.cycles - before
+      in
+      Fmt.pr "Section 5 validation: cost of trapping instructions@.@.";
+      let cases =
+        [ ("hvc #0", Arm.Insn.Hvc 0);
+          ("mrs x0, HCR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.HCR_EL2));
+          ("msr VTTBR_EL2, x0", Arm.Insn.Msr (Arm.Sysreg.direct Arm.Sysreg.VTTBR_EL2, Arm.Insn.Reg 0));
+          ("mrs x0, ICH_VTR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.ICH_VTR_EL2));
+          ("eret", Arm.Insn.Eret) ]
+      in
+      let costs =
+        List.map
+          (fun (name, insn) ->
+            let c = trap_cost insn in
+            Fmt.pr "  %-24s %4d cycles@." name c;
+            c)
+          cases
+      in
+      let lo = List.fold_left min max_int costs in
+      let hi = List.fold_left max 0 costs in
+      Fmt.pr "@.spread: %d-%d cycles (%.1f%%) — the paper found <10%%@." lo hi
+        (100. *. float_of_int (hi - lo) /. float_of_int hi))
 
 let ablation_cmd =
   let run vhe =
@@ -268,57 +279,40 @@ let ablation_cmd =
     Term.(const run $ vhe_arg)
 
 let recursive_cmd =
-  let run () =
-    Fmt.pr "Recursive virtualization (Section 6.2): L3 hypercall costs@.@.";
-    Fmt.pr "%a@." Workloads.Recursive.pp (Workloads.Recursive.run ())
-  in
-  Cmd.v
-    (Cmd.info "recursive"
-       ~doc:"Measure an L3 hypercall through a four-level stack")
-    Term.(const run $ const ())
+  report_cmd "recursive"
+    ~doc:"Measure an L3 hypercall through a four-level stack" (fun () ->
+      Fmt.pr "Recursive virtualization (Section 6.2): L3 hypercall costs@.@.";
+      Fmt.pr "%a@." Workloads.Recursive.pp (Workloads.Recursive.run ()))
 
 let sweep_cmd =
-  let run () =
-    Fmt.pr "Register-list scaling: traps per save+restore of n registers@.@.";
-    Fmt.pr "%a@." Workloads.Sweep.pp (Workloads.Sweep.run ())
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Trap counts vs context size, per mechanism")
-    Term.(const run $ const ())
+  report_cmd "sweep" ~doc:"Trap counts vs context size, per mechanism"
+    (fun () ->
+      Fmt.pr "Register-list scaling: traps per save+restore of n registers@.@.";
+      Fmt.pr "%a@." Workloads.Sweep.pp (Workloads.Sweep.run ()))
 
 let riscv_cmd =
-  let run () =
-    Fmt.pr
-      "RISC-V counterpoint (Section 8): nested exit cost on the H-extension@.@.";
-    Fmt.pr "%a" Riscv.Nested.pp (Riscv.Nested.run ());
-    Fmt.pr
-      "@.ARM for comparison: 121 traps (v8.3) / 13 (NEVE) per nested hypercall.@.";
-    Fmt.pr
-      "RISC-V's built-in s*->vs* aliasing starts it where ARM needed VHE;@.";
-    Fmt.pr "a VNCR-like deferral would finish the job.@."
-  in
-  Cmd.v
-    (Cmd.info "riscv"
-       ~doc:"The RISC-V H-extension counterpoint experiment")
-    Term.(const run $ const ())
+  report_cmd "riscv" ~doc:"The RISC-V H-extension counterpoint experiment"
+    (fun () ->
+      Fmt.pr
+        "RISC-V counterpoint (Section 8): nested exit cost on the \
+         H-extension@.@.";
+      Fmt.pr "%a" Riscv.Nested.pp (Riscv.Nested.run ());
+      Fmt.pr
+        "@.ARM for comparison: 121 traps (v8.3) / 13 (NEVE) per nested \
+         hypercall.@.";
+      Fmt.pr
+        "RISC-V's built-in s*->vs* aliasing starts it where ARM needed VHE;@.";
+      Fmt.pr "a VNCR-like deferral would finish the job.@.")
 
 let compare_cmd =
-  let run () =
-    Fmt.pr "Paper vs measured (cycle counts, Tables 1/6)@.@.";
-    Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.cycles ());
-    Fmt.pr "@.Paper vs measured (trap counts, Table 7)@.@.";
-    Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.traps ())
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:"Measure everything and report deviations from the paper")
-    Term.(const run $ const ())
+  report_cmd "compare"
+    ~doc:"Measure everything and report deviations from the paper" (fun () ->
+      Fmt.pr "Paper vs measured (cycle counts, Tables 1/6)@.@.";
+      Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.cycles ());
+      Fmt.pr "@.Paper vs measured (trap counts, Table 7)@.@.";
+      Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.traps ()))
 
 let chaos_cmd =
-  let seed_arg =
-    let doc = "PRNG seed for the fault plans (same seed, same report)." in
-    Arg.(value & opt int 42 & info [ "seed"; "s" ] ~doc)
-  in
   let faults_arg =
     let doc = "Fault events scheduled per configuration." in
     Arg.(value & opt int 24 & info [ "faults"; "f" ] ~doc)
@@ -328,16 +322,13 @@ let chaos_cmd =
     Arg.(value & opt int 10_000 & info [ "traps"; "t" ] ~doc)
   in
   let max_cycles_arg =
-    let doc =
+    max_cycles_arg
       "Deterministic sim-cycle budget per configuration; 0 disables.  \
        Unlike a wall-clock budget this is part of the run's identity: \
        same seed and budget, same truncation, byte-identical report.  A \
        budgeted-out run exits with the timeout status."
-    in
-    Arg.(value & opt int 0 & info [ "max-cycles" ] ~doc)
   in
-  let run seed faults traps max_cycles shards domains verbose =
-    setup_logs verbose;
+  let run () seed faults traps max_cycles shards domains =
     let report =
       Workloads.Chaos.run ~seed ~faults ~traps ~max_cycles ~shards ?domains ()
     in
@@ -351,8 +342,9 @@ let chaos_cmd =
          "Run every scenario under deterministic fault injection and \
           invariant checking; exit nonzero on any anonymous crash")
     Term.(
-      const run $ seed_arg $ faults_arg $ traps_arg $ max_cycles_arg
-      $ shards_arg $ domains_arg $ verbose_arg)
+      const run $ logs
+      $ seed_arg "PRNG seed for the fault plans (same seed, same report)."
+      $ faults_arg $ traps_arg $ max_cycles_arg $ shards_arg $ domains_arg)
 
 (* --- exit-attribution tracing --- *)
 
@@ -372,8 +364,7 @@ let trace_cmd =
     let doc = "Write aggregate metrics JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run iters chrome json verbose =
-    setup_logs verbose;
+  let run () iters chrome json =
     let arm_cols =
       Workloads.Micro.arm_columns_table1 @ Workloads.Micro.arm_columns_neve
     in
@@ -468,7 +459,7 @@ let trace_cmd =
              (fun (name, counts, _, meter_traps, _, _) ->
                (name, counts, meter_traps))
              rows));
-    if not !ok then exit 1
+    if not !ok then exit fault_exit
   in
   Cmd.v
     (Cmd.info "trace" ~exits:fault_exits
@@ -477,13 +468,9 @@ let trace_cmd =
           print the per-exit-class trap breakdown, and check it sums to \
           the meters' trap totals; optionally export Chrome trace-event \
           and metrics JSON")
-    Term.(const run $ iters_arg $ chrome_arg $ json_arg $ verbose_arg)
+    Term.(const run $ logs $ iters_arg $ chrome_arg $ json_arg)
 
 let fuzz_cmd =
-  let seed_arg =
-    let doc = "Generator seed (same seed, byte-identical report)." in
-    Arg.(value & opt int 0 & info [ "seed"; "s" ] ~doc)
-  in
   let n_arg =
     let doc = "Number of programs to generate and check." in
     Arg.(value & opt int 1000 & info [ "iterations"; "n" ] ~doc)
@@ -495,10 +482,6 @@ let fuzz_cmd =
        in what they report per program, not in how many they reach."
     in
     Arg.(value & opt float 0.0 & info [ "max-seconds"; "t" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit deterministic JSON stats instead of the text report." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let corpus_arg =
     let doc =
@@ -523,13 +506,11 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "snap-oracle" ] ~doc)
   in
   let max_cycles_arg =
-    let doc =
+    max_cycles_arg
       "Deterministic sim-cycle budget summed across every column run; 0 \
        disables.  Unlike $(b,--max-seconds) the truncation point is part \
        of the campaign's identity: same seed and budget, byte-identical \
        report.  A budgeted-out run exits with the timeout status."
-    in
-    Arg.(value & opt int 0 & info [ "max-cycles" ] ~doc)
   in
   let smp_arg =
     let doc =
@@ -547,9 +528,8 @@ let fuzz_cmd =
     let doc = "Operations per program in the SMP campaign." in
     Arg.(value & opt int Fuzz.Smp.default_ops & info [ "smp-ops" ] ~doc)
   in
-  let run seed n max_seconds max_cycles json corpus_dir traced snap_oracle
-      smp smp_ops shards domains verbose =
-    setup_logs verbose;
+  let run () seed n max_seconds max_cycles json corpus_dir traced snap_oracle
+      smp smp_ops shards domains =
     if smp then begin
       let r = Fuzz.Smp.run ~ops:smp_ops ~seed ~n () in
       if json then print_endline (Json.to_string (Fuzz.Smp.json r))
@@ -590,9 +570,12 @@ let fuzz_cmd =
           architectural divergence or trap-ordering violation, writing a \
           minimized repro into the corpus directory")
     Term.(
-      const run $ seed_arg $ n_arg $ max_seconds_arg $ max_cycles_arg
-      $ json_arg $ corpus_arg $ trace_arg $ snap_oracle_arg
-      $ smp_arg $ smp_ops_arg $ shards_arg $ domains_arg $ verbose_arg)
+      const run $ logs
+      $ seed_arg ~default:0 "Generator seed (same seed, byte-identical report)."
+      $ n_arg $ max_seconds_arg $ max_cycles_arg
+      $ json_flag "Emit deterministic JSON stats instead of the text report."
+      $ corpus_arg $ trace_arg $ snap_oracle_arg $ smp_arg $ smp_ops_arg
+      $ shards_arg $ domains_arg)
 
 (* --- snapshot / restore / live migration --- *)
 
@@ -600,10 +583,20 @@ let single_vm_arg =
   let doc = "Use a plain (non-nested) VM instead of a nested guest." in
   Arg.(value & flag & info [ "single-vm" ] ~doc)
 
+(* --mech, --vhe and --single-vm: the machine snapshot/migrate build *)
+let column_term =
+  Term.(
+    const (fun config single_vm ->
+        if single_vm then Workloads.Scenario.Arm_vm
+        else Workloads.Scenario.Arm_nested config)
+    $ config_term $ single_vm_arg)
+
 (* --expose, shared by every machine-building subcommand that takes it.
-   Parsed as a plain string inside the command body (not an Arg.conv,
-   which would exit with cmdliner's 124) so an unknown feature name
-   lands on the unified detected-fault status. *)
+   Parsed from a plain string when the term is evaluated (not an
+   Arg.conv, which would exit with cmdliner's 124) so an unknown feature
+   name lands on the unified detected-fault status.  Commands put this
+   term last: cmdliner converts arguments in term order, so a rejected
+   value of any other option still exits 124 first. *)
 let expose_arg =
   let doc =
     "Comma-separated OoH feature grants L0 hands the guest hypervisor at \
@@ -620,9 +613,9 @@ let expose_arg =
 let parse_expose s =
   match Expose.Policy.parse s with
   | Ok p -> p
-  | Error msg ->
-    Fmt.epr "neve_sim: --expose: %s@." msg;
-    exit fault_exit
+  | Error msg -> fail "neve_sim: --expose: %s" msg
+
+let expose_term = Term.(const parse_expose $ expose_arg)
 
 (* EXIT STATUS for subcommands carrying --expose: same unified codes,
    with the rejection case called out *)
@@ -632,10 +625,6 @@ let expose_exits =
       (Workloads.Exit_code.fault_doc
      ^ " An unknown $(b,--expose) feature name is such a fault.")
   :: Cmd.Exit.defaults
-
-let make_scenario mech vhe single_vm =
-  if single_vm then Workloads.Scenario.Arm_vm
-  else Workloads.Scenario.Arm_nested (Hyp.Config.v ~guest_vhe:vhe mech)
 
 (* a deterministic guest-side warm-up touching traps, computation and
    device emulation, so snapshots carry non-trivial state *)
@@ -649,19 +638,16 @@ let drive m n =
 let print_machine_summary m =
   let meter = m.Hyp.Machine.cpus.(0).Arm.Cpu.meter in
   Fmt.pr "  config    %s@." (Hyp.Config.name m.Hyp.Machine.config);
-  Fmt.pr "  scenario  %s@."
-    (match m.Hyp.Machine.scenario with
-    | Hyp.Host_hyp.Single_vm -> "single-vm"
-    | Hyp.Host_hyp.Nested -> "nested");
+  Fmt.pr "  scenario  %s@." (Hyp.Host_hyp.scenario_name m.Hyp.Machine.scenario);
   Fmt.pr "  cpus      %d@." (Hyp.Machine.ncpus m);
   Fmt.pr "  cycles    %d   insns %d   traps %d@." meter.Cost.cycles
     meter.Cost.insns meter.Cost.traps
 
+(* the snapshot image operand of snapshot/restore *)
+let file_arg doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+
 let snapshot_cmd =
-  let file_arg =
-    let doc = "Snapshot image file to write." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let ops_arg =
     let doc =
       "Guest operations (hypercall + compute + device I/O rounds) to run \
@@ -669,18 +655,12 @@ let snapshot_cmd =
     in
     Arg.(value & opt int 4 & info [ "ops" ] ~doc)
   in
-  let run mech vhe single_vm expose ops file verbose =
-    setup_logs verbose;
-    let expose = parse_expose expose in
-    let m =
-      Workloads.Scenario.make_arm ~expose (make_scenario mech vhe single_vm)
-    in
+  let run () column ops file expose =
+    let m = Workloads.Scenario.make_arm ~expose column in
     drive m ops;
     let s = Snap.to_string m in
-    if not (String.equal s (Snap.to_string m)) then begin
-      Fmt.epr "BUG: snapshot is not byte-deterministic@.";
-      exit 1
-    end;
+    if not (String.equal s (Snap.to_string m)) then
+      fail "BUG: snapshot is not byte-deterministic";
     let oc = open_out_bin file in
     output_string oc s;
     close_out oc;
@@ -697,33 +677,25 @@ let snapshot_cmd =
           its complete state (memory, per-CPU registers, virtual EL1/EL2 \
           files, vGIC, shadow stage-2, cost meters)")
     Term.(
-      const run $ mech_arg $ vhe_arg $ single_vm_arg $ expose_arg $ ops_arg
-      $ file_arg $ verbose_arg)
+      const run $ logs $ column_term $ ops_arg
+      $ file_arg "Snapshot image file to write." $ expose_term)
 
 let restore_cmd =
-  let file_arg =
-    let doc = "Snapshot image file to read." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let resume_arg =
     let doc = "Guest operation rounds to run after the restore." in
     Arg.(value & opt int 2 & info [ "resume-ops" ] ~doc)
   in
-  let run file resume verbose =
-    setup_logs verbose;
+  let run () file resume =
     let s =
       try In_channel.with_open_bin file In_channel.input_all
-      with Sys_error msg -> Fmt.epr "%s@." msg; exit 1
+      with Sys_error msg -> fail "%s" msg
     in
     match Snap.restore s with
     | exception Snap.Format_error msg ->
-      Fmt.epr "%s: not a usable snapshot: %s@." file msg;
-      exit 1
+      fail "%s: not a usable snapshot: %s" file msg
     | m ->
-      if not (String.equal s (Snap.to_string m)) then begin
-        Fmt.epr "BUG: restored machine re-saves differently@.";
-        exit 1
-      end;
+      if not (String.equal s (Snap.to_string m)) then
+        fail "BUG: restored machine re-saves differently";
       Fmt.pr "restored %s (%d bytes); re-save is byte-identical@." file
         (String.length s);
       print_machine_summary m;
@@ -739,7 +711,8 @@ let restore_cmd =
          "Restore a machine from a snapshot image, verify the restored \
           machine re-saves byte-identically, and resume guest execution \
           on it")
-    Term.(const run $ file_arg $ resume_arg $ verbose_arg)
+    Term.(
+      const run $ logs $ file_arg "Snapshot image file to read." $ resume_arg)
 
 let migrate_cmd =
   let threshold_arg =
@@ -784,13 +757,9 @@ let migrate_cmd =
     let doc = "Retry budget after aborted attempts." in
     Arg.(value & opt int 4 & info [ "max-retries" ] ~doc)
   in
-  let run mech vhe single_vm expose threshold max_rounds busy writes
-      fail_rate fail_seed max_retries verbose =
-    setup_logs verbose;
-    let expose = parse_expose expose in
-    let src =
-      Workloads.Scenario.make_arm ~expose (make_scenario mech vhe single_vm)
-    in
+  let run () column threshold max_rounds busy writes fail_rate fail_seed
+      max_retries expose =
+    let src = Workloads.Scenario.make_arm ~expose column in
     drive src 4;
     let workload m ~round =
       if round < busy then begin
@@ -802,11 +771,18 @@ let migrate_cmd =
         done
       end
     in
+    let check_identical src dst =
+      match Snap.diff src dst with
+      | None -> Fmt.pr "source and destination machines are byte-identical@."
+      | Some (path, detail) -> fail "MIGRATION BUG: %s differs: %s" path detail
+    in
+    let check_converged (r : Snap.Migrate.report) =
+      if not r.Snap.Migrate.r_converged then
+        fail "pre-copy did not converge within %d rounds" max_rounds
+    in
     Fmt.pr "Live migration (%s, %s%s):@.@."
       (Hyp.Config.name src.Hyp.Machine.config)
-      (match src.Hyp.Machine.scenario with
-      | Hyp.Host_hyp.Single_vm -> "single-vm"
-      | Hyp.Host_hyp.Nested -> "nested")
+      (Hyp.Host_hyp.scenario_name src.Hyp.Machine.scenario)
       (if fail_rate > 0 then
          Printf.sprintf ", %d%% stream failure rate" fail_rate
        else "");
@@ -816,39 +792,19 @@ let migrate_cmd =
           ~fail_rate ~fail_seed ~workload src
       in
       Fmt.pr "%a@.@." Snap.Migrate.pp_resilient_report rr;
-      if not rr.Snap.Migrate.rr_rollbacks_clean then begin
-        Fmt.epr "MIGRATION BUG: an abort rollback left the source dirty@.";
-        exit fault_exit
-      end;
+      if not rr.Snap.Migrate.rr_rollbacks_clean then
+        fail "MIGRATION BUG: an abort rollback left the source dirty";
       match dst with
-      | None ->
-        Fmt.epr "migration failed: retry budget (%d) exhausted@." max_retries;
-        exit fault_exit
+      | None -> fail "migration failed: retry budget (%d) exhausted" max_retries
       | Some dst ->
-        (match Snap.diff src dst with
-        | None ->
-          Fmt.pr "source and destination machines are byte-identical@."
-        | Some (path, detail) ->
-          Fmt.epr "MIGRATION BUG: %s differs: %s@." path detail;
-          exit fault_exit);
-        (match rr.Snap.Migrate.rr_report with
-        | Some r when not r.Snap.Migrate.r_converged ->
-          Fmt.epr "pre-copy did not converge within %d rounds@." max_rounds;
-          exit fault_exit
-        | _ -> ())
+        check_identical src dst;
+        Option.iter check_converged rr.Snap.Migrate.rr_report
     end
     else begin
       let dst, r = Snap.Migrate.run ~threshold ~max_rounds ~workload src in
       Fmt.pr "%a@.@." Snap.Migrate.pp_report r;
-      (match Snap.diff src dst with
-      | None -> Fmt.pr "source and destination machines are byte-identical@."
-      | Some (path, detail) ->
-        Fmt.epr "MIGRATION BUG: %s differs: %s@." path detail;
-        exit fault_exit);
-      if not r.Snap.Migrate.r_converged then begin
-        Fmt.epr "pre-copy did not converge within %d rounds@." max_rounds;
-        exit fault_exit
-      end
+      check_identical src dst;
+      check_converged r
     end
   in
   Cmd.v
@@ -865,15 +821,11 @@ let migrate_cmd =
           capture, read off the report's per-mechanism traps/cycles \
           columns")
     Term.(
-      const run $ mech_arg $ vhe_arg $ single_vm_arg $ expose_arg
-      $ threshold_arg $ rounds_arg $ busy_arg $ writes_arg $ fail_rate_arg
-      $ fail_seed_arg $ retries_arg $ verbose_arg)
+      const run $ logs $ column_term $ threshold_arg $ rounds_arg $ busy_arg
+      $ writes_arg $ fail_rate_arg $ fail_seed_arg $ retries_arg
+      $ expose_term)
 
 let recover_cmd =
-  let seed_arg =
-    let doc = "Campaign seed (same seed and policy, byte-identical report)." in
-    Arg.(value & opt int 42 & info [ "seed"; "s" ] ~doc)
-  in
   let policy_conv =
     let parse s =
       match Supervise.policy_of_name s with
@@ -896,8 +848,7 @@ let recover_cmd =
       & opt policy_conv Supervise.Restart_from_snapshot
       & info [ "policy"; "p" ] ~doc)
   in
-  let run seed policy shards domains verbose =
-    setup_logs verbose;
+  let run () seed policy shards domains =
     let r = Workloads.Recover.run ~seed ~policy ~shards ?domains () in
     Fmt.pr "%a@." Workloads.Recover.pp_report r;
     (* rerun the whole campaign and require byte-identity — recovery
@@ -926,23 +877,26 @@ let recover_cmd =
           (rolled back and retried) across the five ARM configurations; \
           exit nonzero unless every scenario recovers, trace class sums \
           match the meters, and a full rerun is byte-identical")
-    Term.(const run $ seed_arg $ policy_arg $ shards_arg $ domains_arg
-          $ verbose_arg)
+    Term.(
+      const run $ logs
+      $ seed_arg "Campaign seed (same seed and policy, byte-identical report)."
+      $ policy_arg $ shards_arg $ domains_arg)
 
 (* --- the sharded fleet --- *)
 
 let fleet_cmd =
-  let n_arg =
-    let doc = "Number of machines to boot and run." in
-    Arg.(value & opt int 1000 & info [ "n" ] ~docv:"MACHINES" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "Campaign seed.  Machine $(i,i)'s seed is derived from (seed, i) \
-       with a splitmix64 mix, so it is independent of the fleet size and \
-       the shard count."
+  let profile_conv =
+    let parse p =
+      if
+        String.lowercase_ascii p = "mixed"
+        || Workloads.Profiles.by_name p <> None
+      then Ok p
+      else
+        Fmt.error_msg "unknown profile %S (have: mixed, %s)" p
+          (String.concat ", "
+             (List.map (fun p -> p.Workloads.Profiles.name) Workloads.Profiles.all))
     in
-    Arg.(value & opt int 42 & info [ "seed"; "s" ] ~doc)
+    Arg.conv (parse, Fmt.string)
   in
   let profile_arg =
     let doc =
@@ -950,25 +904,34 @@ let fleet_cmd =
        workload name (e.g. $(b,hackbench), $(b,tcp_maerts)) or \
        $(b,mixed) to round-robin all ten over the fleet."
     in
-    Arg.(value & opt string "mixed" & info [ "profile"; "p" ] ~docv:"PROFILE" ~doc)
+    Arg.(
+      value & opt profile_conv "mixed"
+      & info [ "profile"; "p" ] ~docv:"PROFILE" ~doc)
+  in
+  let configs_conv =
+    let parse s =
+      Fleet.lookup_columns (String.split_on_char ',' s)
+      |> Result.map_error (fun k ->
+             `Msg
+               (Fmt.str "unknown config key %S (have: %s)" k
+                  (String.concat ", " Fleet.column_keys)))
+    in
+    let print ppf cols = Fmt.string ppf (String.concat "," (List.map fst cols)) in
+    Arg.conv (parse, print)
   in
   let configs_arg =
     let doc =
       "Comma-separated configuration columns to round-robin machines \
        over (default: all five ARM columns)."
     in
-    Arg.(value & opt (some string) None & info [ "configs" ] ~docv:"KEYS" ~doc)
+    Arg.(
+      value
+      & opt (some configs_conv) None
+      & info [ "configs" ] ~docv:"KEYS" ~doc)
   in
   let ops_arg =
     let doc = "Guest operations per machine." in
     Arg.(value & opt int 48 & info [ "ops" ] ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Emit the canonical aggregate JSON (no shard count, no wall clock: \
-       byte-identical across shard counts) instead of the text summary."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let traced_arg =
     let doc =
@@ -978,30 +941,8 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "traced" ] ~doc)
   in
-  let run n seed profile configs ops shards domains json traced verbose =
-    setup_logs verbose;
-    let configs =
-      match configs with
-      | None -> Fleet.columns
-      | Some s -> (
-        match Fleet.lookup_columns (String.split_on_char ',' s) with
-        | Ok cols -> cols
-        | Error k ->
-          Fmt.epr "neve_sim fleet: unknown config key %S (have: %s)@." k
-            (String.concat ", " Fleet.column_keys);
-          exit Cmd.Exit.cli_error)
-    in
-    if
-      String.lowercase_ascii profile <> "mixed"
-      && Workloads.Profiles.by_name profile = None
-    then begin
-      Fmt.epr "neve_sim fleet: unknown profile %S (have: mixed, %s)@." profile
-        (String.concat ", "
-           (List.map
-              (fun p -> p.Workloads.Profiles.name)
-              Workloads.Profiles.all));
-      exit Cmd.Exit.cli_error
-    end;
+  let run () n seed profile configs ops shards domains json traced =
+    let configs = Option.value configs ~default:Fleet.columns in
     let t0 = Unix.gettimeofday () in
     let t =
       Fleet.run ?domains ~shards ~traced ~ops ~configs ~n ~seed ~profile ()
@@ -1022,27 +963,22 @@ let fleet_cmd =
           a pool of OCaml domains and merge their meters; the aggregate \
           is byte-identical whatever the shard count")
     Term.(
-      const run $ n_arg $ seed_arg $ profile_arg $ configs_arg $ ops_arg
-      $ shards_arg $ domains_arg $ json_arg $ traced_arg $ verbose_arg)
+      const run $ logs
+      $ machines_arg 1000 "Number of machines to boot and run."
+      $ seed_arg
+          "Campaign seed.  Machine $(i,i)'s seed is derived from (seed, i) \
+           with a splitmix64 mix, so it is independent of the fleet size \
+           and the shard count."
+      $ profile_arg $ configs_arg $ ops_arg $ shards_arg $ domains_arg
+      $ json_flag
+          "Emit the canonical aggregate JSON (no shard count, no wall \
+           clock: byte-identical across shard counts) instead of the text \
+           summary."
+      $ traced_arg)
 
 (* --- SLO-grade serving scenarios --- *)
 
 let serve_cmd =
-  let n_arg =
-    let doc =
-      "Number of serving machines (round-robined over the five ARM \
-       configurations and the Apache/Memcached/MySQL profiles)."
-    in
-    Arg.(value & opt int 15 & info [ "n" ] ~docv:"MACHINES" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "Campaign seed.  Machine $(i,i)'s seed (and so its fault plan and \
-       request stream) is derived from (seed, i), independent of fleet \
-       size and shard count."
-    in
-    Arg.(value & opt int 42 & info [ "seed"; "s" ] ~doc)
-  in
   let requests_arg =
     let doc = "Requests served per machine." in
     Arg.(value & opt int Serve.default_requests & info [ "requests" ] ~doc)
@@ -1054,17 +990,7 @@ let serve_cmd =
       & opt int Serve.default_migrate_every
       & info [ "migrate-every" ] ~doc)
   in
-  let json_arg =
-    let doc =
-      "Emit the canonical SLO report JSON (schema neve-slo-report/1; no \
-       shard count, no wall clock: byte-identical across shard counts) \
-       instead of the text summary."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run n seed requests migrate_every expose shards domains json verbose =
-    setup_logs verbose;
-    let expose = parse_expose expose in
+  let run () n seed requests migrate_every shards domains json expose =
     let t =
       Serve.run ?domains ~shards ~requests ~migrate_every ~expose ~n ~seed ()
     in
@@ -1085,11 +1011,22 @@ let serve_cmd =
           effect.  Exits nonzero if any machine's \
           TLB-shootdown/break-before-make checker records a violation")
     Term.(
-      const run $ n_arg $ seed_arg $ requests_arg $ migrate_every_arg
-      $ expose_arg $ shards_arg $ domains_arg $ json_arg $ verbose_arg)
+      const run $ logs
+      $ machines_arg 15
+          "Number of serving machines (round-robined over the five ARM \
+           configurations and the Apache/Memcached/MySQL profiles)."
+      $ seed_arg
+          "Campaign seed.  Machine $(i,i)'s seed (and so its fault plan and \
+           request stream) is derived from (seed, i), independent of fleet \
+           size and shard count."
+      $ requests_arg $ migrate_every_arg $ shards_arg $ domains_arg
+      $ json_flag
+          "Emit the canonical SLO report JSON (schema neve-slo-report/1; no \
+           shard count, no wall clock: byte-identical across shard counts) \
+           instead of the text summary."
+      $ expose_term)
 
-let default =
-  Term.(ret (const (fun () -> `Help (`Pager, None)) $ const ()))
+let default = Term.(ret (const (`Help (`Pager, None))))
 
 let () =
   let info =

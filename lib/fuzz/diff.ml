@@ -138,6 +138,66 @@ type runner =
   ?stop:(Cpu.t -> bool) -> Cpu.t -> entry:int64 -> max_insns:int ->
   Interp.outcome
 
+(* Boot the guest hypervisor on a fresh one-vCPU machine and load the
+   program at [text_base], patched under a paravirtualized mechanism;
+   returns the vCPU's deferred-access page base. *)
+let boot config m words =
+  let host = m.Machine.hosts.(0) in
+  Host_hyp.start_guest_hypervisor host;
+  let page_base = host.Host_hyp.vcpu.Vcpu.page_base in
+  let text =
+    if Config.is_paravirt config then
+      Paravirt.patch_text config ~page_base words
+    else words
+  in
+  Interp.load m.Machine.mem ~base:text_base text;
+  Cpu.set_reg m.Machine.cpus.(0) Paravirt.page_base_reg page_base;
+  page_base
+
+(* A generated program is guest-HYPERVISOR code: its scope ends the
+   moment an eret leaves virtual EL2.  Running on past that point would
+   execute the same (possibly patched) text at virtual EL1, where
+   boot-time paravirt rewriting is not meant to be transparent —
+   patching assumes the text only ever runs at EL2. *)
+let left_vel2 m =
+  let vcpu = m.Machine.hosts.(0).Host_hyp.vcpu in
+  fun _ -> not vcpu.Vcpu.in_vel2
+
+(* Record where and how the program stopped, then fold: a final eret
+   (trapped / rewritten) makes the virtual files authoritative under
+   every mechanism before they are read. *)
+let observe config ~page_base m outcome =
+  let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
+  let pc = cpu.Cpu.pc in
+  let pstate = Fmt.str "%a" Pstate.pp cpu.Cpu.pstate in
+  let in_vel2 = host.Host_hyp.vcpu.Vcpu.in_vel2 in
+  if in_vel2 then Gaccess.eret (Gaccess.v cpu config ~page_base);
+  {
+    empty_obs with
+    ob_outcome = Fmt.str "%a" Interp.pp_outcome outcome;
+    ob_pc = pc;
+    ob_pstate = pstate;
+    ob_in_vel2 = in_vel2;
+    ob_regs = Array.init 31 (Cpu.get_reg cpu);
+    ob_vel2 = file_obs host.Host_hyp.vcpu.Vcpu.vel2;
+    ob_vel1 = file_obs host.Host_hyp.vcpu.Vcpu.vel1;
+    ob_mem = mem_obs m.Machine.mem;
+    ob_traps = cpu.Cpu.meter.Cost.traps;
+    ob_cycles = cpu.Cpu.meter.Cost.cycles;
+    ob_ctx = Some (Fault.Error.context_of_cpu cpu);
+  }
+
+(* the observation of a column that raised: the exception and the
+   meters of the vCPU that was running *)
+let error_obs e cpu =
+  {
+    empty_obs with
+    ob_error = Some (Printexc.to_string e);
+    ob_traps = cpu.Cpu.meter.Cost.traps;
+    ob_cycles = cpu.Cpu.meter.Cost.cycles;
+    ob_ctx = Some (Fault.Error.context_of_cpu cpu);
+  }
+
 let run_column ?(run : runner = Interp.run) ?(traced = false)
     ?(expose = Expose.Policy.none) ~budget config words =
   if traced then Trace.enable ~capacity:8192 ();
@@ -154,55 +214,14 @@ let run_column ?(run : runner = Interp.run) ?(traced = false)
     end
   in
   let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
-  let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
+  let cpu = m.Machine.cpus.(0) in
   try
-    Host_hyp.start_guest_hypervisor host;
-    let page_base = host.Host_hyp.vcpu.Vcpu.page_base in
-    let text =
-      if Config.is_paravirt config then
-        Paravirt.patch_text config ~page_base words
-      else words
+    let page_base = boot config m words in
+    let outcome =
+      run cpu ~stop:(left_vel2 m) ~entry:text_base ~max_insns:budget
     in
-    Interp.load m.Machine.mem ~base:text_base text;
-    Cpu.set_reg cpu Paravirt.page_base_reg page_base;
-    (* A generated program is guest-HYPERVISOR code: its scope ends the
-       moment an eret leaves virtual EL2.  Running on past that point
-       would execute the same (possibly patched) text at virtual EL1,
-       where boot-time paravirt rewriting is not meant to be transparent
-       — patching assumes the text only ever runs at EL2. *)
-    let stop _ = not host.Host_hyp.vcpu.Vcpu.in_vel2 in
-    let outcome = run cpu ~stop ~entry:text_base ~max_insns:budget in
-    (* where/how the program stopped, before the fold moves the PC *)
-    let pc = cpu.Cpu.pc in
-    let pstate = Fmt.str "%a" Pstate.pp cpu.Cpu.pstate in
-    let in_vel2 = host.Host_hyp.vcpu.Vcpu.in_vel2 in
-    (* fold: a final eret (trapped / rewritten) makes the virtual files
-       authoritative under every mechanism *)
-    if in_vel2 then Gaccess.eret (Gaccess.v cpu config ~page_base);
-    finish
-      {
-        empty_obs with
-        ob_outcome = Fmt.str "%a" Interp.pp_outcome outcome;
-        ob_pc = pc;
-        ob_pstate = pstate;
-        ob_in_vel2 = in_vel2;
-        ob_regs = Array.init 31 (Cpu.get_reg cpu);
-        ob_vel2 = file_obs host.Host_hyp.vcpu.Vcpu.vel2;
-        ob_vel1 = file_obs host.Host_hyp.vcpu.Vcpu.vel1;
-        ob_mem = mem_obs m.Machine.mem;
-        ob_traps = cpu.Cpu.meter.Cost.traps;
-        ob_cycles = cpu.Cpu.meter.Cost.cycles;
-        ob_ctx = Some (Fault.Error.context_of_cpu cpu);
-      }
-  with e ->
-    finish
-      {
-        empty_obs with
-        ob_error = Some (Printexc.to_string e);
-        ob_traps = cpu.Cpu.meter.Cost.traps;
-        ob_cycles = cpu.Cpu.meter.Cost.cycles;
-        ob_ctx = Some (Fault.Error.context_of_cpu cpu);
-      }
+    finish (observe config ~page_base m outcome)
+  with e -> finish (error_obs e cpu)
 
 (* The ninth column: snapshot-at-k / restore / resume.  The same program
    under the same configuration, but executed as two segments with a
@@ -216,22 +235,14 @@ let run_column ?(run : runner = Interp.run) ?(traced = false)
 let run_column_snapshot ?(run : runner = Interp.run)
     ?(expose = Expose.Policy.none) ~budget ~at config words =
   let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
-  let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
-  let traps_now = ref (fun () -> cpu.Cpu.meter.Cost.traps) in
-  let cycles_now = ref (fun () -> cpu.Cpu.meter.Cost.cycles) in
-  let ctx_now = ref (fun () -> Fault.Error.context_of_cpu cpu) in
+  (* the vCPU an exception is charged to: the restored one once it exists *)
+  let live = ref m.Machine.cpus.(0) in
   try
-    Host_hyp.start_guest_hypervisor host;
-    let page_base = host.Host_hyp.vcpu.Vcpu.page_base in
-    let text =
-      if Config.is_paravirt config then
-        Paravirt.patch_text config ~page_base words
-      else words
+    let page_base = boot config m words in
+    let first =
+      run !live ~stop:(left_vel2 m) ~entry:text_base
+        ~max_insns:(min at budget)
     in
-    Interp.load m.Machine.mem ~base:text_base text;
-    Cpu.set_reg cpu Paravirt.page_base_reg page_base;
-    let stop _ = not host.Host_hyp.vcpu.Vcpu.in_vel2 in
-    let first = run cpu ~stop ~entry:text_base ~max_insns:(min at budget) in
     (* Segment 1 ends in Limit only after exactly [min at budget]
        instructions.  Any other outcome recurs on the restored machine
        before it executes an instruction, so the full budget is kept. *)
@@ -242,40 +253,12 @@ let run_column_snapshot ?(run : runner = Interp.run)
     in
     (* the serialization boundary *)
     let m' = Snap.restore (Snap.to_string m) in
-    let cpu' = m'.Machine.cpus.(0) and host' = m'.Machine.hosts.(0) in
-    (traps_now := fun () -> cpu'.Cpu.meter.Cost.traps);
-    (cycles_now := fun () -> cpu'.Cpu.meter.Cost.cycles);
-    (ctx_now := fun () -> Fault.Error.context_of_cpu cpu');
-    let stop' _ = not host'.Host_hyp.vcpu.Vcpu.in_vel2 in
+    live := m'.Machine.cpus.(0);
     let outcome =
-      run cpu' ~stop:stop' ~entry:cpu'.Cpu.pc ~max_insns:rest
+      run !live ~stop:(left_vel2 m') ~entry:!live.Cpu.pc ~max_insns:rest
     in
-    let pc = cpu'.Cpu.pc in
-    let pstate = Fmt.str "%a" Pstate.pp cpu'.Cpu.pstate in
-    let in_vel2 = host'.Host_hyp.vcpu.Vcpu.in_vel2 in
-    if in_vel2 then Gaccess.eret (Gaccess.v cpu' config ~page_base);
-    {
-      empty_obs with
-      ob_outcome = Fmt.str "%a" Interp.pp_outcome outcome;
-      ob_pc = pc;
-      ob_pstate = pstate;
-      ob_in_vel2 = in_vel2;
-      ob_regs = Array.init 31 (Cpu.get_reg cpu');
-      ob_vel2 = file_obs host'.Host_hyp.vcpu.Vcpu.vel2;
-      ob_vel1 = file_obs host'.Host_hyp.vcpu.Vcpu.vel1;
-      ob_mem = mem_obs m'.Machine.mem;
-      ob_traps = cpu'.Cpu.meter.Cost.traps;
-      ob_cycles = !cycles_now ();
-      ob_ctx = Some (!ctx_now ());
-    }
-  with e ->
-    {
-      empty_obs with
-      ob_error = Some (Printexc.to_string e);
-      ob_traps = !traps_now ();
-      ob_cycles = !cycles_now ();
-      ob_ctx = Some (!ctx_now ());
-    }
+    observe config ~page_base m' outcome
+  with e -> error_obs e !live
 
 (* --- comparison --- *)
 

@@ -34,6 +34,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type scenario = Single_vm | Nested
 
+let scenario_name = function Single_vm -> "single-vm" | Nested -> "nested"
+
 (* --- compiled l0 world-switch plans ---
 
    The full non-VHE exit path copies 72 registers on EVERY trap.  At EL2

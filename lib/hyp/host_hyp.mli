@@ -21,6 +21,10 @@ module Exn = Arm.Exn
 
 type scenario = Single_vm | Nested
 
+val scenario_name : scenario -> string
+(** ["single-vm"] or ["nested"]: the name snapshot images, reports and
+    the CLI print for a scenario.  ({!pp} keeps its shorter ["vm"].) *)
+
 (** One compiled copy loop of the l0 world switch.  [ll_n] copies
     between hardware and the context area at [ll_base]; the kernel moves
     register [ll_regs.(k)] (dense index, route applied) to or from the

@@ -225,10 +225,6 @@ let el_of_code = function
   | 2 -> Pstate.EL2
   | c -> fail "bad EL code %d" c
 
-let scenario_name = function
-  | Host_hyp.Single_vm -> "single-vm"
-  | Host_hyp.Nested -> "nested"
-
 let scenario_of_name = function
   | "single-vm" -> Host_hyp.Single_vm
   | "nested" -> Host_hyp.Nested
@@ -622,7 +618,7 @@ let machine_node (m : Machine.t) =
           [ ("mech", int (mech_code m.Machine.config.Config.mech));
             ("guest_vhe", B m.Machine.config.Config.guest_vhe);
             ("gicv2", B m.Machine.config.Config.gicv2) ] );
-      ("scenario", S (scenario_name m.Machine.scenario));
+      ("scenario", S (Host_hyp.scenario_name m.Machine.scenario));
       ("expose", int (Expose.Policy.to_bits m.Machine.expose));
       ("ncpus", int (Array.length m.Machine.cpus));
       ("table", L (List.map int (table_fields m.Machine.cpus.(0).Cpu.meter.Cost.table)));

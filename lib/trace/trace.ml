@@ -233,21 +233,17 @@ let view_of (e : event) = {
   v_detail = e.e_detail;
 }
 
-(* Events still in the window, oldest first. *)
-let events () =
+(* The newest [k] events still in the window, oldest first; only the
+   returned events get a view. *)
+let newest k =
   let sink = sink () in
   let cap = Array.length sink.ring in
-  if cap = 0 then []
-  else begin
-    let n = min sink.next cap in
-    let first = sink.next - n in
-    List.init n (fun i -> view_of sink.ring.((first + i) mod cap))
-  end
+  let k = max 0 (min k (min sink.next cap)) in
+  let first = sink.next - k in
+  List.init k (fun i -> view_of sink.ring.((first + i) mod cap))
 
-let last n =
-  let evs = events () in
-  let len = List.length evs in
-  if len <= n then evs else List.filteri (fun i _ -> i >= len - n) evs
+let events () = newest max_int
+let last n = newest n
 
 (* Monotonically-aggregated per-exit-class counters: only [Trap] events
    count, so the class totals sum to exactly the number of classified

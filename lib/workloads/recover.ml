@@ -191,9 +191,7 @@ let run_hang ~policy ((name, _, scenario) as sc) =
     sr_trace_ok = tr_ok;
     sr_detail =
       Printf.sprintf "scenario=%s symptom=%s"
-        (match scenario with
-         | Hyp.Host_hyp.Single_vm -> "single-vm"
-         | Hyp.Host_hyp.Nested -> "nested")
+        (Hyp.Host_hyp.scenario_name scenario)
         (match e with
          | Some e -> Supervise.symptom_name e.Supervise.e_symptom
          | None -> "none");

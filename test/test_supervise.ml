@@ -310,30 +310,136 @@ let locate candidates =
   | Some p -> p
   | None -> Alcotest.failf "none of [%s] exist" (String.concat "; " candidates)
 
-let test_exit_code_docs () =
-  let exe =
-    locate [ "../bin/neve_sim.exe"; "_build/default/bin/neve_sim.exe" ]
-  in
-  let tmp = Filename.temp_file "neve_help" ".txt" in
+let neve_sim () =
+  locate [ "../bin/neve_sim.exe"; "_build/default/bin/neve_sim.exe" ]
+
+(* run neve_sim with [args] (already shell-quoted where needed); returns
+   the exit status and what it printed on stdout *)
+let run_cli args =
+  let tmp = Filename.temp_file "neve_cli" ".txt" in
   let rc =
     Sys.command
-      (Printf.sprintf "%s chaos --help=plain > %s" (Filename.quote exe)
-         (Filename.quote tmp))
+      (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote (neve_sim ()))
+         args (Filename.quote tmp))
   in
-  check Alcotest.int "--help renders" 0 rc;
-  let help = normalize (read_file tmp) in
+  let out = read_file tmp in
   Sys.remove tmp;
+  (rc, out)
+
+(* every subcommand with an EXIT STATUS section beyond cmdliner's
+   defaults, and the Exit_code rows it documents *)
+let exit_status_commands =
+  let fault = [ 0; 1 ] and budget = [ 0; 1; 2 ] in
+  [ ("chaos", budget); ("fuzz", budget); ("trace", fault);
+    ("snapshot", fault); ("restore", fault); ("migrate", fault);
+    ("recover", fault); ("fleet", fault); ("serve", fault) ]
+
+let test_exit_code_docs () =
   let readme = normalize (read_file (locate [ "../README.md"; "README.md" ])) in
-  check Alcotest.bool "help has an EXIT STATUS section" true
-    (contains help "EXIT STATUS");
   List.iter
     (fun (code, doc) ->
-      let d = normalize (strip_markup doc) in
-      check Alcotest.bool (Printf.sprintf "exit %d doc in --help" code) true
-        (contains help d);
       check Alcotest.bool (Printf.sprintf "exit %d doc in README" code) true
-        (contains readme d))
-    Workloads.Exit_code.table
+        (contains readme (normalize (strip_markup doc))))
+    Workloads.Exit_code.table;
+  List.iter
+    (fun (cmd, codes) ->
+      let rc, help = run_cli (cmd ^ " --help=plain") in
+      check Alcotest.int (cmd ^ " --help renders") 0 rc;
+      let help = normalize help in
+      check Alcotest.bool (cmd ^ " help has an EXIT STATUS section") true
+        (contains help "EXIT STATUS");
+      List.iter
+        (fun (code, doc) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: exit %d doc in --help" cmd code)
+            (List.mem code codes)
+            (contains help (normalize (strip_markup doc))))
+        Workloads.Exit_code.table)
+    exit_status_commands
+
+(* --- the CLI surface: option names and exit statuses --- *)
+
+(* Every option (short and long names) each subcommand's --help=plain
+   lists, less the common --help/--version.  A refactor of how flags are
+   declared must leave this table unchanged. *)
+let option_surface =
+  [ ("table1", "-n --iters"); ("table6", "-n --iters");
+    ("table7", "-n --iters"); ("fig2", "--chart");
+    ("traps", "-m --mech -v --verbose --vhe"); ("classify", "");
+    ("validate", ""); ("ablation", "--vhe"); ("recursive", "");
+    ("sweep", ""); ("riscv", ""); ("compare", "");
+    ("chaos",
+     "--domains -f --faults --max-cycles -s --seed --shards -t --traps -v \
+      --verbose");
+    ("fuzz",
+     "--corpus-dir --domains --json --max-cycles -n --iterations -s --seed \
+      --shards --smp --smp-ops --snap-oracle -t --max-seconds --trace -v \
+      --verbose");
+    ("trace", "--chrome --json -n --iters -v --verbose");
+    ("snapshot", "--expose -m --mech --ops --single-vm -v --verbose --vhe");
+    ("restore", "--resume-ops -v --verbose");
+    ("migrate",
+     "--busy-rounds --expose --fail-rate --fail-seed -m --mech \
+      --max-retries --max-rounds --single-vm --threshold -v --verbose --vhe \
+      --writes");
+    ("recover", "--domains -p --policy -s --seed --shards -v --verbose");
+    ("fleet",
+     "--configs --domains --json -n --ops -p --profile -s --seed --shards \
+      --traced -v --verbose");
+    ("serve",
+     "--domains --expose --json --migrate-every -n --requests -s --seed \
+      --shards -v --verbose") ]
+
+(* option names on the entry lines (indented seven columns) of a plain
+   help page: "-m VAL, --mech=VAL (absent=...)" gives -m and --mech *)
+let help_options help =
+  String.split_on_char '\n' help
+  |> List.filter (fun l ->
+         String.length l > 8 && String.sub l 0 8 = "       -")
+  |> List.concat_map (fun l ->
+         String.split_on_char ' ' l
+         |> List.concat_map (String.split_on_char ',')
+         |> List.filter (fun w -> String.length w > 1 && w.[0] = '-')
+         |> List.map (fun w ->
+                (* the name ends at "=VAL" or "[=FMT]" *)
+                let rec stop i =
+                  if i < String.length w && w.[i] <> '=' && w.[i] <> '[' then
+                    stop (i + 1)
+                  else i
+                in
+                String.sub w 0 (stop 0)))
+  |> List.filter (fun o -> o <> "--help" && o <> "--version")
+  |> List.sort_uniq compare
+
+let test_option_surface () =
+  List.iter
+    (fun (cmd, expected) ->
+      let rc, help = run_cli (cmd ^ " --help=plain") in
+      check Alcotest.int (cmd ^ " --help renders") 0 rc;
+      let words = List.filter (( <> ) "") (String.split_on_char ' ' expected) in
+      check
+        Alcotest.(list string)
+        (cmd ^ " options") (List.sort compare words) (help_options help))
+    option_surface
+
+(* Rejections keep their statuses: 1 (the detected-fault status) for an
+   unknown --expose feature or an unreadable image, 124 (cmdliner's
+   command-line error) for a value a converter rejects.  The last three
+   rows pin the order: any other command-line error wins over --expose. *)
+let exit_status_table =
+  [ ("snapshot --expose bogus F", 1); ("serve -n 1 --expose bogus", 1);
+    ("migrate --expose bogus", 1); ("restore /nonexistent", 1);
+    ("fleet -n 2 --configs bogus", 124); ("fleet -n 2 --profile bogus", 124);
+    ("fuzz --shards 2 -t 1 -n 2", 124); ("recover --policy bogus", 124);
+    ("traps -m bogus", 124); ("snapshot --expose bogus", 124);
+    ("snapshot --mech bogus --expose bogus F", 124);
+    ("migrate --expose bogus --mech bogus", 124) ]
+
+let test_exit_statuses () =
+  List.iter
+    (fun (args, expected) ->
+      check Alcotest.int ("neve_sim " ^ args) expected (fst (run_cli args)))
+    exit_status_table
 
 (* --- the full campaign, as the CI smoke runs it --- *)
 
@@ -360,6 +466,10 @@ let suite =
       test_kill_l2_single_vm_fallback;
     Alcotest.test_case "exit codes: CLI help and README match the table" `Quick
       test_exit_code_docs;
+    Alcotest.test_case "CLI: every subcommand's option names" `Quick
+      test_option_surface;
+    Alcotest.test_case "CLI: rejection exit statuses" `Quick
+      test_exit_statuses;
     Alcotest.test_case "recover campaign: 15/15, deterministic" `Quick
       test_recover_campaign;
   ]

@@ -30,6 +30,37 @@ let test_ring_wrap () =
         [ 12; 13; 14; 15; 16; 17; 18; 19 ]
         seqs)
 
+(* [last n] builds views only for the events it returns; it must still
+   be exactly the tail of the retained window *)
+let test_last_is_tail () =
+  let tail n l =
+    let len = List.length l in
+    List.filteri (fun i _ -> i >= len - n) l
+  in
+  let render = List.map Trace.render in
+  let check_tails label =
+    let evs = Trace.events () in
+    let retained = List.length evs in
+    List.iter
+      (fun n ->
+        check (list string)
+          (Printf.sprintf "%s: last %d = tail of events" label n)
+          (render (tail n evs)) (render (Trace.last n)))
+      [ 0; 1; 3; retained - 1; retained; retained + 5 ]
+  in
+  with_trace ~capacity:8 (fun () ->
+      check (list string) "empty ring: last 3" [] (render (Trace.last 3));
+      for i = 0 to 4 do
+        Trace.emit ~a0:(Int64.of_int i) Trace.Tlb_hit
+      done;
+      check_tails "unwrapped";
+      for i = 5 to 19 do
+        Trace.emit ~a0:(Int64.of_int i) ~cls:"hvc" Trace.Trap
+      done;
+      check_tails "wrapped";
+      check (list int) "wrapped: last 3 seqs" [ 17; 18; 19 ]
+        (List.map (fun v -> v.Trace.v_seq) (Trace.last 3)))
+
 let test_counters_only_traps () =
   with_trace (fun () ->
       Trace.emit ~cls:"hvc" Trace.Trap;
@@ -204,6 +235,7 @@ let test_error_context_carries_events () =
 let suite =
   [
     ("ring: wrap keeps newest window", `Quick, test_ring_wrap);
+    ("ring: last n = tail of events", `Quick, test_last_is_tail);
     ("counters: only Trap events count", `Quick, test_counters_only_traps);
     ("disabled: emit is inert", `Quick, test_disabled_is_inert);
     ("identity: class sum = meter traps", `Quick,
