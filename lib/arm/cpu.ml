@@ -45,7 +45,7 @@ type t = {
   (* Per-CPU superblock translation + decode cache (see Xlate).  Owned
      here so every machine gets its own — the former module-global decode
      cache in Interp was shared across machines. *)
-  xlate : Xlate.t;
+  mutable xlate : Xlate.t;
   (* EL2 trap entries keyed by (EC, ISS).  A trap site raises the same
      syndrome every time it traps, and entries are immutable, so the
      record handed to the handler is reused instead of rebuilt per trap. *)
@@ -91,6 +91,68 @@ let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
     trap_entries = Memo.create entry_of_key;
     labels = None;
   }
+
+(* A mark copies every mutable field except the caches.  Rewinding
+   empties the translation cache and the trap-entry memo instead of
+   restoring them: no cached block can validate again (the memory's
+   rewind moves its code generation on), and a machine kept for many
+   rewinds would otherwise hold a program's worth of decoded words and
+   entries for good.  The trap-log labels stay: they exist only while
+   the meter logs.  Memory is the machine's to mark: CPUs share it.  GPR
+   snapshots are copied both ways because trap handlers update them in
+   place. *)
+type mark = {
+  mk_pc : int64;
+  mk_regs : int64 array;
+  mk_pstate : Pstate.t;
+  mk_sysregs : Sysreg_file.mark;
+  mk_features : Features.t;
+  mk_meter : Cost.meter_mark;
+  mk_el2_handler : handler option;
+  mk_el1_handler : handler option;
+  mk_el1_vectors : bool;
+  mk_saved_regs : int64 array list;
+  mk_nv2_mask : Trap_rules.nv2_mask;
+  mk_expose : Expose.Policy.t;
+  mk_hcr_raw : int64;
+  mk_hcr_cached : Hcr.view;
+}
+
+let mark t =
+  {
+    mk_pc = t.pc;
+    mk_regs = Array.copy t.regs;
+    mk_pstate = t.pstate;
+    mk_sysregs = Sysreg_file.mark t.sysregs;
+    mk_features = t.features;
+    mk_meter = Cost.mark_meter t.meter;
+    mk_el2_handler = t.el2_handler;
+    mk_el1_handler = t.el1_handler;
+    mk_el1_vectors = t.el1_vectors;
+    mk_saved_regs = List.map Array.copy t.saved_regs;
+    mk_nv2_mask = t.nv2_mask;
+    mk_expose = t.expose;
+    mk_hcr_raw = t.hcr_raw;
+    mk_hcr_cached = t.hcr_cached;
+  }
+
+let rewind t m =
+  t.pc <- m.mk_pc;
+  Array.blit m.mk_regs 0 t.regs 0 (Array.length t.regs);
+  t.pstate <- m.mk_pstate;
+  Sysreg_file.rewind t.sysregs m.mk_sysregs;
+  t.features <- m.mk_features;
+  Cost.rewind_meter t.meter m.mk_meter;
+  t.el2_handler <- m.mk_el2_handler;
+  t.el1_handler <- m.mk_el1_handler;
+  t.el1_vectors <- m.mk_el1_vectors;
+  t.saved_regs <- List.map Array.copy m.mk_saved_regs;
+  t.nv2_mask <- m.mk_nv2_mask;
+  t.expose <- m.mk_expose;
+  t.hcr_raw <- m.mk_hcr_raw;
+  t.hcr_cached <- m.mk_hcr_cached;
+  Xlate.flush t.xlate;
+  Memo.clear t.trap_entries
 
 (* Register 31 is XZR: A64's 5-bit register fields encode it, and the
    decoder passes it through.  It reads zero and ignores writes, the

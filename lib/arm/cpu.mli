@@ -44,9 +44,11 @@ type t = {
       (** raw HCR_EL2 value behind {!field-hcr_cached}; the decoded view is
           refreshed only when this changes *)
   mutable hcr_cached : Hcr.view;
-  xlate : Xlate.t;
-      (** per-CPU superblock translation + decode cache (each machine
-          gets its own; the interpreter executes through it) *)
+  mutable xlate : Xlate.t;
+      (** superblock translation + decode cache (each CPU gets its own;
+          the interpreter executes through it).  CPUs that never run
+          while another of them runs may share one if each flushes it
+          ({!Xlate.flush}) before running, as {!rewind} does *)
   trap_entries : Exn.entry Memo.t;
       (** memo of EL2 trap entries keyed by (EC, ISS), so a repeated
           trap reuses its immutable entry record *)
@@ -66,6 +68,18 @@ val create :
   t
 (** A CPU at EL2 with reset state.  Pass [mem] to share physical memory
     between CPUs of one machine. *)
+
+type mark
+(** Every mutable field of a CPU as it was when marked, its register
+    file and meter included.  Not included: the shared memory (marked by
+    its owner) and the caches ([xlate], [trap_entries], [labels]). *)
+
+val mark : t -> mark
+val rewind : t -> mark -> unit
+(** Put back every marked field, and empty the translation cache and
+    the trap-entry memo: a rewind is a code change ({!Memory.rewind}),
+    so no cached block could validate again, and a CPU rewound for a
+    whole campaign must not keep every program's decoded words. *)
 
 val get_reg : t -> int -> int64
 (** Register 31 is XZR and reads zero.

@@ -31,11 +31,13 @@ type outcome =
   | Limit             (* instruction budget exhausted *)
   | Stopped           (* the [stop] predicate fired *)
 
-let pp_outcome ppf = function
-  | Halted a -> Fmt.pf ppf "halted at 0x%Lx" a
-  | Breakpoint -> Fmt.string ppf "breakpoint"
-  | Limit -> Fmt.string ppf "limit"
-  | Stopped -> Fmt.string ppf "stopped"
+let outcome_to_string = function
+  | Halted a -> Printf.sprintf "halted at 0x%Lx" a
+  | Breakpoint -> "breakpoint"
+  | Limit -> "limit"
+  | Stopped -> "stopped"
+
+let pp_outcome ppf o = Fmt.string ppf (outcome_to_string o)
 
 let halt_marker = Xlate.halt_marker
 

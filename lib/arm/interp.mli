@@ -21,6 +21,7 @@ type outcome =
   | Limit            (** instruction budget exhausted *)
   | Stopped          (** the [stop] predicate fired *)
 
+val outcome_to_string : outcome -> string
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val halt_marker : int

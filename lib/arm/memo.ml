@@ -13,6 +13,11 @@ let max_slots = 128
 
 let create make = { make; keys = [||]; vals = [||]; misses = 0 }
 
+let clear t =
+  t.keys <- [||];
+  t.vals <- [||];
+  t.misses <- 0
+
 let[@inline] slot_of k n = ((k * 0x9e37_79b1) lsr 16) land (n - 2)
 
 let miss t k =

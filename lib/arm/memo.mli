@@ -14,6 +14,9 @@ type 'a t
 val create : (int -> 'a) -> 'a t
 (** Allocates no slots until the first lookup. *)
 
+val clear : 'a t -> unit
+(** Drop every slot, as if just created. *)
+
 val find : 'a t -> int -> 'a
 (** [find t k] is [f k] for the function [t] memoizes; allocates only on
     a miss. *)

@@ -85,11 +85,28 @@ let[@inline] find_page t pi =
         p
     | None -> no_page
 
+(* Zeroed pages a rewind dropped, reused before allocating a new one:
+   a machine rewound per program would otherwise allocate (and the GC
+   sweep) the same few pages every program.  Domain-local, so machines
+   on different domains never share a page; bounded by [spare_cap]. *)
+let spare_pages : Bytes.t list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let spare_cap = 16
+
+let new_page () =
+  let spare = Domain.DLS.get spare_pages in
+  match !spare with
+  | p :: rest ->
+    spare := rest;
+    p
+  | [] -> Bytes.make page_bytes '\000'
+
 let get_or_create_page t pi =
   let p = find_page t pi in
   if p != no_page then p
   else begin
-    let p = Bytes.make page_bytes '\000' in
+    let p = new_page () in
     Hashtbl.replace t.pages pi p;
     let slot = pi land (cache_slots - 1) in
     Array.unsafe_set t.cache_idx slot pi;
@@ -246,16 +263,107 @@ let sorted_words t =
   iter_nonzero t (fun addr v -> acc := (addr, v) :: !acc);
   List.sort (fun (a, _) (b, _) -> Int64.compare a b) !acc
 
+(* The nonzero words of an aligned range, ascending.  Zero words are
+   tested unboxed, so only the words returned allocate. *)
+let nonzero_words t ~start ~len =
+  check_aligned start;
+  let first = Int64.to_int start in
+  let acc = ref [] in
+  let addr = ref (first + (Int64.to_int len / 8 * 8) - 8) in
+  while !addr >= first do
+    let p = find_page t (!addr lsr 12) in
+    let off = !addr land (page_bytes - 1) in
+    if p != no_page && get_word p off <> 0L then
+      acc := (!addr, get_word p off) :: !acc;
+    addr := !addr - 8
+  done;
+  !acc
+
 (* Zero an aligned range (used to initialize deferred access pages).
    Like the word store, invalidates decoded code if the range overlaps
-   the envelope; unlike it, does not fire the write observer. *)
+   the envelope; unlike it, does not fire the write observer.  Works a
+   page at a time: one lookup and one [Bytes.fill] per present page,
+   absent pages skipped (they already read as zero).  Offsets are plain
+   ints, so the loop allocates nothing. *)
 let zero_range t ~start ~len =
   check_aligned start;
-  let words = Int64.to_int len / 8 in
-  for i = 0 to words - 1 do
-    let addr = Int64.add start (Int64.of_int (i * 8)) in
-    let p = find_page t (page_index addr) in
-    if p != no_page then set_word p (byte_index addr) 0L
+  let first = Int64.to_int start in
+  let stop = first + (Int64.to_int len / 8 * 8) in
+  let addr = ref first in
+  while !addr < stop do
+    let off = !addr land (page_bytes - 1) in
+    let n = min (page_bytes - off) (stop - !addr) in
+    let p = find_page t (!addr lsr 12) in
+    if p != no_page then Bytes.unsafe_fill p off n '\000';
+    addr := !addr + n
   done;
   let stop = Int64.add start len in
   if start < t.code_hi && stop > t.code_lo then t.code_gen <- t.code_gen + 1
+
+(* --- rewinding to a mark ---
+
+   A mark lists each page's nonzero words (a marked machine's pages are
+   mostly zero, so this is far smaller than page copies) and the
+   bookkeeping fields.  Rewinding zeroes the marked pages and writes the
+   words back, and drops every page created since into the spare pool.
+   The code generation is the one field that never goes back: blocks
+   decoded from the marked-over contents carry generations up to the
+   current one, so rewinding moves it forward like any other code
+   change. *)
+
+type page_mark = { pm_index : int; pm_offs : int array; pm_words : Bytes.t }
+
+type mark = {
+  mk_pages : page_mark list;
+  mk_mmio : (int64 * int64 * string) list;
+  mk_on_write : (int64 -> unit) option;
+  mk_code_lo : int64;
+  mk_code_hi : int64;
+}
+
+let page_mark pi p =
+  let offs = ref [] in
+  for w = page_words - 1 downto 0 do
+    if get_word p (w * 8) <> 0L then offs := (w * 8) :: !offs
+  done;
+  let offs = Array.of_list !offs in
+  let words = Bytes.create (8 * Array.length offs) in
+  Array.iteri (fun k off -> set_word words (k * 8) (get_word p off)) offs;
+  { pm_index = pi; pm_offs = offs; pm_words = words }
+
+let mark t =
+  {
+    mk_pages = Hashtbl.fold (fun pi p acc -> page_mark pi p :: acc) t.pages [];
+    mk_mmio = t.mmio;
+    mk_on_write = t.on_write;
+    mk_code_lo = t.code_lo;
+    mk_code_hi = t.code_hi;
+  }
+
+let marked m pi = List.exists (fun pm -> pm.pm_index = pi) m.mk_pages
+
+let rewind t m =
+  let spare = Domain.DLS.get spare_pages in
+  Hashtbl.filter_map_inplace
+    (fun pi p ->
+      Bytes.fill p 0 page_bytes '\000';
+      if marked m pi then Some p
+      else begin
+        if List.compare_length_with !spare spare_cap < 0 then
+          spare := p :: !spare;
+        None
+      end)
+    t.pages;
+  Array.fill t.cache_idx 0 cache_slots min_int;
+  Array.fill t.cache_pg 0 cache_slots no_page;
+  List.iter
+    (fun pm ->
+      let p = get_or_create_page t pm.pm_index in
+      Array.iteri (fun k off -> set_word p off (get_word pm.pm_words (k * 8)))
+        pm.pm_offs)
+    m.mk_pages;
+  t.mmio <- m.mk_mmio;
+  t.on_write <- m.mk_on_write;
+  t.code_lo <- m.mk_code_lo;
+  t.code_hi <- m.mk_code_hi;
+  t.code_gen <- t.code_gen + 1

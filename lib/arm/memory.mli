@@ -77,15 +77,20 @@ val iter_nonzero : t -> (int64 -> int64 -> unit) -> unit
 (** Apply [f addr v] to every backed nonzero word, in no particular
     order (use {!sorted_words} for a canonical view). *)
 
+val nonzero_words : t -> start:int64 -> len:int64 -> (int * int64) list
+(** The nonzero words of an aligned range as (address, value), in
+    ascending address order; only the words returned allocate. *)
+
 val clear : t -> unit
 (** Drop all backed words.  Also counts as a code change (see
     {!code_gen}): snapshot restore rewrites memory wholesale, so any
     decoded blocks are stale. *)
 
 val zero_range : t -> start:int64 -> len:int64 -> unit
-(** Zero an aligned range (page initialization).  Does not fire the
-    write observer; does invalidate decoded code if the range overlaps
-    the tracked envelope. *)
+(** Zero an aligned range (page initialization), page by page: absent
+    pages are skipped, not created.  Does not fire the write observer;
+    does invalidate decoded code if the range overlaps the tracked
+    envelope.  Allocates nothing. *)
 
 val track_code : t -> lo:int64 -> hi:int64 -> unit
 (** Grow the tracked code envelope to cover byte range [\[lo, hi)].
@@ -95,3 +100,23 @@ val track_code : t -> lo:int64 -> hi:int64 -> unit
 
 val code_gen : t -> int
 (** Generation counter for the tracked code envelope (monotonic). *)
+
+(** {2 Rewinding}
+
+    A {e mark} records a memory's contents and bookkeeping so it can be
+    put back later — the differential fuzzer rewinds one booted machine
+    per column instead of building a fresh one per program. *)
+
+type mark
+
+val mark : t -> mark
+(** Record every page's nonzero words, the device regions, the write
+    observer and the code envelope. *)
+
+val rewind : t -> mark -> unit
+(** Put back the marked pages' contents, drop every page created since
+    the mark, and restore the device regions, write observer and code
+    envelope.  A dropped page is zeroed and kept (a few per domain) for
+    the next page any memory of the domain creates.  {!code_gen} is not
+    restored: it moves forward, as on any code change, so no block
+    decoded since the mark stays valid. *)

@@ -92,8 +92,11 @@ let of_spsr v =
   | Some t -> t
   | None -> invalid_arg "Pstate.of_spsr: illegal mode bits"
 
-let pp ppf t =
-  Fmt.pf ppf "%s%s%s%s" (el_name t.el)
-    (if t.sp_sel then "h" else "t")
-    (if t.irq_masked then " I" else "")
-    (if t.fiq_masked then " F" else "")
+let to_string t =
+  String.concat ""
+    [ el_name t.el;
+      (if t.sp_sel then "h" else "t");
+      (if t.irq_masked then " I" else "");
+      (if t.fiq_masked then " F" else "") ]
+
+let pp ppf t = Fmt.string ppf (to_string t)

@@ -48,4 +48,9 @@ val of_spsr_opt : int64 -> t option
     does with a corrupt SPSR (illegal exception return) instead of
     aborting the simulation.  Allocates nothing. *)
 
+val to_string : t -> string
+(** The EL, [h]/[t] for the stack selected, then [" I"]/[" F"] for
+    masked interrupts: ["EL1h I"]. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

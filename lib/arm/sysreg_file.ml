@@ -74,6 +74,36 @@ let reset t =
   Bytes.blit reset_values 0 t.values 0 (Sysreg.count * 8);
   Bytes.fill t.dirty 0 Sysreg.count '\000'
 
+(* A mark lists only the registers that differ from a reset file (value
+   or dirty bit) — a handful in a freshly started machine; rewinding
+   resets the file and writes them back. *)
+type mark = { mk_index : int array; mk_values : Bytes.t; mk_dirty : Bytes.t }
+
+let mark t =
+  let differs i =
+    get_index t i <> get_word reset_values (i * 8)
+    || Bytes.get t.dirty i <> '\000'
+  in
+  let index = List.filter differs (List.init Sysreg.count Fun.id) in
+  let index = Array.of_list index in
+  let n = Array.length index in
+  let values = Bytes.create (8 * n) and dirty = Bytes.create n in
+  Array.iteri
+    (fun k i ->
+      set_word values (k * 8) (get_index t i);
+      Bytes.set dirty k (Bytes.get t.dirty i))
+    index;
+  { mk_index = index; mk_values = values; mk_dirty = dirty }
+
+let rewind t m =
+  Bytes.blit reset_values 0 t.values 0 (Sysreg.count * 8);
+  Bytes.fill t.dirty 0 Sysreg.count '\000';
+  for k = 0 to Array.length m.mk_index - 1 do
+    let i = m.mk_index.(k) in
+    set_index t i (get_word m.mk_values (k * 8));
+    Bytes.unsafe_set t.dirty i (Bytes.get m.mk_dirty k)
+  done
+
 (* Copy a register set between two files (used by world switches performed
    by the host hypervisor outside the measured guest). *)
 let copy ~src ~dst regs =

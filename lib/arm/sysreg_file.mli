@@ -31,6 +31,14 @@ val hw_write : t -> Sysreg.t -> int64 -> unit
 
 val reset : t -> unit
 
+type mark
+(** A file's values and dirty bitmap, as they were when marked (stored
+    as the registers that differ from a {!reset} file). *)
+
+val mark : t -> mark
+val rewind : t -> mark -> unit
+(** Put back the marked values and dirty bitmap; allocates nothing. *)
+
 val copy : src:t -> dst:t -> Sysreg.t list -> unit
 (** Copy a register set between files (host-side world switches). *)
 

@@ -92,10 +92,8 @@ let max_block_ops = 64
 
 let decode_bits = 10
 let decode_size = 1 lsl decode_bits
-let decode_mask = decode_size - 1
 let block_bits = 9
 let block_size = 1 lsl block_bits
-let block_mask = block_size - 1
 
 let empty_block =
   {
@@ -122,17 +120,22 @@ type t = {
   blocks : block array;
 }
 
-let create () =
+(* Both caches are direct-mapped over a power-of-two array, so a slot
+   mask is the array's length minus one. *)
+let create ?(block_slots = block_size) () =
+  if block_slots <= 0 || block_slots land (block_slots - 1) <> 0 then
+    invalid_arg "Xlate.create: block_slots must be a power of two";
+  let decode_slots = block_slots * (decode_size / block_size) in
   {
-    dec_keys = Array.make decode_size (-1);
-    dec_vals = Array.make decode_size (Encode.D_unknown 0);
-    blocks = Array.make block_size empty_block;
+    dec_keys = Array.make decode_slots (-1);
+    dec_vals = Array.make decode_slots (Encode.D_unknown 0);
+    blocks = Array.make block_slots empty_block;
   }
 
 let decode_cache_size = decode_size
 
 let decode t w =
-  let slot = w land decode_mask in
+  let slot = w land (Array.length t.dec_keys - 1) in
   if Array.unsafe_get t.dec_keys slot = w then Array.unsafe_get t.dec_vals slot
   else begin
     let d = Encode.decode w in
@@ -142,8 +145,9 @@ let decode t w =
   end
 
 let flush t =
-  Array.fill t.blocks 0 block_size empty_block;
-  Array.fill t.dec_keys 0 decode_size (-1)
+  Array.fill t.blocks 0 (Array.length t.blocks) empty_block;
+  Array.fill t.dec_keys 0 (Array.length t.dec_keys) (-1);
+  Array.fill t.dec_vals 0 (Array.length t.dec_vals) (Encode.D_unknown 0)
 
 (* --- block formation --- *)
 
@@ -227,7 +231,7 @@ let re_route blk ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose =
 
 (* Cached block for [pc] decoded under generation [gen], or rebuild. *)
 let lookup t mem ~pc ~gen ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose =
-  let slot = (Int64.to_int pc lsr 2) land block_mask in
+  let slot = (Int64.to_int pc lsr 2) land (Array.length t.blocks - 1) in
   let blk = Array.unsafe_get t.blocks slot in
   if blk.entry = pc && blk.gen = gen then blk
   else begin

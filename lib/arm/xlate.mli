@@ -60,15 +60,21 @@ type t
     module-global decode cache was shared by every machine in the
     process, which [disassemble] could corrupt mid-run. *)
 
-val create : unit -> t
+val create : ?block_slots:int -> unit -> t
+(** [block_slots] (default 512) sizes the superblock cache; the decode
+    cache gets twice as many slots.  A smaller cache suits a CPU that
+    only ever runs short programs.
+    @raise Invalid_argument unless [block_slots] is a positive power of
+    two. *)
 
 val decode : t -> int -> Encode.decoded
 (** {!Encode.decode} through the per-CPU direct-mapped cache keyed by
     the instruction word (sound because decode is pure). *)
 
 val decode_cache_size : int
-(** Number of direct-mapped decode slots — words congruent modulo this
-    collide on a slot (exported so tests can construct collisions). *)
+(** Number of direct-mapped decode slots of a default-sized cache —
+    words congruent modulo this collide on a slot (exported so tests can
+    construct collisions). *)
 
 val flush : t -> unit
 (** Drop all cached blocks and decoded words. *)

@@ -284,6 +284,24 @@ let traps_of_kind m kind = m.by_kind.(kind_index kind)
 let exposed_of_feature m f = m.exposed.(exposed_index f)
 let exposed_total m = Array.fold_left ( + ) 0 m.exposed
 
+(* A meter mark is a copy of the meter (its own count arrays);
+   rewinding copies every mutable field back. *)
+type meter_mark = meter
+
+let mark_meter m =
+  { m with by_kind = Array.copy m.by_kind; exposed = Array.copy m.exposed }
+
+let rewind_meter m (k : meter_mark) =
+  m.cycles <- k.cycles;
+  m.insns <- k.insns;
+  m.traps <- k.traps;
+  m.mem_accesses <- k.mem_accesses;
+  Array.blit k.by_kind 0 m.by_kind 0 kind_count;
+  Array.blit k.exposed 0 m.exposed 0 exposed_count;
+  m.log <- k.log;
+  m.logging <- k.logging;
+  m.tid <- k.tid
+
 (* Immutable snapshot, for delta measurements around a benchmark region. *)
 type snapshot = {
   snap_cycles : int;

@@ -153,6 +153,14 @@ val traps_of_kind : meter -> trap_kind -> int
 val exposed_of_feature : meter -> Expose.Policy.feature -> int
 val exposed_total : meter -> int
 
+type meter_mark
+(** Every mutable field of a meter, as it was when marked. *)
+
+val mark_meter : meter -> meter_mark
+val rewind_meter : meter -> meter_mark -> unit
+(** Put back the marked counts, per-kind and per-feature arrays, trap
+    log, logging flag and trace lane. *)
+
 (** Immutable snapshot, for delta measurement around a benchmark region. *)
 type snapshot = {
   snap_cycles : int;

@@ -148,8 +148,11 @@ let run ?(should_stop = fun () -> false) ?corpus_dir ?(max_found = 3)
        sequential — its PRNG is the campaign's one entropy stream — so
        programs are drawn serially here exactly as the serial loop would
        draw them, and only the oracle runs fan out.  [Diff.run_words] is
-       self-contained per program (fresh machines, no tracing), so the
-       result in slot i is the serial loop's result for program i, and
+       self-contained per program: each domain runs it on its own
+       template machines, rewound before every program to a state no
+       observation can tell from a fresh machine, and untraced.  So the
+       result in slot i is the serial loop's result for program i
+       whichever domain ran it and whatever ran there before, and
        folding slots in index order reproduces the serial report byte
        for byte.  The wall-clock escape hatch cannot cut a parallel
        campaign at a well-defined program, so it is not consulted. *)

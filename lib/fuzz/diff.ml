@@ -1,9 +1,10 @@
 (* Differential driver: one program, every mechanism, one answer.
 
    The run protocol is the same for every column:
-   - a fresh single-CPU nested machine, guest hypervisor started in
-     virtual EL2 (Machine.boot is NOT used: boot erets into the nested
-     VM, and the fuzzer's programs *are* the guest hypervisor);
+   - a single-CPU nested machine with the guest hypervisor just started
+     in virtual EL2 (Machine.boot is NOT used: boot erets into the
+     nested VM, and the fuzzer's programs *are* the guest hypervisor) —
+     the column's template, rewound to that state (see [template]);
    - x28 holds the shared-page base in every column (the paravirt
      binary-patching convention — harmless where unused);
    - paravirtualized columns run the binary-patched text, hardware
@@ -115,35 +116,103 @@ let empty_obs =
     ob_events = [];
   }
 
+(* Registers and words are tested unboxed; only what differs from reset
+   (or zero) is read out. *)
 let file_obs (file : Sysreg_file.t) =
   List.filter_map
     (fun r ->
-      let v = Sysreg_file.read file r in
-      if v <> Sysreg_file.reset_value r then Some (Sysreg.name r, v)
-      else None)
+      if Sysreg_file.holds file r (Sysreg_file.reset_value r) then None
+      else Some (Sysreg.name r, Sysreg_file.read file r))
     Sysreg.all
 
 let mem_obs mem =
-  let words = Gen.scratch_len / 8 in
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      let addr = Int64.of_int (Gen.scratch_base + (8 * i)) in
-      let v = Memory.read64 mem addr in
-      go (i - 1) (if v = 0L then acc else (Gen.scratch_base + (8 * i), v) :: acc)
-  in
-  go (words - 1) []
+  Memory.nonzero_words mem ~start:(Int64.of_int Gen.scratch_base)
+    ~len:(Int64.of_int Gen.scratch_len)
 
 type runner =
   ?stop:(Cpu.t -> bool) -> Cpu.t -> entry:int64 -> max_insns:int ->
   Interp.outcome
 
-(* Boot the guest hypervisor on a fresh one-vCPU machine and load the
-   program at [text_base], patched under a paravirtualized mechanism;
-   returns the vCPU's deferred-access page base. *)
-let boot config m words =
+(* A one-vCPU nested machine with the guest hypervisor started in
+   virtual EL2. *)
+let start config expose =
+  let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
+  Host_hyp.start_guest_hypervisor m.Machine.hosts.(0);
+  m
+
+(* Templates: one started machine per (configuration, grant) column and
+   domain, with its mark.  A template runs one program at a time and is
+   rewound to its mark as soon as the program is observed, which leaves
+   it indistinguishable from a freshly started machine (Machine.rewind)
+   while its compiled world-switch plans stay warm: building and
+   starting a machine and compiling its plans costs more than the few
+   dozen instructions a program runs on it.
+
+   A template kept for a whole campaign is live data, and the major GC
+   sizes the heap in proportion to live data, so a template keeps as
+   little as it can: every rewind empties its translation cache and
+   trap memos (only the plans stay), and the templates of a domain
+   share one small translation cache — they never run at the same time,
+   every rewind flushes it, and a program is a few dozen words.
+   Domain-local, so sharded campaigns never share a machine. *)
+type template = {
+  tp_config : Config.t;
+  tp_expose : Expose.Policy.t;
+  tp_machine : Machine.t;
+  tp_mark : Machine.mark;
+}
+
+type domain_templates = {
+  mutable tps : template list;
+  xlate : Arm.Xlate.t;  (* shared by every template's CPU *)
+}
+
+let templates =
+  Domain.DLS.new_key (fun () ->
+      { tps = []; xlate = Arm.Xlate.create ~block_slots:64 () })
+
+(* The column's template, at its mark (every run rewinds it). *)
+let lookup config expose =
+  let d = Domain.DLS.get templates in
+  match
+    List.find_opt
+      (fun tp ->
+        tp.tp_config = config && Expose.Policy.equal tp.tp_expose expose)
+      d.tps
+  with
+  | Some tp -> tp
+  | None ->
+    let m = start config expose in
+    Arm.Xlate.flush d.xlate;
+    m.Machine.cpus.(0).Cpu.xlate <- d.xlate;
+    let tp =
+      { tp_config = config; tp_expose = expose; tp_machine = m;
+        tp_mark = Machine.mark m }
+    in
+    d.tps <- tp :: d.tps;
+    tp
+
+let template ?(expose = Expose.Policy.none) config =
+  let tp = lookup config expose in
+  Machine.rewind tp.tp_machine tp.tp_mark;
+  tp.tp_machine
+
+(* Run [f] on the column's template and rewind it however [f] ends.  A
+   traced run starts its event stream at the boot, so it gets a machine
+   of its own. *)
+let with_machine ~traced config expose f =
+  if traced then f (start config expose)
+  else begin
+    let tp = lookup config expose in
+    Fun.protect
+      ~finally:(fun () -> Machine.rewind tp.tp_machine tp.tp_mark)
+      (fun () -> f tp.tp_machine)
+  end
+
+(* Load the program at [text_base], patched under a paravirtualized
+   mechanism; returns the vCPU's deferred-access page base. *)
+let load config m words =
   let host = m.Machine.hosts.(0) in
-  Host_hyp.start_guest_hypervisor host;
   let page_base = host.Host_hyp.vcpu.Vcpu.page_base in
   let text =
     if Config.is_paravirt config then
@@ -169,12 +238,12 @@ let left_vel2 m =
 let observe config ~page_base m outcome =
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
   let pc = cpu.Cpu.pc in
-  let pstate = Fmt.str "%a" Pstate.pp cpu.Cpu.pstate in
+  let pstate = Pstate.to_string cpu.Cpu.pstate in
   let in_vel2 = host.Host_hyp.vcpu.Vcpu.in_vel2 in
   if in_vel2 then Gaccess.eret (Gaccess.v cpu config ~page_base);
   {
     empty_obs with
-    ob_outcome = Fmt.str "%a" Interp.pp_outcome outcome;
+    ob_outcome = Interp.outcome_to_string outcome;
     ob_pc = pc;
     ob_pstate = pstate;
     ob_in_vel2 = in_vel2;
@@ -213,15 +282,15 @@ let run_column ?(run : runner = Interp.run) ?(traced = false)
       obs
     end
   in
-  let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
-  let cpu = m.Machine.cpus.(0) in
-  try
-    let page_base = boot config m words in
-    let outcome =
-      run cpu ~stop:(left_vel2 m) ~entry:text_base ~max_insns:budget
-    in
-    finish (observe config ~page_base m outcome)
-  with e -> finish (error_obs e cpu)
+  with_machine ~traced config expose (fun m ->
+      let cpu = m.Machine.cpus.(0) in
+      try
+        let page_base = load config m words in
+        let outcome =
+          run cpu ~stop:(left_vel2 m) ~entry:text_base ~max_insns:budget
+        in
+        finish (observe config ~page_base m outcome)
+      with e -> finish (error_obs e cpu))
 
 (* The ninth column: snapshot-at-k / restore / resume.  The same program
    under the same configuration, but executed as two segments with a
@@ -234,31 +303,33 @@ let run_column ?(run : runner = Interp.run) ?(traced = false)
    as an ordinary fuzz divergence. *)
 let run_column_snapshot ?(run : runner = Interp.run)
     ?(expose = Expose.Policy.none) ~budget ~at config words =
-  let m = Machine.create ~ncpus:1 ~expose config Host_hyp.Nested in
-  (* the vCPU an exception is charged to: the restored one once it exists *)
-  let live = ref m.Machine.cpus.(0) in
-  try
-    let page_base = boot config m words in
-    let first =
-      run !live ~stop:(left_vel2 m) ~entry:text_base
-        ~max_insns:(min at budget)
-    in
-    (* Segment 1 ends in Limit only after exactly [min at budget]
-       instructions.  Any other outcome recurs on the restored machine
-       before it executes an instruction, so the full budget is kept. *)
-    let rest =
-      match first with
-      | Interp.Limit -> budget - max 0 (min at budget)
-      | _ -> budget
-    in
-    (* the serialization boundary *)
-    let m' = Snap.restore (Snap.to_string m) in
-    live := m'.Machine.cpus.(0);
-    let outcome =
-      run !live ~stop:(left_vel2 m') ~entry:!live.Cpu.pc ~max_insns:rest
-    in
-    observe config ~page_base m' outcome
-  with e -> error_obs e !live
+  with_machine ~traced:false config expose (fun m ->
+      (* the vCPU an exception is charged to: the restored one once it
+         exists *)
+      let live = ref m.Machine.cpus.(0) in
+      try
+        let page_base = load config m words in
+        let first =
+          run !live ~stop:(left_vel2 m) ~entry:text_base
+            ~max_insns:(min at budget)
+        in
+        (* Segment 1 ends in Limit only after exactly [min at budget]
+           instructions.  Any other outcome recurs on the restored
+           machine before it executes an instruction, so the full budget
+           is kept. *)
+        let rest =
+          match first with
+          | Interp.Limit -> budget - max 0 (min at budget)
+          | _ -> budget
+        in
+        (* the serialization boundary *)
+        let m' = Snap.restore (Snap.to_string m) in
+        live := m'.Machine.cpus.(0);
+        let outcome =
+          run !live ~stop:(left_vel2 m') ~entry:!live.Cpu.pc ~max_insns:rest
+        in
+        observe config ~page_base m' outcome
+      with e -> error_obs e !live)
 
 (* --- comparison --- *)
 

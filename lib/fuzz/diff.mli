@@ -67,6 +67,16 @@ type runner =
   Arm.Interp.outcome
 (** An execution loop with {!Arm.Interp.run}'s contract. *)
 
+val template : ?expose:Expose.Policy.t -> Hyp.Config.t -> Hyp.Machine.t
+(** The column's template: a one-vCPU nested machine with the guest
+    hypervisor started in virtual EL2, built on first use and kept per
+    domain, one per (configuration, [expose]) pair.  It is returned
+    rewound ({!Hyp.Machine.rewind}) to its just-started state, which no
+    observation can tell from a freshly created and started machine,
+    with its compiled world-switch plans warm.  {!run_column} and the
+    first segment of {!run_column_snapshot} run on it and rewind it
+    again when they finish, however they finish. *)
+
 val run_column :
   ?run:runner ->
   ?traced:bool ->
@@ -75,8 +85,9 @@ val run_column :
   Hyp.Config.t ->
   int array ->
   obs
-(** Run one encoded program under one configuration: fresh machine,
-    guest hypervisor started in virtual EL2, text binary-patched for
+(** Run one encoded program under one configuration on the column's
+    {!template} (a traced run boots a machine of its own, so its event
+    stream starts at the boot): text binary-patched for
     paravirtualized columns, and a final (trapped) [eret] folding the
     execution mapping and the deferred page back into the virtual files
     so every mechanism's state is compared from the same vantage.

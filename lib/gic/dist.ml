@@ -35,6 +35,63 @@ let create ~ncpus =
     inject = None;
   }
 
+(* A mark: the flags plus a copy of every record.  Records are never
+   removed, so a table holding as many records as its mark holds the
+   marked ones, in the marked layout, and rewinding copies the fields
+   back in place.  A table that gained records is rebuilt:
+   [Hashtbl.fold] walks each bucket head first and a bucket's chain is
+   newest first, so consing the fold's results lists every bucket's
+   records in the order they were added, and adding copies back in that
+   order to the emptied table reproduces the marked layout — and with
+   it the iteration order [best_pending] breaks priority ties by. *)
+type mark = {
+  mk_enabled : bool;
+  mk_inject : (cpu:int -> intid:int -> disposition) option;
+  mk_banked : (int * int) array;  (* keys, in the order they were added *)
+  mk_banked_records : irq_record array;  (* copies, same order *)
+  mk_shared : int array;
+  mk_shared_records : irq_record array;
+}
+
+let copy_record (r : irq_record) = { r with state = r.state }
+
+let bindings tbl =
+  let l = Hashtbl.fold (fun k r acc -> (k, copy_record r) :: acc) tbl [] in
+  (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
+
+let mark t =
+  let banked, banked_records = bindings t.banked
+  and shared, shared_records = bindings t.shared in
+  {
+    mk_enabled = t.enabled;
+    mk_inject = t.inject;
+    mk_banked = banked;
+    mk_banked_records = banked_records;
+    mk_shared = shared;
+    mk_shared_records = shared_records;
+  }
+
+let refill tbl keys records =
+  if Hashtbl.length tbl = Array.length keys then
+    Array.iteri
+      (fun i k ->
+        let r = Hashtbl.find tbl k and s = records.(i) in
+        r.state <- s.state;
+        r.enabled <- s.enabled;
+        r.priority <- s.priority;
+        r.target <- s.target)
+      keys
+  else begin
+    Hashtbl.reset tbl;
+    Array.iteri (fun i k -> Hashtbl.add tbl k (copy_record records.(i))) keys
+  end
+
+let rewind t m =
+  t.enabled <- m.mk_enabled;
+  t.inject <- m.mk_inject;
+  refill t.banked m.mk_banked m.mk_banked_records;
+  refill t.shared m.mk_shared m.mk_shared_records
+
 let record t ~cpu ~intid =
   if intid < 32 then begin
     match Hashtbl.find_opt t.banked (cpu, intid) with

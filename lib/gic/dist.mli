@@ -22,6 +22,15 @@ type t = {
 }
 
 val create : ncpus:int -> t
+type mark
+(** The distributor's flags and a copy of every interrupt record. *)
+
+val mark : t -> mark
+val rewind : t -> mark -> unit
+(** Put back the marked flags and records, dropping records created
+    since, so that iteration (and with it {!best_pending}'s tie-break)
+    visits them in the marked order. *)
+
 val record : t -> cpu:int -> intid:int -> irq_record
 val enable : t -> cpu:int -> intid:int -> unit
 val disable : t -> cpu:int -> intid:int -> unit

@@ -69,6 +69,48 @@ let create (ga : Gaccess.t) ~(vcpu : Vcpu.t) =
     on_mmio = None;
   }
 
+(* A mark: every mutable field, the access funnel's one-shot corruption
+   included (its compiled sequences are a cache and stay). *)
+type mark = {
+  mk_used_lrs : int;
+  mk_cntvoff : int64;
+  mk_pending_virqs : int list;
+  mk_nested_elr : int64;
+  mk_nested_spsr : int64;
+  mk_exits_handled : int;
+  mk_debug_active : bool;
+  mk_pmu_active : bool;
+  mk_on_mmio : (addr:int64 -> is_write:bool -> unit) option;
+  mk_tamper : (int64 -> int64) option;
+}
+
+let mark t =
+  {
+    mk_used_lrs = t.used_lrs;
+    mk_cntvoff = t.cntvoff;
+    mk_pending_virqs = List.of_seq (Queue.to_seq t.pending_virqs);
+    mk_nested_elr = t.nested_elr;
+    mk_nested_spsr = t.nested_spsr;
+    mk_exits_handled = t.exits_handled;
+    mk_debug_active = t.debug_active;
+    mk_pmu_active = t.pmu_active;
+    mk_on_mmio = t.on_mmio;
+    mk_tamper = t.ga.Gaccess.tamper;
+  }
+
+let rewind t m =
+  t.used_lrs <- m.mk_used_lrs;
+  t.cntvoff <- m.mk_cntvoff;
+  Queue.clear t.pending_virqs;
+  List.iter (fun v -> Queue.add v t.pending_virqs) m.mk_pending_virqs;
+  t.nested_elr <- m.mk_nested_elr;
+  t.nested_spsr <- m.mk_nested_spsr;
+  t.exits_handled <- m.mk_exits_handled;
+  t.debug_active <- m.mk_debug_active;
+  t.pmu_active <- m.mk_pmu_active;
+  t.on_mmio <- m.mk_on_mmio;
+  t.ga.Gaccess.tamper <- m.mk_tamper
+
 let ops t = Gaccess.ops t.ga
 
 (* GICv2 machines use the memory-mapped hypervisor control interface. *)

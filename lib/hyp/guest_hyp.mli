@@ -42,6 +42,14 @@ val vector_base : int64
 
 val create : Gaccess.t -> vcpu:Vcpu.t -> t
 
+type mark
+(** Every mutable field as when marked, including the access funnel's
+    pending corruption; its compiled world-switch sequences are a cache
+    and are kept. *)
+
+val mark : t -> mark
+val rewind : t -> mark -> unit
+
 val nested_hcr : int64
 (** The HCR value the guest hypervisor programs for its nested VM. *)
 

@@ -1186,6 +1186,84 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
   cpu.Cpu.features <- Config.hw_features config;
   t
 
+(* A mark: the vCPU and every mutable field but the caches.  The
+   compiled plans and the drain's skip set are functions of the
+   configuration and stay warm across a rewind — reusing the plans is
+   much of what a rewind saves over a fresh machine; the syndrome memo
+   is emptied, as the CPU's trap-entry memo is (Cpu.rewind).  A shadow
+   stage-2 carries its own counters and bump allocators; they are
+   marked with it.  The CPU and memory are the machine's to mark. *)
+type mark = {
+  mk_vcpu : Vcpu.mark;
+  mk_shadow_vttbr : int64;
+  mk_on_vel2_entry : (Vcpu.nested_exit -> unit) option;
+  mk_in_l1 : bool;
+  mk_exits : int;
+  mk_undef_injected : int;
+  mk_pending_vserror : int64 option;
+  mk_serror_contained : int;
+  mk_serror_injected : int;
+  mk_send_ipi : (target:int -> intid:int -> unit) option;
+  mk_pending_irq : int option;
+  mk_shadow : (Mmu.Shadow.t * Mmu.Stage2.t * Mmu.Stage2.t) option;
+  mk_shadow_counts : int * int64 list;
+  mk_allocs : (Mmu.Walk.allocator * int64) list;
+  mk_l2_is_hyp : bool;
+  mk_l2_vncr : int64 option;
+}
+
+let mark t =
+  let counts, allocs =
+    match t.shadow with
+    | None -> ((0, []), [])
+    | Some (sh, g, h) ->
+      ( (sh.Mmu.Shadow.faults, sh.Mmu.Shadow.entries),
+        List.map
+          (fun (s : Mmu.Stage2.t) -> (s.alloc, s.alloc.Mmu.Walk.next))
+          [ sh.Mmu.Shadow.shadow; g; h ] )
+  in
+  {
+    mk_vcpu = Vcpu.mark t.vcpu;
+    mk_shadow_vttbr = t.shadow_vttbr;
+    mk_on_vel2_entry = t.on_vel2_entry;
+    mk_in_l1 = t.in_l1;
+    mk_exits = t.exits;
+    mk_undef_injected = t.undef_injected;
+    mk_pending_vserror = t.pending_vserror;
+    mk_serror_contained = t.serror_contained;
+    mk_serror_injected = t.serror_injected;
+    mk_send_ipi = t.send_ipi;
+    mk_pending_irq = t.pending_irq;
+    mk_shadow = t.shadow;
+    mk_shadow_counts = counts;
+    mk_allocs = allocs;
+    mk_l2_is_hyp = t.l2_is_hyp;
+    mk_l2_vncr = t.l2_vncr;
+  }
+
+let rewind t m =
+  Vcpu.rewind t.vcpu m.mk_vcpu;
+  t.shadow_vttbr <- m.mk_shadow_vttbr;
+  t.on_vel2_entry <- m.mk_on_vel2_entry;
+  t.in_l1 <- m.mk_in_l1;
+  t.exits <- m.mk_exits;
+  t.undef_injected <- m.mk_undef_injected;
+  t.pending_vserror <- m.mk_pending_vserror;
+  t.serror_contained <- m.mk_serror_contained;
+  t.serror_injected <- m.mk_serror_injected;
+  t.send_ipi <- m.mk_send_ipi;
+  t.pending_irq <- m.mk_pending_irq;
+  t.shadow <- m.mk_shadow;
+  (match m.mk_shadow with
+   | Some (sh, _, _) ->
+     sh.Mmu.Shadow.faults <- fst m.mk_shadow_counts;
+     sh.Mmu.Shadow.entries <- snd m.mk_shadow_counts
+   | None -> ());
+  List.iter (fun (a, next) -> a.Mmu.Walk.next <- next) m.mk_allocs;
+  t.l2_is_hyp <- m.mk_l2_is_hyp;
+  t.l2_vncr <- m.mk_l2_vncr;
+  Arm.Memo.clear t.sysreg_traps
+
 (* Put the machine in "guest hypervisor running in virtual EL2" state,
    ready for the first nested launch. *)
 let start_guest_hypervisor t =

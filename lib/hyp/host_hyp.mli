@@ -203,6 +203,16 @@ val create :
     hypervisor is in virtual EL2, with the hardware state folded back
     into the virtual-EL2 file on the trapped eret. *)
 
+type mark
+(** The vCPU ({!Vcpu.mark}) and every mutable field as when marked, a
+    shadow stage-2's counters and allocators included.  The caches
+    [l0_plans] and [drain_skip] are kept warm and [sysreg_traps] is
+    emptied by {!rewind}; the CPU and memory are marked by their owner,
+    {!Machine.mark}. *)
+
+val mark : t -> mark
+val rewind : t -> mark -> unit
+
 val start_guest_hypervisor : t -> unit
 (** Put the machine in "guest hypervisor running in virtual EL2" state,
     ready for the first nested launch. *)

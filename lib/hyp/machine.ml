@@ -252,6 +252,59 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
     hosts;
   t
 
+(* A mark: every component's mark plus the machine's own mutable fields
+   — what [Snap.Image.machine_node] serializes, and the distributor,
+   which it does not.  A fault plan's cursor and the SMP translation
+   state are not marked, so machines carrying either are refused. *)
+type mark = {
+  mk_mem : Arm.Memory.mark;
+  mk_cpus : Cpu.mark array;
+  mk_hosts : Host_hyp.mark array;
+  mk_ghyps : Guest_hyp.mark option array;
+  mk_dist : Gic.Dist.mark;
+  mk_inv_states : int array array;
+  mk_violations : Fault.Invariants.violation list;
+  mk_violation_count : int;
+  mk_irq_fault : Fault.Plan.kind option array;
+  mk_hung : bool array;
+}
+
+let mark t =
+  if Option.is_some t.fault || Option.is_some t.smp then
+    invalid_arg "Machine.mark: fault plans and SMP state are not marked";
+  {
+    mk_mem = Arm.Memory.mark t.mem;
+    mk_cpus = Array.map Cpu.mark t.cpus;
+    mk_hosts = Array.map Host_hyp.mark t.hosts;
+    mk_ghyps = Array.map (Option.map Guest_hyp.mark) t.ghyps;
+    mk_dist = Gic.Dist.mark t.dist;
+    mk_inv_states = Array.map Fault.Invariants.state_dump t.inv_states;
+    mk_violations = t.violations;
+    mk_violation_count = t.violation_count;
+    mk_irq_fault = Array.copy t.irq_fault;
+    mk_hung = Array.copy t.hung;
+  }
+
+let rewind t m =
+  Arm.Memory.rewind t.mem m.mk_mem;
+  Array.iteri (fun i c -> Cpu.rewind c m.mk_cpus.(i)) t.cpus;
+  Array.iteri (fun i h -> Host_hyp.rewind h m.mk_hosts.(i)) t.hosts;
+  Array.iteri
+    (fun i g ->
+      match (g, m.mk_ghyps.(i)) with
+      | Some g, Some gm -> Guest_hyp.rewind g gm
+      | _ -> ())
+    t.ghyps;
+  Gic.Dist.rewind t.dist m.mk_dist;
+  Array.iteri
+    (fun i s -> Fault.Invariants.state_load s m.mk_inv_states.(i))
+    t.inv_states;
+  t.violations <- m.mk_violations;
+  t.violation_count <- m.mk_violation_count;
+  Array.blit m.mk_irq_fault 0 t.irq_fault 0 (Array.length t.irq_fault);
+  Array.blit m.mk_hung 0 t.hung 0 (Array.length t.hung);
+  t.smp <- None
+
 (* Bring the stack up: plain VM scenarios just start the VM; nested
    scenarios start the guest hypervisor and have it launch its nested VM
    end to end (the launch path runs through the full trap machinery). *)

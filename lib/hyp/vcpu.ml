@@ -57,6 +57,31 @@ let create ~id =
     used_lrs = 0;
   }
 
+(* A mark: the run flags and both virtual register files. *)
+type mark = {
+  mk_in_vel2 : bool;
+  mk_nested_launched : bool;
+  mk_used_lrs : int;
+  mk_vel1 : Sysreg_file.mark;
+  mk_vel2 : Sysreg_file.mark;
+}
+
+let mark t =
+  {
+    mk_in_vel2 = t.in_vel2;
+    mk_nested_launched = t.nested_launched;
+    mk_used_lrs = t.used_lrs;
+    mk_vel1 = Sysreg_file.mark t.vel1;
+    mk_vel2 = Sysreg_file.mark t.vel2;
+  }
+
+let rewind t m =
+  t.in_vel2 <- m.mk_in_vel2;
+  t.nested_launched <- m.mk_nested_launched;
+  t.used_lrs <- m.mk_used_lrs;
+  Sysreg_file.rewind t.vel1 m.mk_vel1;
+  Sysreg_file.rewind t.vel2 m.mk_vel2
+
 (* Reads/writes of the virtual EL2 file. *)
 let read_vel2 t r = Sysreg_file.read t.vel2 r
 let write_vel2 t r v = Sysreg_file.hw_write t.vel2 r v

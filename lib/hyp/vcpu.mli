@@ -37,6 +37,12 @@ type t = {
 val region_of : int -> int64
 val create : id:int -> t
 
+type mark
+(** The run flags and both virtual register files, as when marked. *)
+
+val mark : t -> mark
+val rewind : t -> mark -> unit
+
 val read_vel2 : t -> Sysreg.t -> int64
 val write_vel2 : t -> Sysreg.t -> int64 -> unit
 val read_vel1 : t -> Sysreg.t -> int64

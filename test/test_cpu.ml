@@ -204,6 +204,68 @@ let test_memory_alignment () =
   Arm.Memory.zero_range mem ~start:0x1000L ~len:0x1000L;
   check Alcotest.int64 "zeroed" 0L (Arm.Memory.read64 mem 0x1000L)
 
+(* [zero_range] over [0x1ff0, 0x3010): the tail of page 1, all of the
+   absent page 2 and the head of page 3.  Words in range read zero, the
+   neighbours outside it keep their values, the absent page stays
+   absent, the overlapped code envelope is invalidated without a write
+   notification, and the call allocates nothing. *)
+let test_zero_range_pagewise () =
+  let module M = Arm.Memory in
+  let mem = M.create () in
+  List.iter
+    (fun (a, v) -> M.write64 mem a v)
+    [ (0x1fe8L, 1L); (0x1ff0L, 2L); (0x1ff8L, 3L); (0x3000L, 4L);
+      (0x3008L, 5L); (0x3010L, 6L) ];
+  M.track_code mem ~lo:0x3000L ~hi:0x3008L;
+  let writes = ref 0 in
+  mem.M.on_write <- Some (fun _ -> incr writes);
+  let gen = M.code_gen mem in
+  let zero () = M.zero_range mem ~start:0x1ff0L ~len:0x1020L in
+  let w0 = Gc.minor_words () in
+  zero ();
+  let w1 = Gc.minor_words () in
+  check Alcotest.int "words allocated" 0 (int_of_float (w1 -. w0));
+  check
+    Alcotest.(list (pair int64 int64))
+    "only the words outside the range survive"
+    [ (0x1fe8L, 1L); (0x3010L, 6L) ]
+    (M.sorted_words mem);
+  check Alcotest.bool "absent page stays absent" false
+    (Hashtbl.mem mem.M.pages 2);
+  check Alcotest.int "code envelope invalidated" (gen + 1) (M.code_gen mem);
+  check Alcotest.int "no write notification" 0 !writes
+
+(* [Memory.rewind]: marked contents come back, a page created since the
+   mark is dropped (and, zeroed, reused by the next page created), the
+   code envelope is restored, and the code generation moves forward —
+   the text address is reused, so a generation put back would let a
+   block decoded before the rewind validate again. *)
+let test_memory_rewind () =
+  let module M = Arm.Memory in
+  let mem = M.create () in
+  M.write64 mem 0x1008L 7L;
+  let mk = M.mark mem in
+  M.write64 mem 0x1008L 9L;
+  M.write64 mem 0x1010L 5L;
+  M.write64 mem 0x5008L 1L;
+  M.track_code mem ~lo:0x5000L ~hi:0x5010L;
+  let gen = M.code_gen mem in
+  M.rewind mem mk;
+  check
+    Alcotest.(list (pair int64 int64))
+    "contents as marked" [ (0x1008L, 7L) ] (M.sorted_words mem);
+  check Alcotest.bool "page created since the mark dropped" false
+    (Hashtbl.mem mem.M.pages 5);
+  check Alcotest.bool "code generation moved forward" true
+    (M.code_gen mem > gen);
+  let gen = M.code_gen mem in
+  M.write64 mem 0x5000L 2L;
+  check Alcotest.int "code envelope restored" gen (M.code_gen mem);
+  check
+    Alcotest.(list (pair int64 int64))
+    "a reused page comes back zeroed" [ (0x1008L, 7L); (0x5000L, 2L) ]
+    (M.sorted_words mem)
+
 let suite =
   [
     ("arithmetic semantics", `Quick, test_arithmetic);
@@ -222,4 +284,8 @@ let suite =
     ("IRQ delivery gating", `Quick, test_deliver_irq_gating);
     ("CPUs share physical memory", `Quick, test_shared_memory);
     ("memory enforces alignment", `Quick, test_memory_alignment);
+    ("zero_range: page by page, absent pages skipped", `Quick,
+     test_zero_range_pagewise);
+    ("memory rewind: contents, pages, envelope, generation", `Quick,
+     test_memory_rewind);
   ]

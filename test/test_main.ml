@@ -17,6 +17,7 @@ let () =
       ("fault", Test_fault.suite);
       ("properties", Test_properties.suite);
       ("fuzz", Test_fuzz.suite);
+      ("fuzz-template", Test_template.suite);
       ("trace", Test_trace.suite);
       ("json", Test_json.suite);
       ("snap", Test_snap.suite);
