@@ -85,28 +85,11 @@ let[@inline] find_page t pi =
         p
     | None -> no_page
 
-(* Zeroed pages a rewind dropped, reused before allocating a new one:
-   a machine rewound per program would otherwise allocate (and the GC
-   sweep) the same few pages every program.  Domain-local, so machines
-   on different domains never share a page; bounded by [spare_cap]. *)
-let spare_pages : Bytes.t list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let spare_cap = 16
-
-let new_page () =
-  let spare = Domain.DLS.get spare_pages in
-  match !spare with
-  | p :: rest ->
-    spare := rest;
-    p
-  | [] -> Bytes.make page_bytes '\000'
-
 let get_or_create_page t pi =
   let p = find_page t pi in
   if p != no_page then p
   else begin
-    let p = new_page () in
+    let p = Bytes.make page_bytes '\000' in
     Hashtbl.replace t.pages pi p;
     let slot = pi land (cache_slots - 1) in
     Array.unsafe_set t.cache_idx slot pi;
@@ -305,11 +288,11 @@ let zero_range t ~start ~len =
    A mark lists each page's nonzero words (a marked machine's pages are
    mostly zero, so this is far smaller than page copies) and the
    bookkeeping fields.  Rewinding zeroes the marked pages and writes the
-   words back, and drops every page created since into the spare pool.
-   The code generation is the one field that never goes back: blocks
-   decoded from the marked-over contents carry generations up to the
-   current one, so rewinding moves it forward like any other code
-   change. *)
+   words back, and drops every page created since, so the page set is
+   the marked one again.  The code generation is the one field that
+   never goes back: blocks decoded from the marked-over contents carry
+   generations up to the current one, so rewinding moves it forward
+   like any other code change. *)
 
 type page_mark = { pm_index : int; pm_offs : int array; pm_words : Bytes.t }
 
@@ -342,15 +325,15 @@ let mark t =
 
 let marked m pi = List.exists (fun pm -> pm.pm_index = pi) m.mk_pages
 
-let rewind t m =
-  let spare = Domain.DLS.get spare_pages in
+let rewind ?(drop = fun _ _ -> ()) t m =
   Hashtbl.filter_map_inplace
     (fun pi p ->
-      Bytes.fill p 0 page_bytes '\000';
-      if marked m pi then Some p
+      if marked m pi then begin
+        Bytes.fill p 0 page_bytes '\000';
+        Some p
+      end
       else begin
-        if List.compare_length_with !spare spare_cap < 0 then
-          spare := p :: !spare;
+        drop pi p;
         None
       end)
     t.pages;
@@ -367,3 +350,11 @@ let rewind t m =
   t.code_lo <- m.mk_code_lo;
   t.code_hi <- m.mk_code_hi;
   t.code_gen <- t.code_gen + 1
+
+(* A zero page reads like an absent one, so backing an absent page with
+   a zeroed buffer changes no load, store or walk. *)
+let adopt t pi p =
+  if find_page t pi == no_page then begin
+    Bytes.fill p 0 page_bytes '\000';
+    Hashtbl.replace t.pages pi p
+  end

@@ -113,10 +113,15 @@ val mark : t -> mark
 (** Record every page's nonzero words, the device regions, the write
     observer and the code envelope. *)
 
-val rewind : t -> mark -> unit
+val rewind : ?drop:(int -> Bytes.t -> unit) -> t -> mark -> unit
 (** Put back the marked pages' contents, drop every page created since
     the mark, and restore the device regions, write observer and code
-    envelope.  A dropped page is zeroed and kept (a few per domain) for
-    the next page any memory of the domain creates.  {!code_gen} is not
-    restored: it moves forward, as on any code change, so no block
-    decoded since the mark stays valid. *)
+    envelope.  [drop pi page] (default: ignore) is given each dropped
+    page with its index, as it was left, for the caller to reuse with
+    {!adopt}.  {!code_gen} is not restored: it moves forward, as on any
+    code change, so no block decoded since the mark stays valid. *)
+
+val adopt : t -> int -> Bytes.t -> unit
+(** [adopt t pi page] backs the absent page [pi] with [page], zeroed
+    first — no read can tell, and a store to [pi] then allocates
+    nothing.  Does nothing if [pi] is backed already. *)

@@ -152,9 +152,14 @@ let start config expose =
    sizes the heap in proportion to live data, so a template keeps as
    little as it can: every rewind empties its translation cache and
    trap memos (only the plans stay), and the templates of a domain
-   share one small translation cache — they never run at the same time,
-   every rewind flushes it, and a program is a few dozen words.
-   Domain-local, so sharded campaigns never share a machine. *)
+   share one small translation cache — they never run at the same
+   time, every rewind flushes it, and a program is a few dozen words.
+   For the same reason they share the memory pages a program creates
+   (the same few on every column: text, scratch): a rewind drops them
+   into [spare], and the next run, on whichever template, adopts them
+   zeroed (Memory.adopt) instead of allocating them again, so a domain
+   keeps one set rather than one per template.  Domain-local, so
+   sharded campaigns never share a machine or a page. *)
 type template = {
   tp_config : Config.t;
   tp_expose : Expose.Policy.t;
@@ -165,15 +170,15 @@ type template = {
 type domain_templates = {
   mutable tps : template list;
   xlate : Arm.Xlate.t;  (* shared by every template's CPU *)
+  mutable spare : (int * Bytes.t) list;  (* pages the last rewind dropped *)
 }
 
 let templates =
   Domain.DLS.new_key (fun () ->
-      { tps = []; xlate = Arm.Xlate.create ~block_slots:64 () })
+      { tps = []; xlate = Arm.Xlate.create ~block_slots:64 (); spare = [] })
 
 (* The column's template, at its mark (every run rewinds it). *)
-let lookup config expose =
-  let d = Domain.DLS.get templates in
+let lookup d config expose =
   match
     List.find_opt
       (fun tp ->
@@ -193,20 +198,26 @@ let lookup config expose =
     tp
 
 let template ?(expose = Expose.Policy.none) config =
-  let tp = lookup config expose in
+  let tp = lookup (Domain.DLS.get templates) config expose in
   Machine.rewind tp.tp_machine tp.tp_mark;
   tp.tp_machine
 
-(* Run [f] on the column's template and rewind it however [f] ends.  A
-   traced run starts its event stream at the boot, so it gets a machine
-   of its own. *)
+(* Run [f] on the column's template, with the domain's spare pages
+   adopted, and rewind it however [f] ends.  A traced run starts its
+   event stream at the boot, so it gets a machine of its own. *)
 let with_machine ~traced config expose f =
   if traced then f (start config expose)
   else begin
-    let tp = lookup config expose in
+    let d = Domain.DLS.get templates in
+    let tp = lookup d config expose in
+    let m = tp.tp_machine in
+    List.iter (fun (pi, p) -> Memory.adopt m.Machine.mem pi p) d.spare;
+    d.spare <- [];
     Fun.protect
-      ~finally:(fun () -> Machine.rewind tp.tp_machine tp.tp_mark)
-      (fun () -> f tp.tp_machine)
+      ~finally:(fun () ->
+        Machine.rewind m tp.tp_mark ~drop:(fun pi p ->
+            d.spare <- (pi, p) :: d.spare))
+      (fun () -> f m)
   end
 
 (* Load the program at [text_base], patched under a paravirtualized

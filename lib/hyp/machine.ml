@@ -285,8 +285,8 @@ let mark t =
     mk_hung = Array.copy t.hung;
   }
 
-let rewind t m =
-  Arm.Memory.rewind t.mem m.mk_mem;
+let rewind ?drop t m =
+  Arm.Memory.rewind ?drop t.mem m.mk_mem;
   Array.iteri (fun i c -> Cpu.rewind c m.mk_cpus.(i)) t.cpus;
   Array.iteri (fun i h -> Host_hyp.rewind h m.mk_hosts.(i)) t.hosts;
   Array.iteri

@@ -71,10 +71,10 @@ val create :
     A mark records a machine's complete mutable state — memory, CPUs
     and meters, host and guest hypervisors, the distributor and the
     fault-reporting fields — so the machine can later be put back
-    exactly, while its caches (translation, trap-entry and syndrome
-    memos, compiled world-switch plans) stay warm.  The differential
-    fuzzer rewinds one booted machine per column instead of building a
-    fresh one per program. *)
+    exactly, while its compiled world-switch plans stay warm (the
+    translation cache and the trap-entry and syndrome memos are
+    emptied).  The differential fuzzer rewinds one booted machine per
+    column instead of building a fresh one per program. *)
 
 type mark
 
@@ -82,12 +82,13 @@ val mark : t -> mark
 (** @raise Invalid_argument on a machine with a fault plan or SMP
     translation state (neither is marked). *)
 
-val rewind : t -> mark -> unit
+val rewind : ?drop:(int -> Bytes.t -> unit) -> t -> mark -> unit
 (** Put back every marked field: afterwards the machine is
     indistinguishable from the one marked ([Snap.Image.diff] finds
     nothing), including after a run that raised mid-handler.  The
-    memory's code generation moves forward rather than back
-    ({!Arm.Memory.rewind}). *)
+    memory's code generation moves forward rather than back, and the
+    memory pages created since the mark are dropped, each passed to
+    [drop] ({!Arm.Memory.rewind}). *)
 
 val boot : t -> unit
 (** Bring the stack up; nested scenarios launch the nested VM end to end

@@ -236,10 +236,12 @@ let test_zero_range_pagewise () =
   check Alcotest.int "no write notification" 0 !writes
 
 (* [Memory.rewind]: marked contents come back, a page created since the
-   mark is dropped (and, zeroed, reused by the next page created), the
-   code envelope is restored, and the code generation moves forward —
-   the text address is reused, so a generation put back would let a
-   block decoded before the rewind validate again. *)
+   mark is dropped (and handed to [drop], as it was left), the code
+   envelope is restored, and the code generation moves forward — the
+   text address is reused, so a generation put back would let a block
+   decoded before the rewind validate again.  [Memory.adopt] backs an
+   absent page with a dropped one, zeroed, and leaves a backed page
+   alone. *)
 let test_memory_rewind () =
   let module M = Arm.Memory in
   let mem = M.create () in
@@ -250,21 +252,34 @@ let test_memory_rewind () =
   M.write64 mem 0x5008L 1L;
   M.track_code mem ~lo:0x5000L ~hi:0x5010L;
   let gen = M.code_gen mem in
-  M.rewind mem mk;
+  let dropped = ref [] in
+  M.rewind mem mk ~drop:(fun pi p -> dropped := (pi, p) :: !dropped);
   check
     Alcotest.(list (pair int64 int64))
     "contents as marked" [ (0x1008L, 7L) ] (M.sorted_words mem);
   check Alcotest.bool "page created since the mark dropped" false
     (Hashtbl.mem mem.M.pages 5);
+  check Alcotest.(list int) "dropped page handed on" [ 5 ]
+    (List.map fst !dropped);
   check Alcotest.bool "code generation moved forward" true
     (M.code_gen mem > gen);
   let gen = M.code_gen mem in
   M.write64 mem 0x5000L 2L;
   check Alcotest.int "code envelope restored" gen (M.code_gen mem);
+  let page = snd (List.hd !dropped) in
+  M.adopt mem 5 page;
+  check Alcotest.bool "a backed page is not replaced" true
+    (Hashtbl.find mem.M.pages 5 != page);
+  M.adopt mem 6 page;
+  check Alcotest.bool "an absent page is backed by the adopted one" true
+    (Hashtbl.find mem.M.pages 6 == page);
   check
     Alcotest.(list (pair int64 int64))
-    "a reused page comes back zeroed" [ (0x1008L, 7L); (0x5000L, 2L) ]
-    (M.sorted_words mem)
+    "adopted page reads zero" [ (0x1008L, 7L); (0x5000L, 2L) ]
+    (M.sorted_words mem);
+  M.write64 mem 0x6010L 3L;
+  check Alcotest.int64 "a store lands in the adopted page" 3L
+    (Bytes.get_int64_le page 0x10)
 
 let suite =
   [
