@@ -10,8 +10,10 @@ exception Undefined_instruction of Insn.t * Pstate.el
 exception No_el2_handler of Exn.entry
 
 type t = {
-  mutable pc : int64;
-  regs : int64 array; (* x0..x30 *)
+  (* The word file: x0..x30 then the PC, one unboxed 64-bit word each,
+     so a register write or a PC advance stores a word and allocates
+     nothing. *)
+  regs : Bytes.t;
   mutable pstate : Pstate.t;
   sysregs : Sysreg_file.t;
   mem : Memory.t;
@@ -24,11 +26,14 @@ type t = {
      (the guest kernel is assumed to have vectors).  Bare CPUs keep the
      historical raise so unit tests can observe the Undef routing. *)
   mutable el1_vectors : bool;
-  (* GPR snapshots taken on each EL2 exception entry: the hypervisor's own
-     code runs on the same register file (as real KVM's EL2 code does), so
-     trapped-access emulation reads and writes the *saved* guest registers,
-     restored by the eret that ends the handler. *)
-  mutable saved_regs : int64 array list;
+  (* GPR frames saved on each EL2 exception entry, oldest first, [depth]
+     of them live: the hypervisor's own code runs on the same register
+     file (as real KVM's EL2 code does), so trapped-access emulation
+     reads and writes the top frame, which the eret that ends the
+     handler copies back.  The buffer only grows, when a trap nests
+     deeper than any before it. *)
+  mutable frames : Bytes.t;
+  mutable depth : int;
   (* NV2 ablation mask (simulator-only knob): which of NEVE's three
      mechanisms are implemented by this "hardware". *)
   mutable nv2_mask : Trap_rules.nv2_mask;
@@ -58,6 +63,15 @@ type t = {
 
 and handler = t -> Exn.entry -> unit
 
+(* Unboxed words of a [Bytes.t]: the word file, the frames, and the
+   system-register file below. *)
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let nregs = 31
+let frame_bytes = nregs * 8
+let pc_offset = frame_bytes
+
 (* Trap-entry memo keys: the EC above the 25-bit ISS. *)
 let iss_bits = 25
 
@@ -68,29 +82,55 @@ let entry_of_key k =
       fault_addr = None }
   | None -> assert false
 
+let[@inline] pc t = get_word t.regs pc_offset
+let[@inline] set_pc t v = set_word t.regs pc_offset v
+
 let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
   let mem = match mem with Some m -> m | None -> Memory.create () in
   let meter = match meter with Some m -> m | None -> Cost.make_meter ?table () in
-  {
-    pc = 0x8000_0000L;
-    regs = Array.make 31 0L;
-    pstate = Pstate.reset;
-    sysregs = Sysreg_file.create ();
-    mem;
-    features;
-    meter;
-    el2_handler = None;
-    el1_handler = None;
-    el1_vectors = false;
-    saved_regs = [];
-    nv2_mask = Trap_rules.nv2_full;
-    expose = Expose.Policy.none;
-    hcr_raw = 0L;
-    hcr_cached = Hcr.decode 0L;
-    xlate = Xlate.create ();
-    trap_entries = Memo.create entry_of_key;
-    labels = None;
-  }
+  let t =
+    {
+      regs = Bytes.make (frame_bytes + 8) '\000';
+      pstate = Pstate.reset;
+      sysregs = Sysreg_file.create ();
+      mem;
+      features;
+      meter;
+      el2_handler = None;
+      el1_handler = None;
+      el1_vectors = false;
+      frames = Bytes.make (2 * frame_bytes) '\000';
+      depth = 0;
+      nv2_mask = Trap_rules.nv2_full;
+      expose = Expose.Policy.none;
+      hcr_raw = 0L;
+      hcr_cached = Hcr.decode 0L;
+      xlate = Xlate.create ();
+      trap_entries = Memo.create entry_of_key;
+      labels = None;
+    }
+  in
+  set_pc t 0x8000_0000L;
+  t
+
+(* Room for [n] frames, keeping the live ones. *)
+let reserve_frames t n =
+  if Bytes.length t.frames < n * frame_bytes then begin
+    let grown =
+      Bytes.make (max n (2 * Bytes.length t.frames / frame_bytes) * frame_bytes)
+        '\000'
+    in
+    Bytes.blit t.frames 0 grown 0 (t.depth * frame_bytes);
+    t.frames <- grown
+  end
+
+(* Make [src], a whole number of frames oldest first, the live ones. *)
+let load_frames t src =
+  let depth = Bytes.length src / frame_bytes in
+  t.depth <- 0;
+  reserve_frames t depth;
+  Bytes.blit src 0 t.frames 0 (depth * frame_bytes);
+  t.depth <- depth
 
 (* A mark copies every mutable field except the caches.  Rewinding
    empties the translation cache and the trap-entry memo instead of
@@ -98,12 +138,11 @@ let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
    rewind moves its code generation on), and a machine kept for many
    rewinds would otherwise hold a program's worth of decoded words and
    entries for good.  The trap-log labels stay: they exist only while
-   the meter logs.  Memory is the machine's to mark: CPUs share it.  GPR
-   snapshots are copied both ways because trap handlers update them in
-   place. *)
+   the meter logs.  Memory is the machine's to mark: CPUs share it.  The
+   live frames are copied both ways because trap handlers update them
+   in place. *)
 type mark = {
-  mk_pc : int64;
-  mk_regs : int64 array;
+  mk_regs : Bytes.t;
   mk_pstate : Pstate.t;
   mk_sysregs : Sysreg_file.mark;
   mk_features : Features.t;
@@ -111,7 +150,7 @@ type mark = {
   mk_el2_handler : handler option;
   mk_el1_handler : handler option;
   mk_el1_vectors : bool;
-  mk_saved_regs : int64 array list;
+  mk_frames : Bytes.t;
   mk_nv2_mask : Trap_rules.nv2_mask;
   mk_expose : Expose.Policy.t;
   mk_hcr_raw : int64;
@@ -120,8 +159,7 @@ type mark = {
 
 let mark t =
   {
-    mk_pc = t.pc;
-    mk_regs = Array.copy t.regs;
+    mk_regs = Bytes.copy t.regs;
     mk_pstate = t.pstate;
     mk_sysregs = Sysreg_file.mark t.sysregs;
     mk_features = t.features;
@@ -129,7 +167,7 @@ let mark t =
     mk_el2_handler = t.el2_handler;
     mk_el1_handler = t.el1_handler;
     mk_el1_vectors = t.el1_vectors;
-    mk_saved_regs = List.map Array.copy t.saved_regs;
+    mk_frames = Bytes.sub t.frames 0 (t.depth * frame_bytes);
     mk_nv2_mask = t.nv2_mask;
     mk_expose = t.expose;
     mk_hcr_raw = t.hcr_raw;
@@ -137,8 +175,7 @@ let mark t =
   }
 
 let rewind t m =
-  t.pc <- m.mk_pc;
-  Array.blit m.mk_regs 0 t.regs 0 (Array.length t.regs);
+  Bytes.blit m.mk_regs 0 t.regs 0 (Bytes.length t.regs);
   t.pstate <- m.mk_pstate;
   Sysreg_file.rewind t.sysregs m.mk_sysregs;
   t.features <- m.mk_features;
@@ -146,7 +183,7 @@ let rewind t m =
   t.el2_handler <- m.mk_el2_handler;
   t.el1_handler <- m.mk_el1_handler;
   t.el1_vectors <- m.mk_el1_vectors;
-  t.saved_regs <- List.map Array.copy m.mk_saved_regs;
+  load_frames t m.mk_frames;
   t.nv2_mask <- m.mk_nv2_mask;
   t.expose <- m.mk_expose;
   t.hcr_raw <- m.mk_hcr_raw;
@@ -159,24 +196,26 @@ let rewind t m =
    convention [get_trapped_reg] already follows.  (Where A64 would mean
    SP — an ADD/SUB immediate operand, a load/store base — the simulator
    has no stack pointer and treats it as XZR too.) *)
-let get_reg t n =
+let[@inline] get_reg t n =
   if n = 31 then 0L
   else begin
     if n < 0 || n > 30 then invalid_arg "Cpu.get_reg";
-    t.regs.(n)
+    get_word t.regs (n * 8)
   end
 
-let set_reg t n v =
+let[@inline] set_reg t n v =
   if n <> 31 then begin
     if n < 0 || n > 30 then invalid_arg "Cpu.set_reg";
-    t.regs.(n) <- v
+    set_word t.regs (n * 8) v
   end
 
-let operand_value t = function
+let gprs t = Bytes.sub_string t.regs 0 frame_bytes
+
+let[@inline] operand_value t = function
   | Insn.Imm i -> i
   | Insn.Reg n -> get_reg t n
 
-let addr_value t = function
+let[@inline] addr_value t = function
   | Insn.Abs a -> a
   | Insn.Based (r, off) -> Int64.add (get_reg t r) off
 
@@ -184,8 +223,6 @@ let addr_value t = function
    reads and writes a handful of registers per exception; going through
    [Sysreg_file.read]/[hw_write] would box every value at the module
    boundary.  [sr_set] is [Sysreg_file.hw_write]: value plus dirty bit. *)
-external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let[@inline] sr_get t i = get_word t.sysregs.Sysreg_file.values (i * 8)
 
@@ -234,7 +271,7 @@ let exception_entry t (e : Exn.entry) =
   match e.target with
   | Pstate.EL2 ->
     sr_set t i_esr_el2 (Int64.of_int (Exn.esr_bits ~ec:e.ec ~iss:e.iss));
-    sr_set t i_elr_el2 t.pc;
+    sr_set t i_elr_el2 (pc t);
     sr_set t i_spsr_el2 (Int64.of_int (Pstate.spsr_bits t.pstate));
     (match e.fault_addr with
      | Some a ->
@@ -242,7 +279,9 @@ let exception_entry t (e : Exn.entry) =
        sr_set t i_hpfar_el2 (Int64.shift_right_logical a 8)
      | None -> ());
     t.pstate <- Pstate.at Pstate.EL2;
-    t.saved_regs <- Array.copy t.regs :: t.saved_regs;
+    reserve_frames t (t.depth + 1);
+    Bytes.blit t.regs 0 t.frames (t.depth * frame_bytes) frame_bytes;
+    t.depth <- t.depth + 1;
     Cost.charge t.meter c.Cost.trap_entry;
     if !Trace.on then
       Trace.emit ~cycles:t.meter.Cost.cycles ~tid:t.meter.Cost.tid
@@ -253,7 +292,7 @@ let exception_entry t (e : Exn.entry) =
      | None -> raise (No_el2_handler e))
   | Pstate.EL1 ->
     sr_set t i_esr_el1 (Int64.of_int (Exn.esr_bits ~ec:e.ec ~iss:e.iss));
-    sr_set t i_elr_el1 t.pc;
+    sr_set t i_elr_el1 (pc t);
     sr_set t i_spsr_el1 (Int64.of_int (Pstate.spsr_bits t.pstate));
     (match e.fault_addr with
      | Some a -> sr_set t i_far_el1 a
@@ -275,20 +314,10 @@ let do_eret t =
   let at_el2 =
     match t.pstate.Pstate.el with
     | Pstate.EL2 ->
-      (match t.saved_regs with
-       | saved :: rest ->
-         (* The snapshot shares every value the handler did not replace
-            with the live file, so only replaced slots are stored back:
-            a store into the long-lived file pays the write barrier. *)
-         let n = Array.length saved in
-         if n <> Array.length t.regs then Array.blit saved 0 t.regs 0 n
-         else
-           for i = 0 to n - 1 do
-             let v = Array.unsafe_get saved i in
-             if Array.unsafe_get t.regs i != v then Array.unsafe_set t.regs i v
-           done;
-         t.saved_regs <- rest
-       | [] -> ());
+      if t.depth > 0 then begin
+        t.depth <- t.depth - 1;
+        Bytes.blit t.frames (t.depth * frame_bytes) t.regs 0 frame_bytes
+      end;
       true
     | Pstate.EL1 -> false
     | Pstate.EL0 -> invalid_arg "Cpu.do_eret at EL0"
@@ -303,7 +332,7 @@ let do_eret t =
         invariant checker reports the corrupt SPSR; execution continues
         at ELR so the simulation stays alive. *)
      ());
-  t.pc <- elr;
+  set_pc t elr;
   Cost.charge t.meter c.Cost.trap_return;
   if !Trace.on then
     Trace.emit ~cycles:t.meter.Cost.cycles ~tid:t.meter.Cost.tid ~a0:elr
@@ -325,7 +354,7 @@ let write_sysreg_hw t r v = Sysreg_file.write t.sysregs r v
 
 (* --- the execution engine --- *)
 
-let advance_pc t = t.pc <- Int64.add t.pc 4L
+let[@inline] advance_pc t = set_pc t (Int64.add (pc t) 4L)
 
 (* Scratch register used for normalized immediate MSRs and the mrs/msr
    helpers below. *)
@@ -386,15 +415,15 @@ let exec_local t (insn : Insn.t) =
          fault_addr = None }
    | Insn.B off ->
      Cost.charge_insn t.meter c.Cost.insn_base;
-     t.pc <- Int64.add t.pc (Int64.of_int (off * 4))
+     set_pc t (Int64.add (pc t) (Int64.of_int (off * 4)))
    | Insn.Cbz (rt, off) ->
      Cost.charge_insn t.meter c.Cost.insn_base;
-     if get_reg t rt = 0L then t.pc <- Int64.add t.pc (Int64.of_int (off * 4))
+     if get_reg t rt = 0L then set_pc t (Int64.add (pc t) (Int64.of_int (off * 4)))
      else advance_pc t
    | Insn.Cbnz (rt, off) ->
      Cost.charge_insn t.meter c.Cost.insn_base;
      if get_reg t rt <> 0L then
-       t.pc <- Int64.add t.pc (Int64.of_int (off * 4))
+       set_pc t (Int64.add (pc t) (Int64.of_int (off * 4)))
      else advance_pc t
    | Insn.Hvc _ | Insn.Smc _ ->
      (* only reached when the router said Execute, i.e. SMC at EL2 *)
@@ -630,24 +659,41 @@ let msr_from t access (src : Sysreg_file.t) r =
   end
   else msr t access (Sysreg_file.read src r)
 
+let top_frame t = (t.depth - 1) * frame_bytes
+
 (* Access the guest registers as they were at the current trap (and as
    they will be restored by the handler's eret).  Register numbers
    outside x0..x30 decode as xzr — trap syndromes carry a 5-bit Rt, and
    Rt=31 from a guest-built encoding must read zero, not crash. *)
 let get_trapped_reg t n =
   if n < 0 || n > 30 then 0L
-  else
-    match t.saved_regs with
-    | saved :: _ -> saved.(n)
-    | [] -> get_reg t n
+  else if t.depth > 0 then get_word t.frames (top_frame t + (n * 8))
+  else get_reg t n
 
 let set_trapped_reg t n v =
   if n < 0 || n > 30 then ()
-  else
-    match t.saved_regs with
-    | saved :: _ -> saved.(n) <- v
-    | [] -> set_reg t n v
+  else if t.depth > 0 then set_word t.frames (top_frame t + (n * 8)) v
+  else set_reg t n v
+
+(* The live frames as boxed words, innermost first: for serialization
+   and tests, never on a trap path. *)
+let saved_frames t =
+  List.init t.depth (fun k ->
+      let base = (t.depth - 1 - k) * frame_bytes in
+      Array.init nregs (fun n -> get_word t.frames (base + (n * 8))))
+
+let set_saved_frames t frames =
+  if List.exists (fun f -> Array.length f <> nregs) frames then
+    invalid_arg "Cpu.set_saved_frames";
+  let depth = List.length frames in
+  let src = Bytes.create (depth * frame_bytes) in
+  List.iteri
+    (fun k f ->
+      let base = (depth - 1 - k) * frame_bytes in
+      Array.iteri (fun n v -> set_word src (base + (n * 8)) v) f)
+    frames;
+  load_frames t src
 
 let pp_state ppf t =
-  Fmt.pf ppf "pc=0x%Lx pstate=%a %a" t.pc Pstate.pp t.pstate Hcr.pp
+  Fmt.pf ppf "pc=0x%Lx pstate=%a %a" (pc t) Pstate.pp t.pstate Hcr.pp
     (hcr_view t)

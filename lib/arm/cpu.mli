@@ -7,11 +7,18 @@
     {!exec} call returns.  This mirrors trap-and-emulate without a
     scheduler.
 
-    On every EL2 exception entry the general registers are snapshotted
-    (as real KVM saves guest GPRs); handler code works on the snapshot via
-    {!get_trapped_reg}/{!set_trapped_reg} and the snapshot is restored by
-    the handler's eret — so hypervisor code can use registers freely
-    without corrupting the guest. *)
+    The general registers x0..x30 and the PC live in one word file
+    ({!field-regs}): 32 unboxed 64-bit words in a [Bytes.t], read and
+    written through {!get_reg}/{!set_reg} and {!pc}/{!set_pc}.  A
+    register write or a PC advance stores a word and allocates nothing.
+
+    On every EL2 exception entry the 31 general registers are copied into
+    the next of a stack of preallocated 31-word frames (as real KVM saves
+    guest GPRs); handler code works on the top frame via
+    {!get_trapped_reg}/{!set_trapped_reg}, and the handler's eret copies
+    the frame back and pops it — so hypervisor code can use registers
+    freely without corrupting the guest.  Entry and eret are two blits:
+    a trap round trip allocates nothing. *)
 
 exception Undefined_instruction of Insn.t * Pstate.el
 (** The ARMv8.0 crash case: an EL2 instruction executed deprivileged with
@@ -20,8 +27,9 @@ exception Undefined_instruction of Insn.t * Pstate.el
 exception No_el2_handler of Exn.entry
 
 type t = {
-  mutable pc : int64;
-  regs : int64 array;  (** x0..x30 *)
+  regs : Bytes.t;
+      (** the word file: x0..x30 at byte offsets [0..240], then the PC;
+          native-endian unboxed words.  Use the accessors below *)
   mutable pstate : Pstate.t;
   sysregs : Sysreg_file.t;
   mem : Memory.t;
@@ -33,7 +41,12 @@ type t = {
       (** an UNDEFINED instruction below EL2 takes the EL1 vector even
           with no simulated EL1 handler (set by {!Machine.create}; bare
           CPUs default to raising {!Undefined_instruction}) *)
-  mutable saved_regs : int64 array list;
+  mutable frames : Bytes.t;
+      (** saved GPR frames, {!nregs} words each, oldest first; the
+          buffer grows only when a trap nests deeper than any before *)
+  mutable depth : int;
+      (** how many frames are live: the EL2 exception entries not yet
+          ended by their eret *)
   mutable nv2_mask : Trap_rules.nv2_mask;
       (** simulator-only ablation knob: which NEVE mechanisms this
           "hardware" implements *)
@@ -81,6 +94,12 @@ val rewind : t -> mark -> unit
     so no cached block could validate again, and a CPU rewound for a
     whole campaign must not keep every program's decoded words. *)
 
+val nregs : int
+(** 31: the general registers x0..x30, the words of one frame. *)
+
+val pc : t -> int64
+val set_pc : t -> int64 -> unit
+
 val get_reg : t -> int -> int64
 (** Register 31 is XZR and reads zero.
     @raise Invalid_argument outside 0..31. *)
@@ -88,6 +107,11 @@ val get_reg : t -> int -> int64
 val set_reg : t -> int -> int64 -> unit
 (** Writes to register 31 (XZR) are discarded.
     @raise Invalid_argument outside 0..31. *)
+
+val gprs : t -> string
+(** x0..x30 as {!nregs} native-endian words (read them with
+    [String.get_int64_ne]): a copy of the live registers that boxes no
+    word. *)
 
 val hcr_view : t -> Hcr.view
 val vncr_value : t -> int64
@@ -101,13 +125,14 @@ val poke_sysreg : t -> Sysreg.t -> int64 -> unit
 
 val exception_entry : t -> Exn.entry -> unit
 (** Hardware exception entry: sets ESR/ELR/SPSR (and FAR/HPFAR for
-    aborts), switches to the target EL, snapshots the GPRs (EL2 targets),
-    charges the entry cost and invokes the installed handler. *)
+    aborts), switches to the target EL, pushes a frame holding the GPRs
+    (EL2 targets), charges the entry cost and invokes the installed
+    handler. *)
 
 val do_eret : t -> unit
 (** Architectural eret at the current exception level: restores PSTATE
-    and PC from SPSR/ELR, pops the GPR snapshot (at EL2), charges the
-    return cost. *)
+    and PC from SPSR/ELR, copies the top frame back into the GPRs and
+    pops it (at EL2, when one is live), charges the return cost. *)
 
 val read_sysreg_hw : t -> Sysreg.t -> int64
 (** Register read with hardware side effects (CurrentEL synthesis,
@@ -173,8 +198,19 @@ val msr_from : t -> Sysreg.access -> Sysreg_file.t -> Sysreg.t -> unit
 
 val get_trapped_reg : t -> int -> int64
 (** Guest registers as they were at the current trap (and as the
-    handler's eret will restore them). *)
+    handler's eret will restore them): the top frame, or the live
+    registers when no frame is.  Numbers outside 0..30 read zero. *)
 
 val set_trapped_reg : t -> int -> int64 -> unit
+(** Write the top frame (the live registers when no frame is); numbers
+    outside 0..30 are ignored. *)
+
+val saved_frames : t -> int64 array list
+(** The live frames, innermost (top) first, as boxed copies: for
+    serialization and tests. *)
+
+val set_saved_frames : t -> int64 array list -> unit
+(** Replace every frame, innermost first.
+    @raise Invalid_argument if a frame is not {!nregs} words. *)
 
 val pp_state : Format.formatter -> t -> unit

@@ -71,7 +71,7 @@ let misaligned pc = Int64.logand pc 3L <> 0L
    misaligned PC, or the instruction budget runs out.  Any non-positive
    budget is already exhausted (a negative one must not run unbounded). *)
 let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
-  cpu.Cpu.pc <- entry;
+  Cpu.set_pc cpu entry;
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:entry
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
@@ -124,7 +124,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
     if stop cpu then Stopped
     else if budget <= 0 then Limit
     else
-      let pc = cpu.Cpu.pc in
+      let pc = Cpu.pc cpu in
       if misaligned pc then Halted pc
       else begin
         let gen = Memory.code_gen mem in
@@ -160,7 +160,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
             (* Side exits: control left the straight line (branch taken,
                exception, handler redirect) or code was modified under
                our feet — back to the dispatcher, which re-validates. *)
-            if cpu.Cpu.pc <> expected || Memory.code_gen mem <> gen then
+            if Cpu.pc cpu <> expected || Memory.code_gen mem <> gen then
               step budget
             else if i + 1 >= n then begin
               match blk.Xlate.term with
@@ -183,8 +183,8 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   in
   let outcome = step max_insns in
   if !Trace.on then
-    Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:cpu.Cpu.pc
-      ~detail:(Fmt.str "%a" pp_outcome outcome) Trace.Run_end;
+    Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:(Cpu.pc cpu)
+      ~detail:(outcome_to_string outcome) Trace.Run_end;
   outcome
 
 (* Disassemble a range of memory, for debugging and the examples.  Goes

@@ -80,7 +80,7 @@ let context_of_cpu ?(id = 0) (cpu : Arm.Cpu.t) =
   {
     fc_cpu = id;
     fc_el = cpu.Arm.Cpu.pstate.Arm.Pstate.el;
-    fc_pc = cpu.Arm.Cpu.pc;
+    fc_pc = Arm.Cpu.pc cpu;
     fc_trail = trail;
     fc_events = events;
   }

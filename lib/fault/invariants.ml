@@ -20,7 +20,7 @@ let v ?(id = 0) (cpu : Arm.Cpu.t) name detail =
     v_name = name;
     v_cpu = id;
     v_el = cpu.Arm.Cpu.pstate.Arm.Pstate.el;
-    v_pc = cpu.Arm.Cpu.pc;
+    v_pc = Arm.Cpu.pc cpu;
     v_detail = detail;
     v_events =
       (if Trace.is_on () then List.map Trace.render (Trace.last 8) else []);
@@ -94,10 +94,11 @@ let check_cpu ?id (cpu : Arm.Cpu.t) =
   |> check_elr ?id cpu ~bank:"ELR_EL2" (peek Arm.Sysreg.ELR_EL2)
   |> check_elr ?id cpu ~bank:"ELR_EL1" (peek Arm.Sysreg.ELR_EL1)
   |> fun acc ->
-  if aligned4 cpu.Arm.Cpu.pc then acc
+  let pc = Arm.Cpu.pc cpu in
+  if aligned4 pc then acc
   else
     v ?id cpu "pc-aligned"
-      (Printf.sprintf "pc = 0x%Lx is not 4-byte aligned" cpu.Arm.Cpu.pc)
+      (Printf.sprintf "pc = 0x%Lx is not 4-byte aligned" pc)
     :: acc
 
 (* At an EL2 exception entry the interrupted context recorded in

@@ -89,7 +89,7 @@ type obs = {
   ob_pc : int64;
   ob_pstate : string;
   ob_in_vel2 : bool;
-  ob_regs : int64 array;
+  ob_regs : string;
   ob_vel2 : (string * int64) list;
   ob_vel1 : (string * int64) list;
   ob_mem : (int * int64) list;
@@ -106,7 +106,7 @@ let empty_obs =
     ob_pc = 0L;
     ob_pstate = "";
     ob_in_vel2 = false;
-    ob_regs = [||];
+    ob_regs = "";
     ob_vel2 = [];
     ob_vel1 = [];
     ob_mem = [];
@@ -248,7 +248,7 @@ let left_vel2 m =
    every mechanism before they are read. *)
 let observe config ~page_base m outcome =
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
-  let pc = cpu.Cpu.pc in
+  let pc = Cpu.pc cpu in
   let pstate = Pstate.to_string cpu.Cpu.pstate in
   let in_vel2 = host.Host_hyp.vcpu.Vcpu.in_vel2 in
   if in_vel2 then Gaccess.eret (Gaccess.v cpu config ~page_base);
@@ -258,7 +258,7 @@ let observe config ~page_base m outcome =
     ob_pc = pc;
     ob_pstate = pstate;
     ob_in_vel2 = in_vel2;
-    ob_regs = Array.init 31 (Cpu.get_reg cpu);
+    ob_regs = Cpu.gprs cpu;
     ob_vel2 = file_obs host.Host_hyp.vcpu.Vcpu.vel2;
     ob_vel1 = file_obs host.Host_hyp.vcpu.Vcpu.vel1;
     ob_mem = mem_obs m.Machine.mem;
@@ -337,7 +337,7 @@ let run_column_snapshot ?(run : runner = Interp.run)
         let m' = Snap.restore (Snap.to_string m) in
         live := m'.Machine.cpus.(0);
         let outcome =
-          run !live ~stop:(left_vel2 m') ~entry:!live.Cpu.pc ~max_insns:rest
+          run !live ~stop:(left_vel2 m') ~entry:(Cpu.pc !live) ~max_insns:rest
         in
         observe config ~page_base m' outcome
       with e -> error_obs e !live)
@@ -383,13 +383,14 @@ let diff_obs (ref_o : obs) (o : obs) : (string * string) list =
     if ref_o.ob_in_vel2 <> o.ob_in_vel2 then
       add "in-vel2"
         (Printf.sprintf "ref %b, column %b" ref_o.ob_in_vel2 o.ob_in_vel2);
-    Array.iteri
-      (fun i v ->
-        if i < Array.length o.ob_regs && o.ob_regs.(i) <> v then
-          add
-            (Printf.sprintf "x%d" i)
-            (Printf.sprintf "ref 0x%Lx, column 0x%Lx" v o.ob_regs.(i)))
-      ref_o.ob_regs;
+    let words = min (String.length ref_o.ob_regs) (String.length o.ob_regs) / 8 in
+    for i = 0 to words - 1 do
+      let v = String.get_int64_ne ref_o.ob_regs (i * 8)
+      and w = String.get_int64_ne o.ob_regs (i * 8) in
+      if v <> w then
+        add (Printf.sprintf "x%d" i)
+          (Printf.sprintf "ref 0x%Lx, column 0x%Lx" v w)
+    done;
     (match first_list_diff pp_named ref_o.ob_vel2 o.ob_vel2 with
      | Some d -> add "vel2-file" d
      | None -> ());

@@ -48,7 +48,8 @@ type obs = {
   ob_pc : int64;         (** PC when the program stopped (pre-fold) *)
   ob_pstate : string;    (** PSTATE/EL when the program stopped *)
   ob_in_vel2 : bool;
-  ob_regs : int64 array; (** x0..x30 *)
+  ob_regs : string;
+      (** x0..x30 as 31 native-endian words ({!Arm.Cpu.gprs}) *)
   ob_vel2 : (string * int64) list;  (** non-reset virtual EL2 registers *)
   ob_vel1 : (string * int64) list;  (** non-reset virtual EL1 registers *)
   ob_mem : (int * int64) list;      (** non-zero scratch words *)

@@ -324,7 +324,7 @@ let flush (cpu : Cpu.t) (plan : gcopy array) a =
   m.Cost.insns <- m.Cost.insns + a.insns;
   m.Cost.cycles <- m.Cost.cycles + a.cyc;
   m.Cost.mem_accesses <- m.Cost.mem_accesses + a.acc;
-  if a.pcb <> 0 then cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int a.pcb);
+  if a.pcb <> 0 then Cpu.set_pc cpu (Int64.add (Cpu.pc cpu) (Int64.of_int a.pcb));
   if a.last >= 0 then
     Cpu.set_reg cpu data_reg
       (Memory.read64 cpu.Cpu.mem plan.(a.last).g_slot);

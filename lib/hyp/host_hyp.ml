@@ -384,7 +384,7 @@ let run_save t (l : l0_loop) =
   m.Cost.insns <- m.Cost.insns + (2 * n);
   m.Cost.cycles <- m.Cost.cycles + (n * (c.Cost.sysreg_read + c.Cost.mem_store));
   m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int (8 * n))
+  Cpu.set_pc cpu (Int64.add (Cpu.pc cpu) (Int64.of_int (8 * n)))
 
 (* Replay a compiled restore loop: "ldr x9, [slot]; msr <dst>, x9" per
    copy, plus the normalization mov (one instruction, one insn_base
@@ -406,7 +406,7 @@ let run_rest t (l : l0_loop) =
     m.Cost.cycles + (n * (c.Cost.mem_load + c.Cost.sysreg_write))
     + (k * c.Cost.insn_base);
   m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  cpu.Cpu.pc <- Int64.add cpu.Cpu.pc (Int64.of_int (8 * n))
+  Cpu.set_pc cpu (Int64.add (Cpu.pc cpu) (Int64.of_int (8 * n)))
 
 (* The copy counter only feeds the world-switch trace events. *)
 let copies_now () = if !Trace.on then WS.reg_copies () else 0
@@ -1038,8 +1038,8 @@ let kill_l2 t ~resume_pc =
   t.l2_is_hyp <- false;
   t.l2_vncr <- None;
   t.in_l1 <- false;
-  (* drop GPR snapshots from any interrupted trap context *)
-  t.cpu.Cpu.saved_regs <- [];
+  (* drop the GPR frames of every interrupted trap context *)
+  t.cpu.Cpu.depth <- 0;
   (* make the virtual-EL2 execution mapping live in the hardware twins *)
   List.iter
     (fun (el2_reg, twin) ->
@@ -1052,7 +1052,7 @@ let kill_l2 t ~resume_pc =
   expose_install ~charged:false t;
   Cpu.poke_sysreg t.cpu Sysreg.HCR_EL2 (hcr_for t ~vel2:true);
   t.cpu.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
-  t.cpu.Cpu.pc <- resume_pc
+  Cpu.set_pc t.cpu resume_pc
 
 (* Decode a trapped-access syndrome: the access it names (an op1=5
    encoding names an _EL12/_EL02 alias), Rt and the direction. *)

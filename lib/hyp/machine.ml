@@ -708,13 +708,12 @@ let check_invariants t =
     (fun i c ->
       acc := Fault.Invariants.check_cpu ~id:i c @ !acc;
       if
-        c.Cpu.saved_regs <> []
+        c.Cpu.depth <> 0
         && c.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2
       then
         acc :=
           Fault.Invariants.v ~id:i c "gpr-snapshot-leak"
-            (Printf.sprintf "%d snapshot(s) live outside a trap"
-               (List.length c.Cpu.saved_regs))
+            (Printf.sprintf "%d snapshot(s) live outside a trap" c.Cpu.depth)
           :: !acc;
       acc := neve_sync_violations t i @ !acc)
     t.cpus;

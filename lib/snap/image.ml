@@ -385,8 +385,8 @@ let load_meter n (m : Cost.meter) =
 
 let cpu_node (c : Cpu.t) =
   R
-    [ ("pc", I c.pc);
-      ("regs", i64_array c.regs);
+    [ ("pc", I (Cpu.pc c));
+      ("regs", i64_array (Array.init Cpu.nregs (Cpu.get_reg c)));
       ("pstate", pstate_node c.pstate);
       ("sysregs", file_node c.sysregs);
       ( "features",
@@ -394,7 +394,7 @@ let cpu_node (c : Cpu.t) =
           [ ("revision", int (rev_code c.features.Features.revision));
             ("gicv3", B c.features.Features.gicv3) ] );
       ("el1_vectors", B c.el1_vectors);
-      ("saved_regs", L (List.map i64_array c.saved_regs));
+      ("saved_regs", L (List.map i64_array (Cpu.saved_frames c)));
       ( "nv2_mask",
         R
           [ ("defer", B c.nv2_mask.Trap_rules.m_defer);
@@ -408,17 +408,23 @@ let cpu_node (c : Cpu.t) =
    (Cpu.hcr_view self-heals on mismatch), so they are not format. *)
 
 let load_cpu n (c : Cpu.t) =
-  c.Cpu.pc <- fi "pc" n;
+  Cpu.set_pc c (fi "pc" n);
   let regs = fl "regs" n in
-  if List.length regs <> Array.length c.regs then fail "bad GPR count %d" (List.length regs);
-  List.iteri (fun i v -> c.regs.(i) <- get_i v) regs;
+  if List.length regs <> Cpu.nregs then fail "bad GPR count %d" (List.length regs);
+  List.iteri (fun i v -> Cpu.set_reg c i (get_i v)) regs;
   c.pstate <- pstate_of_node (field "pstate" n);
   load_file (field "sysregs" n) c.sysregs;
   let f = field "features" n in
   c.features <- Features.v ~gicv3:(fb "gicv3" f) (rev_of_code (fint "revision" f));
   c.el1_vectors <- fb "el1_vectors" n;
-  c.saved_regs <-
-    List.map (fun l -> Array.of_list (List.map get_i (get_l l))) (fl "saved_regs" n);
+  Cpu.set_saved_frames c
+    (List.map
+       (fun l ->
+         let frame = get_l l in
+         if List.length frame <> Cpu.nregs then
+           fail "bad saved GPR count %d" (List.length frame);
+         Array.of_list (List.map get_i frame))
+       (fl "saved_regs" n));
   let mn = field "nv2_mask" n in
   c.nv2_mask <-
     { Trap_rules.m_defer = fb "defer" mn;

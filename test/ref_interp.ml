@@ -9,7 +9,7 @@ module Interp = Arm.Interp
 
 let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   let meter = cpu.Cpu.meter in
-  cpu.Cpu.pc <- entry;
+  Cpu.set_pc cpu entry;
   if !Trace.on then
     Trace.emit ~cycles:meter.Cost.cycles ~tid:meter.Cost.tid ~a0:entry
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
@@ -17,7 +17,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
     if stop cpu then Interp.Stopped
     else if budget <= 0 then Interp.Limit
     else
-      let pc = cpu.Cpu.pc in
+      let pc = Cpu.pc cpu in
       if Int64.logand pc 3L <> 0L then Interp.Halted pc
       else
         let w = Arm.Xlate.fetch32 cpu.Cpu.mem pc in
@@ -31,8 +31,8 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   in
   let outcome = step max_insns in
   if !Trace.on then
-    Trace.emit ~cycles:meter.Cost.cycles ~tid:meter.Cost.tid ~a0:cpu.Cpu.pc
-      ~detail:(Fmt.str "%a" Interp.pp_outcome outcome) Trace.Run_end;
+    Trace.emit ~cycles:meter.Cost.cycles ~tid:meter.Cost.tid ~a0:(Cpu.pc cpu)
+      ~detail:(Interp.outcome_to_string outcome) Trace.Run_end;
   outcome
 
 (* Both loops, named, for tests that check a property under each. *)

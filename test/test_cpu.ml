@@ -56,10 +56,10 @@ let test_read_only_register () =
 
 let test_pc_advances () =
   let cpu = fresh () in
-  let pc0 = cpu.Cpu.pc in
+  let pc0 = Cpu.pc cpu in
   Cpu.exec cpu Insn.Nop;
   Cpu.exec cpu Insn.Nop;
-  check Alcotest.int64 "pc advanced by 8" (Int64.add pc0 8L) cpu.Cpu.pc
+  check Alcotest.int64 "pc advanced by 8" (Int64.add pc0 8L) (Cpu.pc cpu)
 
 let test_undef_raises () =
   let cpu = fresh () in
@@ -81,7 +81,7 @@ let test_exception_entry_state () =
         entered := Some (e, c.Cpu.pstate.Pstate.el,
                          Cpu.peek_sysreg c Sysreg.ELR_EL2);
         Cpu.do_eret c);
-  let pc0 = cpu.Cpu.pc in
+  let pc0 = Cpu.pc cpu in
   Cpu.exec cpu (Insn.Hvc 5);
   (match !entered with
    | Some (e, el, elr) ->
@@ -93,24 +93,112 @@ let test_exception_entry_state () =
   check Alcotest.bool "back at EL1 after eret" true
     (cpu.Cpu.pstate.Pstate.el = Pstate.EL1)
 
+let hvc_entry =
+  { Exn.target = Pstate.EL2; ec = Exn.EC_hvc64; iss = 0; fault_addr = None }
+
+let frame_reg cpu k n = (List.nth (Cpu.saved_frames cpu) k).(n)
+
 let test_saved_regs_restored () =
   (* The handler's own register usage must not leak into the guest, and
      values the handler writes to the *trapped* registers must be visible
-     after the eret — the KVM GPR save/restore discipline. *)
+     after the eret — the KVM GPR save/restore discipline.  A trap taken
+     inside the handler pushes a second frame: the inner handler's
+     writes reach only that frame, and each eret restores its own. *)
   let cpu = fresh ~features:(Features.v Features.V8_3) () in
   Arm.Cpu.poke_sysreg cpu Sysreg.HCR_EL2 (List.fold_left Hcr.set 0L [ Hcr.vm; Hcr.nv ]);
   at_el1 cpu;
-  cpu.Cpu.el2_handler <-
-    Some
-      (fun c _ ->
-        Cpu.set_reg c 7 0xdeadL (* clobber a live register *);
-        Cpu.set_trapped_reg c 8 0x42L (* emulation result for the guest *);
-        Cpu.do_eret c);
+  let inner c _ =
+    check Alcotest.int "two frames live in the inner handler" 2 c.Cpu.depth;
+    check Alcotest.int64 "inner frame holds the outer handler's x7" 0xdeadL
+      (Cpu.get_trapped_reg c 7);
+    Cpu.set_trapped_reg c 8 0x99L;
+    Cpu.set_reg c 7 0xbeefL;
+    check Alcotest.int64 "set_trapped_reg wrote the top frame" 0x99L
+      (frame_reg c 0 8);
+    check Alcotest.int64 "the outer frame is untouched" 0x42L
+      (frame_reg c 1 8);
+    Cpu.do_eret c
+  in
+  let outer c _ =
+    Cpu.set_reg c 7 0xdeadL (* clobber a live register *);
+    Cpu.set_trapped_reg c 8 0x42L (* emulation result for the guest *);
+    (* a nested entry overwrites ELR/SPSR_EL2: keep them, as a real
+       handler would *)
+    let elr = Cpu.peek_sysreg c Sysreg.ELR_EL2
+    and spsr = Cpu.peek_sysreg c Sysreg.SPSR_EL2 in
+    c.Cpu.el2_handler <- Some inner;
+    Cpu.exception_entry c hvc_entry;
+    check Alcotest.int "one frame left after the inner eret" 1 c.Cpu.depth;
+    check Alcotest.int64 "inner eret restored the inner frame's x7" 0xdeadL
+      (Cpu.get_reg c 7);
+    check Alcotest.int64 "inner eret restored the inner frame's x8" 0x99L
+      (Cpu.get_reg c 8);
+    check Alcotest.int64 "the outer trapped x8 survives" 0x42L
+      (Cpu.get_trapped_reg c 8);
+    Cpu.poke_sysreg c Sysreg.ELR_EL2 elr;
+    Cpu.poke_sysreg c Sysreg.SPSR_EL2 spsr;
+    Cpu.do_eret c
+  in
+  cpu.Cpu.el2_handler <- Some outer;
   Cpu.set_reg cpu 7 0x1111L;
   Cpu.set_reg cpu 8 0L;
   Cpu.exec cpu (Insn.Hvc 0);
+  check Alcotest.int "no frame live after the last eret" 0 cpu.Cpu.depth;
+  check Alcotest.bool "back at EL1" true (cpu.Cpu.pstate.Pstate.el = Pstate.EL1);
   check Alcotest.int64 "clobber undone by eret" 0x1111L (Cpu.get_reg cpu 7);
   check Alcotest.int64 "emulated result visible" 0x42L (Cpu.get_reg cpu 8)
+
+(* A mark taken two traps deep puts back the live registers, the PC and
+   both frames, whatever ran after it. *)
+let test_mark_rewind_frames () =
+  let cpu = fresh ~features:(Features.v Features.V8_3) () in
+  for n = 0 to 30 do
+    Cpu.set_reg cpu n (Int64.of_int (0x100 + n))
+  done;
+  cpu.Cpu.el2_handler <- Some (fun _ _ -> ());
+  Cpu.exception_entry cpu hvc_entry;
+  Cpu.set_reg cpu 3 0x333L;
+  Cpu.exception_entry cpu hvc_entry;
+  Cpu.set_reg cpu 4 0x444L;
+  Cpu.set_pc cpu 0x5000L;
+  let frames = Cpu.saved_frames cpu and regs = Cpu.gprs cpu in
+  let mk = Cpu.mark cpu in
+  Cpu.set_trapped_reg cpu 5 0x555L;
+  Cpu.set_reg cpu 6 0x666L;
+  Cpu.do_eret cpu;
+  Cpu.set_trapped_reg cpu 5 0x777L;
+  Cpu.do_eret cpu;
+  Cpu.exception_entry cpu hvc_entry;
+  check Alcotest.int "depth moved on" 1 cpu.Cpu.depth;
+  Cpu.rewind cpu mk;
+  check Alcotest.int "depth 2 again" 2 cpu.Cpu.depth;
+  check Alcotest.bool "both frames put back" true
+    (Cpu.saved_frames cpu = frames);
+  check Alcotest.int64 "inner frame's x3" 0x333L (frame_reg cpu 0 3);
+  check Alcotest.int64 "outer frame's x3" 0x103L (frame_reg cpu 1 3);
+  check Alcotest.string "live registers put back" regs (Cpu.gprs cpu);
+  check Alcotest.int64 "pc put back" 0x5000L (Cpu.pc cpu)
+
+(* Killing the nested VM drops the frames of every interrupted trap. *)
+let test_kill_l2_drops_frames () =
+  let m =
+    Workloads.Scenario.make_arm
+      (Workloads.Scenario.Arm_nested (Hyp.Config.v Hyp.Config.Hw_v8_3))
+  in
+  let cpu = m.Hyp.Machine.cpus.(0) in
+  let handler = cpu.Cpu.el2_handler in
+  cpu.Cpu.el2_handler <- Some (fun _ _ -> ());
+  Cpu.exception_entry cpu hvc_entry;
+  Cpu.exception_entry cpu hvc_entry;
+  cpu.Cpu.el2_handler <- handler;
+  check Alcotest.int "two interrupted traps" 2 cpu.Cpu.depth;
+  Hyp.Machine.kill_l2 m ~cpu:0;
+  check Alcotest.int "no frame after kill_l2" 0 cpu.Cpu.depth;
+  check Alcotest.int "no violation" 0
+    (List.length (Hyp.Machine.check_invariants m));
+  let insns = cpu.Cpu.meter.Cost.insns in
+  Hyp.Machine.hypercall m ~cpu:0;
+  check Alcotest.bool "L1 runs again" true (cpu.Cpu.meter.Cost.insns > insns)
 
 let test_trap_counted () =
   let cpu = fresh ~features:(Features.v Features.V8_3) () in
@@ -291,6 +379,9 @@ let suite =
     ("v8.0 UNDEF raises", `Quick, test_undef_raises);
     ("exception entry sets ESR/ELR/SPSR", `Quick, test_exception_entry_state);
     ("GPRs saved on trap, restored by eret", `Quick, test_saved_regs_restored);
+    ("mark/rewind two traps deep puts back both frames", `Quick,
+     test_mark_rewind_frames);
+    ("kill_l2 drops every GPR frame", `Quick, test_kill_l2_drops_frames);
     ("traps are counted by kind", `Quick, test_trap_counted);
     ("trap cost is instruction-independent", `Quick, test_trap_cost_uniform);
     ("NV2 deferral executes as memory access", `Quick, test_nv2_defer_execution);

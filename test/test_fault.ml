@@ -238,7 +238,7 @@ let test_unknown_sysreg_trap_injects_undef () =
     (Machine.undef_injections m);
   check Alcotest.bool "guest resumed at EL1" true
     (cpu.Cpu.pstate.Pstate.el = Pstate.EL1);
-  check Alcotest.bool "no leaked GPR snapshot" true (cpu.Cpu.saved_regs = []);
+  check Alcotest.bool "no leaked GPR snapshot" true (cpu.Cpu.depth = 0);
   check Alcotest.int "no invariant violations on the way" 0
     (Machine.violation_count m)
 

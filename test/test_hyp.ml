@@ -544,7 +544,7 @@ let test_all_configurations_smoke () =
                 (Array.for_all
                    (fun (cpu : Cpu.t) ->
                      cpu.Cpu.pstate.Arm.Pstate.el = Arm.Pstate.EL1
-                     && cpu.Cpu.saved_regs = [])
+                     && cpu.Cpu.depth = 0)
                    m.Machine.cpus))
             [ false; true ])
         [ false; true ])

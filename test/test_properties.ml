@@ -238,7 +238,7 @@ let ops_arb =
 let machine_consistent (m : Machine.t) =
   Array.for_all
     (fun (cpu : Cpu.t) ->
-      cpu.Cpu.pstate.Pstate.el = Pstate.EL1 && cpu.Cpu.saved_regs = [])
+      cpu.Cpu.pstate.Pstate.el = Pstate.EL1 && cpu.Cpu.depth = 0)
     m.Machine.cpus
   && Array.for_all
        (fun (h : Hyp.Host_hyp.t) ->

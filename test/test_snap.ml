@@ -103,6 +103,27 @@ let test_diff_names_field () =
       (Printf.sprintf "diff names a concrete field (got %s)" path)
       true (String.length path > 0)
 
+(* [image] with cpu0's empty saved-GPR frame list replaced by one frame
+   of [words] words, in the canonical encoding. *)
+let with_frame image words =
+  let be32 n =
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+  in
+  let field = be32 10 ^ "saved_regs" ^ "L" in
+  let empty = field ^ be32 0 in
+  let word = "I" ^ String.make 7 '\000' ^ "\007" in
+  let frame = "L" ^ be32 words ^ String.concat "" (List.init words (fun _ -> word)) in
+  let rec find i =
+    if i + String.length empty > String.length image then
+      Alcotest.fail "no empty saved_regs list in the image"
+    else if String.sub image i (String.length empty) = empty then i
+    else find (i + 1)
+  in
+  let at = find 0 in
+  String.sub image 0 at ^ field ^ be32 1 ^ frame
+  ^ String.sub image (at + String.length empty)
+      (String.length image - at - String.length empty)
+
 let test_malformed_input () =
   let raises_format s =
     match Snap.restore s with
@@ -115,7 +136,67 @@ let test_malformed_input () =
   let s = Snap.to_string m in
   let truncated = String.sub s 0 (String.length s / 2) in
   check Alcotest.bool "truncated snapshot rejected" true
-    (raises_format truncated)
+    (raises_format truncated);
+  (* one saved-GPR frame of the wrong length spliced into a booted v8.3
+     image: rejected at restore, not left to fail at the eret *)
+  let s = Snap.to_string (Scenario.make_arm (Scenario.Arm_nested (Config.v Config.Hw_v8_3))) in
+  List.iter
+    (fun words ->
+      check Alcotest.bool
+        (Printf.sprintf "%d-word GPR frame rejected" words)
+        true
+        (raises_format (with_frame s words)))
+    [ 0; 5; 40 ];
+  check Alcotest.bool "a 31-word frame is accepted" false
+    (raises_format (with_frame s Cpu.nregs))
+
+(* --- the image format, pinned by digests of the images the boxed
+   register file wrote --- *)
+
+let image_digest s =
+  Printf.sprintf "%016Lx\n" (Test_template.fnv1a 0xcbf29ce484222325L s)
+
+let test_golden_images () =
+  let m =
+    Scenario.make_arm
+      (Scenario.Arm_nested (Config.v ~guest_vhe:true Config.Hw_neve))
+  in
+  check Alcotest.string "booted neve-vhe image"
+    (Test_supervise.read_file (Test_template.golden "snap-neve-vhe.fnv"))
+    (image_digest (Snap.to_string m));
+  (* a v8.3 machine saved inside the host's handler of its first
+     hypercall trap, with a distinct value in every guest register *)
+  let m = Scenario.make_arm (Scenario.Arm_nested (Config.v Config.Hw_v8_3)) in
+  let cpu = m.Machine.cpus.(0) in
+  for n = 0 to Cpu.nregs - 1 do
+    Cpu.set_reg cpu n (Int64.of_int (0x1000 + (n * 0x111)))
+  done;
+  let guest = Cpu.gprs cpu in
+  let handler = Option.get cpu.Cpu.el2_handler in
+  let saved = ref None in
+  cpu.Cpu.el2_handler <-
+    Some
+      (fun c e ->
+        if !saved = None then
+          saved := Some (Snap.to_string m, c.Cpu.depth, Cpu.peek_sysreg c Arm.Sysreg.ELR_EL2);
+        handler c e);
+  Machine.hypercall m ~cpu:0;
+  cpu.Cpu.el2_handler <- Some handler;
+  let image, depth, elr =
+    match !saved with Some x -> x | None -> Alcotest.fail "no trap taken"
+  in
+  check Alcotest.bool "saved with a frame live" true (depth >= 1);
+  check Alcotest.string "v8.3 image saved in the EL2 handler"
+    (Test_supervise.read_file (Test_template.golden "snap-v83-in-handler.fnv"))
+    (image_digest image);
+  let m' = Snap.restore image in
+  let cpu' = m'.Machine.cpus.(0) in
+  check Alcotest.int "restored frame depth" depth cpu'.Cpu.depth;
+  Cpu.do_eret cpu';
+  check Alcotest.int "eret pops a frame" (depth - 1) cpu'.Cpu.depth;
+  check Alcotest.string "eret gives back the guest's registers" guest
+    (Cpu.gprs cpu');
+  check Alcotest.int64 "eret resumes at ELR" elr (Cpu.pc cpu')
 
 (* --- satellite: Machine.create rejects impossible topologies --- *)
 
@@ -310,6 +391,8 @@ let suite =
       test_diff_names_field;
     Alcotest.test_case "malformed snapshots are rejected" `Quick
       test_malformed_input;
+    Alcotest.test_case "image bytes match the recorded digests" `Quick
+      test_golden_images;
     Alcotest.test_case "Machine.create rejects impossible ncpus" `Quick
       test_ncpus_validation;
     Alcotest.test_case "fault plan and violations survive restore" `Quick

@@ -44,7 +44,9 @@ let render_obs (o : Diff.obs) =
   add "err=%s;out=%s;pc=%Lx;ps=%s;v2=%b;"
     (Option.value o.ob_error ~default:"-") o.ob_outcome o.ob_pc o.ob_pstate
     o.ob_in_vel2;
-  Array.iter (fun v -> add "%Lx," v) o.ob_regs;
+  for i = 0 to (String.length o.ob_regs / 8) - 1 do
+    add "%Lx," (String.get_int64_ne o.ob_regs (i * 8))
+  done;
   List.iter (fun (n, v) -> add "%s=%Lx," n v) o.ob_vel2;
   add ";";
   List.iter (fun (n, v) -> add "%s=%Lx," n v) o.ob_vel1;
