@@ -280,6 +280,21 @@ let set_logging m b =
 
 let trap_log m = List.rev m.log
 
+(* Bounded trail: once the log holds more than [2 * keep] entries, cut it
+   to the newest [keep].  The length test stops after [2 * keep + 1]
+   cells, so a caller that trims after every trap copies [keep] cells
+   once per [keep] traps. *)
+let trim_log m ~keep =
+  let rec longer n = function
+    | [] -> false
+    | _ :: tl -> n = 0 || longer (n - 1) tl
+  in
+  let rec take n = function
+    | x :: tl when n > 0 -> x :: take (n - 1) tl
+    | _ -> []
+  in
+  if longer (2 * keep) m.log then m.log <- take keep m.log
+
 let traps_of_kind m kind = m.by_kind.(kind_index kind)
 let exposed_of_feature m f = m.exposed.(exposed_index f)
 let exposed_total m = Array.fold_left ( + ) 0 m.exposed

@@ -110,7 +110,13 @@ type meter = {
   exposed : int array;
       (** per-feature counts of accesses that ran trap-free under an
           OoH grant, indexed by {!exposed_index} *)
-  mutable log : (trap_kind * string) list;  (** newest first *)
+  mutable log : (trap_kind * string) list;
+      (** newest first.  While [logging] is on, an unchecked machine's
+          meter keeps every trap it records; a machine built with the
+          invariant checker (a fault plan or [~check_invariants:true])
+          trims its CPUs' logs with {!trim_log} after every EL2
+          exception, so it holds only the recent trail a [Sim_fault]
+          reports. *)
   mutable logging : bool;
   mutable tid : int;
       (** owning CPU id — the trace lane for events this meter emits
@@ -148,6 +154,12 @@ val set_logging : meter -> bool -> unit
 
 val trap_log : meter -> (trap_kind * string) list
 (** Oldest first. *)
+
+val trim_log : meter -> keep:int -> unit
+(** [trim_log m ~keep] cuts [m]'s log to its newest [keep] entries once
+    it holds more than [2 * keep]; a shorter log is left alone.  It walks
+    at most [2 * keep + 1] list cells, so trimming after every trap costs
+    one [keep]-cell copy per [keep] traps. *)
 
 val traps_of_kind : meter -> trap_kind -> int
 val exposed_of_feature : meter -> Expose.Policy.feature -> int

@@ -66,13 +66,13 @@ exception Sim_fault of kind * context option
 let trail_depth = 8
 
 let context_of_cpu ?(id = 0) (cpu : Arm.Cpu.t) =
-  let trail =
-    List.filteri
-      (fun i _ -> i < trail_depth)
-      (List.map
-         (fun (k, detail) -> Cost.trap_kind_name k ^ " " ^ detail)
-         cpu.Arm.Cpu.meter.Cost.log)
+  (* render only the newest [trail_depth] entries, not the whole log *)
+  let rec render n = function
+    | (k, detail) :: tl when n > 0 ->
+      (Cost.trap_kind_name k ^ " " ^ detail) :: render (n - 1) tl
+    | _ -> []
   in
+  let trail = render trail_depth cpu.Arm.Cpu.meter.Cost.log in
   let events =
     if Trace.is_on () then List.map Trace.render (Trace.last trail_depth)
     else []

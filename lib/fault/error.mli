@@ -44,6 +44,7 @@ type context = {
 exception Sim_fault of kind * context option
 
 val trail_depth : int
+(** How many of the newest trap-log entries a context carries. *)
 
 val context_of_cpu : ?id:int -> Arm.Cpu.t -> context
 (** Capture cpu/EL/PC and the last few entries of the trap log (the log

@@ -213,7 +213,10 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
                 note t (Fault.Invariants.check_cpu ~id:i c);
                 note t
                   (Fault.Invariants.check_monotone ~id:i t.inv_states.(i) c);
-                note t (neve_sync_violations t i)))
+                note t (neve_sync_violations t i);
+                (* the trail a Sim_fault reports is the log's only
+                   reader: keep it bounded, not every trap ever taken *)
+                Cost.trim_log c.Cpu.meter ~keep:Fault.Error.trail_depth))
       cpus;
   (match fault_plan with
    | Some plan ->

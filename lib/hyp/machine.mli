@@ -61,7 +61,11 @@ val create :
     operations run, and the stage-2 walker's injection point is armed.
     [check_invariants] (implied by [fault_plan]) runs
     {!Fault.Invariants} around every EL2 exception and records
-    violations on the machine.
+    violations on the machine.  It also turns on every CPU's trap log
+    and, after each EL2 exception, trims it to the recent trail a
+    [Sim_fault] reports ({!Cost.trim_log} with
+    [~keep:Fault.Error.trail_depth]: at most [2 * trail_depth]
+    entries).
     @raise Fault.Error.Sim_fault with [Bad_topology] when [ncpus] is
     non-positive or exceeds {!Vcpu.max_vcpus} (the per-vCPU memory-region
     address budget). *)

@@ -111,21 +111,17 @@ let decode s =
   in
   let i64 () =
     need 8;
-    let v = ref 0L in
-    for _ = 1 to 8 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (byte ())))
-    done;
-    !v
+    let v = String.get_int64_be s !pos in
+    pos := !pos + 8;
+    v
   in
   let count () =
     need 4;
-    let v = ref 0 in
-    for _ = 1 to 4 do
-      v := (!v lsl 8) lor Char.code (byte ())
-    done;
+    let v = Int32.to_int (String.get_int32_be s !pos) land 0xffff_ffff in
+    pos := !pos + 4;
     (* a count of n items needs at least n more bytes *)
-    if !v > len - !pos then fail "implausible length %d at byte %d" !v !pos;
-    !v
+    if v > len - !pos then fail "implausible length %d at byte %d" v !pos;
+    v
   in
   let str () =
     let n = count () in

@@ -421,6 +421,99 @@ let hvc_fuzz_config mech name =
 let test_hvc_fuzz_pv = hvc_fuzz_config Config.Pv_neve "NEVE paravirt"
 let test_hvc_fuzz_hw = hvc_fuzz_config Config.Hw_v8_3 "ARMv8.3 hw"
 
+(* --- the checker's trap trail stays bounded --- *)
+
+(* Op [i] of a cycle through the three guest operations that trap: a
+   hypercall, an MMIO store and an IPI from one vCPU to the other. *)
+let trail_op m i =
+  let cpu = i / 3 mod 2 in
+  match i mod 3 with
+  | 0 -> Machine.hypercall m ~cpu
+  | 1 -> Machine.mmio_access m ~cpu ~addr:0x0a00_0000L ~is_write:true
+  | _ -> (
+    let target = 1 - cpu in
+    Machine.send_ipi m ~cpu ~target ~intid:5;
+    match Machine.vm_ack m ~cpu:target with
+    | Some v -> ignore (Machine.vm_eoi m ~cpu:target ~vintid:v : bool)
+    | None -> ())
+
+let test_trail_bounded () =
+  let depth = Fault.Error.trail_depth in
+  List.iter
+    (fun config ->
+      let name = Config.name config in
+      let mk ~check_invariants =
+        let m =
+          Machine.create ~check_invariants ~ncpus:2 config Hyp.Host_hyp.Nested
+        in
+        Array.iter (fun c -> Cost.set_logging c.Cpu.meter true) m.Machine.cpus;
+        Machine.boot m;
+        m
+      in
+      let checked = mk ~check_invariants:true in
+      let twin = mk ~check_invariants:false in
+      let longest = ref 0 and compared = ref 0 in
+      for i = 0 to 199 do
+        trail_op checked i;
+        trail_op twin i;
+        for cpu = 0 to 1 do
+          let log = checked.Machine.cpus.(cpu).Cpu.meter.Cost.log in
+          let n = List.length log in
+          longest := max !longest n;
+          if n > 2 * depth then
+            Alcotest.failf "%s op %d: cpu%d checked log holds %d entries" name
+              i cpu n;
+          if
+            n >= depth
+            && List.length twin.Machine.cpus.(cpu).Cpu.meter.Cost.log >= depth
+          then begin
+            incr compared;
+            let trail m =
+              (Fault.Error.context_of_cpu ~id:cpu m.Machine.cpus.(cpu))
+                .Fault.Error.fc_trail
+            in
+            check
+              Alcotest.(list string)
+              (Printf.sprintf "%s op %d: cpu%d trail" name i cpu)
+              (trail twin) (trail checked)
+          end
+        done
+      done;
+      check Alcotest.bool (name ^ ": trails were compared") true
+        (!compared > 0);
+      check Alcotest.bool (name ^ ": the log was trimmed") true
+        (!longest > depth);
+      Array.iteri
+        (fun cpu c ->
+          check Alcotest.int
+            (Printf.sprintf "%s: the unchecked twin's cpu%d logs every trap"
+               name cpu)
+            c.Cpu.meter.Cost.traps
+            (List.length c.Cpu.meter.Cost.log))
+        twin.Machine.cpus)
+    [ Config.v Config.Hw_v8_3; Config.v ~guest_vhe:true Config.Hw_neve ]
+
+(* Unchecked machines still log every trap: one nested hypercall logs
+   exactly its meter's trap delta (Table 7's 121 on v8.3, 13 on NEVE). *)
+let test_unchecked_log_complete () =
+  List.iter
+    (fun (mech, expected) ->
+      let config = Config.v mech in
+      let m =
+        Workloads.Scenario.make_arm (Workloads.Scenario.Arm_nested config)
+      in
+      let meter = m.Machine.cpus.(0).Cpu.meter in
+      Machine.hypercall m ~cpu:0;
+      Cost.set_logging meter true;
+      let before = meter.Cost.traps in
+      Machine.hypercall m ~cpu:0;
+      let name = Config.name config in
+      check Alcotest.int (name ^ ": trap delta") expected
+        (meter.Cost.traps - before);
+      check Alcotest.int (name ^ ": log entries") expected
+        (List.length (Cost.trap_log meter)))
+    [ (Config.Hw_v8_3, 121); (Config.Hw_neve, 13) ]
+
 (* --- chaos: same seed, same report, and no anonymous crashes --- *)
 
 let test_chaos_reproducible () =
@@ -476,6 +569,10 @@ let suite =
       `Quick test_reglists_sweep_nested;
     Alcotest.test_case "sweep: all forms executed in a plain VM" `Quick
       test_reglists_sweep_single_vm;
+    Alcotest.test_case "trail: checked logs stay bounded, same trail"
+      `Quick test_trail_bounded;
+    Alcotest.test_case "trail: unchecked logs keep every trap" `Quick
+      test_unchecked_log_complete;
     qtest test_decode_op_total;
     qtest test_encode_decode_roundtrip;
     qtest test_hvc_fuzz_pv;

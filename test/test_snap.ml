@@ -150,6 +150,25 @@ let test_malformed_input () =
   check Alcotest.bool "a 31-word frame is accepted" false
     (raises_format (with_frame s Cpu.nregs))
 
+(* Hostile input: every proper prefix of a real image fails as a typed
+   [Format_error], never as another exception escaping the decoder. *)
+let test_truncated_prefixes () =
+  let s = Snap.to_string (Scenario.make_arm Scenario.Arm_vm) in
+  let len = String.length s in
+  let lengths =
+    List.init ((len + 12) / 13) (fun i -> i * 13)
+    @ List.init 16 (fun i -> len - 16 + i)
+  in
+  List.iter
+    (fun n ->
+      match Snap.restore (String.sub s 0 n) with
+      | (_ : Machine.t) -> Alcotest.failf "%d-byte prefix of %d accepted" n len
+      | exception Snap.Format_error _ -> ()
+      | exception e ->
+        Alcotest.failf "%d-byte prefix of %d raised %s" n len
+          (Printexc.to_string e))
+    lengths
+
 (* --- the image format, pinned by digests of the images the boxed
    register file wrote --- *)
 
@@ -262,6 +281,73 @@ let test_fault_plan_round_trip () =
   done;
   no_diff "same faults fire after restore, machines identical"
     (Snap.diff m m')
+
+(* --- a checked machine's bounded trap trail across migrations --- *)
+
+(* Two vCPUs trapping on both sides: a hypercall, an MMIO store and an
+   IPI from each.  A vCPU the fault plan hung is recovered, as serve's
+   watchdog does. *)
+let checked_ops m =
+  for i = 0 to 5 do
+    Test_fault.trail_op m i
+  done;
+  for cpu = 0 to 1 do
+    if Machine.is_hung m ~cpu then Machine.clear_hung m ~cpu
+  done
+
+let logs m =
+  Array.to_list (Array.map (fun c -> c.Cpu.meter.Cost.log) m.Machine.cpus)
+
+let test_checked_machine_migrates () =
+  let m =
+    ref
+      (Machine.create
+         ~fault_plan:(Plan.make ~seed:9 ~faults:6 ~horizon:1500)
+         ~ncpus:2 (Config.v ~guest_vhe:true Config.Hw_neve)
+         Hyp.Host_hyp.Nested)
+  in
+  Machine.boot !m;
+  let bound = 2 * Error.trail_depth in
+  let bounded what m =
+    List.iteri
+      (fun cpu log ->
+        let n = List.length log in
+        if n > bound then
+          Alcotest.failf "%s: cpu%d log holds %d entries" what cpu n)
+      (logs m)
+  in
+  for migration = 1 to 2 do
+    for _ = 1 to 10 do
+      checked_ops !m
+    done;
+    bounded (Printf.sprintf "before migration %d" migration) !m;
+    let dst, _ = Snap.Migrate.run ~workload:(fun _ ~round:_ -> ()) !m in
+    no_diff
+      (Printf.sprintf "migration %d: source and destination identical"
+         migration)
+      (Snap.diff !m dst);
+    bounded (Printf.sprintf "destination of migration %d" migration) dst;
+    m := dst
+  done;
+  let m = !m in
+  check Alcotest.bool "the fault plan fired" true
+    (match m.Machine.fault with Some p -> Plan.injected p <> [] | None -> false);
+  let s = Snap.to_string m in
+  (* the uninterrupted run goes first: the stage-2 injection hook follows
+     the most recently built machine *)
+  for _ = 1 to 6 do
+    checked_ops m
+  done;
+  let m' = Snap.restore s in
+  for _ = 1 to 6 do
+    checked_ops m'
+  done;
+  no_diff "snapshot, restore, resume equals the uninterrupted run"
+    (Snap.diff m m');
+  check Alcotest.bool "both CPUs logged traps" true
+    (List.for_all (fun l -> l <> []) (logs m));
+  check Alcotest.bool "each meter's log matches" true (logs m = logs m');
+  bounded "after resume" m'
 
 (* --- the fuzzer's ninth column --- *)
 
@@ -391,12 +477,16 @@ let suite =
       test_diff_names_field;
     Alcotest.test_case "malformed snapshots are rejected" `Quick
       test_malformed_input;
+    Alcotest.test_case "every truncated prefix raises Format_error" `Quick
+      test_truncated_prefixes;
     Alcotest.test_case "image bytes match the recorded digests" `Quick
       test_golden_images;
     Alcotest.test_case "Machine.create rejects impossible ncpus" `Quick
       test_ncpus_validation;
     Alcotest.test_case "fault plan and violations survive restore" `Quick
       test_fault_plan_round_trip;
+    Alcotest.test_case "checked 2-vCPU machine migrates, trail bounded"
+      `Quick test_checked_machine_migrates;
     Alcotest.test_case "fuzz snapshot oracle finds nothing (fixed seeds)"
       `Quick test_fuzz_restore_equivalence;
     Alcotest.test_case "pre-copy migration of a nested NEVE+VHE guest"
