@@ -7,9 +7,7 @@
      hypervisor's physical addresses (L1 PA -> machine PA);
    - the nested VM's accesses fault into L0, which lazily collapses both
      into shadow stage-2 entries (L2 IPA -> machine PA), exactly like
-     Turtles on x86;
-   - accesses to unmapped device addresses reach the MMIO-emulation path
-     and are forwarded to the guest hypervisor.
+     Turtles on x86.
 
    Run with: dune exec examples/nested_boot.exe *)
 
@@ -64,32 +62,5 @@ let () =
   Machine.compute m ~cpu:0 ~insns:10_000;
   let d = Cost.delta_since meter before in
   Fmt.pr "warm run: %d traps (shadow hits need no exits)@." d.Cost.d_traps;
-
-  (* Device I/O through a real virtqueue: the nested VM posts buffers
-     into a split ring living in its RAM; the EVENT_IDX threshold decides
-     which submissions must kick the backend — and each kick is a full
-     exit-multiplication round trip through the guest hypervisor. *)
-  let vq = Workloads.Virtqueue.create mem ~base:0x9000_2000L in
-  let before = Cost.snapshot meter in
-  for i = 0 to 11 do
-    let must_kick =
-      Workloads.Virtqueue.add_buffer vq
-        ~buf_addr:(Int64.of_int (0x9000_4000 + (i * 256)))
-        ~len:256
-    in
-    if must_kick then
-      (* the kick: an MMIO write to the device's notify register *)
-      Machine.data_abort m ~cpu:0 ~addr:0x0a00_0000L ~is_write:true;
-    (* the backend drains in bursts of four (it is "busy" meanwhile) *)
-    if (i + 1) mod 4 = 0 then
-      ignore (Workloads.Virtqueue.backend_run vq ~budget:16)
-  done;
-  ignore (Workloads.Virtqueue.reclaim vq);
-  let d = Cost.delta_since meter before in
-  Fmt.pr
-    "virtio: 12 packets, %d kicks (%d suppressed), %d traps, %d cycles@."
-    (Workloads.Virtqueue.kicks vq)
-    (Workloads.Virtqueue.suppressed vq)
-    d.Cost.d_traps d.Cost.d_cycles;
 
   Fmt.pr "done.@."

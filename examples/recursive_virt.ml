@@ -45,8 +45,10 @@ let () =
     Hyp.Gaccess.v m.Machine.cpus.(0) config
       ~page_base:host.Hyp.Host_hyp.vcpu.Hyp.Vcpu.page_base
   in
-  let neve = Core.Neve.create m.Machine.cpus.(0)
-      ~page_base:host.Hyp.Host_hyp.vcpu.Hyp.Vcpu.page_base in
+  let page =
+    Core.Deferred_page.create mem
+      ~base:host.Hyp.Host_hyp.vcpu.Hyp.Vcpu.page_base
+  in
   let meter = m.Machine.cpus.(0).Arm.Cpu.meter in
   let before = Cost.snapshot meter in
   let l1_vncr = Core.Vncr.v ~baddr:0x2_0000L ~enable:true in
@@ -68,7 +70,8 @@ let () =
       end
     | Error _ -> None
   in
-  match Core.Neve.recursive_vncr neve ~translate_ipa with
+  let virt = Core.Vncr.decode (Core.Deferred_page.read page Sysreg.VNCR_EL2) in
+  match Core.Vncr.recursive virt ~translate_ipa with
   | Some hw_vncr ->
     Fmt.pr "L0 translated L1's BADDR 0x%Lx -> machine 0x%Lx@."
       l1_vncr.Core.Vncr.baddr hw_vncr.Core.Vncr.baddr;

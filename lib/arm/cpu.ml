@@ -550,7 +550,6 @@ and exec_action t (insn : Insn.t) action =
     else raise (Undefined_instruction (insn, t.pstate.Pstate.el))
 
 let exec_with_action = exec_action
-let exec_seq t insns = List.iter (exec t) insns
 
 (* A physical interrupt arrives while the CPU runs below EL2 with IMO set:
    route to EL2 (the host hypervisor). *)
@@ -693,7 +692,3 @@ let set_saved_frames t frames =
       Array.iteri (fun n v -> set_word src (base + (n * 8)) v) f)
     frames;
   load_frames t src
-
-let pp_state ppf t =
-  Fmt.pf ppf "pc=0x%Lx pstate=%a %a" (pc t) Pstate.pp t.pstate Hcr.pp
-    (hcr_view t)

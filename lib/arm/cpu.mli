@@ -134,10 +134,6 @@ val do_eret : t -> unit
     and PC from SPSR/ELR, copies the top frame back into the GPRs and
     pops it (at EL2, when one is live), charges the return cost. *)
 
-val read_sysreg_hw : t -> Sysreg.t -> int64
-(** Register read with hardware side effects (CurrentEL synthesis,
-    CNTVCT from the cycle count offset by CNTVOFF). *)
-
 val write_sysreg_hw : t -> Sysreg.t -> int64 -> unit
 
 val advance_pc : t -> unit
@@ -163,8 +159,6 @@ val exec_with_action : t -> Insn.t -> Trap_rules.action -> unit
     immediate-MSR normalization is NOT performed here, so callers must
     route [Msr (_, Imm _)] with a non-[Execute] action through {!exec}
     instead. *)
-
-val exec_seq : t -> Insn.t list -> unit
 
 val deliver_irq : t -> bool
 (** A physical interrupt arrives: routed to EL2 when executing below EL2
@@ -212,5 +206,3 @@ val saved_frames : t -> int64 array list
 val set_saved_frames : t -> int64 array list -> unit
 (** Replace every frame, innermost first.
     @raise Invalid_argument if a frame is not {!nregs} words. *)
-
-val pp_state : Format.formatter -> t -> unit

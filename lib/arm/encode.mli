@@ -2,31 +2,6 @@
     rewrites — what makes Section 4's "fully automated approach, for
     example by binary patching a guest hypervisor image" demonstrable. *)
 
-val encode_sysreg_insn : is_read:bool -> access:Sysreg.access -> rt:int -> int
-(** MSR/MRS register-form word. *)
-
-val encode_hvc : int -> int
-val encode_svc : int -> int
-val encode_smc : int -> int
-val encode_eret : int
-val encode_nop : int
-val encode_isb : int
-val encode_dsb_sy : int
-
-val encode_ldr : rt:int -> rn:int -> imm:int -> int
-(** LDR Xt, [Xn, #imm] (64-bit, unsigned scaled offset).
-    @raise Invalid_argument if [imm] is unencodable. *)
-
-val encode_str : rt:int -> rn:int -> imm:int -> int
-val encode_movz : rd:int -> imm16:int -> int
-val encode_add_imm : rd:int -> rn:int -> imm:int -> int
-val encode_sub_imm : rd:int -> rn:int -> imm:int -> int
-val encode_add_reg : rd:int -> rn:int -> rm:int -> int
-val encode_sub_reg : rd:int -> rn:int -> rm:int -> int
-val encode_b : off:int -> int
-val encode_cbz : rt:int -> off:int -> int
-val encode_cbnz : rt:int -> off:int -> int
-
 val encode : Insn.t -> int
 (** Encode a simulator instruction.  Partial: only forms that appear in
     hypervisor text are supported.

@@ -7,7 +7,6 @@
 type revision = V8_0 | V8_1 | V8_3 | V8_4
 
 val revision_name : revision -> string
-val compare_revision : revision -> revision -> int
 
 type t = {
   revision : revision;

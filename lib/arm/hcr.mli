@@ -5,8 +5,6 @@
     ARMv8.0 mechanisms" of Section 4), TGE, E2H (VHE), and NV/NV1/NV2
     (ARMv8.3 nested virtualization and ARMv8.4 NEVE). *)
 
-val bit : int -> int64
-
 val vm : int64    (** stage-2 translation enable (bit 0) *)
 
 val fmo : int64   (** route FIQ to EL2 (bit 3) *)

@@ -41,8 +41,6 @@ type t =
   | Cbz of int * int   (** branch if xN is zero *)
   | Cbnz of int * int  (** branch if xN is non-zero *)
 
-val pp_operand : Format.formatter -> operand -> unit
-val pp_addr : Format.formatter -> addr -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

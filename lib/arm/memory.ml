@@ -201,14 +201,6 @@ let copy64 t ~src ~dst =
   set_word p (byte_index dst) v;
   stored t dst
 
-let add_mmio_region t ~start ~len ~name =
-  t.mmio <- (start, Int64.add start len, name) :: t.mmio
-
-let mmio_region_of t addr =
-  List.find_map
-    (fun (lo, hi, name) -> if addr >= lo && addr < hi then Some name else None)
-    t.mmio
-
 let clear t =
   Hashtbl.reset t.pages;
   Array.fill t.cache_idx 0 cache_slots min_int;

@@ -61,13 +61,6 @@ val load_words : t -> base:int64 -> int array -> Bytes.t -> int array -> unit
 val copy64 : t -> src:int64 -> dst:int64 -> unit
 (** [copy64 t ~src ~dst] is [write64 t dst (read64 t src)], unboxed. *)
 
-val add_mmio_region : t -> start:int64 -> len:int64 -> name:string -> unit
-(** Register a device region (left unmapped at stage 2 so accesses fault
-    for emulation). *)
-
-val mmio_region_of : t -> int64 -> string option
-(** Name of the device region containing an address, if any. *)
-
 val sorted_words : t -> (int64 * int64) list
 (** Every backed, nonzero word in ascending address order — a canonical
     view of the contents (absent and stored-zero words read identically

@@ -401,14 +401,6 @@ let min_el = function
   | VSESR_EL2 | VDISR_EL2 ->
     Pstate.EL2
 
-(* Registers that only exist once VHE (ARMv8.1) is implemented. *)
-let requires_vhe = function
-  | TTBR1_EL2 | CONTEXTIDR_EL2 | CNTHV_CTL_EL2 | CNTHV_CVAL_EL2 -> true
-  | _ -> false
-
-(* Registers that only exist once NV2 (ARMv8.4) is implemented. *)
-let requires_nv2 = function VNCR_EL2 -> true | _ -> false
-
 let is_gic_ich = function
   | ICH_HCR_EL2 | ICH_VTR_EL2 | ICH_VMCR_EL2 | ICH_MISR_EL2 | ICH_EISR_EL2
   | ICH_ELRSR_EL2 | ICH_AP0R_EL2 _ | ICH_AP1R_EL2 _ | ICH_LR_EL2 _ ->
@@ -794,4 +786,3 @@ let table5 =
   @ range_regs (fun n -> ICH_LR_EL2 n) (lr_count - 1) []
 
 let pp ppf r = Fmt.string ppf (name r)
-let pp_access ppf a = Fmt.string ppf (access_name a)

@@ -137,8 +137,6 @@ val el02 : t -> access
 
 val lr_count : int   (** list registers implemented: 16 *)
 
-val apr_count : int  (** active-priority registers per group: 4 *)
-
 val pmu_counters : int  (** PMU event counters implemented: 6 *)
 
 val debug_bkpts : int   (** breakpoint/watchpoint pairs implemented: 6 *)
@@ -155,12 +153,6 @@ val access_enc : access -> int * int * int * int * int
 val min_el : t -> Pstate.el
 (** Lowest exception level that can access the register directly when no
     virtualization trapping is configured. *)
-
-val requires_vhe : t -> bool
-(** Registers that exist only from ARMv8.1 (TTBR1_EL2, CONTEXTIDR_EL2,
-    the EL2 virtual timer). *)
-
-val requires_nv2 : t -> bool  (** VNCR_EL2 only *)
 
 val is_gic_ich : t -> bool
 (** GIC hypervisor-control-interface registers (paper Table 5). *)
@@ -190,12 +182,6 @@ type neve_class =
   | NV_none                (** outside NEVE's scope *)
 
 val neve_class : t -> neve_class
-
-val nv2_extra_deferred : t list
-(** EL1 context registers outside Table 3 that NV2 also defers — the
-    paper's "further details are omitted due to space constraints". *)
-
-val has_page_slot : t -> bool
 
 val all : t list
 (** The full register universe (including all 16 LRs and 8 APRs). *)
@@ -229,9 +215,6 @@ val page_size : int
 
 (** {1 The paper's tables as data (for tests and documentation)} *)
 
-val table3_vm_trap_control : t list
-val table3_vm_execution_control : t list
-
 val table3 : t list
 (** 26 distinct registers; the paper's Table 3 prints TPIDR_EL2 twice and
     counts 27 rows. *)
@@ -244,4 +227,3 @@ val table4 : t list
 val table5 : t list
 
 val pp : Format.formatter -> t -> unit
-val pp_access : Format.formatter -> access -> unit

@@ -6,9 +6,6 @@
 
 type t = { values : Bytes.t; dirty : Bytes.t }
 
-val ich_vtr_reset : int64
-(** ICH_VTR advertising {!Sysreg.lr_count} list registers. *)
-
 val reset_value : Sysreg.t -> int64
 
 val create : unit -> t

@@ -45,9 +45,6 @@ type nv2_mask = {
 val nv2_full : nv2_mask
 val nv2_off : nv2_mask
 
-val trap_kind_of : Sysreg.access -> Cost.trap_kind
-(** The reporting class a trapped access falls into (Table 7 breakdowns). *)
-
 val vhe_el2_twin : Sysreg.t -> Sysreg.t option
 (** VHE E2H redirection at EL2: the EL2 register an EL1 access instruction
     reaches (SCTLR_EL1 -> SCTLR_EL2, CNTV -> CNTHV, ...). *)
@@ -55,8 +52,6 @@ val vhe_el2_twin : Sysreg.t -> Sysreg.t option
 val el1_form_of_el2 : Sysreg.t -> Sysreg.t option
 (** Inverse of {!vhe_el2_twin}: the EL1 instruction form a VHE hypervisor
     uses "wherever possible" (Section 5) to reach its own EL2 state. *)
-
-val nv2_defers_reads : Sysreg.t -> bool
 
 val exposed_feature :
   Expose.Policy.t -> Sysreg.t -> Expose.Policy.feature option

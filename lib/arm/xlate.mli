@@ -52,8 +52,6 @@ type block = {
   mutable k_expose : Expose.Policy.t;
 }
 
-val max_block_ops : int
-
 type t
 (** Per-CPU translation state: the decode cache and the superblock
     cache.  Each simulated CPU owns one (see {!Cpu.t}) — the former

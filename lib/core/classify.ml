@@ -32,18 +32,6 @@ let behaviour_name = function
   | Always_trap -> "always-trap"
   | Untouched -> "untouched"
 
-(* Registers whose values live in the deferred access page while the guest
-   hypervisor runs (what the host hypervisor must sync on transitions). *)
-let page_resident = Sysreg.vncr_layout
-
-(* Registers the host hypervisor must copy from the page into hardware
-   before entering the nested VM (Section 6.1 workflow): the VM execution
-   state plus trap controls. *)
-let synced_to_hw_for_nested_vm =
-  List.filter
-    (fun r -> Sysreg.neve_class r = Sysreg.NV_vm_reg)
-    Sysreg.vncr_layout
-
 (* Registers with an EL1 twin under redirection. *)
 let redirected_pairs =
   List.filter_map
@@ -52,13 +40,6 @@ let redirected_pairs =
       | Sysreg.NV_redirect tgt | Sysreg.NV_redirect_vhe tgt -> Some (r, tgt)
       | Sysreg.NV_redirect_or_trap tgt -> Some (r, tgt)
       | _ -> None)
-    Sysreg.all
-
-(* The trap-on-write set (Table 4's four + Table 5's GIC registers + the
-   debug control register). *)
-let trap_on_write =
-  List.filter
-    (fun r -> Sysreg.neve_class r = Sysreg.NV_trap_on_write)
     Sysreg.all
 
 (* Count of traps NEVE eliminates for a given access trace: a helper for
@@ -73,8 +54,6 @@ let eliminated_traps ~guest_vhe accesses =
          | Cached_read_trap_write -> is_read
          | Always_trap | Untouched -> false)
        accesses)
-
-let pp_behaviour ppf b = Fmt.string ppf (behaviour_name b)
 
 (* Pretty-print the full classification, used by `neve_sim classify`. *)
 let pp_classification ppf () =

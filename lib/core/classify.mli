@@ -21,30 +21,15 @@ val behaviour : guest_vhe:bool -> Arm.Sysreg.t -> behaviour
     (Section 6.1: redirected only when the EL2 format matches EL1, i.e.
     for VHE guest hypervisors). *)
 
-val behaviour_name : behaviour -> string
-
-val page_resident : Arm.Sysreg.t list
-(** Registers with a deferred-access-page slot. *)
-
-val synced_to_hw_for_nested_vm : Arm.Sysreg.t list
-(** Page-resident registers the host must copy into hardware before
-    entering the nested VM. *)
-
 val redirected_pairs : (Arm.Sysreg.t * Arm.Sysreg.t) list
 (** All (EL2 register, EL1 twin) redirection pairs — also the virtual-EL2
     execution mapping a host maintains in hardware EL1 registers while a
     guest hypervisor runs. *)
 
-val trap_on_write : Arm.Sysreg.t list
-(** Registers whose writes keep trapping under NEVE (Table 4's four, the
-    GIC interface, the debug control register). *)
-
 val eliminated_traps :
   guest_vhe:bool -> (Arm.Sysreg.t * bool) list -> int
 (** [eliminated_traps ~guest_vhe accesses] counts how many of the given
     (register, is_read) accesses NEVE turns into non-trapping operations. *)
-
-val pp_behaviour : Format.formatter -> behaviour -> unit
 
 val pp_classification : Format.formatter -> unit -> unit
 (** Print the full classification, one register per line (the

@@ -107,11 +107,6 @@ let drain_into t ~el2 ~el1 ~skip =
   if !Trace.on then
     Trace.emit ~a0:(Int64.of_int layout_len) ~a1:t.base Trace.Page_drain
 
-(* Registers the host must push into hardware EL1 state when entering the
-   nested VM: the Table 3 "VM Execution Control" subset that lives in the
-   page but is real EL1 machine state for the nested VM. *)
-let vm_execution_state = Sysreg.table3_vm_execution_control
-
 let vncr_value t ~enable = Vncr.encode (Vncr.v ~baddr:t.base ~enable)
 
 let pp ppf t = Fmt.pf ppf "deferred-page@0x%Lx" t.base

@@ -24,10 +24,6 @@ val create : Arm.Memory.t -> base:int64 -> t
 (** Allocate (zero) a deferred access page at [base].
     @raise Invalid_argument if [base] is not page-aligned. *)
 
-val slot_addr : t -> Arm.Sysreg.t -> int64
-(** Physical address of a register's slot.
-    @raise Unmapped_register if the register has no slot. *)
-
 val has_slot : Arm.Sysreg.t -> bool
 
 val read : t -> Arm.Sysreg.t -> int64
@@ -57,11 +53,6 @@ val drain_into :
 (** {!drain} into the virtual register files (hardware-write semantics),
     leaving alone every register whose dense {!Arm.Sysreg.index} is set
     in [skip].  Allocates nothing. *)
-
-val vm_execution_state : Arm.Sysreg.t list
-(** The Table 3 "VM Execution Control" subset: page-resident values that
-    are real EL1 machine state for the nested VM and must be pushed into
-    hardware before it runs. *)
 
 val vncr_value : t -> enable:bool -> int64
 (** The VNCR_EL2 encoding pointing at this page. *)

@@ -48,5 +48,14 @@ let disable (cpu : Arm.Cpu.t) =
 
 let read (cpu : Arm.Cpu.t) = decode (Arm.Cpu.peek_sysreg cpu Sysreg.VNCR_EL2)
 
+(* Recursive virtualization (Section 6.2): the L1 guest hypervisor's write
+   of its virtual VNCR_EL2 was itself deferred to its page.  To run an L2
+   guest hypervisor with hardware NEVE, L0 translates the L1-physical BADDR
+   to a machine address and programs that into the real VNCR_EL2. *)
+let recursive virt ~translate_ipa =
+  if not virt.enable then None
+  else
+    Option.map (fun baddr -> v ~baddr ~enable:true) (translate_ipa virt.baddr)
+
 let pp ppf t =
   Fmt.pf ppf "VNCR{baddr=0x%Lx enable=%b}" t.baddr t.enable

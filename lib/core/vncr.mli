@@ -33,9 +33,6 @@ val enabled : int64 -> bool
 val baddr : int64 -> int64
 (** [baddr raw] extracts the BADDR field of a raw register value. *)
 
-val baddr_mask : int64
-(** Mask of the BADDR field, bits [52:12]. *)
-
 val disabled_value : int64
 (** The all-clear value a host writes to turn NEVE off. *)
 
@@ -50,5 +47,13 @@ val disable : Arm.Cpu.t -> unit
 
 val read : Arm.Cpu.t -> t
 (** Decode the current hardware VNCR_EL2. *)
+
+val recursive : t -> translate_ipa:(int64 -> int64 option) -> t option
+(** [recursive virt ~translate_ipa] is the hardware VNCR for an L2 guest
+    hypervisor (Section 6.2): [virt] is the L1 guest hypervisor's virtual
+    VNCR_EL2, read from its deferred access page, and [translate_ipa] maps
+    an L1-physical address to a machine address.  [None] when [virt] is
+    disabled or its BADDR does not translate.
+    @raise Invalid_vncr if the translated BADDR is not a valid one. *)
 
 val pp : Format.formatter -> t -> unit

@@ -297,7 +297,6 @@ let trim_log m ~keep =
 
 let traps_of_kind m kind = m.by_kind.(kind_index kind)
 let exposed_of_feature m f = m.exposed.(exposed_index f)
-let exposed_total m = Array.fold_left ( + ) 0 m.exposed
 
 (* A meter mark is a copy of the meter (its own count arrays);
    rewinding copies every mutable field back. *)
@@ -371,13 +370,6 @@ let reset m =
   Array.fill m.by_kind 0 kind_count 0;
   Array.fill m.exposed 0 exposed_count 0;
   m.log <- []
-
-let pp_delta ppf d =
-  Fmt.pf ppf "@[<v>cycles: %d@,insns: %d@,traps: %d@,%a@]"
-    d.d_cycles d.d_insns d.d_traps
-    Fmt.(list ~sep:cut (fun ppf (k, n) ->
-        if n > 0 then pf ppf "  %s: %d" (trap_kind_name k) n))
-    d.d_by_kind
 
 (* Statistics helpers (averages over repeated runs, Figure-2 overhead
    normalization). *)

@@ -162,8 +162,6 @@ val trim_log : meter -> keep:int -> unit
     one [keep]-cell copy per [keep] traps. *)
 
 val traps_of_kind : meter -> trap_kind -> int
-val exposed_of_feature : meter -> Expose.Policy.feature -> int
-val exposed_total : meter -> int
 
 type meter_mark
 (** Every mutable field of a meter, as it was when marked. *)
@@ -194,7 +192,6 @@ type delta = {
 
 val delta_since : meter -> snapshot -> delta
 val reset : meter -> unit
-val pp_delta : Format.formatter -> delta -> unit
 
 (** Statistics helpers (averages over repeated runs, Figure-2 overhead
     normalization). *)

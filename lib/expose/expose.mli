@@ -18,14 +18,12 @@ module Policy : sig
 
   val all_features : feature list
   val feature_name : feature -> string
-  val feature_of_name : string -> feature option
 
   type t
 
   val none : t
   val all : t
   val of_list : feature list -> t
-  val grant : t -> feature -> t
   val mem : t -> feature -> bool
   val is_none : t -> bool
   val equal : t -> t -> bool

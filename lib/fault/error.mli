@@ -29,8 +29,6 @@ type kind =
           guest-reachable encodings mask their intid fields, so a trip
           here is simulator misuse, not guest input *)
 
-val kind_to_string : kind -> string
-
 type context = {
   fc_cpu : int;
   fc_el : Arm.Pstate.el;
@@ -50,7 +48,6 @@ val context_of_cpu : ?id:int -> Arm.Cpu.t -> context
 (** Capture cpu/EL/PC and the last few entries of the trap log (the log
     is populated only when {!Cost.set_logging} is on). *)
 
-val pp_context : Format.formatter -> context -> unit
 val to_string : kind -> context option -> string
 
 val sim_bug : ?id:int -> ?cpu:Arm.Cpu.t -> kind -> 'a

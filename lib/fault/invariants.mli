@@ -20,7 +20,6 @@ type violation = {
 val v : ?id:int -> Arm.Cpu.t -> string -> string -> violation
 (** Build a violation stamped with the cpu's current EL and PC. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val to_string : violation -> string
 
 type state

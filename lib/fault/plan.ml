@@ -85,8 +85,6 @@ let make ~seed ~faults ~horizon =
   Array.sort (fun a b -> compare a.ev_trap b.ev_trap) events;
   { seed; rng; events; injected = [] }
 
-let seed t = t.seed
-
 let due ?kind t ~traps =
   let fired = ref [] in
   Array.iter

@@ -37,8 +37,6 @@ type t
 val make : seed:int -> faults:int -> horizon:int -> t
 (** [faults] events at uniform trap counts in [\[1, horizon\]]. *)
 
-val seed : t -> int
-
 val due : ?kind:kind -> t -> traps:int -> kind list
 (** Pop every not-yet-fired event scheduled at or before [traps],
     oldest first; with [?kind], only events of that kind are considered
@@ -67,5 +65,4 @@ val to_raw : t -> raw
 val of_raw : raw -> t
 
 val injected_counts : t -> (kind * int) list
-val pending : t -> int
 val pp : Format.formatter -> t -> unit

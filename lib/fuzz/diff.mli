@@ -31,11 +31,6 @@ val ooh_grant : Expose.Policy.t
 (** The OoH twins' grant set: every feature with a sysreg surface. *)
 
 val columns : column list
-val groups : (string * column list) list
-(** Columns partitioned by guest-hypervisor design ("non-VHE"/"VHE"). *)
-
-val text_base : int64
-(** Where programs are loaded and entered. *)
 
 val budget_for : int array -> int
 (** Instruction budget for a program of this many words. *)

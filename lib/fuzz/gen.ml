@@ -104,8 +104,6 @@ let create ~seed =
 
 let is_covered t rule = Hashtbl.mem t.covered (rule_name rule)
 let covered_count t = Hashtbl.length t.covered
-let coverage t = float_of_int (covered_count t) /. float_of_int registry_size
-let uncovered t = List.filter (fun r -> not (is_covered t r)) registry
 
 let insn_forms =
   [ "mrs"; "msr"; "hvc"; "svc"; "smc"; "eret"; "ldr"; "str"; "mov"; "add";

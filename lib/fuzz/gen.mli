@@ -54,10 +54,6 @@ val program : t -> Prog.t
 val is_covered : t -> rule -> bool
 val covered_count : t -> int
 val registry_size : int
-val coverage : t -> float
-(** covered / registry size *)
-
-val uncovered : t -> rule list
 
 val insn_forms_used : t -> string list
 (** Instruction-constructor shapes emitted so far (sorted). *)

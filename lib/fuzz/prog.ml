@@ -24,7 +24,7 @@ let snippet_len = function
   | Straight l -> List.length l
   | Skip _ -> 1
 
-let flatten (prog : t) : Insn.t list =
+let insns (prog : t) : Insn.t list =
   let n = List.length prog in
   let starts = Array.make (n + 1) 0 in
   List.iteri
@@ -46,8 +46,7 @@ let flatten (prog : t) : Insn.t list =
             | K_cbnz r -> [ Insn.Cbnz (r, off) ]))
        prog)
 
-let to_words prog = Array.of_list (List.map Encode.encode (flatten prog))
-let insns = flatten
+let to_words prog = Array.of_list (List.map Encode.encode (insns prog))
 
 (* --- repro files --- *)
 

@@ -22,15 +22,13 @@ type snippet =
 
 type t = snippet list
 
-val flatten : t -> Arm.Insn.t list
-(** Resolve [Skip] snippets to word-offset branches.  A skip past the end
-    of the program lands on the halt marker. *)
-
 val to_words : t -> int array
-(** [Encode.encode] over {!flatten}. *)
+(** [Encode.encode] over {!insns}. *)
 
 val insns : t -> Arm.Insn.t list
-(** The instructions of the program in order ({!flatten}). *)
+(** The instructions of the program in order, [Skip] snippets resolved to
+    word-offset branches.  A skip past the end of the program lands on
+    the halt marker. *)
 
 (** {1 Repro files}
 

@@ -17,8 +17,6 @@ type op =
 
 type prog = { p_index : int; p_ops : op list }
 
-val gen_prog : seed:int -> index:int -> ncpus:int -> ops:int -> prog
-
 type report = {
   r_seed : int;
   r_programs : int;

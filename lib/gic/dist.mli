@@ -31,7 +31,6 @@ val rewind : t -> mark -> unit
     since, so that iteration (and with it {!best_pending}'s tie-break)
     visits them in the marked order. *)
 
-val record : t -> cpu:int -> intid:int -> irq_record
 val enable : t -> cpu:int -> intid:int -> unit
 val disable : t -> cpu:int -> intid:int -> unit
 val set_priority : t -> cpu:int -> intid:int -> int -> unit

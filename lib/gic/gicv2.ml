@@ -46,16 +46,6 @@ let reg_of_offset off =
     Some (GICH_LR ((off - off_lr0) / 4))
   else None
 
-let reg_name = function
-  | GICH_HCR -> "GICH_HCR"
-  | GICH_VTR -> "GICH_VTR"
-  | GICH_VMCR -> "GICH_VMCR"
-  | GICH_MISR -> "GICH_MISR"
-  | GICH_EISR -> "GICH_EISR"
-  | GICH_ELRSR -> "GICH_ELRSR"
-  | GICH_APR -> "GICH_APR"
-  | GICH_LR n -> Printf.sprintf "GICH_LR%d" n
-
 (* The equivalent system register in the GICv3 interface, for routing a
    trapped GICH MMIO access into the common implementation. *)
 let to_ich : gich_reg -> Arm.Sysreg.t option = function

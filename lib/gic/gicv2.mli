@@ -8,16 +8,6 @@
     interfaces are almost identical. *)
 
 val gich_base : int64
-val gich_frame_size : int64
-
-val off_hcr : int
-val off_vtr : int
-val off_vmcr : int
-val off_misr : int
-val off_eisr0 : int
-val off_elrsr0 : int
-val off_apr : int
-val off_lr0 : int
 
 type gich_reg =
   | GICH_HCR
@@ -30,7 +20,6 @@ type gich_reg =
   | GICH_LR of int
 
 val reg_of_offset : int -> gich_reg option
-val reg_name : gich_reg -> string
 
 val to_ich : gich_reg -> Arm.Sysreg.t option
 (** The equivalent GICv3 system register, for routing a trapped GICH
@@ -39,7 +28,6 @@ val to_ich : gich_reg -> Arm.Sysreg.t option
 val of_ich : Arm.Sysreg.t -> gich_reg option
 (** Inverse of {!to_ich}. *)
 
-val offset_of : gich_reg -> int
 val address_of : gich_reg -> int64
 
 val decode_access : int64 -> gich_reg option

@@ -13,12 +13,8 @@ let kind_of_intid id =
 
 let kind_name = function SGI -> "SGI" | PPI -> "PPI" | SPI -> "SPI"
 
-(* Well-known ids used by the machine model. *)
-let virtual_timer_ppi = 27
-let hyp_timer_ppi = 26
-let maintenance_ppi = 25
+(* The device interrupt the workloads raise (a virtio-net SPI). *)
 let virtio_net_spi = 40
-let virtio_blk_spi = 41
 
 type state = Inactive | Pending | Active | Pending_and_active
 

@@ -8,13 +8,8 @@ val kind_of_intid : int -> kind
 
 val kind_name : kind -> string
 
-(** Well-known ids used by the machine model. *)
-
-val virtual_timer_ppi : int
-val hyp_timer_ppi : int
-val maintenance_ppi : int
 val virtio_net_spi : int
-val virtio_blk_spi : int
+(** The device interrupt the workloads raise (a virtio-net SPI). *)
 
 type state = Inactive | Pending | Active | Pending_and_active
 

@@ -52,7 +52,6 @@ let decode_lr v =
 
 (* ICH_HCR_EL2 bits. *)
 let ich_hcr_en = 1L
-let hcr_enabled v = Int64.logand v ich_hcr_en <> 0L
 
 (* --- derived status registers, computed from an LR value array --- *)
 

@@ -27,8 +27,6 @@ val decode_lr : int64 -> lr
 val ich_hcr_en : int64
 (** ICH_HCR_EL2.En: virtual-interface enable. *)
 
-val hcr_enabled : int64 -> bool
-
 val compute_eisr : int64 array -> int64
 (** Bit n set when LR n holds an EOI'd entry. *)
 

@@ -120,7 +120,6 @@ let st t addr v =
 
 let hvc t imm = exec t (Insn.Hvc imm)
 let eret t = exec t Insn.Eret
-let isb t = exec t Insn.Isb
 
 (* GICv2: the hypervisor control interface is a memory-mapped frame.  The
    host leaves it unmapped at stage 2 for deprivileged software, so every

@@ -69,7 +69,6 @@ val ld : t -> int64 -> int64
 val st : t -> int64 -> int64 -> unit
 val hvc : t -> int -> unit
 val eret : t -> unit
-val isb : t -> unit
 
 val gich_access : t -> Sysreg.t -> is_write:bool -> unit
 (** A GICv2 GICH frame access: a plain device access at EL2, a stage-2

@@ -50,24 +50,6 @@ type mark
 val mark : t -> mark
 val rewind : t -> mark -> unit
 
-val nested_hcr : int64
-(** The HCR value the guest hypervisor programs for its nested VM. *)
-
-val virtual_vttbr : int64
-(** Its virtual stage-2 root (shadowed by the host). *)
-
-val gic : t -> World_switch.gic_ops option
-(** The memory-mapped interface on GICv2 machines; [None] selects the
-    system-register interface. *)
-
-val read_exit_info : t -> unit
-val switch_to_host : t -> unit
-val eret_to_kernel : t -> unit
-val kernel_to_lowvisor : t -> unit
-val handle_in_kernel : t -> Vcpu.nested_exit -> unit
-val switch_to_guest : t -> unit
-val enter_nested : t -> unit
-
 val handle_exit : t -> Vcpu.nested_exit -> unit
 (** The full exit path; installed as the host's [on_vel2_entry] hook. *)
 

@@ -147,31 +147,11 @@ val l0_exit : t -> unit
 
 val stash_read : t -> Sysreg.t -> int64
 
-val inject_undef : t -> unit
-(** Deliver an UNDEF into the interrupted guest context (KVM's
-    kvm_inject_undefined): write the guest's EL1 exception bank in the
-    stash, unwind through {!l0_exit}, and eret onto the guest's EL1
-    vector.  Used for guest-triggerable nonsense — unknown trapped
-    encodings, out-of-registry hvc operands — instead of crashing the
-    simulation. *)
-
-val inject_vel2 : t -> Vcpu.nested_exit -> unit
-(** Switch the vCPU to "guest hypervisor running", deliver a virtual EL2
-    exception describing the exit, populate the NEVE page, and run the
-    [on_vel2_entry] hook (unless this is the guest hypervisor's own
-    kernel-to-lowvisor transition). *)
-
 val emulate_eret : t -> unit
 (** The guest hypervisor executed eret: fold its execution mapping back
     into the virtual EL2 file, drain the NEVE page, load the virtual EL1
     context into hardware, program the hardware vGIC and shadow stage-2,
     and enter the nested VM. *)
-
-val emulate_sysreg :
-  t -> access:Sysreg.access -> rt:int -> is_read:bool -> bool
-(** Emulate one trapped access against the virtual state; true when the
-    emulation switched context (nested-VM SGI forwarding), telling the
-    caller not to unwind. *)
 
 val deliver_pending_vserror : t -> bool
 (** Deliver a pending virtual SError at an operation boundary, re-arming
@@ -191,9 +171,6 @@ val kill_l2 : t -> resume_pc:int64 -> unit
     back in virtual EL2 at [resume_pc], discarding nested-VM run state.
     Register pokes, not guest instructions — the caller accounts the
     policy's recovery cost. *)
-
-val handler : t -> Cpu.t -> Exn.entry -> unit
-(** The EL2 exception handler installed on the CPU. *)
 
 val create :
   ?id:int -> ?expose:Expose.Policy.t -> Cpu.t -> Config.t -> scenario -> t

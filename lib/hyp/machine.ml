@@ -683,9 +683,6 @@ let serror_pending t ~cpu =
   t.hosts.(cpu).Host_hyp.pending_vserror <> None
   || Cpu.vserror_pending t.cpus.(cpu)
 
-let deliver_pending_serror t ~cpu =
-  Host_hyp.deliver_pending_vserror t.hosts.(cpu)
-
 let serror_containments t =
   Array.fold_left (fun acc h -> acc + h.Host_hyp.serror_contained) 0 t.hosts
 

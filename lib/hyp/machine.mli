@@ -98,12 +98,6 @@ val boot : t -> unit
 (** Bring the stack up; nested scenarios launch the nested VM end to end
     through the real trap machinery. *)
 
-val service_faults : t -> cpu:int -> unit
-(** Pop and apply every fault-plan event whose trap count has arrived,
-    after first delivering any pending virtual SError (asynchronous
-    errors are taken at operation boundaries).  Called automatically at
-    the top of each guest-side operation. *)
-
 (** {1 Guest-side operations} *)
 
 val hypercall : t -> cpu:int -> unit
@@ -146,13 +140,10 @@ val compute : t -> cpu:int -> insns:int -> unit
 
     The vCPUs share a stage-2 ({!Mmu.Shootdown}); remapping a live page
     must run break → TLBI broadcast → DSB → make.  {!tlbi_bcast} sends
-    one shootdown SGI (intid {!shootdown_sgi}) per remote vCPU as real
+    one shootdown SGI (intid 14, as Linux uses) per remote vCPU as real
     trapped ICC_SGI1R traffic, charges each recipient
     [Cost.tlbi_recipient], and {!dsb_sync} charges the initiator
     [Cost.dvm_sync] per recipient. *)
-
-val shootdown_sgi : int
-(** SGI intid reserved for remote TLB flush (14, as Linux uses). *)
 
 val smp : t -> Mmu.Shootdown.t
 (** The machine's SMP translation state, created on first use. *)
@@ -210,10 +201,6 @@ val pend_serror : t -> cpu:int -> syndrome:int64 -> unit
     delivered at the next operation boundary. *)
 
 val serror_pending : t -> cpu:int -> bool
-
-val deliver_pending_serror : t -> cpu:int -> bool
-(** Force delivery now instead of waiting for the next operation
-    boundary; returns whether the SError was taken. *)
 
 val serror_containments : t -> int
 (** Physical SErrors absorbed by the host, summed over CPUs. *)

@@ -22,19 +22,11 @@ module Sysreg = Arm.Sysreg
 module Insn = Arm.Insn
 module Trap_rules = Arm.Trap_rules
 
-val eret_index : int
-
 val forms : Sysreg.access array
 (** Every access form a guest hypervisor can perform: all direct accesses
     plus the [_EL12]/[_EL02] aliases. *)
 
-val form_index : Sysreg.access -> int
-(** @raise Fault.Error.Sim_fault on a form outside the registry (only the
-    rewriter calls this, with forms it built — a miss is a simulator
-    bug). *)
-
 val encode_sysreg_op : access:Sysreg.access -> rt:int -> is_read:bool -> int
-val encode_eret_op : int
 
 type op =
   | Op_hypercall of int  (** a real hypercall: operand < 64 *)
@@ -56,10 +48,6 @@ val target_route :
 (** What the configuration's target architecture does with an instruction
     executed at EL1 by the guest hypervisor. *)
 
-val value_reg : int
-(** Scratch register materializing immediate MSR operands for the hvc
-    protocol. *)
-
 exception Would_undef of Insn.t
 (** The instruction is UNDEFINED on the target architecture: callers
     deliver the UNDEF the target hardware would. *)
@@ -74,10 +62,5 @@ val rewrite : Config.t -> page_base:int64 -> Insn.t -> Insn.t list
 val page_base_reg : int
 (** x28, holding the shared-page base by convention, so binary patching
     stays word-for-word. *)
-
-val patch_word : Config.t -> page_base:int64 -> int -> int
-(** Patch one A64 word of a hypervisor text section; unrecognized and
-    untouched words pass through verbatim (Section 4's "fully automated
-    approach"). *)
 
 val patch_text : Config.t -> page_base:int64 -> int array -> int array

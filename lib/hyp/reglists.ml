@@ -55,57 +55,14 @@ let el12_capable : Sysreg.t list =
     Sysreg.AMAIR_EL1; Sysreg.CNTKCTL_EL1; Sysreg.ELR_EL1; Sysreg.SPSR_EL1;
   ]
 
-(* EL1-context registers with no _EL12 form; a VHE hypervisor reaches these
-   with plain accesses too (they are not E2H-redirected). *)
-let el1_state_no_el12 =
-  List.filter (fun r -> not (List.mem r el12_capable)) el1_state
-
-(* VM trap-control registers the hypervisor programs when entering a VM and
-   clears when returning to the host. *)
-let vm_trap_controls : Sysreg.t list =
-  [
-    Sysreg.HCR_EL2;
-    Sysreg.CPTR_EL2;
-    Sysreg.MDCR_EL2;
-    Sysreg.HSTR_EL2;
-    Sysreg.VTTBR_EL2;
-    Sysreg.VTCR_EL2;
-  ]
-
-(* ID-register virtualization: programmed once per VM entry on this era's
-   KVM. *)
-let vpidr_controls : Sysreg.t list = [ Sysreg.VPIDR_EL2; Sysreg.VMPIDR_EL2 ]
-
 (* vGIC state saved on exit (reads) — the hypervisor control interface.
    KVM uses 4 list registers on this hardware. *)
 let vgic_lrs_in_use = 4
-
-let vgic_save_reads : Sysreg.t list =
-  [ Sysreg.ICH_VMCR_EL2; Sysreg.ICH_MISR_EL2; Sysreg.ICH_EISR_EL2;
-    Sysreg.ICH_ELRSR_EL2; Sysreg.ICH_AP1R_EL2 0 ]
-  @ List.init vgic_lrs_in_use (fun n -> Sysreg.ICH_LR_EL2 n)
-
-(* vGIC writes on exit: disable the virtual interface. *)
-let vgic_save_writes : Sysreg.t list = [ Sysreg.ICH_HCR_EL2 ]
-
-(* vGIC state restored on entry (writes). *)
-let vgic_restore_writes : Sysreg.t list =
-  [ Sysreg.ICH_HCR_EL2; Sysreg.ICH_VMCR_EL2; Sysreg.ICH_AP1R_EL2 0 ]
-  @ List.init vgic_lrs_in_use (fun n -> Sysreg.ICH_LR_EL2 n)
 
 (* Timer handling per switch: the VM's EL1 virtual timer (EL0-accessible
    CNTV registers) plus the EL2 controls. *)
 let timer_el0_state : Sysreg.t list =
   [ Sysreg.CNTV_CTL_EL0; Sysreg.CNTV_CVAL_EL0 ]
-
-let timer_el2_controls : Sysreg.t list =
-  [ Sysreg.CNTVOFF_EL2; Sysreg.CNTHCTL_EL2 ]
-
-(* A VHE hypervisor additionally manages its own EL2 virtual timer
-   (Section 7.1): it programs it with EL1 access instructions redirected by
-   E2H; reaching the *VM's* EL1 virtual timer then needs EL02 forms. *)
-let vhe_hyp_timer : Sysreg.t list =
-  [ Sysreg.CNTHV_CTL_EL2; Sysreg.CNTHV_CVAL_EL2 ]
 
 (* Self-hosted debug state: context-switched per world switch only when
    the VM is being debugged (KVM's debug-dirty flag); MDSCR is part of
@@ -125,11 +82,6 @@ let pmu_state : Sysreg.t list =
     Sysreg.PMSELR_EL0; Sysreg.PMINTENSET_EL1 ]
   @ List.init Sysreg.pmu_counters (fun n -> Sysreg.PMEVCNTR_EL0 n)
   @ List.init Sysreg.pmu_counters (fun n -> Sysreg.PMEVTYPER_EL0 n)
-
-(* Exit-syndrome registers read at the top of every exit. *)
-let exit_info_reads : Sysreg.t list =
-  [ Sysreg.ESR_EL2; Sysreg.ELR_EL2; Sysreg.SPSR_EL2; Sysreg.FAR_EL2;
-    Sysreg.HPFAR_EL2 ]
 
 (* --- dense-index compiled forms ---
 
@@ -154,9 +106,6 @@ let el0_state_arr = Array.of_list el0_state
 let debug_state_arr = Array.of_list debug_state
 let pmu_state_arr = Array.of_list pmu_state
 
-let el1_state_indices = index_array el1_state
-let el0_state_indices = index_array el0_state
-
 (* Offsets of each register in a vCPU's in-memory context-save area; the
    world-switch code stores to and loads from these slots.  Slot order
    follows [Sysreg.all] (the layout guest images were built against), the
@@ -173,5 +122,3 @@ let ctx_slot (r : Sysreg.t) =
   if i < 0 || i >= Sysreg.count then
     invalid_arg ("Reglists.ctx_slot: " ^ Sysreg.name r)
   else ctx_slot_tbl.(i)
-
-let ctx_area_size = 8 * List.length Sysreg.all

@@ -20,32 +20,11 @@ val el0_state : Sysreg.t list
 val el12_capable : Sysreg.t list
 (** The subset of {!el1_state} with a VHE [_EL12] access form (16). *)
 
-val el1_state_no_el12 : Sysreg.t list
-
-val vm_trap_controls : Sysreg.t list
-(** Registers programmed on VM entry / cleared on return to the host. *)
-
-val vpidr_controls : Sysreg.t list
-
 val vgic_lrs_in_use : int
 (** List registers KVM uses on this hardware: 4. *)
 
-val vgic_save_reads : Sysreg.t list
-val vgic_save_writes : Sysreg.t list
-val vgic_restore_writes : Sysreg.t list
-
 val timer_el0_state : Sysreg.t list
 (** The VM's EL1 virtual timer (EL0-accessible CNTV registers). *)
-
-val timer_el2_controls : Sysreg.t list
-val vhe_hyp_timer : Sysreg.t list
-val debug_state : Sysreg.t list
-(** Breakpoint/watchpoint registers, switched only for debugged VMs. *)
-
-val pmu_state : Sysreg.t list
-(** Performance-monitor state, switched when perf events are active. *)
-
-val exit_info_reads : Sysreg.t list
 
 (** {1 Dense-index compiled forms}
 
@@ -54,7 +33,6 @@ val exit_info_reads : Sysreg.t list
     precomputed {!Sysreg.index} arrays. *)
 
 val index_array : Sysreg.t list -> int array
-val membership : Sysreg.t list -> bool array
 
 val is_el12_capable : Sysreg.t -> bool
 (** O(1) membership in {!el12_capable} (replaces a [List.mem] scan on the
@@ -65,11 +43,6 @@ val el0_state_arr : Sysreg.t array
 val debug_state_arr : Sysreg.t array
 val pmu_state_arr : Sysreg.t array
 
-val el1_state_indices : int array
-val el0_state_indices : int array
-
 val ctx_slot : Sysreg.t -> int
 (** Byte offset of a register in a context save area; unique per
     register.  One array load keyed by {!Sysreg.index}. *)
-
-val ctx_area_size : int

@@ -34,7 +34,6 @@ type t = {
   mutable used_lrs : int; (** list registers the guest hypervisor uses *)
 }
 
-val region_of : int -> int64
 val create : id:int -> t
 
 type mark

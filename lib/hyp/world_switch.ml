@@ -101,12 +101,6 @@ let restore_el0 ops ~ctx =
 (* --- the host's own EL1 context (non-VHE hypervisors only: a VHE
    hypervisor's host state lives in EL2 registers and stays put) --- *)
 
-let save_host_el1 ops ~ctx =
-  save_array ops ~ctx ~via:Sysreg.direct Reglists.el1_state_arr
-
-let restore_host_el1 ops ~ctx =
-  restore_array ops ~ctx ~via:Sysreg.direct Reglists.el1_state_arr
-
 (* --- debug and PMU state (Section 6.1's "performance monitoring,
    debugging, and timer system registers") ---
 
@@ -117,14 +111,8 @@ let restore_host_el1 ops ~ctx =
 let save_debug ops ~ctx =
   save_array ops ~ctx ~via:Sysreg.direct Reglists.debug_state_arr
 
-let restore_debug ops ~ctx =
-  restore_array ops ~ctx ~via:Sysreg.direct Reglists.debug_state_arr
-
 let save_pmu ops ~ctx =
   save_array ops ~ctx ~via:Sysreg.direct Reglists.pmu_state_arr
-
-let restore_pmu ops ~ctx =
-  restore_array ops ~ctx ~via:Sysreg.direct Reglists.pmu_state_arr
 
 (* --- vGIC hypervisor interface ---
 

@@ -66,18 +66,10 @@ val restore_vm_el1 : ops -> vhe:bool -> ctx:int64 -> unit
 val save_el0 : ops -> ctx:int64 -> unit
 val restore_el0 : ops -> ctx:int64 -> unit
 
-val save_host_el1 : ops -> ctx:int64 -> unit
-(** Non-VHE only: a VHE hypervisor's host state lives in EL2 registers
-    and stays put. *)
-
-val restore_host_el1 : ops -> ctx:int64 -> unit
-
 val save_debug : ops -> ctx:int64 -> unit
 (** Breakpoint/watchpoint context, only for debugged VMs. *)
 
-val restore_debug : ops -> ctx:int64 -> unit
 val save_pmu : ops -> ctx:int64 -> unit
-val restore_pmu : ops -> ctx:int64 -> unit
 
 (** vGIC interface accessors: GICv3 system registers or GICv2's
     memory-mapped GICH frame — identical code paths, different accessor,
@@ -87,17 +79,11 @@ type gic_ops = {
   gic_wr : Sysreg.t -> int64 -> unit;
 }
 
-val sysreg_gic : ops -> gic_ops
-
 val save_vgic : ?gic:gic_ops -> ops -> ctx:int64 -> used_lrs:int -> unit
 (** Read interface state (only in-use list registers — this matters for
     trap counts) and disable the interface. *)
 
 val restore_vgic : ?gic:gic_ops -> ops -> ctx:int64 -> used_lrs:int -> unit
-
-val vm_timer_access : vhe:bool -> Sysreg.t -> Sysreg.access
-(** The VM's EL1 virtual timer: direct for non-VHE, the always-trapping
-    [_EL02] forms for VHE (paper Section 7.1). *)
 
 val save_vm_timer : ops -> vhe:bool -> ctx:int64 -> unit
 val restore_vm_timer : ops -> vhe:bool -> ctx:int64 -> unit
@@ -107,7 +93,6 @@ val arm_vhe_hyp_timer : ops -> cval:int64 -> unit
 (** The VHE hypervisor's own EL2 virtual timer, programmed through
     E2H-redirected EL1 timer instructions — never traps. *)
 
-val cptr_access : vhe:bool -> Sysreg.access
 val activate_traps : ops -> vhe:bool -> hcr:int64 -> unit
 val deactivate_traps : ops -> vhe:bool -> unit
 val write_stage2 : ops -> vttbr:int64 -> unit

@@ -22,9 +22,6 @@ type t = {
 
 val invalid : t
 
-val addr_mask : int64
-(** Output-address field, bits [47:12]. *)
-
 val encode : level:int -> t -> int64
 (** @raise Invalid_argument for a table descriptor at level 3 or a block
     descriptor at level 3. *)

@@ -81,9 +81,6 @@ let create mem ~ncpus ~vmid ~tlb_capacity =
   }
 
 let ncpus t = Array.length t.tlbs
-let tlb t ~cpu = t.tlbs.(cpu)
-
-let vmid t = t.vmid
 
 (* The shootdown layer caches stage-2 (IPA) translations; no stage-1 is
    modeled here, so every entry lives under the global ASID. *)
@@ -99,8 +96,6 @@ let map t ~ipa ~pa =
   let page = Walk.page_base ipa in
   Stage2.map_page t.s2 ~ipa:page ~pa:(Walk.page_base pa) ~perms:default_perms;
   Hashtbl.replace t.truth page (Walk.page_base pa)
-
-let mapped_pa t ~ipa = Hashtbl.find_opt t.truth (Walk.page_base ipa)
 
 (* --- break-before-make --- *)
 

@@ -27,15 +27,9 @@ val create : Arm.Memory.t -> ncpus:int -> vmid:int -> tlb_capacity:int -> t
 (** Shared stage-2 table pages allocate from 0xA_0000_0000 upward. *)
 
 val ncpus : t -> int
-val vmid : t -> int
-val tlb : t -> cpu:int -> Tlb.t
 
 val map : t -> ipa:int64 -> pa:int64 -> unit
 (** First map of a page — no live entry, so no break is required. *)
-
-val mapped_pa : t -> ipa:int64 -> int64 option
-(** What the tables hold right now (ground truth for oracles; never
-    walks, charges, or traces). *)
 
 val break : t -> ipa:int64 -> unit
 (** Unmap the live entry and open its break window.  Breaking an

@@ -13,8 +13,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] entries total, organized as power-of-two sets of (up to)
     4 ways. *)
 
-val key : vmid:int -> asid:int -> int64 -> key
-
 val lookup : t -> vmid:int -> asid:int -> int64 -> (int64 * Pte.perms) option
 (** Hit returns the full PA (page + offset); hits/misses are counted. *)
 

@@ -20,16 +20,9 @@ type translation = {
   t_level : int;  (** level at which the walk resolved (block or page) *)
 }
 
-val page_shift : int
 val page_size : int
-val index_bits : int
-val level_shift : int -> int
-val index_at : level:int -> int64 -> int
-val descriptor_addr : table:int64 -> level:int -> int64 -> int64
 val page_base : int64 -> int64
 val page_offset : int64 -> int64
-val block_base : level:int -> int64 -> int64
-val block_offset : level:int -> int64 -> int64
 
 val set_inject : (ia:int64 -> is_write:bool -> fault option) -> unit
 (** Arm the fault-injection hook consulted before every {!walk} on the

@@ -23,12 +23,6 @@ val access : machine -> Csr.t -> is_read:bool -> unit
 (** One CSR access by the deprivileged guest hypervisor (V=1): aliased,
     deferred, or trapped per the classification. *)
 
-val vs_bank : Csr.t list
-val h_controls : Csr.t list
-
-val handle_nested_exit : machine -> unit
-(** The full exit path for one hypercall from the nested VM. *)
-
 type result = {
   r_label : string;
   r_traps : int;

@@ -21,10 +21,6 @@
 
 (** {1 Position-independent seed derivation} *)
 
-val mix64 : int64 -> int64
-(** The splitmix64 finalizer: a bijective avalanche mix of one 64-bit
-    word. *)
-
 val derive : seed:int -> index:int -> int64
 (** The seed of job [index] under campaign seed [seed]:
     [mix64 (seed + (index + 1) * gamma)] with the splitmix64 golden-ratio
@@ -43,10 +39,6 @@ val fnv1a_64 : ?init:int64 -> string -> int64
     fold into a campaign digest in index order. *)
 
 (** {1 The engine} *)
-
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — the parallelism the host
-    actually offers. *)
 
 val map : ?domains:int -> shards:int -> jobs:int -> (int -> 'a) -> 'a array
 (** [map ~shards ~jobs f] runs [f i] for every [i] in [0 .. jobs-1] and

@@ -171,6 +171,13 @@ let field name = function
 
 let fi name n = get_i (field name n)
 let fint name n = get_int (field name n)
+
+(* The vGIC save/restore loops run once per used list register, so a
+   count outside the implemented ones never reaches them. *)
+let fused_lrs n =
+  let v = fint "used_lrs" n in
+  if v < 0 || v > Sysreg.lr_count then fail "bad used_lrs %d" v;
+  v
 let fb name n = get_b (field name n)
 let fs name n = get_s (field name n)
 let fl name n = get_l (field name n)
@@ -265,7 +272,11 @@ let table_of_fields = function
       x86_merge_vmcs; x86_reflect; x86_unshadowed; x86_posted_irq;
       x86_guest_hyp_logic; x86_apicv_eoi; arm_virtual_eoi;
       mig_page_copy; mig_state_copy; serror_delivery; watchdog_poll;
-      recover_restore; mig_retry_backoff; tlbi_recipient; dvm_sync ] ->
+      recover_restore; mig_retry_backoff; tlbi_recipient; dvm_sync ] as l ->
+    (* [Cost.charge] asserts a non-negative cost *)
+    List.iteri
+      (fun i c -> if c < 0 then fail "cost-table entry %d is negative (%d)" i c)
+      l;
     { Cost.trap_entry; trap_return; exc_entry_el1; sysreg_read; sysreg_write;
       mem_load; mem_store; insn_base; barrier; tlbi; gic_mmio_access;
       irq_delivery; l0_exit_dispatch; l0_sysreg_emulate; l0_hvc_handle;
@@ -497,7 +508,7 @@ let load_host n (h : Host_hyp.t) mem =
   let vn = field "vcpu" n in
   h.vcpu.Vcpu.in_vel2 <- fb "in_vel2" vn;
   h.vcpu.Vcpu.nested_launched <- fb "nested_launched" vn;
-  h.vcpu.Vcpu.used_lrs <- fint "used_lrs" vn;
+  h.vcpu.Vcpu.used_lrs <- fused_lrs vn;
   load_file (field "vel1" vn) h.vcpu.Vcpu.vel1;
   load_file (field "vel2" vn) h.vcpu.Vcpu.vel2;
   h.Host_hyp.shadow_vttbr <- fi "shadow_vttbr" n;
@@ -543,7 +554,7 @@ let ghyp_node (g : Guest_hyp.t) =
       ("tamper_armed", B (match g.ga.Gaccess.tamper with None -> false | Some _ -> true)) ]
 
 let load_ghyp n (g : Guest_hyp.t) (plan : Plan.t option) =
-  g.Guest_hyp.used_lrs <- fint "used_lrs" n;
+  g.Guest_hyp.used_lrs <- fused_lrs n;
   g.cntvoff <- fi "cntvoff" n;
   Queue.clear g.pending_virqs;
   List.iter (fun v -> Queue.add (get_int v) g.pending_virqs) (fl "pending_virqs" n);
@@ -732,8 +743,6 @@ let restore s =
     (expect "hung" (fl "hung" n));
   m
 
-let of_buffer b = restore (Buffer.contents b)
-
 (* ------------------------------------------------------------------ *)
 (* Structural diff                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -775,15 +784,10 @@ let rec diff_node path a b =
   | _ -> Some (path, "node kinds differ")
 
 (* Machines of different shapes (cpu count, mechanism, memory layout)
-   are not state-divergent, they are incomparable: report that as a
-   typed topology mismatch naming the differing field, instead of a
-   misleading "cpus: 2 vs 4 elements" state diff. *)
-type diff_result =
-  | Identical
-  | Topology_mismatch of { path : string; detail : string }
-  | Diverged of { path : string; detail : string }
-
-let diff_typed m1 m2 =
+   are not state-divergent, they are incomparable: report the differing
+   topology field as a topology mismatch, instead of a misleading
+   "cpus: 2 vs 4 elements" state diff. *)
+let diff m1 m2 =
   let n1 = machine_node m1 and n2 = machine_node m2 in
   let topo =
     List.find_map
@@ -798,26 +802,5 @@ let diff_typed m1 m2 =
         ("expose", None); ("mem", Some "mmio") ]
   in
   match topo with
-  | Some (path, detail) -> Topology_mismatch { path; detail }
-  | None -> (
-    match diff_node "" n1 n2 with
-    | None -> Identical
-    | Some (path, detail) -> Diverged { path; detail })
-
-let diff m1 m2 =
-  match diff_typed m1 m2 with
-  | Identical -> None
-  | Topology_mismatch { path; detail } ->
-    Some (path, "topology mismatch: " ^ detail)
-  | Diverged { path; detail } -> Some (path, detail)
-
-let pp_diff_result ppf = function
-  | Identical -> Format.fprintf ppf "machines identical"
-  | Topology_mismatch { path; detail } ->
-    Format.fprintf ppf "topology mismatch at %s: %s" path detail
-  | Diverged { path; detail } ->
-    Format.fprintf ppf "first divergence at %s: %s" path detail
-
-let pp_diff ppf = function
-  | None -> Format.fprintf ppf "machines identical"
-  | Some (path, detail) -> Format.fprintf ppf "first divergence at %s: %s" path detail
+  | Some (path, detail) -> Some (path, "topology mismatch: " ^ detail)
+  | None -> diff_node "" n1 n2

@@ -33,27 +33,12 @@ val to_string : Hyp.Machine.t -> string
 val restore : string -> Hyp.Machine.t
 (** @raise Format_error on malformed input. *)
 
-val of_buffer : Buffer.t -> Hyp.Machine.t
-
 val diff : Hyp.Machine.t -> Hyp.Machine.t -> (string * string) option
 (** Structural comparison through the serialized tree: [None] when the
     machines serialize identically, otherwise the path of the first
     diverging field (e.g. ["cpus[0].meter.cycles"] or
     ["hosts[0].deferred_page.SPSR_EL1"]) and a rendering of both sides.
-    Machines of different topology compare as a mismatch at the
-    topology field's path (see {!diff_typed}), never as a state diff. *)
-
-(** Machines of different shapes are incomparable, not state-divergent:
-    {!diff_typed} reports which topology field differs ([ncpus],
-    [config], [scenario] or the MMIO memory layout) before attempting
-    any state comparison. *)
-type diff_result =
-  | Identical
-  | Topology_mismatch of { path : string; detail : string }
-  | Diverged of { path : string; detail : string }
-
-val diff_typed : Hyp.Machine.t -> Hyp.Machine.t -> diff_result
-
-val pp_diff_result : Format.formatter -> diff_result -> unit
-
-val pp_diff : Format.formatter -> (string * string) option -> unit
+    Machines of different topology ([ncpus], [config], [scenario],
+    [expose] or the MMIO memory layout) compare as a mismatch at the
+    topology field's path, its rendering prefixed ["topology mismatch: "],
+    never as a state diff. *)

@@ -38,14 +38,8 @@ type report = {
   r_downtime_cycles : int;  (** stop-and-copy: residual pages + state *)
 }
 
-val mech_label : Hyp.Machine.t -> string
-(** The mechanism string a migration of this machine reports. *)
-
 val per_round : report -> int -> float
 (** [per_round r total] is [total] averaged over the pre-copy rounds. *)
-
-val per_capture : report -> int -> float
-(** [per_capture r total] is [total] averaged over the dirty captures. *)
 
 val pp_report : Format.formatter -> report -> unit
 

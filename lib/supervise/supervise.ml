@@ -63,8 +63,6 @@ let event_line e =
     e.e_recover_cost
     (if e.e_recovered then "recovered" else "escalated")
 
-let pp_event ppf e = Format.pp_print_string ppf (event_line e)
-
 type config = {
   no_retire_window : int;
   panic_threshold : int;
@@ -250,9 +248,3 @@ let poll t =
   run_recoveries [] !sick
 
 let events t = List.rev t.events
-
-let recovered_count t =
-  List.length (List.filter (fun e -> e.e_recovered) t.events)
-
-let escalated_count t =
-  List.length (List.filter (fun e -> not e.e_recovered) t.events)

@@ -52,8 +52,6 @@ val event_line : event -> string
 (** One-line stable rendering, for golden files and determinism
     digests. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 type config = {
   no_retire_window : int;  (** default 3 *)
   panic_threshold : int;  (** default 8 *)
@@ -83,6 +81,3 @@ val poll : t -> event list
 
 val events : t -> event list
 (** Every event fired so far, oldest first. *)
-
-val recovered_count : t -> int
-val escalated_count : t -> int

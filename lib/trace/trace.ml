@@ -179,8 +179,6 @@ let disable () =
   detach ();
   on := false
 
-let capacity () = Array.length (sink ()).ring
-
 let emit ?cycles ?tid ?(cls = "") ?(a0 = 0L) ?(a1 = 0L) ?(detail = "") kind =
   if !on then begin
     let sink = sink () in

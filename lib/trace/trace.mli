@@ -100,8 +100,6 @@ val detach : unit -> unit
 val reset : unit -> unit
 (** Clear events and counters without touching the enabled flag. *)
 
-val capacity : unit -> int
-
 val emit :
   ?cycles:int ->
   ?tid:int ->
@@ -138,7 +136,6 @@ val class_counts : unit -> (string * int) list
 val class_count : string -> int
 val class_total : unit -> int
 
-val pp_view : Format.formatter -> view -> unit
 val render : view -> string
 
 val chrome_json : (string * view list) list -> Json.t

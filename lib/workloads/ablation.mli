@@ -11,10 +11,6 @@ type variant = {
   mask : TR.nv2_mask;
 }
 
-val variants : variant list
-(** All-off (≈ARMv8.3), each mechanism alone, deferral+redirection, and
-    full NEVE. *)
-
 type result = {
   r_label : string;
   r_traps : float;

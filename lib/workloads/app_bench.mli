@@ -22,16 +22,6 @@ type op_costs = {
   c_irq : float;  (** one device interrupt delivered + acked + EOId *)
 }
 
-val measure_arm_costs : Scenario.arm_column -> op_costs
-val measure_x86_costs : Scenario.x86_column -> op_costs
-val measure_costs : Scenario.column -> op_costs
-
-val base_overhead : Scenario.column -> Profiles.t -> float
-(** Residual virtualization overhead not expressed as traps (stage-2 TLB
-    pressure; MySQL's high x86 base per Section 7.2). *)
-
-val is_x86 : Scenario.column -> bool
-
 val overhead : Scenario.column -> op_costs -> Profiles.t -> float
 
 type cell = { column : string; value : float }

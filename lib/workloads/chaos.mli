@@ -49,5 +49,4 @@ val run :
     from the configuration names, so the report is byte-identical to the
     serial one; [domains] forces the pool size. *)
 
-val pp_config_report : Format.formatter -> config_report -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -17,12 +17,5 @@ val cycles : ?benches:Micro.benchmark list -> unit -> line list
 val traps : ?benches:Micro.benchmark list -> unit -> line list
 (** Table 7. *)
 
-val default_band : float
-
-val band : Micro.benchmark -> string -> float
-(** The tolerated absolute deviation for a cell; wider for the cells whose
-    gap EXPERIMENTS.md documents (the VHE undercount, the IPI
-    serialization overcount). *)
-
 val within_band : line -> bool
 val pp : Format.formatter -> line list -> unit

@@ -11,7 +11,6 @@
     documents the same three rows; a test greps the rendered help
     against the table so the views cannot drift apart. *)
 
-val ok : int
 val fault : int
 val timeout : int
 

@@ -149,33 +149,3 @@ let table6 ?iters () =
 
 (* Table 7 uses the trap counts of the same measurements. *)
 let table7 = table6
-
-let pp_table ppf rows =
-  match rows with
-  | [] -> ()
-  | first :: _ ->
-    let labels = List.map fst first.cells in
-    Fmt.pf ppf "%-12s" "";
-    List.iter (fun l -> Fmt.pf ppf " %18s" l) labels;
-    Fmt.pf ppf "@.";
-    List.iter
-      (fun row ->
-        Fmt.pf ppf "%-12s" (name row.row_bench);
-        List.iter (fun (_, r) -> Fmt.pf ppf " %18.0f" r.cycles) row.cells;
-        Fmt.pf ppf "@.")
-      rows
-
-let pp_trap_table ppf rows =
-  match rows with
-  | [] -> ()
-  | first :: _ ->
-    let labels = List.map fst first.cells in
-    Fmt.pf ppf "%-12s" "";
-    List.iter (fun l -> Fmt.pf ppf " %18s" l) labels;
-    Fmt.pf ppf "@.";
-    List.iter
-      (fun row ->
-        Fmt.pf ppf "%-12s" (name row.row_bench);
-        List.iter (fun (_, r) -> Fmt.pf ppf " %18.1f" r.traps) row.cells;
-        Fmt.pf ppf "@.")
-      rows

@@ -21,8 +21,6 @@ val virtio_mmio_base : int64
 val arm_op : Machine.t -> benchmark -> unit -> unit
 (** One iteration of a benchmark as guest-side operations. *)
 
-val arm_trap_count : Cost.delta -> int
-
 val measure_arm : ?iters:int -> Scenario.arm_column -> benchmark -> result
 val measure_x86 : ?iters:int -> Scenario.x86_column -> benchmark -> result
 
@@ -35,11 +33,6 @@ val arm_columns_table1 : (string * Scenario.arm_column) list
 val arm_columns_neve : (string * Scenario.arm_column) list
 val x86_columns : (string * Scenario.x86_column) list
 
-val run_table :
-  arm_cols:(string * Scenario.arm_column) list ->
-  x86_cols:(string * Scenario.x86_column) list ->
-  ?iters:int -> unit -> table_row list
-
 val table1 : ?iters:int -> unit -> table_row list
 (** VM and nested VM on ARMv8.3 (non-VHE and VHE) and x86. *)
 
@@ -48,6 +41,3 @@ val table6 : ?iters:int -> unit -> table_row list
 
 val table7 : ?iters:int -> unit -> table_row list
 (** Same measurement; Table 7 reads the trap counts. *)
-
-val pp_table : Format.formatter -> table_row list -> unit
-val pp_trap_table : Format.formatter -> table_row list -> unit

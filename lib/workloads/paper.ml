@@ -56,17 +56,8 @@ let traps : trap_row list =
       t_neve = 0; t_neve_vhe = 0; t_x86 = 0 };
   ]
 
-(* Section 5 trap-cost measurements. *)
-let trap_entry_range = (68, 76)
+(* Section 5 trap-cost measurement: cycles to return from a trap. *)
 let trap_return = 65
-
-(* Headline claims, as checkable constants. *)
-let v83_hypercall_overhead = 155       (* "155 times more expensive" *)
-let v83_hypercall_overhead_vhe = 113
-let neve_hypercall_overhead = 34       (* "34 to 37 times slowdown" *)
-let x86_hypercall_overhead = 31
-let neve_speedup_vs_v83 = 5            (* "up to 5 times faster" *)
-let trap_reduction_factor = 6          (* "more than six times" *)
 
 let cycles_row bench = List.find (fun r -> r.m_bench = bench) cycles
 let traps_row bench = List.find (fun r -> r.t_bench = bench) traps

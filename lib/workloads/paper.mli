@@ -28,15 +28,7 @@ type trap_row = {
 val traps : trap_row list
 (** Table 7. *)
 
-val trap_entry_range : int * int
 val trap_return : int
-
-val v83_hypercall_overhead : int
-val v83_hypercall_overhead_vhe : int
-val neve_hypercall_overhead : int
-val x86_hypercall_overhead : int
-val neve_speedup_vs_v83 : int
-val trap_reduction_factor : int
 
 val cycles_row : Micro.benchmark -> micro_row
 val traps_row : Micro.benchmark -> trap_row

@@ -27,20 +27,6 @@ type t = {
 
 val default : t
 
-val kernbench : t
-val hackbench : t   (** IPI-dominated SMP scheduling (Section 7.2) *)
-
-val specjvm : t
-val tcp_rr : t
-val tcp_stream : t
-val tcp_maerts : t  (** receive at line rate: the paper's worst case *)
-
-val apache : t
-val nginx : t
-val memcached : t   (** the anomaly workload *)
-
-val mysql : t
-
 val all : t list
 (** Figure 2's x-axis order. *)
 

@@ -49,7 +49,6 @@ val run :
     stands down with [Trace.detach]).  [domains] forces the pool
     size. *)
 
-val pp_scenario : Format.formatter -> scenario_report -> unit
 val pp_report : Format.formatter -> report -> unit
 
 val digest : report -> string

@@ -26,9 +26,16 @@ type result = {
   r_l2_traps : int;      (* ... for one L2 hypercall, for comparison *)
 }
 
+(* L1 places the L2 hypervisor's deferred access page at L1-physical
+   [l1_page] and writes that into its virtual VNCR_EL2.  L0 backs L1's
+   physical memory at machine [l1_ram]. *)
+let l1_page = 0x0800_0000L
+let l1_ram = 0x4000_0000L
+let translate_ipa ipa = Some (Int64.add l1_ram ipa)
+
 (* The machine-physical page backing the L2 hypervisor's deferred accesses:
    owned by L1, translated and programmed into the hardware VNCR by L0. *)
-let l2_page = 0x4800_0000L
+let l2_page = Option.get (translate_ipa l1_page)
 
 let make config =
   let m = Machine.create ~ncpus:1 config Hyp.Host_hyp.Nested in
@@ -37,7 +44,11 @@ let make config =
   (* the nested VM is itself a hypervisor *)
   host.Hyp.Host_hyp.l2_is_hyp <- true;
   if Config.is_neve config then
-    host.Hyp.Host_hyp.l2_vncr <- Some (Int64.logor l2_page 1L);
+    host.Hyp.Host_hyp.l2_vncr <-
+      Option.map Core.Vncr.encode
+        (Core.Vncr.recursive
+           (Core.Vncr.v ~baddr:l1_page ~enable:true)
+           ~translate_ipa);
   (* re-arm the hardware for the L2 hypervisor (normally done on the next
      entry; the stack is already sitting in the nested VM) *)
   Arm.Cpu.poke_sysreg m.Machine.cpus.(0) Arm.Sysreg.HCR_EL2

@@ -24,7 +24,6 @@ val make : Config.t -> Machine.t * Hyp.Guest_hyp.t
 (** Assemble the four-level stack: a booted machine with [l2_is_hyp] set
     and a second guest-hypervisor instance as the L2 hypervisor. *)
 
-val l3_hypercall : Machine.t -> Hyp.Guest_hyp.t -> unit
 val measure : Config.t -> label:string -> result
 val run : unit -> result list
 val pp : Format.formatter -> result list -> unit

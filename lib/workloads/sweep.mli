@@ -15,11 +15,6 @@ type series = {
   s_points : point list;
 }
 
-val pool : Arm.Sysreg.t list
-val sizes : int list
-
-val measure_point : Hyp.Config.t -> int -> point
-val measure_series : Hyp.Config.t -> label:string -> series
 val run : unit -> series list
 
 val slope : point list -> float

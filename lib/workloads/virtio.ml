@@ -57,12 +57,3 @@ let kicks_for ~packets ~burst ~spacing ~gap ~service ~backend_speedup =
   let t = create () in
   let bursts = max 1 (packets / max 1 burst) in
   run_bursts t ~bursts ~burst ~spacing ~gap ~service:(service /. backend_speedup)
-
-let kick_ratio ~packets ~burst ~spacing ~gap ~service ~fast_speedup =
-  let slow =
-    kicks_for ~packets ~burst ~spacing ~gap ~service ~backend_speedup:1.0
-  in
-  let fast =
-    kicks_for ~packets ~burst ~spacing ~gap ~service ~backend_speedup:fast_speedup
-  in
-  float_of_int fast /. float_of_int (max 1 slow)

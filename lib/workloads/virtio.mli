@@ -18,18 +18,8 @@ val packet : t -> now:float -> service:float -> bool
 (** Feed one packet arriving at absolute time [now]; true when it
     required a kick. *)
 
-val run_bursts :
-  t -> bursts:int -> burst:int -> spacing:float -> gap:float ->
-  service:float -> int
-(** Bursty arrival process; returns the kick count. *)
-
 val kicks_for :
   packets:int -> burst:int -> spacing:float -> gap:float -> service:float ->
   backend_speedup:float -> int
 (** Kicks for a packet stream; [backend_speedup] shortens the service
     time (x86's faster hardware). *)
-
-val kick_ratio :
-  packets:int -> burst:int -> spacing:float -> gap:float -> service:float ->
-  fast_speedup:float -> float
-(** fast-backend kicks / slow-backend kicks. *)

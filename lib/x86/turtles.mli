@@ -18,22 +18,6 @@ type t = {
 
 val table : t -> Cost.table
 
-val l0_dispatch : t -> unit
-val merge_vmcs : t -> unit
-(** prepare-vmcs02: copy L1's guest-state area into the merged VMCS —
-    the expensive part of every nested entry. *)
-
-val reflect_exit : t -> Vtx.exit_reason -> unit
-(** Copy exit information from vmcs02 into vmcs12 so L1 observes it. *)
-
-val l1_handle_exit : t -> Vtx.exit_reason -> unit
-(** The L1 KVM model: read exit info and guest state through the shadow,
-    handle, touch the few unshadowed fields (the residual exits), and
-    vmresume. *)
-
-val handler : t -> Vtx.t -> Vtx.exit_reason -> unit
-(** L0's top-level exit handler. *)
-
 val create : ?table:Cost.table -> nested:bool -> unit -> t
 (** Build and enter a (possibly nested) x86 VM. *)
 

@@ -121,8 +121,3 @@ let guest_fields =
     Guest_es_sel; Guest_cs_sel; Guest_ss_sel; Guest_ds_sel; Guest_fs_sel;
     Guest_gs_sel; Guest_tr_sel; Guest_gdtr_base; Guest_idtr_base;
     Guest_ia32_efer; Guest_interruptibility ]
-
-let control_fields =
-  [ Pin_based_controls; Cpu_based_controls; Secondary_controls;
-    Exception_bitmap; Ept_pointer; Virtual_apic_page; Vmcs_link_pointer;
-    Tsc_offset ]

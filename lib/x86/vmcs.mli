@@ -62,5 +62,3 @@ val copy_all : src:t -> dst:t -> unit
 
 val guest_fields : field list
 (** The guest-state area: what vmresume merges into vmcs02. *)
-
-val control_fields : field list

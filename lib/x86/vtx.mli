@@ -12,7 +12,6 @@ type exit_reason =
   | Exit_apic_access   (** IPI send: APIC ICR write *)
   | Exit_ept_violation
 
-val exit_reason_name : exit_reason -> string
 val exit_reason_code : exit_reason -> int64
 
 type mode = Root | Non_root
@@ -28,9 +27,6 @@ type t = {
 
 val create : ?table:Cost.table -> unit -> t
 val table : t -> Cost.table
-
-val current_vmcs : t -> Vmcs.t
-(** @raise Invalid_argument when no VMCS is loaded. *)
 
 val vmptrld : t -> Vmcs.t -> unit
 (** @raise Invalid_argument outside root mode. *)

@@ -1,11 +1,10 @@
 (* Tests for NEVE itself: VNCR_EL2, the deferred access page, the
-   classification queries, and the enable/disable workflow. *)
+   classification queries, and the recursive VNCR translation. *)
 
 module Sysreg = Arm.Sysreg
 module Vncr = Core.Vncr
 module Page = Core.Deferred_page
 module Classify = Core.Classify
-module Neve = Core.Neve
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -127,60 +126,25 @@ let test_eliminated_traps () =
   check Alcotest.int "3 of 5 eliminated" 3
     (Classify.eliminated_traps ~guest_vhe:false accesses)
 
-(* --- the Neve workflow facade --- *)
-
-let test_neve_enable_disable () =
-  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_4) () in
-  let neve = Neve.create cpu ~page_base:0x9000L in
-  Neve.enable neve ~guest_vhe:false;
-  check Alcotest.bool "active" true (Neve.is_active neve);
-  let v = Vncr.read cpu in
-  check Alcotest.bool "VNCR enabled" true v.Vncr.enable;
-  check Alcotest.int64 "VNCR points at the page" 0x9000L v.Vncr.baddr;
-  let hcr = Arm.Cpu.hcr_view cpu in
-  check Alcotest.bool "NV set" true hcr.Arm.Hcr.h_nv;
-  check Alcotest.bool "NV2 set" true hcr.Arm.Hcr.h_nv2;
-  check Alcotest.bool "NV1 set for non-VHE" true hcr.Arm.Hcr.h_nv1;
-  Neve.disable neve;
-  check Alcotest.bool "inactive" false (Neve.is_active neve);
-  check Alcotest.bool "VNCR disabled" false (Vncr.read cpu).Vncr.enable
-
-let test_neve_vhe_clears_nv1 () =
-  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_4) () in
-  let neve = Neve.create cpu ~page_base:0x9000L in
-  Neve.enable neve ~guest_vhe:true;
-  check Alcotest.bool "NV1 clear for VHE" false
-    (Arm.Cpu.hcr_view cpu).Arm.Hcr.h_nv1
-
-let test_neve_sync () =
-  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_4) () in
-  let neve = Neve.create cpu ~page_base:0x9000L in
-  Neve.sync_to_page neve ~read_virtual:(fun r ->
-      if r = Sysreg.SCTLR_EL1 then 0xc5L else 0L);
-  check Alcotest.int64 "synced" 0xc5L (Neve.read_deferred neve Sysreg.SCTLR_EL1);
-  Neve.write_deferred neve Sysreg.SCTLR_EL1 0xd6L;
-  let seen = ref 0L in
-  Neve.sync_from_page neve ~write_virtual:(fun r v ->
-      if r = Sysreg.SCTLR_EL1 then seen := v);
-  check Alcotest.int64 "drained" 0xd6L !seen
+(* --- recursive virtualization (Section 6.2) --- *)
 
 let test_recursive_vncr () =
-  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_4) () in
-  let neve = Neve.create cpu ~page_base:0x9000L in
-  (* L1 wrote its virtual VNCR into the deferred page *)
-  Neve.write_deferred neve Sysreg.VNCR_EL2
-    (Vncr.encode (Vncr.v ~baddr:0x2_0000L ~enable:true));
+  (* L1 wrote its virtual VNCR, pointing at an L1-physical page *)
+  let virt = Vncr.v ~baddr:0x2_0000L ~enable:true in
   (match
-     Neve.recursive_vncr neve ~translate_ipa:(fun ipa ->
+     Vncr.recursive virt ~translate_ipa:(fun ipa ->
          Some (Int64.add ipa 0x1_0000_0000L))
    with
    | Some hw ->
-     check Alcotest.int64 "BADDR translated" 0x1_0002_0000L hw.Vncr.baddr
+     check Alcotest.int64 "BADDR translated" 0x1_0002_0000L hw.Vncr.baddr;
+     check Alcotest.bool "enabled" true hw.Vncr.enable
    | None -> Alcotest.fail "translation should succeed");
   (* disabled virtual VNCR yields no hardware programming *)
-  Neve.write_deferred neve Sysreg.VNCR_EL2 0L;
   check Alcotest.bool "disabled -> None" true
-    (Neve.recursive_vncr neve ~translate_ipa:(fun ipa -> Some ipa) = None)
+    (Vncr.recursive (Vncr.decode 0L) ~translate_ipa:(fun ipa -> Some ipa)
+     = None);
+  check Alcotest.bool "untranslatable BADDR -> None" true
+    (Vncr.recursive virt ~translate_ipa:(fun _ -> None) = None)
 
 let suite =
   [
@@ -195,8 +159,5 @@ let suite =
     ("classify: behaviours match the tables", `Quick, test_behaviour_matches_tables);
     ("classify: redirect pairs well-formed", `Quick, test_redirected_pairs_wellformed);
     ("classify: eliminated-trap counting", `Quick, test_eliminated_traps);
-    ("neve: enable/disable workflow", `Quick, test_neve_enable_disable);
-    ("neve: VHE clears NV1", `Quick, test_neve_vhe_clears_nv1);
-    ("neve: page sync", `Quick, test_neve_sync);
     ("neve: recursive VNCR translation", `Quick, test_recursive_vncr);
   ]

@@ -155,53 +155,6 @@ let test_status_registers () =
   check Alcotest.int64 "EISR flags LR1" 2L (Vgic.compute_eisr lrs);
   check Alcotest.int64 "MISR.EOI set" 1L (Vgic.compute_misr lrs)
 
-(* --- the physical CPU interface: masking and priority drop --- *)
-
-let fresh_cpuif () =
-  let d = Dist.create ~ncpus:1 in
-  (d, Gic.Cpuif.create d ~cpu:0)
-
-let test_cpuif_masking () =
-  let d, c = fresh_cpuif () in
-  Dist.enable d ~cpu:0 ~intid:40;
-  Dist.set_priority d ~cpu:0 ~intid:40 0xa0;
-  Dist.raise_irq d ~cpu:0 ~intid:40;
-  (* masked: priority does not beat PMR *)
-  Gic.Cpuif.set_pmr c 0x80;
-  check Alcotest.bool "masked" false (Gic.Cpuif.irq_pending c);
-  check Alcotest.bool "ack refused while masked" true
-    (Gic.Cpuif.acknowledge c = None);
-  (* unmask *)
-  Gic.Cpuif.set_pmr c 0xf0;
-  check Alcotest.bool "pending once unmasked" true (Gic.Cpuif.irq_pending c);
-  check Alcotest.bool "acked" true (Gic.Cpuif.acknowledge c = Some 40)
-
-let test_cpuif_priority_drop () =
-  let d, c = fresh_cpuif () in
-  List.iter
-    (fun (intid, prio) ->
-      Dist.enable d ~cpu:0 ~intid;
-      Dist.set_priority d ~cpu:0 ~intid prio)
-    [ (40, 0xa0); (41, 0x20) ];
-  Dist.raise_irq d ~cpu:0 ~intid:40;
-  check Alcotest.bool "low-priority irq taken" true
-    (Gic.Cpuif.acknowledge c = Some 40);
-  (* while 40 is active, an equal-or-lower priority cannot preempt... *)
-  Dist.raise_irq d ~cpu:0 ~intid:40;
-  check Alcotest.bool "no self-preemption" false (Gic.Cpuif.irq_pending c);
-  (* ...but a higher-priority one can *)
-  Dist.raise_irq d ~cpu:0 ~intid:41;
-  check Alcotest.bool "preempted by higher priority" true
-    (Gic.Cpuif.acknowledge c = Some 41);
-  check Alcotest.int "running priority is the preemptor's" 0x20
-    (Gic.Cpuif.running_priority c);
-  (* EOIs unwind the priority stack *)
-  Gic.Cpuif.eoi c ~intid:41;
-  check Alcotest.int "dropped back" 0xa0 (Gic.Cpuif.running_priority c);
-  Gic.Cpuif.eoi c ~intid:40;
-  check Alcotest.int "idle" Gic.Cpuif.idle_priority
-    (Gic.Cpuif.running_priority c)
-
 (* --- GICv2 MMIO frame --- *)
 
 let test_gicv2_decode () =
@@ -226,44 +179,6 @@ let test_gicv2_frame_addressing () =
   check Alcotest.bool "address outside decodes to None" true
     (Gicv2.decode_access 0x1000L = None)
 
-(* --- timers (small enough to live here) --- *)
-
-let test_timer_fires () =
-  let cpu = Arm.Cpu.create () in
-  Timer_model.arm_timer cpu Timer_model.Virt_el1 ~delta:100L;
-  check Alcotest.bool "not expired yet" false
-    (Timer_model.fires cpu Timer_model.Virt_el1);
-  (* burn some cycles *)
-  Cost.charge cpu.Arm.Cpu.meter 200;
-  check Alcotest.bool "expired" true (Timer_model.fires cpu Timer_model.Virt_el1)
-
-let test_timer_mask () =
-  let cpu = Arm.Cpu.create () in
-  Timer_model.arm_timer cpu Timer_model.Virt_el1 ~delta:0L;
-  Cost.charge cpu.Arm.Cpu.meter 10;
-  Arm.Cpu.poke_sysreg cpu Arm.Sysreg.CNTV_CTL_EL0
-    (Int64.logor Timer_model.ctl_enable Timer_model.ctl_imask);
-  check Alcotest.bool "masked timer does not fire" false
-    (Timer_model.fires cpu Timer_model.Virt_el1)
-
-let test_timer_cntvoff () =
-  let cpu = Arm.Cpu.create () in
-  Cost.charge cpu.Arm.Cpu.meter 1000;
-  Arm.Cpu.poke_sysreg cpu Arm.Sysreg.CNTVOFF_EL2 600L;
-  check Alcotest.int64 "virtual count is offset" 400L
-    (Timer_model.count_for cpu Timer_model.Virt_el1)
-
-let test_timer_tick_vhe () =
-  let cpu = Arm.Cpu.create () in
-  Timer_model.arm_timer cpu Timer_model.Virt_el2 ~delta:0L;
-  Cost.charge cpu.Arm.Cpu.meter 10;
-  let fired = Timer_model.tick cpu ~vhe:true in
-  check Alcotest.bool "EL2 virtual timer fired" true
-    (List.mem Timer_model.Virt_el2 fired);
-  let fired_novhe = Timer_model.tick cpu ~vhe:false in
-  check Alcotest.bool "no EL2 virtual timer without VHE" false
-    (List.mem Timer_model.Virt_el2 fired_novhe)
-
 let suite =
   [
     qtest test_state_bits_roundtrip;
@@ -280,13 +195,7 @@ let suite =
     ("vgic: LR exhaustion", `Quick, test_lr_exhaustion);
     ("vgic: EOI with wrong vintid", `Quick, test_eoi_wrong_vintid);
     ("vgic: EISR/ELRSR/MISR", `Quick, test_status_registers);
-    ("cpuif: PMR masking", `Quick, test_cpuif_masking);
-    ("cpuif: preemption and priority drop", `Quick, test_cpuif_priority_drop);
     ("gicv2: MMIO offset decoding", `Quick, test_gicv2_decode);
     ("gicv2: mapping to ICH registers", `Quick, test_gicv2_to_ich);
     ("gicv2: frame addressing", `Quick, test_gicv2_frame_addressing);
-    ("timer: programmed timers fire", `Quick, test_timer_fires);
-    ("timer: IMASK suppresses", `Quick, test_timer_mask);
-    ("timer: CNTVOFF offsets the count", `Quick, test_timer_cntvoff);
-    ("timer: VHE EL2 virtual timer", `Quick, test_timer_tick_vhe);
   ]

@@ -31,7 +31,12 @@ let test_hcr_for_neve_guest () =
   let v = Hcr.decode (Host.hcr_for host ~vel2:true) in
   check Alcotest.bool "NV2 set" true v.Hcr.h_nv2;
   check Alcotest.bool "TVM clear under NEVE (deferral replaces it)" false
-    v.Hcr.h_tvm
+    v.Hcr.h_tvm;
+  (* a VHE guest hypervisor runs its kernel at vEL2: NV1 stays clear *)
+  let host = fresh ~mech:Config.Hw_neve ~vhe:true () in
+  let v = Hcr.decode (Host.hcr_for host ~vel2:true) in
+  check Alcotest.bool "NEVE-VHE: NV2 set" true v.Hcr.h_nv2;
+  check Alcotest.bool "NEVE-VHE: NV1 clear" false v.Hcr.h_nv1
 
 let test_hcr_for_nested_vm () =
   let host = fresh () in

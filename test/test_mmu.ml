@@ -1,5 +1,5 @@
-(* Tests for the MMU: descriptors, walks, two-stage translation, shadow
-   stage-2 collapse, and the TLB. *)
+(* Tests for the MMU: descriptors, walks, shadow stage-2 collapse, and
+   the TLB. *)
 
 module Memory = Arm.Memory
 
@@ -95,30 +95,15 @@ let test_map_range_walk_random =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 0xffff))
     (fun off ->
       let mem, alloc = fresh_world () in
-      let s1 = Mmu.Stage1.create mem alloc ~asid:3 in
-      Mmu.Stage1.map_range s1 ~va:0x40_0000L ~ipa:0x80_0000L ~len:0x10000L
+      let s2 = Mmu.Stage2.create mem alloc ~vmid:3 in
+      Mmu.Stage2.map_range s2 ~ipa:0x40_0000L ~pa:0x80_0000L ~len:0x10000L
         ~perms:Mmu.Pte.rw;
       match
-        Mmu.Stage1.translate s1 ~va:(Int64.add 0x40_0000L (Int64.of_int off))
+        Mmu.Stage2.translate s2 ~ipa:(Int64.add 0x40_0000L (Int64.of_int off))
           ~is_write:false
       with
       | Ok tr -> tr.Mmu.Walk.t_pa = Int64.add 0x80_0000L (Int64.of_int off)
       | Error _ -> false)
-
-let test_two_stage () =
-  let mem, alloc = fresh_world () in
-  let s1 = Mmu.Stage1.create mem alloc ~asid:1 in
-  let s2 = Mmu.Stage2.create mem alloc ~vmid:1 in
-  Mmu.Stage1.map_page s1 ~va:0x1000L ~ipa:0x8000L ~perms:Mmu.Pte.rw;
-  Mmu.Stage2.map_page s2 ~ipa:0x8000L ~pa:0x9_0000L ~perms:Mmu.Pte.rw;
-  (match Mmu.Stage1.translate_two_stage s1 s2 ~va:0x1008L ~is_write:true with
-   | Ok tr -> check Alcotest.int64 "VA -> PA" 0x9_0008L tr.Mmu.Walk.t_pa
-   | Error _ -> Alcotest.fail "two-stage translation failed");
-  (* stage-2 hole: the fault names the right stage *)
-  Mmu.Stage1.map_page s1 ~va:0x2000L ~ipa:0xdead_0000L ~perms:Mmu.Pte.rw;
-  match Mmu.Stage1.translate_two_stage s1 s2 ~va:0x2000L ~is_write:false with
-  | Error (Mmu.Stage1.S2_fault _) -> ()
-  | _ -> Alcotest.fail "expected a stage-2 fault"
 
 let test_shadow_collapse () =
   let mem, alloc = fresh_world () in
@@ -291,7 +276,6 @@ let suite =
     ("walk: unmap", `Quick, test_unmap);
     ("walk: 2MB block mappings", `Quick, test_block_mapping);
     qtest test_map_range_walk_random;
-    ("two-stage translation", `Quick, test_two_stage);
     ("shadow: collapse on fault", `Quick, test_shadow_collapse);
     ("shadow: guest faults reflected", `Quick, test_shadow_guest_fault_reflected);
     ("shadow: permissions intersect", `Quick, test_shadow_permission_intersection);

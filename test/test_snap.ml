@@ -103,33 +103,47 @@ let test_diff_names_field () =
       (Printf.sprintf "diff names a concrete field (got %s)" path)
       true (String.length path > 0)
 
-(* [image] with cpu0's empty saved-GPR frame list replaced by one frame
-   of [words] words, in the canonical encoding. *)
-let with_frame image words =
-  let be32 n =
-    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
-  in
-  let field = be32 10 ^ "saved_regs" ^ "L" in
-  let empty = field ^ be32 0 in
-  let word = "I" ^ String.make 7 '\000' ^ "\007" in
-  let frame = "L" ^ be32 words ^ String.concat "" (List.init words (fun _ -> word)) in
+let be32 n =
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+
+let be64 v =
+  String.init 8 (fun i ->
+      Char.chr
+        (Int64.to_int
+           (Int64.logand (Int64.shift_right_logical v (8 * (7 - i))) 0xffL)))
+
+(* [image] with [len] bytes at the first offset where [before] ends and
+   [after] starts [len] bytes later replaced by [by], in the canonical
+   encoding. *)
+let splice image ~before ~len ~after by =
+  let nb = String.length before and na = String.length after in
   let rec find i =
-    if i + String.length empty > String.length image then
-      Alcotest.fail "no empty saved_regs list in the image"
-    else if String.sub image i (String.length empty) = empty then i
+    if i + nb + len + na > String.length image then
+      Alcotest.fail "splice point not in the image"
+    else if
+      String.sub image i nb = before
+      && String.sub image (i + nb + len) na = after
+    then i + nb
     else find (i + 1)
   in
   let at = find 0 in
-  String.sub image 0 at ^ field ^ be32 1 ^ frame
-  ^ String.sub image (at + String.length empty)
-      (String.length image - at - String.length empty)
+  String.sub image 0 at ^ by
+  ^ String.sub image (at + len) (String.length image - at - len)
+
+(* [image] with cpu0's empty saved-GPR frame list replaced by one frame
+   of [words] words. *)
+let with_frame image words =
+  let word = "I" ^ String.make 7 '\000' ^ "\007" in
+  let frame = "L" ^ be32 words ^ String.concat "" (List.init words (fun _ -> word)) in
+  splice image ~before:(be32 10 ^ "saved_regs" ^ "L") ~len:4 ~after:""
+    (be32 1 ^ frame)
+
+let raises_format s =
+  match Snap.restore s with
+  | (_ : Machine.t) -> false
+  | exception Snap.Format_error _ -> true
 
 let test_malformed_input () =
-  let raises_format s =
-    match Snap.restore s with
-    | (_ : Machine.t) -> false
-    | exception Snap.Format_error _ -> true
-  in
   check Alcotest.bool "garbage rejected" true (raises_format "garbage");
   check Alcotest.bool "empty rejected" true (raises_format "");
   let m = Scenario.make_arm Scenario.Arm_vm in
@@ -149,6 +163,36 @@ let test_malformed_input () =
     [ 0; 5; 40 ];
   check Alcotest.bool "a 31-word frame is accepted" false
     (raises_format (with_frame s Cpu.nregs))
+
+(* Fields that size a loop or feed an assertion are range-checked on
+   restore: a list-register count past the implemented ones used to spin
+   the vGIC save loop, and a negative cost tripped [Cost.charge]. *)
+let test_out_of_range_fields () =
+  let s =
+    Snap.to_string
+      (Scenario.make_arm
+         (Scenario.Arm_nested (Config.v ~guest_vhe:true Config.Hw_neve)))
+  in
+  (* the field after [used_lrs] names the node: the host's Vcpu or the
+     guest hypervisor *)
+  List.iter
+    (fun (node, next) ->
+      List.iter
+        (fun v ->
+          check Alcotest.bool
+            (Printf.sprintf "%s used_lrs = %Ld rejected" node v)
+            true
+            (raises_format
+               (splice s ~before:(be32 8 ^ "used_lrs" ^ "I") ~len:8
+                  ~after:(be32 (String.length next) ^ next) (be64 v))))
+        [ Int64.shift_left 1L 56; -1L ])
+    [ ("Vcpu", "vel1"); ("Guest_hyp", "cntvoff") ];
+  (* the machine's cost table: 43 entries, trap_entry first *)
+  check Alcotest.bool "negative cost-table entry rejected" true
+    (raises_format
+       (splice s ~before:(be32 5 ^ "table" ^ "L" ^ be32 43 ^ "I") ~len:8
+          ~after:"I" (be64 (-1L))));
+  check Alcotest.bool "the unedited image restores" false (raises_format s)
 
 (* Hostile input: every proper prefix of a real image fails as a typed
    [Format_error], never as another exception escaping the decoder. *)
@@ -477,6 +521,8 @@ let suite =
       test_diff_names_field;
     Alcotest.test_case "malformed snapshots are rejected" `Quick
       test_malformed_input;
+    Alcotest.test_case "out-of-range used_lrs and costs raise Format_error"
+      `Quick test_out_of_range_fields;
     Alcotest.test_case "every truncated prefix raises Format_error" `Quick
       test_truncated_prefixes;
     Alcotest.test_case "image bytes match the recorded digests" `Quick

@@ -142,135 +142,6 @@ let test_virtio_kick_bounds =
       in
       kicks >= 1 && kicks <= 50)
 
-(* --- the functional virtqueue (split ring + EVENT_IDX) --- *)
-
-let fresh_vq () =
-  let mem = Arm.Memory.create () in
-  Workloads.Virtqueue.create mem ~base:0x10_0000L
-
-let test_vq_first_buffer_kicks () =
-  let q = fresh_vq () in
-  check Alcotest.bool "idle backend: first buffer kicks" true
-    (Workloads.Virtqueue.add_buffer q ~buf_addr:0x5000L ~len:64)
-
-let test_vq_busy_backend_suppresses () =
-  let q = fresh_vq () in
-  ignore (Workloads.Virtqueue.add_buffer q ~buf_addr:0x5000L ~len:64);
-  (* the backend consumes one and leaves a threshold behind; while the
-     frontend stays behind it, no kicks *)
-  ignore (Workloads.Virtqueue.backend_run q ~budget:1);
-  (* post several without the backend draining: kick once (to restart it),
-     then suppressed *)
-  let kicks =
-    List.init 5 (fun i ->
-        Workloads.Virtqueue.add_buffer q
-          ~buf_addr:(Int64.of_int (0x6000 + (i * 64)))
-          ~len:64)
-    |> List.filter Fun.id |> List.length
-  in
-  check Alcotest.int "one kick restarts the backend" 1 kicks;
-  check Alcotest.int "backlog is the unconsumed buffers" 5
-    (Workloads.Virtqueue.backlog q)
-
-let test_vq_data_flow () =
-  let q = fresh_vq () in
-  for i = 0 to 7 do
-    ignore
-      (Workloads.Virtqueue.add_buffer q
-         ~buf_addr:(Int64.of_int (0x5000 + (i * 64)))
-         ~len:64)
-  done;
-  check Alcotest.int "backend consumes the backlog" 8
-    (Workloads.Virtqueue.backend_run q ~budget:100);
-  check Alcotest.int "frontend reclaims all completions" 8
-    (Workloads.Virtqueue.reclaim q);
-  check Alcotest.int "queue drained" 0 (Workloads.Virtqueue.backlog q)
-
-let test_vq_matches_analytic_model () =
-  (* cross-validation: a fast backend (drains between submissions) kicks
-     per packet; a slow one is kicked once per burst — the same behaviour
-     the analytic model produces *)
-  let run ~drain_every =
-    let q = fresh_vq () in
-    for i = 0 to 23 do
-      ignore
-        (Workloads.Virtqueue.add_buffer q
-           ~buf_addr:(Int64.of_int (0x5000 + (i * 64)))
-           ~len:64);
-      if (i + 1) mod drain_every = 0 then
-        ignore (Workloads.Virtqueue.backend_run q ~budget:100)
-    done;
-    Workloads.Virtqueue.kicks q
-  in
-  let fast = run ~drain_every:1 in
-  let slow = run ~drain_every:6 in
-  check Alcotest.int "fast backend: kick per packet" 24 fast;
-  check Alcotest.int "slow backend: kick per burst" 4 slow;
-  check Alcotest.bool "same >4x ratio as the analytic model" true
-    (fast >= 4 * slow)
-
-(* --- the virtio-mmio device end to end --- *)
-
-let test_virtio_mmio_device () =
-  let m =
-    Hyp.Machine.create ~ncpus:1 (Hyp.Config.v Hyp.Config.Hw_neve)
-      Hyp.Host_hyp.Nested
-  in
-  Hyp.Machine.boot m;
-  let dev =
-    Workloads.Virtio_mmio.attach m ~cpu:0 ~base:0x0a00_0000L
-      ~device:Workloads.Virtio_mmio.Net ~intid:Gic.Irq.virtio_net_spi ()
-  in
-  (* the driver probes: three trapped reads, each a full nested exit *)
-  let s = Hyp.Machine.snapshot m in
-  Workloads.Virtio_mmio.probe m ~cpu:0 dev;
-  let d = Hyp.Machine.delta_since m s in
-  check Alcotest.bool
-    (Fmt.str "probe cost three full exits (%d traps)" d.Cost.d_traps)
-    true
-    (d.Cost.d_traps >= 3 * 10);
-  (* transmit a burst: kicks are suppressed while the backend is busy *)
-  Workloads.Virtio_mmio.send_packets m ~cpu:0 dev ~count:12;
-  check Alcotest.bool
-    (Fmt.str "fewer kicks than packets (%d)" (Workloads.Virtio_mmio.notifies dev))
-    true
-    (Workloads.Virtio_mmio.notifies dev < 12
-     && Workloads.Virtio_mmio.notifies dev >= 1);
-  (* the completion interrupt reached the nested VM's list registers *)
-  check Alcotest.bool "completion interrupt delivered" true
-    (Hyp.Machine.vm_ack m ~cpu:0 = Some Gic.Irq.virtio_net_spi);
-  ignore (Hyp.Machine.vm_eoi m ~cpu:0 ~vintid:Gic.Irq.virtio_net_spi)
-
-let test_virtio_mmio_register_semantics () =
-  let vq = Workloads.Virtqueue.create (Arm.Memory.create ()) ~base:0x1000L in
-  let dev =
-    Workloads.Virtio_mmio.create ~base:0x0a00_0000L
-      ~device:Workloads.Virtio_mmio.Block ~vq ~intid:41
-      ~raise_irq:(fun () -> ()) ()
-  in
-  check Alcotest.int64 "magic" Workloads.Virtio_mmio.magic
-    (Workloads.Virtio_mmio.read dev ~off:Workloads.Virtio_mmio.off_magic);
-  check Alcotest.int64 "device id is block" 2L
-    (Workloads.Virtio_mmio.read dev ~off:Workloads.Virtio_mmio.off_device_id);
-  Workloads.Virtio_mmio.write dev ~off:Workloads.Virtio_mmio.off_status
-    ~value:0xfL;
-  check Alcotest.int64 "status readback" 0xfL
-    (Workloads.Virtio_mmio.read dev ~off:Workloads.Virtio_mmio.off_status);
-  (* interrupt status sets on completion, clears on ack: the kick only
-     signals; the backend's tick does the work *)
-  ignore (Workloads.Virtqueue.add_buffer vq ~buf_addr:0x5000L ~len:64);
-  Workloads.Virtio_mmio.write dev ~off:Workloads.Virtio_mmio.off_queue_notify
-    ~value:0L;
-  ignore (Workloads.Virtio_mmio.backend_tick dev);
-  check Alcotest.int64 "interrupt pending" 1L
-    (Workloads.Virtio_mmio.read dev
-       ~off:Workloads.Virtio_mmio.off_interrupt_status);
-  Workloads.Virtio_mmio.write dev
-    ~off:Workloads.Virtio_mmio.off_interrupt_ack ~value:1L;
-  check Alcotest.int64 "acked" 0L
-    (Workloads.Virtio_mmio.read dev
-       ~off:Workloads.Virtio_mmio.off_interrupt_status)
-
 (* --- Figure 2 shape --- *)
 
 let fig2 = lazy (App.figure2 ())
@@ -479,14 +350,6 @@ let suite =
     ("fig2: NEVE beats x86 where the paper says", `Quick,
      test_fig2_neve_beats_x86_where_paper_says);
     ("fig2: Hackbench is IPI-bound", `Quick, test_fig2_hackbench_ipi_heavy);
-    ("virtio-mmio: device end to end", `Quick, test_virtio_mmio_device);
-    ("virtio-mmio: register semantics", `Quick,
-     test_virtio_mmio_register_semantics);
-    ("virtqueue: first buffer kicks", `Quick, test_vq_first_buffer_kicks);
-    ("virtqueue: busy backend suppresses", `Quick, test_vq_busy_backend_suppresses);
-    ("virtqueue: end-to-end data flow", `Quick, test_vq_data_flow);
-    ("virtqueue: matches the analytic model", `Quick,
-     test_vq_matches_analytic_model);
     ("sweep: linear on v8.3, flat under NEVE", `Quick, test_sweep_scaling);
     ("paper-vs-measured deviations in band", `Quick,
      test_deviations_within_documented_bands);

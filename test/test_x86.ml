@@ -146,61 +146,6 @@ let test_vmptrld_requires_root () =
   | _ -> Alcotest.fail "vmptrld in non-root mode should be rejected"
   | exception Invalid_argument _ -> ()
 
-(* --- EPT and multi-dimensional paging --- *)
-
-let test_ept_map_translate () =
-  let e = X86.Ept.create () in
-  X86.Ept.map e ~gpa:0x7000L ~hpa:0x44_0000L ~perms:X86.Ept.rw;
-  (match X86.Ept.translate e ~gpa:0x7123L ~is_write:true ~is_exec:false with
-   | Ok (hpa, _) -> check Alcotest.int64 "offset preserved" 0x44_0123L hpa
-   | Error _ -> Alcotest.fail "mapped address should translate");
-  (match X86.Ept.translate e ~gpa:0x7000L ~is_write:false ~is_exec:true with
-   | Error { X86.Ept.f_reason = `Permission; _ } -> ()
-   | _ -> Alcotest.fail "execute should fault on an rw mapping");
-  match X86.Ept.translate e ~gpa:0x9000L ~is_write:false ~is_exec:false with
-  | Error { X86.Ept.f_reason = `Not_present; _ } -> ()
-  | _ -> Alcotest.fail "unmapped address should violate"
-
-let test_ept_unmap () =
-  let e = X86.Ept.create () in
-  X86.Ept.map e ~gpa:0x7000L ~hpa:0x44_0000L ~perms:X86.Ept.rwx;
-  X86.Ept.unmap e ~gpa:0x7000L;
-  match X86.Ept.translate e ~gpa:0x7000L ~is_write:false ~is_exec:false with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unmapped page still translates"
-
-let test_ept_deep_addresses () =
-  (* 48-bit GPAs exercise all four levels *)
-  let e = X86.Ept.create () in
-  X86.Ept.map e ~gpa:0x8000_1234_5000L ~hpa:0x9_0000L ~perms:X86.Ept.rwx;
-  match
-    X86.Ept.translate e ~gpa:0x8000_1234_5008L ~is_write:true ~is_exec:true
-  with
-  | Ok (hpa, _) -> check Alcotest.int64 "4-level walk" 0x9_0008L hpa
-  | Error _ -> Alcotest.fail "deep address should translate"
-
-let test_multidimensional_paging () =
-  let ept12 = X86.Ept.create () and ept01 = X86.Ept.create () in
-  X86.Ept.map ept12 ~gpa:0x3000L ~hpa:0x8_0000L ~perms:X86.Ept.rw;
-  X86.Ept.map ept01 ~gpa:0x8_0000L ~hpa:0x20_0000L ~perms:X86.Ept.ro;
-  let s = X86.Ept.create_shadow () in
-  (match X86.Ept.handle_violation s ~ept12 ~ept01 ~l2_gpa:0x3010L ~is_write:false with
-   | X86.Ept.Resolved hpa -> check Alcotest.int64 "compressed" 0x20_0010L hpa
-   | _ -> Alcotest.fail "violation should resolve");
-  (* permissions intersect: L0 mapped read-only *)
-  (match
-     X86.Ept.translate s.X86.Ept.ept02 ~gpa:0x3010L ~is_write:true
-       ~is_exec:false
-   with
-   | Error { X86.Ept.f_reason = `Permission; _ } -> ()
-   | _ -> Alcotest.fail "write should fault through the intersection");
-  (* unmapped in L1's EPT: reflect to L1, exactly like the ARM shadow *)
-  (match X86.Ept.handle_violation s ~ept12 ~ept01 ~l2_gpa:0x9000L ~is_write:false with
-   | X86.Ept.L1_fault _ -> ()
-   | _ -> Alcotest.fail "L1's violation should reflect");
-  X86.Ept.invalidate_shadow s;
-  check Alcotest.int "invalidated" 0 (X86.Ept.shadow_pages s)
-
 let suite =
   [
     ("vmcs: field storage", `Quick, test_vmcs_read_write);
@@ -220,9 +165,4 @@ let suite =
     ("turtles: vmresume merges vmcs12 -> vmcs02", `Quick,
      test_merge_copies_guest_state);
     ("vtx: vmptrld requires root mode", `Quick, test_vmptrld_requires_root);
-    ("ept: map/translate/permissions", `Quick, test_ept_map_translate);
-    ("ept: unmap", `Quick, test_ept_unmap);
-    ("ept: 4-level walks", `Quick, test_ept_deep_addresses);
-    ("ept: multi-dimensional paging (Turtles)", `Quick,
-     test_multidimensional_paging);
   ]
