@@ -126,6 +126,17 @@ let test_eliminated_traps () =
   check Alcotest.int "3 of 5 eliminated" 3
     (Classify.eliminated_traps ~guest_vhe:false accesses)
 
+(* --- NEVE with a VHE guest hypervisor --- *)
+
+let test_neve_vhe_clears_nv1 () =
+  (* a VHE guest hypervisor runs its kernel at vEL2, so NV1 stays clear *)
+  let config = Hyp.Config.v ~guest_vhe:true Hyp.Config.Hw_neve in
+  let cpu = Arm.Cpu.create ~features:(Hyp.Config.hw_features config) () in
+  let host = Hyp.Host_hyp.create cpu config Hyp.Host_hyp.Nested in
+  let hcr = Arm.Hcr.decode (Hyp.Host_hyp.hcr_for host ~vel2:true) in
+  check Alcotest.bool "NV2 set" true hcr.Arm.Hcr.h_nv2;
+  check Alcotest.bool "NV1 clear for VHE" false hcr.Arm.Hcr.h_nv1
+
 (* --- recursive virtualization (Section 6.2) --- *)
 
 let test_recursive_vncr () =
@@ -159,5 +170,6 @@ let suite =
     ("classify: behaviours match the tables", `Quick, test_behaviour_matches_tables);
     ("classify: redirect pairs well-formed", `Quick, test_redirected_pairs_wellformed);
     ("classify: eliminated-trap counting", `Quick, test_eliminated_traps);
+    ("neve: VHE clears NV1", `Quick, test_neve_vhe_clears_nv1);
     ("neve: recursive VNCR translation", `Quick, test_recursive_vncr);
   ]
