@@ -155,8 +155,8 @@ let read_exit_info t =
 (* Phase B: world switch away from the nested VM (__guest_exit). *)
 let switch_to_host t =
   let o = ops t in
-  (* the array loops run through the funnel's compiled sequences
-     (element-for-element the WS.save_*/restore_* loops over [o]) *)
+  (* the array loops run through the funnel's compiled plans (element
+     for element WS.save_array/restore_array over [o]) *)
   Gaccess.save_ctx t.ga ~el12:t.vhe ~ctx:t.vm_ctx Reglists.el1_state_arr;
   Gaccess.save_ctx t.ga ~el12:false ~ctx:t.vm_ctx Reglists.el0_state_arr;
   if t.debug_active then

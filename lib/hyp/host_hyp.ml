@@ -14,11 +14,12 @@
    trapped eret; the trap handler itself sees six times fewer traps.
 
    The simulator pays for that exit path on every trap too, so the host's
-   side of the round trip allocates nothing per register: the ~70
-   copies of [l0_enter]/[l0_exit] replay as word kernels moving bytes
-   between the register file and memory pages, trap-control writes take
-   {!Cpu.msr}'s EL2 path, and the vEL2 transitions copy between the
-   virtual register files, the stash and hardware the same way. *)
+   side of the round trip allocates nothing per register: the 72 copies
+   of [l0_enter]/[l0_exit] run through World_switch's compiled plans,
+   word kernels moving bytes between the register file and memory
+   pages; trap-control writes take {!Cpu.msr}'s EL2 path, and the vEL2
+   transitions copy between the virtual register files, the stash and
+   hardware the same way. *)
 
 module Sysreg = Arm.Sysreg
 module Cpu = Arm.Cpu
@@ -35,44 +36,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type scenario = Single_vm | Nested
 
 let scenario_name = function Single_vm -> "single-vm" | Nested -> "nested"
-
-(* --- compiled l0 world-switch plans ---
-
-   The full non-VHE exit path copies 72 registers on EVERY trap.  At EL2
-   with a [Direct] alias the router can only answer [Execute] or
-   [Execute_redirected] (a pure function of HCR_EL2.E2H and the feature
-   set), so each loop compiles to flat arrays of pre-resolved hardware
-   registers (dense indices) and context-slot offsets, validated
-   against the raw HCR value and feature record it was compiled under.
-   Replay hands the arrays to [Sysreg_file.save]/[restore], which move
-   each value as an unboxed word, and applies the loop's accounting in
-   aggregate.  It replicates the interpreted loops' observable effects
-   exactly: the same register-file and memory writes in the same order,
-   the same meter charges, the same copy counter, the same final
-   scratch-register value and PC advance. *)
-
-type l0_loop = {
-  ll_n : int;              (* copies: what the interpreted loop executes *)
-  ll_base : int64;         (* the context area *)
-  ll_regs : int array;     (* the kernel's registers (route applied) ... *)
-  ll_offs : int array;     (* ... and their slots' offsets in the area *)
-  ll_last : int64;         (* slot of the last copy; x9 ends holding it *)
-  ll_norms : int;
-      (* restores whose interpreted MSR normalizes: the path writes
-         through [Cpu.msr] (an immediate MSR), which becomes "mov x9, #v;
-         msr" whenever the route is not plain [Execute] — one extra
-         instruction and insn_base cycle charge per copy *)
-}
-
-type l0_plan = {
-  lp_hcr : int64;             (* raw HCR_EL2 the routes were resolved under *)
-  lp_feats : Arm.Features.t;  (* physical identity: swapped on ablation *)
-  lp_save_el1 : l0_loop;      (* guest EL1 state -> guest_stash *)
-  lp_save_el0 : l0_loop;      (* guest EL0 state -> guest_stash *)
-  lp_rest_host : l0_loop;     (* l0_ctx -> host EL1 state *)
-  lp_rest_el1 : l0_loop;      (* guest_stash -> guest EL1 state *)
-  lp_rest_el0 : l0_loop;      (* guest_stash -> guest EL0 state *)
-}
 
 (* A decoded trapped-access syndrome. *)
 type sysreg_trap = {
@@ -121,12 +84,8 @@ type t = {
      runs: L1's virtual VNCR with its BADDR translated through the
      stage-2 tables (the Section 6.2 workflow) *)
   mutable l2_vncr : int64 option;
-  (* compiled l0 world-switch plans, one per (HCR, features) seen; the
-     list stays tiny (the guest-entry HCR values plus the all-clear host
-     value) *)
-  mutable l0_plans : l0_plan list;
   (* Fixed per machine, built once by [create]: *)
-  l0_ops : WS.ops;               (* the host's own EL2 world-switch ops *)
+  l0 : WS.copier;  (* the host's own EL2 world-switch ops and copy plans *)
   twins : Sysreg.t option array; (* [twin_backed], by dense index (shared) *)
   exposed_regs : Sysreg.t array; (* the OoH grant's install/fold surface *)
   mutable drain_skip : bool array;
@@ -267,146 +226,9 @@ let vel2_write ?(to_hw = true) t r v =
 
 (* --- the host's own full exit path (non-VHE KVM): runs on EVERY trap --- *)
 
-(* Resolve one save copy (mrs via Direct, then a store to the context
-   slot) under the current routing state.  [Exit] means the route is
-   something the compiled loop cannot replay (impossible at EL2/Direct,
-   but a fallback beats a wrong simulation). *)
-let compile_route t insn =
-  Arm.Trap_rules.route ~mask:t.cpu.Cpu.nv2_mask t.cpu.Cpu.features
-    ~hcr:(Cpu.hcr_view t.cpu) ~vncr:(Cpu.vncr_value t.cpu)
-    ~el:Arm.Pstate.EL2 insn
-
-(* Registers whose hardware read is not a plain register-file load; a
-   compiled loop charging costs in aggregate would read them at the
-   wrong mid-loop cycle count.  None appears in the world-switch lists,
-   but the compiler refuses rather than assumes. *)
-let hw_special (r : Sysreg.t) =
-  match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
-
-(* A loop over [regs] (context area [base]) whose copy [k] moves
-   hardware register [hw.(k)]; [keep k] says whether the kernel moves it
-   at all (an MSR to a read-only register is ignored). *)
-let make_loop ~base regs ~hw ~keep ~norms =
-  let n = Array.length regs in
-  let kept = Array.of_seq (Seq.filter keep (Seq.init n Fun.id)) in
-  {
-    ll_n = n;
-    ll_base = base;
-    ll_regs = Array.map (fun k -> Sysreg.index hw.(k)) kept;
-    ll_offs = Array.map (fun k -> Reglists.ctx_slot regs.(k)) kept;
-    ll_last = (if n > 0 then WS.slot base regs.(n - 1) else base);
-    ll_norms = norms;
-  }
-
-let compile_save t ~ctx regs =
-  let hw =
-    Array.map
-      (fun r ->
-        let src =
-          match
-            compile_route t (Insn.Mrs (Cpu.scratch_reg, Sysreg.direct r))
-          with
-          | Arm.Trap_rules.Execute -> r
-          | Arm.Trap_rules.Execute_redirected a -> a.Sysreg.reg
-          | _ -> raise Exit
-        in
-        if hw_special src then raise Exit;
-        src)
-      regs
-  in
-  make_loop ~base:ctx regs ~hw ~keep:(fun _ -> true) ~norms:0
-
-let compile_rest t ~ctx regs =
-  let norms = ref 0 in
-  let hw =
-    Array.map
-      (fun r ->
-        match compile_route t (Insn.Msr (Sysreg.direct r, Insn.Imm 0L)) with
-        | Arm.Trap_rules.Execute -> r
-        | Arm.Trap_rules.Execute_redirected a ->
-          incr norms;
-          a.Sysreg.reg
-        | _ -> raise Exit)
-      regs
-  in
-  make_loop ~base:ctx regs ~hw
-    ~keep:(fun k -> Arm.Sysreg_file.writable_index (Sysreg.index hw.(k)))
-    ~norms:!norms
-
-let compile_plan t ~hcr_raw =
-  {
-    lp_hcr = hcr_raw;
-    lp_feats = t.cpu.Cpu.features;
-    lp_save_el1 = compile_save t ~ctx:t.guest_stash Reglists.el1_state_arr;
-    lp_save_el0 = compile_save t ~ctx:t.guest_stash Reglists.el0_state_arr;
-    lp_rest_host = compile_rest t ~ctx:t.l0_ctx Reglists.el1_state_arr;
-    lp_rest_el1 = compile_rest t ~ctx:t.guest_stash Reglists.el1_state_arr;
-    lp_rest_el0 = compile_rest t ~ctx:t.guest_stash Reglists.el0_state_arr;
-  }
-
-(* The plan valid for the CPU's routing state right now, compiling on
-   first sight of a (HCR, features) pair.  Raises [Exit] where the
-   interpreted loops must run instead. *)
-let plan_for t =
-  let cpu = t.cpu in
-  if cpu.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2 then raise Exit;
-  let feats = cpu.Cpu.features in
-  let rec find = function
-    | p :: tl ->
-      if p.lp_feats == feats
-         && Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 p.lp_hcr
-      then p
-      else find tl
-    | [] ->
-      let p =
-        compile_plan t ~hcr_raw:(Cpu.peek_sysreg cpu Sysreg.HCR_EL2)
-      in
-      t.l0_plans <- p :: t.l0_plans;
-      p
-  in
-  find t.l0_plans
-
-(* Replay a compiled save loop.  Per copy the interpreted path executes
-   "mrs x9, <src>; str x9, [slot]": two instructions, a sysreg_read and
-   a mem_store cycle charge, one memory access, PC advanced twice, x9
-   left holding the copied value.  Nothing mid-loop can observe the
-   meter or PC (no tracing, no special registers), so the charges are
-   applied in aggregate. *)
-let run_save t (l : l0_loop) =
-  let cpu = t.cpu in
-  let m = cpu.Cpu.meter in
-  let c = Cpu.table cpu in
-  let n = l.ll_n in
-  Arm.Sysreg_file.save cpu.Cpu.sysregs l.ll_regs cpu.Cpu.mem ~base:l.ll_base
-    l.ll_offs;
-  if n > 0 then
-    Cpu.set_reg cpu Cpu.scratch_reg (Memory.read64 cpu.Cpu.mem l.ll_last);
-  m.Cost.insns <- m.Cost.insns + (2 * n);
-  m.Cost.cycles <- m.Cost.cycles + (n * (c.Cost.sysreg_read + c.Cost.mem_store));
-  m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  Cpu.set_pc cpu (Int64.add (Cpu.pc cpu) (Int64.of_int (8 * n)))
-
-(* Replay a compiled restore loop: "ldr x9, [slot]; msr <dst>, x9" per
-   copy, plus the normalization mov (one instruction, one insn_base
-   cycle) for each copy whose route was redirected.  The interpreter
-   synthesizes that mov without moving the PC ([Cpu.exec]), so only the
-   two real instructions advance it. *)
-let run_rest t (l : l0_loop) =
-  let cpu = t.cpu in
-  let m = cpu.Cpu.meter in
-  let c = Cpu.table cpu in
-  let n = l.ll_n in
-  Arm.Sysreg_file.restore cpu.Cpu.sysregs l.ll_regs cpu.Cpu.mem ~base:l.ll_base
-    l.ll_offs;
-  if n > 0 then
-    Cpu.set_reg cpu Cpu.scratch_reg (Memory.read64 cpu.Cpu.mem l.ll_last);
-  let k = l.ll_norms in
-  m.Cost.insns <- m.Cost.insns + (2 * n) + k;
-  m.Cost.cycles <-
-    m.Cost.cycles + (n * (c.Cost.mem_load + c.Cost.sysreg_write))
-    + (k * c.Cost.insn_base);
-  m.Cost.mem_accesses <- m.Cost.mem_accesses + n;
-  Cpu.set_pc cpu (Int64.add (Cpu.pc cpu) (Int64.of_int (8 * n)))
+(* The EL1 + EL0 context the exit path saves and restores: one loop,
+   copy for copy the EL1 loop followed by the EL0 loop. *)
+let ctx_regs = Array.append Reglists.el1_state_arr Reglists.el0_state_arr
 
 (* The copy counter only feeds the world-switch trace events. *)
 let copies_now () = if !Trace.on then WS.reg_copies () else 0
@@ -414,23 +236,11 @@ let copies_now () = if !Trace.on then WS.reg_copies () else 0
 let l0_enter t =
   let copies0 = copies_now () in
   Cost.charge t.cpu.Cpu.meter (table t).Cost.l0_exit_dispatch;
-  (match plan_for t with
-   | p ->
-     (* save whoever was running at EL1, restore the host's EL1 world *)
-     WS.add_copies
-       (p.lp_save_el1.ll_n + p.lp_save_el0.ll_n + p.lp_rest_host.ll_n);
-     run_save t p.lp_save_el1;
-     run_save t p.lp_save_el0;
-     run_rest t p.lp_rest_host
-   | exception Exit ->
-     let o = t.l0_ops in
-     WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el1_state_arr;
-     WS.save_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el0_state_arr;
-     WS.restore_array o ~ctx:t.l0_ctx ~via:Sysreg.direct
-       Reglists.el1_state_arr);
-  WS.deactivate_traps t.l0_ops ~vhe:false;
+  (* save whoever was running at EL1, restore the host's EL1 world *)
+  let c = t.l0 in
+  WS.save c ~el12:false ~ctx:t.guest_stash ctx_regs;
+  WS.restore c ~el12:false ~ctx:t.l0_ctx Reglists.el1_state_arr;
+  WS.deactivate_traps c.WS.ops ~vhe:false;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -440,20 +250,11 @@ let l0_enter t =
 let l0_exit t =
   let copies0 = copies_now () in
   (* put the interrupted guest context back *)
-  (match plan_for t with
-   | p ->
-     WS.add_copies (p.lp_rest_el1.ll_n + p.lp_rest_el0.ll_n);
-     run_rest t p.lp_rest_el1;
-     run_rest t p.lp_rest_el0
-   | exception Exit ->
-     let o = t.l0_ops in
-     WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el1_state_arr;
-     WS.restore_array o ~ctx:t.guest_stash ~via:Sysreg.direct
-       Reglists.el0_state_arr);
-  let o = t.l0_ops in
-  WS.activate_traps o ~vhe:false ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
-  WS.write_stage2 o ~vttbr:t.shadow_vttbr;
+  let c = t.l0 in
+  WS.restore c ~el12:false ~ctx:t.guest_stash ctx_regs;
+  WS.activate_traps c.WS.ops ~vhe:false
+    ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
+  WS.write_stage2 c.WS.ops ~vttbr:t.shadow_vttbr;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -518,9 +319,8 @@ let mapping_twin_a =
 let mapping_twin_offs =
   Array.of_list (List.map (fun (_, tw) -> Reglists.ctx_slot tw) exec_mapping)
 
-(* The EL1 + EL0 context a vEL2 transition moves: registers, dense
-   indices, accesses and context-slot offsets. *)
-let ctx_regs = Array.append Reglists.el1_state_arr Reglists.el0_state_arr
+(* The dense indices, accesses and context-slot offsets of [ctx_regs],
+   the EL1 + EL0 context a vEL2 transition moves. *)
 let ctx_idx = Array.map Sysreg.index ctx_regs
 let ctx_access = Array.map Sysreg.direct ctx_regs
 let ctx_offs = Array.map Reglists.ctx_slot ctx_regs
@@ -709,7 +509,7 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
   (* enter the guest hypervisor at its (virtual) EL2 vector *)
   Cpu.poke_sysreg cpu Sysreg.ELR_EL2 Guest_hyp.vector_base;
   Cpu.poke_sysreg cpu Sysreg.SPSR_EL2 spsr_el1h;
-  WS.activate_traps t.l0_ops ~vhe:false ~hcr:(hcr_for t ~vel2:true);
+  WS.activate_traps t.l0.WS.ops ~vhe:false ~hcr:(hcr_for t ~vel2:true);
   Cpu.do_eret cpu;
   (* run the guest hypervisor's handler, unless this is the guest
      hypervisor's own kernel->lowvisor transition *)
@@ -761,8 +561,8 @@ let emulate_eret t =
   done;
   Cpu.msr_from cpu cntvoff_a vcpu.Vcpu.vel2 Sysreg.CNTVOFF_EL2;
   (* shadow stage-2 for the nested VM *)
-  WS.write_stage2 t.l0_ops ~vttbr:t.shadow_vttbr;
-  WS.activate_traps t.l0_ops ~vhe:false ~hcr:(hcr_for t ~vel2:false);
+  WS.write_stage2 t.l0.WS.ops ~vttbr:t.shadow_vttbr;
+  WS.activate_traps t.l0.WS.ops ~vhe:false ~hcr:(hcr_for t ~vel2:false);
   (* Section 6.2: while an L2 hypervisor runs, the hardware VNCR points at
      the page owned by the L1 guest hypervisor (BADDR translated by L0) *)
   (match (t.l2_is_hyp, t.l2_vncr) with
@@ -1174,8 +974,9 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       shadow = None;
       l2_is_hyp = false;
       l2_vncr = None;
-      l0_plans = [];
-      l0_ops = make_l0_ops cpu;
+      l0 =
+        { WS.cpu; ops = make_l0_ops cpu; data = Cpu.scratch_reg;
+          msr_src = Insn.Imm 0L; loops = [] };
       twins = twins_for config;
       exposed_regs = exposed_regs_of expose;
       drain_skip = [||];

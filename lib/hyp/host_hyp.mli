@@ -7,9 +7,10 @@
     the nested VM's EL1 state instead.  Every trap from EL1 runs the full
     non-VHE KVM exit path (save guest EL1 state, restore host state,
     dispatch, reverse) — why each trap costs thousands of cycles and exit
-    multiplication hurts.  The simulator replays that path's register
-    copies as unboxed word kernels, so the round trip allocates nothing
-    per copied register.
+    multiplication hurts.  The simulator runs that path's register copies
+    through {!World_switch}'s compiled plans (the compiler the guest
+    hypervisor's loops use too), so the round trip allocates nothing per
+    copied register.
 
     NEVE changes only the boundaries: the host populates the deferred
     access page before running the guest hypervisor and drains it on the
@@ -24,40 +25,6 @@ type scenario = Single_vm | Nested
 val scenario_name : scenario -> string
 (** ["single-vm"] or ["nested"]: the name snapshot images, reports and
     the CLI print for a scenario.  ({!pp} keeps its shorter ["vm"].) *)
-
-(** One compiled copy loop of the l0 world switch.  [ll_n] copies
-    between hardware and the context area at [ll_base]; the kernel moves
-    register [ll_regs.(k)] (dense index, route applied) to or from the
-    slot at offset [ll_offs.(k)] — for a restore, only the copies whose
-    MSR would take effect; [ll_last] is the slot of the last copy (the
-    scratch register ends holding its value); [ll_norms] counts the
-    restores whose interpreted MSR would normalize its immediate (one
-    extra instruction each). *)
-type l0_loop = {
-  ll_n : int;
-  ll_base : int64;
-  ll_regs : int array;
-  ll_offs : int array;
-  ll_last : int64;
-  ll_norms : int;
-}
-
-(** A compiled full-exit path (the save/restore loops of l0 enter/exit),
-    valid while HCR_EL2 equals [lp_hcr] and the feature record is
-    physically [lp_feats].  Replaying a plan is observably identical to
-    interpreting the loops through {!Cpu.exec} — same state writes,
-    meter charges, copy counts and PC movement — without the per-copy
-    routing, and with every value moved as an unboxed word
-    ({!Arm.Sysreg_file.save}/{!Arm.Sysreg_file.restore}). *)
-type l0_plan = {
-  lp_hcr : int64;
-  lp_feats : Arm.Features.t;
-  lp_save_el1 : l0_loop;
-  lp_save_el0 : l0_loop;
-  lp_rest_host : l0_loop;
-  lp_rest_el1 : l0_loop;
-  lp_rest_el0 : l0_loop;
-}
 
 (** A decoded trapped-access syndrome: the access it names ([None] when
     the encoding names no register of the model), Rt and direction. *)
@@ -108,10 +75,10 @@ type t = {
   mutable l2_vncr : int64 option;
       (** machine-physical VNCR to program while the L2 hypervisor runs:
           L1's virtual VNCR with a translated BADDR *)
-  mutable l0_plans : l0_plan list;
-      (** compiled world-switch plans, one per (HCR, features) pair seen *)
-  l0_ops : World_switch.ops;
-      (** the host's own world-switch operations, built once *)
+  l0 : World_switch.copier;
+      (** the host's own world-switch operations (at EL2, through x9,
+          with immediate MSRs) and the compiled plans of its exit-path
+          loops, built once *)
   twins : Sysreg.t option array;
       (** hardware EL1 twin backing each virtual-EL2 register under this
           configuration, by dense index (shared between machines) *)
@@ -183,7 +150,7 @@ val create :
 type mark
 (** The vCPU ({!Vcpu.mark}) and every mutable field as when marked, a
     shadow stage-2's counters and allocators included.  The caches
-    [l0_plans] and [drain_skip] are kept warm and [sysreg_traps] is
+    [l0]'s plans and [drain_skip] are kept warm and [sysreg_traps] is
     emptied by {!rewind}; the CPU and memory are marked by their owner,
     {!Machine.mark}. *)
 

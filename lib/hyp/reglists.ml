@@ -105,6 +105,7 @@ let el1_state_arr = Array.of_list el1_state
 let el0_state_arr = Array.of_list el0_state
 let debug_state_arr = Array.of_list debug_state
 let pmu_state_arr = Array.of_list pmu_state
+let timer_el0_state_arr = Array.of_list timer_el0_state
 
 (* Offsets of each register in a vCPU's in-memory context-save area; the
    world-switch code stores to and loads from these slots.  Slot order

@@ -42,6 +42,7 @@ val el1_state_arr : Sysreg.t array
 val el0_state_arr : Sysreg.t array
 val debug_state_arr : Sysreg.t array
 val pmu_state_arr : Sysreg.t array
+val timer_el0_state_arr : Sysreg.t array
 
 val ctx_slot : Sysreg.t -> int
 (** Byte offset of a register in a context save area; unique per

@@ -9,6 +9,9 @@
    under which architecture — the code is identical, which is the point. *)
 
 module Sysreg = Arm.Sysreg
+module Cpu = Arm.Cpu
+module Insn = Arm.Insn
+module Memory = Arm.Memory
 
 type ops = {
   rd : Sysreg.access -> int64;
@@ -16,13 +19,6 @@ type ops = {
   ld : int64 -> int64;
   st : int64 -> int64 -> unit;
 }
-
-(* Fault-injection wrapper: every value read through [rd]/[ld] passes
-   through [tamper] before the world-switch code sees it.  Writes are
-   untouched, so the corruption shows up as a save/restore mismatch the
-   invariant checker can catch. *)
-let tampered_ops o ~tamper =
-  { o with rd = (fun a -> tamper (o.rd a)); ld = (fun addr -> tamper (o.ld addr)) }
 
 let slot ctx r = Int64.add ctx (Int64.of_int (Reglists.ctx_slot r))
 
@@ -58,61 +54,300 @@ let copied () = Domain.DLS.get copied_key
 
 let reg_copies () = !(copied ())
 
-(* Compiled save/restore loops (Host_hyp's l0 fast path) perform the same
-   copies without going through [save_array]/[restore_array]; they account
-   for them here so tracer deltas stay identical. *)
+(* Counted once per loop, by the reference loops and the compiled plans
+   alike, so tracer deltas do not depend on which one ran. *)
 let add_copies n =
   let c = copied () in
   c := !c + n
 
-let save_list ops ~ctx ~via regs =
-  add_copies (List.length regs);
-  List.iter (fun r -> ops.st (slot ctx r) (ops.rd (via r))) regs
+(* The reference loops: one register copy per iteration through [ops],
+   exactly the instructions the hypervisor executes.  [copy_from] is also
+   where a compiled plan hands over when the routing state moves under
+   it (below). *)
+let copy_from ops ~save ~ctx ~via regs from =
+  for i = from to Array.length regs - 1 do
+    let r = Array.unsafe_get regs i in
+    if save then ops.st (slot ctx r) (ops.rd (via r))
+    else ops.wr (via r) (ops.ld (slot ctx r))
+  done
 
-let restore_list ops ~ctx ~via regs =
-  add_copies (List.length regs);
-  List.iter (fun r -> ops.wr (via r) (ops.ld (slot ctx r))) regs
-
-(* Same loops over the precomputed register arrays the Reglists compile
-   to — the form every per-switch path below uses. *)
 let save_array ops ~ctx ~via regs =
   add_copies (Array.length regs);
-  Array.iter (fun r -> ops.st (slot ctx r) (ops.rd (via r))) regs
+  copy_from ops ~save:true ~ctx ~via regs 0
 
 let restore_array ops ~ctx ~via regs =
   add_copies (Array.length regs);
-  Array.iter (fun r -> ops.wr (via r) (ops.ld (slot ctx r))) regs
+  copy_from ops ~save:false ~ctx ~via regs 0
 
-(* --- the VM's EL1 context --- *)
+(* --- compiled copy plans ---
 
-let save_vm_el1 ops ~vhe ~ctx =
-  save_array ops ~ctx ~via:(vm_el1_access ~vhe) Reglists.el1_state_arr
+   Both hypervisors run the loops above on every world switch: the host
+   72 copies per trap at EL2, the guest hypervisor ~50 per exit through
+   its access funnel.  Under a fixed routing state every copy resolves
+   to one of three things, so a loop compiles once per state to:
 
-let restore_vm_el1 ops ~vhe ~ctx =
-  restore_array ops ~ctx ~via:(vm_el1_access ~vhe) Reglists.el1_state_arr
+   - [Regs]: a run of copies the router executes against the register
+     file ([Execute], or [Execute_redirected] to a twin), moved by one
+     [Sysreg_file.save]/[restore] word kernel;
+   - [Page]: an NV2-deferred copy, one [Memory.copy64] between the
+     deferred access page and the context slot;
+   - [Replay]: anything else (traps, disguised reads, UNDEFs, registers
+     whose read is not a register-file load, writes that change the
+     routing state), executed as its preallocated instruction under its
+     precomputed route ([Cpu.exec_with_action]).
 
-(* --- EL0-accessible context (never traps) --- *)
+   Instructions, cycles and memory accesses are charged per step; the
+   PC advance and the data register (which ends holding the last copy's
+   value) are applied before each replay and at the end, so a trap
+   handler sees exactly the machine state the reference loop shows it.
+   A replay may move the routing state (a trap handler writes HCR_EL2);
+   the loop then finishes through [copy_from] from the next copy. *)
 
-let save_el0 ops ~ctx =
-  save_array ops ~ctx ~via:Sysreg.direct Reglists.el0_state_arr
-let restore_el0 ops ~ctx =
-  restore_array ops ~ctx ~via:Sysreg.direct Reglists.el0_state_arr
+type key = {
+  k_hcr : int64;
+  k_vncr : int64;
+  k_feats : Arm.Features.t;
+  k_mask : Arm.Trap_rules.nv2_mask;
+  k_expose : Expose.Policy.t;
+  k_el : Arm.Pstate.el;
+}
 
-(* --- the host's own EL1 context (non-VHE hypervisors only: a VHE
-   hypervisor's host state lives in EL2 registers and stays put) --- *)
+type copy = {
+  insn : Insn.t;
+  action : Arm.Trap_rules.action;
+  at : int;          (* index of the copy in its loop *)
+  off : int;         (* its context slot, as an offset from the loop's *)
+  slot : int64;      (* ... and as an address *)
+  norm : bool;       (* an immediate MSR normalized by a mov *)
+}
 
-(* --- debug and PMU state (Section 6.1's "performance monitoring,
-   debugging, and timer system registers") ---
+type step =
+  | Regs of { n : int; norms : int; idx : int array; offs : int array;
+              last : int }
+  | Page of int64 * copy
+  | Replay of copy
 
-   Only switched when the VM actually uses them (KVM's debug-dirty /
-   perf-active flags); when it does, a non-VHE guest hypervisor takes a
-   trap per access on ARMv8.3 while NEVE defers them all. *)
+type plan = { key : key; steps : step array }
 
-let save_debug ops ~ctx =
-  save_array ops ~ctx ~via:Sysreg.direct Reglists.debug_state_arr
+type loop = {
+  ctx : int64;
+  save : bool;
+  el12 : bool;
+  regs : Sysreg.t array;
+  mutable plans : plan list;
+}
 
-let save_pmu ops ~ctx =
-  save_array ops ~ctx ~via:Sysreg.direct Reglists.pmu_state_arr
+type copier = {
+  cpu : Cpu.t;
+  ops : ops;
+  data : int;
+  msr_src : Insn.operand;
+  mutable loops : loop list;
+}
+
+let key_of (cpu : Cpu.t) =
+  {
+    k_hcr = Cpu.peek_sysreg cpu Sysreg.HCR_EL2;
+    k_vncr = Cpu.peek_sysreg cpu Sysreg.VNCR_EL2;
+    k_feats = cpu.Cpu.features;
+    k_mask = cpu.Cpu.nv2_mask;
+    k_expose = cpu.Cpu.expose;
+    k_el = cpu.Cpu.pstate.Arm.Pstate.el;
+  }
+
+let key_holds k (cpu : Cpu.t) =
+  Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 k.k_hcr
+  && Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.VNCR_EL2 k.k_vncr
+  && k.k_feats == cpu.Cpu.features
+  && k.k_mask == cpu.Cpu.nv2_mask
+  && Expose.Policy.equal k.k_expose cpu.Cpu.expose
+  && k.k_el = cpu.Cpu.pstate.Arm.Pstate.el
+
+(* Registers whose hardware read is not a plain register-file load
+   (CurrentEL from PSTATE, CNTVCT from the cycle count): a save charging
+   cycles in aggregate would read them at the wrong instant. *)
+let hw_special (r : Sysreg.t) =
+  match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
+
+let via ~el12 = if el12 then vm_el1_access ~vhe:true else Sysreg.direct
+
+let compile c (l : loop) =
+  let cpu = c.cpu in
+  let imm = match c.msr_src with Insn.Imm _ -> true | Insn.Reg _ -> false in
+  let on_slot addr =
+    Array.exists (fun r -> Int64.equal addr (slot l.ctx r)) l.regs
+  in
+  (* each copy: [Ok] with the register the kernel moves, or the step it
+     needs *)
+  let classify k r =
+    let access = via ~el12:l.el12 r in
+    let insn =
+      if l.save then Insn.Mrs (c.data, access)
+      else Insn.Msr (access, Insn.Reg c.data)
+    in
+    let action =
+      Arm.Trap_rules.route ~mask:cpu.Cpu.nv2_mask ~expose:cpu.Cpu.expose
+        cpu.Cpu.features ~hcr:(Cpu.hcr_view cpu) ~vncr:(Cpu.vncr_value cpu)
+        ~el:cpu.Cpu.pstate.Arm.Pstate.el insn
+    in
+    let copy =
+      { insn; action; at = k; off = Reglists.ctx_slot r; slot = slot l.ctx r;
+        norm = imm && (not l.save) && action <> Arm.Trap_rules.Execute }
+    in
+    match action with
+    | (Arm.Trap_rules.Execute | Arm.Trap_rules.Execute_redirected _)
+      when (not l.save) && (r = Sysreg.HCR_EL2 || r = Sysreg.VNCR_EL2) ->
+      (* the write moves the key itself: replay it, then re-check *)
+      Error (Replay copy)
+    | Arm.Trap_rules.Execute when not (l.save && hw_special r) ->
+      Ok (r, copy)
+    | Arm.Trap_rules.Execute_redirected a
+      when not (l.save && hw_special a.Sysreg.reg) ->
+      Ok (a.Sysreg.reg, copy)
+    | Arm.Trap_rules.Defer_to_memory { addr; reg = _ }
+      when l.save || not (on_slot addr) ->
+      (* the data register ends holding the last copy's value, read back
+         from that copy's slot; a deferred store onto a slot of the same
+         loop would change it, so such a restore replays *)
+      Error (Page (addr, copy))
+    | _ -> Error (Replay copy)
+  in
+  (* maximal runs of register-file copies become kernel steps; a
+     restore's kernel skips the registers an MSR cannot write *)
+  let kernel run =
+    let run = List.rev run in
+    let kept =
+      List.filter
+        (fun (r, _) ->
+          l.save || Arm.Sysreg_file.writable_index (Sysreg.index r))
+        run
+    in
+    Regs
+      { n = List.length run;
+        norms = List.length (List.filter (fun (_, cp) -> cp.norm) run);
+        idx = Array.of_list (List.map (fun (r, _) -> Sysreg.index r) kept);
+        offs = Array.of_list (List.map (fun (_, cp) -> cp.off) kept);
+        last = (snd (List.nth run (List.length run - 1))).off }
+  in
+  let steps, run =
+    Array.fold_left
+      (fun (steps, run) x ->
+        match x with
+        | Ok copy -> (steps, copy :: run)
+        | Error step ->
+          if run = [] then (step :: steps, [])
+          else (step :: kernel run :: steps, []))
+      ([], []) (Array.mapi classify l.regs)
+  in
+  let steps = if run = [] then steps else kernel run :: steps in
+  { key = key_of cpu; steps = Array.of_list (List.rev steps) }
+
+let rec find_loop c ~ctx ~save ~el12 regs = function
+  | l :: tl ->
+    if l.regs == regs && Int64.equal l.ctx ctx && l.save = save
+       && l.el12 = el12
+    then l
+    else find_loop c ~ctx ~save ~el12 regs tl
+  | [] ->
+    let l = { ctx; save; el12; regs; plans = [] } in
+    c.loops <- l :: c.loops;
+    l
+
+let rec find_plan c l = function
+  | p :: tl -> if key_holds p.key c.cpu then p else find_plan c l tl
+  | [] ->
+    let p = compile c l in
+    l.plans <- p :: l.plans;
+    p
+
+(* Apply the deferred PC advance ([pcb] bytes) and load the data
+   register from the slot at offset [last] (-1: it already holds the
+   right value). *)
+let flush c (l : loop) ~pcb ~last =
+  let cpu = c.cpu in
+  if pcb <> 0 then Cpu.set_pc cpu (Int64.add (Cpu.pc cpu) (Int64.of_int pcb));
+  if last >= 0 then
+    Memory.load_into cpu.Cpu.mem ~base:l.ctx last cpu.Cpu.regs c.data
+
+let run c (l : loop) (p : plan) =
+  let cpu = c.cpu in
+  let m = cpu.Cpu.meter and tbl = Cpu.table cpu in
+  let mem = cpu.Cpu.mem and sr = cpu.Cpu.sysregs in
+  let steps = p.steps in
+  let n = Array.length steps in
+  let pcb = ref 0 and last = ref (-1) and i = ref 0 in
+  while !i < n do
+    (match Array.unsafe_get steps !i with
+     | Regs r ->
+       (* per copy "mrs x, r; str x, [slot]" or "ldr x, [slot]; msr r, x",
+          plus the normalizing mov of each redirected immediate MSR *)
+       if l.save then begin
+         Arm.Sysreg_file.save sr r.idx mem ~base:l.ctx r.offs;
+         m.Cost.cycles <-
+           m.Cost.cycles + (r.n * (tbl.Cost.sysreg_read + tbl.Cost.mem_store))
+       end
+       else begin
+         Arm.Sysreg_file.restore sr r.idx mem ~base:l.ctx r.offs;
+         m.Cost.cycles <-
+           m.Cost.cycles
+           + (r.n * (tbl.Cost.mem_load + tbl.Cost.sysreg_write))
+           + (r.norms * tbl.Cost.insn_base)
+       end;
+       m.Cost.insns <- m.Cost.insns + (2 * r.n) + r.norms;
+       m.Cost.mem_accesses <- m.Cost.mem_accesses + r.n;
+       pcb := !pcb + (8 * r.n);
+       last := r.last
+     | Page (addr, cp) when not !Trace.on ->
+       (* the deferred access is a 64-bit load or store on the page;
+          traced, it replays to emit its redirect event *)
+       if l.save then Memory.copy64 mem ~src:addr ~dst:cp.slot
+       else Memory.copy64 mem ~src:cp.slot ~dst:addr;
+       m.Cost.insns <- m.Cost.insns + 2;
+       m.Cost.cycles <- m.Cost.cycles + tbl.Cost.mem_load + tbl.Cost.mem_store;
+       m.Cost.mem_accesses <- m.Cost.mem_accesses + 2;
+       pcb := !pcb + 8;
+       last := cp.off
+     | Page (_, cp) | Replay cp ->
+       if l.save then begin
+         flush c l ~pcb:!pcb ~last:!last;
+         Cpu.exec_with_action cpu cp.insn cp.action;
+         (* the store leg is a plain str *)
+         Memory.store_from mem ~base:l.ctx cp.off cpu.Cpu.regs c.data;
+         Cost.charge_insn m tbl.Cost.mem_store;
+         m.Cost.mem_accesses <- m.Cost.mem_accesses + 1;
+         pcb := 4;
+         last := -1
+       end
+       else begin
+         (* the load leg is a plain ldr *)
+         Cost.charge_insn m tbl.Cost.mem_load;
+         m.Cost.mem_accesses <- m.Cost.mem_accesses + 1;
+         flush c l ~pcb:(!pcb + 4) ~last:cp.off;
+         if cp.norm then Cost.charge_insn m tbl.Cost.insn_base;
+         Cpu.exec_with_action cpu cp.insn cp.action;
+         pcb := 0;
+         last := -1
+       end;
+       (* the handler behind a trap may have moved the routing state *)
+       if not (key_holds p.key cpu) then begin
+         flush c l ~pcb:!pcb ~last:!last;
+         pcb := 0;
+         last := -1;
+         copy_from c.ops ~save:l.save ~ctx:l.ctx ~via:(via ~el12:l.el12)
+           l.regs (cp.at + 1);
+         i := n
+       end);
+    incr i
+  done;
+  flush c l ~pcb:!pcb ~last:!last
+
+let run_loop c ~save ~el12 ~ctx regs =
+  add_copies (Array.length regs);
+  let l = find_loop c ~ctx ~save ~el12 regs c.loops in
+  run c l (find_plan c l l.plans)
+
+let save c ~el12 ~ctx regs = run_loop c ~save:true ~el12 ~ctx regs
+let restore c ~el12 ~ctx regs = run_loop c ~save:false ~el12 ~ctx regs
 
 (* --- vGIC hypervisor interface ---
 
@@ -136,23 +371,35 @@ let sysreg_gic ops =
   { gic_rd = (fun r -> ops.rd (Sysreg.direct r));
     gic_wr = (fun r v -> ops.wr (Sysreg.direct r) v) }
 
+(* The registers the loops below walk: the interface state, then the
+   list registers in order.  A switch touches the first [4 + used_lrs]
+   (save) or [1 + used_lrs] (restore). *)
+let vgic_lrs = Array.init Sysreg.lr_count (fun n -> Sysreg.ICH_LR_EL2 n)
+
+let vgic_saved =
+  Array.append
+    [| Sysreg.ICH_VMCR_EL2; Sysreg.ICH_MISR_EL2; Sysreg.ICH_ELRSR_EL2;
+       Sysreg.ICH_AP1R_EL2 0 |]
+    vgic_lrs
+
+let vgic_restored = Array.append [| Sysreg.ICH_VMCR_EL2 |] vgic_lrs
+
 let save_vgic ?gic ops ~ctx ~used_lrs =
   let g = match gic with Some g -> g | None -> sysreg_gic ops in
-  List.iter
-    (fun r -> ops.st (slot ctx r) (g.gic_rd r))
-    ([ Sysreg.ICH_VMCR_EL2; Sysreg.ICH_MISR_EL2; Sysreg.ICH_ELRSR_EL2;
-       Sysreg.ICH_AP1R_EL2 0 ]
-     @ List.init used_lrs (fun n -> Sysreg.ICH_LR_EL2 n));
+  for i = 0 to 3 + used_lrs do
+    let r = vgic_saved.(i) in
+    ops.st (slot ctx r) (g.gic_rd r)
+  done;
   (* disable the virtual interface while in the host *)
   g.gic_wr Sysreg.ICH_HCR_EL2 0L
 
 let restore_vgic ?gic ops ~ctx ~used_lrs =
   let g = match gic with Some g -> g | None -> sysreg_gic ops in
   g.gic_wr Sysreg.ICH_HCR_EL2 Gic.Vgic.ich_hcr_en;
-  List.iter
-    (fun r -> g.gic_wr r (ops.ld (slot ctx r)))
-    ([ Sysreg.ICH_VMCR_EL2 ]
-     @ List.init used_lrs (fun n -> Sysreg.ICH_LR_EL2 n))
+  for i = 0 to used_lrs do
+    let r = vgic_restored.(i) in
+    g.gic_wr r (ops.ld (slot ctx r))
+  done
 
 (* --- timers ---
 
@@ -164,12 +411,13 @@ let restore_vgic ?gic ops ~ctx ~used_lrs =
 let vm_timer_access ~vhe r = if vhe then Sysreg.el02 r else Sysreg.direct r
 
 let save_vm_timer ops ~vhe ~ctx =
-  save_list ops ~ctx ~via:(vm_timer_access ~vhe) Reglists.timer_el0_state;
+  save_array ops ~ctx ~via:(vm_timer_access ~vhe) Reglists.timer_el0_state_arr;
   (* mask the VM timer while the host runs *)
   ops.wr (vm_timer_access ~vhe Sysreg.CNTV_CTL_EL0) 0L
 
 let restore_vm_timer ops ~vhe ~ctx =
-  restore_list ops ~ctx ~via:(vm_timer_access ~vhe) Reglists.timer_el0_state
+  restore_array ops ~ctx ~via:(vm_timer_access ~vhe)
+    Reglists.timer_el0_state_arr
 
 (* Timer EL2 controls, written per transition.  CNTVOFF has no EL1 form
    and always traps when deprivileged; a VHE hypervisor reaches CNTHCTL

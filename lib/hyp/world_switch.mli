@@ -18,11 +18,6 @@ type ops = {
   st : int64 -> int64 -> unit;
 }
 
-val tampered_ops : ops -> tamper:(int64 -> int64) -> ops
-(** Fault-injection wrapper: every value read through [rd]/[ld] passes
-    through [tamper]; writes are untouched, so corruption surfaces as a
-    save/restore mismatch for the invariant checker. *)
-
 val slot : int64 -> Sysreg.t -> int64
 
 val reg_copies : unit -> int
@@ -31,11 +26,6 @@ val reg_copies : unit -> int
     tracer takes deltas around enter/exit to attribute a copy count to
     each switch; the counter is domain-local so fleet shards never race
     on it. *)
-
-val add_copies : int -> unit
-(** Account [n] copies performed by a compiled save/restore loop that
-    bypasses {!save_array}/{!restore_array} (the host's l0 fast path),
-    keeping {!reg_copies} deltas identical to the interpreted loops. *)
 
 val own_el2_access : vhe:bool -> Sysreg.t -> Sysreg.access
 (** How a hypervisor reaches its {e own} EL2 register: the E2H-redirected
@@ -47,29 +37,77 @@ val vm_el1_access : vhe:bool -> Sysreg.t -> Sysreg.access
     for VHE (plain EL1 accesses are redirected to its own EL2 state),
     direct otherwise. *)
 
-val save_list : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
-  Sysreg.t list -> unit
-
-val restore_list : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
-  Sysreg.t list -> unit
-
 val save_array : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
   Sysreg.t array -> unit
-(** {!save_list} over a precomputed register array (what the per-switch
-    entry points use). *)
+(** The reference save loop: per register, [ops.st (slot ctx r)
+    (ops.rd (via r))], in order. *)
 
 val restore_array : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
   Sysreg.t array -> unit
 
-val save_vm_el1 : ops -> vhe:bool -> ctx:int64 -> unit
-val restore_vm_el1 : ops -> vhe:bool -> ctx:int64 -> unit
-val save_el0 : ops -> ctx:int64 -> unit
-val restore_el0 : ops -> ctx:int64 -> unit
+(** {1 Compiled copy plans}
 
-val save_debug : ops -> ctx:int64 -> unit
-(** Breakpoint/watchpoint context, only for debugged VMs. *)
+    What {!save_array}/{!restore_array} do over a hypervisor's [ops], for
+    the same registers, compiled once per routing state: register-file
+    copies run as {!Arm.Sysreg_file.save}/{!Arm.Sysreg_file.restore}
+    word kernels, NV2-deferred copies as {!Arm.Memory.copy64}, and any
+    other copy replays its instruction under its precomputed route
+    ({!Arm.Cpu.exec_with_action}).  A run is observably identical to the
+    reference loop: the same register-file and memory writes, meter
+    charges, copy count, PC advance and final data-register value.  If a
+    replayed copy moves the routing state, the loop finishes through the
+    reference loop from the next copy. *)
 
-val save_pmu : ops -> ctx:int64 -> unit
+(** Everything {!Arm.Trap_rules.route} reads besides the instruction;
+    a plan replays while its key holds ([k_feats] and [k_mask] by
+    physical identity). *)
+type key = {
+  k_hcr : int64;
+  k_vncr : int64;
+  k_feats : Arm.Features.t;
+  k_mask : Arm.Trap_rules.nv2_mask;
+  k_expose : Expose.Policy.t;
+  k_el : Arm.Pstate.el;
+}
+
+type step
+(** One kernel run, deferred-page copy or replayed copy. *)
+
+type plan = { key : key; steps : step array }
+
+(** A loop: the registers copied between hardware and the context area
+    at [ctx], by [save] or restore, through the [_EL12] aliases when
+    [el12] ({!vm_el1_access}) or directly otherwise; its plans, one per
+    key met. *)
+type loop = {
+  ctx : int64;
+  save : bool;
+  el12 : bool;
+  regs : Sysreg.t array;  (** by physical identity *)
+  mutable plans : plan list;
+}
+
+(** One hypervisor's copy loops.  The executing CPU, its reference
+    [ops] (which the fallback runs), and the form of its copy
+    instructions: values move through general register [data] (x9 for
+    the host, x10 for the guest hypervisor), and restores write with
+    [msr r, x<data>] when [msr_src] is [Reg data], or with an immediate
+    MSR when it is an [Imm] (the host's {!Arm.Cpu.msr}; the value is
+    the loaded word), which costs one normalizing [mov] whenever the
+    access does not simply execute. *)
+type copier = {
+  cpu : Arm.Cpu.t;
+  ops : ops;
+  data : int;
+  msr_src : Arm.Insn.operand;
+  mutable loops : loop list;
+}
+
+val save : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
+(** [save c ~el12 ~ctx regs] is [save_array c.ops ~ctx ~via regs] with
+    [via] the [el12] alias form, run through the loop's compiled plan. *)
+
+val restore : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
 
 (** vGIC interface accessors: GICv3 system registers or GICv2's
     memory-mapped GICH frame — identical code paths, different accessor,
@@ -81,7 +119,8 @@ type gic_ops = {
 
 val save_vgic : ?gic:gic_ops -> ops -> ctx:int64 -> used_lrs:int -> unit
 (** Read interface state (only in-use list registers — this matters for
-    trap counts) and disable the interface. *)
+    trap counts) and disable the interface.  [used_lrs] is in
+    [0..Sysreg.lr_count]. *)
 
 val restore_vgic : ?gic:gic_ops -> ops -> ctx:int64 -> used_lrs:int -> unit
 

@@ -241,7 +241,9 @@ let code_of what x l =
   go 0 l
 
 let of_code what l i =
-  match List.nth_opt l i with Some x -> x | None -> fail "bad %s code %d" what i
+  match if i < 0 then None else List.nth_opt l i with
+  | Some x -> x
+  | None -> fail "bad %s code %d" what i
 
 let trap_kind_code k = code_of "trap kind" k Cost.all_trap_kinds
 let trap_kind_of_code i = of_code "trap kind" Cost.all_trap_kinds i
@@ -686,6 +688,7 @@ let restore s =
     | None -> fail "bad exposure bits 0x%x" (fint "expose" n)
   in
   let ncpus = fint "ncpus" n in
+  if ncpus < 1 || ncpus > Vcpu.max_vcpus then fail "bad ncpus %d" ncpus;
   let table = table_of_fields (List.map get_int (fl "table" n)) in
   let checking = fb "checking" n in
   let plan = get_opt plan_of_node (field "fault" n) in
@@ -701,7 +704,10 @@ let restore s =
   List.iter
     (fun w ->
       match get_l w with
-      | [ a; v ] -> Memory.write64 m.Machine.mem (get_i a) (get_i v)
+      | [ a; v ] ->
+        let a = get_i a in
+        if Int64.logand a 7L <> 0L then fail "unaligned memory word 0x%Lx" a;
+        Memory.write64 m.Machine.mem a (get_i v)
       | _ -> fail "bad memory word")
     (fl "words" mn);
   m.Machine.mem.Memory.mmio <-

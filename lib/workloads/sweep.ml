@@ -28,7 +28,7 @@ type series = {
 
 (* The register pool the sweep draws from: the EL1 context in its KVM
    order. *)
-let pool = Hyp.Reglists.el1_state
+let pool = Hyp.Reglists.el1_state_arr
 
 let ctx = 0x2_0000L
 let page = 0x5_0000L
@@ -45,9 +45,9 @@ let measure_point config n =
   cpu.Arm.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
   let ga = Hyp.Gaccess.v cpu config ~page_base:page in
   let ops = Hyp.Gaccess.ops ga in
-  let regs = List.filteri (fun i _ -> i < n) pool in
-  WS.save_list ops ~ctx ~via:Sysreg.direct regs;
-  WS.restore_list ops ~ctx ~via:Sysreg.direct regs;
+  let regs = Array.sub pool 0 n in
+  WS.save_array ops ~ctx ~via:Sysreg.direct regs;
+  WS.restore_array ops ~ctx ~via:Sysreg.direct regs;
   {
     p_regs = n;
     p_traps = cpu.Arm.Cpu.meter.Cost.traps;

@@ -275,28 +275,29 @@ let test_gich_unmapped () =
 (* --- tampered world-switch ops are visible, and check_sync sees them --- *)
 
 let test_tampered_ops () =
-  let regs : (Sysreg.access, int64) Hashtbl.t = Hashtbl.create 64 in
-  let mem : (int64, int64) Hashtbl.t = Hashtbl.create 64 in
-  let base =
-    {
-      WS.rd = (fun a -> Option.value ~default:7L (Hashtbl.find_opt regs a));
-      wr = (fun a v -> Hashtbl.replace regs a v);
-      ld = (fun addr -> Option.value ~default:0L (Hashtbl.find_opt mem addr));
-      st = (fun addr v -> Hashtbl.replace mem addr v);
-    }
-  in
-  let mask = 0xf0f0L in
-  let tampered = WS.tampered_ops base ~tamper:(Int64.logxor mask) in
-  WS.save_vm_el1 tampered ~vhe:false ~ctx:0x1000L;
-  (* every register read 7, the tamper xored it, the store landed xored *)
+  (* the guest hypervisor's access funnel at EL2, where every access
+     executes: each register reads 7, and a corruption armed before each
+     copy xors the value the save loop reads *)
   let cpu = Cpu.create () in
+  let ga = Hyp.Gaccess.v cpu (Config.v Config.Hw_v8_3) ~page_base:0x8000L in
+  let mask = 0xf0f0L in
+  Array.iter
+    (fun r ->
+      Cpu.poke_sysreg cpu r 7L;
+      ga.Hyp.Gaccess.tamper <- Some (Int64.logxor mask);
+      WS.save_array (Hyp.Gaccess.ops ga) ~ctx:0x1000L
+        ~via:(WS.vm_el1_access ~vhe:false) [| r |];
+      check Alcotest.bool "the corruption is one-shot" true
+        (Option.is_none ga.Hyp.Gaccess.tamper))
+    Hyp.Reglists.el1_state_arr;
+  (* every store landed xored *)
   let pairs =
     List.map
       (fun r ->
         ( Sysreg.name r,
           7L,
-          base.WS.ld (Int64.add 0x1000L (Int64.of_int (Hyp.Reglists.ctx_slot r)))
-        ))
+          Arm.Memory.read64 cpu.Cpu.mem
+            (Int64.add 0x1000L (Int64.of_int (Hyp.Reglists.ctx_slot r))) ))
       Hyp.Reglists.el1_state
   in
   let vs = Invariants.check_sync ~name:"ctx-sync" cpu pairs in

@@ -213,6 +213,42 @@ let test_truncated_prefixes () =
           (Printexc.to_string e))
     lengths
 
+(* Hostile input: single-byte flips of three booted images (xor 0x01 and
+   xor 0xff at a fixed stride) restore to a machine or fail as a typed
+   [Format_error].  Unchecked, such flips escaped as an unaligned memory
+   access, a [List.nth] on a negative enumeration code and a
+   [Bad_topology] fault from an impossible [ncpus]. *)
+let flip_stride = 11
+
+let test_flipped_bytes () =
+  let booted config =
+    let m = Machine.create config Hyp.Host_hyp.Nested in
+    Machine.boot m;
+    m
+  in
+  let images =
+    [ ("neve-vhe", booted (Config.v ~guest_vhe:true Config.Hw_neve));
+      ("v8.3", booted (Config.v Config.Hw_v8_3));
+      ("VM", Scenario.make_arm Scenario.Arm_vm) ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let s = Snap.to_string m in
+      for i = 0 to (String.length s - 1) / flip_stride do
+        let at = i * flip_stride in
+        List.iter
+          (fun mask ->
+            let b = Bytes.of_string s in
+            Bytes.set b at (Char.chr (Char.code s.[at] lxor mask));
+            match Snap.restore (Bytes.to_string b) with
+            | (_ : Machine.t) | (exception Snap.Format_error _) -> ()
+            | exception e ->
+              Alcotest.failf "%s: byte %d xor 0x%02x raised %s" name at mask
+                (Printexc.to_string e))
+          [ 0x01; 0xff ]
+      done)
+    images
+
 (* --- the image format, pinned by digests of the images the boxed
    register file wrote --- *)
 
@@ -525,6 +561,8 @@ let suite =
       `Quick test_out_of_range_fields;
     Alcotest.test_case "every truncated prefix raises Format_error" `Quick
       test_truncated_prefixes;
+    Alcotest.test_case "flipped image bytes restore or raise Format_error"
+      `Quick test_flipped_bytes;
     Alcotest.test_case "image bytes match the recorded digests" `Quick
       test_golden_images;
     Alcotest.test_case "Machine.create rejects impossible ncpus" `Quick

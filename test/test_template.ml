@@ -212,15 +212,20 @@ let test_rewind_equals_fresh () =
 
 (* --- bounded campaign state ------------------------------------------- *)
 
-(* Each template's compiled world-switch plans are keyed by (HCR_EL2,
-   features): a campaign adds a plan per key it meets, never another for
-   a key it has.  Measured: 2 keys per column, 8 distinct across the
-   twelve columns (HCR_EL2 values x feature levels). *)
+(* Each template's host world-switch loops compile one plan per routing
+   key they meet (Hyp.World_switch.key): a campaign adds a plan per key
+   it meets, never another for a key it has.  A plan is named by its
+   loop (context area, direction, register count) and its key.
+   Measured: 14 distinct keys across the twelve columns. *)
 let plan_keys (c : Diff.column) =
   let m = Diff.template ~expose:c.col_expose c.col_config in
-  List.map
-    (fun (p : Host_hyp.l0_plan) -> (p.lp_hcr, p.lp_feats))
-    m.Machine.hosts.(0).Host_hyp.l0_plans
+  List.concat_map
+    (fun (l : Hyp.World_switch.loop) ->
+      List.map
+        (fun (p : Hyp.World_switch.plan) ->
+          (l.ctx, l.save, Array.length l.regs, p.key))
+        l.plans)
+    m.Machine.hosts.(0).Host_hyp.l0.Hyp.World_switch.loops
 
 let test_campaign_state_is_bounded () =
   let gen = Fuzz.Gen.create ~seed:3 in
@@ -244,8 +249,12 @@ let test_campaign_state_is_bounded () =
       check Alcotest.bool (c.col_name ^ ": no trap-log labels while logging is off")
         true (m.Machine.cpus.(0).Cpu.labels = None))
     Diff.columns early;
-  check Alcotest.int "distinct plan keys across all columns" 8
-    (List.length (List.sort_uniq compare (List.concat_map plan_keys Diff.columns)))
+  let keys =
+    List.concat_map (fun c -> List.map (fun (_, _, _, k) -> k) (plan_keys c))
+      Diff.columns
+  in
+  check Alcotest.int "distinct plan keys across all columns" 14
+    (List.length (List.sort_uniq compare keys))
 
 let suite =
   [

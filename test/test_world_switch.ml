@@ -50,11 +50,24 @@ let writes events =
 
 let ctx = 0x1000L
 
+(* The contexts a world switch moves, through the reference loops over
+   the precomputed register arrays: the VM's EL1 state in the alias form
+   of the design, the other sets directly. *)
+let save_vm_el1 ops ~vhe =
+  WS.save_array ops ~ctx ~via:(WS.vm_el1_access ~vhe) Reglists.el1_state_arr
+
+let restore_vm_el1 ops ~vhe =
+  WS.restore_array ops ~ctx ~via:(WS.vm_el1_access ~vhe)
+    Reglists.el1_state_arr
+
+let save_direct ops regs = WS.save_array ops ~ctx ~via:Sysreg.direct regs
+let restore_direct ops regs = WS.restore_array ops ~ctx ~via:Sysreg.direct regs
+
 (* --- access forms: the crux of VHE vs non-VHE trap behaviour --- *)
 
 let test_nonvhe_saves_direct () =
   let ops, events, _ = recorder () in
-  WS.save_vm_el1 ops ~vhe:false ~ctx;
+  save_vm_el1 ops ~vhe:false;
   let rs = reads events in
   check Alcotest.int "one read per EL1 context register"
     (List.length Reglists.el1_state) (List.length rs);
@@ -68,7 +81,7 @@ let test_nonvhe_saves_direct () =
 
 let test_vhe_saves_el12 () =
   let ops, events, _ = recorder () in
-  WS.save_vm_el1 ops ~vhe:true ~ctx;
+  save_vm_el1 ops ~vhe:true;
   let rs = reads events in
   let el12 =
     List.filter (fun (a : Sysreg.access) -> a.Sysreg.alias = Sysreg.EL12) rs
@@ -158,12 +171,12 @@ let test_save_restore_roundtrip () =
     (fun i r ->
       Hashtbl.replace regs (Sysreg.direct r) (Int64.of_int (0x100 + i)))
     Reglists.el1_state;
-  WS.save_vm_el1 ops ~vhe:false ~ctx;
+  save_vm_el1 ops ~vhe:false;
   (* wipe the registers, then restore *)
   List.iter
     (fun r -> Hashtbl.replace regs (Sysreg.direct r) 0L)
     Reglists.el1_state;
-  WS.restore_vm_el1 ops ~vhe:false ~ctx;
+  restore_vm_el1 ops ~vhe:false;
   List.iteri
     (fun i r ->
       check Alcotest.int64 (Sysreg.name r ^ " restored")
@@ -181,13 +194,13 @@ let test_context_slots_disjoint () =
   List.iter
     (fun r -> Hashtbl.replace regs (Sysreg.direct r) 0xBBL)
     Reglists.el0_state;
-  WS.save_vm_el1 ops ~vhe:false ~ctx;
-  WS.save_el0 ops ~ctx;
+  save_vm_el1 ops ~vhe:false;
+  save_direct ops Reglists.el0_state_arr;
   List.iter
     (fun r -> Hashtbl.replace regs (Sysreg.direct r) 0L)
     (Reglists.el1_state @ Reglists.el0_state);
-  WS.restore_vm_el1 ops ~vhe:false ~ctx;
-  WS.restore_el0 ops ~ctx;
+  restore_vm_el1 ops ~vhe:false;
+  restore_direct ops Reglists.el0_state_arr;
   check Alcotest.int64 "el1 value intact" 0xAAL
     (Hashtbl.find regs (Sysreg.direct Sysreg.SCTLR_EL1));
   check Alcotest.int64 "el0 value intact" 0xBBL
@@ -197,14 +210,14 @@ let test_context_slots_disjoint () =
 
 let test_debug_state_size () =
   let ops, events, _ = recorder () in
-  WS.save_debug ops ~ctx;
+  save_direct ops Reglists.debug_state_arr;
   check Alcotest.int "4 registers per breakpoint/watchpoint pair"
     (4 * Sysreg.debug_bkpts)
     (List.length (reads events))
 
 let test_pmu_mostly_el0 () =
   let ops, events, _ = recorder () in
-  WS.save_pmu ops ~ctx;
+  save_direct ops Reglists.pmu_state_arr;
   let el1_accesses =
     List.filter
       (fun (a : Sysreg.access) -> Sysreg.min_el a.Sysreg.reg = Arm.Pstate.EL1)
