@@ -124,30 +124,28 @@ let gicv2_gic t : World_switch.gic_ops =
         gich_access t r ~is_write:true);
   }
 
+(* The funnel's ops close over [t], which holds them in its copier: the
+   knot is tied through a lazy value. *)
 let v cpu config ~page_base =
   let rec t =
-    {
-      cpu; config; page_base; tamper = None;
-      copier =
-        {
-          World_switch.cpu;
-          ops =
+    lazy
+      {
+        cpu; config; page_base; tamper = None;
+        copier =
+          World_switch.copier cpu
             {
-              World_switch.rd = (fun a -> rd t a);
-              wr = (fun a v -> wr t a v);
-              ld = (fun addr -> ld t addr);
-              st = (fun addr v -> st t addr v);
-            };
-          data = data_reg;
-          msr_src = Insn.Reg data_reg;
-          loops = [];
-        };
-    }
+              World_switch.rd = (fun a -> rd (Lazy.force t) a);
+              wr = (fun a v -> wr (Lazy.force t) a v);
+              ld = (fun addr -> ld (Lazy.force t) addr);
+              st = (fun addr v -> st (Lazy.force t) addr v);
+            }
+            ~data:data_reg ~imm_msr:false;
+      }
   in
-  t
+  Lazy.force t
 
 (* The world-switch operation record used by World_switch. *)
-let ops t = t.copier.World_switch.ops
+let ops t = World_switch.ops_of t.copier
 
 (* The compiled plans replay what the plain hardware funnel does: a
    paravirt config rewrites each instruction first, and a pending fault

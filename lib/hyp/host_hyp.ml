@@ -240,7 +240,7 @@ let l0_enter t =
   let c = t.l0 in
   WS.save c ~el12:false ~ctx:t.guest_stash ctx_regs;
   WS.restore c ~el12:false ~ctx:t.l0_ctx Reglists.el1_state_arr;
-  WS.deactivate_traps c.WS.ops ~vhe:false;
+  WS.deactivate_traps (WS.ops_of c) ~vhe:false;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -252,9 +252,9 @@ let l0_exit t =
   (* put the interrupted guest context back *)
   let c = t.l0 in
   WS.restore c ~el12:false ~ctx:t.guest_stash ctx_regs;
-  WS.activate_traps c.WS.ops ~vhe:false
+  WS.activate_traps (WS.ops_of c) ~vhe:false
     ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
-  WS.write_stage2 c.WS.ops ~vttbr:t.shadow_vttbr;
+  WS.write_stage2 (WS.ops_of c) ~vttbr:t.shadow_vttbr;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
       ~a0:(Int64.of_int (WS.reg_copies () - copies0))
@@ -509,7 +509,7 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
   (* enter the guest hypervisor at its (virtual) EL2 vector *)
   Cpu.poke_sysreg cpu Sysreg.ELR_EL2 Guest_hyp.vector_base;
   Cpu.poke_sysreg cpu Sysreg.SPSR_EL2 spsr_el1h;
-  WS.activate_traps t.l0.WS.ops ~vhe:false ~hcr:(hcr_for t ~vel2:true);
+  WS.activate_traps (WS.ops_of t.l0) ~vhe:false ~hcr:(hcr_for t ~vel2:true);
   Cpu.do_eret cpu;
   (* run the guest hypervisor's handler, unless this is the guest
      hypervisor's own kernel->lowvisor transition *)
@@ -561,8 +561,8 @@ let emulate_eret t =
   done;
   Cpu.msr_from cpu cntvoff_a vcpu.Vcpu.vel2 Sysreg.CNTVOFF_EL2;
   (* shadow stage-2 for the nested VM *)
-  WS.write_stage2 t.l0.WS.ops ~vttbr:t.shadow_vttbr;
-  WS.activate_traps t.l0.WS.ops ~vhe:false ~hcr:(hcr_for t ~vel2:false);
+  WS.write_stage2 (WS.ops_of t.l0) ~vttbr:t.shadow_vttbr;
+  WS.activate_traps (WS.ops_of t.l0) ~vhe:false ~hcr:(hcr_for t ~vel2:false);
   (* Section 6.2: while an L2 hypervisor runs, the hardware VNCR points at
      the page owned by the L1 guest hypervisor (BADDR translated by L0) *)
   (match (t.l2_is_hyp, t.l2_vncr) with
@@ -974,9 +974,7 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       shadow = None;
       l2_is_hyp = false;
       l2_vncr = None;
-      l0 =
-        { WS.cpu; ops = make_l0_ops cpu; data = Cpu.scratch_reg;
-          msr_src = Insn.Imm 0L; loops = [] };
+      l0 = WS.copier cpu (make_l0_ops cpu) ~data:Cpu.scratch_reg ~imm_msr:true;
       twins = twins_for config;
       exposed_regs = exposed_regs_of expose;
       drain_skip = [||];

@@ -103,6 +103,8 @@ let restore_array ops ~ctx ~via regs =
    A replay may move the routing state (a trap handler writes HCR_EL2);
    the loop then finishes through [copy_from] from the next copy. *)
 
+(* a plan replays while its key holds ([k_feats] and [k_mask] by
+   physical identity) *)
 type key = {
   k_hcr : int64;
   k_vncr : int64;
@@ -129,6 +131,9 @@ type step =
 
 type plan = { key : key; steps : step array }
 
+(* a loop: [regs] (by physical identity) copied to or from the context
+   area at [ctx], through the [_EL12] aliases when [el12]; one plan per
+   key met *)
 type loop = {
   ctx : int64;
   save : bool;
@@ -141,9 +146,13 @@ type copier = {
   cpu : Cpu.t;
   ops : ops;
   data : int;
-  msr_src : Insn.operand;
+  imm_msr : bool;
   mutable loops : loop list;
 }
+
+let copier cpu ops ~data ~imm_msr = { cpu; ops; data; imm_msr; loops = [] }
+let ops_of c = c.ops
+let plan_keys c = List.map (fun l -> List.map (fun p -> p.key) l.plans) c.loops
 
 let key_of (cpu : Cpu.t) =
   {
@@ -173,7 +182,6 @@ let via ~el12 = if el12 then vm_el1_access ~vhe:true else Sysreg.direct
 
 let compile c (l : loop) =
   let cpu = c.cpu in
-  let imm = match c.msr_src with Insn.Imm _ -> true | Insn.Reg _ -> false in
   let on_slot addr =
     Array.exists (fun r -> Int64.equal addr (slot l.ctx r)) l.regs
   in
@@ -192,7 +200,7 @@ let compile c (l : loop) =
     in
     let copy =
       { insn; action; at = k; off = Reglists.ctx_slot r; slot = slot l.ctx r;
-        norm = imm && (not l.save) && action <> Arm.Trap_rules.Execute }
+        norm = c.imm_msr && (not l.save) && action <> Arm.Trap_rules.Execute }
     in
     match action with
     | (Arm.Trap_rules.Execute | Arm.Trap_rules.Execute_redirected _)

@@ -58,53 +58,29 @@ val restore_array : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
     replayed copy moves the routing state, the loop finishes through the
     reference loop from the next copy. *)
 
-(** Everything {!Arm.Trap_rules.route} reads besides the instruction;
-    a plan replays while its key holds ([k_feats] and [k_mask] by
-    physical identity). *)
-type key = {
-  k_hcr : int64;
-  k_vncr : int64;
-  k_feats : Arm.Features.t;
-  k_mask : Arm.Trap_rules.nv2_mask;
-  k_expose : Expose.Policy.t;
-  k_el : Arm.Pstate.el;
-}
+type copier
+(** One hypervisor's copy loops and their compiled plans. *)
 
-type step
-(** One kernel run, deferred-page copy or replayed copy. *)
+val copier : Arm.Cpu.t -> ops -> data:int -> imm_msr:bool -> copier
+(** [copier cpu ops ~data ~imm_msr]: the loops run on [cpu], whose
+    reference [ops] the fallback runs.  Values move through general
+    register [data] (x9 for the host, x10 for the guest hypervisor).
+    Restores write with [msr r, x<data>], or, when [imm_msr], with an
+    immediate MSR (the host's {!Arm.Cpu.msr}), which costs one
+    normalizing [mov] whenever the access does not simply execute. *)
 
-type plan = { key : key; steps : step array }
+val ops_of : copier -> ops
 
-(** A loop: the registers copied between hardware and the context area
-    at [ctx], by [save] or restore, through the [_EL12] aliases when
-    [el12] ({!vm_el1_access}) or directly otherwise; its plans, one per
-    key met. *)
-type loop = {
-  ctx : int64;
-  save : bool;
-  el12 : bool;
-  regs : Sysreg.t array;  (** by physical identity *)
-  mutable plans : plan list;
-}
+type key
+(** Everything {!Arm.Trap_rules.route} reads besides the instruction:
+    HCR_EL2, VNCR_EL2, the feature record, the NV2 mask, the OoH grant
+    and the EL.  A plan replays while its key holds. *)
 
-(** One hypervisor's copy loops.  The executing CPU, its reference
-    [ops] (which the fallback runs), and the form of its copy
-    instructions: values move through general register [data] (x9 for
-    the host, x10 for the guest hypervisor), and restores write with
-    [msr r, x<data>] when [msr_src] is [Reg data], or with an immediate
-    MSR when it is an [Imm] (the host's {!Arm.Cpu.msr}; the value is
-    the loaded word), which costs one normalizing [mov] whenever the
-    access does not simply execute. *)
-type copier = {
-  cpu : Arm.Cpu.t;
-  ops : ops;
-  data : int;
-  msr_src : Arm.Insn.operand;
-  mutable loops : loop list;
-}
+val plan_keys : copier -> key list list
+(** The keys of the compiled plans, one list per loop met. *)
 
 val save : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
-(** [save c ~el12 ~ctx regs] is [save_array c.ops ~ctx ~via regs] with
+(** [save c ~el12 ~ctx regs] is [save_array (ops_of c) ~ctx ~via regs] with
     [via] the [el12] alias form, run through the loop's compiled plan. *)
 
 val restore : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit

@@ -214,18 +214,11 @@ let test_rewind_equals_fresh () =
 
 (* Each template's host world-switch loops compile one plan per routing
    key they meet (Hyp.World_switch.key): a campaign adds a plan per key
-   it meets, never another for a key it has.  A plan is named by its
-   loop (context area, direction, register count) and its key.
-   Measured: 14 distinct keys across the twelve columns. *)
+   it meets, never another for a key it has.  Measured: 14 distinct keys
+   across the twelve columns. *)
 let plan_keys (c : Diff.column) =
   let m = Diff.template ~expose:c.col_expose c.col_config in
-  List.concat_map
-    (fun (l : Hyp.World_switch.loop) ->
-      List.map
-        (fun (p : Hyp.World_switch.plan) ->
-          (l.ctx, l.save, Array.length l.regs, p.key))
-        l.plans)
-    m.Machine.hosts.(0).Host_hyp.l0.Hyp.World_switch.loops
+  Hyp.World_switch.plan_keys m.Machine.hosts.(0).Host_hyp.l0
 
 let test_campaign_state_is_bounded () =
   let gen = Fuzz.Gen.create ~seed:3 in
@@ -236,22 +229,24 @@ let test_campaign_state_is_bounded () =
     done
   in
   run 100;
-  let early = List.map (fun c -> List.length (plan_keys c)) Diff.columns in
+  let count c = List.length (List.concat (plan_keys c)) in
+  let early = List.map count Diff.columns in
   run 1_900;
   List.iter2
     (fun (c : Diff.column) n ->
-      let keys = plan_keys c in
       check Alcotest.int (c.col_name ^ ": l0 plans after 2,000 programs") n
-        (List.length keys);
-      check Alcotest.int (c.col_name ^ ": one plan per key") (List.length keys)
-        (List.length (List.sort_uniq compare keys));
+        (count c);
+      check Alcotest.bool (c.col_name ^ ": one plan per key and loop") true
+        (List.for_all
+           (fun keys ->
+             List.length keys = List.length (List.sort_uniq compare keys))
+           (plan_keys c));
       let m = Diff.template ~expose:c.col_expose c.col_config in
       check Alcotest.bool (c.col_name ^ ": no trap-log labels while logging is off")
         true (m.Machine.cpus.(0).Cpu.labels = None))
     Diff.columns early;
   let keys =
-    List.concat_map (fun c -> List.map (fun (_, _, _, k) -> k) (plan_keys c))
-      Diff.columns
+    List.concat_map (fun c -> List.concat (plan_keys c)) Diff.columns
   in
   check Alcotest.int "distinct plan keys across all columns" 14
     (List.length (List.sort_uniq compare keys))
