@@ -44,18 +44,19 @@ let halt_marker = Xlate.halt_marker
 (* --- program memory --- *)
 
 let fetch32 = Xlate.fetch32
-let store32 = Xlate.store32
 
 (* Load an encoded program at [base]; appends the halt marker and grows
    the memory's tracked code envelope so later stores into the program
-   invalidate any superblocks decoded from it. *)
+   invalidate any superblocks decoded from it.  The words are stored
+   unboxed, so a load allocates the same few words whatever its length
+   (the fuzzer loads a program on every column it runs). *)
 let load mem ~base (words : int array) =
-  Array.iteri
-    (fun i w -> store32 mem (Int64.add base (Int64.of_int (i * 4))) w)
-    words;
-  store32 mem (Int64.add base (Int64.of_int (Array.length words * 4))) halt_marker;
-  Memory.track_code mem ~lo:base
-    ~hi:(Int64.add base (Int64.of_int ((Array.length words + 1) * 4)))
+  let n = Array.length words in
+  for i = 0 to n - 1 do
+    Memory.store32 mem ~base (i * 4) words.(i)
+  done;
+  Memory.store32 mem ~base (n * 4) halt_marker;
+  Memory.track_code mem ~lo:base ~hi:(Int64.add base (Int64.of_int ((n + 1) * 4)))
 
 (* Assemble a program (encode each instruction) and load it. *)
 let load_program mem ~base insns =

@@ -28,7 +28,6 @@ val halt_marker : int
 (** The parking instruction ([b .+0]) terminating loaded programs. *)
 
 val fetch32 : Memory.t -> int64 -> int
-val store32 : Memory.t -> int64 -> int -> unit
 
 val load : Memory.t -> base:int64 -> int array -> unit
 (** Store an encoded program, append the halt marker, and grow the

@@ -192,6 +192,21 @@ let load_words t ~base (offs : int array) (dst : Bytes.t)
       (if p == no_page then 0L else get_word p (byte_index addr))
   done
 
+(* A 32-bit store (program loading): the low 32 bits of [v] into the half
+   of the aligned word at [base + off] that bit 2 of the address names,
+   observably one [read64] and one [write64] of that word. *)
+let store32 t ~base off v =
+  let addr = Int64.add base (Int64.of_int off) in
+  let waddr = Int64.logand addr (Int64.lognot 7L) in
+  let p = get_or_create_page t (page_index waddr) in
+  let i = byte_index waddr in
+  let sh = if Int64.logand addr 4L <> 0L then 32 else 0 in
+  let keep = Int64.lognot (Int64.shift_left 0xffff_ffffL sh) in
+  let v64 = Int64.logand (Int64.of_int v) 0xffff_ffffL in
+  set_word p i
+    (Int64.logor (Int64.logand (get_word p i) keep) (Int64.shift_left v64 sh));
+  stored t waddr
+
 let copy64 t ~src ~dst =
   check_aligned src;
   let sp = find_page t (page_index src) in

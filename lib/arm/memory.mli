@@ -58,6 +58,11 @@ val load_words : t -> base:int64 -> int array -> Bytes.t -> int array -> unit
 (** [load_words t ~base offs dst words] runs
     [load_into t ~base offs.(k) dst words.(k)] for every [k], in order. *)
 
+val store32 : t -> base:int64 -> int -> int -> unit
+(** [store32 t ~base off v] stores the low 32 bits of [v] at [base + off],
+    the low or high half of its aligned word by bit 2 of the address:
+    one {!read64} and one {!write64} of that word, unboxed. *)
+
 val copy64 : t -> src:int64 -> dst:int64 -> unit
 (** [copy64 t ~src ~dst] is [write64 t dst (read64 t src)], unboxed. *)
 

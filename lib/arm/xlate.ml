@@ -39,19 +39,6 @@ let fetch32 mem addr =
        (if hi then Int64.shift_right_logical word 32 else word)
        0xffff_ffffL)
 
-let store32 mem addr v =
-  let base = Int64.logand addr (Int64.lognot 7L) in
-  let word = Memory.read64 mem base in
-  let v64 = Int64.logand (Int64.of_int v) 0xffff_ffffL in
-  let word' =
-    if Int64.logand addr 4L <> 0L then
-      Int64.logor
-        (Int64.logand word 0x0000_0000_ffff_ffffL)
-        (Int64.shift_left v64 32)
-    else Int64.logor (Int64.logand word 0xffff_ffff_0000_0000L) v64
-  in
-  Memory.write64 mem base word'
-
 (* The halt marker: an architecturally-valid instruction a test program
    ends with ([hvc #0x3f] would be a real hypercall, so use a branch-to-
    self, the canonical "parking" instruction). *)

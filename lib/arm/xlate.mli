@@ -17,8 +17,6 @@ val fetch32 : Memory.t -> int64 -> int
 (** Fetch the 32-bit instruction word at an address (words are packed
     two per 64-bit memory word). *)
 
-val store32 : Memory.t -> int64 -> int -> unit
-
 val halt_marker : int
 (** The parking instruction ([b .+0]) terminating loaded programs. *)
 

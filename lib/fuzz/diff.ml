@@ -33,6 +33,7 @@ module Host_hyp = Hyp.Host_hyp
 module Paravirt = Hyp.Paravirt
 module Vcpu = Hyp.Vcpu
 module Gaccess = Hyp.Gaccess
+module Guest_hyp = Hyp.Guest_hyp
 
 type column = {
   col_name : string;
@@ -221,7 +222,7 @@ let with_machine ~traced config expose f =
   end
 
 (* Load the program at [text_base], patched under a paravirtualized
-   mechanism; returns the vCPU's deferred-access page base. *)
+   mechanism. *)
 let load config m words =
   let host = m.Machine.hosts.(0) in
   let page_base = host.Host_hyp.vcpu.Vcpu.page_base in
@@ -231,8 +232,7 @@ let load config m words =
     else words
   in
   Interp.load m.Machine.mem ~base:text_base text;
-  Cpu.set_reg m.Machine.cpus.(0) Paravirt.page_base_reg page_base;
-  page_base
+  Cpu.set_reg m.Machine.cpus.(0) Paravirt.page_base_reg page_base
 
 (* A generated program is guest-HYPERVISOR code: its scope ends the
    moment an eret leaves virtual EL2.  Running on past that point would
@@ -245,13 +245,16 @@ let left_vel2 m =
 
 (* Record where and how the program stopped, then fold: a final eret
    (trapped / rewritten) makes the virtual files authoritative under
-   every mechanism before they are read. *)
-let observe config ~page_base m outcome =
+   every mechanism before they are read.  The eret goes through the
+   machine's own guest-hypervisor funnel, which exists for as long as
+   the machine does, rather than a funnel built per observation. *)
+let observe m outcome =
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
   let pc = Cpu.pc cpu in
   let pstate = Pstate.to_string cpu.Cpu.pstate in
   let in_vel2 = host.Host_hyp.vcpu.Vcpu.in_vel2 in
-  if in_vel2 then Gaccess.eret (Gaccess.v cpu config ~page_base);
+  if in_vel2 then
+    Option.iter (fun g -> Gaccess.eret g.Guest_hyp.ga) m.Machine.ghyps.(0);
   {
     empty_obs with
     ob_outcome = Interp.outcome_to_string outcome;
@@ -296,11 +299,11 @@ let run_column ?(run : runner = Interp.run) ?(traced = false)
   with_machine ~traced config expose (fun m ->
       let cpu = m.Machine.cpus.(0) in
       try
-        let page_base = load config m words in
+        load config m words;
         let outcome =
           run cpu ~stop:(left_vel2 m) ~entry:text_base ~max_insns:budget
         in
-        finish (observe config ~page_base m outcome)
+        finish (observe m outcome)
       with e -> finish (error_obs e cpu))
 
 (* The ninth column: snapshot-at-k / restore / resume.  The same program
@@ -319,7 +322,7 @@ let run_column_snapshot ?(run : runner = Interp.run)
          exists *)
       let live = ref m.Machine.cpus.(0) in
       try
-        let page_base = load config m words in
+        load config m words;
         let first =
           run !live ~stop:(left_vel2 m) ~entry:text_base
             ~max_insns:(min at budget)
@@ -339,7 +342,7 @@ let run_column_snapshot ?(run : runner = Interp.run)
         let outcome =
           run !live ~stop:(left_vel2 m') ~entry:(Cpu.pc !live) ~max_insns:rest
         in
-        observe config ~page_base m' outcome
+        observe m' outcome
       with e -> error_obs e !live)
 
 (* --- comparison --- *)

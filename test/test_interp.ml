@@ -16,13 +16,33 @@ let fresh () = Arm.Cpu.create ()
 
 let test_store_fetch32 () =
   let mem = Arm.Memory.create () in
-  Interp.store32 mem 0x1000L 0xdeadbeef;
-  Interp.store32 mem 0x1004L 0x12345678;
+  Arm.Memory.store32 mem ~base:0x1000L 0 0xdeadbeef;
+  Arm.Memory.store32 mem ~base:0x1000L 4 0x12345678;
   check Alcotest.int "low word" 0xdeadbeef (Interp.fetch32 mem 0x1000L);
   check Alcotest.int "high word" 0x12345678 (Interp.fetch32 mem 0x1004L);
   (* the two 32-bit halves live in one 64-bit word *)
   check Alcotest.int64 "packed" 0x12345678_deadbeefL
     (Arm.Memory.read64 mem 0x1000L)
+
+(* [Interp.load] stores words unboxed: loading 512 words allocates no
+   more than loading one, and the words read back through [fetch32]. *)
+let test_load_allocation () =
+  let mem = Arm.Memory.create () in
+  let words n = Array.init n (fun i -> 0x1000 + i) in
+  let one = words 1 and many = words 512 in
+  let load_words w =
+    let w0 = Gc.minor_words () in
+    Interp.load mem ~base w;
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  ignore (load_words many);
+  let a = load_words one in
+  let b = load_words many in
+  check Alcotest.int "words allocated: 512-word load = 1-word load" a b;
+  check Alcotest.int "last word" 0x11ff
+    (Interp.fetch32 mem (Int64.add base (Int64.of_int (511 * 4))));
+  check Alcotest.int "halt marker after the program" Interp.halt_marker
+    (Interp.fetch32 mem (Int64.add base (Int64.of_int (512 * 4))))
 
 let test_straight_line () =
   let cpu = fresh () in
@@ -339,6 +359,8 @@ let test_x31_is_xzr () =
 let suite =
   [
     ("32-bit packing in 64-bit memory", `Quick, test_store_fetch32);
+    ("program load allocates per load, not per word", `Quick,
+     test_load_allocation);
     ("straight-line program", `Quick, test_straight_line);
     ("countdown loop (cbnz)", `Quick, test_loop);
     ("forward branch", `Quick, test_forward_branch);
