@@ -366,6 +366,66 @@ let test_copy_indices_matches_copy () =
       check Alcotest.int64 (Sysreg.name r) (SF.read a r) (SF.read b r))
     Sysreg.all
 
+(* --- the register database, pinned ---
+
+   One line per register of [Sysreg.all], in order, with every fact the
+   model derives from it, folded into an FNV-1a digest.  A change to the
+   database's representation must leave the digest unchanged. *)
+
+let el_string = function
+  | Pstate.EL0 -> "EL0"
+  | Pstate.EL1 -> "EL1"
+  | Pstate.EL2 -> "EL2"
+
+let class_string = function
+  | Sysreg.NV_vm_reg -> "vm"
+  | Sysreg.NV_redirect r -> "redirect " ^ Sysreg.name r
+  | Sysreg.NV_redirect_vhe r -> "redirect-vhe " ^ Sysreg.name r
+  | Sysreg.NV_trap_on_write -> "trap-on-write"
+  | Sysreg.NV_redirect_or_trap r -> "redirect-or-trap " ^ Sysreg.name r
+  | Sysreg.NV_timer_trap -> "timer-trap"
+  | Sysreg.NV_none -> "none"
+
+(* The register's own facts, defined for out-of-range banked members
+   too. *)
+let reg_facts r =
+  let op0, op1, crn, crm, op2 = Sysreg.enc r in
+  Printf.sprintf "%s (%d,%d,%d,%d,%d) %s %s ro=%b" (Sysreg.name r) op0 op1
+    crn crm op2 (el_string (Sysreg.min_el r))
+    (class_string (Sysreg.neve_class r))
+    (Sysreg.read_only r)
+
+let opt_name = function None -> "-" | Some r -> Sysreg.name r
+
+let register_line r =
+  Printf.sprintf "%d %s vncr=%s ctx=%d twin=%s el1=%s\n" (Sysreg.index r)
+    (reg_facts r)
+    (match Sysreg.vncr_offset r with None -> "-" | Some o -> string_of_int o)
+    (Hyp.Reglists.ctx_slot r)
+    (opt_name (Arm.Trap_rules.vhe_el2_twin r))
+    (opt_name (Arm.Trap_rules.el1_form_of_el2 r))
+
+let test_register_digest () =
+  let digest =
+    List.fold_left
+      (fun h r -> Shard.fnv1a_64 ~init:h (register_line r))
+      0xcbf29ce484222325L Sysreg.all
+  in
+  check Alcotest.int "registers" 154 (List.length Sysreg.all);
+  check Alcotest.string "database digest" "197ca06c29b02b81"
+    (Printf.sprintf "%016Lx" digest)
+
+(* Banked members past the implemented ones keep the formula names and
+   encodings: error messages and decoders print them. *)
+let test_out_of_range_banked () =
+  List.iter
+    (fun (r, want) -> check Alcotest.string want want (reg_facts r))
+    [ (Sysreg.ICH_LR_EL2 16, "ICH_LR16_EL2 (3,4,12,13,8) EL2 trap-on-write ro=false");
+      (Sysreg.ICH_LR_EL2 18, "ICH_LR18_EL2 (3,4,12,13,10) EL2 trap-on-write ro=false");
+      (Sysreg.PMEVCNTR_EL0 6, "PMEVCNTR6_EL0 (3,3,14,8,6) EL0 none ro=false");
+      (Sysreg.DBGBVR_EL1 9, "DBGBVR9_EL1 (2,0,0,9,4) EL1 none ro=false");
+      (Sysreg.ICH_AP1R_EL2 4, "ICH_AP1R4_EL2 (3,4,12,9,4) EL2 trap-on-write ro=false") ]
+
 let suite =
   [
     ("pstate: CurrentEL bits", `Quick, test_currentel_bits);
@@ -397,4 +457,7 @@ let suite =
      test_sysreg_file_model);
     ("sysreg-file: copy_indices == copy", `Quick,
      test_copy_indices_matches_copy);
+    ("sysreg: database digest", `Quick, test_register_digest);
+    ("sysreg: out-of-range banked members", `Quick,
+     test_out_of_range_banked);
   ]
