@@ -144,24 +144,7 @@ let decode (w : int) : decoded =
         field w 5 3 )
     in
     let rt = field w 0 5 in
-    let op0, op1, crn, crm, op2 = enc in
-    (* op1=5 is the VHE alias space: resolve against the op1 of the
-       underlying EL1 (op1=0) or EL0 (op1=3) register. *)
-    let resolved =
-      match Sysreg.of_enc enc with
-      | Some reg -> Some (Sysreg.direct reg)
-      | None when op1 = 5 -> begin
-          match Sysreg.of_enc (op0, 0, crn, crm, op2) with
-          | Some reg -> Some (Sysreg.el12 reg)
-          | None -> begin
-              match Sysreg.of_enc (op0, 3, crn, crm, op2) with
-              | Some reg -> Some (Sysreg.el02 reg)
-              | None -> None
-            end
-        end
-      | None -> None
-    in
-    match resolved with
+    match Sysreg.access_of_enc enc with
     | None -> D_unknown w
     | Some access ->
       if is_read then D_insn (Insn.Mrs (rt, access))

@@ -1,12 +1,18 @@
 (* The system-register database.
 
-   Every register the simulator models, with its A64 encoding
-   (op0, op1, CRn, CRm, op2), the minimum exception level that may access it
-   directly, and its NEVE classification from Tables 3, 4 and 5 of the paper.
+   One table, [rows], states each register the simulator models once:
+   its name, its A64 encoding (op0, op1, CRn, CRm, op2), the minimum
+   exception level that may access it directly, and its NEVE class from
+   Tables 3, 4 and 5 of the paper.  Every query of those facts reads
+   that row; only [index] (the dense numbering) and the formulas for
+   out-of-range banked members are written per register.
 
-   Deferred-access-page offsets are synthetic (stable, unique, 8-byte
-   aligned); the paper leaves the layout to the architecture as long as every
-   register has a well-defined offset from VNCR_EL2.BADDR (Section 6.1). *)
+   The row order is the order of [all], which fixes the context-save
+   slots, the deferred-access-page offsets and the paravirtual form
+   numbers: a new register is appended.  Deferred-access-page offsets are
+   synthetic (stable, unique, 8-byte aligned); the paper leaves the
+   layout to the architecture as long as every register has a
+   well-defined offset from VNCR_EL2.BADDR (Section 6.1). *)
 
 type t =
   (* --- EL0-accessible registers --- *)
@@ -135,292 +141,8 @@ let apr_count = 4
 let pmu_counters = 6   (* event counters implemented *)
 let debug_bkpts = 6    (* breakpoint/watchpoint pairs implemented *)
 
-let name = function
-  | SP_EL0 -> "SP_EL0"
-  | TPIDR_EL0 -> "TPIDR_EL0"
-  | TPIDRRO_EL0 -> "TPIDRRO_EL0"
-  | CNTV_CTL_EL0 -> "CNTV_CTL_EL0"
-  | CNTV_CVAL_EL0 -> "CNTV_CVAL_EL0"
-  | CNTP_CTL_EL0 -> "CNTP_CTL_EL0"
-  | CNTP_CVAL_EL0 -> "CNTP_CVAL_EL0"
-  | CNTVCT_EL0 -> "CNTVCT_EL0"
-  | CNTFRQ_EL0 -> "CNTFRQ_EL0"
-  | PMUSERENR_EL0 -> "PMUSERENR_EL0"
-  | PMSELR_EL0 -> "PMSELR_EL0"
-  | PMCR_EL0 -> "PMCR_EL0"
-  | PMCNTENSET_EL0 -> "PMCNTENSET_EL0"
-  | PMCNTENCLR_EL0 -> "PMCNTENCLR_EL0"
-  | PMOVSCLR_EL0 -> "PMOVSCLR_EL0"
-  | PMCCNTR_EL0 -> "PMCCNTR_EL0"
-  | PMCCFILTR_EL0 -> "PMCCFILTR_EL0"
-  | PMEVCNTR_EL0 n -> Printf.sprintf "PMEVCNTR%d_EL0" n
-  | PMEVTYPER_EL0 n -> Printf.sprintf "PMEVTYPER%d_EL0" n
-  | PMINTENSET_EL1 -> "PMINTENSET_EL1"
-  | PMINTENCLR_EL1 -> "PMINTENCLR_EL1"
-  | DBGBVR_EL1 n -> Printf.sprintf "DBGBVR%d_EL1" n
-  | DBGBCR_EL1 n -> Printf.sprintf "DBGBCR%d_EL1" n
-  | DBGWVR_EL1 n -> Printf.sprintf "DBGWVR%d_EL1" n
-  | DBGWCR_EL1 n -> Printf.sprintf "DBGWCR%d_EL1" n
-  | SCTLR_EL1 -> "SCTLR_EL1"
-  | ACTLR_EL1 -> "ACTLR_EL1"
-  | CPACR_EL1 -> "CPACR_EL1"
-  | TTBR0_EL1 -> "TTBR0_EL1"
-  | TTBR1_EL1 -> "TTBR1_EL1"
-  | TCR_EL1 -> "TCR_EL1"
-  | ESR_EL1 -> "ESR_EL1"
-  | FAR_EL1 -> "FAR_EL1"
-  | AFSR0_EL1 -> "AFSR0_EL1"
-  | AFSR1_EL1 -> "AFSR1_EL1"
-  | MAIR_EL1 -> "MAIR_EL1"
-  | AMAIR_EL1 -> "AMAIR_EL1"
-  | CONTEXTIDR_EL1 -> "CONTEXTIDR_EL1"
-  | VBAR_EL1 -> "VBAR_EL1"
-  | ELR_EL1 -> "ELR_EL1"
-  | SPSR_EL1 -> "SPSR_EL1"
-  | SP_EL1 -> "SP_EL1"
-  | PAR_EL1 -> "PAR_EL1"
-  | TPIDR_EL1 -> "TPIDR_EL1"
-  | CSSELR_EL1 -> "CSSELR_EL1"
-  | CNTKCTL_EL1 -> "CNTKCTL_EL1"
-  | MDSCR_EL1 -> "MDSCR_EL1"
-  | MPIDR_EL1 -> "MPIDR_EL1"
-  | MIDR_EL1 -> "MIDR_EL1"
-  | CurrentEL -> "CurrentEL"
-  | ICC_PMR_EL1 -> "ICC_PMR_EL1"
-  | ICC_IAR1_EL1 -> "ICC_IAR1_EL1"
-  | ICC_EOIR1_EL1 -> "ICC_EOIR1_EL1"
-  | ICC_DIR_EL1 -> "ICC_DIR_EL1"
-  | ICC_BPR1_EL1 -> "ICC_BPR1_EL1"
-  | ICC_CTLR_EL1 -> "ICC_CTLR_EL1"
-  | ICC_SGI1R_EL1 -> "ICC_SGI1R_EL1"
-  | ICC_IGRPEN1_EL1 -> "ICC_IGRPEN1_EL1"
-  | HCR_EL2 -> "HCR_EL2"
-  | HACR_EL2 -> "HACR_EL2"
-  | HSTR_EL2 -> "HSTR_EL2"
-  | HPFAR_EL2 -> "HPFAR_EL2"
-  | TPIDR_EL2 -> "TPIDR_EL2"
-  | VPIDR_EL2 -> "VPIDR_EL2"
-  | VMPIDR_EL2 -> "VMPIDR_EL2"
-  | VTCR_EL2 -> "VTCR_EL2"
-  | VTTBR_EL2 -> "VTTBR_EL2"
-  | VNCR_EL2 -> "VNCR_EL2"
-  | SCTLR_EL2 -> "SCTLR_EL2"
-  | ACTLR_EL2 -> "ACTLR_EL2"
-  | TTBR0_EL2 -> "TTBR0_EL2"
-  | TTBR1_EL2 -> "TTBR1_EL2"
-  | TCR_EL2 -> "TCR_EL2"
-  | ESR_EL2 -> "ESR_EL2"
-  | FAR_EL2 -> "FAR_EL2"
-  | AFSR0_EL2 -> "AFSR0_EL2"
-  | AFSR1_EL2 -> "AFSR1_EL2"
-  | MAIR_EL2 -> "MAIR_EL2"
-  | AMAIR_EL2 -> "AMAIR_EL2"
-  | CONTEXTIDR_EL2 -> "CONTEXTIDR_EL2"
-  | VBAR_EL2 -> "VBAR_EL2"
-  | ELR_EL2 -> "ELR_EL2"
-  | SPSR_EL2 -> "SPSR_EL2"
-  | SP_EL2 -> "SP_EL2"
-  | CPTR_EL2 -> "CPTR_EL2"
-  | MDCR_EL2 -> "MDCR_EL2"
-  | CNTHCTL_EL2 -> "CNTHCTL_EL2"
-  | CNTVOFF_EL2 -> "CNTVOFF_EL2"
-  | CNTHP_CTL_EL2 -> "CNTHP_CTL_EL2"
-  | CNTHP_CVAL_EL2 -> "CNTHP_CVAL_EL2"
-  | CNTHV_CTL_EL2 -> "CNTHV_CTL_EL2"
-  | CNTHV_CVAL_EL2 -> "CNTHV_CVAL_EL2"
-  | ICH_HCR_EL2 -> "ICH_HCR_EL2"
-  | ICH_VTR_EL2 -> "ICH_VTR_EL2"
-  | ICH_VMCR_EL2 -> "ICH_VMCR_EL2"
-  | ICH_MISR_EL2 -> "ICH_MISR_EL2"
-  | ICH_EISR_EL2 -> "ICH_EISR_EL2"
-  | ICH_ELRSR_EL2 -> "ICH_ELRSR_EL2"
-  | ICH_AP0R_EL2 n -> Printf.sprintf "ICH_AP0R%d_EL2" n
-  | ICH_AP1R_EL2 n -> Printf.sprintf "ICH_AP1R%d_EL2" n
-  | ICH_LR_EL2 n -> Printf.sprintf "ICH_LR%d_EL2" n
-  | VSESR_EL2 -> "VSESR_EL2"
-  | VDISR_EL2 -> "VDISR_EL2"
-
-let access_name { reg; alias } =
-  match alias with
-  | Direct -> name reg
-  | EL12 ->
-    (* SCTLR_EL1 accessed as SCTLR_EL12, etc. *)
-    let base = name reg in
-    (match String.index_opt base '1' with
-     | Some _ when Filename.check_suffix base "_EL1" ->
-       String.sub base 0 (String.length base - 1) ^ "12"
-     | _ -> base ^ "(EL12)")
-  | EL02 ->
-    let base = name reg in
-    if Filename.check_suffix base "_EL0" then
-      String.sub base 0 (String.length base - 1) ^ "02"
-    else base ^ "(EL02)"
-
-(* A64 system-register encodings per the ARM Architecture Reference Manual.
-   MDSCR_EL1 uses op0=2 (debug); everything else modeled here uses op0=3. *)
-let enc = function
-  | SP_EL0 -> (3, 0, 4, 1, 0)
-  | TPIDR_EL0 -> (3, 3, 13, 0, 2)
-  | TPIDRRO_EL0 -> (3, 3, 13, 0, 3)
-  | CNTV_CTL_EL0 -> (3, 3, 14, 3, 1)
-  | CNTV_CVAL_EL0 -> (3, 3, 14, 3, 2)
-  | CNTP_CTL_EL0 -> (3, 3, 14, 2, 1)
-  | CNTP_CVAL_EL0 -> (3, 3, 14, 2, 2)
-  | CNTVCT_EL0 -> (3, 3, 14, 0, 2)
-  | CNTFRQ_EL0 -> (3, 3, 14, 0, 0)
-  | PMUSERENR_EL0 -> (3, 3, 9, 14, 0)
-  | PMSELR_EL0 -> (3, 3, 9, 12, 5)
-  | PMCR_EL0 -> (3, 3, 9, 12, 0)
-  | PMCNTENSET_EL0 -> (3, 3, 9, 12, 1)
-  | PMCNTENCLR_EL0 -> (3, 3, 9, 12, 2)
-  | PMOVSCLR_EL0 -> (3, 3, 9, 12, 3)
-  | PMCCNTR_EL0 -> (3, 3, 9, 13, 0)
-  | PMCCFILTR_EL0 -> (3, 3, 14, 15, 7)
-  | PMEVCNTR_EL0 n -> (3, 3, 14, 8, n)
-  | PMEVTYPER_EL0 n -> (3, 3, 14, 12, n)
-  | PMINTENSET_EL1 -> (3, 0, 9, 14, 1)
-  | PMINTENCLR_EL1 -> (3, 0, 9, 14, 2)
-  | DBGBVR_EL1 n -> (2, 0, 0, n, 4)
-  | DBGBCR_EL1 n -> (2, 0, 0, n, 5)
-  | DBGWVR_EL1 n -> (2, 0, 0, n, 6)
-  | DBGWCR_EL1 n -> (2, 0, 0, n, 7)
-  | SCTLR_EL1 -> (3, 0, 1, 0, 0)
-  | ACTLR_EL1 -> (3, 0, 1, 0, 1)
-  | CPACR_EL1 -> (3, 0, 1, 0, 2)
-  | TTBR0_EL1 -> (3, 0, 2, 0, 0)
-  | TTBR1_EL1 -> (3, 0, 2, 0, 1)
-  | TCR_EL1 -> (3, 0, 2, 0, 2)
-  | ESR_EL1 -> (3, 0, 5, 2, 0)
-  | FAR_EL1 -> (3, 0, 6, 0, 0)
-  | AFSR0_EL1 -> (3, 0, 5, 1, 0)
-  | AFSR1_EL1 -> (3, 0, 5, 1, 1)
-  | MAIR_EL1 -> (3, 0, 10, 2, 0)
-  | AMAIR_EL1 -> (3, 0, 10, 3, 0)
-  | CONTEXTIDR_EL1 -> (3, 0, 13, 0, 1)
-  | VBAR_EL1 -> (3, 0, 12, 0, 0)
-  | ELR_EL1 -> (3, 0, 4, 0, 1)
-  | SPSR_EL1 -> (3, 0, 4, 0, 0)
-  | SP_EL1 -> (3, 4, 4, 1, 0)
-  | PAR_EL1 -> (3, 0, 7, 4, 0)
-  | TPIDR_EL1 -> (3, 0, 13, 0, 4)
-  | CSSELR_EL1 -> (3, 2, 0, 0, 0)
-  | CNTKCTL_EL1 -> (3, 0, 14, 1, 0)
-  | MDSCR_EL1 -> (2, 0, 0, 2, 2)
-  | MPIDR_EL1 -> (3, 0, 0, 0, 5)
-  | MIDR_EL1 -> (3, 0, 0, 0, 0)
-  | CurrentEL -> (3, 0, 4, 2, 2)
-  | ICC_PMR_EL1 -> (3, 0, 4, 6, 0)
-  | ICC_IAR1_EL1 -> (3, 0, 12, 12, 0)
-  | ICC_EOIR1_EL1 -> (3, 0, 12, 12, 1)
-  | ICC_DIR_EL1 -> (3, 0, 12, 11, 1)
-  | ICC_BPR1_EL1 -> (3, 0, 12, 12, 3)
-  | ICC_CTLR_EL1 -> (3, 0, 12, 12, 4)
-  | ICC_SGI1R_EL1 -> (3, 0, 12, 11, 5)
-  | ICC_IGRPEN1_EL1 -> (3, 0, 12, 12, 7)
-  | HCR_EL2 -> (3, 4, 1, 1, 0)
-  | HACR_EL2 -> (3, 4, 1, 1, 7)
-  | HSTR_EL2 -> (3, 4, 1, 1, 3)
-  | HPFAR_EL2 -> (3, 4, 6, 0, 4)
-  | TPIDR_EL2 -> (3, 4, 13, 0, 2)
-  | VPIDR_EL2 -> (3, 4, 0, 0, 0)
-  | VMPIDR_EL2 -> (3, 4, 0, 0, 5)
-  | VTCR_EL2 -> (3, 4, 2, 1, 2)
-  | VTTBR_EL2 -> (3, 4, 2, 1, 0)
-  | VNCR_EL2 -> (3, 4, 2, 2, 0)
-  | SCTLR_EL2 -> (3, 4, 1, 0, 0)
-  | ACTLR_EL2 -> (3, 4, 1, 0, 1)
-  | TTBR0_EL2 -> (3, 4, 2, 0, 0)
-  | TTBR1_EL2 -> (3, 4, 2, 0, 1)
-  | TCR_EL2 -> (3, 4, 2, 0, 2)
-  | ESR_EL2 -> (3, 4, 5, 2, 0)
-  | FAR_EL2 -> (3, 4, 6, 0, 0)
-  | AFSR0_EL2 -> (3, 4, 5, 1, 0)
-  | AFSR1_EL2 -> (3, 4, 5, 1, 1)
-  | MAIR_EL2 -> (3, 4, 10, 2, 0)
-  | AMAIR_EL2 -> (3, 4, 10, 3, 0)
-  | CONTEXTIDR_EL2 -> (3, 4, 13, 0, 1)
-  | VBAR_EL2 -> (3, 4, 12, 0, 0)
-  | ELR_EL2 -> (3, 4, 4, 0, 1)
-  | SPSR_EL2 -> (3, 4, 4, 0, 0)
-  | SP_EL2 -> (3, 6, 4, 1, 0)
-  | CPTR_EL2 -> (3, 4, 1, 1, 2)
-  | MDCR_EL2 -> (3, 4, 1, 1, 1)
-  | CNTHCTL_EL2 -> (3, 4, 14, 1, 0)
-  | CNTVOFF_EL2 -> (3, 4, 14, 0, 3)
-  | CNTHP_CTL_EL2 -> (3, 4, 14, 2, 1)
-  | CNTHP_CVAL_EL2 -> (3, 4, 14, 2, 2)
-  | CNTHV_CTL_EL2 -> (3, 4, 14, 3, 1)
-  | CNTHV_CVAL_EL2 -> (3, 4, 14, 3, 2)
-  | ICH_HCR_EL2 -> (3, 4, 12, 11, 0)
-  | ICH_VTR_EL2 -> (3, 4, 12, 11, 1)
-  | ICH_VMCR_EL2 -> (3, 4, 12, 11, 7)
-  | ICH_MISR_EL2 -> (3, 4, 12, 11, 2)
-  | ICH_EISR_EL2 -> (3, 4, 12, 11, 3)
-  | ICH_ELRSR_EL2 -> (3, 4, 12, 11, 5)
-  | ICH_AP0R_EL2 n -> (3, 4, 12, 8, n)
-  | ICH_AP1R_EL2 n -> (3, 4, 12, 9, n)
-  | ICH_LR_EL2 n -> if n < 8 then (3, 4, 12, 12, n) else (3, 4, 12, 13, n - 8)
-  | VSESR_EL2 -> (3, 4, 5, 2, 3)
-  | VDISR_EL2 -> (3, 4, 12, 1, 1)
-
-(* Encoding of the VHE alias forms: _EL12/_EL02 registers use op1=5. *)
-let access_enc { reg; alias } =
-  let (op0, op1, crn, crm, op2) = enc reg in
-  match alias with
-  | Direct -> (op0, op1, crn, crm, op2)
-  | EL12 | EL02 -> (op0, 5, crn, crm, op2)
-
-(* Lowest exception level that can access the register without trapping on a
-   machine with no virtualization trapping configured. *)
-let min_el = function
-  | SP_EL0 | TPIDR_EL0 | TPIDRRO_EL0 | CNTV_CTL_EL0 | CNTV_CVAL_EL0
-  | CNTP_CTL_EL0 | CNTP_CVAL_EL0 | CNTVCT_EL0 | CNTFRQ_EL0 | PMUSERENR_EL0
-  | PMSELR_EL0 | PMCR_EL0 | PMCNTENSET_EL0 | PMCNTENCLR_EL0 | PMOVSCLR_EL0
-  | PMCCNTR_EL0 | PMCCFILTR_EL0 | PMEVCNTR_EL0 _ | PMEVTYPER_EL0 _ ->
-    Pstate.EL0
-  | SCTLR_EL1 | ACTLR_EL1 | CPACR_EL1 | TTBR0_EL1 | TTBR1_EL1 | TCR_EL1
-  | ESR_EL1 | FAR_EL1 | AFSR0_EL1 | AFSR1_EL1 | MAIR_EL1 | AMAIR_EL1
-  | CONTEXTIDR_EL1 | VBAR_EL1 | ELR_EL1 | SPSR_EL1 | PAR_EL1
-  | TPIDR_EL1 | CSSELR_EL1 | CNTKCTL_EL1 | MDSCR_EL1 | MPIDR_EL1 | MIDR_EL1
-  | CurrentEL | ICC_PMR_EL1 | ICC_IAR1_EL1 | ICC_EOIR1_EL1 | ICC_DIR_EL1
-  | ICC_BPR1_EL1 | ICC_CTLR_EL1 | ICC_SGI1R_EL1 | ICC_IGRPEN1_EL1
-  | PMINTENSET_EL1 | PMINTENCLR_EL1 | DBGBVR_EL1 _ | DBGBCR_EL1 _
-  | DBGWVR_EL1 _ | DBGWCR_EL1 _ ->
-    Pstate.EL1
-  (* The explicit SP_EL1 system-register encoding (op1=4) is an EL2
-     instruction: at EL1 the banked stack pointer is just SP. *)
-  | SP_EL1 -> Pstate.EL2
-  | HCR_EL2 | HACR_EL2 | HSTR_EL2 | HPFAR_EL2 | TPIDR_EL2 | VPIDR_EL2
-  | VMPIDR_EL2 | VTCR_EL2 | VTTBR_EL2 | VNCR_EL2 | SCTLR_EL2 | ACTLR_EL2
-  | TTBR0_EL2 | TTBR1_EL2 | TCR_EL2 | ESR_EL2 | FAR_EL2 | AFSR0_EL2
-  | AFSR1_EL2 | MAIR_EL2 | AMAIR_EL2 | CONTEXTIDR_EL2 | VBAR_EL2 | ELR_EL2
-  | SPSR_EL2 | SP_EL2 | CPTR_EL2 | MDCR_EL2 | CNTHCTL_EL2 | CNTVOFF_EL2
-  | CNTHP_CTL_EL2 | CNTHP_CVAL_EL2 | CNTHV_CTL_EL2 | CNTHV_CVAL_EL2
-  | ICH_HCR_EL2 | ICH_VTR_EL2 | ICH_VMCR_EL2 | ICH_MISR_EL2 | ICH_EISR_EL2
-  | ICH_ELRSR_EL2 | ICH_AP0R_EL2 _ | ICH_AP1R_EL2 _ | ICH_LR_EL2 _
-  | VSESR_EL2 | VDISR_EL2 ->
-    Pstate.EL2
-
-let is_gic_ich = function
-  | ICH_HCR_EL2 | ICH_VTR_EL2 | ICH_VMCR_EL2 | ICH_MISR_EL2 | ICH_EISR_EL2
-  | ICH_ELRSR_EL2 | ICH_AP0R_EL2 _ | ICH_AP1R_EL2 _ | ICH_LR_EL2 _ ->
-    true
-  | _ -> false
-
-let is_el2_timer = function
-  | CNTHP_CTL_EL2 | CNTHP_CVAL_EL2 | CNTHV_CTL_EL2 | CNTHV_CVAL_EL2 -> true
-  | _ -> false
-
-(* Read-only registers: writes are UNDEFINED / ignored. *)
-let read_only = function
-  | MPIDR_EL1 | MIDR_EL1 | CurrentEL | CNTVCT_EL0 | ICC_IAR1_EL1
-  | ICH_VTR_EL2 | ICH_MISR_EL2 | ICH_EISR_EL2 | ICH_ELRSR_EL2 ->
-    true
-  | _ -> false
-
-(* --- NEVE classification (Tables 3, 4, 5 plus the PMU/debug/timer notes at
-   the end of Section 6.1) --- *)
-
+(* NEVE classification (Tables 3, 4, 5 plus the PMU/debug/timer notes at
+   the end of Section 6.1). *)
 type neve_class =
   | NV_vm_reg                (* Table 3: access deferred to memory *)
   | NV_redirect of t         (* Table 4: redirect to the EL1 counterpart *)
@@ -433,120 +155,216 @@ type neve_class =
                                 observe hardware-updated values *)
   | NV_none                  (* not subject to NEVE treatment *)
 
-let neve_class = function
-  (* Table 3, "VM Trap Control" group (EL2 registers whose only effect is on
-     the VM, not on the guest hypervisor's own execution). *)
-  | HACR_EL2 | HCR_EL2 | HPFAR_EL2 | HSTR_EL2 | TPIDR_EL2 | VMPIDR_EL2
-  | VNCR_EL2 | VPIDR_EL2 | VTCR_EL2 | VTTBR_EL2 ->
-    NV_vm_reg
-  (* Table 3, "VM Execution Control" group (the VM's own EL1 state). *)
-  | AFSR0_EL1 | AFSR1_EL1 | AMAIR_EL1 | CONTEXTIDR_EL1 | CPACR_EL1 | ELR_EL1
-  | ESR_EL1 | FAR_EL1 | MAIR_EL1 | SCTLR_EL1 | SP_EL1 | SPSR_EL1 | TCR_EL1
-  | TTBR0_EL1 | TTBR1_EL1 | VBAR_EL1 ->
-    NV_vm_reg
-  (* Section 6.1: PMU control registers treated like VM registers. *)
-  | PMUSERENR_EL0 | PMSELR_EL0 -> NV_vm_reg
-  (* Section 6.1: debug control register: cached read, trap on write. *)
-  | MDSCR_EL1 -> NV_trap_on_write
-  (* Table 4, "Redirect to *_EL1". *)
-  | AFSR0_EL2 -> NV_redirect AFSR0_EL1
-  | AFSR1_EL2 -> NV_redirect AFSR1_EL1
-  | AMAIR_EL2 -> NV_redirect AMAIR_EL1
-  | ELR_EL2 -> NV_redirect ELR_EL1
-  | ESR_EL2 -> NV_redirect ESR_EL1
-  | FAR_EL2 -> NV_redirect FAR_EL1
-  | SPSR_EL2 -> NV_redirect SPSR_EL1
-  | MAIR_EL2 -> NV_redirect MAIR_EL1
-  | SCTLR_EL2 -> NV_redirect SCTLR_EL1
-  | VBAR_EL2 -> NV_redirect VBAR_EL1
-  (* Table 4, "Redirect to *_EL1 (VHE)". *)
-  | CONTEXTIDR_EL2 -> NV_redirect_vhe CONTEXTIDR_EL1
-  | TTBR1_EL2 -> NV_redirect_vhe TTBR1_EL1
-  (* Table 4, "Trap on write". *)
-  | CNTHCTL_EL2 | CNTVOFF_EL2 | CPTR_EL2 | MDCR_EL2 -> NV_trap_on_write
-  (* Table 4, "Redirect or trap". *)
-  | TCR_EL2 -> NV_redirect_or_trap TCR_EL1
-  | TTBR0_EL2 -> NV_redirect_or_trap TTBR0_EL1
-  (* Table 5: every GIC hypervisor-control register. *)
-  | ICH_HCR_EL2 | ICH_VTR_EL2 | ICH_VMCR_EL2 | ICH_MISR_EL2 | ICH_EISR_EL2
-  | ICH_ELRSR_EL2 | ICH_AP0R_EL2 _ | ICH_AP1R_EL2 _ | ICH_LR_EL2 _ ->
-    NV_trap_on_write
-  (* Section 6.1: EL2 timer registers always trap. *)
-  | CNTHP_CTL_EL2 | CNTHP_CVAL_EL2 | CNTHV_CTL_EL2 | CNTHV_CVAL_EL2 ->
-    NV_timer_trap
-  (* Everything else is outside NEVE's scope. *)
-  | SP_EL0 | TPIDR_EL0 | TPIDRRO_EL0 | CNTV_CTL_EL0 | CNTV_CVAL_EL0
-  | CNTP_CTL_EL0 | CNTP_CVAL_EL0 | CNTVCT_EL0 | CNTFRQ_EL0 | ACTLR_EL1
-  | PAR_EL1 | TPIDR_EL1 | CSSELR_EL1 | CNTKCTL_EL1 | MPIDR_EL1 | MIDR_EL1
-  | CurrentEL | ICC_PMR_EL1 | ICC_IAR1_EL1 | ICC_EOIR1_EL1 | ICC_DIR_EL1
-  | ICC_BPR1_EL1 | ICC_CTLR_EL1 | ICC_SGI1R_EL1 | ICC_IGRPEN1_EL1
-  | ACTLR_EL2 | SP_EL2
-  | PMCR_EL0 | PMCNTENSET_EL0 | PMCNTENCLR_EL0 | PMOVSCLR_EL0 | PMCCNTR_EL0
-  | PMCCFILTR_EL0 | PMEVCNTR_EL0 _ | PMEVTYPER_EL0 _
-  | PMINTENSET_EL1 | PMINTENCLR_EL1
-  | DBGBVR_EL1 _ | DBGBCR_EL1 _ | DBGWVR_EL1 _ | DBGWCR_EL1 _
-  (* RAS syndrome registers: kept outside the deferred page (the modeled
-     hardware has FEAT_RAS but not the NV2 RAS-page extension), so both
-     ARMv8.3 and NEVE guest hypervisors trap on them identically. *)
-  | VSESR_EL2 | VDISR_EL2 ->
-    NV_none
+(* Re-exported so that the rows name levels unqualified. *)
+type el = Pstate.el = EL0 | EL1 | EL2
 
-(* --- The register universe --- *)
+(* --- The register table ---
 
-let rec range_regs f n acc = if n < 0 then acc else range_regs f (n - 1) (f n :: acc)
+   One constant row per register: (register, name, encoding, minimum EL,
+   NEVE class), the minimum EL being the lowest level that can access
+   the register without trapping when no virtualization trapping is
+   configured.  The rows are static data: reading one allocates
+   nothing. *)
 
-let all : t list =
+type row = t * string * (int * int * int * int * int) * el * neve_class
+
+let rows : row list =
   [
-    SP_EL0; TPIDR_EL0; TPIDRRO_EL0; CNTV_CTL_EL0; CNTV_CVAL_EL0;
-    CNTP_CTL_EL0; CNTP_CVAL_EL0; CNTVCT_EL0; CNTFRQ_EL0; PMUSERENR_EL0;
-    PMSELR_EL0; SCTLR_EL1; ACTLR_EL1; CPACR_EL1; TTBR0_EL1; TTBR1_EL1;
-    TCR_EL1; ESR_EL1; FAR_EL1; AFSR0_EL1; AFSR1_EL1; MAIR_EL1; AMAIR_EL1;
-    CONTEXTIDR_EL1; VBAR_EL1; ELR_EL1; SPSR_EL1; SP_EL1; PAR_EL1; TPIDR_EL1;
-    CSSELR_EL1; CNTKCTL_EL1; MDSCR_EL1; MPIDR_EL1; MIDR_EL1; CurrentEL;
-    ICC_PMR_EL1; ICC_IAR1_EL1; ICC_EOIR1_EL1; ICC_DIR_EL1; ICC_BPR1_EL1;
-    ICC_CTLR_EL1; ICC_SGI1R_EL1; ICC_IGRPEN1_EL1; HCR_EL2; HACR_EL2;
-    HSTR_EL2; HPFAR_EL2; TPIDR_EL2; VPIDR_EL2; VMPIDR_EL2; VTCR_EL2;
-    VTTBR_EL2; VNCR_EL2; SCTLR_EL2; ACTLR_EL2; TTBR0_EL2; TTBR1_EL2;
-    TCR_EL2; ESR_EL2; FAR_EL2; AFSR0_EL2; AFSR1_EL2; MAIR_EL2; AMAIR_EL2;
-    CONTEXTIDR_EL2; VBAR_EL2; ELR_EL2; SPSR_EL2; SP_EL2; CPTR_EL2; MDCR_EL2;
-    CNTHCTL_EL2; CNTVOFF_EL2; CNTHP_CTL_EL2; CNTHP_CVAL_EL2; CNTHV_CTL_EL2;
-    CNTHV_CVAL_EL2; ICH_HCR_EL2; ICH_VTR_EL2; ICH_VMCR_EL2; ICH_MISR_EL2;
-    ICH_EISR_EL2; ICH_ELRSR_EL2;
+    (* --- EL0-accessible registers; Section 6.1 defers the two PMU
+       user-access controls like VM registers --- *)
+    (SP_EL0, "SP_EL0", (3, 0, 4, 1, 0), EL0, NV_none);
+    (TPIDR_EL0, "TPIDR_EL0", (3, 3, 13, 0, 2), EL0, NV_none);
+    (TPIDRRO_EL0, "TPIDRRO_EL0", (3, 3, 13, 0, 3), EL0, NV_none);
+    (CNTV_CTL_EL0, "CNTV_CTL_EL0", (3, 3, 14, 3, 1), EL0, NV_none);
+    (CNTV_CVAL_EL0, "CNTV_CVAL_EL0", (3, 3, 14, 3, 2), EL0, NV_none);
+    (CNTP_CTL_EL0, "CNTP_CTL_EL0", (3, 3, 14, 2, 1), EL0, NV_none);
+    (CNTP_CVAL_EL0, "CNTP_CVAL_EL0", (3, 3, 14, 2, 2), EL0, NV_none);
+    (CNTVCT_EL0, "CNTVCT_EL0", (3, 3, 14, 0, 2), EL0, NV_none);
+    (CNTFRQ_EL0, "CNTFRQ_EL0", (3, 3, 14, 0, 0), EL0, NV_none);
+    (PMUSERENR_EL0, "PMUSERENR_EL0", (3, 3, 9, 14, 0), EL0, NV_vm_reg);
+    (PMSELR_EL0, "PMSELR_EL0", (3, 3, 9, 12, 5), EL0, NV_vm_reg);
+    (* --- EL1 registers: Table 3's "VM Execution Control" group is
+       deferred to memory; MDSCR_EL1 is a cached-read, trap-on-write debug
+       control (Section 6.1).  The explicit SP_EL1 encoding (op1=4) is an
+       EL2 instruction: at EL1 the banked stack pointer is just SP. --- *)
+    (SCTLR_EL1, "SCTLR_EL1", (3, 0, 1, 0, 0), EL1, NV_vm_reg);
+    (ACTLR_EL1, "ACTLR_EL1", (3, 0, 1, 0, 1), EL1, NV_none);
+    (CPACR_EL1, "CPACR_EL1", (3, 0, 1, 0, 2), EL1, NV_vm_reg);
+    (TTBR0_EL1, "TTBR0_EL1", (3, 0, 2, 0, 0), EL1, NV_vm_reg);
+    (TTBR1_EL1, "TTBR1_EL1", (3, 0, 2, 0, 1), EL1, NV_vm_reg);
+    (TCR_EL1, "TCR_EL1", (3, 0, 2, 0, 2), EL1, NV_vm_reg);
+    (ESR_EL1, "ESR_EL1", (3, 0, 5, 2, 0), EL1, NV_vm_reg);
+    (FAR_EL1, "FAR_EL1", (3, 0, 6, 0, 0), EL1, NV_vm_reg);
+    (AFSR0_EL1, "AFSR0_EL1", (3, 0, 5, 1, 0), EL1, NV_vm_reg);
+    (AFSR1_EL1, "AFSR1_EL1", (3, 0, 5, 1, 1), EL1, NV_vm_reg);
+    (MAIR_EL1, "MAIR_EL1", (3, 0, 10, 2, 0), EL1, NV_vm_reg);
+    (AMAIR_EL1, "AMAIR_EL1", (3, 0, 10, 3, 0), EL1, NV_vm_reg);
+    (CONTEXTIDR_EL1, "CONTEXTIDR_EL1", (3, 0, 13, 0, 1), EL1, NV_vm_reg);
+    (VBAR_EL1, "VBAR_EL1", (3, 0, 12, 0, 0), EL1, NV_vm_reg);
+    (ELR_EL1, "ELR_EL1", (3, 0, 4, 0, 1), EL1, NV_vm_reg);
+    (SPSR_EL1, "SPSR_EL1", (3, 0, 4, 0, 0), EL1, NV_vm_reg);
+    (SP_EL1, "SP_EL1", (3, 4, 4, 1, 0), EL2, NV_vm_reg);
+    (PAR_EL1, "PAR_EL1", (3, 0, 7, 4, 0), EL1, NV_none);
+    (TPIDR_EL1, "TPIDR_EL1", (3, 0, 13, 0, 4), EL1, NV_none);
+    (CSSELR_EL1, "CSSELR_EL1", (3, 2, 0, 0, 0), EL1, NV_none);
+    (CNTKCTL_EL1, "CNTKCTL_EL1", (3, 0, 14, 1, 0), EL1, NV_none);
+    (MDSCR_EL1, "MDSCR_EL1", (2, 0, 0, 2, 2), EL1, NV_trap_on_write);
+    (MPIDR_EL1, "MPIDR_EL1", (3, 0, 0, 0, 5), EL1, NV_none);
+    (MIDR_EL1, "MIDR_EL1", (3, 0, 0, 0, 0), EL1, NV_none);
+    (CurrentEL, "CurrentEL", (3, 0, 4, 2, 2), EL1, NV_none);
+    (* --- GICv3 CPU interface (guest-visible) --- *)
+    (ICC_PMR_EL1, "ICC_PMR_EL1", (3, 0, 4, 6, 0), EL1, NV_none);
+    (ICC_IAR1_EL1, "ICC_IAR1_EL1", (3, 0, 12, 12, 0), EL1, NV_none);
+    (ICC_EOIR1_EL1, "ICC_EOIR1_EL1", (3, 0, 12, 12, 1), EL1, NV_none);
+    (ICC_DIR_EL1, "ICC_DIR_EL1", (3, 0, 12, 11, 1), EL1, NV_none);
+    (ICC_BPR1_EL1, "ICC_BPR1_EL1", (3, 0, 12, 12, 3), EL1, NV_none);
+    (ICC_CTLR_EL1, "ICC_CTLR_EL1", (3, 0, 12, 12, 4), EL1, NV_none);
+    (ICC_SGI1R_EL1, "ICC_SGI1R_EL1", (3, 0, 12, 11, 5), EL1, NV_none);
+    (ICC_IGRPEN1_EL1, "ICC_IGRPEN1_EL1", (3, 0, 12, 12, 7), EL1, NV_none);
+    (* --- EL2 registers: Table 3's "VM Trap Control" group is deferred to
+       memory (the paper's Table 3 prints TPIDR_EL2 twice) --- *)
+    (HCR_EL2, "HCR_EL2", (3, 4, 1, 1, 0), EL2, NV_vm_reg);
+    (HACR_EL2, "HACR_EL2", (3, 4, 1, 1, 7), EL2, NV_vm_reg);
+    (HSTR_EL2, "HSTR_EL2", (3, 4, 1, 1, 3), EL2, NV_vm_reg);
+    (HPFAR_EL2, "HPFAR_EL2", (3, 4, 6, 0, 4), EL2, NV_vm_reg);
+    (TPIDR_EL2, "TPIDR_EL2", (3, 4, 13, 0, 2), EL2, NV_vm_reg);
+    (VPIDR_EL2, "VPIDR_EL2", (3, 4, 0, 0, 0), EL2, NV_vm_reg);
+    (VMPIDR_EL2, "VMPIDR_EL2", (3, 4, 0, 0, 5), EL2, NV_vm_reg);
+    (VTCR_EL2, "VTCR_EL2", (3, 4, 2, 1, 2), EL2, NV_vm_reg);
+    (VTTBR_EL2, "VTTBR_EL2", (3, 4, 2, 1, 0), EL2, NV_vm_reg);
+    (VNCR_EL2, "VNCR_EL2", (3, 4, 2, 2, 0), EL2, NV_vm_reg);
+    (* --- Table 4: redirect to the EL1 twin (the "(VHE)" rows only for a
+       VHE guest hypervisor), redirect or trap, and trap on write --- *)
+    (SCTLR_EL2, "SCTLR_EL2", (3, 4, 1, 0, 0), EL2, NV_redirect SCTLR_EL1);
+    (ACTLR_EL2, "ACTLR_EL2", (3, 4, 1, 0, 1), EL2, NV_none);
+    (TTBR0_EL2, "TTBR0_EL2", (3, 4, 2, 0, 0), EL2,
+     NV_redirect_or_trap TTBR0_EL1);
+    (TTBR1_EL2, "TTBR1_EL2", (3, 4, 2, 0, 1), EL2, NV_redirect_vhe TTBR1_EL1);
+    (TCR_EL2, "TCR_EL2", (3, 4, 2, 0, 2), EL2, NV_redirect_or_trap TCR_EL1);
+    (ESR_EL2, "ESR_EL2", (3, 4, 5, 2, 0), EL2, NV_redirect ESR_EL1);
+    (FAR_EL2, "FAR_EL2", (3, 4, 6, 0, 0), EL2, NV_redirect FAR_EL1);
+    (AFSR0_EL2, "AFSR0_EL2", (3, 4, 5, 1, 0), EL2, NV_redirect AFSR0_EL1);
+    (AFSR1_EL2, "AFSR1_EL2", (3, 4, 5, 1, 1), EL2, NV_redirect AFSR1_EL1);
+    (MAIR_EL2, "MAIR_EL2", (3, 4, 10, 2, 0), EL2, NV_redirect MAIR_EL1);
+    (AMAIR_EL2, "AMAIR_EL2", (3, 4, 10, 3, 0), EL2, NV_redirect AMAIR_EL1);
+    (CONTEXTIDR_EL2, "CONTEXTIDR_EL2", (3, 4, 13, 0, 1), EL2,
+     NV_redirect_vhe CONTEXTIDR_EL1);
+    (VBAR_EL2, "VBAR_EL2", (3, 4, 12, 0, 0), EL2, NV_redirect VBAR_EL1);
+    (ELR_EL2, "ELR_EL2", (3, 4, 4, 0, 1), EL2, NV_redirect ELR_EL1);
+    (SPSR_EL2, "SPSR_EL2", (3, 4, 4, 0, 0), EL2, NV_redirect SPSR_EL1);
+    (SP_EL2, "SP_EL2", (3, 6, 4, 1, 0), EL2, NV_none);
+    (CPTR_EL2, "CPTR_EL2", (3, 4, 1, 1, 2), EL2, NV_trap_on_write);
+    (MDCR_EL2, "MDCR_EL2", (3, 4, 1, 1, 1), EL2, NV_trap_on_write);
+    (CNTHCTL_EL2, "CNTHCTL_EL2", (3, 4, 14, 1, 0), EL2, NV_trap_on_write);
+    (CNTVOFF_EL2, "CNTVOFF_EL2", (3, 4, 14, 0, 3), EL2, NV_trap_on_write);
+    (* --- EL2 timers: always trap, reads must observe hardware-updated
+       values (Section 6.1) --- *)
+    (CNTHP_CTL_EL2, "CNTHP_CTL_EL2", (3, 4, 14, 2, 1), EL2, NV_timer_trap);
+    (CNTHP_CVAL_EL2, "CNTHP_CVAL_EL2", (3, 4, 14, 2, 2), EL2, NV_timer_trap);
+    (CNTHV_CTL_EL2, "CNTHV_CTL_EL2", (3, 4, 14, 3, 1), EL2, NV_timer_trap);
+    (CNTHV_CVAL_EL2, "CNTHV_CVAL_EL2", (3, 4, 14, 3, 2), EL2, NV_timer_trap);
+    (* --- Table 5: the GIC hypervisor control interface --- *)
+    (ICH_HCR_EL2, "ICH_HCR_EL2", (3, 4, 12, 11, 0), EL2, NV_trap_on_write);
+    (ICH_VTR_EL2, "ICH_VTR_EL2", (3, 4, 12, 11, 1), EL2, NV_trap_on_write);
+    (ICH_VMCR_EL2, "ICH_VMCR_EL2", (3, 4, 12, 11, 7), EL2, NV_trap_on_write);
+    (ICH_MISR_EL2, "ICH_MISR_EL2", (3, 4, 12, 11, 2), EL2, NV_trap_on_write);
+    (ICH_EISR_EL2, "ICH_EISR_EL2", (3, 4, 12, 11, 3), EL2, NV_trap_on_write);
+    (ICH_ELRSR_EL2, "ICH_ELRSR_EL2", (3, 4, 12, 11, 5), EL2, NV_trap_on_write);
+    (* --- PMU and self-hosted debug (breakpoints/watchpoints): outside
+       NEVE's classification --- *)
+    (PMCR_EL0, "PMCR_EL0", (3, 3, 9, 12, 0), EL0, NV_none);
+    (PMCNTENSET_EL0, "PMCNTENSET_EL0", (3, 3, 9, 12, 1), EL0, NV_none);
+    (PMCNTENCLR_EL0, "PMCNTENCLR_EL0", (3, 3, 9, 12, 2), EL0, NV_none);
+    (PMOVSCLR_EL0, "PMOVSCLR_EL0", (3, 3, 9, 12, 3), EL0, NV_none);
+    (PMCCNTR_EL0, "PMCCNTR_EL0", (3, 3, 9, 13, 0), EL0, NV_none);
+    (PMCCFILTR_EL0, "PMCCFILTR_EL0", (3, 3, 14, 15, 7), EL0, NV_none);
+    (PMINTENSET_EL1, "PMINTENSET_EL1", (3, 0, 9, 14, 1), EL1, NV_none);
+    (PMINTENCLR_EL1, "PMINTENCLR_EL1", (3, 0, 9, 14, 2), EL1, NV_none);
+    (PMEVCNTR_EL0 0, "PMEVCNTR0_EL0", (3, 3, 14, 8, 0), EL0, NV_none);
+    (PMEVCNTR_EL0 1, "PMEVCNTR1_EL0", (3, 3, 14, 8, 1), EL0, NV_none);
+    (PMEVCNTR_EL0 2, "PMEVCNTR2_EL0", (3, 3, 14, 8, 2), EL0, NV_none);
+    (PMEVCNTR_EL0 3, "PMEVCNTR3_EL0", (3, 3, 14, 8, 3), EL0, NV_none);
+    (PMEVCNTR_EL0 4, "PMEVCNTR4_EL0", (3, 3, 14, 8, 4), EL0, NV_none);
+    (PMEVCNTR_EL0 5, "PMEVCNTR5_EL0", (3, 3, 14, 8, 5), EL0, NV_none);
+    (PMEVTYPER_EL0 0, "PMEVTYPER0_EL0", (3, 3, 14, 12, 0), EL0, NV_none);
+    (PMEVTYPER_EL0 1, "PMEVTYPER1_EL0", (3, 3, 14, 12, 1), EL0, NV_none);
+    (PMEVTYPER_EL0 2, "PMEVTYPER2_EL0", (3, 3, 14, 12, 2), EL0, NV_none);
+    (PMEVTYPER_EL0 3, "PMEVTYPER3_EL0", (3, 3, 14, 12, 3), EL0, NV_none);
+    (PMEVTYPER_EL0 4, "PMEVTYPER4_EL0", (3, 3, 14, 12, 4), EL0, NV_none);
+    (PMEVTYPER_EL0 5, "PMEVTYPER5_EL0", (3, 3, 14, 12, 5), EL0, NV_none);
+    (DBGBVR_EL1 0, "DBGBVR0_EL1", (2, 0, 0, 0, 4), EL1, NV_none);
+    (DBGBVR_EL1 1, "DBGBVR1_EL1", (2, 0, 0, 1, 4), EL1, NV_none);
+    (DBGBVR_EL1 2, "DBGBVR2_EL1", (2, 0, 0, 2, 4), EL1, NV_none);
+    (DBGBVR_EL1 3, "DBGBVR3_EL1", (2, 0, 0, 3, 4), EL1, NV_none);
+    (DBGBVR_EL1 4, "DBGBVR4_EL1", (2, 0, 0, 4, 4), EL1, NV_none);
+    (DBGBVR_EL1 5, "DBGBVR5_EL1", (2, 0, 0, 5, 4), EL1, NV_none);
+    (DBGBCR_EL1 0, "DBGBCR0_EL1", (2, 0, 0, 0, 5), EL1, NV_none);
+    (DBGBCR_EL1 1, "DBGBCR1_EL1", (2, 0, 0, 1, 5), EL1, NV_none);
+    (DBGBCR_EL1 2, "DBGBCR2_EL1", (2, 0, 0, 2, 5), EL1, NV_none);
+    (DBGBCR_EL1 3, "DBGBCR3_EL1", (2, 0, 0, 3, 5), EL1, NV_none);
+    (DBGBCR_EL1 4, "DBGBCR4_EL1", (2, 0, 0, 4, 5), EL1, NV_none);
+    (DBGBCR_EL1 5, "DBGBCR5_EL1", (2, 0, 0, 5, 5), EL1, NV_none);
+    (DBGWVR_EL1 0, "DBGWVR0_EL1", (2, 0, 0, 0, 6), EL1, NV_none);
+    (DBGWVR_EL1 1, "DBGWVR1_EL1", (2, 0, 0, 1, 6), EL1, NV_none);
+    (DBGWVR_EL1 2, "DBGWVR2_EL1", (2, 0, 0, 2, 6), EL1, NV_none);
+    (DBGWVR_EL1 3, "DBGWVR3_EL1", (2, 0, 0, 3, 6), EL1, NV_none);
+    (DBGWVR_EL1 4, "DBGWVR4_EL1", (2, 0, 0, 4, 6), EL1, NV_none);
+    (DBGWVR_EL1 5, "DBGWVR5_EL1", (2, 0, 0, 5, 6), EL1, NV_none);
+    (DBGWCR_EL1 0, "DBGWCR0_EL1", (2, 0, 0, 0, 7), EL1, NV_none);
+    (DBGWCR_EL1 1, "DBGWCR1_EL1", (2, 0, 0, 1, 7), EL1, NV_none);
+    (DBGWCR_EL1 2, "DBGWCR2_EL1", (2, 0, 0, 2, 7), EL1, NV_none);
+    (DBGWCR_EL1 3, "DBGWCR3_EL1", (2, 0, 0, 3, 7), EL1, NV_none);
+    (DBGWCR_EL1 4, "DBGWCR4_EL1", (2, 0, 0, 4, 7), EL1, NV_none);
+    (DBGWCR_EL1 5, "DBGWCR5_EL1", (2, 0, 0, 5, 7), EL1, NV_none);
+    (* --- Table 5, banked: active priorities and list registers --- *)
+    (ICH_AP0R_EL2 0, "ICH_AP0R0_EL2", (3, 4, 12, 8, 0), EL2, NV_trap_on_write);
+    (ICH_AP0R_EL2 1, "ICH_AP0R1_EL2", (3, 4, 12, 8, 1), EL2, NV_trap_on_write);
+    (ICH_AP0R_EL2 2, "ICH_AP0R2_EL2", (3, 4, 12, 8, 2), EL2, NV_trap_on_write);
+    (ICH_AP0R_EL2 3, "ICH_AP0R3_EL2", (3, 4, 12, 8, 3), EL2, NV_trap_on_write);
+    (ICH_AP1R_EL2 0, "ICH_AP1R0_EL2", (3, 4, 12, 9, 0), EL2, NV_trap_on_write);
+    (ICH_AP1R_EL2 1, "ICH_AP1R1_EL2", (3, 4, 12, 9, 1), EL2, NV_trap_on_write);
+    (ICH_AP1R_EL2 2, "ICH_AP1R2_EL2", (3, 4, 12, 9, 2), EL2, NV_trap_on_write);
+    (ICH_AP1R_EL2 3, "ICH_AP1R3_EL2", (3, 4, 12, 9, 3), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 0, "ICH_LR0_EL2", (3, 4, 12, 12, 0), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 1, "ICH_LR1_EL2", (3, 4, 12, 12, 1), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 2, "ICH_LR2_EL2", (3, 4, 12, 12, 2), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 3, "ICH_LR3_EL2", (3, 4, 12, 12, 3), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 4, "ICH_LR4_EL2", (3, 4, 12, 12, 4), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 5, "ICH_LR5_EL2", (3, 4, 12, 12, 5), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 6, "ICH_LR6_EL2", (3, 4, 12, 12, 6), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 7, "ICH_LR7_EL2", (3, 4, 12, 12, 7), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 8, "ICH_LR8_EL2", (3, 4, 12, 13, 0), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 9, "ICH_LR9_EL2", (3, 4, 12, 13, 1), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 10, "ICH_LR10_EL2", (3, 4, 12, 13, 2), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 11, "ICH_LR11_EL2", (3, 4, 12, 13, 3), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 12, "ICH_LR12_EL2", (3, 4, 12, 13, 4), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 13, "ICH_LR13_EL2", (3, 4, 12, 13, 5), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 14, "ICH_LR14_EL2", (3, 4, 12, 13, 6), EL2, NV_trap_on_write);
+    (ICH_LR_EL2 15, "ICH_LR15_EL2", (3, 4, 12, 13, 7), EL2, NV_trap_on_write);
+    (* --- FEAT_RAS error virtualization, appended last (context slots and
+       deferred-page offsets are positional).  Kept outside the deferred
+       page: the modeled hardware has FEAT_RAS but not the NV2 RAS-page
+       extension, so ARMv8.3 and NEVE guest hypervisors trap on them
+       identically. --- *)
+    (VSESR_EL2, "VSESR_EL2", (3, 4, 5, 2, 3), EL2, NV_none);
+    (VDISR_EL2, "VDISR_EL2", (3, 4, 12, 1, 1), EL2, NV_none);
   ]
-  @ [ PMCR_EL0; PMCNTENSET_EL0; PMCNTENCLR_EL0; PMOVSCLR_EL0; PMCCNTR_EL0;
-      PMCCFILTR_EL0; PMINTENSET_EL1; PMINTENCLR_EL1 ]
-  @ range_regs (fun n -> PMEVCNTR_EL0 n) (pmu_counters - 1) []
-  @ range_regs (fun n -> PMEVTYPER_EL0 n) (pmu_counters - 1) []
-  @ range_regs (fun n -> DBGBVR_EL1 n) (debug_bkpts - 1) []
-  @ range_regs (fun n -> DBGBCR_EL1 n) (debug_bkpts - 1) []
-  @ range_regs (fun n -> DBGWVR_EL1 n) (debug_bkpts - 1) []
-  @ range_regs (fun n -> DBGWCR_EL1 n) (debug_bkpts - 1) []
-  @ range_regs (fun n -> ICH_AP0R_EL2 n) (apr_count - 1) []
-  @ range_regs (fun n -> ICH_AP1R_EL2 n) (apr_count - 1) []
-  @ range_regs (fun n -> ICH_LR_EL2 n) (lr_count - 1) []
-  @ [ VSESR_EL2; VDISR_EL2 ]
 
-(* Reverse encoding lookup (used when decoding trapped-access syndromes and
-   when decoding 32-bit MSR/MRS words). *)
-(* domain-safety: allowlisted global — the closed-over table is fully
-   populated at module load and read-only afterwards. *)
-let of_enc : (int * int * int * int * int) -> t option =
-  let tbl = Hashtbl.create 128 in
-  List.iter (fun r -> Hashtbl.replace tbl (enc r) r) all;
-  fun e -> Hashtbl.find_opt tbl e
+let all : t list = List.map (fun (r, _, _, _, _) -> r) rows
 
 (* --- Dense integer index ---
 
    Every register identity maps to a unique index in [0, count): flat
-   arrays keyed by [index] replace hashed lookups on the MSR/MRS hot
+   arrays keyed by [index] replace hashed lookups on the MRS/MSR hot
    path (register file, context-slot table, deferred-page offsets).
    The layout follows the constructor declaration order; banked
-   registers occupy contiguous runs.  [of_index] and the bijectivity of
-   the mapping over [all] are established at module init. *)
+   registers occupy contiguous runs.  The bijectivity of the mapping
+   over [rows] is established at module init.  [index] is inlined: every
+   row query and register-file access starts with it. *)
 
 let count = 154
 
-let index = function
+let[@inline] index = function
   | SP_EL0 -> 0
   | TPIDR_EL0 -> 1
   | TPIDRRO_EL0 -> 2
@@ -651,22 +469,21 @@ let index = function
   | VSESR_EL2 -> 152
   | VDISR_EL2 -> 153
 
-(* domain-safety: allowlisted global — populated (and checked bijective)
+(* The rows by dense index.
+   domain-safety: allowlisted global — populated (and checked bijective)
    at module load, read-only afterwards. *)
-let of_index_tbl : t array =
-  let placeholder = SP_EL0 in
-  let tbl = Array.make count placeholder in
+let by_index : row array =
+  let tbl = Array.make count (List.hd rows) in
   let seen = Array.make count false in
   List.iter
-    (fun r ->
+    (fun ((r, name, _, _, _) as row) ->
       let i = index r in
       if i < 0 || i >= count then
-        invalid_arg ("Sysreg.index out of range for " ^ name r);
-      if seen.(i) then
-        invalid_arg ("Sysreg.index collision at " ^ name r);
+        invalid_arg ("Sysreg.index out of range for " ^ name);
+      if seen.(i) then invalid_arg ("Sysreg.index collision at " ^ name);
       seen.(i) <- true;
-      tbl.(i) <- r)
-    all;
+      tbl.(i) <- row)
+    rows;
   Array.iteri
     (fun i present ->
       if not present then
@@ -676,27 +493,114 @@ let of_index_tbl : t array =
 
 let of_index i =
   if i < 0 || i >= count then invalid_arg "Sysreg.of_index";
-  of_index_tbl.(i)
-
-(* Access records, one per (register, alias), built once: hypervisor code
-   names accesses on every world switch, and an access is immutable, so
-   handing out a shared record is unobservable.
-   domain-safety: allowlisted global — read-only after module load. *)
-let accesses alias =
-  Array.init count (fun i -> { reg = of_index_tbl.(i); alias })
-let direct_tbl = accesses Direct
-let el12_tbl = accesses EL12
-let el02_tbl = accesses EL02
+  let r, _, _, _, _ = by_index.(i) in
+  r
 
 (* Whether a parameterized register's number is one the model implements
-   (the registers [index] numbers without aliasing a neighbour). *)
-let in_range = function
+   (the registers [index] numbers without aliasing a neighbour).  Inlined:
+   for a constant constructor it is one test. *)
+let[@inline] in_range = function
   | PMEVCNTR_EL0 n | PMEVTYPER_EL0 n -> n >= 0 && n < pmu_counters
   | DBGBVR_EL1 n | DBGBCR_EL1 n | DBGWVR_EL1 n | DBGWCR_EL1 n ->
     n >= 0 && n < debug_bkpts
   | ICH_AP0R_EL2 n | ICH_AP1R_EL2 n -> n >= 0 && n < apr_count
   | ICH_LR_EL2 n -> n >= 0 && n < lr_count
   | _ -> true
+
+(* The row of a banked member past the implemented ones, by the formulas
+   the table's banked rows follow: the model holds no such register, but
+   error messages and decoders still name and encode it. *)
+let banked_row r =
+  let row fmt n enc el cls = (r, Printf.sprintf fmt n, enc, el, cls) in
+  match r with
+  | PMEVCNTR_EL0 n -> row "PMEVCNTR%d_EL0" n (3, 3, 14, 8, n) EL0 NV_none
+  | PMEVTYPER_EL0 n -> row "PMEVTYPER%d_EL0" n (3, 3, 14, 12, n) EL0 NV_none
+  | DBGBVR_EL1 n -> row "DBGBVR%d_EL1" n (2, 0, 0, n, 4) EL1 NV_none
+  | DBGBCR_EL1 n -> row "DBGBCR%d_EL1" n (2, 0, 0, n, 5) EL1 NV_none
+  | DBGWVR_EL1 n -> row "DBGWVR%d_EL1" n (2, 0, 0, n, 6) EL1 NV_none
+  | DBGWCR_EL1 n -> row "DBGWCR%d_EL1" n (2, 0, 0, n, 7) EL1 NV_none
+  | ICH_AP0R_EL2 n ->
+    row "ICH_AP0R%d_EL2" n (3, 4, 12, 8, n) EL2 NV_trap_on_write
+  | ICH_AP1R_EL2 n ->
+    row "ICH_AP1R%d_EL2" n (3, 4, 12, 9, n) EL2 NV_trap_on_write
+  | ICH_LR_EL2 n ->
+    let enc = if n < 8 then (3, 4, 12, 12, n) else (3, 4, 12, 13, n - 8) in
+    row "ICH_LR%d_EL2" n enc EL2 NV_trap_on_write
+  | _ -> by_index.(index r)
+
+let[@inline] row r =
+  if in_range r then Array.unsafe_get by_index (index r) else banked_row r
+
+let name r = let _, name, _, _, _ = row r in name
+let enc r = let _, _, enc, _, _ = row r in enc
+let min_el r = let _, _, _, el, _ = row r in el
+let neve_class r = let _, _, _, _, cls = row r in cls
+
+let access_name { reg; alias } =
+  match alias with
+  | Direct -> name reg
+  | EL12 ->
+    (* SCTLR_EL1 accessed as SCTLR_EL12, etc. *)
+    let base = name reg in
+    (match String.index_opt base '1' with
+     | Some _ when Filename.check_suffix base "_EL1" ->
+       String.sub base 0 (String.length base - 1) ^ "12"
+     | _ -> base ^ "(EL12)")
+  | EL02 ->
+    let base = name reg in
+    if Filename.check_suffix base "_EL0" then
+      String.sub base 0 (String.length base - 1) ^ "02"
+    else base ^ "(EL02)"
+
+(* Encoding of the VHE alias forms: _EL12/_EL02 registers use op1=5. *)
+let access_enc { reg; alias } =
+  let (op0, op1, crn, crm, op2) = enc reg in
+  match alias with
+  | Direct -> (op0, op1, crn, crm, op2)
+  | EL12 | EL02 -> (op0, 5, crn, crm, op2)
+
+(* The GIC hypervisor control interface (the ICH_* registers) occupies
+   op0=3, op1=4, CRn=12, CRm=8..13. *)
+let is_gic_ich r =
+  let op0, op1, crn, crm, _ = enc r in
+  op0 = 3 && op1 = 4 && crn = 12 && crm >= 8
+
+let is_el2_timer r =
+  match neve_class r with NV_timer_trap -> true | _ -> false
+
+(* Read-only registers: writes are UNDEFINED / ignored.  Guest MSRs ask
+   on every write, so membership is a by-index flag.
+   domain-safety: allowlisted global — populated at module load,
+   read-only afterwards. *)
+let read_only_flags =
+  let b = Bytes.make count '\000' in
+  List.iter
+    (fun r -> Bytes.set b (index r) '\001')
+    [ MPIDR_EL1; MIDR_EL1; CurrentEL; CNTVCT_EL0; ICC_IAR1_EL1; ICH_VTR_EL2;
+      ICH_MISR_EL2; ICH_EISR_EL2; ICH_ELRSR_EL2 ];
+  b
+
+let read_only r =
+  in_range r && Bytes.unsafe_get read_only_flags (index r) = '\001'
+
+(* Reverse encoding lookup (used when decoding trapped-access syndromes and
+   when decoding 32-bit MSR/MRS words). *)
+(* domain-safety: allowlisted global — the closed-over table is fully
+   populated at module load and read-only afterwards. *)
+let of_enc : (int * int * int * int * int) -> t option =
+  let tbl = Hashtbl.create 128 in
+  List.iter (fun (r, _, e, _, _) -> Hashtbl.replace tbl e r) rows;
+  fun e -> Hashtbl.find_opt tbl e
+
+(* Access records, one per (register, alias), built once: hypervisor code
+   names accesses on every world switch, and an access is immutable, so
+   handing out a shared record is unobservable.
+   domain-safety: allowlisted global — read-only after module load. *)
+let accesses alias =
+  Array.init count (fun i -> { reg = of_index i; alias })
+let direct_tbl = accesses Direct
+let el12_tbl = accesses EL12
+let el02_tbl = accesses EL02
 
 (* The shared record for a register of the model, a fresh one for an
    out-of-range parameterized register. *)
@@ -706,6 +610,17 @@ let shared_access tbl reg alias =
 let direct reg = shared_access direct_tbl reg Direct
 let el12 reg = shared_access el12_tbl reg EL12
 let el02 reg = shared_access el02_tbl reg EL02
+
+(* The access an encoding names: a register's own encoding, or the op1=5
+   VHE alias of an EL1 (op1=0) or EL0 (op1=3) register. *)
+let access_of_enc ((op0, op1, crn, crm, op2) as e) =
+  match of_enc e with
+  | Some reg -> Some (direct reg)
+  | None when op1 = 5 -> (
+      match of_enc (op0, 0, crn, crm, op2) with
+      | Some reg -> Some (el12 reg)
+      | None -> Option.map el02 (of_enc (op0, 3, crn, crm, op2)))
+  | None -> None
 
 (* --- Deferred-access-page layout ---
 
@@ -781,8 +696,8 @@ let table4 =
 let table5 =
   [ ICH_HCR_EL2; ICH_VTR_EL2; ICH_VMCR_EL2; ICH_MISR_EL2; ICH_EISR_EL2;
     ICH_ELRSR_EL2 ]
-  @ range_regs (fun n -> ICH_AP0R_EL2 n) (apr_count - 1) []
-  @ range_regs (fun n -> ICH_AP1R_EL2 n) (apr_count - 1) []
-  @ range_regs (fun n -> ICH_LR_EL2 n) (lr_count - 1) []
+  @ List.init apr_count (fun n -> ICH_AP0R_EL2 n)
+  @ List.init apr_count (fun n -> ICH_AP1R_EL2 n)
+  @ List.init lr_count (fun n -> ICH_LR_EL2 n)
 
 let pp ppf r = Fmt.string ppf (name r)

@@ -2,10 +2,12 @@
 
     Every register the simulator models, with its A64 encoding, minimum
     access level, NEVE classification (paper Tables 3, 4 and 5) and
-    deferred-access-page offset.  The classification is architectural data
-    (it is what ARMv8.4 hardware implements), which is why it lives here
-    rather than in the NEVE library; [Core.Classify] builds the software
-    view on top. *)
+    deferred-access-page offset.  The implementation states each register
+    once, as one row of a table in {!all} order; every query here reads
+    that row.  The classification is architectural data (it is what
+    ARMv8.4 hardware implements), which is why it lives here rather than
+    in the NEVE library; [Core.Classify] builds the software view on
+    top. *)
 
 (** Register identities.  Parameterized constructors cover the banked GIC
     list registers and active-priority registers. *)
@@ -188,6 +190,12 @@ val all : t list
 
 val of_enc : int * int * int * int * int -> t option
 (** Reverse encoding lookup (trapped-access syndromes, binary decoding). *)
+
+val access_of_enc : int * int * int * int * int -> access option
+(** Inverse of {!access_enc}: the access an encoding names.  An op1=5
+    encoding that is no register's own names the [_EL12] alias of the
+    op1=0 register with the same remaining fields, else the [_EL02] alias
+    of the op1=3 one. *)
 
 val count : int
 (** Size of the dense index space: [index] is a bijection between the

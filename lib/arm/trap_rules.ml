@@ -69,56 +69,39 @@ let sysreg_trap ~access ~rt ~is_read =
 
 (* VHE E2H redirection at EL2: EL1 access instructions operate on the EL2
    counterpart.  This is the redirection of Section 2 that lets an OS kernel
-   written for EL1 run unmodified in EL2. *)
-let vhe_el2_twin : Sysreg.t -> Sysreg.t option = function
-  | SCTLR_EL1 -> Some SCTLR_EL2
-  | CPACR_EL1 -> Some CPTR_EL2
-  | TTBR0_EL1 -> Some TTBR0_EL2
-  | TTBR1_EL1 -> Some TTBR1_EL2
-  | TCR_EL1 -> Some TCR_EL2
-  | ESR_EL1 -> Some ESR_EL2
-  | FAR_EL1 -> Some FAR_EL2
-  | AFSR0_EL1 -> Some AFSR0_EL2
-  | AFSR1_EL1 -> Some AFSR1_EL2
-  | MAIR_EL1 -> Some MAIR_EL2
-  | AMAIR_EL1 -> Some AMAIR_EL2
-  | VBAR_EL1 -> Some VBAR_EL2
-  | CONTEXTIDR_EL1 -> Some CONTEXTIDR_EL2
-  | ELR_EL1 -> Some ELR_EL2
-  | SPSR_EL1 -> Some SPSR_EL2
-  | CNTKCTL_EL1 -> Some CNTHCTL_EL2
-  | CNTV_CTL_EL0 -> Some CNTHV_CTL_EL2
-  | CNTV_CVAL_EL0 -> Some CNTHV_CVAL_EL2
-  | CNTP_CTL_EL0 -> Some CNTHP_CTL_EL2
-  | CNTP_CVAL_EL0 -> Some CNTHP_CVAL_EL2
-  | _ -> None
+   written for EL1 run unmodified in EL2, and a VHE hypervisor uses the EL1
+   forms "wherever possible" (Section 5) to touch its own EL2 state without
+   trapping when deprivileged.  The pairs, (EL1 form, EL2 register): *)
+let e2h_pairs : (Sysreg.t * Sysreg.t) list =
+  [ (SCTLR_EL1, SCTLR_EL2); (CPACR_EL1, CPTR_EL2); (TTBR0_EL1, TTBR0_EL2);
+    (TTBR1_EL1, TTBR1_EL2); (TCR_EL1, TCR_EL2); (ESR_EL1, ESR_EL2);
+    (FAR_EL1, FAR_EL2); (AFSR0_EL1, AFSR0_EL2); (AFSR1_EL1, AFSR1_EL2);
+    (MAIR_EL1, MAIR_EL2); (AMAIR_EL1, AMAIR_EL2); (VBAR_EL1, VBAR_EL2);
+    (CONTEXTIDR_EL1, CONTEXTIDR_EL2); (ELR_EL1, ELR_EL2);
+    (SPSR_EL1, SPSR_EL2); (CNTKCTL_EL1, CNTHCTL_EL2);
+    (CNTV_CTL_EL0, CNTHV_CTL_EL2); (CNTV_CVAL_EL0, CNTHV_CVAL_EL2);
+    (CNTP_CTL_EL0, CNTHP_CTL_EL2); (CNTP_CVAL_EL0, CNTHP_CVAL_EL2) ]
 
-(* Inverse of [vhe_el2_twin]: the EL1 register whose E2H-redirected access
-   reaches the given EL2 register.  A VHE hypervisor uses these EL1
-   instruction forms "wherever possible" (Section 5) to touch its own EL2
-   state without trapping when deprivileged. *)
-let el1_form_of_el2 : Sysreg.t -> Sysreg.t option = function
-  | SCTLR_EL2 -> Some SCTLR_EL1
-  | CPTR_EL2 -> Some CPACR_EL1
-  | TTBR0_EL2 -> Some TTBR0_EL1
-  | TTBR1_EL2 -> Some TTBR1_EL1
-  | TCR_EL2 -> Some TCR_EL1
-  | ESR_EL2 -> Some ESR_EL1
-  | FAR_EL2 -> Some FAR_EL1
-  | AFSR0_EL2 -> Some AFSR0_EL1
-  | AFSR1_EL2 -> Some AFSR1_EL1
-  | MAIR_EL2 -> Some MAIR_EL1
-  | AMAIR_EL2 -> Some AMAIR_EL1
-  | VBAR_EL2 -> Some VBAR_EL1
-  | CONTEXTIDR_EL2 -> Some CONTEXTIDR_EL1
-  | ELR_EL2 -> Some ELR_EL1
-  | SPSR_EL2 -> Some SPSR_EL1
-  | CNTHCTL_EL2 -> Some CNTKCTL_EL1
-  | CNTHV_CTL_EL2 -> Some CNTV_CTL_EL0
-  | CNTHV_CVAL_EL2 -> Some CNTV_CVAL_EL0
-  | CNTHP_CTL_EL2 -> Some CNTP_CTL_EL0
-  | CNTHP_CVAL_EL2 -> Some CNTP_CVAL_EL0
-  | _ -> None
+(* One direction of [e2h_pairs] as a dense-index lookup, answered with a
+   shared option: the host's own accesses ask on every MRS/MSR.  Every
+   paired register is a constant constructor, so the [==] check leaves an
+   out-of-range banked register whose index aliases a paired one
+   unpaired.
+   domain-safety: allowlisted global — populated at module load,
+   read-only afterwards. *)
+let e2h_lookup ~from ~to_ =
+  let tbl = Array.make Sysreg.count None in
+  List.iter (fun p -> tbl.(Sysreg.index (from p)) <- Some (to_ p)) e2h_pairs;
+  fun (r : Sysreg.t) ->
+    let i = Sysreg.index r in
+    if i < 0 || i >= Sysreg.count then None
+    else
+      match Array.unsafe_get tbl i with
+      | None -> None
+      | Some _ as partner -> if Sysreg.of_index i == r then partner else None
+
+let vhe_el2_twin = e2h_lookup ~from:fst ~to_:snd
+let el1_form_of_el2 = e2h_lookup ~from:snd ~to_:fst
 
 (* Does NV2 defer this register to the page?  Table 3 registers, cached
    copies of trap-on-write registers, and the extra EL1 context registers
@@ -199,8 +182,9 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
         deferred_slot ~vncr access.reg
       else sysreg_trap ~access ~rt ~is_read
     else sysreg_trap ~access ~rt ~is_read
-  | Direct ->
-    if Sysreg.min_el access.reg = Pstate.EL2 then begin
+  | Direct -> (
+    match Sysreg.min_el access.reg with
+    | Pstate.EL2 -> begin
       (* EL2 register access from virtual EL2.  An OoH grant wins over
          every mechanism: the access reaches the hardware register
          directly, trap-free, whether or not NV2 deferral is active. *)
@@ -231,7 +215,7 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
         | NV_none -> sysreg_trap ~access ~rt ~is_read
       end
     end
-    else if Sysreg.min_el access.reg = Pstate.EL1 then
+    | Pstate.EL1 -> (
       (* EL1 register access from virtual EL2. *)
       match access.reg with
       | Sysreg.CurrentEL ->
@@ -256,22 +240,23 @@ let route_sysreg_vel2 (features : Features.t) ~(hcr : Hcr.view) ~vncr ~mask
           deferred_slot ~vncr r
         else if is_read && not hcr.h_trvm && Sysreg.neve_class r <> NV_vm_reg
         then Execute
-        else sysreg_trap ~access ~rt ~is_read
-    else Execute
+        else sysreg_trap ~access ~rt ~is_read)
+    | Pstate.EL0 -> Execute)
 
 (* Route a system-register access for a regular VM (EL1, NV clear). *)
 let route_sysreg_vm ~(hcr : Hcr.view) ~(access : Sysreg.access) ~rt ~is_read =
   match access.alias with
   | EL12 | EL02 -> Undef (* EL2-only instructions *)
   | Direct ->
-    if Sysreg.min_el access.reg = Pstate.EL2 then Undef
+    let min_el = Sysreg.min_el access.reg in
+    if min_el = Pstate.EL2 then Undef
     else begin
       match access.reg with
       | Sysreg.ICC_SGI1R_EL1 when hcr.h_imo ->
         sysreg_trap ~access ~rt ~is_read
       | _ ->
         let is_vm_ctl = Sysreg.neve_class access.reg = Sysreg.NV_vm_reg in
-        if is_vm_ctl && Sysreg.min_el access.reg = Pstate.EL1
+        if is_vm_ctl && min_el = Pstate.EL1
            && ((is_read && hcr.h_trvm) || ((not is_read) && hcr.h_tvm))
         then
           Trap_to_el2

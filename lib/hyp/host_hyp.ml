@@ -858,23 +858,8 @@ let kill_l2 t ~resume_pc =
    encoding names an _EL12/_EL02 alias), Rt and the direction. *)
 let decode_sysreg_trap iss =
   let d = Exn.decode_sysreg_iss iss in
-  let access =
-    match Sysreg.of_enc d.Exn.ds_enc with
-    | Some reg -> Some (Sysreg.direct reg)
-    | None -> begin
-        (* op1=5 alias space *)
-        let op0, _, crn, crm, op2 = d.Exn.ds_enc in
-        match Sysreg.of_enc (op0, 0, crn, crm, op2) with
-        | Some reg -> Some (Sysreg.el12 reg)
-        | None -> begin
-            match Sysreg.of_enc (op0, 3, crn, crm, op2) with
-            | Some reg -> Some (Sysreg.el02 reg)
-            | None -> None
-          end
-      end
-  in
-  { st_iss = iss; st_access = access; st_rt = d.Exn.ds_rt;
-    st_is_read = d.Exn.ds_is_read }
+  { st_iss = iss; st_access = Sysreg.access_of_enc d.Exn.ds_enc;
+    st_rt = d.Exn.ds_rt; st_is_read = d.Exn.ds_is_read }
 
 (* The same, memoized per host: a trap site raises the same syndrome
    every time. *)

@@ -35,13 +35,22 @@ let derive ~seed ~index =
 
 let derive_int ~seed ~index = Int64.to_int (derive ~seed ~index) land max_int
 
-(* --- FNV-1a (64-bit), chainable for index-ordered digest folds --- *)
+(* --- FNV-1a: 64-bit, chainable for index-ordered digest folds; 32-bit
+   for seeds derived from a name ([Hashtbl.hash] is only specified
+   per runtime version) --- *)
 
 let fnv1a_64 ?(init = 0xcbf29ce484222325L) s =
   let h = ref init in
   String.iter
     (fun c ->
       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+let fnv1a_32 s =
+  let h = ref 0x811c9dc5 in
+  String.iter
+    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffff_ffff)
     s;
   !h
 

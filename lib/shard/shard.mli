@@ -38,6 +38,10 @@ val fnv1a_64 : ?init:int64 -> string -> int64
 (** FNV-1a over a string, chainable through [init] so per-job digests
     fold into a campaign digest in index order. *)
 
+val fnv1a_32 : string -> int
+(** 32-bit FNV-1a over a string: a seed pinned to a name, stable across
+    runs and OCaml runtimes. *)
+
 (** {1 The engine} *)
 
 val map : ?domains:int -> shards:int -> jobs:int -> (int -> 'a) -> 'a array

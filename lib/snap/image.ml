@@ -264,6 +264,11 @@ let table_fields (t : Cost.table) =
     t.mig_page_copy; t.mig_state_copy; t.serror_delivery; t.watchdog_poll;
     t.recover_restore; t.mig_retry_backoff; t.tlbi_recipient; t.dvm_sync ]
 
+(* The largest cost-table entry a snapshot may carry: 2^32 cycles, far
+   above any calibration (the largest default entry is 150,000) and far
+   enough below [max_int] that a per-operation product stays exact. *)
+let max_cost = 1 lsl 32
+
 let table_of_fields = function
   | [ trap_entry; trap_return; exc_entry_el1; sysreg_read; sysreg_write;
       mem_load; mem_store; insn_base; barrier; tlbi; gic_mmio_access;
@@ -275,9 +280,14 @@ let table_of_fields = function
       x86_guest_hyp_logic; x86_apicv_eoi; arm_virtual_eoi;
       mig_page_copy; mig_state_copy; serror_delivery; watchdog_poll;
       recover_restore; mig_retry_backoff; tlbi_recipient; dvm_sync ] as l ->
-    (* [Cost.charge] asserts a non-negative cost *)
+    (* [Cost.charge] asserts a non-negative cost, and the hypervisors
+       multiply entries by context sizes (the deferred page's length
+       times [mem_load]), which must not wrap *)
     List.iteri
-      (fun i c -> if c < 0 then fail "cost-table entry %d is negative (%d)" i c)
+      (fun i c ->
+        if c < 0 then fail "cost-table entry %d is negative (%d)" i c;
+        if c > max_cost then
+          fail "cost-table entry %d exceeds 2^32 cycles (%d)" i c)
       l;
     { Cost.trap_entry; trap_return; exc_entry_el1; sysreg_read; sysreg_write;
       mem_load; mem_store; insn_base; barrier; tlbi; gic_mmio_access;

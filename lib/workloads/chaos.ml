@@ -82,21 +82,9 @@ let one_op rng m ~ncpus =
     | Some vintid -> ignore (Machine.vm_eoi m ~cpu ~vintid)
     | None -> ())
 
-(* FNV-1a over the configuration name.  [Hashtbl.hash] is only specified
-   per-runtime-version, so seeds derived from it could silently change
-   across compiler upgrades; FNV-1a pins the per-configuration seed to the
-   name itself. *)
-let fnv1a_32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := (!h lxor Char.code c) * 0x01000193 land 0xffff_ffff)
-    s;
-  !h
-
 let run_config ~seed ~faults ~trap_budget ~max_cycles (name, config, scenario) =
   (* a per-configuration seed, stable across runs and runtimes *)
-  let cseed = seed lxor fnv1a_32 name in
+  let cseed = seed lxor Shard.fnv1a_32 name in
   let plan = Fault.Plan.make ~seed:cseed ~faults ~horizon:trap_budget in
   let rng = Fault.Plan.Rng.make (cseed lxor 0x5eed) in
   let ncpus = 2 in

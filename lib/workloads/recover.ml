@@ -61,15 +61,6 @@ let scenarios =
        (fun cfg -> (Config.name cfg, cfg, Hyp.Host_hyp.Nested))
        Config.all_nested
 
-(* FNV-1a, as in Chaos: per-configuration seeds pinned to the name
-   itself rather than [Hashtbl.hash]'s runtime-specific value. *)
-let fnv1a_32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffff_ffff)
-    s;
-  !h
-
 let make (_, config, scenario) =
   let m = Machine.create ~check_invariants:true ~ncpus:2 config scenario in
   Machine.boot m;
@@ -99,7 +90,7 @@ let run_serror ~seed ((name, _, _) as sc) =
     {
       Exn.target = Arm.Pstate.EL2;
       ec = Exn.EC_serror;
-      iss = 0x11 lor ((seed lxor fnv1a_32 name) land 0x3f lsl 8);
+      iss = 0x11 lor ((seed lxor Shard.fnv1a_32 name) land 0x3f lsl 8);
       fault_addr = None;
     };
   let contained = Machine.serror_containments m = 1 in
@@ -216,7 +207,7 @@ let run_mig ~seed ((name, _, _) as sc) =
   in
   let src', dst, rr =
     Snap.Migrate.resilient ~max_retries:8 ~fail_rate:20
-      ~fail_seed:(seed lxor fnv1a_32 name)
+      ~fail_seed:(seed lxor Shard.fnv1a_32 name)
       ~workload src
   in
   let dst_identical =

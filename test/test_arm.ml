@@ -420,11 +420,69 @@ let test_register_digest () =
 let test_out_of_range_banked () =
   List.iter
     (fun (r, want) -> check Alcotest.string want want (reg_facts r))
-    [ (Sysreg.ICH_LR_EL2 16, "ICH_LR16_EL2 (3,4,12,13,8) EL2 trap-on-write ro=false");
-      (Sysreg.ICH_LR_EL2 18, "ICH_LR18_EL2 (3,4,12,13,10) EL2 trap-on-write ro=false");
+    [ (Sysreg.ICH_LR_EL2 16,
+       "ICH_LR16_EL2 (3,4,12,13,8) EL2 trap-on-write ro=false");
+      (Sysreg.ICH_LR_EL2 18,
+       "ICH_LR18_EL2 (3,4,12,13,10) EL2 trap-on-write ro=false");
       (Sysreg.PMEVCNTR_EL0 6, "PMEVCNTR6_EL0 (3,3,14,8,6) EL0 none ro=false");
       (Sysreg.DBGBVR_EL1 9, "DBGBVR9_EL1 (2,0,0,9,4) EL1 none ro=false");
-      (Sysreg.ICH_AP1R_EL2 4, "ICH_AP1R4_EL2 (3,4,12,9,4) EL2 trap-on-write ro=false") ]
+      (Sysreg.ICH_AP1R_EL2 4,
+       "ICH_AP1R4_EL2 (3,4,12,9,4) EL2 trap-on-write ro=false") ]
+
+(* The E2H pairing is stated once, in [Trap_rules]; the world-switch
+   lists that name its EL1 and EL0 sides must agree with it, and every
+   access form a hypervisor issues must decode back from its encoding. *)
+let test_e2h_pairs_and_aliases () =
+  let module TR = Arm.Trap_rules in
+  let module RL = Hyp.Reglists in
+  List.iter
+    (fun r ->
+      match TR.vhe_el2_twin r with
+      | Some el2 ->
+        if TR.el1_form_of_el2 el2 <> Some r then
+          Alcotest.failf "el1_form_of_el2 %s <> %s" (Sysreg.name el2)
+            (Sysreg.name r)
+      | None -> ())
+    Sysreg.all;
+  List.iter
+    (fun r ->
+      match TR.el1_form_of_el2 r with
+      | Some el1 ->
+        if TR.vhe_el2_twin el1 <> Some r then
+          Alcotest.failf "vhe_el2_twin %s <> %s" (Sysreg.name el1)
+            (Sysreg.name r)
+      | None -> ())
+    Sysreg.all;
+  let paired el =
+    List.filter
+      (fun r -> Sysreg.min_el r = el && TR.vhe_el2_twin r <> None)
+      Sysreg.all
+  in
+  let same_set what a b =
+    check
+      Alcotest.(list string)
+      what
+      (List.sort compare (List.map Sysreg.name a))
+      (List.sort compare (List.map Sysreg.name b))
+  in
+  same_set "el12_capable = paired EL1 registers" (paired Pstate.EL1)
+    RL.el12_capable;
+  (* E2H also pairs the EL0 physical timer with CNTHP; the world switch
+     moves only the VM's virtual timer *)
+  same_set "timer_el0_state + CNTP = paired EL0 registers"
+    (paired Pstate.EL0)
+    (RL.timer_el0_state @ [ Sysreg.CNTP_CTL_EL0; Sysreg.CNTP_CVAL_EL0 ]);
+  List.iter
+    (fun a ->
+      if Sysreg.access_of_enc (Sysreg.access_enc a) <> Some a then
+        Alcotest.failf "access_of_enc does not invert access_enc for %s"
+          (Sysreg.access_name a))
+    (List.map Sysreg.direct Sysreg.all
+     @ List.map Sysreg.el12 RL.el12_capable
+     @ List.map Sysreg.el02 RL.timer_el0_state);
+  (* op1=5 with CRn=15 names no register at op1=0, 3 or 5 *)
+  check Alcotest.bool "unmodelled op1=5 encoding" true
+    (Sysreg.access_of_enc (3, 5, 15, 0, 0) = None)
 
 let suite =
   [
@@ -460,4 +518,6 @@ let suite =
     ("sysreg: database digest", `Quick, test_register_digest);
     ("sysreg: out-of-range banked members", `Quick,
      test_out_of_range_banked);
+    ("sysreg: E2H pairs and alias encodings agree", `Quick,
+     test_e2h_pairs_and_aliases);
   ]

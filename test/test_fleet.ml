@@ -205,8 +205,17 @@ let test_recover_fanout_equals_serial () =
     (Workloads.Recover.digest serial)
     (Workloads.Recover.digest sharded)
 
+(* The published FNV-1a 32-bit test vectors: chaos and recover derive
+   every per-configuration seed from this function. *)
+let test_fnv1a_32_vectors () =
+  List.iter
+    (fun (s, h) ->
+      check int (Printf.sprintf "fnv1a_32 %S" s) h (Shard.fnv1a_32 s))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ]
+
 let suite =
   [
+    test_case "FNV-1a 32-bit test vectors" `Quick test_fnv1a_32_vectors;
     test_case "seed derivation is position-independent" `Quick
       test_derive_position_independent;
     test_case "Shard.map equals serial for every shard count" `Quick

@@ -130,6 +130,27 @@ let splice image ~before ~len ~after by =
   String.sub image 0 at ^ by
   ^ String.sub image (at + len) (String.length image - at - len)
 
+(* The machine's cost table: a list of 43 entries, each an "I" tag and
+   8 payload bytes, trap_entry first. *)
+let cost_table = be32 5 ^ "table" ^ "L" ^ be32 43
+
+(* Offset of the table's "L" tag in [image]. *)
+let cost_table_at image =
+  let n = String.length cost_table in
+  let rec find i =
+    if i + n > String.length image then
+      Alcotest.fail "cost table not in the image"
+    else if String.sub image i n = cost_table then i + 9
+    else find (i + 1)
+  in
+  find 0
+
+(* [image] with cost-table entry [k] set to [v]. *)
+let with_cost image k v =
+  let at = cost_table_at image + 5 + (9 * k) + 1 in
+  String.sub image 0 at ^ be64 v
+  ^ String.sub image (at + 8) (String.length image - at - 8)
+
 (* [image] with cpu0's empty saved-GPR frame list replaced by one frame
    of [words] words. *)
 let with_frame image words =
@@ -166,7 +187,8 @@ let test_malformed_input () =
 
 (* Fields that size a loop or feed an assertion are range-checked on
    restore: a list-register count past the implemented ones used to spin
-   the vGIC save loop, and a negative cost tripped [Cost.charge]. *)
+   the vGIC save loop, a negative cost tripped [Cost.charge], and a cost
+   of 2^56 cycles wrapped the deferred page's populate charge negative. *)
 let test_out_of_range_fields () =
   let s =
     Snap.to_string
@@ -192,6 +214,16 @@ let test_out_of_range_fields () =
     (raises_format
        (splice s ~before:(be32 5 ^ "table" ^ "L" ^ be32 43 ^ "I") ~len:8
           ~after:"I" (be64 (-1L))));
+  for k = 0 to 42 do
+    check Alcotest.bool
+      (Printf.sprintf "cost-table entry %d = 2^56 rejected" k)
+      true
+      (raises_format (with_cost s k (Int64.shift_left 1L 56)))
+  done;
+  (* the cap itself is accepted, and charges without wrapping: entry 5 is
+     mem_load, which the deferred page's populate multiplies *)
+  let m = Snap.restore (with_cost s 5 (Int64.shift_left 1L 32)) in
+  Machine.hypercall m ~cpu:0;
   check Alcotest.bool "the unedited image restores" false (raises_format s)
 
 (* Hostile input: every proper prefix of a real image fails as a typed
@@ -245,6 +277,29 @@ let test_flipped_bytes () =
             | exception e ->
               Alcotest.failf "%s: byte %d xor 0x%02x raised %s" name at mask
                 (Printexc.to_string e))
+          [ 0x01; 0xff ]
+      done;
+      (* every byte of the cost table (its tag, length and 43 entries),
+         and the restored machine must still run a hypercall: costs feed
+         charges, not just the decoder *)
+      let table_at = cost_table_at s in
+      for at = table_at to table_at + 4 + (43 * 9) do
+        List.iter
+          (fun mask ->
+            let b = Bytes.of_string s in
+            Bytes.set b at (Char.chr (Char.code s.[at] lxor mask));
+            match Snap.restore (Bytes.to_string b) with
+            | exception Snap.Format_error _ -> ()
+            | m -> (
+                match Machine.hypercall m ~cpu:0 with
+                | () | (exception Error.Sim_fault _) -> ()
+                | exception e ->
+                  Alcotest.failf
+                    "%s: table byte %d xor 0x%02x: hypercall raised %s" name
+                    at mask (Printexc.to_string e))
+            | exception e ->
+              Alcotest.failf "%s: table byte %d xor 0x%02x raised %s" name at
+                mask (Printexc.to_string e))
           [ 0x01; 0xff ]
       done)
     images
