@@ -211,6 +211,14 @@ let[@inline] set_reg t n v =
 
 let gprs t = Bytes.sub_string t.regs 0 frame_bytes
 
+external get_string_word : string -> int -> int64 = "%caml_string_get64u"
+
+let rec gprs_equal_from t s i =
+  i = frame_bytes
+  || (get_word t.regs i = get_string_word s i && gprs_equal_from t s (i + 8))
+
+let gprs_equal t s = String.length s = frame_bytes && gprs_equal_from t s 0
+
 let[@inline] operand_value t = function
   | Insn.Imm i -> i
   | Insn.Reg n -> get_reg t n

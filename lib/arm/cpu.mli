@@ -113,6 +113,10 @@ val gprs : t -> string
     [String.get_int64_ne]): a copy of the live registers that boxes no
     word. *)
 
+val gprs_equal : t -> string -> bool
+(** [gprs_equal t s]: [s] is what {!gprs} would return now.  Compares
+    in place, allocating nothing. *)
+
 val hcr_view : t -> Hcr.view
 val vncr_value : t -> int64
 val table : t -> Cost.table

@@ -247,8 +247,14 @@ let left_vel2 m =
    (trapped / rewritten) makes the virtual files authoritative under
    every mechanism before they are read.  The eret goes through the
    machine's own guest-hypervisor funnel, which exists for as long as
-   the machine does, rather than a funnel built per observation. *)
-let observe m outcome =
+   the machine does, rather than a funnel built per observation.
+
+   [seen] holds the register dumps of the program's earlier columns.
+   The columns nearly always agree, so a column whose registers equal
+   one of them shares that string instead of copying its own: a
+   program's observations, live until the last column is compared, hold
+   one dump per distinct register file rather than one per column. *)
+let observe ?(seen = []) m outcome =
   let cpu = m.Machine.cpus.(0) and host = m.Machine.hosts.(0) in
   let pc = Cpu.pc cpu in
   let pstate = Pstate.to_string cpu.Cpu.pstate in
@@ -261,7 +267,10 @@ let observe m outcome =
     ob_pc = pc;
     ob_pstate = pstate;
     ob_in_vel2 = in_vel2;
-    ob_regs = Cpu.gprs cpu;
+    ob_regs =
+      (match List.find_opt (Cpu.gprs_equal cpu) seen with
+       | Some s -> s
+       | None -> Cpu.gprs cpu);
     ob_vel2 = file_obs host.Host_hyp.vcpu.Vcpu.vel2;
     ob_vel1 = file_obs host.Host_hyp.vcpu.Vcpu.vel1;
     ob_mem = mem_obs m.Machine.mem;
@@ -281,7 +290,7 @@ let error_obs e cpu =
     ob_ctx = Some (Fault.Error.context_of_cpu cpu);
   }
 
-let run_column ?(run : runner = Interp.run) ?(traced = false)
+let run_column_seen ?(run : runner = Interp.run) ?(traced = false) ?seen
     ?(expose = Expose.Policy.none) ~budget config words =
   if traced then Trace.enable ~capacity:8192 ();
   (* capture the column's event stream before the ring is reused, then
@@ -303,8 +312,11 @@ let run_column ?(run : runner = Interp.run) ?(traced = false)
         let outcome =
           run cpu ~stop:(left_vel2 m) ~entry:text_base ~max_insns:budget
         in
-        finish (observe m outcome)
+        finish (observe ?seen m outcome)
       with e -> finish (error_obs e cpu))
+
+let run_column ?run ?traced ?expose ~budget config words =
+  run_column_seen ?run ?traced ?expose ~budget config words
 
 (* The ninth column: snapshot-at-k / restore / resume.  The same program
    under the same configuration, but executed as two segments with a
@@ -511,10 +523,18 @@ let snapshot_divergences ~budget res_obs words =
 
 let run_words ?traced ?(snap_oracle = false) words =
   let budget = budget_for words in
+  (* the distinct register dumps so far, for [observe] to share *)
+  let seen = ref [] in
   let res_obs =
     List.map
       (fun c ->
-        (c, run_column ?traced ~expose:c.col_expose ~budget c.col_config words))
+        let o =
+          run_column_seen ?traced ~seen:!seen ~expose:c.col_expose ~budget
+            c.col_config words
+        in
+        if o.ob_error = None && not (List.memq o.ob_regs !seen) then
+          seen := o.ob_regs :: !seen;
+        (c, o))
       columns
   in
   let divergences =

@@ -179,6 +179,25 @@ let test_mark_rewind_frames () =
   check Alcotest.string "live registers put back" regs (Cpu.gprs cpu);
   check Alcotest.int64 "pc put back" 0x5000L (Cpu.pc cpu)
 
+(* [gprs_equal] answers whether a dump still matches the live registers,
+   word by word and without allocating. *)
+let test_gprs_equal () =
+  let cpu = fresh () in
+  for n = 0 to 30 do
+    Cpu.set_reg cpu n (Int64.of_int (0x100 + n))
+  done;
+  let regs = Cpu.gprs cpu in
+  let w0 = Gc.minor_words () in
+  let same = Cpu.gprs_equal cpu regs in
+  let w1 = Gc.minor_words () in
+  check Alcotest.bool "its own dump" true same;
+  check Alcotest.int "words allocated" 0 (int_of_float (w1 -. w0));
+  Cpu.set_reg cpu 30 0x31L;
+  check Alcotest.bool "x30 moved" false (Cpu.gprs_equal cpu regs);
+  check Alcotest.bool "the new dump" true (Cpu.gprs_equal cpu (Cpu.gprs cpu));
+  check Alcotest.bool "a short string" false
+    (Cpu.gprs_equal cpu (String.sub regs 0 8))
+
 (* Killing the nested VM drops the frames of every interrupted trap. *)
 let test_kill_l2_drops_frames () =
   let m =
@@ -381,6 +400,7 @@ let suite =
     ("GPRs saved on trap, restored by eret", `Quick, test_saved_regs_restored);
     ("mark/rewind two traps deep puts back both frames", `Quick,
      test_mark_rewind_frames);
+    ("gprs_equal: in place, no allocation", `Quick, test_gprs_equal);
     ("kill_l2 drops every GPR frame", `Quick, test_kill_l2_drops_frames);
     ("traps are counted by kind", `Quick, test_trap_counted);
     ("trap cost is instruction-independent", `Quick, test_trap_cost_uniform);

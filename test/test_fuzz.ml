@@ -203,6 +203,36 @@ let test_trap_reduction_direction () =
   check Alcotest.bool "NEVE exits fewer times than trap-and-emulate" true
     (traps "NEVE Nested" < traps "ARMv8.3 Nested")
 
+(* [run_words] keeps one register dump per distinct register file: a
+   column whose registers equal an earlier column's shares its string,
+   and every column observes what it would alone. *)
+let test_register_dumps_shared () =
+  let gen = Fuzz.Gen.create ~seed:5 in
+  for _ = 1 to 20 do
+    let words = Fuzz.Prog.to_words (Fuzz.Gen.program gen) in
+    let budget = Fuzz.Diff.budget_for words in
+    let obs = (Fuzz.Diff.run_words words).Fuzz.Diff.res_obs in
+    List.iter
+      (fun (c, (o : Fuzz.Diff.obs)) ->
+        let alone =
+          Fuzz.Diff.run_column ~expose:c.Fuzz.Diff.col_expose ~budget
+            c.Fuzz.Diff.col_config words
+        in
+        check Alcotest.bool
+          (c.Fuzz.Diff.col_name ^ ": same observation as run alone")
+          true (o = alone))
+      obs;
+    let dumps = List.map (fun (_, o) -> o.Fuzz.Diff.ob_regs) obs in
+    List.iteri
+      (fun i a ->
+        List.iteri
+          (fun j b ->
+            if i < j && a = b && a != b then
+              Alcotest.failf "columns %d and %d hold equal dumps apart" i j)
+          dumps)
+      dumps
+  done
+
 (* --- shrinker --------------------------------------------------------- *)
 
 let test_shrinker_minimizes () =
@@ -433,6 +463,8 @@ let suite =
       test_rules_nonempty;
     Alcotest.test_case "oracle: agreement with fewer NEVE exits" `Quick
       test_trap_reduction_direction;
+    Alcotest.test_case "oracle: one register dump per distinct file" `Quick
+      test_register_dumps_shared;
     Alcotest.test_case "shrinker minimizes to the failing snippet" `Quick
       test_shrinker_minimizes;
     Alcotest.test_case "corpus repros replay cleanly" `Quick
