@@ -9,6 +9,8 @@
      traps     trap log of one nested microbenchmark, classified
      classify  the NEVE register classification (paper Tables 3/4/5)
      validate  trap-cost interchangeability measurement (paper Section 5)
+     paper     Tables 1/6/7, Figure 2, Section 5, ablation, recursion, live
+               migration, scaling, RISC-V and the paper comparison, in one run
      chaos     fault-injection campaign over the scenario matrix
      fuzz      differential conformance fuzzing
      trace     exit-attribution tracing with class-sum checking
@@ -65,9 +67,11 @@ let max_cycles_arg doc = Arg.(value & opt int 0 & info [ "max-cycles" ] ~doc)
 let machines_arg default doc =
   Arg.(value & opt int default & info [ "n" ] ~docv:"MACHINES" ~doc)
 
+let default_iters = 16
+
 let iters_arg =
   let doc = "Iterations per measurement." in
-  Arg.(value & opt int 16 & info [ "iters"; "n" ] ~doc)
+  Arg.(value & opt int default_iters & info [ "iters"; "n" ] ~doc)
 
 (* sharding flags shared by fleet/chaos/fuzz/recover: sharded runs are
    byte-identical to serial ones, so these only change wall-clock time *)
@@ -132,43 +136,46 @@ let print_traps_table rows =
       Fmt.pr " %18.1f" r.Workloads.Micro.traps)
     rows
 
-(* [tableN]: print the title, then the table measured at [--iters] *)
-let table_cmd n title print =
-  let run iters =
-    Fmt.pr "Table %d: %s@.@." n title;
-    print iters
-  in
+(* Table [n]: the title, then the table measured at [iters] *)
+let table n title print iters =
+  Fmt.pr "Table %d: %s@.@." n title;
+  print iters
+
+let table1 =
+  table 1 "Microbenchmark Cycle Counts (ARMv8.3, x86)" (fun iters ->
+      print_cycles_table (Workloads.Micro.table1 ~iters ()) ~show_overhead:false)
+
+let table6 =
+  table 6 "Microbenchmark Cycle Counts incl. NEVE" (fun iters ->
+      print_cycles_table (Workloads.Micro.table6 ~iters ()) ~show_overhead:true)
+
+let table7 =
+  table 7 "Microbenchmark Average Trap Counts" (fun iters ->
+      print_traps_table (Workloads.Micro.table7 ~iters ()))
+
+let table_cmd n run =
   Cmd.v
     (Cmd.info (Printf.sprintf "table%d" n)
        ~doc:(Printf.sprintf "Reproduce paper Table %d" n))
     Term.(const run $ iters_arg)
 
-let table1_cmd =
-  table_cmd 1 "Microbenchmark Cycle Counts (ARMv8.3, x86)" (fun iters ->
-      print_cycles_table (Workloads.Micro.table1 ~iters ()) ~show_overhead:false)
+let table1_cmd = table_cmd 1 table1
+let table6_cmd = table_cmd 6 table6
+let table7_cmd = table_cmd 7 table7
 
-let table6_cmd =
-  table_cmd 6 "Microbenchmark Cycle Counts incl. NEVE" (fun iters ->
-      print_cycles_table (Workloads.Micro.table6 ~iters ()) ~show_overhead:true)
-
-let table7_cmd =
-  table_cmd 7 "Microbenchmark Average Trap Counts" (fun iters ->
-      print_traps_table (Workloads.Micro.table7 ~iters ()))
+let fig2 chart =
+  Fmt.pr "Figure 2: Application Benchmark Performance (overhead vs native)@.@.";
+  let rows = Workloads.App_bench.figure2 () in
+  if chart then Fmt.pr "%a@." Workloads.App_bench.pp_figure2_chart rows
+  else Fmt.pr "%a@." Workloads.App_bench.pp_figure2 rows
 
 let fig2_cmd =
   let chart_arg =
     let doc = "Render ASCII bars instead of a table." in
     Arg.(value & flag & info [ "chart" ] ~doc)
   in
-  let run chart =
-    Fmt.pr
-      "Figure 2: Application Benchmark Performance (overhead vs native)@.@.";
-    let rows = Workloads.App_bench.figure2 () in
-    if chart then Fmt.pr "%a@." Workloads.App_bench.pp_figure2_chart rows
-    else Fmt.pr "%a@." Workloads.App_bench.pp_figure2 rows
-  in
   Cmd.v (Cmd.info "fig2" ~doc:"Reproduce paper Figure 2")
-    Term.(const run $ chart_arg)
+    Term.(const fig2 $ chart_arg)
 
 let mech_conv =
   let parse = function
@@ -231,86 +238,93 @@ let classify_cmd =
 (* Section 5 validation: the cost of a trap is the same whatever the
    trapping instruction — the assumption underlying the paravirtualization
    methodology. *)
+let validate () =
+  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_3) () in
+  Arm.Cpu.poke_sysreg cpu Arm.Sysreg.HCR_EL2
+    (Hyp.Config.target_hcr (Hyp.Config.v Hyp.Config.Hw_v8_3));
+  cpu.Arm.Cpu.el2_handler <-
+    Some (fun c _e -> Arm.Cpu.do_eret c) (* minimal handler: trap + eret *);
+  cpu.Arm.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
+  let trap_cost insn =
+    let before = cpu.Arm.Cpu.meter.Cost.cycles in
+    Arm.Cpu.exec cpu insn;
+    cpu.Arm.Cpu.meter.Cost.cycles - before
+  in
+  Fmt.pr "Section 5 validation: cost of trapping instructions@.@.";
+  let cases =
+    [ ("hvc #0", Arm.Insn.Hvc 0);
+      ("mrs x0, HCR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.HCR_EL2));
+      ("msr VTTBR_EL2, x0", Arm.Insn.Msr (Arm.Sysreg.direct Arm.Sysreg.VTTBR_EL2, Arm.Insn.Reg 0));
+      ("mrs x0, ICH_VTR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.ICH_VTR_EL2));
+      ("eret", Arm.Insn.Eret) ]
+  in
+  let costs =
+    List.map
+      (fun (name, insn) ->
+        let c = trap_cost insn in
+        Fmt.pr "  %-24s %4d cycles@." name c;
+        c)
+      cases
+  in
+  let lo = List.fold_left min max_int costs in
+  let hi = List.fold_left max 0 costs in
+  Fmt.pr "@.spread: %d-%d cycles (%.1f%%) — the paper found <10%%@." lo hi
+    (100. *. float_of_int (hi - lo) /. float_of_int hi)
+
 let validate_cmd =
   report_cmd "validate"
-    ~doc:"Validate trap-cost interchangeability (Section 5)" (fun () ->
-      let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_3) () in
-      Arm.Cpu.poke_sysreg cpu Arm.Sysreg.HCR_EL2
-        (Hyp.Config.target_hcr (Hyp.Config.v Hyp.Config.Hw_v8_3));
-      cpu.Arm.Cpu.el2_handler <-
-        Some (fun c _e -> Arm.Cpu.do_eret c) (* minimal handler: trap + eret *);
-      cpu.Arm.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
-      let trap_cost insn =
-        let before = cpu.Arm.Cpu.meter.Cost.cycles in
-        Arm.Cpu.exec cpu insn;
-        cpu.Arm.Cpu.meter.Cost.cycles - before
-      in
-      Fmt.pr "Section 5 validation: cost of trapping instructions@.@.";
-      let cases =
-        [ ("hvc #0", Arm.Insn.Hvc 0);
-          ("mrs x0, HCR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.HCR_EL2));
-          ("msr VTTBR_EL2, x0", Arm.Insn.Msr (Arm.Sysreg.direct Arm.Sysreg.VTTBR_EL2, Arm.Insn.Reg 0));
-          ("mrs x0, ICH_VTR_EL2", Arm.Insn.Mrs (0, Arm.Sysreg.direct Arm.Sysreg.ICH_VTR_EL2));
-          ("eret", Arm.Insn.Eret) ]
-      in
-      let costs =
-        List.map
-          (fun (name, insn) ->
-            let c = trap_cost insn in
-            Fmt.pr "  %-24s %4d cycles@." name c;
-            c)
-          cases
-      in
-      let lo = List.fold_left min max_int costs in
-      let hi = List.fold_left max 0 costs in
-      Fmt.pr "@.spread: %d-%d cycles (%.1f%%) — the paper found <10%%@." lo hi
-        (100. *. float_of_int (hi - lo) /. float_of_int hi))
+    ~doc:"Validate trap-cost interchangeability (Section 5)" validate
+
+let ablation vhe =
+  Fmt.pr "Ablation: contribution of each NEVE mechanism (nested hypercall%s)@.@."
+    (if vhe then ", VHE" else "");
+  Fmt.pr "%a@." Workloads.Ablation.pp (Workloads.Ablation.run ~vhe ())
 
 let ablation_cmd =
-  let run vhe =
-    Fmt.pr
-      "Ablation: contribution of each NEVE mechanism (nested hypercall%s)@.@."
-      (if vhe then ", VHE" else "");
-    Fmt.pr "%a@." Workloads.Ablation.pp (Workloads.Ablation.run ~vhe ())
-  in
   Cmd.v
     (Cmd.info "ablation"
        ~doc:"Disable NEVE mechanisms independently and measure traps")
-    Term.(const run $ vhe_arg)
+    Term.(const ablation $ vhe_arg)
+
+let recursive () =
+  Fmt.pr "Recursive virtualization (Section 6.2): L3 hypercall costs@.@.";
+  Fmt.pr "%a@." Workloads.Recursive.pp (Workloads.Recursive.run ())
 
 let recursive_cmd =
   report_cmd "recursive"
-    ~doc:"Measure an L3 hypercall through a four-level stack" (fun () ->
-      Fmt.pr "Recursive virtualization (Section 6.2): L3 hypercall costs@.@.";
-      Fmt.pr "%a@." Workloads.Recursive.pp (Workloads.Recursive.run ()))
+    ~doc:"Measure an L3 hypercall through a four-level stack" recursive
+
+let sweep () =
+  Fmt.pr "Register-list scaling: traps per save+restore of n registers@.@.";
+  Fmt.pr "%a@." Workloads.Sweep.pp (Workloads.Sweep.run ())
 
 let sweep_cmd =
-  report_cmd "sweep" ~doc:"Trap counts vs context size, per mechanism"
-    (fun () ->
-      Fmt.pr "Register-list scaling: traps per save+restore of n registers@.@.";
-      Fmt.pr "%a@." Workloads.Sweep.pp (Workloads.Sweep.run ()))
+  report_cmd "sweep" ~doc:"Trap counts vs context size, per mechanism" sweep
+
+let riscv () =
+  Fmt.pr
+    "RISC-V counterpoint (Section 8): nested exit cost on the H-extension@.@.";
+  Fmt.pr "%a" Riscv.Nested.pp (Riscv.Nested.run ());
+  Fmt.pr
+    "@.ARM for comparison: 121 traps (v8.3) / 13 (NEVE) per nested \
+     hypercall.@.";
+  Fmt.pr "RISC-V's built-in s*->vs* aliasing starts it where ARM needed VHE;@.";
+  Fmt.pr "a VNCR-like deferral would finish the job.@."
 
 let riscv_cmd =
   report_cmd "riscv" ~doc:"The RISC-V H-extension counterpoint experiment"
-    (fun () ->
-      Fmt.pr
-        "RISC-V counterpoint (Section 8): nested exit cost on the \
-         H-extension@.@.";
-      Fmt.pr "%a" Riscv.Nested.pp (Riscv.Nested.run ());
-      Fmt.pr
-        "@.ARM for comparison: 121 traps (v8.3) / 13 (NEVE) per nested \
-         hypercall.@.";
-      Fmt.pr
-        "RISC-V's built-in s*->vs* aliasing starts it where ARM needed VHE;@.";
-      Fmt.pr "a VNCR-like deferral would finish the job.@.")
+    riscv
+
+let paper_vs_measured () =
+  Fmt.pr "Paper vs measured (cycle counts, Tables 1/6)@.@.";
+  Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.cycles ());
+  Fmt.pr "@.Paper vs measured (trap counts, Table 7)@.@.";
+  Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.traps ())
 
 let compare_cmd =
   report_cmd "compare"
-    ~doc:"Measure everything and report deviations from the paper" (fun () ->
-      Fmt.pr "Paper vs measured (cycle counts, Tables 1/6)@.@.";
-      Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.cycles ());
-      Fmt.pr "@.Paper vs measured (trap counts, Table 7)@.@.";
-      Fmt.pr "%a" Workloads.Compare.pp (Workloads.Compare.traps ()))
+    ~doc:"Measure everything and report deviations from the paper"
+    paper_vs_measured
 
 let chaos_cmd =
   let faults_arg =
@@ -714,6 +728,21 @@ let restore_cmd =
     Term.(
       const run $ logs $ file_arg "Snapshot image file to read." $ resume_arg)
 
+(* The migrating guest: for its first [busy] pre-copy rounds it makes a
+   hypercall and dirties [writes] distinct pages, then it idles. *)
+let busy_guest ~busy ~writes m ~round =
+  if round < busy then begin
+    Hyp.Machine.hypercall m ~cpu:0;
+    for i = 0 to writes - 1 do
+      Arm.Memory.write64 m.Hyp.Machine.mem
+        (Int64.of_int (0x7800_0000 + (4096 * i) + (8 * round)))
+        (Int64.of_int (round + i + 1))
+    done
+  end
+
+let default_busy = 2
+let default_writes = 6
+
 let migrate_cmd =
   let threshold_arg =
     let doc =
@@ -731,11 +760,11 @@ let migrate_cmd =
       "Rounds during which the guest keeps running and dirtying pages \
        concurrently with the copy stream; later rounds are idle."
     in
-    Arg.(value & opt int 2 & info [ "busy-rounds" ] ~doc)
+    Arg.(value & opt int default_busy & info [ "busy-rounds" ] ~doc)
   in
   let writes_arg =
     let doc = "Distinct pages the busy guest dirties per round." in
-    Arg.(value & opt int 6 & info [ "writes" ] ~doc)
+    Arg.(value & opt int default_writes & info [ "writes" ] ~doc)
   in
   let fail_rate_arg =
     let doc =
@@ -761,16 +790,7 @@ let migrate_cmd =
       max_retries expose =
     let src = Workloads.Scenario.make_arm ~expose column in
     drive src 4;
-    let workload m ~round =
-      if round < busy then begin
-        Hyp.Machine.hypercall m ~cpu:0;
-        for i = 0 to writes - 1 do
-          Arm.Memory.write64 m.Hyp.Machine.mem
-            (Int64.of_int (0x7800_0000 + (4096 * i) + (8 * round)))
-            (Int64.of_int (round + i + 1))
-        done
-      end
-    in
+    let workload = busy_guest ~busy ~writes in
     let check_identical src dst =
       match Snap.diff src dst with
       | None -> Fmt.pr "source and destination machines are byte-identical@."
@@ -824,6 +844,43 @@ let migrate_cmd =
       const run $ logs $ column_term $ threshold_arg $ rounds_arg $ busy_arg
       $ writes_arg $ fail_rate_arg $ fail_seed_arg $ retries_arg
       $ expose_term)
+
+(* The live-migration table of [paper]: one pre-copy migration of the
+   same guest per configuration, so the downtime and convergence columns
+   compare across mechanisms; every destination must come out
+   byte-identical to its source. *)
+let migration () =
+  Fmt.pr "Live migration: pre-copy rounds, write faults and downtime@.@.";
+  let columns =
+    (("VM", Workloads.Scenario.Arm_vm, Expose.Policy.none)
+    :: List.map
+         (fun c ->
+           (Hyp.Config.name c, Workloads.Scenario.Arm_nested c, Expose.Policy.none))
+         Hyp.Config.all_nested)
+    @ [ (* the OoH headline: same guest, dirty captures trap-free *)
+        ( "NEVE+ooh(dirty-log)",
+          Workloads.Scenario.Arm_nested (Hyp.Config.v Hyp.Config.Hw_neve),
+          Expose.Policy.of_list [ Expose.Policy.Dirty_log ] ) ]
+  in
+  Fmt.pr "%-19s %6s %10s %10s %12s %12s  %s@." "" "rounds" "captures"
+    "pg-copied" "precopy-cyc" "downtime-cyc" "dirty/round";
+  List.iter
+    (fun (name, col, expose) ->
+      let src = Workloads.Scenario.make_arm ~expose col in
+      Hyp.Machine.hypercall src ~cpu:0;
+      let workload = busy_guest ~busy:default_busy ~writes:default_writes in
+      let dst, r = Snap.Migrate.run ~workload src in
+      Option.iter
+        (fun (path, detail) ->
+          fail "MIGRATION BUG (%s): %s differs: %s" name path detail)
+        (Snap.diff src dst);
+      Fmt.pr "%-19s %6d %10d %10d %12d %12d  %s@." name
+        r.Snap.Migrate.r_rounds r.Snap.Migrate.r_write_faults
+        r.Snap.Migrate.r_pages_copied r.Snap.Migrate.r_precopy_cycles
+        r.Snap.Migrate.r_downtime_cycles
+        (String.concat " "
+           (List.map string_of_int r.Snap.Migrate.r_dirty_per_round)))
+    columns
 
 let recover_cmd =
   let policy_conv =
@@ -1026,6 +1083,27 @@ let serve_cmd =
            instead of the text summary."
       $ expose_term)
 
+(* --- every paper artifact in one run --- *)
+
+(* Each section is printed by its subcommand's own function at that
+   subcommand's defaults, so a section's bytes equal the subcommand's
+   output; the migration table is the one section with no subcommand. *)
+let paper_cmd =
+  report_cmd "paper"
+    ~doc:
+      "Regenerate every table and figure of the paper, the validation, \
+       ablation, recursion, migration, scaling and RISC-V sections, and \
+       the paper-vs-measured comparison, in one run"
+    (fun () ->
+      List.iteri
+        (fun i section ->
+          if i > 0 then Fmt.pr "@.";
+          section ())
+        [ (fun () -> table1 default_iters); (fun () -> table6 default_iters);
+          (fun () -> table7 default_iters); (fun () -> fig2 false); validate;
+          (fun () -> ablation false); recursive; migration; sweep; riscv;
+          paper_vs_measured ])
+
 let default = Term.(ret (const (`Help (`Pager, None))))
 
 let () =
@@ -1040,4 +1118,4 @@ let () =
             classify_cmd; validate_cmd; ablation_cmd; recursive_cmd;
             sweep_cmd; riscv_cmd; compare_cmd; chaos_cmd; fuzz_cmd;
             trace_cmd; snapshot_cmd; restore_cmd; migrate_cmd;
-            recover_cmd; fleet_cmd; serve_cmd ]))
+            recover_cmd; fleet_cmd; serve_cmd; paper_cmd ]))

@@ -658,10 +658,17 @@ let vncr_offset_tbl : int array =
   List.iteri (fun i r -> tbl.(index r) <- 0x010 + (8 * i)) vncr_layout;
   tbl
 
+(* A banked member the model does not implement has no slot: [index]
+   would alias it onto a neighbour's. *)
 let vncr_offset r =
-  match vncr_offset_tbl.(index r) with -1 -> None | off -> Some off
+  if not (in_range r) then None
+  else
+    match Array.unsafe_get vncr_offset_tbl (index r) with
+    | -1 -> None
+    | off -> Some off
 
-let has_vncr_offset r = vncr_offset_tbl.(index r) >= 0
+let has_vncr_offset r =
+  in_range r && Array.unsafe_get vncr_offset_tbl (index r) >= 0
 
 let page_size = 4096
 

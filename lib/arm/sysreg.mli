@@ -143,6 +143,12 @@ val pmu_counters : int  (** PMU event counters implemented: 6 *)
 
 val debug_bkpts : int   (** breakpoint/watchpoint pairs implemented: 6 *)
 
+val in_range : t -> bool
+(** Whether a banked register's number is one the model implements; true
+    for every unparameterized register.  {!index} aliases a member past
+    the implemented ones onto a neighbour, so per-register tables keyed
+    by it must ask this first. *)
+
 val name : t -> string
 val access_name : access -> string
 

@@ -119,7 +119,5 @@ let ctx_slot_tbl : int array =
   tbl
 
 let ctx_slot (r : Sysreg.t) =
-  let i = Sysreg.index r in
-  if i < 0 || i >= Sysreg.count then
-    invalid_arg ("Reglists.ctx_slot: " ^ Sysreg.name r)
-  else ctx_slot_tbl.(i)
+  if Sysreg.in_range r then Array.unsafe_get ctx_slot_tbl (Sysreg.index r)
+  else invalid_arg ("Reglists.ctx_slot: " ^ Sysreg.name r)

@@ -416,16 +416,34 @@ let test_register_digest () =
     (Printf.sprintf "%016Lx" digest)
 
 (* Banked members past the implemented ones keep the formula names and
-   encodings: error messages and decoders print them. *)
+   encodings: error messages and decoders print them.  The model holds no
+   such register, so none has a deferred-page offset or a context slot:
+   [index] would alias it onto a neighbour's (DBGWCR6_EL1 onto
+   SCTLR_EL1's page offset, ICH_LR16/17_EL2 onto VSESR's and VDISR's
+   context slots). *)
 let test_out_of_range_banked () =
   List.iter
-    (fun (r, want) -> check Alcotest.string want want (reg_facts r))
+    (fun (r, want) ->
+      check Alcotest.string want want (reg_facts r);
+      let name = Sysreg.name r in
+      check Alcotest.(option int) (name ^ " page offset") None
+        (Sysreg.vncr_offset r);
+      check Alcotest.bool (name ^ " has no page offset") false
+        (Sysreg.has_vncr_offset r);
+      match Hyp.Reglists.ctx_slot r with
+      | slot -> Alcotest.failf "%s has context slot %d" name slot
+      | exception Invalid_argument msg ->
+        check Alcotest.string (name ^ " ctx_slot error")
+          ("Reglists.ctx_slot: " ^ name) msg)
     [ (Sysreg.ICH_LR_EL2 16,
        "ICH_LR16_EL2 (3,4,12,13,8) EL2 trap-on-write ro=false");
+      (Sysreg.ICH_LR_EL2 17,
+       "ICH_LR17_EL2 (3,4,12,13,9) EL2 trap-on-write ro=false");
       (Sysreg.ICH_LR_EL2 18,
        "ICH_LR18_EL2 (3,4,12,13,10) EL2 trap-on-write ro=false");
       (Sysreg.PMEVCNTR_EL0 6, "PMEVCNTR6_EL0 (3,3,14,8,6) EL0 none ro=false");
       (Sysreg.DBGBVR_EL1 9, "DBGBVR9_EL1 (2,0,0,9,4) EL1 none ro=false");
+      (Sysreg.DBGWCR_EL1 6, "DBGWCR6_EL1 (2,0,0,6,7) EL1 none ro=false");
       (Sysreg.ICH_AP1R_EL2 4,
        "ICH_AP1R4_EL2 (3,4,12,9,4) EL2 trap-on-write ro=false") ]
 

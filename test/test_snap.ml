@@ -249,12 +249,25 @@ let test_truncated_prefixes () =
    xor 0xff at a fixed stride) restore to a machine or fail as a typed
    [Format_error].  Unchecked, such flips escaped as an unaligned memory
    access, a [List.nth] on a negative enumeration code and a
-   [Bad_topology] fault from an impossible [ncpus]. *)
+   [Bad_topology] fault from an impossible [ncpus].  A machine that
+   restores must then run a hypercall, an MMIO write and an IPI from
+   vCPU 0 to vCPU 1, each completing or aborting as a typed [Sim_fault];
+   every image has two vCPUs, so the IPI has its target. *)
 let flip_stride = 11
+
+let run_restored_ops name at mask m =
+  List.iter
+    (fun b ->
+      match Workloads.Micro.arm_op m b () with
+      | () | (exception Error.Sim_fault _) -> ()
+      | exception e ->
+        Alcotest.failf "%s: byte %d xor 0x%02x: %s raised %s" name at mask
+          (Workloads.Micro.name b) (Printexc.to_string e))
+    Workloads.Micro.[ Hypercall; Device_io; Virtual_ipi ]
 
 let test_flipped_bytes () =
   let booted config =
-    let m = Machine.create config Hyp.Host_hyp.Nested in
+    let m = Machine.create ~ncpus:2 config Hyp.Host_hyp.Nested in
     Machine.boot m;
     m
   in
@@ -273,7 +286,8 @@ let test_flipped_bytes () =
             let b = Bytes.of_string s in
             Bytes.set b at (Char.chr (Char.code s.[at] lxor mask));
             match Snap.restore (Bytes.to_string b) with
-            | (_ : Machine.t) | (exception Snap.Format_error _) -> ()
+            | m -> run_restored_ops name at mask m
+            | exception Snap.Format_error _ -> ()
             | exception e ->
               Alcotest.failf "%s: byte %d xor 0x%02x raised %s" name at mask
                 (Printexc.to_string e))

@@ -388,7 +388,8 @@ let option_surface =
       --traced -v --verbose");
     ("serve",
      "--domains --expose --json --migrate-every -n --requests -s --seed \
-      --shards -v --verbose") ]
+      --shards -v --verbose");
+    ("paper", "") ]
 
 (* option names on the entry lines (indented seven columns) of a plain
    help page: "-m VAL, --mech=VAL (absent=...)" gives -m and --mech *)
