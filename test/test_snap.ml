@@ -245,14 +245,14 @@ let test_truncated_prefixes () =
           (Printexc.to_string e))
     lengths
 
-(* Hostile input: single-byte flips of three booted images (xor 0x01 and
+(* Hostile input: single-byte flips of five booted images (xor 0x01 and
    xor 0xff at a fixed stride) restore to a machine or fail as a typed
    [Format_error].  Unchecked, such flips escaped as an unaligned memory
    access, a [List.nth] on a negative enumeration code and a
    [Bad_topology] fault from an impossible [ncpus].  A machine that
-   restores must then run a hypercall, an MMIO write and an IPI from
-   vCPU 0 to vCPU 1, each completing or aborting as a typed [Sim_fault];
-   every image has two vCPUs, so the IPI has its target. *)
+   restores must then run a hypercall, an MMIO write and, when it has a
+   second vCPU, an IPI from vCPU 0 to vCPU 1, each completing or aborting
+   as a typed [Sim_fault]. *)
 let flip_stride = 11
 
 let run_restored_ops name at mask m =
@@ -263,17 +263,22 @@ let run_restored_ops name at mask m =
       | exception e ->
         Alcotest.failf "%s: byte %d xor 0x%02x: %s raised %s" name at mask
           (Workloads.Micro.name b) (Printexc.to_string e))
-    Workloads.Micro.[ Hypercall; Device_io; Virtual_ipi ]
+    Workloads.Micro.(
+      if Machine.ncpus m >= 2 then [ Hypercall; Device_io; Virtual_ipi ]
+      else [ Hypercall; Device_io ])
 
 let test_flipped_bytes () =
-  let booted config =
-    let m = Machine.create ~ncpus:2 config Hyp.Host_hyp.Nested in
+  let booted ?ncpus config =
+    let m = Machine.create ?ncpus config Hyp.Host_hyp.Nested in
     Machine.boot m;
     m
   in
+  let neve_vhe = Config.v ~guest_vhe:true Config.Hw_neve in
   let images =
-    [ ("neve-vhe", booted (Config.v ~guest_vhe:true Config.Hw_neve));
+    [ ("neve-vhe", booted neve_vhe);
       ("v8.3", booted (Config.v Config.Hw_v8_3));
+      ("neve-vhe, 2 vCPUs", booted ~ncpus:2 neve_vhe);
+      ("v8.3, 2 vCPUs", booted ~ncpus:2 (Config.v Config.Hw_v8_3));
       ("VM", Scenario.make_arm Scenario.Arm_vm) ]
   in
   List.iter
