@@ -113,6 +113,45 @@ let default : table = {
   dvm_sync = 90;
 }
 
+(* The table as its entries in declaration order: the form snapshot
+   images carry, so the order is part of their format. *)
+let table_to_array t =
+  [| t.trap_entry; t.trap_return; t.exc_entry_el1; t.sysreg_read; t.sysreg_write;
+     t.mem_load; t.mem_store; t.insn_base; t.barrier; t.tlbi; t.gic_mmio_access;
+     t.irq_delivery; t.l0_exit_dispatch; t.l0_sysreg_emulate; t.l0_hvc_handle;
+     t.l0_inject_vel2; t.l0_eret_emulate; t.l0_io_emulate; t.l0_ipi_send;
+     t.l0_vgic_sync; t.l0_timer_emulate; t.l0_mem_fault; t.guest_hyp_logic;
+     t.x86_vmexit; t.x86_vmentry; t.x86_vmread; t.x86_vmwrite; t.x86_dispatch;
+     t.x86_merge_vmcs; t.x86_reflect; t.x86_unshadowed; t.x86_posted_irq;
+     t.x86_guest_hyp_logic; t.x86_apicv_eoi; t.arm_virtual_eoi;
+     t.mig_page_copy; t.mig_state_copy; t.serror_delivery; t.watchdog_poll;
+     t.recover_restore; t.mig_retry_backoff; t.tlbi_recipient; t.dvm_sync |]
+
+(* A literal: deriving it from [table_to_array] would allocate at module
+   load, in every program that links the cost model. *)
+let table_size = 43
+
+let table_of_array a =
+  if Array.length a <> table_size then
+    invalid_arg
+      (Printf.sprintf "Cost.table_of_array: %d entries, expected %d"
+         (Array.length a) table_size);
+  { trap_entry = a.(0); trap_return = a.(1); exc_entry_el1 = a.(2);
+    sysreg_read = a.(3); sysreg_write = a.(4); mem_load = a.(5);
+    mem_store = a.(6); insn_base = a.(7); barrier = a.(8); tlbi = a.(9);
+    gic_mmio_access = a.(10); irq_delivery = a.(11); l0_exit_dispatch = a.(12);
+    l0_sysreg_emulate = a.(13); l0_hvc_handle = a.(14); l0_inject_vel2 = a.(15);
+    l0_eret_emulate = a.(16); l0_io_emulate = a.(17); l0_ipi_send = a.(18);
+    l0_vgic_sync = a.(19); l0_timer_emulate = a.(20); l0_mem_fault = a.(21);
+    guest_hyp_logic = a.(22); x86_vmexit = a.(23); x86_vmentry = a.(24);
+    x86_vmread = a.(25); x86_vmwrite = a.(26); x86_dispatch = a.(27);
+    x86_merge_vmcs = a.(28); x86_reflect = a.(29); x86_unshadowed = a.(30);
+    x86_posted_irq = a.(31); x86_guest_hyp_logic = a.(32);
+    x86_apicv_eoi = a.(33); arm_virtual_eoi = a.(34); mig_page_copy = a.(35);
+    mig_state_copy = a.(36); serror_delivery = a.(37); watchdog_poll = a.(38);
+    recover_restore = a.(39); mig_retry_backoff = a.(40);
+    tlbi_recipient = a.(41); dvm_sync = a.(42) }
+
 (* Trap classification used for reporting (Table 7 and the trap-analysis
    example distinguish traps by cause). *)
 type trap_kind =

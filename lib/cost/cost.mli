@@ -63,6 +63,17 @@ type table = {
 
 val default : table
 
+val table_size : int
+(** 43: the number of entries in a {!type:table}. *)
+
+val table_to_array : table -> int array
+(** The entries in declaration order ([trap_entry] first): the form
+    snapshot images carry. *)
+
+val table_of_array : int array -> table
+(** Inverse of {!table_to_array}.
+    @raise Invalid_argument unless the array has {!table_size} entries. *)
+
 (** Trap classification for reporting (Table 7 and the trap-analysis
     example distinguish traps by cause). *)
 type trap_kind =

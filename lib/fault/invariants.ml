@@ -50,12 +50,13 @@ let state () = { seen_cycles = 0; seen_insns = 0; seen_traps = 0; seen_mem = 0 }
 let state_dump s = [| s.seen_cycles; s.seen_insns; s.seen_traps; s.seen_mem |]
 
 let state_load s a =
-  if Array.length a = 4 then begin
-    s.seen_cycles <- a.(0);
-    s.seen_insns <- a.(1);
-    s.seen_traps <- a.(2);
-    s.seen_mem <- a.(3)
-  end
+  if Array.length a <> 4 then
+    invalid_arg
+      (Printf.sprintf "Invariants.state_load: %d watermarks, expected 4" (Array.length a));
+  s.seen_cycles <- a.(0);
+  s.seen_insns <- a.(1);
+  s.seen_traps <- a.(2);
+  s.seen_mem <- a.(3)
 
 let aligned4 x = Int64.logand x 3L = 0L
 

@@ -31,7 +31,8 @@ val state_dump : state -> int array
 (** The watermark counters in a fixed order, for checkpoint/restore. *)
 
 val state_load : state -> int array -> unit
-(** Inverse of {!state_dump}; ignores malformed arrays. *)
+(** Inverse of {!state_dump}.
+    @raise Invalid_argument unless the array holds the four watermarks. *)
 
 val check_cpu : ?id:int -> Arm.Cpu.t -> violation list
 (** Steady-state checks: SPSR_EL2/SPSR_EL1 decode to a legal mode at or

@@ -52,6 +52,16 @@ let ncpus t = Array.length t.cpus
 let total_traps t =
   Array.fold_left (fun acc c -> acc + c.Cpu.meter.Cost.traps) 0 t.cpus
 
+(* A vCPU index outside the machine is the caller's topology error.  The
+   message is built only when the check fails, so a guest-side operation
+   pays one comparison and allocates nothing for it. *)
+let bad_cpu t what cpu =
+  Fault.Error.sim_bug
+    (Fault.Error.Bad_topology
+       (Printf.sprintf "%s: no vCPU %d on a %d-vCPU machine" what cpu (ncpus t)))
+
+let check_cpu t what cpu = if cpu < 0 || cpu >= Array.length t.cpus then bad_cpu t what cpu
+
 (* Keep a bounded sample of violations but count them all. *)
 let stored_violations_cap = 64
 
@@ -256,7 +266,8 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
   t
 
 (* A mark: every component's mark plus the machine's own mutable fields
-   — what [Snap.Image.machine_node] serializes, and the distributor,
+   — what the snapshot image's declaration lists ([Snap.Image]; the
+   snap suite's rewind-coverage test walks it), and the distributor,
    which it does not.  A fault plan's cursor and the SMP translation
    state are not marked, so machines carrying either are refused. *)
 type mark = {
@@ -399,6 +410,7 @@ let service_faults t ~cpu =
    supervision watchdog's no-retire window detects. *)
 
 let hypercall t ~cpu =
+  check_cpu t "hypercall" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -409,6 +421,7 @@ let hypercall t ~cpu =
    stage 2, so the access takes a data abort to EL2 (Section 4, memory
    virtualization). *)
 let mmio_access t ~cpu ~addr ~is_write =
+  check_cpu t "mmio_access" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -424,6 +437,7 @@ let mmio_access t ~cpu ~addr ~is_write =
    a shadow-table miss the host refills, or a fault reflected to the guest
    hypervisor. *)
 let data_abort t ~cpu ~addr ~is_write =
+  check_cpu t "data_abort" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -439,6 +453,7 @@ let data_abort t ~cpu ~addr ~is_write =
    hypervisor's stage-2 (L2 IPA -> L1 PA) and the host's stage-2
    (L1 PA -> machine PA), collapsed lazily on faults. *)
 let install_shadow t ~cpu ~guest_s2 ~host_s2 =
+  check_cpu t "install_shadow" cpu;
   let alloc = Mmu.Walk.allocator ~start:0x9_0000_0000L in
   let sh = Mmu.Shadow.create t.mem alloc ~vmid:(0x100 + cpu) in
   t.hosts.(cpu).Host_hyp.shadow <- Some (sh, guest_s2, host_s2);
@@ -448,6 +463,8 @@ let install_shadow t ~cpu ~guest_s2 ~host_s2 =
 (* Send an IPI: a write to ICC_SGI1R_EL1, which traps to the hypervisor on
    every configuration (IPIs are always emulated). *)
 let send_ipi t ~cpu ~target ~intid =
+  check_cpu t "send_ipi" cpu;
+  check_cpu t "send_ipi ~target" target;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -462,6 +479,7 @@ let send_ipi t ~cpu ~target ~intid =
 (* Acknowledge the highest-priority pending virtual interrupt: served by
    the GIC virtual CPU interface against the list registers — no trap. *)
 let vm_ack t ~cpu =
+  check_cpu t "vm_ack" cpu;
   let c = t.cpus.(cpu) in
   let lrs =
     Array.init Reglists.vgic_lrs_in_use (fun i ->
@@ -475,6 +493,7 @@ let vm_ack t ~cpu =
 (* Complete a virtual interrupt (Virtual EOI): hardware-only, the constant
    71-cycle operation of Tables 1 and 6. *)
 let vm_eoi t ~cpu ~vintid =
+  check_cpu t "vm_eoi" cpu;
   let c = t.cpus.(cpu) in
   let lrs =
     Array.init Reglists.vgic_lrs_in_use (fun i ->
@@ -487,6 +506,7 @@ let vm_eoi t ~cpu ~vintid =
 
 (* Deliver an external (device) interrupt to a CPU, as the NIC would. *)
 let device_irq t ~cpu ~intid =
+  check_cpu t "device_irq" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -495,6 +515,7 @@ let device_irq t ~cpu ~intid =
 
 (* Guest does some plain computation: n generic instructions. *)
 let compute t ~cpu ~insns =
+  check_cpu t "compute" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -529,6 +550,7 @@ let smp t =
     s
 
 let smp_map t ~cpu ~ipa ~pa =
+  check_cpu t "smp_map" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -539,6 +561,7 @@ let smp_map t ~cpu ~ipa ~pa =
   end
 
 let smp_read t ~cpu ~ipa =
+  check_cpu t "smp_read" cpu;
   if t.hung.(cpu) then Mmu.Shootdown.Unmapped
   else begin
     service_faults t ~cpu;
@@ -546,6 +569,7 @@ let smp_read t ~cpu ~ipa =
   end
 
 let bbm_break t ~cpu ~ipa =
+  check_cpu t "bbm_break" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -559,6 +583,7 @@ let bbm_break t ~cpu ~ipa =
    vCPU — each of which acks and completes the virtual IRQ, processes the
    invalidation on its own TLB, and is charged the recipient cost. *)
 let tlbi_bcast t ~cpu scope =
+  check_cpu t "tlbi_bcast" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -602,6 +627,7 @@ let tlbi_bcast t ~cpu scope =
 (* The initiator's DSB ISH: waits for DVM completion from every remote
    PE, which is what closes the stale-use window. *)
 let dsb_sync t ~cpu =
+  check_cpu t "dsb_sync" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -613,6 +639,7 @@ let dsb_sync t ~cpu =
   end
 
 let bbm_make t ~cpu ~ipa ~pa =
+  check_cpu t "bbm_make" cpu;
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
@@ -624,6 +651,7 @@ let bbm_make t ~cpu ~ipa ~pa =
 (* Remap a (possibly live) page: full break-before-make with the TLBI
    broadcast and DSB. *)
 let smp_remap t ~cpu ~ipa ~pa =
+  check_cpu t "smp_remap" cpu;
   if t.hung.(cpu) then ()
   else begin
     bbm_break t ~cpu ~ipa;
@@ -672,14 +700,24 @@ let undef_injections t =
 
 (* --- supervision hooks: hangs, SErrors and recovery --- *)
 
-let is_hung t ~cpu = t.hung.(cpu)
-let hang t ~cpu = t.hung.(cpu) <- true
-let clear_hung t ~cpu = t.hung.(cpu) <- false
+let is_hung t ~cpu =
+  check_cpu t "is_hung" cpu;
+  t.hung.(cpu)
+
+let hang t ~cpu =
+  check_cpu t "hang" cpu;
+  t.hung.(cpu) <- true
+
+let clear_hung t ~cpu =
+  check_cpu t "clear_hung" cpu;
+  t.hung.(cpu) <- false
 
 let pend_serror t ~cpu ~syndrome =
+  check_cpu t "pend_serror" cpu;
   Host_hyp.pend_vserror t.hosts.(cpu) ~syndrome
 
 let serror_pending t ~cpu =
+  check_cpu t "serror_pending" cpu;
   t.hosts.(cpu).Host_hyp.pending_vserror <> None
   || Cpu.vserror_pending t.cpus.(cpu)
 
@@ -690,6 +728,7 @@ let serror_injections t =
   Array.fold_left (fun acc h -> acc + h.Host_hyp.serror_injected) 0 t.hosts
 
 let kill_l2 t ~cpu =
+  check_cpu t "kill_l2" cpu;
   match t.scenario with
   | Host_hyp.Single_vm ->
     Fault.Error.sim_bug

@@ -98,7 +98,12 @@ val boot : t -> unit
 (** Bring the stack up; nested scenarios launch the nested VM end to end
     through the real trap machinery. *)
 
-(** {1 Guest-side operations} *)
+(** {1 Guest-side operations}
+
+    Every operation below that takes [~cpu] (and {!send_ipi}'s
+    [~target]) raises {!Fault.Error.Sim_fault} with [Bad_topology] when
+    the index names no vCPU of the machine.  A guest's own ICC_SGI1R_EL1
+    write to a nonexistent target is dropped silently, as on hardware. *)
 
 val hypercall : t -> cpu:int -> unit
 (** The Hypercall microbenchmark's [hvc #0] from the innermost guest. *)

@@ -9,6 +9,19 @@
    snapshot/restore/resume, and lets live migration assert the
    destination equals the source.
 
+   Each component is declared once, as fields with a name, a getter, a
+   setter and a typed codec; [save], [restore], [diff]'s topology check
+   and [leaves] all derive from the declarations, and every codec carries
+   its check: int ranges (NZCV 0..15, list-register counts
+   0..Sysreg.lr_count, ncpus 1..Vcpu.max_vcpus, costs 0..2^32, counters
+   non-negative, version 1, every int within 63 bits), enumerations (EL,
+   mechanism, revision, scenario, trap and fault kinds, OoH features,
+   exposure bits), lengths (ncpus entries per per-vCPU list, Cpu.nregs
+   GPRs per frame, Sysreg.count values and dirty bytes per file, 43
+   costs, 4 watermarks) and 8-byte-aligned memory addresses.  Cross-field
+   rules keep one custom codec each (see [counts], [shadow], [tamper],
+   [Opt] in place).
+
    The tree covers everything mutable: physical memory (canonical
    nonzero-word list plus MMIO regions), each CPU's PC/GPRs/PSTATE,
    system-register file with its dirty bitmap, GPR trap snapshots, NV2
@@ -54,624 +67,429 @@ module Vcpu = Hyp.Vcpu
 module Plan = Fault.Plan
 module Invariants = Fault.Invariants
 
+open Codec
+
 let magic = "NEVE-SNAP"
 let version = 1
 
-exception Format_error of string
+exception Format_error = Codec.Format_error
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Format_error s)) fmt
+(* The codecs and component declarations below are functions: [declare]
+   builds the machine's whole declaration from them once per domain, on
+   first use (see [declaration]). *)
 
-(* ------------------------------------------------------------------ *)
-(* The node tree and its canonical binary encoding                     *)
-(* ------------------------------------------------------------------ *)
-
-type node =
-  | I of int64
-  | B of bool
-  | S of string
-  | L of node list
-  | R of (string * node) list  (** fields in fixed, writer-chosen order *)
-
-let add_str b s =
-  Buffer.add_int32_be b (Int32.of_int (String.length s));
-  Buffer.add_string b s
-
-let rec encode b = function
-  | I v ->
-    Buffer.add_char b 'I';
-    Buffer.add_int64_be b v
-  | B v ->
-    Buffer.add_char b 'B';
-    Buffer.add_char b (if v then '\001' else '\000')
-  | S s ->
-    Buffer.add_char b 'S';
-    add_str b s
-  | L xs ->
-    Buffer.add_char b 'L';
-    Buffer.add_int32_be b (Int32.of_int (List.length xs));
-    List.iter (encode b) xs
-  | R fs ->
-    Buffer.add_char b 'R';
-    Buffer.add_int32_be b (Int32.of_int (List.length fs));
-    List.iter
-      (fun (name, x) ->
-        add_str b name;
-        encode b x)
-      fs
-
-let decode s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let need n = if !pos + n > len then fail "truncated snapshot at byte %d" !pos in
-  let byte () =
-    need 1;
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let i64 () =
-    need 8;
-    let v = String.get_int64_be s !pos in
-    pos := !pos + 8;
-    v
-  in
-  let count () =
-    need 4;
-    let v = Int32.to_int (String.get_int32_be s !pos) land 0xffff_ffff in
-    pos := !pos + 4;
-    (* a count of n items needs at least n more bytes *)
-    if v > len - !pos then fail "implausible length %d at byte %d" v !pos;
-    v
-  in
-  let str () =
-    let n = count () in
-    need n;
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
-  in
-  let rec node () =
-    match byte () with
-    | 'I' -> I (i64 ())
-    | 'B' -> B (byte () <> '\000')
-    | 'S' -> S (str ())
-    | 'L' -> L (nodes (count ()) [])
-    | 'R' -> R (fields (count ()) [])
-    | c -> fail "bad node tag %C at byte %d" c (!pos - 1)
-  and nodes n acc =
-    if n = 0 then List.rev acc
-    else
-      let x = node () in
-      nodes (n - 1) (x :: acc)
-  and fields n acc =
-    if n = 0 then List.rev acc
-    else
-      let name = str () in
-      let x = node () in
-      fields (n - 1) ((name, x) :: acc)
-  in
-  let n = node () in
-  if !pos <> len then fail "trailing bytes after snapshot (%d of %d consumed)" !pos len;
-  n
-
-(* Typed accessors: every shape error surfaces as Format_error. *)
-
-let get_i = function I v -> v | _ -> fail "expected int node"
-let get_int n = Int64.to_int (get_i n)
-let get_b = function B v -> v | _ -> fail "expected bool node"
-let get_s = function S v -> v | _ -> fail "expected string node"
-let get_l = function L xs -> xs | _ -> fail "expected list node"
-
-let field name = function
-  | R fs -> (
-    match List.assoc_opt name fs with
-    | Some v -> v
-    | None -> fail "missing field %S" name)
-  | _ -> fail "expected record node (looking for %S)" name
-
-let fi name n = get_i (field name n)
-let fint name n = get_int (field name n)
-
-(* The vGIC save/restore loops run once per used list register, so a
-   count outside the implemented ones never reaches them. *)
-let fused_lrs n =
-  let v = fint "used_lrs" n in
-  if v < 0 || v > Sysreg.lr_count then fail "bad used_lrs %d" v;
-  v
-let fb name n = get_b (field name n)
-let fs name n = get_s (field name n)
-let fl name n = get_l (field name n)
-
-let int n = I (Int64.of_int n)
-
-(* Options encode as empty/singleton lists. *)
-let opt f = function None -> L [] | Some x -> L [ f x ]
-
-let get_opt f = function
-  | L [] -> None
-  | L [ x ] -> Some (f x)
-  | _ -> fail "expected option node"
-
-(* ------------------------------------------------------------------ *)
-(* Enumeration codecs (stable small codes, part of the format)         *)
-(* ------------------------------------------------------------------ *)
-
-let mech_code = function
-  | Config.Hw_v8_3 -> 0
-  | Config.Pv_v8_3 -> 1
-  | Config.Hw_neve -> 2
-  | Config.Pv_neve -> 3
-
-let mech_of_code = function
-  | 0 -> Config.Hw_v8_3
-  | 1 -> Config.Pv_v8_3
-  | 2 -> Config.Hw_neve
-  | 3 -> Config.Pv_neve
-  | c -> fail "bad mechanism code %d" c
-
-let rev_code = function
-  | Features.V8_0 -> 0
-  | Features.V8_1 -> 1
-  | Features.V8_3 -> 3
-  | Features.V8_4 -> 4
-
-let rev_of_code = function
-  | 0 -> Features.V8_0
-  | 1 -> Features.V8_1
-  | 3 -> Features.V8_3
-  | 4 -> Features.V8_4
-  | c -> fail "bad revision code %d" c
-
-let el_of_code = function
-  | 0 -> Pstate.EL0
-  | 1 -> Pstate.EL1
-  | 2 -> Pstate.EL2
-  | c -> fail "bad EL code %d" c
-
-let scenario_of_name = function
-  | "single-vm" -> Host_hyp.Single_vm
-  | "nested" -> Host_hyp.Nested
-  | s -> fail "bad scenario %S" s
-
-let code_of what x l =
-  let rec go i = function
-    | [] -> fail "unindexable %s" what
-    | y :: tl -> if y = x then i else go (i + 1) tl
-  in
-  go 0 l
-
-let of_code what l i =
-  match if i < 0 then None else List.nth_opt l i with
-  | Some x -> x
-  | None -> fail "bad %s code %d" what i
-
-let trap_kind_code k = code_of "trap kind" k Cost.all_trap_kinds
-let trap_kind_of_code i = of_code "trap kind" Cost.all_trap_kinds i
-let fkind_code k = code_of "fault kind" k Plan.all_kinds
-let fkind_of_code i = of_code "fault kind" Plan.all_kinds i
-
-(* The cost table travels with the snapshot so a restored machine meters
-   identically; a fixed field order is part of the format. *)
-let table_fields (t : Cost.table) =
-  [ t.trap_entry; t.trap_return; t.exc_entry_el1; t.sysreg_read; t.sysreg_write;
-    t.mem_load; t.mem_store; t.insn_base; t.barrier; t.tlbi; t.gic_mmio_access;
-    t.irq_delivery; t.l0_exit_dispatch; t.l0_sysreg_emulate; t.l0_hvc_handle;
-    t.l0_inject_vel2; t.l0_eret_emulate; t.l0_io_emulate; t.l0_ipi_send;
-    t.l0_vgic_sync; t.l0_timer_emulate; t.l0_mem_fault; t.guest_hyp_logic;
-    t.x86_vmexit; t.x86_vmentry; t.x86_vmread; t.x86_vmwrite; t.x86_dispatch;
-    t.x86_merge_vmcs; t.x86_reflect; t.x86_unshadowed; t.x86_posted_irq;
-    t.x86_guest_hyp_logic; t.x86_apicv_eoi; t.arm_virtual_eoi;
-    t.mig_page_copy; t.mig_state_copy; t.serror_delivery; t.watchdog_poll;
-    t.recover_restore; t.mig_retry_backoff; t.tlbi_recipient; t.dvm_sync ]
+(* The vGIC save/restore loops run once per used list register. *)
+let lrs () = Int (0, Sysreg.lr_count)
 
 (* The largest cost-table entry a snapshot may carry: 2^32 cycles, far
    above any calibration (the largest default entry is 150,000) and far
-   enough below [max_int] that a per-operation product stays exact. *)
+   enough below [max_int] that a per-operation product stays exact.
+   [Cost.charge] asserts a non-negative cost, and the hypervisors
+   multiply entries by context sizes (the deferred page's length times
+   [mem_load]), which must not wrap. *)
 let max_cost = 1 lsl 32
 
-let table_of_fields = function
-  | [ trap_entry; trap_return; exc_entry_el1; sysreg_read; sysreg_write;
-      mem_load; mem_store; insn_base; barrier; tlbi; gic_mmio_access;
-      irq_delivery; l0_exit_dispatch; l0_sysreg_emulate; l0_hvc_handle;
-      l0_inject_vel2; l0_eret_emulate; l0_io_emulate; l0_ipi_send;
-      l0_vgic_sync; l0_timer_emulate; l0_mem_fault; guest_hyp_logic;
-      x86_vmexit; x86_vmentry; x86_vmread; x86_vmwrite; x86_dispatch;
-      x86_merge_vmcs; x86_reflect; x86_unshadowed; x86_posted_irq;
-      x86_guest_hyp_logic; x86_apicv_eoi; arm_virtual_eoi;
-      mig_page_copy; mig_state_copy; serror_delivery; watchdog_poll;
-      recover_restore; mig_retry_backoff; tlbi_recipient; dvm_sync ] as l ->
-    (* [Cost.charge] asserts a non-negative cost, and the hypervisors
-       multiply entries by context sizes (the deferred page's length
-       times [mem_load]), which must not wrap *)
-    List.iteri
-      (fun i c ->
-        if c < 0 then fail "cost-table entry %d is negative (%d)" i c;
-        if c > max_cost then
-          fail "cost-table entry %d exceeds 2^32 cycles (%d)" i c)
-      l;
-    { Cost.trap_entry; trap_return; exc_entry_el1; sysreg_read; sysreg_write;
-      mem_load; mem_store; insn_base; barrier; tlbi; gic_mmio_access;
-      irq_delivery; l0_exit_dispatch; l0_sysreg_emulate; l0_hvc_handle;
-      l0_inject_vel2; l0_eret_emulate; l0_io_emulate; l0_ipi_send;
-      l0_vgic_sync; l0_timer_emulate; l0_mem_fault; guest_hyp_logic;
-      x86_vmexit; x86_vmentry; x86_vmread; x86_vmwrite; x86_dispatch;
-      x86_merge_vmcs; x86_reflect; x86_unshadowed; x86_posted_irq;
-      x86_guest_hyp_logic; x86_apicv_eoi; arm_virtual_eoi;
-      mig_page_copy; mig_state_copy; serror_delivery; watchdog_poll;
-      recover_restore; mig_retry_backoff; tlbi_recipient; dvm_sync }
-  | l -> fail "cost table has %d fields, this build expects 43" (List.length l)
+let el () = enum "EL" Pstate.[ (EL0, 0); (EL1, 1); (EL2, 2) ]
+let mech () = enum "mechanism" Config.[ (Hw_v8_3, 0); (Pv_v8_3, 1); (Hw_neve, 2); (Pv_neve, 3) ]
+let revision () = enum "revision" Features.[ (V8_0, 0); (V8_1, 1); (V8_3, 3); (V8_4, 4) ]
+let trap_kind () = indexed "trap kind" Cost.all_trap_kinds
+let fault_kind () = indexed "fault kind" Plan.all_kinds
 
-(* ------------------------------------------------------------------ *)
-(* Component serializers                                               *)
-(* ------------------------------------------------------------------ *)
+let feature () =
+  enum "OoH feature" (List.map (fun f -> (f, Cost.exposed_index f)) Expose.Policy.all_features)
 
-let pstate_node (p : Pstate.t) =
-  R
-    [ ("el", int (Pstate.el_level p.el));
-      ("sp_sel", B p.sp_sel);
-      ("irq_masked", B p.irq_masked);
-      ("fiq_masked", B p.fiq_masked);
-      ("nzcv", int p.nzcv) ]
+let scenario () =
+  let name s = (s, S (Host_hyp.scenario_name s)) in
+  Enum { what = "scenario"; members = Host_hyp.[ name Single_vm; name Nested ] }
 
-let pstate_of_node n =
-  { Pstate.el = el_of_code (fint "el" n);
-    sp_sel = fb "sp_sel" n;
-    irq_masked = fb "irq_masked" n;
-    fiq_masked = fb "fiq_masked" n;
-    nzcv = fint "nzcv" n }
+let exposure () =
+  conv Expose.Policy.to_bits
+    (fun b ->
+      match Expose.Policy.of_bits b with Some p -> p | None -> fail "bad exposure bits 0x%x" b)
+    int
 
-let i64_array a = L (Array.to_list (Array.map (fun v -> I v) a))
+(* Each record is declared under a local open of its module, for its
+   field labels; no opened module defines a name this file declares. *)
+let pstate () =
+  Pstate.(
+    record
+      [ field "el" (el ()) (fun p -> p.el) (Update (fun p el -> { p with el }));
+        field "sp_sel" Bool (fun p -> p.sp_sel) (Update (fun p sp_sel -> { p with sp_sel }));
+        field "irq_masked" Bool (fun p -> p.irq_masked)
+          (Update (fun p irq_masked -> { p with irq_masked }));
+        field "fiq_masked" Bool (fun p -> p.fiq_masked)
+          (Update (fun p fiq_masked -> { p with fiq_masked }));
+        field "nzcv" (Int (0, 15)) (fun p -> p.nzcv) (Update (fun p nzcv -> { p with nzcv })) ])
 
-let file_node (f : Sysreg_file.t) =
-  R
-    [ ("values",
-       L (List.init Arm.Sysreg.count (fun i -> I (Sysreg_file.get_index f i))));
-      ("dirty", S (Bytes.to_string f.dirty)) ]
+let sysreg_file () =
+  Sysreg_file.(
+    record
+      [ field "values" (fixed Sysreg.count get_index set_index word) Fun.id In_place;
+        field "dirty" (Bytes Sysreg.count) (fun f -> Bytes.to_string f.dirty)
+          (Set (fun f s -> Bytes.blit_string s 0 f.dirty 0 Sysreg.count)) ])
 
-let load_file n (f : Sysreg_file.t) =
-  let values = fl "values" n in
-  if List.length values <> Arm.Sysreg.count then
-    fail "sysreg file has %d values, this build has %d" (List.length values)
-      Arm.Sysreg.count;
-  List.iteri (fun i v -> Sysreg_file.set_index f i (get_i v)) values;
-  let dirty = fs "dirty" n in
-  if String.length dirty <> Bytes.length f.dirty then
-    fail "sysreg dirty bitmap is %d bytes, this build has %d" (String.length dirty)
-      (Bytes.length f.dirty);
-  Bytes.blit_string dirty 0 f.dirty 0 (String.length dirty)
+(* A meter's per-kind and per-feature counts: canonical member order,
+   zero counts omitted. *)
+let rec sparse_nodes code index a = function
+  | [] -> []
+  | k :: tl -> (
+    match a.(index k) with
+    | 0 -> sparse_nodes code index a tl
+    | c -> L [ write code k; num c ] :: sparse_nodes code index a tl)
 
-let meter_node (m : Cost.meter) =
-  R
-    [ ("cycles", int m.cycles);
-      ("insns", int m.insns);
-      ("traps", int m.traps);
-      ("mem_accesses", int m.mem_accesses);
-      ("tid", int m.tid);
-      ("logging", B m.logging);
-      ( "by_kind",
-        (* canonical order: all_trap_kinds, zero counts omitted *)
-        L
-          (List.filter_map
-             (fun k ->
-               match m.by_kind.(Cost.kind_index k) with
-               | 0 -> None
-               | c -> Some (L [ int (trap_kind_code k); int c ]))
-             Cost.all_trap_kinds) );
-      ( "exposed",
-        (* canonical order: all_features, zero counts omitted *)
-        L
-          (List.filter_map
-             (fun f ->
-               match m.exposed.(Cost.exposed_index f) with
-               | 0 -> None
-               | c -> Some (L [ int (Cost.exposed_index f); int c ]))
-             Expose.Policy.all_features) );
-      ("log", L (List.map (fun (k, d) -> L [ int (trap_kind_code k); S d ]) m.log)) ]
+let rec fill_counts index a = function
+  | [] -> ()
+  | (k, c) :: tl ->
+    a.(index k) <- c;
+    fill_counts index a tl
 
-let load_meter n (m : Cost.meter) =
-  m.Cost.cycles <- fint "cycles" n;
-  m.insns <- fint "insns" n;
-  m.traps <- fint "traps" n;
-  m.mem_accesses <- fint "mem_accesses" n;
-  m.tid <- fint "tid" n;
-  Array.fill m.by_kind 0 Cost.kind_count 0;
-  List.iter
-    (fun e ->
-      match get_l e with
-      | [ k; c ] ->
-        m.by_kind.(Cost.kind_index (trap_kind_of_code (get_int k))) <-
-          get_int c
-      | _ -> fail "bad by_kind entry")
-    (fl "by_kind" n);
-  Array.fill m.exposed 0 Cost.exposed_count 0;
-  List.iter
-    (fun e ->
-      match get_l e with
-      | [ i; c ] ->
-        let i = get_int i in
-        if i < 0 || i >= Cost.exposed_count then fail "bad exposed index %d" i;
-        m.exposed.(i) <- get_int c
-      | _ -> fail "bad exposed entry")
-    (fl "exposed" n);
-  m.log <-
-    List.map
-      (fun e ->
-        match get_l e with
-        | [ k; d ] -> (trap_kind_of_code (get_int k), get_s d)
-        | _ -> fail "bad trap-log entry")
-      (fl "log" n);
-  m.logging <- fb "logging" n
+let counts code members index =
+  let entries = List (Pair (code, int)) in
+  Into
+    { enc = (fun a -> L (sparse_nodes code index a members));
+      dec =
+        (fun _ a n ->
+          Array.fill a 0 (Array.length a) 0;
+          fill_counts index a (read None entries n);
+          a) }
 
-let cpu_node (c : Cpu.t) =
-  R
-    [ ("pc", I (Cpu.pc c));
-      ("regs", i64_array (Array.init Cpu.nregs (Cpu.get_reg c)));
-      ("pstate", pstate_node c.pstate);
-      ("sysregs", file_node c.sysregs);
-      ( "features",
-        R
-          [ ("revision", int (rev_code c.features.Features.revision));
-            ("gicv3", B c.features.Features.gicv3) ] );
-      ("el1_vectors", B c.el1_vectors);
-      ("saved_regs", L (List.map i64_array (Cpu.saved_frames c)));
-      ( "nv2_mask",
-        R
-          [ ("defer", B c.nv2_mask.Trap_rules.m_defer);
-            ("redirect", B c.nv2_mask.Trap_rules.m_redirect);
-            ("cached", B c.nv2_mask.Trap_rules.m_cached) ] );
-      (* the armed OoH routing grant (non-none while the snapshot caught
-         the guest hypervisor in virtual EL2) *)
-      ("expose", int (Expose.Policy.to_bits c.expose));
-      ("meter", meter_node c.meter) ]
+let meter () =
+  Cost.(
+    record
+      [ field "cycles" nat (fun m -> m.cycles) (Set (fun m v -> m.cycles <- v));
+        field "insns" nat (fun m -> m.insns) (Set (fun m v -> m.insns <- v));
+        field "traps" nat (fun m -> m.traps) (Set (fun m v -> m.traps <- v));
+        field "mem_accesses" nat (fun m -> m.mem_accesses)
+          (Set (fun m v -> m.mem_accesses <- v));
+        field "tid" nat (fun m -> m.tid) (Set (fun m v -> m.tid <- v));
+        field "logging" Bool (fun m -> m.logging) (Set (fun m v -> m.logging <- v));
+        field "by_kind" (counts (trap_kind ()) all_trap_kinds kind_index) (fun m -> m.by_kind)
+          In_place;
+        field "exposed"
+          (counts (feature ()) Expose.Policy.all_features exposed_index)
+          (fun m -> m.exposed) In_place;
+        field "log" (List (Pair (trap_kind (), Str))) (fun m -> m.log)
+          (Set (fun m v -> m.log <- v)) ])
+
+let features () =
+  Features.(
+    record
+      [ field "revision" (revision ()) (fun f -> f.revision)
+          (Update (fun f revision -> { f with revision }));
+        field "gicv3" Bool (fun f -> f.gicv3) (Update (fun f gicv3 -> { f with gicv3 })) ])
+
+let nv2_mask () =
+  Trap_rules.(
+    record
+      [ field "defer" Bool (fun m -> m.m_defer) (Update (fun m m_defer -> { m with m_defer }));
+        field "redirect" Bool (fun m -> m.m_redirect)
+          (Update (fun m m_redirect -> { m with m_redirect }));
+        field "cached" Bool (fun m -> m.m_cached)
+          (Update (fun m m_cached -> { m with m_cached })) ])
+
 (* hcr_raw/hcr_cached are recomputed lazily from the HCR_EL2 sysreg
    (Cpu.hcr_view self-heals on mismatch), so they are not format. *)
+let cpu () =
+  Cpu.(
+    record
+      [ field "pc" word pc (Set set_pc);
+        field "regs" (fixed nregs get_reg set_reg word) Fun.id In_place;
+        field "pstate" (pstate ()) (fun c -> c.pstate) (Set (fun c p -> c.pstate <- p));
+        field "sysregs" (sysreg_file ()) (fun c -> c.sysregs) In_place;
+        field "features" (features ()) (fun c -> c.features) (Set (fun c f -> c.features <- f));
+        field "el1_vectors" Bool (fun c -> c.el1_vectors)
+          (Set (fun c v -> c.el1_vectors <- v));
+        field "saved_regs" (List (Array (nregs, word))) saved_frames (Set set_saved_frames);
+        field "nv2_mask" (nv2_mask ()) (fun c -> c.nv2_mask) (Set (fun c m -> c.nv2_mask <- m));
+        (* the armed OoH routing grant (non-none while the snapshot caught
+           the guest hypervisor in virtual EL2) *)
+        field "expose" (exposure ()) (fun c -> c.expose) (Set (fun c p -> c.expose <- p));
+        field "meter" (meter ()) (fun c -> c.meter) In_place ])
 
-let load_cpu n (c : Cpu.t) =
-  Cpu.set_pc c (fi "pc" n);
-  let regs = fl "regs" n in
-  if List.length regs <> Cpu.nregs then fail "bad GPR count %d" (List.length regs);
-  List.iteri (fun i v -> Cpu.set_reg c i (get_i v)) regs;
-  c.pstate <- pstate_of_node (field "pstate" n);
-  load_file (field "sysregs" n) c.sysregs;
-  let f = field "features" n in
-  c.features <- Features.v ~gicv3:(fb "gicv3" f) (rev_of_code (fint "revision" f));
-  c.el1_vectors <- fb "el1_vectors" n;
-  Cpu.set_saved_frames c
-    (List.map
-       (fun l ->
-         let frame = get_l l in
-         if List.length frame <> Cpu.nregs then
-           fail "bad saved GPR count %d" (List.length frame);
-         Array.of_list (List.map get_i frame))
-       (fl "saved_regs" n));
-  let mn = field "nv2_mask" n in
-  c.nv2_mask <-
-    { Trap_rules.m_defer = fb "defer" mn;
-      m_redirect = fb "redirect" mn;
-      m_cached = fb "cached" mn };
-  (c.expose <-
-     (match Expose.Policy.of_bits (fint "expose" n) with
-      | Some p -> p
-      | None -> fail "bad exposure bits 0x%x" (fint "expose" n)));
-  load_meter (field "meter" n) c.meter
+let vcpu () =
+  Vcpu.(
+    record
+      [ field "in_vel2" Bool (fun v -> v.in_vel2) (Set (fun v b -> v.in_vel2 <- b));
+        field "nested_launched" Bool (fun v -> v.nested_launched)
+          (Set (fun v b -> v.nested_launched <- b));
+        field "used_lrs" (lrs ()) (fun v -> v.used_lrs) (Set (fun v n -> v.used_lrs <- n));
+        field "vel1" (sysreg_file ()) (fun v -> v.vel1) In_place;
+        field "vel2" (sysreg_file ()) (fun v -> v.vel2) In_place ])
 
-let vcpu_node (v : Vcpu.t) =
-  R
-    [ ("in_vel2", B v.in_vel2);
-      ("nested_launched", B v.nested_launched);
-      ("used_lrs", int v.used_lrs);
-      ("vel1", file_node v.vel1);
-      ("vel2", file_node v.vel2) ]
+(* The shadow stage-2 as the image holds it.  Its three tables may share
+   one bump allocator; each names its allocator by index into [allocs],
+   so restore rebuilds the same sharing. *)
+type table_ref = { base : int64; vmid : int; alloc : int }
 
-let host_node (h : Host_hyp.t) =
-  let shadow =
-    match h.shadow with
-    | None -> L []
-    | Some (sh, guest_s2, host_s2) ->
-      (* Stage-2 tables may share one bump allocator; dedupe by identity
-         so restore rebuilds the same sharing. *)
-      let allocs = ref [] in
-      let alloc_ix a =
-        let rec go i = function
-          | [] ->
-            allocs := !allocs @ [ a ];
-            i
-          | x :: tl -> if x == a then i else go (i + 1) tl
-        in
-        go 0 !allocs
-      in
-      let s2_node (s : Mmu.Stage2.t) =
-        R [ ("base", I s.base); ("vmid", int s.vmid); ("alloc", int (alloc_ix s.alloc)) ]
-      in
-      let shn = s2_node sh.Mmu.Shadow.shadow in
-      let gn = s2_node guest_s2 in
-      let hn = s2_node host_s2 in
-      L
-        [ R
-            [ ("shadow", shn);
-              ("guest", gn);
-              ("host", hn);
-              ("faults", int sh.Mmu.Shadow.faults);
-              ("entries", L (List.map (fun e -> I e) sh.Mmu.Shadow.entries));
-              ("allocs", L (List.map (fun a -> I a.Mmu.Walk.next) !allocs)) ] ]
+type shadow_view = {
+  shadow : table_ref;
+  guest : table_ref;
+  host : table_ref;
+  faults : int;
+  entries : int64 list;
+  allocs : Mmu.Walk.allocator list;
+}
+
+let no_table = { base = 0L; vmid = 0; alloc = 0 }
+
+let table_ref () =
+  record ~zero:no_table
+    [ field "base" word (fun t -> t.base) (Update (fun t base -> { t with base }));
+      field "vmid" int (fun t -> t.vmid) (Update (fun t vmid -> { t with vmid }));
+      field "alloc" int (fun t -> t.alloc) (Update (fun t alloc -> { t with alloc })) ]
+
+let shadow_view () =
+  record
+    ~zero:
+      { shadow = no_table; guest = no_table; host = no_table; faults = 0; entries = [];
+        allocs = [] }
+    [ field "shadow" (table_ref ()) (fun v -> v.shadow)
+        (Update (fun v shadow -> { v with shadow }));
+      field "guest" (table_ref ()) (fun v -> v.guest) (Update (fun v guest -> { v with guest }));
+      field "host" (table_ref ()) (fun v -> v.host) (Update (fun v host -> { v with host }));
+      field "faults" int (fun v -> v.faults) (Update (fun v faults -> { v with faults }));
+      field "entries" (List word) (fun v -> v.entries)
+        (Update (fun v entries -> { v with entries }));
+      field "allocs"
+        (List (conv (fun a -> a.Mmu.Walk.next) (fun next -> { Mmu.Walk.next }) word))
+        (fun v -> v.allocs)
+        (Update (fun v allocs -> { v with allocs })) ]
+
+let view_of_shadow (sh, guest_s2, host_s2) =
+  let allocs = ref [] in
+  let table (s : Mmu.Stage2.t) =
+    let rec index i = function
+      | [] ->
+        allocs := !allocs @ [ s.alloc ];
+        i
+      | x :: tl -> if x == s.alloc then i else index (i + 1) tl
+    in
+    { base = s.base; vmid = s.vmid; alloc = index 0 !allocs }
   in
-  R
-    [ ("vcpu", vcpu_node h.vcpu);
-      ("shadow_vttbr", I h.shadow_vttbr);
-      ("in_l1", B h.in_l1);
-      ("exits", int h.exits);
-      ("undef_injected", int h.undef_injected);
-      ("pending_vserror", opt (fun v -> I v) h.pending_vserror);
-      ("serror_contained", int h.serror_contained);
-      ("serror_injected", int h.serror_injected);
-      ("pending_irq", opt int h.pending_irq);
-      ("l2_is_hyp", B h.l2_is_hyp);
-      ("l2_vncr", opt (fun v -> I v) h.l2_vncr);
-      ("shadow", shadow);
-      (* Derived view of the NEVE deferred access page, slot by register
-         name: lets diff say "deferred_page.SPSR_EL1" instead of a raw
-         memory address.  Restore skips it — the words section already
-         carries the page. *)
-      ( "deferred_page",
-        R (List.map (fun r -> (Sysreg.name r, I (Core.Deferred_page.read h.page r))) Sysreg.vncr_layout)
-      ) ]
+  let shadow = table sh.Mmu.Shadow.shadow in
+  let guest = table guest_s2 in
+  let host = table host_s2 in
+  { shadow; guest; host; faults = sh.Mmu.Shadow.faults; entries = sh.entries; allocs = !allocs }
 
-let load_host n (h : Host_hyp.t) mem =
-  let vn = field "vcpu" n in
-  h.vcpu.Vcpu.in_vel2 <- fb "in_vel2" vn;
-  h.vcpu.Vcpu.nested_launched <- fb "nested_launched" vn;
-  h.vcpu.Vcpu.used_lrs <- fused_lrs vn;
-  load_file (field "vel1" vn) h.vcpu.Vcpu.vel1;
-  load_file (field "vel2" vn) h.vcpu.Vcpu.vel2;
-  h.Host_hyp.shadow_vttbr <- fi "shadow_vttbr" n;
-  h.in_l1 <- fb "in_l1" n;
-  h.exits <- fint "exits" n;
-  h.undef_injected <- fint "undef_injected" n;
-  h.pending_vserror <- get_opt get_i (field "pending_vserror" n);
-  h.serror_contained <- fint "serror_contained" n;
-  h.serror_injected <- fint "serror_injected" n;
-  h.pending_irq <- get_opt get_int (field "pending_irq" n);
-  h.l2_is_hyp <- fb "l2_is_hyp" n;
-  h.l2_vncr <- get_opt get_i (field "l2_vncr" n);
-  match field "shadow" n with
-  | L [] -> h.shadow <- None
-  | L [ sn ] ->
-    let allocs =
-      Array.of_list (List.map (fun v -> { Mmu.Walk.next = get_i v }) (fl "allocs" sn))
-    in
-    let s2 name =
-      let s = field name sn in
-      let ix = fint "alloc" s in
-      if ix < 0 || ix >= Array.length allocs then fail "bad allocator index %d" ix;
-      { Mmu.Stage2.mem; alloc = allocs.(ix); base = fi "base" s; vmid = fint "vmid" s }
-    in
-    let sh =
-      { Mmu.Shadow.shadow = s2 "shadow";
-        faults = fint "faults" sn;
-        entries = List.map get_i (fl "entries" sn) }
-    in
-    h.shadow <- Some (sh, s2 "guest", s2 "host")
-  | _ -> fail "bad shadow node"
+let shadow_of_view mem v =
+  let allocs = Array.of_list v.allocs in
+  let s2 t =
+    if t.alloc < 0 || t.alloc >= Array.length allocs then fail "bad allocator index %d" t.alloc;
+    { Mmu.Stage2.mem; alloc = allocs.(t.alloc); base = t.base; vmid = t.vmid }
+  in
+  ( { Mmu.Shadow.shadow = s2 v.shadow; faults = v.faults; entries = v.entries },
+    s2 v.guest,
+    s2 v.host )
 
-let ghyp_node (g : Guest_hyp.t) =
-  R
-    [ ("used_lrs", int g.used_lrs);
-      ("cntvoff", I g.cntvoff);
-      ("pending_virqs", L (List.map int (List.of_seq (Queue.to_seq g.pending_virqs))));
-      ("nested_elr", I g.nested_elr);
-      ("nested_spsr", I g.nested_spsr);
-      ("exits_handled", int g.exits_handled);
-      ("debug_active", B g.debug_active);
-      ("pmu_active", B g.pmu_active);
-      ("tamper_armed", B (match g.ga.Gaccess.tamper with None -> false | Some _ -> true)) ]
+(* Read in place because the tables need the host's memory. *)
+let shadow () =
+  let view = Opt (shadow_view ()) in
+  Into
+    { enc = (fun h -> write view (Option.map view_of_shadow h.Host_hyp.shadow));
+      dec =
+        (fun _ h n ->
+          let mem = h.Host_hyp.cpu.Cpu.mem in
+          h.Host_hyp.shadow <- Option.map (shadow_of_view mem) (read None view n);
+          h) }
 
-let load_ghyp n (g : Guest_hyp.t) (plan : Plan.t option) =
-  g.Guest_hyp.used_lrs <- fused_lrs n;
-  g.cntvoff <- fi "cntvoff" n;
-  Queue.clear g.pending_virqs;
-  List.iter (fun v -> Queue.add (get_int v) g.pending_virqs) (fl "pending_virqs" n);
-  g.nested_elr <- fi "nested_elr" n;
-  g.nested_spsr <- fi "nested_spsr" n;
-  g.exits_handled <- fint "exits_handled" n;
-  g.debug_active <- fb "debug_active" n;
-  g.pmu_active <- fb "pmu_active" n;
-  (* The corruption thunk is a pure function of the plan, whose PRNG
-     cursor is itself restored — re-arming reproduces the same mask. *)
-  g.ga.Gaccess.tamper <-
-    (match plan with Some p when fb "tamper_armed" n -> Some (Plan.corrupt p) | _ -> None)
+(* Derived view of the NEVE deferred access page, slot by register name:
+   lets diff say "deferred_page.SPSR_EL1" instead of a raw memory
+   address.  Restore skips it — the words section already carries the
+   page. *)
+let rec page_slots page = function
+  | [] -> []
+  | r :: tl -> (Sysreg.name r, I (Core.Deferred_page.read page r)) :: page_slots page tl
 
-let plan_node (p : Plan.t) =
-  let r = Plan.to_raw p in
-  R
-    [ ("seed", int r.Plan.raw_seed);
-      ("rng", I r.raw_rng);
-      ( "events",
-        L
-          (List.map
-             (fun (trap, kind, fired) -> L [ int trap; int (fkind_code kind); B fired ])
-             r.raw_events) );
-      ( "injected",
-        L (List.map (fun (trap, kind) -> L [ int trap; int (fkind_code kind) ]) r.raw_injected)
-      ) ]
+let deferred_page =
+  Into
+    { enc = (fun page -> R (page_slots page Sysreg.vncr_layout));
+      dec = (fun _ _ _ -> invalid_arg "Snap.Image: the deferred-page view is not read") }
 
-let plan_of_node n =
-  Plan.of_raw
-    { Plan.raw_seed = fint "seed" n;
-      raw_rng = fi "rng" n;
-      raw_events =
-        List.map
-          (fun e ->
-            match get_l e with
-            | [ t; k; f ] -> (get_int t, fkind_of_code (get_int k), get_b f)
-            | _ -> fail "bad plan event")
-          (fl "events" n);
-      raw_injected =
-        List.map
-          (fun e ->
-            match get_l e with
-            | [ t; k ] -> (get_int t, fkind_of_code (get_int k))
-            | _ -> fail "bad injected entry")
-          (fl "injected" n) }
+let host () =
+  Host_hyp.(
+    record
+      [ field "vcpu" (vcpu ()) (fun h -> h.vcpu) In_place;
+        field "shadow_vttbr" word (fun h -> h.shadow_vttbr)
+          (Set (fun h v -> h.shadow_vttbr <- v));
+        field "in_l1" Bool (fun h -> h.in_l1) (Set (fun h v -> h.in_l1 <- v));
+        field "exits" nat (fun h -> h.exits) (Set (fun h v -> h.exits <- v));
+        field "undef_injected" nat (fun h -> h.undef_injected)
+          (Set (fun h v -> h.undef_injected <- v));
+        field "pending_vserror" (Opt word) (fun h -> h.pending_vserror)
+          (Set (fun h v -> h.pending_vserror <- v));
+        field "serror_contained" nat (fun h -> h.serror_contained)
+          (Set (fun h v -> h.serror_contained <- v));
+        field "serror_injected" nat (fun h -> h.serror_injected)
+          (Set (fun h v -> h.serror_injected <- v));
+        field "pending_irq" (Opt int) (fun h -> h.pending_irq)
+          (Set (fun h v -> h.pending_irq <- v));
+        field "l2_is_hyp" Bool (fun h -> h.l2_is_hyp) (Set (fun h v -> h.l2_is_hyp <- v));
+        field "l2_vncr" (Opt word) (fun h -> h.l2_vncr) (Set (fun h v -> h.l2_vncr <- v));
+        field "shadow" (shadow ()) Fun.id In_place;
+        field "deferred_page" deferred_page (fun h -> h.page) Skip ])
 
-let violation_node (v : Invariants.violation) =
-  R
-    [ ("name", S v.Invariants.v_name);
-      ("cpu", int v.v_cpu);
-      ("el", int (Pstate.el_level v.v_el));
-      ("pc", I v.v_pc);
-      ("detail", S v.v_detail);
-      ("events", L (List.map (fun e -> S e) v.v_events)) ]
+(* The corruption thunk is a pure function of the plan, whose PRNG
+   cursor is itself restored — re-arming reproduces the same mask. *)
+let tamper =
+  Into
+    { enc = (fun t -> B (Option.is_some t));
+      dec =
+        (fun plan _ n ->
+          match plan with Some p when get_b n -> Some (Plan.corrupt p) | _ -> None) }
 
-let violation_of_node n =
-  { Invariants.v_name = fs "name" n;
-    v_cpu = fint "cpu" n;
-    v_el = el_of_code (fint "el" n);
-    v_pc = fi "pc" n;
-    v_detail = fs "detail" n;
-    v_events = List.map get_s (fl "events" n) }
+let ghyp () =
+  Guest_hyp.(
+    record
+      [ field "used_lrs" (lrs ()) (fun g -> g.used_lrs) (Set (fun g n -> g.used_lrs <- n));
+        field "cntvoff" word (fun g -> g.cntvoff) (Set (fun g v -> g.cntvoff <- v));
+        field "pending_virqs" (List int)
+          (fun g -> List.of_seq (Queue.to_seq g.pending_virqs))
+          (Set
+             (fun g l ->
+               Queue.clear g.pending_virqs;
+               List.iter (fun v -> Queue.add v g.pending_virqs) l));
+        field "nested_elr" word (fun g -> g.nested_elr) (Set (fun g v -> g.nested_elr <- v));
+        field "nested_spsr" word (fun g -> g.nested_spsr)
+          (Set (fun g v -> g.nested_spsr <- v));
+        field "exits_handled" nat (fun g -> g.exits_handled)
+          (Set (fun g v -> g.exits_handled <- v));
+        field "debug_active" Bool (fun g -> g.debug_active)
+          (Set (fun g v -> g.debug_active <- v));
+        field "pmu_active" Bool (fun g -> g.pmu_active) (Set (fun g v -> g.pmu_active <- v));
+        field "tamper_armed" tamper (fun g -> g.ga.Gaccess.tamper)
+          (Set (fun g t -> g.ga.Gaccess.tamper <- t)) ])
 
-(* ------------------------------------------------------------------ *)
-(* The machine                                                         *)
-(* ------------------------------------------------------------------ *)
+let plan () =
+  Plan.(
+    conv to_raw of_raw
+      (record
+         ~zero:{ raw_seed = 0; raw_rng = 0L; raw_events = []; raw_injected = [] }
+         [ field "seed" int (fun r -> r.raw_seed)
+             (Update (fun r raw_seed -> { r with raw_seed }));
+           field "rng" word (fun r -> r.raw_rng) (Update (fun r raw_rng -> { r with raw_rng }));
+           field "events" (List (Triple (int, fault_kind (), Bool))) (fun r -> r.raw_events)
+             (Update (fun r raw_events -> { r with raw_events }));
+           field "injected" (List (Pair (int, fault_kind ()))) (fun r -> r.raw_injected)
+             (Update (fun r raw_injected -> { r with raw_injected })) ]))
 
-let machine_node (m : Machine.t) =
-  R
-    [ ("magic", S magic);
-      ("version", int version);
-      ( "config",
-        R
-          [ ("mech", int (mech_code m.Machine.config.Config.mech));
-            ("guest_vhe", B m.Machine.config.Config.guest_vhe);
-            ("gicv2", B m.Machine.config.Config.gicv2) ] );
-      ("scenario", S (Host_hyp.scenario_name m.Machine.scenario));
-      ("expose", int (Expose.Policy.to_bits m.Machine.expose));
-      ("ncpus", int (Array.length m.Machine.cpus));
-      ("table", L (List.map int (table_fields m.Machine.cpus.(0).Cpu.meter.Cost.table)));
-      ("checking", B m.Machine.checking);
-      ( "mem",
-        R
-          [ ( "words",
-              L (List.map (fun (a, v) -> L [ I a; I v ]) (Memory.sorted_words m.Machine.mem)) );
-            ( "mmio",
-              L
-                (List.map
-                   (fun (s, l, name) -> L [ I s; I l; S name ])
-                   m.Machine.mem.Memory.mmio) ) ] );
-      ("cpus", L (Array.to_list (Array.map cpu_node m.Machine.cpus)));
-      ("hosts", L (Array.to_list (Array.map host_node m.Machine.hosts)));
-      ("ghyps", L (Array.to_list (Array.map (opt ghyp_node) m.Machine.ghyps)));
-      ("fault", opt plan_node m.Machine.fault);
-      ( "inv_states",
-        L
-          (Array.to_list
-             (Array.map
-                (fun s -> L (Array.to_list (Array.map (fun c -> int c) (Invariants.state_dump s))))
-                m.Machine.inv_states)) );
-      ("violations", L (List.map violation_node m.Machine.violations));
-      ("violation_count", int m.Machine.violation_count);
-      ( "irq_fault",
-        L (Array.to_list (Array.map (opt (fun k -> int (fkind_code k))) m.Machine.irq_fault)) );
-      ("hung", L (Array.to_list (Array.map (fun h -> B h) m.Machine.hung))) ]
+let violation () =
+  Invariants.(
+    record
+      ~zero:{ v_name = ""; v_cpu = 0; v_el = Pstate.EL0; v_pc = 0L; v_detail = ""; v_events = [] }
+      [ field "name" Str (fun v -> v.v_name) (Update (fun v v_name -> { v with v_name }));
+        field "cpu" int (fun v -> v.v_cpu) (Update (fun v v_cpu -> { v with v_cpu }));
+        field "el" (el ()) (fun v -> v.v_el) (Update (fun v v_el -> { v with v_el }));
+        field "pc" word (fun v -> v.v_pc) (Update (fun v v_pc -> { v with v_pc }));
+        field "detail" Str (fun v -> v.v_detail)
+          (Update (fun v v_detail -> { v with v_detail }));
+        field "events" (List Str) (fun v -> v.v_events)
+          (Update (fun v v_events -> { v with v_events })) ])
+
+(* Memory: the canonical nonzero-word list, read straight into the
+   machine's memory at 8-byte-aligned addresses, and the MMIO layout. *)
+let word_node (a, v) = L [ I a; I v ]
+
+let rec write_words mem = function
+  | [] -> ()
+  | L [ a; v ] :: tl ->
+    Memory.write64 mem (read None (Word 8) a) (get_i v);
+    write_words mem tl
+  | _ -> fail "bad memory word"
+
+let words =
+  Into
+    { enc = (fun mem -> L (List.map word_node (Memory.sorted_words mem)));
+      dec =
+        (fun _ mem n ->
+          Memory.clear mem;
+          write_words mem (get_l n);
+          mem) }
+
+let memory () =
+  record
+    [ field "words" words Fun.id In_place;
+      field ~topology:true "mmio" (List (Triple (word, word, Str))) (fun mem -> mem.Memory.mmio)
+        (Set (fun mem l -> mem.Memory.mmio <- l)) ]
+
+(* the four watermarks of [Invariants.state_dump] *)
+let watermarks () =
+  let of_dump a =
+    let s = Invariants.state () in
+    Invariants.state_load s a;
+    s
+  in
+  conv Invariants.state_dump of_dump (Array (4, int))
+
+(* The machine.  The fields marked [Skip] parameterize [Machine.create];
+   [restore] reads them by themselves, first. *)
+type declaration = {
+  machine : Machine.t field list;
+  magic_f : (Machine.t, unit) fld;
+  version_f : (Machine.t, int) fld;
+  config_f : (Machine.t, Config.t) fld;
+  scenario_f : (Machine.t, Host_hyp.scenario) fld;
+  expose_f : (Machine.t, Expose.Policy.t) fld;
+  ncpus_f : (Machine.t, int) fld;
+  table_f : (Machine.t, Cost.table) fld;
+  checking_f : (Machine.t, bool) fld;
+  fault_f : (Machine.t, Plan.t option) fld;
+}
+
+let declare () =
+  let magic_f =
+    let check s = if s <> magic then fail "not a NEVE snapshot (bad magic)" in
+    fld "magic" (conv (fun () -> magic) check Str) ignore Skip
+  in
+  let version_f = fld "version" (Int (version, version)) (fun _ -> version) Skip in
+  let config_f =
+    Config.(
+      fld ~topology:true "config"
+        (record ~zero:(v Hw_v8_3)
+           [ field "mech" (mech ()) (fun c -> c.mech) (Update (fun c mech -> { c with mech }));
+             field "guest_vhe" Bool (fun c -> c.guest_vhe)
+               (Update (fun c guest_vhe -> { c with guest_vhe }));
+             field "gicv2" Bool (fun c -> c.gicv2) (Update (fun c gicv2 -> { c with gicv2 })) ])
+        (fun m -> m.Machine.config) Skip)
+  in
+  let scenario_f = fld ~topology:true "scenario" (scenario ()) (fun m -> m.Machine.scenario) Skip in
+  let expose_f = fld ~topology:true "expose" (exposure ()) (fun m -> m.Machine.expose) Skip in
+  let ncpus_f = fld ~topology:true "ncpus" (Int (1, Vcpu.max_vcpus)) Machine.ncpus Skip in
+  let table_f =
+    fld "table"
+      (conv Cost.table_to_array Cost.table_of_array (Array (Cost.table_size, Int (0, max_cost))))
+      (fun m -> m.Machine.cpus.(0).Cpu.meter.Cost.table)
+      Skip
+  in
+  let checking_f = fld "checking" Bool (fun m -> m.Machine.checking) Skip in
+  let fault_f = fld "fault" (Opt (plan ())) (fun m -> m.Machine.fault) Skip in
+  let machine =
+    Machine.
+      [ F magic_f; F version_f; F config_f; F scenario_f; F expose_f; F ncpus_f; F table_f;
+        F checking_f;
+        field "mem" (memory ()) (fun m -> m.mem) In_place;
+        field "cpus" (each (cpu ())) (fun m -> m.cpus) In_place;
+        field "hosts" (each (host ())) (fun m -> m.hosts) In_place;
+        field "ghyps" (each (Opt (ghyp ()))) (fun m -> m.ghyps) In_place;
+        F fault_f;
+        field "inv_states" (each (watermarks ())) (fun m -> m.inv_states) In_place;
+        field "violations" (List (violation ())) (fun m -> m.violations)
+          (Set (fun m v -> m.violations <- v));
+        field "violation_count" nat (fun m -> m.violation_count)
+          (Set (fun m v -> m.violation_count <- v));
+        field "irq_fault" (each (Opt (fault_kind ()))) (fun m -> m.irq_fault) In_place;
+        field "hung" (each Bool) (fun m -> m.hung) In_place ]
+  in
+  { machine; magic_f; version_f; config_f; scenario_f; expose_f; ncpus_f; table_f; checking_f;
+    fault_f }
+
+(* Built on first use in each domain, so that a program that never
+   takes a snapshot allocates nothing for the declarations: the
+   benchmark workloads that take none keep the heap they had. *)
+let declared = Domain.DLS.new_key declare
+
+let declaration () = Domain.DLS.get declared
+
+let machine_node m = write_record (declaration ()).machine m
 
 let save m =
   let b = Buffer.create 65536 in
@@ -682,122 +500,26 @@ let to_string m = Buffer.contents (save m)
 
 let restore s =
   let n = decode s in
-  if fs "magic" n <> magic then fail "not a NEVE snapshot (bad magic)";
-  let v = fint "version" n in
-  if v <> version then fail "snapshot format version %d, this build reads %d" v version;
-  let cn = field "config" n in
-  let config =
-    { Config.mech = mech_of_code (fint "mech" cn);
-      guest_vhe = fb "guest_vhe" cn;
-      gicv2 = fb "gicv2" cn }
-  in
-  let scenario = scenario_of_name (fs "scenario" n) in
-  let expose =
-    match Expose.Policy.of_bits (fint "expose" n) with
-    | Some p -> p
-    | None -> fail "bad exposure bits 0x%x" (fint "expose" n)
-  in
-  let ncpus = fint "ncpus" n in
-  if ncpus < 1 || ncpus > Vcpu.max_vcpus then fail "bad ncpus %d" ncpus;
-  let table = table_of_fields (List.map get_int (fl "table" n)) in
-  let checking = fb "checking" n in
-  let plan = get_opt plan_of_node (field "fault" n) in
+  let d = declaration () in
+  read_named None d.magic_f n;
+  ignore (read_named None d.version_f n : int);
+  let config = read_named None d.config_f n in
+  let scenario = read_named None d.scenario_f n in
+  let expose = read_named None d.expose_f n in
+  let ncpus = read_named None d.ncpus_f n in
+  let table = read_named None d.table_f n in
+  let checking = read_named None d.checking_f n in
+  let plan = read_named None d.fault_f n in
   (* Rebuild the skeleton — handlers, hooks, IPI wiring, injection point
      — exactly as the original was built, then overwrite every mutable
      field from the tree. *)
   let m =
-    Machine.create ?fault_plan:plan ~check_invariants:checking ~ncpus ~table
-      ~expose config scenario
+    Machine.create ?fault_plan:plan ~check_invariants:checking ~ncpus ~table ~expose config
+      scenario
   in
-  let mn = field "mem" n in
-  Memory.clear m.Machine.mem;
-  List.iter
-    (fun w ->
-      match get_l w with
-      | [ a; v ] ->
-        let a = get_i a in
-        if Int64.logand a 7L <> 0L then fail "unaligned memory word 0x%Lx" a;
-        Memory.write64 m.Machine.mem a (get_i v)
-      | _ -> fail "bad memory word")
-    (fl "words" mn);
-  m.Machine.mem.Memory.mmio <-
-    List.map
-      (fun r ->
-        match get_l r with
-        | [ s; l; name ] -> (get_i s, get_i l, get_s name)
-        | _ -> fail "bad mmio region")
-      (fl "mmio" mn);
-  let expect what l =
-    if List.length l <> ncpus then
-      fail "%s has %d entries for %d cpus" what (List.length l) ncpus;
-    l
-  in
-  List.iteri (fun i c -> load_cpu c m.Machine.cpus.(i)) (expect "cpu list" (fl "cpus" n));
-  List.iteri
-    (fun i h -> load_host h m.Machine.hosts.(i) m.Machine.mem)
-    (expect "host list" (fl "hosts" n));
-  List.iteri
-    (fun i gn ->
-      match (get_opt (fun x -> x) gn, m.Machine.ghyps.(i)) with
-      | None, None -> ()
-      | Some node, Some g -> load_ghyp node g plan
-      | Some _, None -> fail "snapshot carries guest-hypervisor state for cpu %d; machine built none" i
-      | None, Some _ -> fail "machine built a guest hypervisor for cpu %d; snapshot carries none" i)
-    (expect "ghyp list" (fl "ghyps" n));
-  List.iteri
-    (fun i sn ->
-      Invariants.state_load m.Machine.inv_states.(i)
-        (Array.of_list (List.map get_int (get_l sn))))
-    (expect "inv_states" (fl "inv_states" n));
-  m.Machine.violations <- List.map violation_of_node (fl "violations" n);
-  m.Machine.violation_count <- fint "violation_count" n;
-  List.iteri
-    (fun i v -> m.Machine.irq_fault.(i) <- get_opt (fun k -> fkind_of_code (get_int k)) v)
-    (expect "irq_fault" (fl "irq_fault" n));
-  List.iteri
-    (fun i v -> m.Machine.hung.(i) <- get_b v)
-    (expect "hung" (fl "hung" n));
-  m
+  load plan d.machine m n
 
-(* ------------------------------------------------------------------ *)
-(* Structural diff                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let rec diff_node path a b =
-  match (a, b) with
-  | I x, I y -> if Int64.equal x y then None else Some (path, Printf.sprintf "0x%Lx vs 0x%Lx" x y)
-  | B x, B y -> if x = y then None else Some (path, Printf.sprintf "%b vs %b" x y)
-  | S x, S y -> if String.equal x y then None else Some (path, Printf.sprintf "%S vs %S" x y)
-  | L xs, L ys ->
-    if List.length xs <> List.length ys then
-      Some (path, Printf.sprintf "%d vs %d elements" (List.length xs) (List.length ys))
-    else
-      let rec go i = function
-        | [], [] -> None
-        | x :: xs, y :: ys -> (
-          match diff_node (Printf.sprintf "%s[%d]" path i) x y with
-          | Some d -> Some d
-          | None -> go (i + 1) (xs, ys))
-        | _ -> assert false
-      in
-      go 0 (xs, ys)
-  | R xs, R ys ->
-    if List.length xs <> List.length ys then
-      Some (path, Printf.sprintf "%d vs %d fields" (List.length xs) (List.length ys))
-    else
-      let rec go = function
-        | [], [] -> None
-        | (nx, x) :: xs, (ny, y) :: ys ->
-          if not (String.equal nx ny) then
-            Some (path, Printf.sprintf "field %S vs %S" nx ny)
-          else (
-            match diff_node (if path = "" then nx else path ^ "." ^ nx) x y with
-            | Some d -> Some d
-            | None -> go (xs, ys))
-        | _ -> assert false
-      in
-      go (xs, ys)
-  | _ -> Some (path, "node kinds differ")
+let leaves m = walk (declaration ()).machine m
 
 (* Machines of different shapes (cpu count, mechanism, memory layout)
    are not state-divergent, they are incomparable: report the differing
@@ -805,18 +527,6 @@ let rec diff_node path a b =
    "cpus: 2 vs 4 elements" state diff. *)
 let diff m1 m2 =
   let n1 = machine_node m1 and n2 = machine_node m2 in
-  let topo =
-    List.find_map
-      (fun (name, sub) ->
-        let pick n =
-          let v = field name n in
-          match sub with None -> v | Some s -> field s v
-        in
-        let path = match sub with None -> name | Some s -> name ^ "." ^ s in
-        diff_node path (pick n1) (pick n2))
-      [ ("ncpus", None); ("config", None); ("scenario", None);
-        ("expose", None); ("mem", Some "mmio") ]
-  in
-  match topo with
+  match topology "" (declaration ()).machine n1 n2 with
   | Some (path, detail) -> Some (path, "topology mismatch: " ^ detail)
   | None -> diff_node "" n1 n2

@@ -567,6 +567,55 @@ let test_reglists () =
   check Alcotest.int "slots unique" (List.length slots)
     (List.length (List.sort_uniq Int.compare slots))
 
+(* Every per-vCPU operation rejects a vCPU index the machine does not
+   have as a typed topology fault: indexing past the CPU array used to
+   escape as [Invalid_argument "index out of bounds"], and an IPI to a
+   nonexistent target completed silently.  A guest's own ICC_SGI1R_EL1
+   write to such a target is dropped, as on hardware. *)
+let test_cpu_index_checked () =
+  let m = Machine.create ~ncpus:2 (Config.v ~guest_vhe:true Config.Hw_neve) Hyp.Host_hyp.Nested in
+  Machine.boot m;
+  let n = Machine.ncpus m in
+  let ops =
+    [ ("hypercall", fun cpu -> Machine.hypercall m ~cpu);
+      ("mmio_access", fun cpu -> Machine.mmio_access m ~cpu ~addr:0x0a00_0000L ~is_write:true);
+      ("data_abort", fun cpu -> Machine.data_abort m ~cpu ~addr:0x6100_0000L ~is_write:false);
+      ("send_ipi", fun cpu -> Machine.send_ipi m ~cpu ~target:0 ~intid:5);
+      ("send_ipi ~target", fun target -> Machine.send_ipi m ~cpu:0 ~target ~intid:5);
+      ("vm_ack", fun cpu -> ignore (Machine.vm_ack m ~cpu));
+      ("vm_eoi", fun cpu -> ignore (Machine.vm_eoi m ~cpu ~vintid:5));
+      ("device_irq", fun cpu -> Machine.device_irq m ~cpu ~intid:40);
+      ("compute", fun cpu -> Machine.compute m ~cpu ~insns:8);
+      ("smp_map", fun cpu -> Machine.smp_map m ~cpu ~ipa:0x8000_0000L ~pa:0x8800_0000L);
+      ("smp_read", fun cpu -> ignore (Machine.smp_read m ~cpu ~ipa:0x8000_0000L));
+      ("bbm_break", fun cpu -> Machine.bbm_break m ~cpu ~ipa:0x8000_0000L);
+      ("tlbi_bcast", fun cpu -> Machine.tlbi_bcast m ~cpu Mmu.Shootdown.By_vmid);
+      ("dsb_sync", fun cpu -> Machine.dsb_sync m ~cpu);
+      ("bbm_make", fun cpu -> Machine.bbm_make m ~cpu ~ipa:0x8000_0000L ~pa:0x8800_0000L);
+      ("smp_remap", fun cpu -> Machine.smp_remap m ~cpu ~ipa:0x8000_0000L ~pa:0x8800_0000L);
+      ("hang", fun cpu -> Machine.hang m ~cpu);
+      ("clear_hung", fun cpu -> Machine.clear_hung m ~cpu);
+      ("is_hung", fun cpu -> ignore (Machine.is_hung m ~cpu));
+      ("pend_serror", fun cpu -> Machine.pend_serror m ~cpu ~syndrome:0x11L);
+      ("serror_pending", fun cpu -> ignore (Machine.serror_pending m ~cpu));
+      ("kill_l2", fun cpu -> Machine.kill_l2 m ~cpu) ]
+  in
+  List.iter
+    (fun (name, op) ->
+      List.iter
+        (fun cpu ->
+          match op cpu with
+          | () -> Alcotest.failf "%s at vCPU %d completed" name cpu
+          | exception Fault.Error.Sim_fault (Fault.Error.Bad_topology _, _) -> ()
+          | exception e -> Alcotest.failf "%s at vCPU %d raised %s" name cpu (Printexc.to_string e))
+        [ n; -1 ])
+    ops;
+  let traps = Machine.total_traps m in
+  Cpu.exec m.Machine.cpus.(0)
+    (Insn.Msr (Sysreg.direct Sysreg.ICC_SGI1R_EL1, Insn.Imm (Int64.of_int n)));
+  check Alcotest.bool "a guest's SGI to a missing vCPU traps and is dropped" true
+    (Machine.total_traps m > traps)
+
 let suite =
   [
     ("v8.3: exit multiplication (~126 traps)", `Quick, test_v83_exit_multiplication);
@@ -619,4 +668,5 @@ let suite =
     ("recursive: hardware VNCR points at L1's page", `Quick,
      test_recursive_neve_uses_hw_vncr);
     ("all 16 configurations smoke-run", `Quick, test_all_configurations_smoke);
+    ("per-vCPU operations reject a missing vCPU", `Quick, test_cpu_index_checked);
   ]

@@ -187,8 +187,10 @@ let test_malformed_input () =
 
 (* Fields that size a loop or feed an assertion are range-checked on
    restore: a list-register count past the implemented ones used to spin
-   the vGIC save loop, a negative cost tripped [Cost.charge], and a cost
-   of 2^56 cycles wrapped the deferred page's populate charge negative. *)
+   the vGIC save loop, a negative cost tripped [Cost.charge], a cost of
+   2^56 cycles wrapped the deferred page's populate charge negative, a
+   short invariant-watermark entry was silently ignored, and an int
+   field past 63 bits was truncated. *)
 let test_out_of_range_fields () =
   let s =
     Snap.to_string
@@ -224,6 +226,16 @@ let test_out_of_range_fields () =
      mem_load, which the deferred page's populate multiplies *)
   let m = Snap.restore (with_cost s 5 (Int64.shift_left 1L 32)) in
   Machine.hypercall m ~cpu:0;
+  (* vCPU 0's invariant watermarks cut from four words to three: the
+     restored machine used to keep the fresh machine's watermarks *)
+  check Alcotest.bool "3-word inv_states entry rejected" true
+    (raises_format
+       (splice s ~before:(be32 10 ^ "inv_states" ^ "L" ^ be32 2 ^ "L") ~len:13 ~after:""
+          (be32 3)));
+  (* bit 63 of host 0's exit count: a word outside OCaml's 63-bit int
+     range used to restore truncated and re-save differently *)
+  check Alcotest.bool "an int field with bit 63 set rejected" true
+    (raises_format (splice s ~before:(be32 5 ^ "exits" ^ "I") ~len:1 ~after:"" "\x80"));
   check Alcotest.bool "the unedited image restores" false (raises_format s)
 
 (* Hostile input: every proper prefix of a real image fails as a typed

@@ -210,6 +210,46 @@ let test_rewind_equals_fresh () =
       check Alcotest.bool (c.col_name ^ ": B after A = B") true (run b = ob))
     Diff.columns
 
+(* Every leaf the snapshot image declares is put back by the rewind:
+   setting any int, word, bool or enumeration field the image restores
+   to another value its codec accepts, then rewinding, leaves the
+   template equal to a fresh machine.  The fault plan is the one field
+   the mark does not cover; a template never carries one, because
+   [Machine.mark] refuses a machine that has a plan. *)
+let unmarked = [ "fault" ]
+
+let test_rewind_covers_declaration () =
+  let plan = Fault.Plan.make ~seed:1 ~faults:1 ~horizon:10 in
+  let planned = Machine.create ~fault_plan:plan Hyp.Config.(v Hw_neve) Host_hyp.Nested in
+  (* the plan armed the stage-2 injection hook; disarm it for the walk *)
+  Mmu.Walk.clear_inject ();
+  check Alcotest.bool "mark refuses a fault plan" true
+    (match Machine.mark planned with
+     | (_ : Machine.mark) -> false
+     | exception Invalid_argument _ -> true);
+  List.iter
+    (fun (c : Diff.column) ->
+      let f = fresh c in
+      let m = Diff.template ~expose:c.col_expose c.col_config in
+      let leaves = Snap.leaves m in
+      List.iter
+        (fun p ->
+          check Alcotest.bool (c.col_name ^ ": no walked leaf under " ^ p) false
+            (List.exists (fun (q, _) -> q = p || String.starts_with ~prefix:(p ^ ".") q) leaves))
+        unmarked;
+      List.iter
+        (fun (path, set) ->
+          set ();
+          if Snap.diff m f = None then
+            Alcotest.failf "%s: setting %s changed nothing" c.col_name path;
+          ignore (Diff.template ~expose:c.col_expose c.col_config : Machine.t);
+          match Snap.diff m f with
+          | None -> ()
+          | Some (p, d) ->
+            Alcotest.failf "%s: after setting %s and rewinding, %s differs: %s" c.col_name path p d)
+        leaves)
+    Diff.columns
+
 (* --- bounded campaign state ------------------------------------------- *)
 
 (* Each template's host world-switch loops compile one plan per routing
@@ -257,6 +297,8 @@ let suite =
       test_golden_campaign;
     Alcotest.test_case "rewound template = fresh machine, every column" `Quick
       test_rewind_equals_fresh;
+    Alcotest.test_case "rewind puts back every declared leaf" `Quick
+      test_rewind_covers_declaration;
     Alcotest.test_case "campaign state stays bounded over 2,000 programs" `Slow
       test_campaign_state_is_bounded;
   ]
