@@ -368,23 +368,53 @@ let[@inline] advance_pc t = set_pc t (Int64.add (pc t) 4L)
    helpers below. *)
 let scratch_reg = 9
 
+(* Register values move as words between the word file, the register
+   file and memory ([Memory.load_into]/[store_from] are observably one
+   [read64]/[write64]): an [int64] handed across a module boundary is
+   boxed.  CurrentEL and CNTVCT_EL0, computed on read, and XZR and
+   out-of-range register numbers take [read_sysreg_hw]/[set_reg]/
+   [get_reg], which compute, discard, read zero or raise. *)
+let[@inline] word_reg n = n >= 0 && n < nregs
+
+let mrs_local t rt (r : Sysreg.t) =
+  match r with
+  | Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> set_reg t rt (read_sysreg_hw t r)
+  | _ ->
+    if word_reg rt then set_word t.regs (rt * 8) (sr_get t (Sysreg.index r))
+    else set_reg t rt (read_sysreg_hw t r)
+
+let msr_local t (r : Sysreg.t) (v : Insn.operand) =
+  match v with
+  | Insn.Reg n when word_reg n ->
+    let i = Sysreg.index r in
+    if Sysreg_file.writable_index i then sr_set t i (get_word t.regs (n * 8))
+  | _ -> write_sysreg_hw t r (operand_value t v)
+
+let[@inline] count_access t cost =
+  t.meter.Cost.mem_accesses <- t.meter.Cost.mem_accesses + 1;
+  Cost.charge_insn t.meter cost
+
+let load_reg t rt addr =
+  if word_reg rt then Memory.load_into t.mem ~base:addr 0 t.regs rt
+  else set_reg t rt (Memory.read64 t.mem addr);
+  count_access t (table t).Cost.mem_load
+
+let store_reg t rt addr =
+  if word_reg rt then Memory.store_from t.mem ~base:addr 0 t.regs rt
+  else Memory.write64 t.mem addr (get_reg t rt);
+  count_access t (table t).Cost.mem_store
+
 let exec_local t (insn : Insn.t) =
   let c = table t in
   (match insn with
    | Insn.Mrs (rt, a) ->
-     set_reg t rt (read_sysreg_hw t a.Sysreg.reg);
+     mrs_local t rt a.Sysreg.reg;
      Cost.charge_insn t.meter c.Cost.sysreg_read
    | Insn.Msr (a, v) ->
-     write_sysreg_hw t a.Sysreg.reg (operand_value t v);
+     msr_local t a.Sysreg.reg v;
      Cost.charge_insn t.meter c.Cost.sysreg_write
-   | Insn.Ldr (rt, a) ->
-     set_reg t rt (Memory.read64 t.mem (addr_value t a));
-     t.meter.Cost.mem_accesses <- t.meter.Cost.mem_accesses + 1;
-     Cost.charge_insn t.meter c.Cost.mem_load
-   | Insn.Str (rt, a) ->
-     Memory.write64 t.mem (addr_value t a) (get_reg t rt);
-     t.meter.Cost.mem_accesses <- t.meter.Cost.mem_accesses + 1;
-     Cost.charge_insn t.meter c.Cost.mem_store
+   | Insn.Ldr (rt, a) -> load_reg t rt (addr_value t a)
+   | Insn.Str (rt, a) -> store_reg t rt (addr_value t a)
    | Insn.Mov (rd, v) ->
      set_reg t rd (operand_value t v);
      Cost.charge_insn t.meter c.Cost.insn_base
@@ -463,6 +493,10 @@ let log_entry t insn kind =
 let undef_entry =
   { Exn.target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0; fault_addr = None }
 
+let route t insn =
+  Trap_rules.route ~mask:t.nv2_mask ~expose:t.expose t.features
+    ~hcr:(hcr_view t) ~vncr:(vncr_value t) ~el:t.pstate.Pstate.el insn
+
 let rec exec t (insn : Insn.t) =
   (* The router returns Execute for plain instructions unconditionally (no
      HCR, EL or feature sensitivity — see the final arm of
@@ -474,10 +508,7 @@ and exec_routed t (insn : Insn.t) =
   (* Route once per instruction; the only re-route is the immediate-MSR
      normalization below, which must re-route because the synthesized Reg
      form carries a different Rt in the trap syndrome. *)
-  let action =
-    Trap_rules.route ~mask:t.nv2_mask ~expose:t.expose t.features
-      ~hcr:(hcr_view t) ~vncr:(vncr_value t) ~el:t.pstate.Pstate.el insn
-  in
+  let action = route t insn in
   match insn with
   | Insn.Msr (access, Insn.Imm v) when action <> Trap_rules.Execute ->
     (* Normalize: an immediate can only reach a system register through a
@@ -501,9 +532,16 @@ and exec_action t (insn : Insn.t) action =
     else Cost.record_exposed t.meter feature;
     exec_local t insn
   | Trap_rules.Execute_redirected target -> begin
+      (* [exec_local] of the access retargeted *)
       match insn with
-      | Insn.Mrs (rt, _) -> exec_local t (Insn.Mrs (rt, target))
-      | Insn.Msr (_, v) -> exec_local t (Insn.Msr (target, v))
+      | Insn.Mrs (rt, _) ->
+        mrs_local t rt target.Sysreg.reg;
+        Cost.charge_insn t.meter c.Cost.sysreg_read;
+        advance_pc t
+      | Insn.Msr (_, v) ->
+        msr_local t target.Sysreg.reg v;
+        Cost.charge_insn t.meter c.Cost.sysreg_write;
+        advance_pc t
       | _ -> assert false
     end
   | Trap_rules.Defer_to_memory { addr; reg = _ } -> begin
@@ -511,17 +549,17 @@ and exec_action t (insn : Insn.t) action =
          the deferred access page (Section 6.1). *)
       match insn with
       | Insn.Mrs (rt, _) ->
-        set_reg t rt (Memory.read64 t.mem addr);
-        t.meter.Cost.mem_accesses <- t.meter.Cost.mem_accesses + 1;
-        Cost.charge_insn t.meter c.Cost.mem_load;
+        load_reg t rt addr;
         if !Trace.on then
           Trace.emit ~cycles:t.meter.Cost.cycles ~tid:t.meter.Cost.tid ~a0:addr ~detail:"read"
             Trace.Vncr_redirect;
         advance_pc t
       | Insn.Msr (_, v) ->
-        Memory.write64 t.mem addr (operand_value t v);
-        t.meter.Cost.mem_accesses <- t.meter.Cost.mem_accesses + 1;
-        Cost.charge_insn t.meter c.Cost.mem_store;
+        (match v with
+         | Insn.Reg rt -> store_reg t rt addr
+         | Insn.Imm i ->
+           Memory.write64 t.mem addr i;
+           count_access t c.Cost.mem_store);
         if !Trace.on then
           Trace.emit ~cycles:t.meter.Cost.cycles ~tid:t.meter.Cost.tid ~a0:addr ~detail:"write"
             Trace.Vncr_redirect;
@@ -559,12 +597,25 @@ and exec_action t (insn : Insn.t) action =
 
 let exec_with_action = exec_action
 
+let ldr t rt addr =
+  load_reg t rt addr;
+  advance_pc t
+
+let str t rt addr =
+  store_reg t rt addr;
+  advance_pc t
+
+(* The HCR_EL2 bits tested outside routing are read raw: [hcr_view]
+   keeps one decoded value, and asking it at an operation boundary or
+   from the host's EL2 code, where HCR_EL2 differs from the value the
+   last route decoded, would build a fresh view every time. *)
+let[@inline] hcr_bit t bit = Int64.logand (sr_get t i_hcr) bit <> 0L
+
 (* A physical interrupt arrives while the CPU runs below EL2 with IMO set:
    route to EL2 (the host hypervisor). *)
 let deliver_irq t =
   let c = table t in
-  let hcr = hcr_view t in
-  if t.pstate.Pstate.el <> Pstate.EL2 && hcr.Hcr.h_imo then begin
+  if t.pstate.Pstate.el <> Pstate.EL2 && hcr_bit t Hcr.imo then begin
     Cost.record_trap ~detail:"irq" t.meter Cost.Trap_irq;
     Cost.charge t.meter c.Cost.irq_delivery;
     exception_entry t (trap_entry t Exn.EC_irq 0);
@@ -587,15 +638,14 @@ let pend_vserror t ~syndrome =
     Trace.emit ~cycles:t.meter.Cost.cycles ~tid:t.meter.Cost.tid ~a0:syndrome
       ~detail:"vse-pend" Trace.Serror_pend
 
-let vserror_pending t = (hcr_view t).Hcr.h_vse
+let vserror_pending t = hcr_bit t Hcr.vse
 
 (* A pending virtual SError is taken as soon as the CPU runs below EL2:
    clear VSE, latch the syndrome into VDISR_EL2 (valid bit 31, as ESB
    would), and take the EC 0x2f exception at EL1. *)
 let deliver_vserror t =
   let c = table t in
-  let hcr = hcr_view t in
-  if t.pstate.Pstate.el <> Pstate.EL2 && hcr.Hcr.h_vse then begin
+  if t.pstate.Pstate.el <> Pstate.EL2 && hcr_bit t Hcr.vse then begin
     let vsesr = Sysreg_file.read t.sysregs Sysreg.VSESR_EL2 in
     let iss = Int64.to_int (Int64.logand vsesr 0x1ff_ffffL) in
     Sysreg_file.hw_write t.sysregs Sysreg.HCR_EL2
@@ -623,23 +673,36 @@ let deliver_vserror t =
    those [Execute] cases take the path below, which then does what
    [exec_local] does for the instruction — the same register-file
    access, scratch-register write, meter charge and PC advance.  Every
-   other case still runs [exec]. *)
+   other case still runs [exec].  E2H is tested as a raw bit first: the
+   host runs between HCR_EL2 = 0 and the guest's value, so a decoded
+   view would be rebuilt on every switch, and no twin lookup is needed
+   while E2H is clear. *)
 let el2_executes t (a : Sysreg.access) =
   t.pstate.Pstate.el == Pstate.EL2
   && a.Sysreg.alias == Sysreg.Direct
-  &&
-  match Trap_rules.vhe_el2_twin a.Sysreg.reg with
-  | None -> true
-  | Some _ -> not ((hcr_view t).Hcr.h_e2h && Features.has_vhe t.features)
+  && ((not (hcr_bit t Hcr.e2h))
+      || (not (Features.has_vhe t.features))
+      || Trap_rules.vhe_el2_twin a.Sysreg.reg == None)
 
-let mrs t access =
+let mrs_scratch t access =
   if el2_executes t access then begin
-    set_reg t scratch_reg (read_sysreg_hw t access.Sysreg.reg);
+    mrs_local t scratch_reg access.Sysreg.reg;
     Cost.charge_insn t.meter (table t).Cost.sysreg_read;
     advance_pc t
   end
-  else exec t (Insn.Mrs (scratch_reg, access));
+  else exec t (Insn.Mrs (scratch_reg, access))
+
+let mrs t access =
+  mrs_scratch t access;
   get_reg t scratch_reg
+
+(* [Sysreg_file.hw_write dst r (mrs t access)], the value moved as a
+   word. *)
+let mrs_into t access (dst : Sysreg_file.t) r =
+  mrs_scratch t access;
+  let i = Sysreg.index r in
+  set_word dst.Sysreg_file.values (i * 8) (get_word t.regs (scratch_reg * 8));
+  Bytes.unsafe_set dst.Sysreg_file.dirty i '\001'
 
 (* MSR to CurrentEL is UNDEFINED even at EL2. *)
 let writable_access (a : Sysreg.access) =
@@ -672,15 +735,38 @@ let top_frame t = (t.depth - 1) * frame_bytes
    they will be restored by the handler's eret).  Register numbers
    outside x0..x30 decode as xzr — trap syndromes carry a 5-bit Rt, and
    Rt=31 from a guest-built encoding must read zero, not crash. *)
-let get_trapped_reg t n =
+let[@inline] trapped_word t n =
   if n < 0 || n > 30 then 0L
   else if t.depth > 0 then get_word t.frames (top_frame t + (n * 8))
-  else get_reg t n
+  else get_word t.regs (n * 8)
+
+let get_trapped_reg = trapped_word
 
 let set_trapped_reg t n v =
   if n < 0 || n > 30 then ()
   else if t.depth > 0 then set_word t.frames (top_frame t + (n * 8)) v
   else set_reg t n v
+
+(* The same accesses as word moves between the trap frame and a
+   register file or memory, for the host's trapped-access emulation: a
+   value returned as an [int64] from here would be boxed. *)
+let get_trapped_into t n (dst : Sysreg_file.t) r =
+  let i = Sysreg.index r in
+  set_word dst.Sysreg_file.values (i * 8) (trapped_word t n);
+  Bytes.unsafe_set dst.Sysreg_file.dirty i '\001'
+
+let set_trapped_from t n (src : Sysreg_file.t) r =
+  let v = get_word src.Sysreg_file.values (Sysreg.index r * 8) in
+  if n < 0 || n > 30 then ()
+  else if t.depth > 0 then set_word t.frames (top_frame t + (n * 8)) v
+  else set_word t.regs (n * 8) v
+
+let set_trapped_load t n ~base off =
+  if n < 0 || n > 30 then
+    ignore (Memory.read64 t.mem (Int64.add base (Int64.of_int off)))
+  else if t.depth > 0 then
+    Memory.load_into t.mem ~base off t.frames ((top_frame t / 8) + n)
+  else Memory.load_into t.mem ~base off t.regs n
 
 (* The live frames as boxed words, innermost first: for serialization
    and tests, never on a trap path. *)

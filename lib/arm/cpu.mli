@@ -151,6 +151,11 @@ val exec : t -> Insn.t -> unit
     redirect, defer to memory, disguise, trap to EL2, or raise
     {!Undefined_instruction}. *)
 
+val route : t -> Insn.t -> Trap_rules.action
+(** {!Trap_rules.route} of the instruction under the CPU's current
+    routing state (HCR_EL2, VNCR_EL2, features, NV2 mask, OoH grant,
+    EL): what {!exec} would do with it now. *)
+
 val exec_local : t -> Insn.t -> unit
 (** Execute with no routing, as if the router said [Execute].  Only
     sound for instructions the router maps to [Execute] unconditionally
@@ -163,6 +168,13 @@ val exec_with_action : t -> Insn.t -> Trap_rules.action -> unit
     immediate-MSR normalization is NOT performed here, so callers must
     route [Msr (_, Imm _)] with a non-[Execute] action through {!exec}
     instead. *)
+
+val ldr : t -> int -> int64 -> unit
+(** [ldr t rt addr] is [exec t (Ldr (rt, Abs addr))], with no
+    instruction built and the loaded word moved unboxed. *)
+
+val str : t -> int -> int64 -> unit
+(** [str t rt addr] is [exec t (Str (rt, Abs addr))], likewise. *)
 
 val deliver_irq : t -> bool
 (** A physical interrupt arrives: routed to EL2 when executing below EL2
@@ -186,6 +198,12 @@ val mrs : t -> Sysreg.access -> int64
     would answer [Execute], the access runs directly with no
     instruction built and no routing. *)
 
+val mrs_into : t -> Sysreg.access -> Sysreg_file.t -> Sysreg.t -> unit
+(** [mrs_into t access dst r] is
+    [Sysreg_file.hw_write dst r (mrs t access)] (storing a register into
+    a virtual register file), without boxing the value on the EL2
+    path. *)
+
 val msr : t -> Sysreg.access -> int64 -> unit
 (** Execute an immediate MSR, as by {!exec}; same EL2 path as {!mrs}. *)
 
@@ -202,6 +220,19 @@ val get_trapped_reg : t -> int -> int64
 val set_trapped_reg : t -> int -> int64 -> unit
 (** Write the top frame (the live registers when no frame is); numbers
     outside 0..30 are ignored. *)
+
+val get_trapped_into : t -> int -> Sysreg_file.t -> Sysreg.t -> unit
+(** [get_trapped_into t n dst r] is
+    [Sysreg_file.hw_write dst r (get_trapped_reg t n)], moving the value
+    as an unboxed word. *)
+
+val set_trapped_from : t -> int -> Sysreg_file.t -> Sysreg.t -> unit
+(** [set_trapped_from t n src r] is
+    [set_trapped_reg t n (Sysreg_file.read src r)], likewise. *)
+
+val set_trapped_load : t -> int -> base:int64 -> int -> unit
+(** [set_trapped_load t n ~base off] is
+    [set_trapped_reg t n (Memory.read64 t.mem (base + off))], likewise. *)
 
 val saved_frames : t -> int64 array list
 (** The live frames, innermost (top) first, as boxed copies: for

@@ -1,0 +1,111 @@
+(* The routing state as a value, and route memos keyed on it (see
+   route_key.mli). *)
+
+type t = {
+  hcr : int64;
+  vncr : int64;
+  features : Features.t;
+  mask : Trap_rules.nv2_mask;
+  expose : Expose.Policy.t;
+  el : Pstate.el;
+}
+
+let current (cpu : Cpu.t) =
+  {
+    hcr = Cpu.peek_sysreg cpu Sysreg.HCR_EL2;
+    vncr = Cpu.peek_sysreg cpu Sysreg.VNCR_EL2;
+    features = cpu.Cpu.features;
+    mask = cpu.Cpu.nv2_mask;
+    expose = cpu.Cpu.expose;
+    el = cpu.Cpu.pstate.Pstate.el;
+  }
+
+let holds k (cpu : Cpu.t) =
+  Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 k.hcr
+  && Sysreg_file.holds cpu.Cpu.sysregs Sysreg.VNCR_EL2 k.vncr
+  && k.features == cpu.Cpu.features
+  && k.mask == cpu.Cpu.nv2_mask
+  && Expose.Policy.equal k.expose cpu.Cpu.expose
+  && k.el = cpu.Cpu.pstate.Pstate.el
+
+(* --- sites --- *)
+
+type site = {
+  insn : Insn.t;
+  mutable key : t;
+  mutable action : Trap_rules.action;
+}
+
+(* The key of a site never routed: its feature record is this module's
+   own, physically distinct from every CPU's, so it never holds. *)
+let unrouted =
+  {
+    hcr = 0L;
+    vncr = 0L;
+    features = { (Features.v Features.V8_0) with Features.gicv3 = false };
+    mask = Trap_rules.nv2_off;
+    expose = Expose.Policy.none;
+    el = Pstate.EL0;
+  }
+
+let site (insn : Insn.t) =
+  match insn with
+  | Insn.Msr (_, Insn.Imm _) -> invalid_arg "Route_key.site: immediate MSR"
+  | _ -> { insn; key = unrouted; action = Trap_rules.Undef }
+
+let exec cpu s =
+  if not (holds s.key cpu) then begin
+    s.action <- Cpu.route cpu s.insn;
+    s.key <- current cpu
+  end;
+  Cpu.exec_with_action cpu s.insn s.action
+
+(* --- tables ---
+
+   [ids] maps a number to 1 + its site's position in [sites] (0: not
+   built yet), one byte per number: a table costs its caller one byte
+   per number it may use and one site per number it did use.  A table's
+   sites mostly miss together, on a change of routing state, so they
+   share the key its last miss took while that key holds. *)
+
+type table = {
+  n : int;
+  insn_of : int -> Insn.t;
+  mutable ids : Bytes.t;
+  mutable sites : site array;
+  mutable used : int;
+  mutable last : t;
+}
+
+let max_sites = 255
+
+let table n insn_of =
+  if n < 0 then invalid_arg "Route_key.table";
+  { n; insn_of; ids = Bytes.empty; sites = [||]; used = 0; last = unrouted }
+
+let add tbl i =
+  let s = site (tbl.insn_of i) in
+  if Array.length tbl.sites = tbl.used then begin
+    let grown = Array.make (max 8 (2 * tbl.used)) s in
+    Array.blit tbl.sites 0 grown 0 tbl.used;
+    tbl.sites <- grown
+  end;
+  tbl.sites.(tbl.used) <- s;
+  tbl.used <- tbl.used + 1;
+  Bytes.set tbl.ids i (Char.chr tbl.used);
+  s
+
+let exec_id cpu tbl i =
+  if i < 0 || i >= tbl.n then invalid_arg "Route_key.exec_id";
+  if Bytes.length tbl.ids = 0 then tbl.ids <- Bytes.make tbl.n '\000';
+  let id = Char.code (Bytes.unsafe_get tbl.ids i) in
+  if id = 0 && tbl.used = max_sites then Cpu.exec cpu (tbl.insn_of i)
+  else begin
+    let s = if id > 0 then Array.unsafe_get tbl.sites (id - 1) else add tbl i in
+    if not (holds s.key cpu) then begin
+      s.action <- Cpu.route cpu s.insn;
+      if not (holds tbl.last cpu) then tbl.last <- current cpu;
+      s.key <- tbl.last
+    end;
+    Cpu.exec_with_action cpu s.insn s.action
+  end

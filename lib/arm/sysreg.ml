@@ -660,15 +660,11 @@ let vncr_offset_tbl : int array =
 
 (* A banked member the model does not implement has no slot: [index]
    would alias it onto a neighbour's. *)
-let vncr_offset r =
-  if not (in_range r) then None
-  else
-    match Array.unsafe_get vncr_offset_tbl (index r) with
-    | -1 -> None
-    | off -> Some off
+let vncr_slot r =
+  if in_range r then Array.unsafe_get vncr_offset_tbl (index r) else -1
 
-let has_vncr_offset r =
-  in_range r && Array.unsafe_get vncr_offset_tbl (index r) >= 0
+let vncr_offset r = match vncr_slot r with -1 -> None | off -> Some off
+let has_vncr_offset r = vncr_slot r >= 0
 
 let page_size = 4096
 

@@ -225,6 +225,10 @@ val vncr_offset : t -> int option
 (** Byte offset of a register's deferred-access-page slot (8-byte aligned,
     unique; synthetic — the paper leaves the layout to the architecture). *)
 
+val vncr_slot : t -> int
+(** {!vncr_offset} without the option: the offset, or [-1] for a
+    register with no slot. *)
+
 val page_size : int
 
 (** {1 The paper's tables as data (for tests and documentation)} *)

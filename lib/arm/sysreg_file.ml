@@ -104,10 +104,15 @@ let rewind t m =
     Bytes.unsafe_set t.dirty i (Bytes.get m.mk_dirty k)
   done
 
+(* [hw_write dst r (read src r)], the value moved as a word. *)
+let copy_reg ~src ~dst r =
+  let i = Sysreg.index r in
+  set_index dst i (get_index src i);
+  Bytes.unsafe_set dst.dirty i '\001'
+
 (* Copy a register set between two files (used by world switches performed
    by the host hypervisor outside the measured guest). *)
-let copy ~src ~dst regs =
-  List.iter (fun r -> hw_write dst r (read src r)) regs
+let copy ~src ~dst regs = List.iter (copy_reg ~src ~dst) regs
 
 (* Same, over a precomputed dense-index array: the form the world-switch
    register lists compile to. *)

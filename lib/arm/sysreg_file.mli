@@ -36,6 +36,10 @@ val mark : t -> mark
 val rewind : t -> mark -> unit
 (** Put back the marked values and dirty bitmap; allocates nothing. *)
 
+val copy_reg : src:t -> dst:t -> Sysreg.t -> unit
+(** [copy_reg ~src ~dst r] is [hw_write dst r (read src r)], without
+    boxing the value. *)
+
 val copy : src:t -> dst:t -> Sysreg.t list -> unit
 (** Copy a register set between files (host-side world switches). *)
 

@@ -19,6 +19,7 @@ module Sysreg_file = Arm.Sysreg_file
 type t = {
   base : int64;          (* physical address, page-aligned *)
   mem : Memory.t;
+  enabled : int64;       (* VNCR_EL2 pointing here, Enable set *)
 }
 
 exception Unmapped_register of Sysreg.t
@@ -27,17 +28,22 @@ let create mem ~base =
   if Int64.logand base 0xfffL <> 0L then
     invalid_arg "Deferred_page.create: base must be page-aligned";
   Memory.zero_range mem ~start:base ~len:(Int64.of_int Sysreg.page_size);
-  { base; mem }
+  { base; mem; enabled = Vncr.encode (Vncr.v ~baddr:base ~enable:true) }
 
-let slot_addr t r =
-  match Sysreg.vncr_offset r with
-  | Some off -> Int64.add t.base (Int64.of_int off)
-  | None -> raise (Unmapped_register r)
+let slot_off r =
+  let off = Sysreg.vncr_slot r in
+  if off < 0 then raise (Unmapped_register r) else off
 
-let has_slot r = Sysreg.vncr_offset r <> None
+let has_slot = Sysreg.has_vncr_offset
 
-let read t r = Memory.read64 t.mem (slot_addr t r)
-let write t r v = Memory.write64 t.mem (slot_addr t r) v
+let read t r = Memory.read64 t.mem (Int64.add t.base (Int64.of_int (slot_off r)))
+
+let write t r v =
+  Memory.write64 t.mem (Int64.add t.base (Int64.of_int (slot_off r))) v
+
+(* [write] of a register file's word, unboxed. *)
+let write_from t r (src : Sysreg_file.t) =
+  Sysreg_file.save_word src (Sysreg.index r) t.mem ~base:t.base (slot_off r)
 
 (* The layout as a flat (register, page offset) array: populate/drain run
    on every virtual-EL2 entry and trapped eret, so they iterate this
@@ -107,6 +113,7 @@ let drain_into t ~el2 ~el1 ~skip =
   if !Trace.on then
     Trace.emit ~a0:(Int64.of_int layout_len) ~a1:t.base Trace.Page_drain
 
-let vncr_value t ~enable = Vncr.encode (Vncr.v ~baddr:t.base ~enable)
+let vncr_value t ~enable =
+  if enable then t.enabled else Vncr.encode (Vncr.v ~baddr:t.base ~enable)
 
 let pp ppf t = Fmt.pf ppf "deferred-page@0x%Lx" t.base

@@ -14,6 +14,7 @@
 type t = {
   base : int64;       (** physical address, page-aligned *)
   mem : Arm.Memory.t;
+  enabled : int64;    (** {!vncr_value} with [~enable:true], built once *)
 }
 
 exception Unmapped_register of Arm.Sysreg.t
@@ -28,6 +29,10 @@ val has_slot : Arm.Sysreg.t -> bool
 
 val read : t -> Arm.Sysreg.t -> int64
 val write : t -> Arm.Sysreg.t -> int64 -> unit
+
+val write_from : t -> Arm.Sysreg.t -> Arm.Sysreg_file.t -> unit
+(** [write_from t r src] is [write t r (Sysreg_file.read src r)],
+    moving the value as an unboxed word. *)
 
 val layout_len : int
 (** Number of slots in {!Arm.Sysreg.vncr_layout}, precomputed for the

@@ -82,11 +82,11 @@ let compute_misr lrs = if compute_eisr lrs <> 0L then 1L else 0L
 
 (* Is an LR value free (empty slot)?  Zero, or inactive with no vintid
    left behind. *)
-let lr_is_free v =
+let[@inline] lr_is_free v =
+  (* the state field [63:62] reads Inactive exactly when it is 0 *)
   v = 0L
-  ||
-  let l = decode_lr v in
-  l.lr_state = Irq.Inactive && l.lr_vintid = 0
+  || Int64.shift_right_logical v 62 = 0L
+     && Int64.logand v 0xffff_ffffL = 0L
 
 (* Find a free LR index. *)
 let find_free_lr lrs =

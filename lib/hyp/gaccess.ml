@@ -5,7 +5,15 @@
    EL1.  Under a hardware mechanism (Hw_v8_3 / Hw_neve) the instruction is
    executed as written and the CPU's trap router does the rest; under a
    paravirtualized mechanism the instruction is first rewritten
-   (Paravirt.rewrite) exactly as the paper's compile-time wrappers do. *)
+   (Paravirt.rewrite) exactly as the paper's compile-time wrappers do.
+
+   Under a hardware mechanism each access the guest hypervisor executes —
+   a register and alias, read or written — is a route site
+   (Arm.Route_key): its instruction is built once, and its action is
+   routed once per routing state and replayed while that state holds,
+   the memo World_switch's copy plans keep on the same key.  A guest
+   hypervisor touches a few dozen such sites; NEVE turns each into the
+   same load, store or EL1 access on every exit (Section 6.1). *)
 
 module Cpu = Arm.Cpu
 module Insn = Arm.Insn
@@ -21,6 +29,10 @@ type t = {
   (* the funnel as World_switch ops, and the compiled plans of the
      world-switch loops run through it *)
   copier : World_switch.copier;
+  (* the route sites of [rd]/[wr]/[eret] (numbered by [access_id]) and
+     of the last [hvc] immediate *)
+  sites : Arm.Route_key.table;
+  mutable hvc_site : (int * Arm.Route_key.site) option;
 }
 
 let exec t insn =
@@ -56,25 +68,76 @@ let tampered t v =
     Cpu.set_reg t.cpu data_reg v';
     v'
 
+(* Site numbers: two per (register, alias) of the model, the read
+   first, then one for eret. *)
+let alias_code = function
+  | Sysreg.Direct -> 0
+  | Sysreg.EL12 -> 1
+  | Sysreg.EL02 -> 2
+
+let access_id (a : Sysreg.access) ~write =
+  (((Sysreg.index a.Sysreg.reg * 3) + alias_code a.Sysreg.alias) * 2)
+  + Bool.to_int write
+
+let eret_id = Sysreg.count * 6
+let data_src = Insn.Reg data_reg
+
+let insn_of_id id =
+  if id = eret_id then Insn.Eret
+  else
+    let reg = Sysreg.of_index (id / 6) in
+    let access =
+      match id / 2 mod 3 with
+      | 0 -> Sysreg.direct reg
+      | 1 -> Sysreg.el12 reg
+      | _ -> Sysreg.el02 reg
+    in
+    if id land 1 = 0 then Insn.Mrs (data_reg, access)
+    else Insn.Msr (access, data_src)
+
+(* The rewriter may expand one instruction into several, so a
+   paravirtualized funnel routes each of them as it runs. *)
+let memoized t = not (Config.is_paravirt t.config)
+
 let rd t access =
-  exec t (Insn.Mrs (data_reg, access));
+  if memoized t && Sysreg.in_range access.Sysreg.reg then
+    Arm.Route_key.exec_id t.cpu t.sites (access_id access ~write:false)
+  else exec t (Insn.Mrs (data_reg, access));
   tampered t (Cpu.get_reg t.cpu data_reg)
 
 let wr t access v =
   Cpu.set_reg t.cpu data_reg v;
-  exec t (Insn.Msr (access, Insn.Reg data_reg))
+  if memoized t && Sysreg.in_range access.Sysreg.reg then
+    Arm.Route_key.exec_id t.cpu t.sites (access_id access ~write:true)
+  else exec t (Insn.Msr (access, data_src))
 
-(* Plain memory accesses (to the hypervisor's own data structures). *)
+(* Plain memory accesses (to the hypervisor's own data structures): a
+   load or store executes as written under every mechanism. *)
 let ld t addr =
-  exec t (Insn.Ldr (data_reg, Insn.Abs addr));
+  Cpu.ldr t.cpu data_reg addr;
   tampered t (Cpu.get_reg t.cpu data_reg)
 
 let st t addr v =
   Cpu.set_reg t.cpu data_reg v;
-  exec t (Insn.Str (data_reg, Insn.Abs addr))
+  Cpu.str t.cpu data_reg addr
 
-let hvc t imm = exec t (Insn.Hvc imm)
-let eret t = exec t Insn.Eret
+let hvc t imm =
+  if memoized t then begin
+    let s =
+      match t.hvc_site with
+      | Some (i, s) when i = imm -> s
+      | _ ->
+        let s = Arm.Route_key.site (Insn.Hvc imm) in
+        t.hvc_site <- Some (imm, s);
+        s
+    in
+    Arm.Route_key.exec t.cpu s
+  end
+  else exec t (Insn.Hvc imm)
+
+let eret t =
+  if memoized t then Arm.Route_key.exec_id t.cpu t.sites eret_id
+  else exec t Insn.Eret
 
 (* GICv2: the hypervisor control interface is a memory-mapped frame.  The
    host leaves it unmapped at stage 2 for deprivileged software, so every
@@ -131,6 +194,8 @@ let v cpu config ~page_base =
     lazy
       {
         cpu; config; page_base; tamper = None;
+        sites = Arm.Route_key.table (eret_id + 1) insn_of_id;
+        hvc_site = None;
         copier =
           World_switch.copier cpu
             {

@@ -7,7 +7,14 @@
     it is first rewritten ({!Paravirt.rewrite}), exactly as the paper's
     compile-time wrappers do (Section 4).  The world-switch context loops
     run through {!World_switch}'s compiled plans, the compiler the host's
-    exit path uses too. *)
+    exit path uses too.
+
+    Under a hardware mechanism, {!rd}, {!wr}, {!hvc} and {!eret} run
+    through route sites ({!Arm.Route_key}): each access's instruction is
+    built on its first use and routed once per routing state, so a
+    repeated access replays its action and allocates nothing.  {!ld} and
+    {!st} build no instruction at all ({!Arm.Cpu.ldr}/{!Arm.Cpu.str}).
+    Sites survive {!Machine.rewind} and are never serialized. *)
 
 module Cpu = Arm.Cpu
 module Insn = Arm.Insn
@@ -24,6 +31,11 @@ type t = {
       (** the funnel's {!ops} (through {!data_reg}, with [msr r, x10]
           writes) and the compiled plans of the context loops run
           through it *)
+  sites : Arm.Route_key.table;
+      (** the route sites of {!rd}, {!wr} (one per register, alias and
+          direction) and {!eret}, built on first use *)
+  mutable hvc_site : (int * Arm.Route_key.site) option;
+      (** the last {!hvc} immediate and its route site *)
 }
 
 val v : Cpu.t -> Config.t -> page_base:int64 -> t

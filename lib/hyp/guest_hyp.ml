@@ -28,6 +28,14 @@ let src = Logs.Src.create "neve.guest" ~doc:"guest hypervisor (L1)"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Debug logging builds a closure per message; the exit path only builds
+   it when the source would print it. *)
+let debug_on () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false
+
+(* SPSR of an exception return into EL1h with interrupts masked. *)
+let spsr_el1h = Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1)
+
 type t = {
   ga : Gaccess.t;
   vhe : bool;
@@ -62,7 +70,7 @@ let create (ga : Gaccess.t) ~(vcpu : Vcpu.t) =
     cntvoff = 0x1000L;
     pending_virqs = Queue.create ();
     nested_elr = 0x9000_0000L;
-    nested_spsr = Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1);
+    nested_spsr = spsr_el1h;
     exits_handled = 0;
     debug_active = false;
     pmu_active = false;
@@ -179,8 +187,7 @@ let switch_to_host t =
 let eret_to_kernel t =
   let o = ops t in
   o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.ELR_EL2) 0x7100_0000L;
-  o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.SPSR_EL2)
-    (Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1));
+  o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.SPSR_EL2) spsr_el1h;
   Gaccess.eret t.ga
 
 (* Non-VHE only: the host kernel calls back into the lowvisor. *)
@@ -298,9 +305,10 @@ let enter_nested t =
    injects a virtual EL2 exception for a nested-VM exit. *)
 let handle_exit t (reason : Vcpu.nested_exit) =
   t.exits_handled <- t.exits_handled + 1;
-  Log.debug (fun m ->
-      m "guest hypervisor handling nested exit #%d: %s" t.exits_handled
-        (Vcpu.exit_name reason));
+  if debug_on () then
+    Log.debug (fun m ->
+        m "guest hypervisor handling nested exit #%d: %s" t.exits_handled
+          (Vcpu.exit_name reason));
   (* the guest hypervisor's C-code overhead per exit *)
   let cpu = t.ga.Gaccess.cpu in
   Cost.charge cpu.Arm.Cpu.meter (Arm.Cpu.table cpu).Cost.guest_hyp_logic;
@@ -315,6 +323,6 @@ let handle_exit t (reason : Vcpu.nested_exit) =
 (* First launch of the nested VM (no prior exit to unwind). *)
 let launch_nested t ~entry =
   t.nested_elr <- entry;
-  t.nested_spsr <- Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1);
+  t.nested_spsr <- spsr_el1h;
   switch_to_guest t;
   enter_nested t

@@ -214,15 +214,42 @@ let vel2_read ?(from_stash = false) t r =
     end
     else Vcpu.read_vel2 t.vcpu r
 
-let vel2_write ?(to_hw = true) t r v =
-  Vcpu.write_vel2 t.vcpu r v;
+(* [vel2_write] of the value the virtual file already holds: the twin
+   and the page take it from there, as a word. *)
+let vel2_publish ~to_hw t r =
+  let vel2 = t.vcpu.Vcpu.vel2 in
   (match twin_backed t r with
-   | Some twin when to_hw -> Cpu.msr t.cpu (Sysreg.direct twin) v
+   | Some twin when to_hw -> Cpu.msr_from t.cpu (Sysreg.direct twin) vel2 r
    | _ -> ());
   if page_backed t r then begin
     Cost.charge t.cpu.Cpu.meter (table t).Cost.mem_store;
-    Core.Deferred_page.write t.page r v
+    Core.Deferred_page.write_from t.page r vel2
   end
+
+let vel2_write ?(to_hw = true) t r v =
+  Vcpu.write_vel2 t.vcpu r v;
+  vel2_publish ~to_hw t r
+
+(* [vel2_write t r (Cpu.peek_sysreg t.cpu r)]: the hardware register's
+   value, moved as a word. *)
+let vel2_write_hw t r =
+  Arm.Sysreg_file.copy_reg ~src:t.cpu.Cpu.sysregs ~dst:t.vcpu.Vcpu.vel2 r;
+  vel2_publish ~to_hw:true t r
+
+(* [Cpu.poke_sysreg t.cpu r (vel2_read ~from_stash:true t r)]: the value
+   the guest hypervisor left for its own register [r] (a return address,
+   a saved PSTATE), into the hardware's, as a word from the stash or the
+   virtual file. *)
+let vel2_stashed_to_hw t r =
+  let hw = t.cpu.Cpu.sysregs in
+  match stash_twin t r with
+  | Some twin ->
+    Arm.Sysreg_file.load_word hw (Sysreg.index r) t.cpu.Cpu.mem
+      ~base:t.guest_stash (Reglists.ctx_slot twin)
+  | None ->
+    if page_backed t r then
+      Cpu.poke_sysreg t.cpu r (vel2_read ~from_stash:true t r)
+    else Arm.Sysreg_file.copy_reg ~src:t.vcpu.Vcpu.vel2 ~dst:hw r
 
 (* --- the host's own full exit path (non-VHE KVM): runs on EVERY trap --- *)
 
@@ -331,11 +358,13 @@ let ich_hcr_a = Sysreg.direct Sysreg.ICH_HCR_EL2
 let ich_vmcr_a = Sysreg.direct Sysreg.ICH_VMCR_EL2
 let cntvoff_a = Sysreg.direct Sysreg.CNTVOFF_EL2
 
+let lr_idx = Array.map Sysreg.index lr_regs
+
 let used_lrs_of_vel2 t =
   let n = ref 0 in
   for i = 0 to Reglists.vgic_lrs_in_use - 1 do
-    if not (Gic.Vgic.lr_is_free (Vcpu.read_vel2 t.vcpu lr_regs.(i))) then
-      n := i + 1
+    let lr = Arm.Sysreg_file.get_index t.vcpu.Vcpu.vel2 lr_idx.(i) in
+    if not (Gic.Vgic.lr_is_free lr) then n := i + 1
   done;
   !n
 
@@ -379,12 +408,12 @@ let exposed_regs_of (p : Expose.Policy.t) =
    [charged:false] like their surrounding pokes. *)
 let expose_install ?(charged = true) t =
   if not (Expose.Policy.is_none t.expose) then begin
-    Array.iter
-      (fun r ->
-        if charged then
-          Cpu.msr_from t.cpu (Sysreg.direct r) t.vcpu.Vcpu.vel2 r
-        else Cpu.poke_sysreg t.cpu r (Vcpu.read_vel2 t.vcpu r))
-      t.exposed_regs;
+    let vel2 = t.vcpu.Vcpu.vel2 in
+    for k = 0 to Array.length t.exposed_regs - 1 do
+      let r = t.exposed_regs.(k) in
+      if charged then Cpu.msr_from t.cpu (Sysreg.direct r) vel2 r
+      else Arm.Sysreg_file.copy_reg ~src:vel2 ~dst:t.cpu.Cpu.sysregs r
+    done;
     t.cpu.Cpu.expose <- t.expose
   end
 
@@ -395,9 +424,10 @@ let expose_install ?(charged = true) t =
    [neve_drain]. *)
 let expose_fold t =
   if not (Expose.Policy.is_none t.expose) then begin
-    Array.iter
-      (fun r -> Vcpu.write_vel2 t.vcpu r (Cpu.mrs t.cpu (Sysreg.direct r)))
-      t.exposed_regs;
+    for k = 0 to Array.length t.exposed_regs - 1 do
+      let r = t.exposed_regs.(k) in
+      Cpu.mrs_into t.cpu (Sysreg.direct r) t.vcpu.Vcpu.vel2 r
+    done;
     t.cpu.Cpu.expose <- Expose.Policy.none
   end
 
@@ -466,7 +496,7 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
   (* save the hardware list registers into the virtual EL2 vgic *)
   let used = max (used_lrs_of_vel2 t) vcpu.Vcpu.used_lrs in
   for i = 0 to used - 1 do
-    Vcpu.write_vel2 vcpu lr_regs.(i) (Cpu.mrs cpu lr_access.(i))
+    Cpu.mrs_into cpu lr_access.(i) vcpu.Vcpu.vel2 lr_regs.(i)
   done;
   vcpu.Vcpu.in_vel2 <- true;
   (* virtual exception bookkeeping: syndrome, return address, SPSR *)
@@ -490,8 +520,8 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
     | Vcpu.Exit_hyp_eret -> Exn.esr ~ec:Exn.EC_eret ~iss:0
   in
   vel2_write t Sysreg.ESR_EL2 esr;
-  vel2_write t Sysreg.ELR_EL2 (Cpu.peek_sysreg cpu Sysreg.ELR_EL2);
-  vel2_write t Sysreg.SPSR_EL2 (Cpu.peek_sysreg cpu Sysreg.SPSR_EL2);
+  vel2_write_hw t Sysreg.ELR_EL2;
+  vel2_write_hw t Sysreg.SPSR_EL2;
   (match reason with
    | Vcpu.Exit_mmio { addr; _ } ->
      vel2_write t Sysreg.FAR_EL2 addr;
@@ -534,9 +564,11 @@ let emulate_eret t =
     Log.debug (fun m ->
         m "vcpu%d: trapped eret, entering virtual EL1/0" vcpu.Vcpu.id);
   Cost.charge cpu.Cpu.meter c.Cost.l0_eret_emulate;
-  (* where does the guest hypervisor want to go? *)
-  let target_elr = vel2_read ~from_stash:true t Sysreg.ELR_EL2 in
-  let target_spsr = vel2_read ~from_stash:true t Sysreg.SPSR_EL2 in
+  (* where does the guest hypervisor want to go?  Straight into the
+     hardware ELR/SPSR_EL2 the final eret reads: nothing below touches
+     them. *)
+  vel2_stashed_to_hw t Sysreg.ELR_EL2;
+  vel2_stashed_to_hw t Sysreg.SPSR_EL2;
   (* the stashed hardware EL1 state is the virtual-EL2 execution mapping:
      fold it back into the virtual EL2 file *)
   Arm.Sysreg_file.restore vcpu.Vcpu.vel2 mapping_el2_idx cpu.Cpu.mem
@@ -569,8 +601,6 @@ let emulate_eret t =
    | true, Some v -> Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 v
    | _ -> ());
   vcpu.Vcpu.nested_launched <- true;
-  Cpu.poke_sysreg cpu Sysreg.ELR_EL2 target_elr;
-  Cpu.poke_sysreg cpu Sysreg.SPSR_EL2 target_spsr;
   Cpu.do_eret cpu
 
 (* --- trapped system-register emulation --- *)
@@ -612,37 +642,39 @@ let emulate_sysreg t ~(access : Sysreg.access) ~rt ~is_read =
        virtual timer with the VM's EL1 virtual timer *)
     if access.Sysreg.alias = Sysreg.EL02 || Sysreg.is_el2_timer r then
       Cost.charge t.cpu.Cpu.meter c.Cost.l0_timer_emulate;
+    (* the value moves as a word between the trap frame and the
+       virtual files, the stash and the deferred page *)
+    let vel2 = t.vcpu.Vcpu.vel2 and mem = t.cpu.Cpu.mem in
     (if is_read then begin
-       let v =
-         if vel2_target then
-           match stash_twin t r with
-           | Some twin -> stash_read t twin
-           | None -> Vcpu.read_vel2 t.vcpu r
-         else Vcpu.read_vel1 t.vcpu r
-       in
-       Cpu.set_trapped_reg t.cpu rt v
+       if vel2_target then
+         match stash_twin t r with
+         | Some twin ->
+           Cpu.set_trapped_load t.cpu rt ~base:t.guest_stash
+             (Reglists.ctx_slot twin)
+         | None -> Cpu.set_trapped_from t.cpu rt vel2 r
+       else Cpu.set_trapped_from t.cpu rt t.vcpu.Vcpu.vel1 r
      end
      else begin
-       let v = Cpu.get_trapped_reg t.cpu rt in
        if vel2_target then begin
-         Vcpu.write_vel2 t.vcpu r v;
+         Cpu.get_trapped_into t.cpu rt vel2 r;
          (match stash_twin t r with
           | Some twin ->
-            Memory.write64 t.cpu.Cpu.mem (stash_slot t twin) v
+            Arm.Sysreg_file.save_word vel2 (Sysreg.index r) mem
+              ~base:t.guest_stash (Reglists.ctx_slot twin)
           | None -> ());
          (* keep the deferred page's cached copy fresh (trap-on-write) *)
          if neve_on t && Core.Deferred_page.has_slot r then
-           Core.Deferred_page.write t.page r v;
+           Core.Deferred_page.write_from t.page r vel2;
          (* GIC writes are sanitized and translated (Section 4) *)
          if Sysreg.is_gic_ich r then
            Cost.charge t.cpu.Cpu.meter c.Cost.l0_vgic_sync;
          match r with
          | Sysreg.ICH_LR_EL2 i ->
-           if v <> 0L then
+           if not (Arm.Sysreg_file.holds vel2 r 0L) then
              t.vcpu.Vcpu.used_lrs <- max t.vcpu.Vcpu.used_lrs (i + 1)
          | _ -> ()
        end
-       else Vcpu.write_vel1 t.vcpu r v
+       else Cpu.get_trapped_into t.cpu rt t.vcpu.Vcpu.vel1 r
      end);
     false
   end

@@ -45,6 +45,9 @@ type t = {
      comes back with empty TLBs, which is exactly what migration does to
      real translation caches. *)
   mutable smp : Mmu.Shootdown.t option;
+  (* each CPU's [hvc #0], the hypercall its guest executes, routed once
+     per routing state; a cache, neither marked nor serialized *)
+  hvc_sites : Arm.Route_key.site array;
 }
 
 let ncpus t = Array.length t.cpus
@@ -202,6 +205,7 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       hung = Array.make ncpus false;
       dist;
       smp = None;
+      hvc_sites = Array.init ncpus (fun _ -> Arm.Route_key.site (Insn.Hvc 0));
     }
   in
   if checking then
@@ -414,7 +418,7 @@ let hypercall t ~cpu =
   if t.hung.(cpu) then ()
   else begin
     service_faults t ~cpu;
-    Cpu.exec t.cpus.(cpu) (Insn.Hvc 0)
+    Arm.Route_key.exec t.cpus.(cpu) t.hvc_sites.(cpu)
   end
 
 (* An MMIO access to an emulated device: the address is not mapped at

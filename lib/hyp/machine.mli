@@ -38,6 +38,9 @@ type t = {
           checker; built lazily on the first SMP operation and not
           serialized — a restore comes back with empty TLBs, as
           migration does to real translation caches *)
+  hvc_sites : Arm.Route_key.site array;
+      (** each CPU's {!hypercall} instruction with its route memo; a
+          cache, neither marked nor serialized *)
 }
 
 val ncpus : t -> int

@@ -103,17 +103,6 @@ let restore_array ops ~ctx ~via regs =
    A replay may move the routing state (a trap handler writes HCR_EL2);
    the loop then finishes through [copy_from] from the next copy. *)
 
-(* a plan replays while its key holds ([k_feats] and [k_mask] by
-   physical identity) *)
-type key = {
-  k_hcr : int64;
-  k_vncr : int64;
-  k_feats : Arm.Features.t;
-  k_mask : Arm.Trap_rules.nv2_mask;
-  k_expose : Expose.Policy.t;
-  k_el : Arm.Pstate.el;
-}
-
 type copy = {
   insn : Insn.t;
   action : Arm.Trap_rules.action;
@@ -129,7 +118,8 @@ type step =
   | Page of int64 * copy
   | Replay of copy
 
-type plan = { key : key; steps : step array }
+(* a plan replays while its routing key holds *)
+type plan = { key : Arm.Route_key.t; steps : step array }
 
 (* a loop: [regs] (by physical identity) copied to or from the context
    area at [ctx], through the [_EL12] aliases when [el12]; one plan per
@@ -154,24 +144,6 @@ let copier cpu ops ~data ~imm_msr = { cpu; ops; data; imm_msr; loops = [] }
 let ops_of c = c.ops
 let plan_keys c = List.map (fun l -> List.map (fun p -> p.key) l.plans) c.loops
 
-let key_of (cpu : Cpu.t) =
-  {
-    k_hcr = Cpu.peek_sysreg cpu Sysreg.HCR_EL2;
-    k_vncr = Cpu.peek_sysreg cpu Sysreg.VNCR_EL2;
-    k_feats = cpu.Cpu.features;
-    k_mask = cpu.Cpu.nv2_mask;
-    k_expose = cpu.Cpu.expose;
-    k_el = cpu.Cpu.pstate.Arm.Pstate.el;
-  }
-
-let key_holds k (cpu : Cpu.t) =
-  Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 k.k_hcr
-  && Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.VNCR_EL2 k.k_vncr
-  && k.k_feats == cpu.Cpu.features
-  && k.k_mask == cpu.Cpu.nv2_mask
-  && Expose.Policy.equal k.k_expose cpu.Cpu.expose
-  && k.k_el = cpu.Cpu.pstate.Arm.Pstate.el
-
 (* Registers whose hardware read is not a plain register-file load
    (CurrentEL from PSTATE, CNTVCT from the cycle count): a save charging
    cycles in aggregate would read them at the wrong instant. *)
@@ -193,11 +165,7 @@ let compile c (l : loop) =
       if l.save then Insn.Mrs (c.data, access)
       else Insn.Msr (access, Insn.Reg c.data)
     in
-    let action =
-      Arm.Trap_rules.route ~mask:cpu.Cpu.nv2_mask ~expose:cpu.Cpu.expose
-        cpu.Cpu.features ~hcr:(Cpu.hcr_view cpu) ~vncr:(Cpu.vncr_value cpu)
-        ~el:cpu.Cpu.pstate.Arm.Pstate.el insn
-    in
+    let action = Cpu.route cpu insn in
     let copy =
       { insn; action; at = k; off = Reglists.ctx_slot r; slot = slot l.ctx r;
         norm = c.imm_msr && (not l.save) && action <> Arm.Trap_rules.Execute }
@@ -248,7 +216,7 @@ let compile c (l : loop) =
       ([], []) (Array.mapi classify l.regs)
   in
   let steps = if run = [] then steps else kernel run :: steps in
-  { key = key_of cpu; steps = Array.of_list (List.rev steps) }
+  { key = Arm.Route_key.current cpu; steps = Array.of_list (List.rev steps) }
 
 let rec find_loop c ~ctx ~save ~el12 regs = function
   | l :: tl ->
@@ -262,7 +230,8 @@ let rec find_loop c ~ctx ~save ~el12 regs = function
     l
 
 let rec find_plan c l = function
-  | p :: tl -> if key_holds p.key c.cpu then p else find_plan c l tl
+  | p :: tl ->
+    if Arm.Route_key.holds p.key c.cpu then p else find_plan c l tl
   | [] ->
     let p = compile c l in
     l.plans <- p :: l.plans;
@@ -337,7 +306,7 @@ let run c (l : loop) (p : plan) =
          last := -1
        end;
        (* the handler behind a trap may have moved the routing state *)
-       if not (key_holds p.key cpu) then begin
+       if not (Arm.Route_key.holds p.key cpu) then begin
          flush c l ~pcb:!pcb ~last:!last;
          pcb := 0;
          last := -1;

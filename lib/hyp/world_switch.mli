@@ -71,13 +71,9 @@ val copier : Arm.Cpu.t -> ops -> data:int -> imm_msr:bool -> copier
 
 val ops_of : copier -> ops
 
-type key
-(** Everything {!Arm.Trap_rules.route} reads besides the instruction:
-    HCR_EL2, VNCR_EL2, the feature record, the NV2 mask, the OoH grant
-    and the EL.  A plan replays while its key holds. *)
-
-val plan_keys : copier -> key list list
-(** The keys of the compiled plans, one list per loop met. *)
+val plan_keys : copier -> Arm.Route_key.t list list
+(** The routing keys of the compiled plans, one list per loop met: a
+    plan replays while its key holds. *)
 
 val save : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
 (** [save c ~el12 ~ctx regs] is [save_array (ops_of c) ~ctx ~via regs] with

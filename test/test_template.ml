@@ -253,7 +253,7 @@ let test_rewind_covers_declaration () =
 (* --- bounded campaign state ------------------------------------------- *)
 
 (* Each template's host world-switch loops compile one plan per routing
-   key they meet (Hyp.World_switch.key): a campaign adds a plan per key
+   key they meet (Arm.Route_key.t): a campaign adds a plan per key
    it meets, never another for a key it has.  Measured: 14 distinct keys
    across the twelve columns. *)
 let plan_keys (c : Diff.column) =

@@ -313,6 +313,190 @@ let test_el2_path =
       in
       ra = rb && cpu_state a = cpu_state b)
 
+(* --- the funnel's route sites == routing afresh --- *)
+
+(* A few accesses per NEVE class (Tables 3-5), aliases included, so the
+   same sites recur under many routing states. *)
+let memo_accesses =
+  Array.of_list
+    (List.map Sysreg.direct
+       Sysreg.
+         [ SCTLR_EL1; TPIDR_EL1; ESR_EL2; ELR_EL2; SCTLR_EL2; VTTBR_EL2;
+           HCR_EL2; VMPIDR_EL2; CNTHP_CTL_EL2; CNTVOFF_EL2; ICH_LR_EL2 0;
+           ICH_HCR_EL2; ICH_VTR_EL2; CurrentEL; CNTV_CTL_EL0 ]
+     @ [ Sysreg.el12 Sysreg.SCTLR_EL1; Sysreg.el12 Sysreg.TTBR0_EL1;
+         Sysreg.el02 Sysreg.CNTV_CTL_EL0 ])
+
+(* The routing-state changes the sequence makes, each a choice among
+   values that route some of the accesses above differently. *)
+let hcr_bits = Arm.Hcr.[| nv; nv1; nv2; e2h |]
+let masks =
+  Arm.Trap_rules.
+    [| nv2_off; { nv2_full with m_defer = false };
+       { nv2_full with m_redirect = false };
+       { nv2_full with m_cached = false } |]
+let grants =
+  Expose.Policy.
+    [| none; all; of_list [ Timer ]; of_list [ Gic_lrs ] |]
+
+(* Replay one random sequence on [m]: bursts of accesses through
+   [access], alternately under the routing state the guest hypervisor
+   runs in and under that state with one field changed (an HCR_EL2 bit,
+   VNCR_EL2's BADDR or Enable, the EL, the NV2 mask, the OoH grant or
+   the features), so the sites a burst routes are revisited under a
+   state that differs from theirs in that field alone.  A trap's host
+   handler reprograms HCR_EL2 on its way out, so the burst's HCR_EL2
+   and EL are put back before each access.  Returns a per-access trail
+   of outcomes and meter readings. *)
+let memo_sequence (m : Machine.t) ~seed ~epochs access =
+  let cpu = m.Machine.cpus.(0) in
+  let page = m.Machine.hosts.(0).Host_hyp.vcpu.Hyp.Vcpu.page_base in
+  let base_hcr = Cpu.peek_sysreg cpu Sysreg.HCR_EL2 in
+  let base_vncr = Cpu.peek_sysreg cpu Sysreg.VNCR_EL2 in
+  let base_features = cpu.Cpu.features and base_mask = cpu.Cpu.nv2_mask in
+  let base_expose = cpu.Cpu.expose in
+  let older = Arm.Features.v Arm.Features.V8_3 in
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let trail = Buffer.create 4096 in
+  let burst ~hcr ~el =
+    for _ = 1 to 8 do
+      Cpu.poke_sysreg cpu Sysreg.HCR_EL2 hcr;
+      cpu.Cpu.pstate <- Pstate.at el;
+      let a = pick memo_accesses in
+      let is_read = Random.State.bool rng in
+      let v = Random.State.int64 rng 0x1_0000L in
+      let result = outcome (fun () -> access a ~is_read v) in
+      let mt = cpu.Cpu.meter in
+      Printf.bprintf trail "%s %d/%d/%d/%Lx;" result mt.Cost.cycles
+        mt.Cost.traps mt.Cost.mem_accesses
+        (Cpu.get_reg cpu Gaccess.data_reg)
+    done
+  in
+  for _ = 1 to epochs do
+    Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 base_vncr;
+    cpu.Cpu.features <- base_features;
+    cpu.Cpu.nv2_mask <- base_mask;
+    cpu.Cpu.expose <- base_expose;
+    burst ~hcr:base_hcr ~el:Pstate.EL1;
+    match Random.State.int rng 6 with
+    | 0 -> burst ~hcr:(Int64.logxor base_hcr (pick hcr_bits)) ~el:Pstate.EL1
+    | 1 ->
+      (* move BADDR, as Section 6.2's translated L1 page does, or flip
+         Enable *)
+      Cpu.poke_sysreg cpu Sysreg.VNCR_EL2
+        (if Random.State.bool rng then Int64.logxor base_vncr 1L
+         else
+           Int64.logor
+             (pick [| Int64.add page 0x1000L; 0x5800_0000L |])
+             (Int64.logand base_vncr 1L));
+      burst ~hcr:base_hcr ~el:Pstate.EL1
+    | 2 -> burst ~hcr:base_hcr ~el:Pstate.EL2
+    | 3 ->
+      cpu.Cpu.nv2_mask <- pick masks;
+      burst ~hcr:base_hcr ~el:Pstate.EL1
+    | 4 ->
+      cpu.Cpu.expose <- pick grants;
+      burst ~hcr:base_hcr ~el:Pstate.EL1
+    | _ ->
+      cpu.Cpu.features <- older;
+      burst ~hcr:base_hcr ~el:Pstate.EL1
+  done;
+  Buffer.contents trail
+
+let test_route_memo_exact () =
+  List.iter
+    (fun (slug, config, expose) ->
+      List.iter
+        (fun seed ->
+          let run ~memo =
+            let m = booted config expose in
+            let copies0 = WS.reg_copies () in
+            let trail = ref "" in
+            as_guest_hypervisor m (fun () ->
+                let cpu = m.Machine.cpus.(0) in
+                let ga =
+                  match m.Machine.ghyps.(0) with
+                  | Some g -> g.Hyp.Guest_hyp.ga
+                  | None -> Alcotest.fail "no guest hypervisor"
+                in
+                let access a ~is_read v =
+                  if memo then
+                    if is_read then ignore (Gaccess.rd ga a)
+                    else Gaccess.wr ga a v
+                  else if is_read then
+                    Cpu.exec cpu (Insn.Mrs (Gaccess.data_reg, a))
+                  else begin
+                    Cpu.set_reg cpu Gaccess.data_reg v;
+                    Cpu.exec cpu (Insn.Msr (a, Insn.Reg Gaccess.data_reg))
+                  end
+                in
+                trail := memo_sequence m ~seed ~epochs:60 access);
+            (!trail, observe m ~copies0)
+          in
+          let trail_a, a = run ~memo:true in
+          let trail_b, b = run ~memo:false in
+          let what = Printf.sprintf "%s seed %d" slug seed in
+          check Alcotest.string (what ^ ": per-step trail") trail_b trail_a;
+          check_same what a b)
+        [ 1; 2; 3 ])
+    configs
+
+(* The host's EL2 accesses test HCR_EL2.E2H as a raw bit: running
+   between HCR_EL2 = 0 (deactivate_traps) and the guest's value, they
+   must not re-decode the view the guest's accesses use. *)
+let test_el2_path_keeps_hcr_view () =
+  List.iter
+    (fun rev ->
+      let cpu = Cpu.create ~features:(Arm.Features.v rev) () in
+      let guest_hcr = List.fold_left Arm.Hcr.set 0L Arm.Hcr.[ vm; imo; nv ] in
+      let file = Sysreg_file.create () in
+      let guest () =
+        Cpu.poke_sysreg cpu Sysreg.HCR_EL2 guest_hcr;
+        cpu.Cpu.pstate <- Pstate.at Pstate.EL1;
+        Cpu.exec cpu (Insn.Mrs (Gaccess.data_reg, Sysreg.direct Sysreg.TPIDR_EL1))
+      in
+      let host () =
+        Cpu.poke_sysreg cpu Sysreg.HCR_EL2 0L;
+        cpu.Cpu.pstate <- Pstate.at Pstate.EL2;
+        (* registers with an E2H twin, and one without *)
+        ignore (Cpu.mrs cpu (Sysreg.direct Sysreg.SCTLR_EL1));
+        Cpu.msr_from cpu (Sysreg.direct Sysreg.TCR_EL1) file Sysreg.TCR_EL1;
+        Cpu.msr cpu (Sysreg.direct Sysreg.ELR_EL1) 0x1000L;
+        Cpu.mrs_into cpu (Sysreg.direct Sysreg.VBAR_EL1) file Sysreg.VBAR_EL1;
+        Cpu.msr_from cpu (Sysreg.direct Sysreg.VTTBR_EL2) file
+          Sysreg.VTTBR_EL2
+      in
+      guest ();
+      let view = cpu.Cpu.hcr_cached in
+      for _ = 1 to 3 do
+        host ();
+        guest ()
+      done;
+      check Alcotest.bool
+        (Arm.Features.revision_name rev ^ ": the guest's HCR view survives")
+        true
+        (cpu.Cpu.hcr_cached == view))
+    Arm.Features.[ V8_0; V8_1; V8_3; V8_4 ]
+
+(* A site table routes every number it is asked for; past its capacity
+   a number runs unmemoized, with the same effect. *)
+let test_site_table_overflow () =
+  let n = Arm.Route_key.max_sites + 40 in
+  let insn_of i =
+    Insn.Mrs (Gaccess.data_reg, Sysreg.direct (Sysreg.of_index (i mod Sysreg.count)))
+  in
+  let a = el2_cpu Arm.Features.V8_4 0L and b = el2_cpu Arm.Features.V8_4 0L in
+  let tbl = Arm.Route_key.table n insn_of in
+  for round = 1 to 2 do
+    for i = 0 to n - 1 do
+      Arm.Route_key.exec_id a tbl i;
+      Cpu.exec b (insn_of i);
+      if cpu_state a <> cpu_state b then
+        Alcotest.failf "round %d, number %d: state differs" round i
+    done
+  done
+
 (* --- allocation budget --- *)
 
 let words_during f =
@@ -411,41 +595,61 @@ let test_bare_trap_allocates_nothing () =
   check Alcotest.bool "back at EL1" true
     (cpu.Cpu.pstate.Pstate.el = Pstate.EL1)
 
-(* Minor words per trap of a warm nested hypercall, as measured by
-   [dune runtest] (development profile) once both hypervisors' world-
-   switch loops ran through World_switch's compiled plans: v8.3 39.7,
-   neve 114.6 words/trap (the whole operation, guest side included).
-   What is left is mostly values boxed where they cross a module
-   boundary (the development profile inlines nothing across modules)
-   and the nested VM's own instructions.  The bounds allow 10% on top;
-   boxing creeping back into the per-trap path exceeds them. *)
-let hypercall_budgets =
-  [ ("v8.3", Config.v Config.Hw_v8_3, 43.7);
-    ("neve", Config.v Config.Hw_neve, 126.1) ]
+(* Minor words per trap of warm nested operations (the whole operation,
+   guest side included), as measured by [dune runtest] (development
+   profile) once the guest hypervisor's accesses replay their route
+   sites and the host moves trapped values as words:
 
-let test_hypercall_budget () =
+                  hypercall   Device I/O   Virtual IPI
+     v8.3              28.6          29.2          30.4
+     neve              32.5          37.5          47.8
+     neve-vhe          31.3          34.5          46.0
+     neve-ooh          39.0          46.2          58.0
+     neve-vhe-ooh      34.7          41.9          53.8
+
+   What is left is mostly values boxed where they cross a module
+   boundary (the development profile inlines nothing across modules).
+   The bounds allow 10% on top; boxing or routing creeping back into the
+   per-trap path exceeds them. *)
+let op_budgets =
+  [ ("v8.3", Config.v Config.Hw_v8_3, Expose.Policy.none, (31.4, 32.1, 33.4));
+    ("neve", Config.v Config.Hw_neve, Expose.Policy.none, (35.8, 41.3, 52.6));
+    ( "neve-vhe", Config.v ~guest_vhe:true Config.Hw_neve,
+      Expose.Policy.none, (34.5, 38.0, 50.6) );
+    ("neve-ooh", Config.v Config.Hw_neve, Fuzz.Diff.ooh_grant, (42.9, 50.8, 63.7));
+    ( "neve-vhe-ooh", Config.v ~guest_vhe:true Config.Hw_neve,
+      Fuzz.Diff.ooh_grant, (38.1, 46.1, 59.2) ) ]
+
+let test_op_budgets () =
   List.iter
-    (fun (slug, config, bound) ->
-      let m = booted config Expose.Policy.none in
-      (* warm: plans compiled, memos grown to their working sets *)
-      for _ = 1 to 5 do
-        Machine.hypercall m ~cpu:0
-      done;
-      let iters = 20 in
-      let traps0 = Machine.total_traps m in
-      let words =
-        words_during (fun () ->
-            for _ = 1 to iters do
-              Machine.hypercall m ~cpu:0
-            done)
-      in
-      let traps = Machine.total_traps m - traps0 in
-      let per_trap = float_of_int words /. float_of_int traps in
-      Printf.eprintf "%s: %.2f minor words per trap\n%!" slug per_trap;
-      if per_trap > bound then
-        Alcotest.failf "%s: %.1f minor words per trap (budget %.0f)" slug
-          per_trap bound)
-    hypercall_budgets
+    (fun (slug, config, expose, (b_hvc, b_mmio, b_ipi)) ->
+      (* two vCPUs: the IPI's target is vCPU 1 *)
+      let m = Workloads.Scenario.make_arm ~expose (Workloads.Scenario.Arm_nested config) in
+      List.iter
+        (fun (bench, bound) ->
+          let op = Workloads.Micro.arm_op m bench in
+          (* warm: plans compiled, sites routed, memos grown *)
+          for _ = 1 to 5 do
+            op ()
+          done;
+          let iters = 20 in
+          let traps0 = Machine.total_traps m in
+          let words =
+            words_during (fun () ->
+                for _ = 1 to iters do
+                  op ()
+                done)
+          in
+          let traps = Machine.total_traps m - traps0 in
+          let per_trap = float_of_int words /. float_of_int traps in
+          Printf.eprintf "%s %s: %.2f minor words per trap\n%!" slug
+            (Workloads.Micro.name bench) per_trap;
+          if per_trap > bound then
+            Alcotest.failf "%s %s: %.1f minor words per trap (budget %.1f)"
+              slug (Workloads.Micro.name bench) per_trap bound)
+        Workloads.Micro.
+          [ (Hypercall, b_hvc); (Device_io, b_mmio); (Virtual_ipi, b_ipi) ])
+    op_budgets
 
 (* --- shared immutable records --- *)
 
@@ -500,9 +704,14 @@ let suite =
     ("compiled l0_enter/l0_exit == interpreted loops", `Quick,
      test_l0_equivalence);
     QCheck_alcotest.to_alcotest test_el2_path;
+    ("funnel route sites == routing afresh", `Quick, test_route_memo_exact);
+    ("route site tables past their capacity", `Quick, test_site_table_overflow);
+    ("EL2 accesses keep the guest's decoded HCR", `Quick,
+     test_el2_path_keeps_hcr_view);
     ("copy kernels allocate nothing", `Quick, test_kernels_allocate_nothing);
     ("a trap entry and its eret allocate nothing", `Quick,
      test_bare_trap_allocates_nothing);
-    ("warm hypercall stays within its per-trap budget", `Quick,
-     test_hypercall_budget);
+    ("warm hypercall stays within its per-trap budget, as do MMIO and IPI",
+     `Quick,
+     test_op_budgets);
   ]
