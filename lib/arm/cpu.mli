@@ -117,8 +117,6 @@ val gprs_equal : t -> string -> bool
 (** [gprs_equal t s]: [s] is what {!gprs} would return now.  Compares
     in place, allocating nothing. *)
 
-val hcr_view : t -> Hcr.view
-val vncr_value : t -> int64
 val table : t -> Cost.table
 
 val peek_sysreg : t -> Sysreg.t -> int64

@@ -8,21 +8,26 @@
    patched word-for-word in memory and then run from memory.
 
    There is one execution engine: it runs through the per-CPU {!Xlate}
-   superblock cache.  Straight-line code is decoded and route-classified
-   once per (block-entry PC, CPU) and replayed with two integer compares
-   of side-exit validation per instruction.  Side exits return control
-   to the dispatch loop whenever PC diverges from the straight line (a
+   superblock cache.  Straight-line code is decoded once per
+   (block-entry PC, CPU) and replayed with two integer compares of
+   side-exit validation per instruction.  Side exits return control to
+   the dispatch loop whenever PC diverges from the straight line (a
    branch, an exception, a handler redirect), a store lands in the
    tracked code envelope (self-modifying code, the Section-4 patching
-   path), route state changes mid-block (HCR_EL2/VNCR_EL2/EL/features),
-   the budget runs out, or [stop] fires.
+   path), the budget runs out, or [stop] fires.
 
-   Every instruction executes through [Cpu.exec_local] /
-   [Cpu.exec_with_action] with the routing result [Cpu.exec] would
-   compute (cached actions are validated against the exact route
-   inputs), so costs, trap entries and trace events are those of a
+   A block is a route memo keyed on a [Route_key.t]: before each
+   route-sensitive op the block's key is checked with [Route_key.holds],
+   and where it does not hold (a new block, or HCR_EL2, VNCR_EL2, the
+   features, the NV2 mask, the OoH grant or the EL changed, mid-block
+   too) the block's routed ops are routed afresh with [Cpu.route].  So
+   every instruction executes through [Cpu.exec_local] /
+   [Cpu.exec_with_action] with the action [Cpu.exec] would compute, and
+   costs, trap entries and trace events are those of a
    fetch/decode/[Cpu.exec] loop with the same [stop]-check cadence; the
-   test suite keeps such a loop as its reference. *)
+   test suite keeps such a loop as its reference.  The decoder never
+   yields an immediate MSR, the one form [Cpu.exec] rewrites before
+   routing. *)
 
 type outcome =
   | Halted of int64   (* fetched an unencodable word at this address,
@@ -78,48 +83,16 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
   let mem = cpu.Cpu.mem in
   let xc = cpu.Cpu.xlate in
-  (* Route-input validation for cached actions: the exact inputs of
-     [Trap_rules.route].  HCR/VNCR are read from the register file (not
-     the decoded-HCR cache, which refreshes lazily). *)
-  let sysregs = cpu.Cpu.sysregs in
-  let key_ok (blk : Xlate.block) =
-    blk.Xlate.k_el == cpu.Cpu.pstate.Pstate.el
-    && blk.Xlate.k_hcr = Sysreg_file.read sysregs Sysreg.HCR_EL2
-    && blk.Xlate.k_vncr = Sysreg_file.read sysregs Sysreg.VNCR_EL2
-    && blk.Xlate.k_features == cpu.Cpu.features
-    && blk.Xlate.k_mask == cpu.Cpu.nv2_mask
-    && Expose.Policy.equal blk.Xlate.k_expose cpu.Cpu.expose
-  in
-  let rekey blk =
-    let hcr = Cpu.hcr_view cpu in
-    let hcr_raw = cpu.Cpu.hcr_raw in
-    Xlate.re_route blk ~el:cpu.Cpu.pstate.Pstate.el ~hcr ~hcr_raw
-      ~vncr:(Cpu.vncr_value cpu) ~features:cpu.Cpu.features
-      ~mask:cpu.Cpu.nv2_mask ~expose:cpu.Cpu.expose
-  in
-  (* Replay one cached route-sensitive op.  On a key mismatch the block
-     is re-routed under the current inputs and the op retried — an exact
-     memoization of what [Cpu.exec] would route right now. *)
-  let rec exec_routed blk (r : Xlate.op) =
-    match r with
-    | Xlate.Plain _ -> assert false
-    | Xlate.Routed { insn; action } ->
-      if key_ok blk then begin
-        match action with
-        | Trap_rules.Execute -> Cpu.exec_local cpu insn
-        | act -> begin
-            match insn with
-            | Insn.Msr (_, Insn.Imm _) ->
-              (* exec performs the immediate-MSR normalization (mov to
-                 the scratch register + re-route with the Reg form) *)
-              Cpu.exec cpu insn
-            | _ -> Cpu.exec_with_action cpu insn act
-          end
-      end
-      else begin
-        rekey blk;
-        exec_routed blk r
-      end
+  (* A block's key no longer holds (or it was never routed): route its
+     ops under the current state and take the cache's shared key. *)
+  let re_route (blk : Xlate.block) =
+    let ops = blk.Xlate.ops in
+    for i = 0 to Array.length ops - 1 do
+      match Array.unsafe_get ops i with
+      | Xlate.Plain _ -> ()
+      | Xlate.Routed r -> r.action <- Cpu.route cpu r.insn
+    done;
+    blk.Xlate.key <- Route_key.share (Xlate.shared xc) cpu
   in
   let rec step budget =
     if stop cpu then Stopped
@@ -129,13 +102,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
       if misaligned pc then Halted pc
       else begin
         let gen = Memory.code_gen mem in
-        let hcr = Cpu.hcr_view cpu in
-        let hcr_raw = cpu.Cpu.hcr_raw in
-        let blk =
-          Xlate.lookup xc mem ~pc ~gen ~el:cpu.Cpu.pstate.Pstate.el ~hcr
-            ~hcr_raw ~vncr:(Cpu.vncr_value cpu) ~features:cpu.Cpu.features
-            ~mask:cpu.Cpu.nv2_mask ~expose:cpu.Cpu.expose
-        in
+        let blk = Xlate.lookup xc mem ~pc ~gen in
         let ops = blk.Xlate.ops in
         let n = Array.length ops in
         if n = 0 then
@@ -153,7 +120,9 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
           let rec go i budget =
             (match Array.unsafe_get ops i with
             | Xlate.Plain insn -> Cpu.exec_local cpu insn
-            | Xlate.Routed _ as r -> exec_routed blk r);
+            | Xlate.Routed r ->
+              if not (Route_key.holds blk.Xlate.key cpu) then re_route blk;
+              Cpu.exec_with_action cpu r.insn r.action);
             let budget = budget - 1 in
             let expected =
               Int64.add blk.Xlate.entry (Int64.of_int ((i + 1) * 4))

@@ -8,10 +8,11 @@
     memory ({!Hyp.Paravirt.patch_text}) and run it from memory.
 
     The one execution loop runs through the per-CPU superblock
-    translation cache ({!Xlate}): straight-line code is decoded and
-    route-classified once per (block-entry PC, CPU) and replayed with
-    cheap side-exit validation.  Traced and untraced runs use the same
-    loop, and its observations equal a fetch/decode/{!Cpu.exec} loop's. *)
+    translation cache ({!Xlate}): straight-line code is decoded once per
+    (block-entry PC, CPU), routed once per routing state
+    ({!Route_key.t}), and replayed with cheap side-exit validation.
+    Traced and untraced runs use the same loop, and its observations
+    equal a fetch/decode/{!Cpu.exec} loop's. *)
 
 type outcome =
   | Halted of int64

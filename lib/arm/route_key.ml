@@ -1,18 +1,12 @@
 (* The routing state as a value, and route memos keyed on it (see
    route_key.mli). *)
 
-type t = {
-  hcr : int64;
-  vncr : int64;
-  features : Features.t;
-  mask : Trap_rules.nv2_mask;
-  expose : Expose.Policy.t;
-  el : Pstate.el;
-}
+type t = Xlate.key
 
-let current (cpu : Cpu.t) =
+(* [hcr]: HCR_EL2's value, boxed. *)
+let make (cpu : Cpu.t) hcr =
   {
-    hcr = Cpu.peek_sysreg cpu Sysreg.HCR_EL2;
+    Xlate.hcr;
     vncr = Cpu.peek_sysreg cpu Sysreg.VNCR_EL2;
     features = cpu.Cpu.features;
     mask = cpu.Cpu.nv2_mask;
@@ -20,13 +14,27 @@ let current (cpu : Cpu.t) =
     el = cpu.Cpu.pstate.Pstate.el;
   }
 
-let holds k (cpu : Cpu.t) =
+let current cpu = make cpu (Cpu.peek_sysreg cpu Sysreg.HCR_EL2)
+
+let holds (k : t) (cpu : Cpu.t) =
   Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 k.hcr
   && Sysreg_file.holds cpu.Cpu.sysregs Sysreg.VNCR_EL2 k.vncr
   && k.features == cpu.Cpu.features
   && k.mask == cpu.Cpu.nv2_mask
   && Expose.Policy.equal k.expose cpu.Cpu.expose
   && k.el = cpu.Cpu.pstate.Pstate.el
+
+(* Its callers route first, which refreshes [hcr_raw], the raw value
+   behind the CPU's decoded HCR view: a new key shares that box rather
+   than boxing HCR_EL2 again. *)
+let share (s : Xlate.shared_key) (cpu : Cpu.t) =
+  if not (holds s.last cpu) then begin
+    let hcr = cpu.Cpu.hcr_raw in
+    s.last <-
+      (if Sysreg_file.holds cpu.Cpu.sysregs Sysreg.HCR_EL2 hcr then make cpu hcr
+       else current cpu)
+  end;
+  s.last
 
 (* --- sites --- *)
 
@@ -36,22 +44,10 @@ type site = {
   mutable action : Trap_rules.action;
 }
 
-(* The key of a site never routed: its feature record is this module's
-   own, physically distinct from every CPU's, so it never holds. *)
-let unrouted =
-  {
-    hcr = 0L;
-    vncr = 0L;
-    features = { (Features.v Features.V8_0) with Features.gicv3 = false };
-    mask = Trap_rules.nv2_off;
-    expose = Expose.Policy.none;
-    el = Pstate.EL0;
-  }
-
 let site (insn : Insn.t) =
   match insn with
   | Insn.Msr (_, Insn.Imm _) -> invalid_arg "Route_key.site: immediate MSR"
-  | _ -> { insn; key = unrouted; action = Trap_rules.Undef }
+  | _ -> { insn; key = Xlate.unrouted; action = Trap_rules.Undef }
 
 let exec cpu s =
   if not (holds s.key cpu) then begin
@@ -66,7 +62,7 @@ let exec cpu s =
    built yet), one byte per number: a table costs its caller one byte
    per number it may use and one site per number it did use.  A table's
    sites mostly miss together, on a change of routing state, so they
-   share the key its last miss took while that key holds. *)
+   share one key ([share]). *)
 
 type table = {
   n : int;
@@ -74,14 +70,21 @@ type table = {
   mutable ids : Bytes.t;
   mutable sites : site array;
   mutable used : int;
-  mutable last : t;
+  shared : Xlate.shared_key;
 }
 
 let max_sites = 255
 
 let table n insn_of =
   if n < 0 then invalid_arg "Route_key.table";
-  { n; insn_of; ids = Bytes.empty; sites = [||]; used = 0; last = unrouted }
+  {
+    n;
+    insn_of;
+    ids = Bytes.empty;
+    sites = [||];
+    used = 0;
+    shared = { Xlate.last = Xlate.unrouted };
+  }
 
 let add tbl i =
   let s = site (tbl.insn_of i) in
@@ -104,8 +107,7 @@ let exec_id cpu tbl i =
     let s = if id > 0 then Array.unsafe_get tbl.sites (id - 1) else add tbl i in
     if not (holds s.key cpu) then begin
       s.action <- Cpu.route cpu s.insn;
-      if not (holds tbl.last cpu) then tbl.last <- current cpu;
-      s.key <- tbl.last
+      s.key <- share tbl.shared cpu
     end;
     Cpu.exec_with_action cpu s.insn s.action
   end

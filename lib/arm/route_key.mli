@@ -5,10 +5,11 @@
     action carries the slot address), the feature record, the NV2 mask,
     the OoH grant and the EL.  A {!t} records them; while it {!holds},
     every instruction routes as it did when the key was taken.  The
-    world-switch copy plans are compiled per key, and a {!site} replays
-    one instruction's action per key. *)
+    world-switch copy plans are compiled per key, a {!site} replays one
+    instruction's action per key, and each interpreter superblock
+    ({!Xlate.block}) its routed ops' actions. *)
 
-type t
+type t = Xlate.key
 (** A CPU's routing state.  Features and the NV2 mask are compared by
     physical identity, the OoH grant with {!Expose.Policy.equal}. *)
 
@@ -16,6 +17,11 @@ val current : Cpu.t -> t
 
 val holds : t -> Cpu.t -> bool
 (** [holds k cpu]: [cpu]'s routing state is [k].  Allocates nothing. *)
+
+val share : Xlate.shared_key -> Cpu.t -> t
+(** [share s cpu]: [s]'s key, replaced by {!current} first unless it
+    holds, so the entries of a memo that miss under one routing state
+    take one key.  Allocates only on that replacement. *)
 
 (** {1 Route sites} *)
 

@@ -3,21 +3,17 @@
 
    Straight-line code is decoded once into a flat, pre-resolved op array
    per (block-entry PC, CPU) — ending at a branch, the halt marker, an
-   undecodable word, or a size cap — with the trap-rule routing hoisted
-   from per-instruction [Cpu.exec] to block formation.  Ops come in two
-   classes:
+   undecodable word, or a size cap.  Ops come in two classes:
 
    - [Plain]: constructors for which [Trap_rules.route] returns [Execute]
      unconditionally (loads, stores, ALU, barriers, TLBI, branches, SVC).
      These never need routing at all and execute straight through
      [Cpu.exec_local].
    - [Routed]: route-sensitive instructions (MRS/MSR/HVC/SMC/ERET/WFI).
-     The action computed at block formation is cached together with the
-     exact route inputs it was computed under (EL, raw HCR_EL2, VNCR_EL2,
-     features, ablation mask).  Before each cached-action replay the
-     executor compares the current inputs against the key; any mismatch
-     re-routes the block in place — an exact memoization of
-     [Trap_rules.route], never a behavioral approximation.
+     A block is a route memo: its routed ops' actions are valid while
+     its [key] (the routing state, a [Route_key.t]) holds.  Formation
+     routes nothing; a block starts under [unrouted], which never holds,
+     so its first routed op routes the whole block.
 
    Invalidation: the cache holds the [Memory.code_gen] generation the
    block was decoded under; stores into the tracked code envelope bump
@@ -26,8 +22,9 @@
    paper's Section-4 binary-patching path (runtime code writes) and
    snapshot restore correct.
 
-   This module deliberately does not depend on [Cpu]: block formation
-   takes the route inputs as values, and execution lives in [Interp]. *)
+   This module deliberately does not depend on [Cpu]: [Cpu.t] holds the
+   cache.  Routing and execution live in [Interp], key checks in
+   [Route_key]. *)
 
 (* --- program memory packing (two A64 words per 64-bit memory word) --- *)
 
@@ -43,6 +40,31 @@ let fetch32 mem addr =
    ends with ([hvc #0x3f] would be a real hypercall, so use a branch-to-
    self, the canonical "parking" instruction). *)
 let halt_marker = Encode.encode (Insn.B 0)
+
+(* --- routing keys --- *)
+
+type key = {
+  hcr : int64;
+  vncr : int64;
+  features : Features.t;
+  mask : Trap_rules.nv2_mask;
+  expose : Expose.Policy.t;
+  el : Pstate.el;
+}
+
+(* Its feature record is this module's own, physically distinct from
+   every CPU's, so it never holds. *)
+let unrouted =
+  {
+    hcr = 0L;
+    vncr = 0L;
+    features = { (Features.v Features.V8_0) with Features.gicv3 = false };
+    mask = Trap_rules.nv2_off;
+    expose = Expose.Policy.none;
+    el = Pstate.EL0;
+  }
+
+type shared_key = { mutable last : key }
 
 (* --- ops and blocks --- *)
 
@@ -62,15 +84,7 @@ type block = {
   ops : op array;
   term : terminal;
   mutable gen : int;  (* Memory.code_gen the ops were decoded under *)
-  (* Route inputs the [Routed] actions were computed under.  Mutable: a
-     mid-block route-state change re-routes in place rather than churning
-     the cache. *)
-  mutable k_el : Pstate.el;
-  mutable k_hcr : int64;
-  mutable k_vncr : int64;
-  mutable k_features : Features.t;
-  mutable k_mask : Trap_rules.nv2_mask;
-  mutable k_expose : Expose.Policy.t;
+  mutable key : key;  (* the routing state the [Routed] actions hold under *)
 }
 
 let max_block_ops = 64
@@ -83,18 +97,7 @@ let block_bits = 9
 let block_size = 1 lsl block_bits
 
 let empty_block =
-  {
-    entry = -1L;
-    ops = [||];
-    term = T_fallthrough;
-    gen = -1;
-    k_el = Pstate.EL0;
-    k_hcr = 0L;
-    k_vncr = 0L;
-    k_features = Features.v Features.V8_0;
-    k_mask = Trap_rules.nv2_off;
-    k_expose = Expose.Policy.none;
-  }
+  { entry = -1L; ops = [||]; term = T_fallthrough; gen = -1; key = unrouted }
 
 type t = {
   (* direct-mapped decode cache keyed by the 32-bit instruction word;
@@ -105,6 +108,8 @@ type t = {
   dec_vals : Encode.decoded array;
   (* direct-mapped superblock cache keyed by block-entry PC *)
   blocks : block array;
+  (* the key blocks re-routed under the same routing state share *)
+  shared : shared_key;
 }
 
 (* Both caches are direct-mapped over a power-of-two array, so a slot
@@ -117,9 +122,12 @@ let create ?(block_slots = block_size) () =
     dec_keys = Array.make decode_slots (-1);
     dec_vals = Array.make decode_slots (Encode.D_unknown 0);
     blocks = Array.make block_slots empty_block;
+    shared = { last = unrouted };
   }
 
 let decode_cache_size = decode_size
+
+let shared t = t.shared
 
 let decode t w =
   let slot = w land (Array.length t.dec_keys - 1) in
@@ -157,9 +165,10 @@ let ends_block (insn : Insn.t) =
   | Insn.B _ | Insn.Cbz _ | Insn.Cbnz _ | Insn.Eret | Insn.Svc _ -> true
   | _ -> false
 
-(* Decode straight-line code starting at [pc] into a block, routing each
-   route-sensitive instruction once under the given inputs. *)
-let build t mem ~pc ~gen ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose =
+(* Decode straight-line code starting at [pc] into a block.  Routed ops
+   get a placeholder action under the never-holding key: the first one
+   executed routes them all. *)
+let build t mem ~pc ~gen =
   let buf = Array.make max_block_ops (Plain Insn.Nop) in
   let rec scan i addr =
     if i >= max_block_ops then (i, T_fallthrough)
@@ -170,61 +179,22 @@ let build t mem ~pc ~gen ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose =
         match decode t w with
         | Encode.D_unknown _ -> (i, T_unknown)
         | Encode.D_insn insn ->
-          if is_plain insn then begin
-            buf.(i) <- Plain insn;
-            if ends_block insn then (i + 1, T_branch)
-            else scan (i + 1) (Int64.add addr 4L)
-          end
-          else begin
-            let action =
-              Trap_rules.route ~mask ~expose features ~hcr ~vncr ~el insn
-            in
-            buf.(i) <- Routed { insn; action };
-            if ends_block insn then (i + 1, T_branch)
-            else scan (i + 1) (Int64.add addr 4L)
-          end
+          buf.(i) <-
+            (if is_plain insn then Plain insn
+             else Routed { insn; action = Trap_rules.Undef });
+          if ends_block insn then (i + 1, T_branch)
+          else scan (i + 1) (Int64.add addr 4L)
   in
   let n, term = scan 0 pc in
-  {
-    entry = pc;
-    ops = Array.sub buf 0 n;
-    term;
-    gen;
-    k_el = el;
-    k_hcr = hcr_raw;
-    k_vncr = vncr;
-    k_features = features;
-    k_mask = mask;
-    k_expose = expose;
-  }
-
-(* Route state changed mid-block (or the block is entered under different
-   state than it was formed under): recompute every cached action under
-   the current inputs and rekey.  The instructions themselves are still
-   valid — code validity is the generation's job, not the key's. *)
-let re_route blk ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose =
-  Array.iter
-    (function
-      | Plain _ -> ()
-      | Routed r ->
-        r.action <- Trap_rules.route ~mask ~expose features ~hcr ~vncr ~el r.insn)
-    blk.ops;
-  blk.k_el <- el;
-  blk.k_hcr <- hcr_raw;
-  blk.k_vncr <- vncr;
-  blk.k_features <- features;
-  blk.k_mask <- mask;
-  blk.k_expose <- expose
+  { entry = pc; ops = Array.sub buf 0 n; term; gen; key = unrouted }
 
 (* Cached block for [pc] decoded under generation [gen], or rebuild. *)
-let lookup t mem ~pc ~gen ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose =
+let lookup t mem ~pc ~gen =
   let slot = (Int64.to_int pc lsr 2) land (Array.length t.blocks - 1) in
   let blk = Array.unsafe_get t.blocks slot in
   if blk.entry = pc && blk.gen = gen then blk
   else begin
-    let blk =
-      build t mem ~pc ~gen ~el ~hcr ~hcr_raw ~vncr ~features ~mask ~expose
-    in
+    let blk = build t mem ~pc ~gen in
     t.blocks.(slot) <- blk;
     blk
   end

@@ -1,17 +1,18 @@
 (** Superblock translation cache for the interpreter hot loop.
 
     Straight-line code is decoded once into a flat, pre-resolved op array
-    per (block-entry PC, CPU), with trap-rule routing hoisted from
-    per-instruction {!Cpu.exec} to block formation.  Blocks are validated
-    against {!Memory.code_gen} (stores into the tracked code envelope
-    invalidate them) and against the exact route inputs their cached
-    actions were computed under (EL, raw HCR_EL2, VNCR_EL2, features,
-    ablation mask, OoH exposure policy) — a mismatch re-routes in place,
-    making the cache an exact memoization of {!Trap_rules.route}.
+    per (block-entry PC, CPU).  Blocks are validated against
+    {!Memory.code_gen} (stores into the tracked code envelope invalidate
+    them), and each block is a route memo: its cached actions are valid
+    while its {!key} holds ({!Route_key.holds}).  Formation routes
+    nothing; the first route-sensitive op executed under a key that does
+    not hold re-routes the whole block, making the cache an exact
+    memoization of {!Trap_rules.route}.
 
-    This module holds the data and formation logic only; execution lives
-    in {!Interp}, the only execution loop, which also owns the side-exit
-    rules (PC divergence, mid-block code writes, budget/stop). *)
+    This module holds the data and formation logic only; routing and
+    execution live in {!Interp}, the only execution loop, which also owns
+    the side-exit rules (PC divergence, mid-block code writes,
+    budget/stop). *)
 
 val fetch32 : Memory.t -> int64 -> int
 (** Fetch the 32-bit instruction word at an address (words are packed
@@ -25,11 +26,34 @@ val is_plain : Insn.t -> bool
     input (loads, stores, ALU, barriers, TLBI, branches, SVC): they need
     no routing at all. *)
 
+(** {1 Routing keys} *)
+
+type key = {
+  hcr : int64;
+  vncr : int64;
+  features : Features.t;
+  mask : Trap_rules.nv2_mask;
+  expose : Expose.Policy.t;
+  el : Pstate.el;
+}
+(** A CPU's routing state: the representation of {!Route_key.t}, which
+    builds and checks it.  Declared here because {!Cpu.t} holds the
+    cache. *)
+
+val unrouted : key
+(** A key that never holds: its feature record is no CPU's. *)
+
+type shared_key = { mutable last : key }
+(** The key a memo's last miss took, for its entries that miss together
+    to share ({!Route_key.share}). *)
+
+(** {1 Blocks} *)
+
 type op =
   | Plain of Insn.t
       (** routes to [Execute] unconditionally; no validation ever *)
   | Routed of { insn : Insn.t; mutable action : Trap_rules.action }
-      (** route-sensitive; [action] is valid under the block key *)
+      (** route-sensitive; [action] is valid while the block's key holds *)
 
 type terminal =
   | T_fallthrough  (** size cap: continue at the next PC *)
@@ -42,12 +66,9 @@ type block = {
   ops : op array;
   term : terminal;
   mutable gen : int;
-  mutable k_el : Pstate.el;
-  mutable k_hcr : int64;
-  mutable k_vncr : int64;
-  mutable k_features : Features.t;
-  mutable k_mask : Trap_rules.nv2_mask;
-  mutable k_expose : Expose.Policy.t;
+  mutable key : key;
+      (** the routing state the [Routed] actions were computed under;
+          {!unrouted} until the first one executes *)
 }
 
 type t
@@ -75,31 +96,9 @@ val decode_cache_size : int
 val flush : t -> unit
 (** Drop all cached blocks and decoded words. *)
 
-val lookup :
-  t ->
-  Memory.t ->
-  pc:int64 ->
-  gen:int ->
-  el:Pstate.el ->
-  hcr:Hcr.view ->
-  hcr_raw:int64 ->
-  vncr:int64 ->
-  features:Features.t ->
-  mask:Trap_rules.nv2_mask ->
-  expose:Expose.Policy.t ->
-  block
-(** The cached block entered at [pc] and decoded under generation [gen],
-    built fresh if absent or stale. *)
+val shared : t -> shared_key
+(** The key shared by this cache's blocks. *)
 
-val re_route :
-  block ->
-  el:Pstate.el ->
-  hcr:Hcr.view ->
-  hcr_raw:int64 ->
-  vncr:int64 ->
-  features:Features.t ->
-  mask:Trap_rules.nv2_mask ->
-  expose:Expose.Policy.t ->
-  unit
-(** Recompute every cached action under the current route inputs and
-    rekey the block (the mid-block side-exit repair path). *)
+val lookup : t -> Memory.t -> pc:int64 -> gen:int -> block
+(** The cached block entered at [pc] and decoded under generation [gen],
+    built fresh (unrouted) if absent or stale. *)

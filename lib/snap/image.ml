@@ -188,7 +188,7 @@ let nv2_mask () =
           (Update (fun m m_cached -> { m with m_cached })) ])
 
 (* hcr_raw/hcr_cached are recomputed lazily from the HCR_EL2 sysreg
-   (Cpu.hcr_view self-heals on mismatch), so they are not format. *)
+   (Cpu.route re-decodes on mismatch), so they are not format. *)
 let cpu () =
   Cpu.(
     record

@@ -79,6 +79,36 @@ let test_roundtrip =
           (Insn.to_string insn)
           (Encode.encode insn))
 
+(* The decoder never yields an immediate MSR, the one form [Cpu.exec]
+   rewrites (through x9) before it routes: the interpreter replays
+   decoded instructions through [Cpu.exec_with_action] and needs no
+   rewrite of its own.  Half the random words are drawn from the
+   system-instruction space, half of those from the MRS/MSR encodings
+   (top bits 0xd51/0xd53). *)
+let decodes_imm_msr w =
+  match Encode.decode w with
+  | Encode.D_insn (Insn.Msr (_, Insn.Imm _)) -> true
+  | _ -> false
+
+let arb_word =
+  QCheck.make ~print:(Printf.sprintf "%08x")
+    QCheck.Gen.(
+      map2
+        (fun sys w ->
+          if sys then 0xd500_0000 lor (w land 0x3f_ffff) else w land 0xffff_ffff)
+        bool int)
+
+let test_no_imm_msr_words =
+  QCheck.Test.make ~count:20000
+    ~name:"decode never yields an immediate MSR (random words)" arb_word
+    (fun w -> not (decodes_imm_msr w))
+
+let test_no_imm_msr_forms =
+  QCheck.Test.make ~count:2000
+    ~name:"decode never yields an immediate MSR (every encodable shape)"
+    arb_encodable
+    (fun insn -> not (decodes_imm_msr (Encode.encode insn)))
+
 (* The remaining constructors have no single-word A64 form; [encode]
    must refuse them rather than emit a wrong word — the binary patcher
    relies on this partiality being loud. *)
@@ -454,6 +484,8 @@ let test_ooh_columns () =
 let suite =
   [
     qtest test_roundtrip;
+    qtest test_no_imm_msr_words;
+    qtest test_no_imm_msr_forms;
     Alcotest.test_case "encode refuses unencodable shapes" `Quick
       test_unencodable_raises;
     qtest test_decode_cache_collisions;

@@ -247,6 +247,166 @@ let test_mid_block_hcr_side_exit () =
   check Alcotest.int64 "reference agrees on SCTLR_EL2" el2' el2;
   check Alcotest.int "identical cycle charges" cyc' cyc
 
+(* --- each block is a route memo keyed on the routing state --- *)
+
+(* Two deferred-access pages with different contents, so a deferred
+   access at the wrong BADDR shows. *)
+let page_a = 0x4_0000L
+let page_b = 0x6_0000L
+let enabled page = Int64.logor page 1L
+
+(* A NEVE CPU at EL1 running a guest hypervisor: HCR_EL2.NV/NV2 set,
+   VNCR_EL2 enabled at [page_a].  Trapped accesses and UNDEFINED ones
+   are skipped by handlers that only return. *)
+let memo_cpu () =
+  let cpu = Arm.Cpu.create ~features:(Arm.Features.v Arm.Features.V8_4) () in
+  cpu.Cpu.el2_handler <- Some (fun c _ -> Cpu.do_eret c);
+  cpu.Cpu.el1_handler <- Some (fun c _ -> Cpu.do_eret c);
+  Cpu.poke_sysreg cpu Sysreg.HCR_EL2
+    (List.fold_left Arm.Hcr.set 0L Arm.Hcr.[ vm; nv; nv2 ]);
+  Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 (enabled page_a);
+  cpu.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
+  for k = 0 to 511 do
+    let off = Int64.of_int (8 * k) in
+    Arm.Memory.write64 cpu.Cpu.mem (Int64.add page_a off) (Int64.of_int (0xa000 + k));
+    Arm.Memory.write64 cpu.Cpu.mem (Int64.add page_b off) (Int64.of_int (0xb000 + k))
+  done;
+  for r = 0 to 30 do
+    Cpu.set_reg cpu r (Int64.of_int (0x100 + r))
+  done;
+  cpu
+
+(* Two blocks (the branch ends the first) of accesses that route
+   differently under each field of the routing state: trapped, deferred
+   to memory, redirected to EL1, disguised, exposed by an OoH grant. *)
+let memo_program =
+  let d = Sysreg.direct in
+  [ Insn.Mrs (1, d Sysreg.SCTLR_EL1);
+    Insn.Mrs (2, d Sysreg.ESR_EL2);
+    Insn.Mrs (3, d Sysreg.VTTBR_EL2);
+    Insn.Mrs (4, d Sysreg.CNTHP_CTL_EL2);
+    Insn.Mrs (5, d (Sysreg.ICH_LR_EL2 0));
+    Insn.B 1;
+    Insn.Msr (d Sysreg.VMPIDR_EL2, Insn.Reg 6);
+    Insn.Msr (d Sysreg.SCTLR_EL2, Insn.Reg 7);
+    Insn.Msr (d Sysreg.TPIDR_EL1, Insn.Reg 8);
+    Insn.Mrs (10, d Sysreg.CurrentEL);
+    Insn.Mrs (11, Sysreg.el12 Sysreg.SCTLR_EL1);
+    Insn.Mrs (12, d Sysreg.HCR_EL2);
+    Insn.Mrs (13, d Sysreg.ICH_HCR_EL2) ]
+
+(* What a run leaves behind: registers, system registers, memory and
+   the meter. *)
+let memo_state (cpu : Cpu.t) =
+  let mt = cpu.Cpu.meter in
+  ( (Cpu.gprs cpu, Cpu.pc cpu, cpu.Cpu.pstate.Arm.Pstate.el),
+    List.map (fun (r, v) -> (Sysreg.name r, v)) (Arm.Sysreg_file.dump cpu.Cpu.sysregs),
+    Arm.Memory.sorted_words cpu.Cpu.mem,
+    (mt.Cost.cycles, mt.Cost.insns, mt.Cost.traps, mt.Cost.mem_accesses) )
+
+(* Twin CPUs, one running [Interp.run] and one the reference loop, run
+   [program] from [entry] after each change [(what, entry, change)] is
+   applied to both.  The interpreter's blocks stay cached throughout
+   (nothing flushes or rewinds them), so each run after a change replays
+   blocks routed under the state before it. *)
+let twin_runs ~program changes =
+  let a = memo_cpu () and b = memo_cpu () in
+  Interp.load_program a.Cpu.mem ~base program;
+  Interp.load_program b.Cpu.mem ~base program;
+  List.iter
+    (fun (what, entry, change) ->
+      change a;
+      change b;
+      let outcome (run : Fuzz.Diff.runner) cpu =
+        match run cpu ~entry ~max_insns:100 with
+        | o -> Interp.outcome_to_string o
+        | exception e -> Printexc.to_string e
+      in
+      check Alcotest.string (what ^ ": outcome") (outcome Ref_interp.run b)
+        (outcome Interp.run a);
+      let (ga, pa, ea), ra, wa, ma = memo_state a
+      and (gb, pb, eb), rb, wb, mb = memo_state b in
+      check Alcotest.bool (what ^ ": general registers") true (ga = gb);
+      check Alcotest.int64 (what ^ ": pc") pb pa;
+      check Alcotest.bool (what ^ ": EL") true (ea = eb);
+      check Alcotest.(list (pair string int64)) (what ^ ": system registers") rb ra;
+      check Alcotest.(list (pair int64 int64)) (what ^ ": memory") wb wa;
+      check Alcotest.bool (what ^ ": cycles, instructions, traps, accesses")
+        true (ma = mb))
+    changes
+
+let set_el el (cpu : Cpu.t) = cpu.Cpu.pstate <- Arm.Pstate.at el
+let set_vncr v (cpu : Cpu.t) = Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 v
+
+(* Each field of the routing state changed alone, and changed back: every
+   run must equal the reference loop's.  A block that kept actions
+   routed under another state, or took a key before routing, would
+   defer to the old page, trap where the state now redirects, or miss
+   an exposed register. *)
+let test_block_memo_exact () =
+  let at_el1 f (cpu : Cpu.t) =
+    set_el Arm.Pstate.EL1 cpu;
+    f cpu
+  in
+  let unchanged = ("unchanged", set_el Arm.Pstate.EL1) in
+  twin_runs ~program:memo_program
+    (List.map
+       (fun (what, change) -> (what, base, change))
+       [ ("base state", set_el Arm.Pstate.EL1);
+         ( "features (a new ARMv8.3 record)",
+           at_el1 (fun c -> c.Cpu.features <- Arm.Features.v Arm.Features.V8_3) );
+         ( "features (a new ARMv8.4 record)",
+           at_el1 (fun c -> c.Cpu.features <- Arm.Features.v Arm.Features.V8_4) );
+         unchanged;
+         ( "NV2 mask without deferral",
+           at_el1 (fun c ->
+               c.Cpu.nv2_mask <- { Arm.Trap_rules.nv2_full with m_defer = false }) );
+         ( "NV2 mask back to full",
+           at_el1 (fun c -> c.Cpu.nv2_mask <- Arm.Trap_rules.nv2_full) );
+         ("OoH grant: all", at_el1 (fun c -> c.Cpu.expose <- Expose.Policy.all));
+         ( "OoH grant: timer",
+           at_el1 (fun c ->
+               c.Cpu.expose <- Expose.Policy.of_list [ Expose.Policy.Timer ]) );
+         ("OoH grant: none", at_el1 (fun c -> c.Cpu.expose <- Expose.Policy.none));
+         ("VNCR BADDR moved", at_el1 (set_vncr (enabled page_b)));
+         ("VNCR BADDR back", at_el1 (set_vncr (enabled page_a)));
+         ("VNCR Enable cleared", at_el1 (set_vncr page_a));
+         ("VNCR Enable set", at_el1 (set_vncr (enabled page_a)));
+         ("EL2", set_el Arm.Pstate.EL2);
+         ("EL1 again", set_el Arm.Pstate.EL1);
+         ( "HCR_EL2.NV2 cleared",
+           at_el1 (fun c ->
+               Cpu.poke_sysreg c Sysreg.HCR_EL2
+                 (List.fold_left Arm.Hcr.set 0L Arm.Hcr.[ vm; nv ])) );
+         unchanged ])
+
+(* VNCR_EL2 written by an MSR in the middle of an EL2 block, which then
+   returns (eret) into an EL1 block routed under the old BADDR: the EL1
+   block's deferred accesses must move to the new page. *)
+let test_mid_block_vncr_write () =
+  let d = Sysreg.direct in
+  let el1_entry = Int64.add base 20L in
+  let program =
+    [ Insn.Mov (2, Insn.Imm 0x5L);                   (* EL2 entry *)
+      Insn.Msr (d Sysreg.VNCR_EL2, Insn.Reg 0);
+      Insn.Mrs (1, d Sysreg.VNCR_EL2);
+      Insn.Msr (d Sysreg.SCTLR_EL1, Insn.Reg 2);
+      Insn.Eret;
+      Insn.Mrs (3, d Sysreg.VTTBR_EL2);              (* EL1 entry *)
+      Insn.Msr (d Sysreg.VMPIDR_EL2, Insn.Reg 3);
+      Insn.Mrs (4, d Sysreg.ESR_EL2) ]
+  in
+  let from_el2 (cpu : Cpu.t) =
+    set_el Arm.Pstate.EL2 cpu;
+    Cpu.set_reg cpu 0 (enabled page_b);
+    Cpu.poke_sysreg cpu Sysreg.ELR_EL2 el1_entry;
+    Cpu.poke_sysreg cpu Sysreg.SPSR_EL2
+      (Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1))
+  in
+  twin_runs ~program
+    [ ("EL1 block under page A", el1_entry, set_el Arm.Pstate.EL1);
+      ("EL2 block moves BADDR to page B", base, from_el2) ]
+
 let test_halt_on_garbage () =
   let cpu = fresh () in
   (* jump straight into unwritten memory: fetch reads zeros *)
@@ -374,6 +534,10 @@ let suite =
      test_self_modifying_code_invalidation);
     ("mid-block HCR change side-exits and re-routes", `Quick,
      test_mid_block_hcr_side_exit);
+    ("a block is an exact route memo for every key field", `Quick,
+     test_block_memo_exact);
+    ("mid-block VNCR_EL2 write moves deferred accesses", `Quick,
+     test_mid_block_vncr_write);
     ("halt on unencodable words", `Quick, test_halt_on_garbage);
     ("branch encodings roundtrip", `Quick, test_branch_roundtrips);
     ("disassembler", `Quick, test_disassemble);

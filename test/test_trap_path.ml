@@ -651,6 +651,55 @@ let test_op_budgets () =
           [ (Hypercall, b_hvc); (Device_io, b_mmio); (Virtual_ipi, b_ipi) ])
     op_budgets
 
+(* Minor words per iteration of a warm interpreted loop of EL2 accesses
+   (mrs SCTLR_EL1; msr TPIDR_EL1; mrs ESR_EL2; sub; cbnz), as measured
+   by [dune runtest] (development profile), 1,000 iterations in one run:
+   31.0 words.  The flip variant writes HCR_EL2 (E2H set, then clear)
+   before each run of 10 iterations, so every run re-routes the block:
+   38.5 words per iteration.  The bounds allow 10% on top; a routing
+   check that boxes, or a re-route that allocates per op, exceeds
+   them. *)
+let interp_loop_budgets = [ (false, 34.1); (true, 42.4) ]
+
+let test_interp_loop_budget () =
+  let d = Sysreg.direct in
+  List.iter
+    (fun (flip, bound) ->
+      let cpu = el2_cpu Arm.Features.V8_4 0L in
+      let entry = Cpu.pc cpu in
+      Arm.Interp.load_program cpu.Cpu.mem ~base:entry
+        [ Insn.Mrs (1, d Sysreg.SCTLR_EL1);
+          Insn.Msr (d Sysreg.TPIDR_EL1, Insn.Reg 1);
+          Insn.Mrs (2, d Sysreg.ESR_EL2);
+          Insn.Sub (0, 0, Insn.Imm 1L);
+          Insn.Cbnz (0, -4) ];
+      let run iters =
+        Cpu.set_reg cpu 0 (Int64.of_int iters);
+        match Arm.Interp.run cpu ~entry ~max_insns:(10 * iters) with
+        | Arm.Interp.Breakpoint -> ()
+        | o -> Alcotest.failf "loop ended %a" Arm.Interp.pp_outcome o
+      in
+      let runs, iters = if flip then (100, 10) else (1, 1000) in
+      let rounds () =
+        for k = 1 to runs do
+          if flip then
+            Cpu.poke_sysreg cpu Sysreg.HCR_EL2
+              (if k land 1 = 1 then Arm.Hcr.e2h else 0L);
+          run iters
+        done
+      in
+      rounds ();
+      let per_iter =
+        float_of_int (words_during rounds) /. float_of_int (runs * iters)
+      in
+      let what = if flip then "HCR_EL2 flipped per run" else "steady" in
+      Printf.eprintf "interpreted EL2 loop, %s: %.2f minor words per iteration\n%!"
+        what per_iter;
+      if per_iter > bound then
+        Alcotest.failf "interpreted EL2 loop, %s: %.1f minor words per iteration (budget %.1f)"
+          what per_iter bound)
+    interp_loop_budgets
+
 (* --- shared immutable records --- *)
 
 let test_shared_records () =
@@ -714,4 +763,7 @@ let suite =
     ("warm hypercall stays within its per-trap budget, as do MMIO and IPI",
      `Quick,
      test_op_budgets);
+    ("warm interpreted EL2 loop stays within its per-iteration budget",
+     `Quick,
+     test_interp_loop_budget);
   ]
