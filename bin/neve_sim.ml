@@ -6,7 +6,7 @@
      table6    microbenchmark cycle counts incl. NEVE (paper Table 6)
      table7    microbenchmark average trap counts (paper Table 7)
      fig2      application benchmark overheads (paper Figure 2)
-     traps     trap log of one nested microbenchmark, classified
+     traps     every trap of one nested hypercall, classified
      classify  the NEVE register classification (paper Tables 3/4/5)
      validate  trap-cost interchangeability measurement (paper Section 5)
      paper     Tables 1/6/7, Figure 2, Section 5, ablation, recursion, live
@@ -207,18 +207,19 @@ let traps_cmd =
     let m =
       Workloads.Scenario.make_arm (Workloads.Scenario.Arm_nested config)
     in
-    (* warm up, then log one hypercall *)
+    (* warm up, then trace one hypercall: its traps are lane 0's Trap events *)
     Hyp.Machine.hypercall m ~cpu:0;
-    Cost.set_logging m.Hyp.Machine.cpus.(0).Arm.Cpu.meter true;
+    Trace.enable ~capacity:65536 ();
     Hyp.Machine.hypercall m ~cpu:0;
-    let log = Cost.trap_log m.Hyp.Machine.cpus.(0).Arm.Cpu.meter in
+    Trace.disable ();
+    if Trace.dropped () > 0 then failwith "traps: the trace ring wrapped";
+    let traps = List.filter (fun v -> v.Trace.v_kind = Trap && v.v_tid = 0) (Trace.events ()) in
     Fmt.pr "Traps to the host hypervisor for one nested hypercall (%s):@.@."
       (Hyp.Config.name config);
     List.iteri
-      (fun i (kind, detail) ->
-        Fmt.pr "%3d  %-14s %s@." (i + 1) (Cost.trap_kind_name kind) detail)
-      log;
-    Fmt.pr "@.total: %d traps@." (List.length log)
+      (fun i v -> Fmt.pr "%3d  %-14s %s@." (i + 1) v.Trace.v_cls v.v_detail)
+      traps;
+    Fmt.pr "@.total: %d traps@." (List.length traps)
   in
   Cmd.v
     (Cmd.info "traps"

@@ -16,7 +16,6 @@ let run_one label config =
   (* Warm up once, then measure a single hypercall from the nested VM. *)
   Hyp.Machine.hypercall machine ~cpu:0;
   let meter = machine.Hyp.Machine.cpus.(0).Arm.Cpu.meter in
-  Cost.set_logging meter true;
   let before = Cost.snapshot meter in
   Hyp.Machine.hypercall machine ~cpu:0;
   let d = Cost.delta_since meter before in

@@ -2,7 +2,7 @@
    class does each NEVE mechanism eliminate?
 
    For each microbenchmark and each nested configuration, runs the
-   operation with trap logging on and prints a breakdown by trap class —
+   operation once warm and prints its traps broken down by class —
    the quantitative version of Section 6's design discussion:
    VM-register accesses vanish into the deferred access page, hypervisor
    control registers get redirected, and only eret, timers, IPIs and GIC

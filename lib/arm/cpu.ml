@@ -9,6 +9,20 @@
 exception Undefined_instruction of Insn.t * Pstate.el
 exception No_el2_handler of Exn.entry
 
+(* A checked CPU's trap trail: its newest [trail_depth] traps in a ring
+   of preallocated slots, so recording one allocates nothing.  A trap
+   keeps its instruction, rendered only when the trail is read, or else
+   [Nop] (which never traps) and its text. *)
+let trail_depth = 8
+
+type trail = {
+  kinds : Cost.trap_kind array;
+  insns : Insn.t array;
+  texts : string array;
+  mutable next : int;  (* the slot the next trap fills *)
+  mutable len : int;  (* live slots, newest at [next - 1], wrapping *)
+}
+
 type t = {
   (* The word file: x0..x30 then the PC, one unboxed 64-bit word each,
      so a register write or a PC advance stores a word and allocates
@@ -55,10 +69,7 @@ type t = {
      syndrome every time it traps, and entries are immutable, so the
      record handed to the handler is reused instead of rebuilt per trap. *)
   trap_entries : Exn.entry Memo.t;
-  (* The trap log's entry for each trapping instruction, built by the
-     first logged trap: a trap site logs the same entry every time, and
-     the log keeps every entry for the meter's life. *)
-  mutable labels : (Insn.t, Cost.trap_kind * string) Hashtbl.t option;
+  trail : trail option;  (* what a [Sim_fault] reports; checked machines only *)
 }
 
 and handler = t -> Exn.entry -> unit
@@ -85,7 +96,8 @@ let entry_of_key k =
 let[@inline] pc t = get_word t.regs pc_offset
 let[@inline] set_pc t v = set_word t.regs pc_offset v
 
-let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
+let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter
+    ?(trail = false) () =
   let mem = match mem with Some m -> m | None -> Memory.create () in
   let meter = match meter with Some m -> m | None -> Cost.make_meter ?table () in
   let t =
@@ -107,7 +119,13 @@ let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter () =
       hcr_cached = Hcr.decode 0L;
       xlate = Xlate.create ();
       trap_entries = Memo.create entry_of_key;
-      labels = None;
+      trail =
+        (if trail then
+           Some
+             { kinds = Array.make trail_depth Cost.Trap_hvc;
+               insns = Array.make trail_depth Insn.Nop;
+               texts = Array.make trail_depth ""; next = 0; len = 0 }
+         else None);
     }
   in
   set_pc t 0x8000_0000L;
@@ -132,15 +150,43 @@ let load_frames t src =
   Bytes.blit src 0 t.frames 0 (depth * frame_bytes);
   t.depth <- depth
 
+(* Fill the next slot; once the ring is full, that is the oldest's. *)
+let trail_push r kind insn text =
+  let i = r.next in
+  r.kinds.(i) <- kind;
+  r.insns.(i) <- insn;
+  r.texts.(i) <- text;
+  r.next <- (i + 1) mod trail_depth;
+  if r.len < trail_depth then r.len <- r.len + 1
+
+let record_trap t ~detail kind =
+  Cost.record_trap ~detail t.meter kind;
+  match t.trail with Some r -> trail_push r kind Insn.Nop detail | None -> ()
+
+let trail_entries t =
+  match t.trail with
+  | None -> []
+  | Some r ->
+    List.init r.len (fun k ->
+        let i = (r.next - 1 - k + trail_depth) mod trail_depth in
+        ( r.kinds.(i),
+          match r.insns.(i) with Insn.Nop -> r.texts.(i) | insn -> Insn.to_string insn ))
+
+let load_trail t entries =
+  match t.trail with
+  | None -> ()
+  | Some r ->
+    r.len <- 0;
+    List.iter (fun (kind, text) -> trail_push r kind Insn.Nop text) (List.rev entries)
+
 (* A mark copies every mutable field except the caches.  Rewinding
    empties the translation cache and the trap-entry memo instead of
    restoring them: no cached block can validate again (the memory's
    rewind moves its code generation on), and a machine kept for many
    rewinds would otherwise hold a program's worth of decoded words and
-   entries for good.  The trap-log labels stay: they exist only while
-   the meter logs.  Memory is the machine's to mark: CPUs share it.  The
+   entries for good.  Memory is the machine's to mark: CPUs share it.  The
    live frames are copied both ways because trap handlers update them
-   in place. *)
+   in place; the trail is marked as its entries' text. *)
 type mark = {
   mk_regs : Bytes.t;
   mk_pstate : Pstate.t;
@@ -155,6 +201,7 @@ type mark = {
   mk_expose : Expose.Policy.t;
   mk_hcr_raw : int64;
   mk_hcr_cached : Hcr.view;
+  mk_trail : (Cost.trap_kind * string) list;
 }
 
 let mark t =
@@ -172,6 +219,7 @@ let mark t =
     mk_expose = t.expose;
     mk_hcr_raw = t.hcr_raw;
     mk_hcr_cached = t.hcr_cached;
+    mk_trail = trail_entries t;
   }
 
 let rewind t m =
@@ -188,6 +236,7 @@ let rewind t m =
   t.expose <- m.mk_expose;
   t.hcr_raw <- m.mk_hcr_raw;
   t.hcr_cached <- m.mk_hcr_cached;
+  load_trail t m.mk_trail;
   Xlate.flush t.xlate;
   Memo.clear t.trap_entries
 
@@ -470,26 +519,6 @@ let exec_local t (insn : Insn.t) =
   | Insn.Eret | Insn.B _ | Insn.Cbz _ | Insn.Cbnz _ -> ()
   | _ -> advance_pc t
 
-(* The trap log's entry for [insn] trapping as [kind]: the rendered
-   instruction, shared between the traps of one site.  An instruction
-   that traps under another kind elsewhere (a TVM trap from a VM, a
-   virtual-EL2 trap from the guest hypervisor) shares the text only. *)
-let log_entry t insn kind =
-  let tbl =
-    match t.labels with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 64 in
-      t.labels <- Some tbl;
-      tbl
-  in
-  match Hashtbl.find_opt tbl insn with
-  | Some ((k, text) as e) -> if k == kind then e else (kind, text)
-  | None ->
-    let e = (kind, Insn.to_string insn) in
-    Hashtbl.add tbl insn e;
-    e
-
 let undef_entry =
   { Exn.target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0; fault_addr = None }
 
@@ -527,7 +556,7 @@ and exec_action t (insn : Insn.t) action =
   | Trap_rules.Execute_exposed { feature } ->
     (* OoH: the access runs against the real register at its ordinary
        execute cost; only the saved exit is attributed. *)
-    if t.meter.Cost.logging || !Trace.on then
+    if !Trace.on then
       Cost.record_exposed ~detail:(Insn.to_string insn) t.meter feature
     else Cost.record_exposed t.meter feature;
     exec_local t insn
@@ -575,11 +604,12 @@ and exec_action t (insn : Insn.t) action =
       | _ -> assert false
     end
   | Trap_rules.Trap_to_el2 { ec; iss; kind } ->
-    (* The detail string is only observable through the trap log and the
-       tracer; don't pay for rendering the instruction otherwise. *)
-    if t.meter.Cost.logging || !Trace.on then
-      Cost.record_trap_entry t.meter (log_entry t insn kind)
+    (* Only the tracer sees the instruction rendered; the trail keeps the
+       instruction itself. *)
+    if !Trace.on then
+      Cost.record_trap ~detail:(Insn.to_string insn) t.meter kind
     else Cost.record_trap t.meter kind;
+    (match t.trail with Some r -> trail_push r kind insn "" | None -> ());
     advance_pc t;
     (* ELR on a trapped instruction points at the *next* instruction once
        the handler has emulated it; we advance first so the handler's eret
@@ -616,7 +646,7 @@ let[@inline] hcr_bit t bit = Int64.logand (sr_get t i_hcr) bit <> 0L
 let deliver_irq t =
   let c = table t in
   if t.pstate.Pstate.el <> Pstate.EL2 && hcr_bit t Hcr.imo then begin
-    Cost.record_trap ~detail:"irq" t.meter Cost.Trap_irq;
+    record_trap t ~detail:"irq" Cost.Trap_irq;
     Cost.charge t.meter c.Cost.irq_delivery;
     exception_entry t (trap_entry t Exn.EC_irq 0);
     true

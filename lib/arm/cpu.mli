@@ -26,6 +26,13 @@ exception Undefined_instruction of Insn.t * Pstate.el
 
 exception No_el2_handler of Exn.entry
 
+val trail_depth : int
+(** 8: the newest traps a CPU's trail holds. *)
+
+type trail
+(** Preallocated slots, each a trap kind with the trapping instruction
+    (rendered only when read) or a text: recording allocates nothing. *)
+
 type t = {
   regs : Bytes.t;
       (** the word file: x0..x30 at byte offsets [0..240], then the PC;
@@ -65,9 +72,9 @@ type t = {
   trap_entries : Exn.entry Memo.t;
       (** memo of EL2 trap entries keyed by (EC, ISS), so a repeated
           trap reuses its immutable entry record *)
-  mutable labels : (Insn.t, Cost.trap_kind * string) Hashtbl.t option;
-      (** the trap log's entry for each trapping instruction, shared
-          between the traps of one site; built by the first logged trap *)
+  trail : trail option;
+      (** what a [Sim_fault] reports; only a checked machine's CPUs
+          keep one *)
 }
 
 and handler = t -> Exn.entry -> unit
@@ -77,15 +84,16 @@ val create :
   ?table:Cost.table ->
   ?mem:Memory.t ->
   ?meter:Cost.meter ->
+  ?trail:bool ->
   unit ->
   t
 (** A CPU at EL2 with reset state.  Pass [mem] to share physical memory
-    between CPUs of one machine. *)
+    between CPUs of one machine; [~trail:true] keeps a trap trail. *)
 
 type mark
 (** Every mutable field of a CPU as it was when marked, its register
-    file and meter included.  Not included: the shared memory (marked by
-    its owner) and the caches ([xlate], [trap_entries], [labels]). *)
+    file, meter and trail included.  Not included: the shared memory
+    (marked by its owner) and the caches ([xlate], [trap_entries]). *)
 
 val mark : t -> mark
 val rewind : t -> mark -> unit
@@ -173,6 +181,17 @@ val ldr : t -> int -> int64 -> unit
 
 val str : t -> int -> int64 -> unit
 (** [str t rt addr] is [exec t (Str (rt, Abs addr))], likewise. *)
+
+val record_trap : t -> detail:string -> Cost.trap_kind -> unit
+(** [Cost.record_trap ~detail] on the CPU's meter, and [detail] in its
+    trail: a trap that no instruction took (an abort, an interrupt). *)
+
+val trail_entries : t -> (Cost.trap_kind * string) list
+(** The trail, newest first, rendered now; [[]] without a trail. *)
+
+val load_trail : t -> (Cost.trap_kind * string) list -> unit
+(** Replace the trail with these entries, newest first, kept as text
+    (the newest {!trail_depth}; none without a trail). *)
 
 val deliver_irq : t -> bool
 (** A physical interrupt arrives: routed to EL2 when executing below EL2

@@ -241,8 +241,6 @@ type meter = {
   by_kind : int array;  (* per-kind trap counts, indexed by [kind_index] *)
   exposed : int array;  (* per-feature trap-free access counts, indexed
                            by [exposed_index] *)
-  mutable log : (trap_kind * string) list;  (* newest first *)
-  mutable logging : bool;
   mutable tid : int;  (* owning CPU id; the trace lane for events this
                          meter emits *)
 }
@@ -255,8 +253,6 @@ let make_meter ?(table = default) () = {
   mem_accesses = 0;
   by_kind = Array.make kind_count 0;
   exposed = Array.make exposed_count 0;
-  log = [];
-  logging = false;
   tid = 0;
 }
 
@@ -280,27 +276,13 @@ let count_insns m n =
    from the trap router and IRQ delivery, x86 VM exits from Vtx.  Emitting
    the trace event here is what makes the tracer's per-class counter sums
    equal the meters' trap totals by construction. *)
-let count_trap m kind =
+let record_trap ?(detail = "") m kind =
   m.traps <- m.traps + 1;
   let i = kind_index kind in
-  Array.unsafe_set m.by_kind i (Array.unsafe_get m.by_kind i + 1)
-
-let trace_trap m kind detail =
+  Array.unsafe_set m.by_kind i (Array.unsafe_get m.by_kind i + 1);
   if !Trace.on then
     Trace.emit ~cycles:m.cycles ~tid:m.tid ~cls:(trap_kind_name kind) ~detail
       Trace.Trap
-
-let record_trap ?(detail = "") m kind =
-  count_trap m kind;
-  if m.logging then m.log <- (kind, detail) :: m.log;
-  trace_trap m kind detail
-
-(* The same, given the log entry itself: a trap site that traps again and
-   again logs one shared entry instead of a fresh pair per trap. *)
-let record_trap_entry m ((kind, detail) as entry) =
-  count_trap m kind;
-  if m.logging then m.log <- entry :: m.log;
-  trace_trap m kind detail
 
 (* The exposure twin of [record_trap]: called where the router returned
    [Execute_exposed] instead of a trap.  No cycle charge here — the
@@ -312,27 +294,6 @@ let record_exposed ?(detail = "") m feature =
   if !Trace.on then
     Trace.emit ~cycles:m.cycles ~tid:m.tid
       ~cls:(Expose.Policy.feature_name feature) ~detail Trace.Exposed_access
-
-let set_logging m b =
-  m.logging <- b;
-  if not b then m.log <- []
-
-let trap_log m = List.rev m.log
-
-(* Bounded trail: once the log holds more than [2 * keep] entries, cut it
-   to the newest [keep].  The length test stops after [2 * keep + 1]
-   cells, so a caller that trims after every trap copies [keep] cells
-   once per [keep] traps. *)
-let trim_log m ~keep =
-  let rec longer n = function
-    | [] -> false
-    | _ :: tl -> n = 0 || longer (n - 1) tl
-  in
-  let rec take n = function
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
-  if longer (2 * keep) m.log then m.log <- take keep m.log
 
 let traps_of_kind m kind = m.by_kind.(kind_index kind)
 let exposed_of_feature m f = m.exposed.(exposed_index f)
@@ -351,8 +312,6 @@ let rewind_meter m (k : meter_mark) =
   m.mem_accesses <- k.mem_accesses;
   Array.blit k.by_kind 0 m.by_kind 0 kind_count;
   Array.blit k.exposed 0 m.exposed 0 exposed_count;
-  m.log <- k.log;
-  m.logging <- k.logging;
   m.tid <- k.tid
 
 (* Immutable snapshot, for delta measurements around a benchmark region. *)
@@ -407,8 +366,7 @@ let reset m =
   m.traps <- 0;
   m.mem_accesses <- 0;
   Array.fill m.by_kind 0 kind_count 0;
-  Array.fill m.exposed 0 exposed_count 0;
-  m.log <- []
+  Array.fill m.exposed 0 exposed_count 0
 
 (* Statistics helpers (averages over repeated runs, Figure-2 overhead
    normalization). *)

@@ -121,14 +121,6 @@ type meter = {
   exposed : int array;
       (** per-feature counts of accesses that ran trap-free under an
           OoH grant, indexed by {!exposed_index} *)
-  mutable log : (trap_kind * string) list;
-      (** newest first.  While [logging] is on, an unchecked machine's
-          meter keeps every trap it records; a machine built with the
-          invariant checker (a fault plan or [~check_invariants:true])
-          trims its CPUs' logs with {!trim_log} after every EL2
-          exception, so it holds only the recent trail a [Sim_fault]
-          reports. *)
-  mutable logging : bool;
   mutable tid : int;
       (** owning CPU id — the trace lane for events this meter emits
           (set by [Machine.create]; standalone meters stay on lane 0) *)
@@ -149,28 +141,12 @@ val record_trap : ?detail:string -> meter -> trap_kind -> unit
     {!trap_kind_name}, which is why the tracer's per-class counter sums
     equal the meters' trap totals by construction. *)
 
-val record_trap_entry : meter -> trap_kind * string -> unit
-(** [record_trap_entry m (kind, detail)] is
-    [record_trap ~detail m kind], logging the given pair itself: a caller
-    that logs the same trap again and again shares one entry. *)
-
 val record_exposed : ?detail:string -> meter -> Expose.Policy.feature -> unit
 (** The exposure twin of {!record_trap}: attribute a trap-free access
     to the OoH grant that saved the exit.  Charges no cycles — the
     access pays its ordinary execute cost at its execution site.  When
     tracing is enabled it emits a [Trace.Exposed_access] event whose
     class is the feature name. *)
-
-val set_logging : meter -> bool -> unit
-
-val trap_log : meter -> (trap_kind * string) list
-(** Oldest first. *)
-
-val trim_log : meter -> keep:int -> unit
-(** [trim_log m ~keep] cuts [m]'s log to its newest [keep] entries once
-    it holds more than [2 * keep]; a shorter log is left alone.  It walks
-    at most [2 * keep + 1] list cells, so trimming after every trap costs
-    one [keep]-cell copy per [keep] traps. *)
 
 val traps_of_kind : meter -> trap_kind -> int
 
@@ -179,8 +155,8 @@ type meter_mark
 
 val mark_meter : meter -> meter_mark
 val rewind_meter : meter -> meter_mark -> unit
-(** Put back the marked counts, per-kind and per-feature arrays, trap
-    log, logging flag and trace lane. *)
+(** Put back the marked counts, per-kind and per-feature arrays and
+    trace lane. *)
 
 (** Immutable snapshot, for delta measurement around a benchmark region. *)
 type snapshot = {

@@ -63,18 +63,11 @@ type context = {
 
 exception Sim_fault of kind * context option
 
-let trail_depth = 8
-
 let context_of_cpu ?(id = 0) (cpu : Arm.Cpu.t) =
-  (* render only the newest [trail_depth] entries, not the whole log *)
-  let rec render n = function
-    | (k, detail) :: tl when n > 0 ->
-      (Cost.trap_kind_name k ^ " " ^ detail) :: render (n - 1) tl
-    | _ -> []
-  in
-  let trail = render trail_depth cpu.Arm.Cpu.meter.Cost.log in
+  let name (k, detail) = Cost.trap_kind_name k ^ " " ^ detail in
+  let trail = List.map name (Arm.Cpu.trail_entries cpu) in
   let events =
-    if Trace.is_on () then List.map Trace.render (Trace.last trail_depth)
+    if Trace.is_on () then List.map Trace.render (Trace.last Arm.Cpu.trail_depth)
     else []
   in
   {

@@ -41,12 +41,9 @@ type context = {
 
 exception Sim_fault of kind * context option
 
-val trail_depth : int
-(** How many of the newest trap-log entries a context carries. *)
-
 val context_of_cpu : ?id:int -> Arm.Cpu.t -> context
-(** Capture cpu/EL/PC and the last few entries of the trap log (the log
-    is populated only when {!Cost.set_logging} is on). *)
+(** Capture cpu/EL/PC and the CPU's trap trail (empty unless the
+    machine runs the invariant checker), rendered by kind and text. *)
 
 val to_string : kind -> context option -> string
 

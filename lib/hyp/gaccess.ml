@@ -168,7 +168,7 @@ let gich_access t (reg : Sysreg.t) ~is_write =
       (* the host maps the frame for itself: a plain device access *)
       Cost.charge cpu.Cpu.meter (Cpu.table cpu).Cost.gic_mmio_access
     else begin
-      Cost.record_trap ~detail:(Sysreg.name reg) cpu.Cpu.meter Cost.Trap_mmio;
+      Cpu.record_trap cpu ~detail:(Sysreg.name reg) Cost.Trap_mmio;
       Cost.charge cpu.Cpu.meter (Cpu.table cpu).Cost.insn_base;
       Cpu.exception_entry cpu
         { Arm.Exn.target = Arm.Pstate.EL2; ec = Arm.Exn.EC_dabt_lower;

@@ -508,7 +508,7 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
     | Vcpu.Exit_virq _ -> Exn.esr ~ec:Exn.EC_irq ~iss:0
     | Vcpu.Exit_sgi { rt; _ } ->
       (* a faithful syndrome for the trapped ICC_SGI1R_EL1 write — the
-         guest hypervisor (and trap logs) can identify the SGI source
+         guest hypervisor (and the tracer) can identify the SGI source
          register instead of seeing an all-zero ISS *)
       Exn.esr ~ec:Exn.EC_sysreg
         ~iss:

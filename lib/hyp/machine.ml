@@ -145,10 +145,12 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
              0x%Lx bytes from 0x%Lx must stay below 0x%Lx)"
             ncpus Vcpu.max_vcpus Vcpu.vcpu_region_size Vcpu.vcpu_region_base
             Vcpu.vcpu_region_limit));
+  let checking = check_invariants || fault_plan <> None in
   let mem = Arm.Memory.create () in
   let cpus =
     Array.init ncpus (fun i ->
-        let cpu = Cpu.create ~mem ?table () in
+        (* the trail is what a checked machine's Sim_fault reports *)
+        let cpu = Cpu.create ~mem ?table ~trail:checking () in
         (* stamp the meter with its CPU id so every trace event this
            core emits lands on its own Chrome lane *)
         cpu.Cpu.meter.Cost.tid <- i;
@@ -177,7 +179,6 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
           Some g)
       hosts
   in
-  let checking = check_invariants || fault_plan <> None in
   let dist = Gic.Dist.create ~ncpus in
   (* distributor records default to disabled; the SGIs guests can encode
      (intid 0..15) must be enabled per CPU or every IPI would stall
@@ -215,7 +216,6 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
        "after every exception entry/return" the checker wants) *)
     Array.iteri
       (fun i cpu ->
-        Cost.set_logging cpu.Cpu.meter true;
         match cpu.Cpu.el2_handler with
         | None -> ()
         | Some inner ->
@@ -227,10 +227,7 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
                 note t (Fault.Invariants.check_cpu ~id:i c);
                 note t
                   (Fault.Invariants.check_monotone ~id:i t.inv_states.(i) c);
-                note t (neve_sync_violations t i);
-                (* the trail a Sim_fault reports is the log's only
-                   reader: keep it bounded, not every trap ever taken *)
-                Cost.trim_log c.Cpu.meter ~keep:Fault.Error.trail_depth))
+                note t (neve_sync_violations t i)))
       cpus;
   (match fault_plan with
    | Some plan ->
@@ -374,8 +371,7 @@ let apply_fault t ~cpu kind =
     let addr =
       Int64.of_int (0x0dea_0000 + (Fault.Plan.pick plan 16 * 0x1000))
     in
-    Cost.record_trap ~detail:"injected-s2-fault" c.Cpu.meter
-      Cost.Trap_mem_fault;
+    Cpu.record_trap c ~detail:"injected-s2-fault" Cost.Trap_mem_fault;
     Cpu.exception_entry c
       { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_dabt_lower;
         iss = (if Fault.Plan.flip plan then 0x40 else 0);
@@ -389,7 +385,7 @@ let apply_fault t ~cpu kind =
       (* a plausible RAS syndrome: DFSC-style low bits plus plan-drawn
          implementation-defined payload, never zero *)
       let iss = 0x11 lor (Fault.Plan.pick plan 0x100 lsl 8) in
-      Cost.record_trap ~detail:"injected-serror" c.Cpu.meter Cost.Trap_serror;
+      Cpu.record_trap c ~detail:"injected-serror" Cost.Trap_serror;
       Cpu.exception_entry c
         { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_serror; iss;
           fault_addr = None }
@@ -430,7 +426,7 @@ let mmio_access t ~cpu ~addr ~is_write =
   else begin
     service_faults t ~cpu;
     let c = t.cpus.(cpu) in
-    Cost.record_trap ~detail:"mmio" c.Cpu.meter Cost.Trap_mmio;
+    Cpu.record_trap c ~detail:"mmio" Cost.Trap_mmio;
     Cost.charge c.Cpu.meter (Cpu.table c).Cost.insn_base;
     Cpu.exception_entry c
       { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_dabt_lower;
@@ -446,7 +442,7 @@ let data_abort t ~cpu ~addr ~is_write =
   else begin
     service_faults t ~cpu;
     let c = t.cpus.(cpu) in
-    Cost.record_trap ~detail:"s2-fault" c.Cpu.meter Cost.Trap_mem_fault;
+    Cpu.record_trap c ~detail:"s2-fault" Cost.Trap_mem_fault;
     Cost.charge c.Cpu.meter (Cpu.table c).Cost.insn_base;
     Cpu.exception_entry c
       { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_dabt_lower;

@@ -64,11 +64,8 @@ val create :
     operations run, and the stage-2 walker's injection point is armed.
     [check_invariants] (implied by [fault_plan]) runs
     {!Fault.Invariants} around every EL2 exception and records
-    violations on the machine.  It also turns on every CPU's trap log
-    and, after each EL2 exception, trims it to the recent trail a
-    [Sim_fault] reports ({!Cost.trim_log} with
-    [~keep:Fault.Error.trail_depth]: at most [2 * trail_depth]
-    entries).
+    violations on the machine; its CPUs keep the trap trail a
+    [Sim_fault] reports ({!Cpu.trail}).
     @raise Fault.Error.Sim_fault with [Bad_topology] when [ncpus] is
     non-positive or exceeds {!Vcpu.max_vcpus} (the per-vCPU memory-region
     address budget). *)

@@ -18,18 +18,19 @@
    mechanism, revision, scenario, trap and fault kinds, OoH features,
    exposure bits), lengths (ncpus entries per per-vCPU list, Cpu.nregs
    GPRs per frame, Sysreg.count values and dirty bytes per file, 43
-   costs, 4 watermarks) and 8-byte-aligned memory addresses.  Cross-field
-   rules keep one custom codec each (see [counts], [shadow], [tamper],
+   costs, 4 watermarks, at most Cpu.trail_depth trail entries) and
+   8-byte-aligned memory addresses.  Cross-field rules keep one custom
+   codec each (see [counts], [keeps_trail], [trail], [shadow], [tamper],
    [Opt] in place).
 
    The tree covers everything mutable: physical memory (canonical
    nonzero-word list plus MMIO regions), each CPU's PC/GPRs/PSTATE,
    system-register file with its dirty bitmap, GPR trap snapshots, NV2
-   ablation mask and cost meter (including the per-kind trap counters and
-   the trap log), each host hypervisor's vCPU — both virtual register
-   files, the virtual-EL2 flag — shadow-stage-2 tables, each guest
-   hypervisor's software state, the fault plan's PRNG cursor and event
-   ledger, invariant watermarks and recorded violations.
+   ablation mask and cost meter (including the per-kind trap counters),
+   a checked machine's trap trails, each host hypervisor's vCPU — both
+   virtual register files, the virtual-EL2 flag — shadow-stage-2 tables,
+   each guest hypervisor's software state, the fault plan's PRNG cursor
+   and event ledger, invariant watermarks and recorded violations.
 
    The NEVE deferred access page needs no special handling precisely
    because the snapshot captures rather than drains it: the page's slots
@@ -153,23 +154,48 @@ let counts code members index =
           fill_counts index a (read None entries n);
           a) }
 
+(* The meter node keeps its historical field names: "logging" is whether
+   the CPU keeps a trap trail, which must agree with the image's
+   "checking" that built the machine, and "log" is the trail, newest
+   first, no longer than the CPU's slots (none without a trail). *)
+let keeps c = Option.is_some c.Cpu.trail
+
+let keeps_trail =
+  Into
+    { enc = (fun c -> B (keeps c));
+      dec =
+        (fun _ c n ->
+          if get_b n <> keeps c then fail "%b, but the image's checking is %b" (get_b n) (keeps c);
+          c) }
+
+let trail () =
+  let entries = List (Pair (trap_kind (), Str)) in
+  Into
+    { enc = (fun c -> write entries (Cpu.trail_entries c));
+      dec =
+        (fun _ c n ->
+          let l = read None entries n and slots = if keeps c then Cpu.trail_depth else 0 in
+          if List.length l > slots then fail "%d entries, this CPU keeps %d" (List.length l) slots;
+          Cpu.load_trail c l;
+          c) }
+
 let meter () =
+  let m (c : Cpu.t) = c.meter in
   Cost.(
     record
-      [ field "cycles" nat (fun m -> m.cycles) (Set (fun m v -> m.cycles <- v));
-        field "insns" nat (fun m -> m.insns) (Set (fun m v -> m.insns <- v));
-        field "traps" nat (fun m -> m.traps) (Set (fun m v -> m.traps <- v));
-        field "mem_accesses" nat (fun m -> m.mem_accesses)
-          (Set (fun m v -> m.mem_accesses <- v));
-        field "tid" nat (fun m -> m.tid) (Set (fun m v -> m.tid <- v));
-        field "logging" Bool (fun m -> m.logging) (Set (fun m v -> m.logging <- v));
-        field "by_kind" (counts (trap_kind ()) all_trap_kinds kind_index) (fun m -> m.by_kind)
+      [ field "cycles" nat (fun c -> (m c).cycles) (Set (fun c v -> (m c).cycles <- v));
+        field "insns" nat (fun c -> (m c).insns) (Set (fun c v -> (m c).insns <- v));
+        field "traps" nat (fun c -> (m c).traps) (Set (fun c v -> (m c).traps <- v));
+        field "mem_accesses" nat (fun c -> (m c).mem_accesses)
+          (Set (fun c v -> (m c).mem_accesses <- v));
+        field "tid" nat (fun c -> (m c).tid) (Set (fun c v -> (m c).tid <- v));
+        field "logging" keeps_trail Fun.id In_place;
+        field "by_kind" (counts (trap_kind ()) all_trap_kinds kind_index) (fun c -> (m c).by_kind)
           In_place;
         field "exposed"
           (counts (feature ()) Expose.Policy.all_features exposed_index)
-          (fun m -> m.exposed) In_place;
-        field "log" (List (Pair (trap_kind (), Str))) (fun m -> m.log)
-          (Set (fun m v -> m.log <- v)) ])
+          (fun c -> (m c).exposed) In_place;
+        field "log" (trail ()) Fun.id In_place ])
 
 let features () =
   Features.(
@@ -204,7 +230,7 @@ let cpu () =
         (* the armed OoH routing grant (non-none while the snapshot caught
            the guest hypervisor in virtual EL2) *)
         field "expose" (exposure ()) (fun c -> c.expose) (Set (fun c p -> c.expose <- p));
-        field "meter" (meter ()) (fun c -> c.meter) In_place ])
+        field "meter" (meter ()) Fun.id In_place ])
 
 let vcpu () =
   Vcpu.(

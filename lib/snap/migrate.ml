@@ -97,7 +97,8 @@ exception Stream_failure of string
 let run_attempt ?(threshold = 8) ?(max_rounds = 16)
     ~(on_page_batch : int -> unit) ~(on_state_copy : unit -> unit) ~workload
     (src : Machine.t) =
-  let meter = src.Machine.cpus.(0).Cpu.meter in
+  let cpu = src.Machine.cpus.(0) in
+  let meter = cpu.Cpu.meter in
   let table = meter.Cost.table in
   let start_cycles = meter.Cost.cycles in
   let start_traps = meter.Cost.traps in
@@ -118,7 +119,7 @@ let run_attempt ?(threshold = 8) ?(max_rounds = 16)
              Expose.Policy.Dirty_log
          else fun _page ->
            (* the stage-2 write-protection fault: full trap round trip *)
-           Cost.record_trap ~detail:"dirty-log" meter Cost.Trap_mem_fault;
+           Cpu.record_trap cpu ~detail:"dirty-log" Cost.Trap_mem_fault;
            Cost.charge meter
              (table.Cost.trap_entry + table.Cost.l0_mem_fault
             + table.Cost.trap_return))

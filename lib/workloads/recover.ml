@@ -85,7 +85,7 @@ let run_serror ~seed ((name, _, _) as sc) =
   (* the physical error, through the same chokepoints a hardware RAS
      report would take: one recorded trap, then the EC_serror handler *)
   let c = m.Machine.cpus.(0) in
-  Cost.record_trap ~detail:"ras-serror" c.Cpu.meter Cost.Trap_serror;
+  Cpu.record_trap c ~detail:"ras-serror" Cost.Trap_serror;
   Cpu.exception_entry c
     {
       Exn.target = Arm.Pstate.EL2;

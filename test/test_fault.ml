@@ -422,7 +422,7 @@ let hvc_fuzz_config mech name =
 let test_hvc_fuzz_pv = hvc_fuzz_config Config.Pv_neve "NEVE paravirt"
 let test_hvc_fuzz_hw = hvc_fuzz_config Config.Hw_v8_3 "ARMv8.3 hw"
 
-(* --- the checker's trap trail stays bounded --- *)
+(* --- the checker's trap trail is the tracer's newest traps --- *)
 
 (* Op [i] of a cycle through the three guest operations that trap: a
    hypercall, an MMIO store and an IPI from one vCPU to the other. *)
@@ -438,82 +438,110 @@ let trail_op m i =
     | Some v -> ignore (Machine.vm_eoi m ~cpu:target ~vintid:v : bool)
     | None -> ())
 
-let test_trail_bounded () =
-  let depth = Fault.Error.trail_depth in
+let rec take n = function
+  | x :: tl when n > 0 -> x :: take (n - 1) tl
+  | _ -> []
+
+(* A traced, checked 2-vCPU machine: at every EL2 exception entry, after
+   boot and after every op, each CPU's [Sim_fault] trail is that CPU's
+   newest [trail_depth] [Trap] events, newest first, rendered the way
+   the trail renders them.  (Every op ends with the same world-switch
+   traps; at an exception entry the newest is the trap being taken, an
+   MMIO abort or an interrupt as well as an instruction.) *)
+let test_trail_is_tracer_tail () =
+  let depth = Cpu.trail_depth in
   List.iter
     (fun config ->
       let name = Config.name config in
-      let mk ~check_invariants =
-        let m =
-          Machine.create ~check_invariants ~ncpus:2 config Hyp.Host_hyp.Nested
-        in
-        Array.iter (fun c -> Cost.set_logging c.Cpu.meter true) m.Machine.cpus;
-        Machine.boot m;
-        m
+      let m =
+        Machine.create ~check_invariants:true ~ncpus:2 config
+          Hyp.Host_hyp.Nested
       in
-      let checked = mk ~check_invariants:true in
-      let twin = mk ~check_invariants:false in
-      let longest = ref 0 and compared = ref 0 in
-      for i = 0 to 199 do
-        trail_op checked i;
-        trail_op twin i;
-        for cpu = 0 to 1 do
-          let log = checked.Machine.cpus.(cpu).Cpu.meter.Cost.log in
-          let n = List.length log in
-          longest := max !longest n;
-          if n > 2 * depth then
-            Alcotest.failf "%s op %d: cpu%d checked log holds %d entries" name
-              i cpu n;
-          if
-            n >= depth
-            && List.length twin.Machine.cpus.(cpu).Cpu.meter.Cost.log >= depth
-          then begin
-            incr compared;
-            let trail m =
-              (Fault.Error.context_of_cpu ~id:cpu m.Machine.cpus.(cpu))
-                .Fault.Error.fc_trail
-            in
+      let newest = Array.make 2 [] and filled = ref false and entries = ref 0 in
+      let compare what =
+        check Alcotest.int (what ^ ": no event dropped") 0 (Trace.dropped ());
+        List.iter
+          (fun v ->
+            if v.Trace.v_kind = Trace.Trap then
+              newest.(v.Trace.v_tid) <-
+                take depth
+                  ((v.Trace.v_cls ^ " " ^ v.Trace.v_detail)
+                  :: newest.(v.Trace.v_tid)))
+          (Trace.events ());
+        Trace.reset ();
+        Array.iteri
+          (fun cpu c ->
+            let trail = (Fault.Error.context_of_cpu ~id:cpu c).Fault.Error.fc_trail in
             check
               Alcotest.(list string)
-              (Printf.sprintf "%s op %d: cpu%d trail" name i cpu)
-              (trail twin) (trail checked)
-          end
-        done
-      done;
-      check Alcotest.bool (name ^ ": trails were compared") true
-        (!compared > 0);
-      check Alcotest.bool (name ^ ": the log was trimmed") true
-        (!longest > depth);
-      Array.iteri
-        (fun cpu c ->
-          check Alcotest.int
-            (Printf.sprintf "%s: the unchecked twin's cpu%d logs every trap"
-               name cpu)
-            c.Cpu.meter.Cost.traps
-            (List.length c.Cpu.meter.Cost.log))
-        twin.Machine.cpus)
+              (Printf.sprintf "%s: cpu%d trail" what cpu)
+              newest.(cpu) trail;
+            if List.length trail = depth then filled := true)
+          m.Machine.cpus
+      in
+      Array.iter
+        (fun c ->
+          Option.iter
+            (fun inner ->
+              c.Cpu.el2_handler <-
+                Some
+                  (fun c e ->
+                    incr entries;
+                    compare (Printf.sprintf "%s entry %d" name !entries);
+                    inner c e))
+            c.Cpu.el2_handler)
+        m.Machine.cpus;
+      Trace.enable ~capacity:65536 ();
+      Fun.protect ~finally:Trace.disable (fun () ->
+          Machine.boot m;
+          compare (name ^ " boot");
+          for i = 0 to 199 do
+            trail_op m i;
+            compare (Printf.sprintf "%s op %d" name i)
+          done);
+      check Alcotest.bool (name ^ ": a trail filled") true !filled)
     [ Config.v Config.Hw_v8_3; Config.v ~guest_vhe:true Config.Hw_neve ]
 
-(* Unchecked machines still log every trap: one nested hypercall logs
-   exactly its meter's trap delta (Table 7's 121 on v8.3, 13 on NEVE). *)
-let test_unchecked_log_complete () =
+(* A checked machine's mark holds each CPU's trail: traps taken after
+   the mark are gone from it after the rewind.  (Every op ends with the
+   same world-switch traps, so a marker trap tells the trails apart.) *)
+let test_trail_rewinds () =
+  let m =
+    Machine.create ~check_invariants:true ~ncpus:2 (Config.v Config.Hw_v8_3)
+      Hyp.Host_hyp.Nested
+  in
+  Machine.boot m;
+  let trails () =
+    Array.to_list
+      (Array.mapi
+         (fun id c -> (Fault.Error.context_of_cpu ~id c).Fault.Error.fc_trail)
+         m.Machine.cpus)
+  in
+  let marked = trails () and mark = Machine.mark m in
+  for i = 0 to 5 do
+    trail_op m i
+  done;
+  Array.iter
+    (fun c -> Cpu.record_trap c ~detail:"marker" Cost.Trap_mmio)
+    m.Machine.cpus;
+  check Alcotest.bool "the marker moved the trails" true (trails () <> marked);
+  Machine.rewind m mark;
+  check Alcotest.(list (list string)) "the rewound trails" marked (trails ())
+
+(* [neve_sim traps] lists every trap of one nested hypercall, byte for
+   byte as the goldens hold it: Table 7's 121 on ARMv8.3 and 13 with
+   NEVE, and 57 and 13 under a VHE guest hypervisor. *)
+let test_traps_listings () =
   List.iter
-    (fun (mech, expected) ->
-      let config = Config.v mech in
-      let m =
-        Workloads.Scenario.make_arm (Workloads.Scenario.Arm_nested config)
-      in
-      let meter = m.Machine.cpus.(0).Cpu.meter in
-      Machine.hypercall m ~cpu:0;
-      Cost.set_logging meter true;
-      let before = meter.Cost.traps in
-      Machine.hypercall m ~cpu:0;
-      let name = Config.name config in
-      check Alcotest.int (name ^ ": trap delta") expected
-        (meter.Cost.traps - before);
-      check Alcotest.int (name ^ ": log entries") expected
-        (List.length (Cost.trap_log meter)))
-    [ (Config.Hw_v8_3, 121); (Config.Hw_neve, 13) ]
+    (fun (args, golden) ->
+      let rc, out = Test_supervise.run_cli ("traps " ^ args) in
+      check Alcotest.int ("traps " ^ args ^ ": exit status") 0 rc;
+      check Alcotest.string ("traps " ^ args)
+        (Test_supervise.read_file
+           (Test_supervise.locate [ "golden/" ^ golden; "test/golden/" ^ golden ]))
+        out)
+    [ ("", "traps-v83.txt"); ("-m neve", "traps-neve.txt");
+      ("--vhe", "traps-v83-vhe.txt"); ("-m neve --vhe", "traps-neve-vhe.txt") ]
 
 (* --- chaos: same seed, same report, and no anonymous crashes --- *)
 
@@ -571,9 +599,11 @@ let suite =
     Alcotest.test_case "sweep: all forms executed in a plain VM" `Quick
       test_reglists_sweep_single_vm;
     Alcotest.test_case "trail: checked logs stay bounded, same trail"
-      `Quick test_trail_bounded;
-    Alcotest.test_case "trail: unchecked logs keep every trap" `Quick
-      test_unchecked_log_complete;
+      `Quick test_trail_is_tracer_tail;
+    Alcotest.test_case "trail: a rewind puts the trail back" `Quick
+      test_trail_rewinds;
+    Alcotest.test_case "traps: full listings match the goldens" `Quick
+      test_traps_listings;
     qtest test_decode_op_total;
     qtest test_encode_decode_roundtrip;
     qtest test_hvc_fuzz_pv;

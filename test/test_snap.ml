@@ -134,16 +134,19 @@ let splice image ~before ~len ~after by =
    8 payload bytes, trap_entry first. *)
 let cost_table = be32 5 ^ "table" ^ "L" ^ be32 43
 
-(* Offset of the table's "L" tag in [image]. *)
-let cost_table_at image =
-  let n = String.length cost_table in
+(* Offset of the first [bytes] in [image]. *)
+let find_bytes image bytes =
+  let n = String.length bytes in
   let rec find i =
     if i + n > String.length image then
-      Alcotest.fail "cost table not in the image"
-    else if String.sub image i n = cost_table then i + 9
+      Alcotest.failf "%S not in the image" bytes
+    else if String.sub image i n = bytes then i
     else find (i + 1)
   in
   find 0
+
+(* Offset of the table's "L" tag in [image]. *)
+let cost_table_at image = find_bytes image cost_table + 9
 
 (* [image] with cost-table entry [k] set to [v]. *)
 let with_cost image k v =
@@ -237,6 +240,67 @@ let test_out_of_range_fields () =
   check Alcotest.bool "an int field with bit 63 set rejected" true
     (raises_format (splice s ~before:(be32 5 ^ "exits" ^ "I") ~len:1 ~after:"" "\x80"));
   check Alcotest.bool "the unedited image restores" false (raises_format s)
+
+(* A meter's trail fields must agree with the machine they restore into:
+   "logging" with the image's "checking" (a checked machine's CPUs keep
+   a trail, no other CPU does), and "log" may hold no more entries than
+   the CPU's trail has slots ([trail_depth] when checked, none
+   otherwise).  The format error names the field. *)
+let format_error s =
+  match Snap.restore s with
+  | (_ : Machine.t) -> None
+  | exception Snap.Format_error msg -> Some msg
+
+let rejected_at path s =
+  match format_error s with
+  | Some msg -> String.starts_with ~prefix:(path ^ ":") msg
+  | None -> false
+
+(* Offset of cpu0's trail length: the 4 bytes after the "log" field's
+   "L" tag, then its entries. *)
+let trail_at image = find_bytes image (be32 3 ^ "log" ^ "L") + 8
+
+(* [image] with cpu0's trail of [n] entries counted as [count], with
+   [entries] ahead of the ones it has. *)
+let with_trail image ~n ~count entries =
+  let at = trail_at image in
+  check Alcotest.string "cpu0's trail length" (be32 n) (String.sub image at 4);
+  String.sub image 0 at ^ be32 count ^ entries
+  ^ String.sub image (at + 4) (String.length image - at - 4)
+
+(* The first entry of cpu0's trail: "L", 2, a trap kind ("I" and 8
+   bytes), then the text ("S", its length and its bytes). *)
+let first_trail_entry image =
+  let at = trail_at image + 4 in
+  String.sub image at (19 + Int32.to_int (String.get_int32_be image (at + 15)))
+
+let test_trail_fields () =
+  let run ~check_invariants =
+    let m =
+      Machine.create ~check_invariants (Config.v ~guest_vhe:true Config.Hw_neve)
+        Hyp.Host_hyp.Nested
+    in
+    Machine.boot m;
+    Machine.hypercall m ~cpu:0;
+    m
+  in
+  let checked = run ~check_invariants:true in
+  let depth = Cpu.trail_depth in
+  check Alcotest.int "the checked machine's cpu0 trail is full" depth
+    (List.length (Cpu.trail_entries checked.Machine.cpus.(0)));
+  let c = Snap.to_string checked and u = Snap.to_string (run ~check_invariants:false) in
+  let logging v = splice ~before:(be32 7 ^ "logging" ^ "B") ~len:1 ~after:(be32 7 ^ "by_kind") v in
+  check Alcotest.bool "checked image, a CPU without a trail: rejected" true
+    (rejected_at "cpus[0].meter.logging" (logging c "\000"));
+  check Alcotest.bool "unchecked image, a CPU with a trail: rejected" true
+    (rejected_at "cpus[0].meter.logging" (logging u "\001"));
+  let entry = first_trail_entry c in
+  check Alcotest.bool "a trail one entry past its slots: rejected" true
+    (rejected_at "cpus[0].meter.log" (with_trail c ~n:depth ~count:(depth + 1) entry));
+  check Alcotest.bool "an unchecked CPU's one-entry trail: rejected" true
+    (rejected_at "cpus[0].meter.log" (with_trail u ~n:0 ~count:1 entry));
+  check Alcotest.(option string) "the unedited checked image restores" None (format_error c);
+  check Alcotest.(option string) "the unedited unchecked image restores" None (format_error u)
 
 (* Hostile input: every proper prefix of a real image fails as a typed
    [Format_error], never as another exception escaping the decoder. *)
@@ -461,8 +525,11 @@ let checked_ops m =
     if Machine.is_hung m ~cpu then Machine.clear_hung m ~cpu
   done
 
-let logs m =
-  Array.to_list (Array.map (fun c -> c.Cpu.meter.Cost.log) m.Machine.cpus)
+let trails m =
+  Array.to_list
+    (Array.mapi
+       (fun id c -> (Error.context_of_cpu ~id c).Error.fc_trail)
+       m.Machine.cpus)
 
 let test_checked_machine_migrates () =
   let m =
@@ -473,14 +540,13 @@ let test_checked_machine_migrates () =
          Hyp.Host_hyp.Nested)
   in
   Machine.boot !m;
-  let bound = 2 * Error.trail_depth in
   let bounded what m =
     List.iteri
-      (fun cpu log ->
-        let n = List.length log in
-        if n > bound then
-          Alcotest.failf "%s: cpu%d log holds %d entries" what cpu n)
-      (logs m)
+      (fun cpu trail ->
+        let n = List.length trail in
+        if n > Cpu.trail_depth then
+          Alcotest.failf "%s: cpu%d trail holds %d entries" what cpu n)
+      (trails m)
   in
   for migration = 1 to 2 do
     for _ = 1 to 10 do
@@ -493,6 +559,11 @@ let test_checked_machine_migrates () =
          migration)
       (Snap.diff !m dst);
     bounded (Printf.sprintf "destination of migration %d" migration) dst;
+    check
+      Alcotest.(list (list string))
+      (Printf.sprintf "migration %d: each destination trail is its source's"
+         migration)
+      (trails !m) (trails dst);
     m := dst
   done;
   let m = !m in
@@ -510,9 +581,9 @@ let test_checked_machine_migrates () =
   done;
   no_diff "snapshot, restore, resume equals the uninterrupted run"
     (Snap.diff m m');
-  check Alcotest.bool "both CPUs logged traps" true
-    (List.for_all (fun l -> l <> []) (logs m));
-  check Alcotest.bool "each meter's log matches" true (logs m = logs m');
+  check Alcotest.bool "both CPUs keep full trails" true
+    (List.for_all (fun l -> List.length l = Cpu.trail_depth) (trails m));
+  check Alcotest.(list (list string)) "each CPU's trail matches" (trails m) (trails m');
   bounded "after resume" m'
 
 (* --- the fuzzer's ninth column --- *)
@@ -645,6 +716,8 @@ let suite =
       test_malformed_input;
     Alcotest.test_case "out-of-range used_lrs and costs raise Format_error"
       `Quick test_out_of_range_fields;
+    Alcotest.test_case "a meter's trail fields must agree with checking" `Quick
+      test_trail_fields;
     Alcotest.test_case "every truncated prefix raises Format_error" `Quick
       test_truncated_prefixes;
     Alcotest.test_case "flipped image bytes restore or raise Format_error"

@@ -282,8 +282,8 @@ let test_campaign_state_is_bounded () =
              List.length keys = List.length (List.sort_uniq compare keys))
            (plan_keys c));
       let m = Diff.template ~expose:c.col_expose c.col_config in
-      check Alcotest.bool (c.col_name ^ ": no trap-log labels while logging is off")
-        true (m.Machine.cpus.(0).Cpu.labels = None))
+      check Alcotest.bool (c.col_name ^ ": an unchecked template keeps no trap trail")
+        true (Option.is_none m.Machine.cpus.(0).Cpu.trail))
     Diff.columns early;
   let keys =
     List.concat_map (fun c -> List.concat (plan_keys c)) Diff.columns
