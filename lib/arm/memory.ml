@@ -144,6 +144,15 @@ let load_into t ~base off (dst : Bytes.t) w =
   set_word dst (w * 8)
     (if p == no_page then 0L else get_word p (byte_index addr))
 
+let holds_word t ~base off (b : Bytes.t) w =
+  check_word b w;
+  let addr = Int64.add base (Int64.of_int off) in
+  check_aligned addr;
+  let p = find_page t (page_index addr) in
+  Int64.equal
+    (if p == no_page then 0L else get_word p (byte_index addr))
+    (get_word b (w * 8))
+
 (* Whole copy loops: a loop's context slots share a page, so the page
    found for one word serves the next without another lookup.  A write
    observer may touch memory, so after it runs the next word looks its

@@ -49,6 +49,10 @@ val load_into : t -> base:int64 -> int -> Bytes.t -> int -> unit
 (** [load_into t ~base off dst w] stores [read64 t (base + off)] as word
     [w] of [dst]. *)
 
+val holds_word : t -> base:int64 -> int -> Bytes.t -> int -> bool
+(** [holds_word t ~base off b w] is whether [read64 t (base + off)]
+    equals word [w] of [b], compared in place. *)
+
 val store_words : t -> base:int64 -> int array -> Bytes.t -> int array -> unit
 (** [store_words t ~base offs src words] runs
     [store_from t ~base offs.(k) src words.(k)] for every [k], in order:

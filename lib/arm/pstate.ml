@@ -68,20 +68,18 @@ let spsr_bits t =
 
 let to_spsr t = Int64.of_int (spsr_bits t)
 
+(* The EL that SPSR mode bits M[3:0] select (0, 1 or 2), or -1 when
+   they name no legal AArch64 mode.  Bit 0 of a legal mode is the stack
+   selection. *)
+let spsr_level v =
+  match v land 0xf with 0 -> 0 | 4 | 5 -> 1 | 8 | 9 -> 2 | _ -> -1
+
 let of_spsr_bits v =
-  let mode =
-    match v land 0xf with
-    | 0 -> Some (EL0, false)
-    | 4 -> Some (EL1, false)
-    | 5 -> Some (EL1, true)
-    | 8 -> Some (EL2, false)
-    | 9 -> Some (EL2, true)
-    | _ -> None
-  in
-  match mode with
-  | None -> None
-  | Some (el, sp_sel) ->
-    table.(table_slot ~el ~sp_sel ~irq:(v land 0x80 <> 0)
+  match spsr_level v with
+  | -1 -> None
+  | l ->
+    let el = match l with 0 -> EL0 | 1 -> EL1 | _ -> EL2 in
+    table.(table_slot ~el ~sp_sel:(v land 1 = 1) ~irq:(v land 0x80 <> 0)
              ~fiq:(v land 0x40 <> 0) ~nzcv:((v lsr 28) land 0xf))
 
 (* Only bits [31:0] carry fields, and [Int64.to_int] keeps them. *)

@@ -35,6 +35,11 @@ val spsr_bits : t -> int
 (** {!to_spsr} as an [int] (every field lies below bit 32), for callers
     that must not box the value. *)
 
+val spsr_level : int -> int
+(** The {!el_level} that the mode bits M[3:0] of an SPSR given as an
+    [int] select, or [-1] for illegal mode bits: the mode check without
+    decoding the rest. *)
+
 val of_spsr_bits : int -> t option
 (** {!of_spsr_opt} of the low 32 bits given as an [int].  Allocates
     nothing: the result is a shared, preallocated value. *)

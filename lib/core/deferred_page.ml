@@ -45,6 +45,11 @@ let write t r v =
 let write_from t r (src : Sysreg_file.t) =
   Sysreg_file.save_word src (Sysreg.index r) t.mem ~base:t.base (slot_off r)
 
+(* [read t r = Sysreg_file.read file r], compared in place. *)
+let holds t r (file : Sysreg_file.t) =
+  Memory.holds_word t.mem ~base:t.base (slot_off r) file.Sysreg_file.values
+    (Sysreg.index r)
+
 (* The layout as a flat (register, page offset) array: populate/drain run
    on every virtual-EL2 entry and trapped eret, so they iterate this
    instead of re-deriving each slot offset from the layout list. *)

@@ -34,6 +34,11 @@ val write_from : t -> Arm.Sysreg.t -> Arm.Sysreg_file.t -> unit
 (** [write_from t r src] is [write t r (Sysreg_file.read src r)],
     moving the value as an unboxed word. *)
 
+val holds : t -> Arm.Sysreg.t -> Arm.Sysreg_file.t -> bool
+(** [holds t r file]: the page's slot for [r] holds what [file] holds
+    for [r] ([read t r = Sysreg_file.read file r]), compared in place
+    without boxing either value. *)
+
 val layout_len : int
 (** Number of slots in {!Arm.Sysreg.vncr_layout}, precomputed for the
     per-transition copy-cost charges. *)

@@ -1,10 +1,12 @@
 (** Architectural invariant checking.
 
-    Checks never raise and never mutate machine state; each returns the
-    violations found, carrying cpu/EL/PC context.  The machine layer
-    runs {!check_entry} before and {!check_cpu}/{!check_monotone} after
-    every EL2 exception, and the VNCR page-synchronization sweep goes
-    through {!check_sync}. *)
+    Checks never raise and never mutate machine state; each reports the
+    violations it finds, carrying cpu/EL/PC context, to a {!sink}.  The
+    machine layer builds one sink per CPU and runs {!check_entry} before
+    and {!check_cpu}/{!check_monotone} plus its VNCR page-synchronization
+    sweep ({!mismatch}) after every EL2 exception.  A check that passes
+    allocates nothing; the violation and its detail text are built only
+    when it fails.  {!collect} turns any of them into a list. *)
 
 type violation = {
   v_name : string;  (** which invariant *)
@@ -34,17 +36,42 @@ val state_load : state -> int array -> unit
 (** Inverse of {!state_dump}.
     @raise Invalid_argument unless the array holds the four watermarks. *)
 
-val check_cpu : ?id:int -> Arm.Cpu.t -> violation list
-(** Steady-state checks: SPSR_EL2/SPSR_EL1 decode to a legal mode at or
-    below their bank's EL; ELR_EL2/ELR_EL1 and PC are 4-byte aligned. *)
+type sink
+(** Where a check reports its violations, stamped with a CPU id. *)
 
-val check_entry : ?id:int -> Arm.Cpu.t -> violation list
-(** At an EL2 exception entry: the cpu is at EL2 and SPSR_EL2 records a
-    legal interrupted context at or below EL2. *)
+val sink : id:int -> (violation -> unit) -> sink
+(** A sink for CPU [id] that passes each violation to the function. *)
 
-val check_monotone : ?id:int -> state -> Arm.Cpu.t -> violation list
-(** Cost counters (cycles, insns, traps, mem accesses) never decrease.
-    Updates the watermarks. *)
+val collect : ?id:int -> (sink -> unit) -> violation list
+(** The violations the checks run by the function report to a sink for
+    CPU [id] (default 0), in the order reported. *)
+
+val check_cpu : sink -> Arm.Cpu.t -> unit
+(** Steady-state checks: PC, ELR_EL1 and ELR_EL2 are 4-byte aligned;
+    SPSR_EL1/SPSR_EL2 decode to a legal mode at or below their bank's
+    EL.  Reported in that order. *)
+
+val check_entry : sink -> Arm.Cpu.t -> unit
+(** At an EL2 exception entry: SPSR_EL2 records a legal interrupted
+    context at or below EL2 and the cpu is at EL2.  Reported in that
+    order. *)
+
+val check_monotone : sink -> state -> Arm.Cpu.t -> unit
+(** Cost counters (mem accesses, traps, insns, cycles, reported in that
+    order) never decrease.  Updates the watermarks. *)
+
+val mismatch :
+  sink ->
+  Arm.Cpu.t ->
+  name:string ->
+  string ->
+  expected:int64 ->
+  actual:int64 ->
+  unit
+(** [mismatch s cpu ~name what ~expected ~actual] reports that [what]
+    holds [actual] where the invariant [name] wants [expected]: the
+    violation of a synchronization sweep, which compares in place and
+    calls this only on a mismatch. *)
 
 val check_sync :
   ?id:int ->
@@ -52,4 +79,5 @@ val check_sync :
   Arm.Cpu.t ->
   (string * int64 * int64) list ->
   violation list
-(** [(what, expected, actual)] sweep — one violation per mismatch. *)
+(** [(what, expected, actual)] sweep — one {!mismatch} per differing
+    pair, in order. *)

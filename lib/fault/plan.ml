@@ -70,7 +70,23 @@ type t = {
   rng : Rng.t;
   events : event array;   (* sorted by ev_trap *)
   mutable injected : (int * kind) list;  (* newest first *)
+  (* the trap count of the earliest event not yet fired ([max_int] once
+     all have): below it there is nothing to pop, and [due], which runs
+     at the top of every guest operation and on every stage-2 walk,
+     returns at once *)
+  mutable next_due : int;
 }
+
+(* The earliest trap count among the unfired events from index [i] on,
+   or [earliest] if that is earlier.  (A restored plan's events need not
+   be sorted.) *)
+let rec next_unfired events i earliest =
+  if i >= Array.length events then earliest
+  else
+    let ev = events.(i) in
+    next_unfired events (i + 1)
+      (if (not ev.ev_fired) && ev.ev_trap < earliest then ev.ev_trap
+       else earliest)
 
 let make ~seed ~faults ~horizon =
   let rng = Rng.make seed in
@@ -83,26 +99,36 @@ let make ~seed ~faults ~horizon =
         })
   in
   Array.sort (fun a b -> compare a.ev_trap b.ev_trap) events;
-  { seed; rng; events; injected = [] }
+  { seed; rng; events; injected = []; next_due = next_unfired events 0 max_int }
+
+(* Fire the unfired events from index [i] on that are scheduled at or
+   before [traps] (and are of [kind], if given), in order; their kinds,
+   prepended to [fired] newest first. *)
+let rec fire t kind traps i fired =
+  if i >= Array.length t.events then fired
+  else
+    let ev = t.events.(i) in
+    if
+      (not ev.ev_fired)
+      && ev.ev_trap <= traps
+      && match kind with None -> true | Some k -> k = ev.ev_kind
+    then begin
+      ev.ev_fired <- true;
+      t.injected <- (ev.ev_trap, ev.ev_kind) :: t.injected;
+      if !Trace.on then
+        Trace.emit ~a0:(Int64.of_int ev.ev_trap)
+          ~detail:(kind_name ev.ev_kind) Trace.Fault_inject;
+      fire t kind traps (i + 1) (ev.ev_kind :: fired)
+    end
+    else fire t kind traps (i + 1) fired
 
 let due ?kind t ~traps =
-  let fired = ref [] in
-  Array.iter
-    (fun ev ->
-      if
-        (not ev.ev_fired)
-        && ev.ev_trap <= traps
-        && match kind with None -> true | Some k -> k = ev.ev_kind
-      then begin
-        ev.ev_fired <- true;
-        t.injected <- (ev.ev_trap, ev.ev_kind) :: t.injected;
-        if !Trace.on then
-          Trace.emit ~a0:(Int64.of_int ev.ev_trap)
-            ~detail:(kind_name ev.ev_kind) Trace.Fault_inject;
-        fired := ev.ev_kind :: !fired
-      end)
-    t.events;
-  List.rev !fired
+  if traps < t.next_due then []
+  else begin
+    let fired = List.rev (fire t kind traps 0 []) in
+    t.next_due <- next_unfired t.events 0 max_int;
+    fired
+  end
 
 let corrupt t v =
   (* A guaranteed-nonzero xor mask so corruption never degenerates into
@@ -141,16 +167,19 @@ let to_raw t =
   }
 
 let of_raw r =
+  let events =
+    Array.of_list
+      (List.map
+         (fun (trap, kind, fired) ->
+           { ev_trap = trap; ev_kind = kind; ev_fired = fired })
+         r.raw_events)
+  in
   {
     seed = r.raw_seed;
     rng = { Rng.s = r.raw_rng };
-    events =
-      Array.of_list
-        (List.map
-           (fun (trap, kind, fired) ->
-             { ev_trap = trap; ev_kind = kind; ev_fired = fired })
-           r.raw_events);
+    events;
     injected = r.raw_injected;
+    next_due = next_unfired events 0 max_int;
   }
 
 let injected_counts t =

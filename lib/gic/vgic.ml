@@ -114,48 +114,139 @@ let inject lrs ~vintid ?(priority = 0xa0) () =
         Trace.Gic_inject;
     Some i
 
+(* --- the virtual CPU interface on raw LR words ---
+
+   Acknowledge and EOI look at three fields of an LR and rewrite its
+   state, so they work on the words themselves: no decoded record per
+   LR.  Rewriting the state keeps the other fields and clears the bits
+   outside every field, as [encode_lr { (decode_lr v) with lr_state }]
+   does. *)
+
+let[@inline] lr_state_bits v = Int64.to_int (Int64.shift_right_logical v 62)
+let[@inline] lr_priority_of v = Int64.to_int (Int64.shift_right_logical v 48) land 0xff
+let[@inline] lr_vintid_of v = Int64.to_int (Int64.logand v 0xffff_ffffL)
+
+(* HW, group, priority, physical and virtual intid *)
+let lr_fields = 0x30ff_1fff_ffff_ffffL
+
+let[@inline] lr_with_state v bits =
+  Int64.logor (Int64.logand v lr_fields) (Int64.shift_left (Int64.of_int bits) 62)
+
+(* [encode_lr empty_lr] *)
+let empty_lr_word = 0x10a0_0000_0000_0000L
+
+let pending_bits = 1
+let active_bits = 2
+let pending_and_active_bits = 3
+
+(* The pending LR with the lowest priority value, the first of equals. *)
+let[@inline] better_pending v ~than = lr_state_bits v = pending_bits && lr_priority_of v < than
+
+(* An LR EOI of [vintid] completes: it holds [vintid], active. *)
+let[@inline] completes v ~vintid =
+  lr_vintid_of v = vintid
+  &&
+  let s = lr_state_bits v in
+  s = active_bits || s = pending_and_active_bits
+
+(* Deactivate: active becomes empty (the vintid cleared, so the slot
+   reads as free), pending-and-active becomes pending. *)
+let[@inline] deactivated v =
+  if lr_state_bits v = active_bits then empty_lr_word
+  else lr_with_state v pending_bits
+
+let[@inline] trace_ack v i =
+  if !Trace.on then
+    Trace.emit ~a0:(Int64.of_int (lr_vintid_of v)) ~a1:(Int64.of_int i)
+      Trace.Gic_ack
+
+let[@inline] trace_eoi found vintid =
+  if found && !Trace.on then Trace.emit ~a0:(Int64.of_int vintid) Trace.Gic_eoi
+
 (* The VM acknowledges the highest-priority pending virtual interrupt:
    hardware updates the LR, no trap. *)
 let v_acknowledge lrs =
-  let best = ref None in
-  Array.iteri
-    (fun i v ->
-      let l = decode_lr v in
-      if l.lr_state = Irq.Pending then
-        match !best with
-        | Some (_, bl) when bl.lr_priority <= l.lr_priority -> ()
-        | _ -> best := Some (i, l))
-    lrs;
-  match !best with
-  | None -> None
-  | Some (i, l) ->
-    lrs.(i) <- encode_lr { l with lr_state = Irq.Active };
-    if !Trace.on then
-      Trace.emit ~a0:(Int64.of_int l.lr_vintid) ~a1:(Int64.of_int i)
-        Trace.Gic_ack;
-    Some l.lr_vintid
+  let best = ref (-1) and prio = ref 0x100 in
+  for i = 0 to Array.length lrs - 1 do
+    if better_pending lrs.(i) ~than:!prio then begin
+      best := i;
+      prio := lr_priority_of lrs.(i)
+    end
+  done;
+  if !best < 0 then None
+  else begin
+    let v = lrs.(!best) in
+    lrs.(!best) <- lr_with_state v active_bits;
+    trace_ack v !best;
+    Some (lr_vintid_of v)
+  end
 
 (* The VM completes (EOIs) a virtual interrupt: hardware updates the LR,
    no trap.  Returns true if the vintid was found active. *)
 let v_eoi lrs ~vintid =
   let found = ref false in
-  Array.iteri
-    (fun i v ->
-      let l = decode_lr v in
-      if (not !found) && l.lr_vintid = vintid
-         && (l.lr_state = Irq.Active || l.lr_state = Irq.Pending_and_active)
-      then begin
-        found := true;
-        (* deactivate; clear the vintid so the slot reads as empty *)
-        let s = Irq.deactivate l.lr_state in
-        let l' =
-          if s = Irq.Inactive then empty_lr else { l with lr_state = s }
-        in
-        lrs.(i) <- encode_lr l'
-      end)
-    lrs;
-  if !found && !Trace.on then
-    Trace.emit ~a0:(Int64.of_int vintid) Trace.Gic_eoi;
+  for i = 0 to Array.length lrs - 1 do
+    if (not !found) && completes lrs.(i) ~vintid then begin
+      found := true;
+      lrs.(i) <- deactivated lrs.(i)
+    end
+  done;
+  trace_eoi !found vintid;
+  !found
+
+(* The same two operations on a CPU's own list registers: the first
+   [lrs] of ICH_LR<n>_EL2 in a register file, read and written in place
+   as unboxed words.  Each of the [lrs] registers is hardware-written
+   (its dirty bit set), as writing the whole LR array back would. *)
+
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* ICH_LR<n>_EL2 has dense index [lr0 + n] *)
+let lr0 = Arm.Sysreg.index (Arm.Sysreg.ICH_LR_EL2 0)
+
+let[@inline] lr_get (f : Arm.Sysreg_file.t) i =
+  get_word f.Arm.Sysreg_file.values ((lr0 + i) * 8)
+
+let[@inline] lr_set (f : Arm.Sysreg_file.t) i v =
+  set_word f.Arm.Sysreg_file.values ((lr0 + i) * 8) v
+
+(* Mark the [lrs] registers written, after checking that they exist:
+   the word accesses are unchecked. *)
+let touch (f : Arm.Sysreg_file.t) ~lrs =
+  if lrs < 0 || lrs > Arm.Sysreg.lr_count then
+    invalid_arg (Printf.sprintf "Vgic: %d list registers" lrs);
+  for i = 0 to lrs - 1 do
+    Bytes.unsafe_set f.Arm.Sysreg_file.dirty (lr0 + i) '\001'
+  done
+
+let acknowledge_in f ~lrs =
+  touch f ~lrs;
+  let best = ref (-1) and prio = ref 0x100 in
+  for i = 0 to lrs - 1 do
+    if better_pending (lr_get f i) ~than:!prio then begin
+      best := i;
+      prio := lr_priority_of (lr_get f i)
+    end
+  done;
+  if !best < 0 then -1
+  else begin
+    let v = lr_get f !best in
+    lr_set f !best (lr_with_state v active_bits);
+    trace_ack v !best;
+    lr_vintid_of v
+  end
+
+let eoi_in f ~lrs ~vintid =
+  touch f ~lrs;
+  let found = ref false in
+  for i = 0 to lrs - 1 do
+    if (not !found) && completes (lr_get f i) ~vintid then begin
+      found := true;
+      lr_set f i (deactivated (lr_get f i))
+    end
+  done;
+  trace_eoi !found vintid;
   !found
 
 let pending_count lrs =

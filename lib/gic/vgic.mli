@@ -53,5 +53,17 @@ val v_eoi : int64 array -> vintid:int -> bool
 (** The VM completes a virtual interrupt: hardware updates the LR, no
     trap.  False when the vintid was not active. *)
 
+val acknowledge_in : Arm.Sysreg_file.t -> lrs:int -> int
+(** {!v_acknowledge} on the first [lrs] list registers of a register
+    file, in place: the acknowledged vintid, or [-1] when none is
+    pending.  All [lrs] registers are hardware-written (dirty bits set).
+    Allocates nothing.
+    @raise Invalid_argument unless [0 <= lrs <= Sysreg.lr_count]. *)
+
+val eoi_in : Arm.Sysreg_file.t -> lrs:int -> vintid:int -> bool
+(** {!v_eoi} on the first [lrs] list registers of a register file, in
+    place, with the same hardware writes as {!acknowledge_in}.
+    Allocates nothing. *)
+
 val pending_count : int64 array -> int
 val pp_lr : Format.formatter -> int64 -> unit

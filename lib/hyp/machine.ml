@@ -48,6 +48,8 @@ type t = {
   (* each CPU's [hvc #0], the hypercall its guest executes, routed once
      per routing state; a cache, neither marked nor serialized *)
   hvc_sites : Arm.Route_key.site array;
+  (* [vm_ack]'s results, one [Some vintid] per vintid; a cache *)
+  acks : int option Arm.Memo.t;
 }
 
 let ncpus t = Array.length t.cpus
@@ -68,19 +70,31 @@ let check_cpu t what cpu = if cpu < 0 || cpu >= Array.length t.cpus then bad_cpu
 (* Keep a bounded sample of violations but count them all. *)
 let stored_violations_cap = 64
 
-let note t vs =
-  List.iter
-    (fun v ->
-      t.violation_count <- t.violation_count + 1;
-      if t.violation_count <= stored_violations_cap then
-        t.violations <- v :: t.violations)
-    vs
+let record t v =
+  t.violation_count <- t.violation_count + 1;
+  if t.violation_count <= stored_violations_cap then
+    t.violations <- v :: t.violations
 
 (* VNCR synchronization invariant: while the guest hypervisor runs under
    NEVE, the deferred page's copy of each trap-on-write register must
    match the virtual EL2 file — the trapped-write path updates both, and
-   a divergence means a drained value would resurrect stale state. *)
-let neve_sync_violations t i =
+   a divergence means a drained value would resurrect stale state.  With
+   hardware NEVE, VNCR_EL2 must also still point at the page.  Each word
+   is compared in place; VNCR_EL2 is reported first, then the registers
+   in Table 4 order. *)
+let rec sync_slots s cpu page vel2 = function
+  | [] -> ()
+  | r :: rest ->
+    if
+      Core.Deferred_page.has_slot r
+      && not (Core.Deferred_page.holds page r vel2)
+    then
+      Fault.Invariants.mismatch s cpu ~name:"vncr-page-sync" (Sysreg.name r)
+        ~expected:(Arm.Sysreg_file.read vel2 r)
+        ~actual:(Core.Deferred_page.read page r);
+    sync_slots s cpu page vel2 rest
+
+let check_neve_sync t i s =
   let host = t.hosts.(i) in
   let cpu = t.cpus.(i) in
   if
@@ -88,29 +102,18 @@ let neve_sync_violations t i =
     && host.Host_hyp.vcpu.Vcpu.in_vel2
     && not host.Host_hyp.l2_is_hyp
   then begin
-    let pairs =
-      List.filter_map
-        (fun r ->
-          if Core.Deferred_page.has_slot r then
-            Some
-              ( Sysreg.name r,
-                Vcpu.read_vel2 host.Host_hyp.vcpu r,
-                Core.Deferred_page.read host.Host_hyp.page r )
-          else None)
-        Sysreg.table4_trap_on_write
-    in
-    let pairs =
-      match t.config.Config.mech with
-      | Config.Hw_neve ->
-        ( "VNCR_EL2",
-          Core.Deferred_page.vncr_value host.Host_hyp.page ~enable:true,
-          Cpu.peek_sysreg cpu Sysreg.VNCR_EL2 )
-        :: pairs
-      | _ -> pairs
-    in
-    Fault.Invariants.check_sync ~id:i ~name:"vncr-page-sync" cpu pairs
+    let page = host.Host_hyp.page in
+    (match t.config.Config.mech with
+     | Config.Hw_neve ->
+       let expected = page.Core.Deferred_page.enabled in
+       if not (Arm.Sysreg_file.holds cpu.Cpu.sysregs Sysreg.VNCR_EL2 expected)
+       then
+         Fault.Invariants.mismatch s cpu ~name:"vncr-page-sync" "VNCR_EL2"
+           ~expected ~actual:(Cpu.peek_sysreg cpu Sysreg.VNCR_EL2)
+     | _ -> ());
+    sync_slots s cpu page host.Host_hyp.vcpu.Vcpu.vel2
+      Sysreg.table4_trap_on_write
   end
-  else []
 
 (* Deliver an interrupt to a CPU, honoring a pending drop/duplicate
    verdict from the fault plan. *)
@@ -207,27 +210,29 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       dist;
       smp = None;
       hvc_sites = Array.init ncpus (fun _ -> Arm.Route_key.site (Insn.Hvc 0));
+      acks = Arm.Memo.create Option.some;
     }
   in
   if checking then
     (* run the invariant checker around every EL2 exception: entry checks
        before the host handler, steady-state + monotonicity + VNCR sync
        after it (nested traps re-enter this wrapper, which is exactly the
-       "after every exception entry/return" the checker wants) *)
+       "after every exception entry/return" the checker wants).  Each CPU
+       reports into the machine's record through one sink built here. *)
     Array.iteri
       (fun i cpu ->
         match cpu.Cpu.el2_handler with
         | None -> ()
         | Some inner ->
+          let s = Fault.Invariants.sink ~id:i (record t) in
           cpu.Cpu.el2_handler <-
             Some
               (fun c e ->
-                note t (Fault.Invariants.check_entry ~id:i c);
+                Fault.Invariants.check_entry s c;
                 inner c e;
-                note t (Fault.Invariants.check_cpu ~id:i c);
-                note t
-                  (Fault.Invariants.check_monotone ~id:i t.inv_states.(i) c);
-                note t (neve_sync_violations t i)))
+                Fault.Invariants.check_cpu s c;
+                Fault.Invariants.check_monotone s t.inv_states.(i) c;
+                check_neve_sync t i s))
       cpus;
   (match fault_plan with
    | Some plan ->
@@ -399,9 +404,10 @@ let service_faults t ~cpu =
   ignore (Host_hyp.deliver_pending_vserror t.hosts.(cpu));
   match t.fault with
   | None -> ()
-  | Some plan ->
-    List.iter (apply_fault t ~cpu)
-      (Fault.Plan.due plan ~traps:(total_traps t))
+  | Some plan -> (
+    match Fault.Plan.due plan ~traps:(total_traps t) with
+    | [] -> ()
+    | due -> List.iter (apply_fault t ~cpu) due)
 
 (* --- guest-side operations (what the benchmarked VM/nested VM does) ---
 
@@ -481,26 +487,20 @@ let send_ipi t ~cpu ~target ~intid =
 let vm_ack t ~cpu =
   check_cpu t "vm_ack" cpu;
   let c = t.cpus.(cpu) in
-  let lrs =
-    Array.init Reglists.vgic_lrs_in_use (fun i ->
-        Cpu.peek_sysreg c (Sysreg.ICH_LR_EL2 i))
+  let vintid =
+    Gic.Vgic.acknowledge_in c.Cpu.sysregs ~lrs:Reglists.vgic_lrs_in_use
   in
-  let result = Gic.Vgic.v_acknowledge lrs in
-  Array.iteri (fun i v -> Cpu.poke_sysreg c (Sysreg.ICH_LR_EL2 i) v) lrs;
   Cost.charge c.Cpu.meter (Cpu.table c).Cost.sysreg_read;
-  result
+  if vintid < 0 then None else Arm.Memo.find t.acks vintid
 
 (* Complete a virtual interrupt (Virtual EOI): hardware-only, the constant
    71-cycle operation of Tables 1 and 6. *)
 let vm_eoi t ~cpu ~vintid =
   check_cpu t "vm_eoi" cpu;
   let c = t.cpus.(cpu) in
-  let lrs =
-    Array.init Reglists.vgic_lrs_in_use (fun i ->
-        Cpu.peek_sysreg c (Sysreg.ICH_LR_EL2 i))
+  let found =
+    Gic.Vgic.eoi_in c.Cpu.sysregs ~lrs:Reglists.vgic_lrs_in_use ~vintid
   in
-  let found = Gic.Vgic.v_eoi lrs ~vintid in
-  Array.iteri (fun i v -> Cpu.poke_sysreg c (Sysreg.ICH_LR_EL2 i) v) lrs;
   Cost.charge c.Cpu.meter (Cpu.table c).Cost.arm_virtual_eoi;
   found
 
@@ -745,7 +745,7 @@ let check_invariants t =
   let acc = ref [] in
   Array.iteri
     (fun i c ->
-      acc := Fault.Invariants.check_cpu ~id:i c @ !acc;
+      acc := Fault.Invariants.(collect ~id:i (fun s -> check_cpu s c)) @ !acc;
       if
         c.Cpu.depth <> 0
         && c.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2
@@ -754,6 +754,6 @@ let check_invariants t =
           Fault.Invariants.v ~id:i c "gpr-snapshot-leak"
             (Printf.sprintf "%d snapshot(s) live outside a trap" c.Cpu.depth)
           :: !acc;
-      acc := neve_sync_violations t i @ !acc)
+      acc := Fault.Invariants.collect ~id:i (check_neve_sync t i) @ !acc)
     t.cpus;
   List.rev !acc

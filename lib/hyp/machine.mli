@@ -41,6 +41,9 @@ type t = {
   hvc_sites : Arm.Route_key.site array;
       (** each CPU's {!hypercall} instruction with its route memo; a
           cache, neither marked nor serialized *)
+  acks : int option Arm.Memo.t;
+      (** the [Some vintid] values {!vm_ack} returns, built once per
+          vintid; a cache, neither marked nor serialized *)
 }
 
 val ncpus : t -> int
@@ -128,11 +131,13 @@ val send_ipi : t -> cpu:int -> target:int -> intid:int -> unit
 
 val vm_ack : t -> cpu:int -> int option
 (** Acknowledge the highest-priority pending virtual interrupt against
-    the hardware list registers — no trap. *)
+    the hardware list registers — no trap.  Works on the list registers
+    in place; a warm acknowledge allocates nothing. *)
 
 val vm_eoi : t -> cpu:int -> vintid:int -> bool
 (** Complete a virtual interrupt: the constant-cost, trap-free Virtual
-    EOI of Tables 1 and 6. *)
+    EOI of Tables 1 and 6.  Works on the list registers in place and
+    allocates nothing. *)
 
 val device_irq : t -> cpu:int -> intid:int -> unit
 (** Deliver an external (device) interrupt, as the NIC would. *)

@@ -20,32 +20,50 @@ type node =
   | L of node list
   | R of (string * node) list  (** fields in fixed, writer-chosen order *)
 
-let add_str b s =
-  Buffer.add_int32_be b (Int32.of_int (String.length s));
-  Buffer.add_string b s
-
-let rec encode b = function
-  | I v ->
-    Buffer.add_char b 'I';
-    Buffer.add_int64_be b v
-  | B v ->
-    Buffer.add_char b 'B';
-    Buffer.add_char b (if v then '\001' else '\000')
-  | S s ->
-    Buffer.add_char b 'S';
-    add_str b s
-  | L xs ->
-    Buffer.add_char b 'L';
-    Buffer.add_int32_be b (Int32.of_int (List.length xs));
-    List.iter (encode b) xs
+(* The length of a node's canonical bytes. *)
+let rec encoded_size = function
+  | I _ -> 9
+  | B _ -> 2
+  | S s -> 5 + String.length s
+  | L xs -> List.fold_left (fun n x -> n + encoded_size x) 5 xs
   | R fs ->
-    Buffer.add_char b 'R';
-    Buffer.add_int32_be b (Int32.of_int (List.length fs));
-    List.iter
-      (fun (name, x) ->
-        add_str b name;
-        encode b x)
-      fs
+    List.fold_left
+      (fun n (name, x) -> n + 4 + String.length name + encoded_size x)
+      5 fs
+
+(* The canonical bytes, written into a string of exactly their length:
+   an image is one allocation, not a growing buffer and its copy. *)
+let encode n =
+  let b = Bytes.create (encoded_size n) in
+  let len pos k = Bytes.set_int32_be b pos (Int32.of_int k) in
+  let str pos s =
+    len pos (String.length s);
+    Bytes.blit_string s 0 b (pos + 4) (String.length s);
+    pos + 4 + String.length s
+  in
+  let rec put pos = function
+    | I v ->
+      Bytes.set b pos 'I';
+      Bytes.set_int64_be b (pos + 1) v;
+      pos + 9
+    | B v ->
+      Bytes.set b pos 'B';
+      Bytes.set b (pos + 1) (if v then '\001' else '\000');
+      pos + 2
+    | S s ->
+      Bytes.set b pos 'S';
+      str (pos + 1) s
+    | L xs ->
+      Bytes.set b pos 'L';
+      len (pos + 1) (List.length xs);
+      List.fold_left put (pos + 5) xs
+    | R fs ->
+      Bytes.set b pos 'R';
+      len (pos + 1) (List.length fs);
+      List.fold_left (fun pos (name, x) -> put (str pos name) x) (pos + 5) fs
+  in
+  ignore (put 0 n : int);
+  Bytes.unsafe_to_string b
 
 let decode s =
   let pos = ref 0 in

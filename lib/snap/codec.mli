@@ -23,7 +23,7 @@ type node =
   | L of node list
   | R of (string * node) list  (** fields in fixed, writer-chosen order *)
 
-val encode : Buffer.t -> node -> unit
+val encode : node -> string
 (** Canonical bytes: a tag, then big-endian payloads and lengths. *)
 
 val decode : string -> node

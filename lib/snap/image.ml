@@ -517,12 +517,13 @@ let declaration () = Domain.DLS.get declared
 
 let machine_node m = write_record (declaration ()).machine m
 
-let save m =
-  let b = Buffer.create 65536 in
-  encode b (machine_node m);
-  b
+let to_string m = encode (machine_node m)
 
-let to_string m = Buffer.contents (save m)
+let save m =
+  let s = to_string m in
+  let b = Buffer.create (String.length s) in
+  Buffer.add_string b s;
+  b
 
 let restore s =
   let n = decode s in

@@ -41,10 +41,12 @@ exception Format_error of string
 val version : int
 (** Format version written into and required of every snapshot. *)
 
-val save : Hyp.Machine.t -> Buffer.t
-
 val to_string : Hyp.Machine.t -> string
-(** [Buffer.contents] of {!save}. *)
+(** The machine's image: the canonical bytes of its node tree, built in
+    one string of exactly their length. *)
+
+val save : Hyp.Machine.t -> Buffer.t
+(** {!to_string} in a buffer. *)
 
 val restore : string -> Hyp.Machine.t
 (** @raise Format_error on malformed input or a field outside its

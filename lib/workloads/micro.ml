@@ -39,16 +39,15 @@ let arm_op m = function
        | Some v -> ignore (Machine.vm_eoi m ~cpu:1 ~vintid:v)
        | None -> ())
   | Virtual_eoi ->
+    (* a virtual interrupt is already active (set up by the harness);
+       completing it never traps *)
+    let lr =
+      Gic.Vgic.encode_lr
+        { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Active;
+                                 lr_vintid = 7 }
+    in
     fun () ->
-      (* a virtual interrupt is already active (set up by the harness);
-         completing it never traps *)
-      let c = m.Machine.cpus.(0) in
-      let lr =
-        Gic.Vgic.encode_lr
-          { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Active;
-                                   lr_vintid = 7 }
-      in
-      Cpu.poke_sysreg c (Sysreg.ICH_LR_EL2 0) lr;
+      Cpu.poke_sysreg m.Machine.cpus.(0) (Sysreg.ICH_LR_EL2 0) lr;
       ignore (Machine.vm_eoi m ~cpu:0 ~vintid:7)
 
 (* The trap kinds that count as "traps to the hypervisor" for Table 7. *)

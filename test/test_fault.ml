@@ -193,9 +193,9 @@ let test_invariants_monotone () =
   let st = Invariants.state () in
   cpu.Cpu.meter.Cost.cycles <- 1000;
   check Alcotest.int "advancing counters pass" 0
-    (List.length (Invariants.check_monotone st cpu));
+    (List.length (Invariants.collect (fun s -> Invariants.check_monotone s st cpu)));
   cpu.Cpu.meter.Cost.cycles <- 500;
-  let vs = Invariants.check_monotone st cpu in
+  let vs = Invariants.collect (fun s -> Invariants.check_monotone s st cpu) in
   check Alcotest.bool "regressing cycle counter flagged" true
     (List.exists (fun v -> v.Invariants.v_name = "counters-monotone") vs)
 
@@ -212,6 +212,124 @@ let test_check_sync () =
   check Alcotest.bool "detail names the register" true
     (String.length v.Invariants.v_detail > 0
     && String.sub v.Invariants.v_detail 0 9 = "VTTBR_EL2")
+
+(* --- the live checker: what the wrapper around every EL2 exception
+   records --- *)
+
+(* A booted checked 1-vCPU machine whose CPU runs [plant] just before
+   the checked EL2 handler on each exception entry, until [plant]
+   returns [true] (it planted its inconsistency); then one hypercall.
+   Returns every recorded violation, rendered, and the count. *)
+let live_violations config plant =
+  let m = Machine.create ~check_invariants:true config Hyp.Host_hyp.Nested in
+  Machine.boot m;
+  let cpu = m.Machine.cpus.(0) in
+  let checked = Option.get cpu.Cpu.el2_handler in
+  let armed = ref true in
+  cpu.Cpu.el2_handler <-
+    Some
+      (fun c e ->
+        if !armed && plant m c then armed := false;
+        checked c e);
+  Machine.hypercall m ~cpu:0;
+  check Alcotest.bool "the inconsistency was planted" false !armed;
+  ( List.map Invariants.to_string (Machine.violations m),
+    Machine.violation_count m )
+
+let vel2_of (m : Machine.t) = m.Machine.hosts.(0).Hyp.Host_hyp.vcpu.Hyp.Vcpu.in_vel2
+
+let live_scenarios =
+  [
+    ( "illegal SPSR_EL2 mode at entry",
+      Config.v Config.Hw_v8_3,
+      fun _ c ->
+        (* M[3:0] = 2 is not a legal AArch64 mode; the host hands it to
+           the guest hypervisor, whose SPSR_EL1 then holds it *)
+        Cpu.poke_sysreg c Sysreg.SPSR_EL2 2L;
+        true );
+    ( "misaligned ELR_EL1",
+      Config.v Config.Hw_v8_3,
+      fun _ c ->
+        Cpu.poke_sysreg c Sysreg.ELR_EL1 0x1001L;
+        true );
+    ( "misaligned ELR_EL1 with an illegal SPSR_EL1",
+      Config.v Config.Hw_v8_3,
+      fun _ c ->
+        Cpu.poke_sysreg c Sysreg.ELR_EL1 0x1002L;
+        Cpu.poke_sysreg c Sysreg.SPSR_EL1 0xbL;
+        true );
+    ( "regressed meter counter",
+      Config.v Config.Hw_v8_3,
+      fun _ c ->
+        (* the next nested exception's check sees both go backwards *)
+        let mt = c.Cpu.meter in
+        mt.Cost.traps <- mt.Cost.traps - 3;
+        mt.Cost.insns <- mt.Cost.insns - 10_000;
+        true );
+    ( "NEVE page slot out of sync",
+      Config.v Config.Hw_neve,
+      fun m _ ->
+        vel2_of m
+        && begin
+          let h = m.Machine.hosts.(0) in
+          Core.Deferred_page.write h.Hyp.Host_hyp.page Sysreg.CNTVOFF_EL2
+            0x5eedL;
+          true
+        end );
+    ( "VNCR_EL2 out of sync",
+      Config.v ~guest_vhe:true Config.Hw_neve,
+      fun m c ->
+        vel2_of m
+        && begin
+          (* bit 1 is RES0: the page stays where it is *)
+          Cpu.poke_sysreg c Sysreg.VNCR_EL2
+            (Int64.logxor (Cpu.peek_sysreg c Sysreg.VNCR_EL2) 2L);
+          true
+        end );
+  ]
+
+(* What the checker records for each scenario, pinned: the count, how
+   many were kept (at most 64), the first two rendered and the MD5 of
+   all of them rendered, one per line. *)
+let live_expected =
+  [
+    ( 63, 63,
+      [ "spsr-mode-legal: cpu0 EL2 pc=0x90000004: SPSR_EL2 = 0x2 has illegal mode bits";
+        "spsr-mode-legal: cpu0 EL1 pc=0x70000004: SPSR_EL1 = 0x2 has illegal mode bits" ],
+      "4e603ecfe4e7fb97dab6ef5e99330e63" );
+    ( 2, 2,
+      [ "elr-aligned: cpu0 EL1 pc=0x90000004: ELR_EL1 = 0x1001 is not 4-byte aligned";
+        "elr-aligned: cpu0 EL1 pc=0x90000004: ELR_EL1 = 0x1001 is not 4-byte aligned" ],
+      "a005fbd92102b2a998412de03bc7cc78" );
+    ( 4, 4,
+      [ "elr-aligned: cpu0 EL1 pc=0x90000004: ELR_EL1 = 0x1002 is not 4-byte aligned";
+        "spsr-mode-legal: cpu0 EL1 pc=0x90000004: SPSR_EL1 = 0xb has illegal mode bits" ],
+      "bd77e321127bff35ffe09f8fbe84a8a1" );
+    ( 65, 64,
+      [ "counters-monotone: cpu0 EL1 pc=0x70000004: traps went backwards: 58 -> 57";
+        "counters-monotone: cpu0 EL1 pc=0x70000004: insns went backwards: 8913 -> -818" ],
+      "3fcf0f432683f49b97cbf79e4981328b" );
+    ( 3, 3,
+      [ "vncr-page-sync: cpu0 EL1 pc=0x70000100: CNTVOFF_EL2: expected 0x1000, found 0x5eed";
+        "vncr-page-sync: cpu0 EL1 pc=0x700001e4: CNTVOFF_EL2: expected 0x1000, found 0x5eed" ],
+      "a342e0f42f23e685eafc8783c737b259" );
+    ( 11, 11,
+      [ "vncr-page-sync: cpu0 EL1 pc=0x70000100: VNCR_EL2: expected 0x40008001, found 0x40008003";
+        "vncr-page-sync: cpu0 EL1 pc=0x70000104: VNCR_EL2: expected 0x40008001, found 0x40008003" ],
+      "70fee528cd34a7ae2bf4836d8328ebb0" );
+  ]
+
+let test_live_reporting () =
+  List.iter2
+    (fun (what, config, plant) (count, kept, head, md5) ->
+      let vs, n = live_violations config plant in
+      check Alcotest.int (what ^ ": violation_count") count n;
+      check Alcotest.int (what ^ ": violations kept") kept (List.length vs);
+      check Alcotest.(list string) (what ^ ": the first two") head
+        (List.filteri (fun i _ -> i < 2) vs);
+      check Alcotest.string (what ^ ": all of them, in order") md5
+        (Digest.to_hex (Digest.string (String.concat "\n" vs))))
+    live_scenarios live_expected
 
 (* --- a trap syndrome naming no known register injects UNDEF --- *)
 
@@ -543,6 +661,22 @@ let test_traps_listings () =
     [ ("", "traps-v83.txt"); ("-m neve", "traps-neve.txt");
       ("--vhe", "traps-v83-vhe.txt"); ("-m neve --vhe", "traps-neve-vhe.txt") ]
 
+(* Two checked-machine reports, byte for byte as the goldens hold them:
+   the chaos sweep at seed 42 and the serving campaign's JSON.  The
+   checker's results (violation counts included) and the fault plans'
+   schedules must not move across commits. *)
+let test_checked_goldens () =
+  List.iter
+    (fun (args, golden) ->
+      let rc, out = Test_supervise.run_cli args in
+      check Alcotest.int (args ^ ": exit status") 0 rc;
+      check Alcotest.string args
+        (Test_supervise.read_file
+           (Test_supervise.locate [ "golden/" ^ golden; "test/golden/" ^ golden ]))
+        out)
+    [ ("chaos --seed 42 --traps 10000", "chaos-seed42.txt");
+      ("serve -n 30 --json", "serve-n30.json") ]
+
 (* --- chaos: same seed, same report, and no anonymous crashes --- *)
 
 let test_chaos_reproducible () =
@@ -588,6 +722,8 @@ let suite =
       test_invariants_monotone;
     Alcotest.test_case "invariants: sync sweep reports mismatches" `Quick
       test_check_sync;
+    Alcotest.test_case "invariants: the live checker's reports are pinned"
+      `Quick test_live_reporting;
     Alcotest.test_case "host: unknown sysreg syndrome injects UNDEF" `Quick
       test_unknown_sysreg_trap_injects_undef;
     Alcotest.test_case "gaccess: unmapped GICH register" `Quick
@@ -604,6 +740,8 @@ let suite =
       test_trail_rewinds;
     Alcotest.test_case "traps: full listings match the goldens" `Quick
       test_traps_listings;
+    Alcotest.test_case "chaos and serve reports match the goldens" `Quick
+      test_checked_goldens;
     qtest test_decode_op_total;
     qtest test_encode_decode_roundtrip;
     qtest test_hvc_fuzz_pv;

@@ -143,6 +143,85 @@ let test_eoi_wrong_vintid () =
   check Alcotest.bool "EOI of a different vintid fails" false
     (Vgic.v_eoi lrs ~vintid:99)
 
+(* The acknowledge and EOI the list-register words implement, on
+   decoded records. *)
+let ref_acknowledge lrs =
+  let best = ref None in
+  Array.iteri
+    (fun i v ->
+      let l = Vgic.decode_lr v in
+      if l.Vgic.lr_state = Irq.Pending then
+        match !best with
+        | Some (_, bl) when bl.Vgic.lr_priority <= l.Vgic.lr_priority -> ()
+        | _ -> best := Some (i, l))
+    lrs;
+  match !best with
+  | None -> None
+  | Some (i, l) ->
+    lrs.(i) <- Vgic.encode_lr { l with Vgic.lr_state = Irq.Active };
+    Some l.Vgic.lr_vintid
+
+let ref_eoi lrs ~vintid =
+  let found = ref false in
+  Array.iteri
+    (fun i v ->
+      let l = Vgic.decode_lr v in
+      if (not !found) && l.Vgic.lr_vintid = vintid
+         && (l.Vgic.lr_state = Irq.Active || l.Vgic.lr_state = Irq.Pending_and_active)
+      then begin
+        found := true;
+        let s = Irq.deactivate l.Vgic.lr_state in
+        lrs.(i) <-
+          Vgic.encode_lr
+            (if s = Irq.Inactive then Vgic.empty_lr else { l with Vgic.lr_state = s })
+      end)
+    lrs;
+  !found
+
+(* Four LRs drawn so that states, priorities and vintids collide, some
+   with bits set outside every field. *)
+let lrs_gen =
+  let open QCheck.Gen in
+  let lr =
+    let* lr_state = oneofl [ Irq.Inactive; Irq.Pending; Irq.Active; Irq.Pending_and_active ] in
+    let* lr_hw = bool and* lr_group1 = bool in
+    let* lr_priority = oneofl [ 0x10; 0xa0; 0xa0; 0xc0 ] in
+    let* lr_pintid = int_bound 0x1fff and* lr_vintid = int_bound 3 in
+    let+ junk = oneofl [ 0L; 0L; 0x0f00_e000_0000_0000L ] in
+    Int64.logor junk
+      (Vgic.encode_lr { Vgic.lr_state; lr_hw; lr_group1; lr_priority; lr_pintid; lr_vintid })
+  in
+  pair (array_size (return 4) lr) (int_range 1 3)
+
+let lr_index i = Arm.Sysreg.index (Arm.Sysreg.ICH_LR_EL2 i)
+
+(* [v_acknowledge]/[v_eoi] on an array and [acknowledge_in]/[eoi_in] on
+   a register file agree with the decoded-record reference: results, LR
+   words, and the in-place forms set the dirty bits of exactly the LRs
+   they cover. *)
+let test_lr_words_match_records =
+  QCheck.Test.make ~count:1000 ~name:"vgic: LR word operations == decoded records"
+    (QCheck.make lrs_gen) (fun (lrs, vintid) ->
+      let want = Array.copy lrs and arr = Array.copy lrs in
+      let f = Arm.Sysreg_file.create () in
+      Array.iteri (fun i v -> Arm.Sysreg_file.set_index f (lr_index i) v) lrs;
+      let file_lrs () = Array.init 4 (fun i -> Arm.Sysreg_file.get_index f (lr_index i)) in
+      let dirty i = Bytes.get f.Arm.Sysreg_file.dirty (lr_index i) = '\001' in
+      let in_place r = if r < 0 then None else Some r in
+      let acked = ref_acknowledge want in
+      let ack_ok =
+        Vgic.v_acknowledge arr = acked
+        && in_place (Vgic.acknowledge_in f ~lrs:4) = acked
+        && arr = want && file_lrs () = want
+      in
+      let eoid = ref_eoi want ~vintid in
+      ack_ok
+      && Vgic.v_eoi arr ~vintid = eoid
+      && Vgic.eoi_in f ~lrs:4 ~vintid = eoid
+      && arr = want && file_lrs () = want
+      && List.for_all dirty [ 0; 1; 2; 3 ]
+      && not (dirty 4))
+
 let test_status_registers () =
   let lrs = fresh_lrs () in
   check Alcotest.int64 "all empty: ELRSR = 0b1111" 0xfL (Vgic.compute_elrsr lrs);
@@ -195,6 +274,7 @@ let suite =
     ("vgic: LR exhaustion", `Quick, test_lr_exhaustion);
     ("vgic: EOI with wrong vintid", `Quick, test_eoi_wrong_vintid);
     ("vgic: EISR/ELRSR/MISR", `Quick, test_status_registers);
+    qtest test_lr_words_match_records;
     ("gicv2: MMIO offset decoding", `Quick, test_gicv2_decode);
     ("gicv2: mapping to ICH registers", `Quick, test_gicv2_to_ich);
     ("gicv2: frame addressing", `Quick, test_gicv2_frame_addressing);

@@ -11,8 +11,9 @@
    - a property checks Cpu.mrs/msr against Cpu.exec of the same
      instruction over random HCR values, features, accesses and values;
    - Gc.minor_words pins the allocation of warm world-switch loops (none
-     per copied register) and of a warm nested hypercall (a per-trap
-     budget). *)
+     per copied register), of a warm nested hypercall (a per-trap
+     budget), of checked and fault-planned exits (those of the unchecked
+     twin) and of a VM's acknowledge and EOI (none). *)
 
 module Cpu = Arm.Cpu
 module Insn = Arm.Insn
@@ -601,24 +602,24 @@ let test_bare_trap_allocates_nothing () =
    sites and the host moves trapped values as words:
 
                   hypercall   Device I/O   Virtual IPI
-     v8.3              28.6          29.2          30.4
-     neve              32.5          37.5          47.8
-     neve-vhe          31.3          34.5          46.0
-     neve-ooh          39.0          46.2          58.0
-     neve-vhe-ooh      34.7          41.9          53.8
+     v8.3              28.6          29.2          29.5
+     neve              32.5          37.7          40.2
+     neve-vhe          31.3          34.7          38.4
+     neve-ooh          39.0          46.4          46.7
+     neve-vhe-ooh      34.7          42.1          42.6
 
    What is left is mostly values boxed where they cross a module
    boundary (the development profile inlines nothing across modules).
    The bounds allow 10% on top; boxing or routing creeping back into the
    per-trap path exceeds them. *)
 let op_budgets =
-  [ ("v8.3", Config.v Config.Hw_v8_3, Expose.Policy.none, (31.4, 32.1, 33.4));
-    ("neve", Config.v Config.Hw_neve, Expose.Policy.none, (35.8, 41.3, 52.6));
+  [ ("v8.3", Config.v Config.Hw_v8_3, Expose.Policy.none, (31.4, 32.1, 32.5));
+    ("neve", Config.v Config.Hw_neve, Expose.Policy.none, (35.8, 41.3, 44.2));
     ( "neve-vhe", Config.v ~guest_vhe:true Config.Hw_neve,
-      Expose.Policy.none, (34.5, 38.0, 50.6) );
-    ("neve-ooh", Config.v Config.Hw_neve, Fuzz.Diff.ooh_grant, (42.9, 50.8, 63.7));
+      Expose.Policy.none, (34.5, 38.0, 42.2) );
+    ("neve-ooh", Config.v Config.Hw_neve, Fuzz.Diff.ooh_grant, (42.9, 50.8, 51.4));
     ( "neve-vhe-ooh", Config.v ~guest_vhe:true Config.Hw_neve,
-      Fuzz.Diff.ooh_grant, (38.1, 46.1, 59.2) ) ]
+      Fuzz.Diff.ooh_grant, (38.1, 46.1, 46.9) ) ]
 
 let test_op_budgets () =
   List.iter
@@ -650,6 +651,91 @@ let test_op_budgets () =
         Workloads.Micro.
           [ (Hypercall, b_hvc); (Device_io, b_mmio); (Virtual_ipi, b_ipi) ])
     op_budgets
+
+(* The invariant checker and the fault plan cost nothing while nothing
+   fails: a warm hypercall, MMIO exit and device interrupt (delivered,
+   acknowledged, completed) allocate exactly the minor words on a checked
+   machine, and on one under a fault plan whose events lie far beyond
+   the run, that they allocate on the unchecked twin. *)
+let test_checked_allocates_like_unchecked () =
+  let ops =
+    [ ("hypercall", fun m -> Machine.hypercall m ~cpu:0);
+      ( "MMIO exit",
+        fun m ->
+          Machine.mmio_access m ~cpu:0 ~addr:Workloads.Micro.virtio_mmio_base
+            ~is_write:true );
+      ( "device IRQ",
+        fun m ->
+          Machine.device_irq m ~cpu:0 ~intid:Gic.Irq.virtio_net_spi;
+          match Machine.vm_ack m ~cpu:0 with
+          | Some v -> ignore (Machine.vm_eoi m ~cpu:0 ~vintid:v : bool)
+          | None -> Alcotest.fail "the device interrupt was not pending" ) ]
+  in
+  let far_plan () = Fault.Plan.make ~seed:3 ~faults:4 ~horizon:max_int in
+  Fun.protect ~finally:Mmu.Walk.clear_inject (fun () ->
+      List.iter
+        (fun (slug, config) ->
+          let twin ?fault_plan check_invariants =
+            let m =
+              Machine.create ?fault_plan ~check_invariants config
+                Host_hyp.Nested
+            in
+            Machine.boot m;
+            m
+          in
+          let plain = twin false
+          and checked = twin true
+          and planned = twin ~fault_plan:(far_plan ()) false in
+          List.iter
+            (fun (what, op) ->
+              let words m =
+                for _ = 1 to 5 do
+                  op m
+                done;
+                words_during (fun () ->
+                    for _ = 1 to 20 do
+                      op m
+                    done)
+              in
+              let w = words plain in
+              check Alcotest.int
+                (Printf.sprintf "%s %s: checked words" slug what)
+                w (words checked);
+              check Alcotest.int
+                (Printf.sprintf "%s %s: fault-planned words" slug what)
+                w (words planned))
+            ops;
+          check Alcotest.int (slug ^ ": no violation") 0
+            (Machine.violation_count checked);
+          check Alcotest.bool (slug ^ ": no fault fired") true
+            (Fault.Plan.injected (Option.get planned.Machine.fault) = []))
+        [ ("v8.3", Config.v Config.Hw_v8_3);
+          ("neve", Config.v Config.Hw_neve);
+          ("neve-vhe", Config.v ~guest_vhe:true Config.Hw_neve) ])
+
+(* A VM acknowledging and completing a virtual interrupt works on its
+   list registers in place. *)
+let test_vm_ack_eoi_allocate_nothing () =
+  let m = booted (Config.v Config.Hw_neve) Expose.Policy.none in
+  let c = m.Machine.cpus.(0) in
+  let pending =
+    Gic.Vgic.encode_lr
+      { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Pending;
+                               lr_vintid = 27 }
+  in
+  let ack_eoi () =
+    for _ = 1 to 100 do
+      Cpu.poke_sysreg c (Sysreg.ICH_LR_EL2 2) pending;
+      match Machine.vm_ack m ~cpu:0 with
+      | Some v -> ignore (Machine.vm_eoi m ~cpu:0 ~vintid:v : bool)
+      | None -> Alcotest.fail "the planted interrupt was not pending"
+    done
+  in
+  ack_eoi ();
+  check Alcotest.int "words allocated by 100 vm_ack + vm_eoi" 0
+    (words_during ack_eoi);
+  check Alcotest.int64 "the LR reads empty" (Gic.Vgic.encode_lr Gic.Vgic.empty_lr)
+    (Cpu.peek_sysreg c (Sysreg.ICH_LR_EL2 2))
 
 (* Minor words per iteration of a warm interpreted loop of EL2 accesses
    (mrs SCTLR_EL1; msr TPIDR_EL1; mrs ESR_EL2; sub; cbnz), as measured
@@ -763,6 +849,10 @@ let suite =
     ("warm hypercall stays within its per-trap budget, as do MMIO and IPI",
      `Quick,
      test_op_budgets);
+    ("checked and fault-planned exits allocate like unchecked ones", `Quick,
+     test_checked_allocates_like_unchecked);
+    ("vm_ack + vm_eoi allocate nothing", `Quick,
+     test_vm_ack_eoi_allocate_nothing);
     ("warm interpreted EL2 loop stays within its per-iteration budget",
      `Quick,
      test_interp_loop_budget);
