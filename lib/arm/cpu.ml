@@ -170,7 +170,7 @@ let trail_entries t =
     List.init r.len (fun k ->
         let i = (r.next - 1 - k + trail_depth) mod trail_depth in
         ( r.kinds.(i),
-          match r.insns.(i) with Insn.Nop -> r.texts.(i) | insn -> Insn.to_string insn ))
+          match r.insns.(i) with Insn.Nop -> r.texts.(i) | insn -> Insn.render insn ))
 
 let load_trail t entries =
   match t.trail with

@@ -89,3 +89,20 @@ let sysreg_use = function
   | Mrs (_, a) -> Read_sysreg a
   | Msr (a, _) -> Write_sysreg a
   | _ -> No_sysreg
+
+(* Rendered texts by instruction, per domain: a checked CPU's trail shows
+   the same few trapping instructions again and again, and [to_string]
+   is a pure function of the instruction, so each is rendered once.
+   Bounded: emptied when it reaches [rendered_cap] instructions. *)
+let rendered_cap = 1024
+let rendered = Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let render insn =
+  let texts = Domain.DLS.get rendered in
+  match Hashtbl.find texts insn with
+  | text -> text
+  | exception Not_found ->
+    let text = to_string insn in
+    if Hashtbl.length texts >= rendered_cap then Hashtbl.reset texts;
+    Hashtbl.add texts insn text;
+    text

@@ -52,3 +52,7 @@ type sysreg_use =
   | Write_sysreg of Sysreg.access
 
 val sysreg_use : t -> sysreg_use
+
+val render : t -> string
+(** {!to_string}, rendered once per instruction and domain (a bounded
+    memo): for the texts a CPU's trap trail shows again and again. *)

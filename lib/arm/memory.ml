@@ -28,6 +28,8 @@ let cache_slots = 64
    that is compared by identity and never written. *)
 let no_page : Bytes.t = Bytes.create 0
 
+let no_inject _ = false
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t; (* page index -> 4096 bytes *)
   cache_idx : int array; (* direct-mapped front cache: page indices *)
@@ -39,6 +41,10 @@ type t = {
       (* write observer (dirty-page tracking): called with the byte
          address after every stored word.  One option check on the store
          path when unused. *)
+  mutable s2_inject : int64 -> bool;
+      (* stage-2 fault injection: asked before every table walk over this
+         memory with the input address; [true] fails the walk.  The
+         machine owning the memory arms it from its fault plan. *)
   mutable code_lo : int64; (* tracked code envelope, inclusive *)
   mutable code_hi : int64; (* exclusive; empty when lo >= hi *)
   mutable code_gen : int; (* bumped on any store into the envelope *)
@@ -51,6 +57,7 @@ let create () =
     cache_pg = Array.make cache_slots no_page;
     mmio = [];
     on_write = None;
+    s2_inject = no_inject;
     code_lo = Int64.max_int;
     code_hi = Int64.min_int;
     code_gen = 0;
@@ -262,6 +269,43 @@ let sorted_words t =
   iter_nonzero t (fun addr v -> acc := (addr, v) :: !acc);
   List.sort (fun (a, _) (b, _) -> Int64.compare a b) !acc
 
+(* Every backed page's index, in ascending address order as
+   [sorted_words] orders addresses (signed): an index is an address's top
+   52 bits, so its bit 51 is the address's sign. *)
+let sorted_pages t =
+  let key pi = pi lxor (1 lsl 51) in
+  Hashtbl.fold (fun pi _ acc -> pi :: acc) t.pages []
+  |> List.sort (fun a b -> Int.compare (key a) (key b))
+
+(* The nonzero words of page [pi], ascending, into [dst] from byte [at]
+   as (address, value) pairs of native-endian words; the byte after
+   them.  Reads that page only, and allocates nothing. *)
+let page_nonzero t pi (dst : Bytes.t) at =
+  let p = find_page t pi in
+  if p == no_page then at
+  else begin
+    let at = ref at in
+    for w = 0 to page_words - 1 do
+      let v = get_word p (w * 8) in
+      if v <> 0L then begin
+        Bytes.set_int64_ne dst !at
+          (Int64.logor (Int64.shift_left (Int64.of_int pi) 12) (Int64.of_int (w * 8)));
+        Bytes.set_int64_ne dst (!at + 8) v;
+        at := !at + 16
+      end
+    done;
+    !at
+  end
+
+(* [write64] of two big-endian words of a string (a snapshot image's
+   payloads), unboxed. *)
+let store_be t s ~addr ~value =
+  let addr = String.get_int64_be s addr in
+  check_aligned addr;
+  let p = get_or_create_page t (page_index addr) in
+  set_word p (byte_index addr) (String.get_int64_be s value);
+  stored t addr
+
 (* The nonzero words of an aligned range, ascending.  Zero words are
    tested unboxed, so only the words returned allocate. *)
 let nonzero_words t ~start ~len =
@@ -316,6 +360,7 @@ type mark = {
   mk_pages : page_mark list;
   mk_mmio : (int64 * int64 * string) list;
   mk_on_write : (int64 -> unit) option;
+  mk_s2_inject : int64 -> bool;
   mk_code_lo : int64;
   mk_code_hi : int64;
 }
@@ -335,6 +380,7 @@ let mark t =
     mk_pages = Hashtbl.fold (fun pi p acc -> page_mark pi p :: acc) t.pages [];
     mk_mmio = t.mmio;
     mk_on_write = t.on_write;
+    mk_s2_inject = t.s2_inject;
     mk_code_lo = t.code_lo;
     mk_code_hi = t.code_hi;
   }
@@ -363,6 +409,7 @@ let rewind ?(drop = fun _ _ -> ()) t m =
     m.mk_pages;
   t.mmio <- m.mk_mmio;
   t.on_write <- m.mk_on_write;
+  t.s2_inject <- m.mk_s2_inject;
   t.code_lo <- m.mk_code_lo;
   t.code_hi <- m.mk_code_hi;
   t.code_gen <- t.code_gen + 1

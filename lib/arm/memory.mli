@@ -16,6 +16,11 @@ type t = {
   mutable on_write : (int64 -> unit) option;
       (** write observer (dirty-page tracking): called with the byte
           address after every stored word *)
+  mutable s2_inject : int64 -> bool;
+      (** stage-2 fault injection, asked before every table walk over
+          this memory with the walk's input address: [true] fails the
+          walk with a level-1 translation fault.  Never by default; the
+          machine owning the memory arms it from its fault plan. *)
   mutable code_lo : int64;
   mutable code_hi : int64;
   mutable code_gen : int;
@@ -79,6 +84,22 @@ val iter_nonzero : t -> (int64 -> int64 -> unit) -> unit
 (** Apply [f addr v] to every backed nonzero word, in no particular
     order (use {!sorted_words} for a canonical view). *)
 
+val sorted_pages : t -> int list
+(** Every backed page's index ([address lsr 12]), in the address order
+    of {!sorted_words}. *)
+
+val page_nonzero : t -> int -> Bytes.t -> int -> int
+(** [page_nonzero t pi dst at] writes the nonzero words of page [pi]
+    (addresses [pi lsl 12] on), ascending, into [dst] from byte [at] as
+    (address, value) pairs of native-endian words, and returns the byte
+    after them; [dst] needs room for 512 pairs.  Reads that page only
+    and allocates nothing. *)
+
+val store_be : t -> string -> addr:int -> value:int -> unit
+(** [store_be t s ~addr ~value] is [write64 t a v], where [a] and [v] are
+    the big-endian words at byte offsets [addr] and [value] of [s] (a
+    snapshot image's payloads), without boxing either. *)
+
 val nonzero_words : t -> start:int64 -> len:int64 -> (int * int64) list
 (** The nonzero words of an aligned range as (address, value), in
     ascending address order; only the words returned allocate. *)
@@ -113,15 +134,16 @@ type mark
 
 val mark : t -> mark
 (** Record every page's nonzero words, the device regions, the write
-    observer and the code envelope. *)
+    observer, the stage-2 injection hook and the code envelope. *)
 
 val rewind : ?drop:(int -> Bytes.t -> unit) -> t -> mark -> unit
 (** Put back the marked pages' contents, drop every page created since
-    the mark, and restore the device regions, write observer and code
-    envelope.  [drop pi page] (default: ignore) is given each dropped
-    page with its index, as it was left, for the caller to reuse with
-    {!adopt}.  {!code_gen} is not restored: it moves forward, as on any
-    code change, so no block decoded since the mark stays valid. *)
+    the mark, and restore the device regions, write observer, injection
+    hook and code envelope.  [drop pi page] (default: ignore) is given
+    each dropped page with its index, as it was left, for the caller to
+    reuse with {!adopt}.  {!code_gen} is not restored: it moves forward,
+    as on any code change, so no block decoded since the mark stays
+    valid. *)
 
 val adopt : t -> int -> Bytes.t -> unit
 (** [adopt t pi page] backs the absent page [pi] with [page], zeroed

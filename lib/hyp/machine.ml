@@ -168,13 +168,13 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       cpus
   in
   let ghyps =
-    Array.mapi
-      (fun i host ->
+    Array.map
+      (fun host ->
         match scenario with
         | Host_hyp.Single_vm -> None
         | Host_hyp.Nested ->
           let ga =
-            Gaccess.v cpus.(i) config
+            Gaccess.v host.Host_hyp.cpu config
               ~page_base:host.Host_hyp.vcpu.Vcpu.page_base
           in
           let g = Guest_hyp.create ga ~vcpu:host.Host_hyp.vcpu in
@@ -236,18 +236,17 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       cpus;
   (match fault_plan with
    | Some plan ->
-     (* arm the stage-2 walker's injection point: a due S2_fault event
-        makes the next walk miss, exercising the shadow-refill and
-        fault-reflection paths *)
-     Mmu.Walk.set_inject
-       (fun ~ia ~is_write:_ ->
+     (* arm the stage-2 walker's injection point on this machine's
+        memory: a due S2_fault event makes the machine's next walk miss,
+        exercising the shadow-refill and fault-reflection paths *)
+     mem.Arm.Memory.s2_inject <-
+       (fun _ ->
          match
            Fault.Plan.due ~kind:Fault.Plan.S2_fault plan
              ~traps:(total_traps t)
          with
-         | [] -> None
-         | _ :: _ ->
-           Some { Mmu.Walk.f_level = 1; f_ia = ia; f_reason = `Translation })
+         | [] -> false
+         | _ :: _ -> true)
    | None -> ());
   (* wire cross-CPU IPI delivery: a trapped ICC_SGI1R write pends the
      SGI in the distributor's banked records for the target, which then

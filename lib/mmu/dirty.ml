@@ -58,9 +58,9 @@ let clear t = Hashtbl.reset t.pages
 
 let write_faults t = t.write_faults
 
-(* The backed words of one tracked page, ascending — what a round copies. *)
-let page_words t page =
-  let acc = ref [] in
-  Memory.iter_nonzero t.mem (fun addr v ->
-      if page_base addr = page then acc := (addr, v) :: !acc);
-  List.sort (fun (a, _) (b, _) -> Int64.compare a b) !acc
+(* The backed, nonzero words of one tracked page, ascending — what a
+   round copies — written into [dst] from byte [at] as (address, value)
+   pairs of native-endian words; returns the byte after them.  Reads that
+   page only. *)
+let page_words t page dst at =
+  Memory.page_nonzero t.mem (Int64.to_int (Int64.shift_right_logical page 12)) dst at

@@ -29,6 +29,9 @@ val dirty_pages : t -> int64 list
 val write_faults : t -> int
 (** Write-protection faults taken since {!attach}, across all rounds. *)
 
-val page_words : t -> int64 -> (int64 * int64) list
-(** The backed, nonzero words of one page, ascending — what a pre-copy
-    round transfers for that page. *)
+val page_words : t -> int64 -> Bytes.t -> int -> int
+(** [page_words t page dst at]: the backed, nonzero words of one page,
+    ascending — what a pre-copy round transfers for that page — written
+    into [dst] from byte [at] as (address, value) pairs of native-endian
+    words ([dst] needs room for 512 pairs); returns the byte after them.
+    Reads that page only and allocates nothing. *)

@@ -50,24 +50,15 @@ let block_offset ~level a =
   let sz = Int64.shift_left 1L (level_shift level) in
   Int64.logand a (Int64.sub sz 1L)
 
-(* Fault-injection hook: consulted before every walk; returning [Some f]
-   makes the walk fail with that fault without touching memory.  Not
-   per-walker, because walks happen from both CPU-driven stage-2 lookups
-   and host shadow-table maintenance and the injector wants to perturb
-   either — but domain-local, so a fault plan armed by a machine running
-   on one fleet shard can never reach into walks on another domain. *)
-let no_inject ~ia:_ ~is_write:_ = None
-
-let inject_key = Domain.DLS.new_key (fun () -> ref no_inject)
-
-let set_inject f = Domain.DLS.get inject_key := f
-let clear_inject () = Domain.DLS.get inject_key := no_inject
-
-(* Walk the table rooted at [base] for input address [ia]. *)
+(* Walk the table rooted at [base] for input address [ia].  The memory's
+   injection hook is asked first: a walk it fails misses at level 1
+   without touching the tables.  The hook belongs to the machine that
+   owns the memory, so it perturbs that machine's walks, from CPU-driven
+   stage-2 lookups and host shadow-table maintenance alike, and no
+   other's. *)
 let walk mem ~base ~ia ~is_write : (translation, fault) result =
-  match !(Domain.DLS.get inject_key) ~ia ~is_write with
-  | Some f -> Error f
-  | None ->
+  if mem.Memory.s2_inject ia then Error { f_level = 1; f_ia = ia; f_reason = `Translation }
+  else
   let rec go table level =
     let daddr = descriptor_addr ~table ~level ia in
     let d = Pte.decode ~level (Memory.read64 mem daddr) in

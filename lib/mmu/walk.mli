@@ -24,20 +24,14 @@ val page_size : int
 val page_base : int64 -> int64
 val page_offset : int64 -> int64
 
-val set_inject : (ia:int64 -> is_write:bool -> fault option) -> unit
-(** Arm the fault-injection hook consulted before every {!walk} on the
-    calling domain; [Some f] fails the walk with that fault without
-    touching memory.  The hook is domain-local: a fault plan armed by a
-    machine on one fleet shard can never perturb walks on another. *)
-
-val clear_inject : unit -> unit
-(** Disarm the calling domain's hook (back to the [None] default). *)
-
 val walk :
   Memory.t -> base:int64 -> ia:int64 -> is_write:bool ->
   (translation, fault) result
 (** Walk the table rooted at [base] for input address [ia], checking
-    permissions against the access direction. *)
+    permissions against the access direction.  When the memory's
+    injection hook ([Memory.t.s2_inject]) takes the address, the
+    walk fails with a level-1 translation fault without reading the
+    tables. *)
 
 (** A trivial bump allocator for table pages. *)
 type allocator = { mutable next : int64 }

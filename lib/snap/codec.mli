@@ -1,43 +1,90 @@
-(** The snapshot format's building blocks: a typed node tree with a
-    canonical binary encoding, and typed field codecs.
+(** The snapshot format: typed field declarations and the one interpreter
+    of them, in both directions.
 
     A component is declared once, as {!field}s with a name, a getter, a
-    setter and a {!codec}; its encoder ({!write_record}), its checked
-    decoder ({!load}), the topology comparison ({!topology}) and the leaf
-    walk ({!walk}) all derive from that declaration.  Every codec carries
-    its check, and reading a node that fails it raises {!Format_error}
-    naming the field's path (e.g. ["cpus[0].pstate.nzcv: 16 outside
-    0..15"]).  The machine's declarations are in {!Image}. *)
+    setter and a {!codec}; the encoder ({!write_record}), the checked
+    decoder ({!load}), the comparison ({!diff}, {!topology}) and the leaf
+    walk ({!walk}) all derive from that declaration and work on the
+    image's bytes directly.
+
+    The bytes: every value is a node, a tag and big-endian payloads —
+    ['I'] and 8 bytes (an int or a word), ['B'] and one byte (nonzero is
+    true), ['S'], a 4-byte length and the bytes, ['L'], a 4-byte count
+    and the elements, ['R'], a 4-byte count and each field as a
+    length-prefixed name and its node.  A record's fields are written in
+    declaration order and read by name, the first field of that name
+    (in order, unless the image moved it), so reordered, duplicated and
+    extra fields read the same whichever way they were written.
+
+    Every codec carries its check, and a value that fails it raises
+    {!Format_error} naming the field's path (e.g.
+    ["cpus[0].pstate.nzcv: 16 outside 0..15"]).  The machine's
+    declarations are in {!Image}. *)
 
 exception Format_error of string
 
 val fail : ('a, unit, string, 'b) format4 -> 'a
 (** Raise {!Format_error} with a formatted message. *)
 
-(** {1 The node tree} *)
+(** {1 Bytes} *)
 
-type node =
-  | I of int64
-  | B of bool
-  | S of string
-  | L of node list
-  | R of (string * node) list  (** fields in fixed, writer-chosen order *)
+type out
+(** An image being written: a growable buffer, reused from one image to
+    the next. *)
 
-val encode : node -> string
-(** Canonical bytes: a tag, then big-endian payloads and lengths. *)
+val out : unit -> out
 
-val decode : string -> node
-(** @raise Format_error on a truncated, malformed or over-long input. *)
+val put_int : out -> int -> unit
 
-val get_i : node -> int64
-val get_b : node -> bool
-val get_l : node -> node list
-val num : int -> node
+val put_word_at : out -> Bytes.t -> int -> unit
+(** [put_word_at o b off] writes the native-endian word of [b] at byte
+    [off] as a word node, unboxed. *)
+
+val put_bool : out -> bool -> unit
+
+val put_list : out -> int -> unit
+(** The head of a list node of [n] elements; the caller writes them. *)
+
+val put_list_of : out -> (out -> int) -> unit
+(** A list node whose elements [f] writes, returning how many. *)
+
+val put_record : out -> int -> unit
+(** The head of a record node of [n] fields; the caller writes each as
+    {!put_name} and a node. *)
+
+val put_name : out -> string -> unit
+
+type input = { s : string; mutable pos : int }
+(** An image being read: bytes {!validate} accepted, and the node the
+    reader is at.  A reader leaves [pos] at the end of the node it read. *)
+
+val validate : string -> input
+(** Check the bytes' structure — truncation, implausible lengths, bad
+    tags, trailing bytes, in that order along the bytes — allocating
+    nothing but the input.
+    @raise Format_error naming the byte. *)
+
+val skip : input -> unit
+(** Move past the node at [pos]. *)
+
+val list_node : input -> int
+(** The count of the list at [pos], moving to its first element.
+    @raise Format_error unless the node is a list. *)
+
+val word_pair : input -> align:int -> bad:string -> int
+(** The node at [pos] as a pair of words: checks that it is a list of two
+    nodes (else [Format_error bad]), that the second and then the first
+    is a word, and that the first is a multiple of [align] (a power of
+    two up to 256); returns the byte offset of the first word's payload
+    (the second's is 9 bytes on) and moves past the pair. *)
 
 (** {1 Codecs} *)
 
-(** [Record], [Slots], [Into] and an [Opt] of those read into the value
-    the reader already holds; the others read a fresh value. *)
+(** How an enumeration member is written: a code or a name. *)
+type key = Code of int | Name of string
+
+(** [Record], [Slots], [Words], [Into] and an [Opt] of those read into
+    the value the reader already holds; the others read a fresh value. *)
 type _ codec =
   | Int : int * int -> int codec  (** within [lo, hi] *)
   | Word : int -> int64 codec  (** a multiple of the given power of two *)
@@ -54,10 +101,13 @@ type _ codec =
   | Triple : 'a codec * 'b codec * 'c codec -> ('a * 'b * 'c) codec
   | Record : 'r record -> 'r codec
   | Slots : ('r, 'a) slots -> 'r codec
+  | Words : int * ('r -> Bytes.t) -> 'r codec
+      (** the first n native-endian words of a buffer (a register
+          file), moved unboxed: a list of n words *)
   | Conv : ('a, 'b) conv -> 'a codec
   | Into : 'a into -> 'a codec  (** a custom codec reading in place *)
 
-and 'a enum = { what : string; members : ('a * node) list }
+and 'a enum = { what : string; members : ('a * key) list }
 
 and 'r record = { fields : 'r field list; zero : 'r option }
 (** [zero] is where a record read as a fresh value starts. *)
@@ -84,16 +134,19 @@ and ('r, 'a) slots = {
   set_nth : 'r -> int -> 'a -> unit;
   elt : 'a codec;
 }
-(** [len r] elements of a mutable [r], by index; a node list of another
-    length is rejected. *)
+(** [len r] elements of a mutable [r], by index; a list of another length
+    is rejected. *)
 
 and ('a, 'b) conv = { to_ : 'a -> 'b; of_ : 'b -> 'a; via : 'b codec }
 
-and 'a into = { enc : 'a -> node; dec : Fault.Plan.t option -> 'a -> node -> 'a }
-(** [dec plan current node]: [plan] is the restored fault plan. *)
+and 'a into = { enc : out -> 'a -> unit; dec : Fault.Plan.t option -> 'a -> input -> 'a }
+(** [enc] writes one node; [dec plan current input] reads the node at
+    [input.pos] and leaves [pos] after it.  [plan] is the restored fault
+    plan. *)
 
-val write : 'a codec -> 'a -> node
-val read : Fault.Plan.t option -> 'a codec -> node -> 'a
+val write : out -> 'a codec -> 'a -> unit
+val read : Fault.Plan.t option -> 'a codec -> input -> 'a
+(** Read a fresh value from the node at [pos]. *)
 
 (** {1 Declaring} *)
 
@@ -119,8 +172,8 @@ val enum : string -> ('a * int) list -> 'a codec
 val indexed : string -> 'a list -> 'a codec
 (** Members coded by position. *)
 
-val fixed : int -> ('r -> int -> 'a) -> ('r -> int -> 'a -> unit) -> 'a codec -> 'r codec
-(** [fixed n nth set_nth elt]: exactly [n] slots. *)
+val words : int -> ('r -> Bytes.t) -> 'r codec
+(** [words n buf]: the first [n] native-endian words of [buf r]. *)
 
 val each : 'a codec -> 'a array codec
 (** One element per slot of an existing array (per vCPU: ncpus). *)
@@ -129,13 +182,17 @@ val conv : ('a -> 'b) -> ('b -> 'a) -> 'b codec -> 'a codec
 
 (** {1 Deriving} *)
 
-val write_record : 'r field list -> 'r -> node
+val to_string : out -> 'r field list -> 'r -> string
+(** The image of a declared record: its canonical bytes, written into the
+    buffer and copied out as one string of exactly their length. *)
 
-val load : Fault.Plan.t option -> 'r field list -> 'r -> node -> 'r
-(** Read every field not marked [Skip] into the record. *)
+val load : Fault.Plan.t option -> 'r field list -> 'r -> input -> 'r
+(** Read every field not marked [Skip] from the record node at [pos]
+    into the record. *)
 
-val read_named : Fault.Plan.t option -> ('r, 'a) fld -> node -> 'a
-(** Read one field of a record node by itself. *)
+val read_named : Fault.Plan.t option -> ('r, 'a) fld -> input -> 'a
+(** Read one field of the record node at [pos] by itself; [pos] is left
+    where it was. *)
 
 val walk : 'r field list -> 'r -> (string * (unit -> unit)) list
 (** Every int, word, bool and enumeration leaf {!load} writes into the
@@ -143,9 +200,11 @@ val walk : 'r field list -> 'r -> (string * (unit -> unit)) list
     codec accepts (the next in range or in the enumeration, wrapping).
     Topology and [Skip] fields and [Into] codecs are not walked. *)
 
-val diff_node : string -> node -> node -> (string * string) option
-(** The path of the first difference and a rendering of both sides. *)
+val diff : string -> string -> (string * string) option
+(** The path of the first difference between two images and a rendering
+    of both sides (["0x5 vs 0x6"], ["2 vs 4 elements"],
+    ["field \"a\" vs \"b\""]), searching depth-first in image order. *)
 
-val topology : string -> 'r field list -> node -> node -> (string * string) option
-(** {!diff_node} over the fields marked [topology] only, searching
-    records depth-first in declaration order. *)
+val topology : 'r field list -> string -> string -> (string * string) option
+(** {!diff} over the fields marked [topology] only, searching records
+    depth-first in declaration order. *)

@@ -1,29 +1,29 @@
 (* Versioned, byte-deterministic snapshots of the complete machine.
 
-   A snapshot is a typed node tree (ints, bools, strings, lists, named
-   records) with a canonical binary encoding: fixed-width big-endian
+   A snapshot is the canonical bytes of a typed value (ints, bools,
+   strings, lists, named records; see {!Codec}): fixed-width big-endian
    payloads, length-prefixed strings, fields written in a fixed order and
-   every hash table serialized through a sorted view.  Saving the same
-   machine twice therefore yields byte-identical buffers, which is what
+   every hash table written through a sorted view.  Saving the same
+   machine twice therefore yields byte-identical images, which is what
    lets the fuzzer compare run-to-completion against
    snapshot/restore/resume, and lets live migration assert the
    destination equals the source.
 
    Each component is declared once, as fields with a name, a getter, a
-   setter and a typed codec; [save], [restore], [diff]'s topology check
-   and [leaves] all derive from the declarations, and every codec carries
-   its check: int ranges (NZCV 0..15, list-register counts
-   0..Sysreg.lr_count, ncpus 1..Vcpu.max_vcpus, costs 0..2^32, counters
-   non-negative, version 1, every int within 63 bits), enumerations (EL,
-   mechanism, revision, scenario, trap and fault kinds, OoH features,
-   exposure bits), lengths (ncpus entries per per-vCPU list, Cpu.nregs
+   setter and a typed codec; [save], [restore], [diff] and [leaves] all
+   derive from the declarations, reading and writing the image's bytes
+   directly, and every codec carries its check: int ranges (NZCV 0..15,
+   list-register counts 0..Sysreg.lr_count, ncpus 1..Vcpu.max_vcpus,
+   costs 0..2^32, counters non-negative, version 1, every int within 63
+   bits), enumerations (EL, mechanism, revision, scenario, trap and
+   fault kinds, OoH features, exposure bits), lengths (ncpus entries per per-vCPU list, Cpu.nregs
    GPRs per frame, Sysreg.count values and dirty bytes per file, 43
    costs, 4 watermarks, at most Cpu.trail_depth trail entries) and
    8-byte-aligned memory addresses.  Cross-field rules keep one custom
-   codec each (see [counts], [keeps_trail], [trail], [shadow], [tamper],
-   [Opt] in place).
+   codec each, written and read as bytes (see [counts], [keeps_trail],
+   [trail], [shadow], [tamper], [memory_words], [Opt] in place).
 
-   The tree covers everything mutable: physical memory (canonical
+   The image covers everything mutable: physical memory (canonical
    nonzero-word list plus MMIO regions), each CPU's PC/GPRs/PSTATE,
    system-register file with its dirty bitmap, GPR trap snapshots, NV2
    ablation mask and cost meter (including the per-kind trap counters),
@@ -41,7 +41,7 @@
    from an undisturbed run the moment the guest hypervisor touches a
    twin-redirected register again.  Capturing the raw page plus both
    virtual files reproduces the eventual fold exactly.  For diagnostics
-   the tree also carries a derived "deferred_page" view (the VNCR layout
+   the image also carries a derived "deferred_page" view (the VNCR layout
    slots decoded by register name) so {!diff} can name a diverging slot;
    restore ignores it, memory already holds the truth.
 
@@ -100,7 +100,7 @@ let feature () =
   enum "OoH feature" (List.map (fun f -> (f, Cost.exposed_index f)) Expose.Policy.all_features)
 
 let scenario () =
-  let name s = (s, S (Host_hyp.scenario_name s)) in
+  let name s = (s, Name (Host_hyp.scenario_name s)) in
   Enum { what = "scenario"; members = Host_hyp.[ name Single_vm; name Nested ] }
 
 let exposure () =
@@ -125,19 +125,12 @@ let pstate () =
 let sysreg_file () =
   Sysreg_file.(
     record
-      [ field "values" (fixed Sysreg.count get_index set_index word) Fun.id In_place;
+      [ field "values" (words Sysreg.count (fun f -> f.values)) Fun.id In_place;
         field "dirty" (Bytes Sysreg.count) (fun f -> Bytes.to_string f.dirty)
           (Set (fun f s -> Bytes.blit_string s 0 f.dirty 0 Sysreg.count)) ])
 
 (* A meter's per-kind and per-feature counts: canonical member order,
    zero counts omitted. *)
-let rec sparse_nodes code index a = function
-  | [] -> []
-  | k :: tl -> (
-    match a.(index k) with
-    | 0 -> sparse_nodes code index a tl
-    | c -> L [ write code k; num c ] :: sparse_nodes code index a tl)
-
 let rec fill_counts index a = function
   | [] -> ()
   | (k, c) :: tl ->
@@ -147,11 +140,23 @@ let rec fill_counts index a = function
 let counts code members index =
   let entries = List (Pair (code, int)) in
   Into
-    { enc = (fun a -> L (sparse_nodes code index a members));
+    { enc =
+        (fun o a ->
+          put_list_of o (fun o ->
+              List.fold_left
+                (fun n k ->
+                  match a.(index k) with
+                  | 0 -> n
+                  | c ->
+                    put_list o 2;
+                    write o code k;
+                    put_int o c;
+                    n + 1)
+                0 members));
       dec =
-        (fun _ a n ->
+        (fun _ a i ->
           Array.fill a 0 (Array.length a) 0;
-          fill_counts index a (read None entries n);
+          fill_counts index a (read None entries i);
           a) }
 
 (* The meter node keeps its historical field names: "logging" is whether
@@ -162,19 +167,20 @@ let keeps c = Option.is_some c.Cpu.trail
 
 let keeps_trail =
   Into
-    { enc = (fun c -> B (keeps c));
+    { enc = (fun o c -> put_bool o (keeps c));
       dec =
-        (fun _ c n ->
-          if get_b n <> keeps c then fail "%b, but the image's checking is %b" (get_b n) (keeps c);
+        (fun _ c i ->
+          let b = read None Bool i in
+          if b <> keeps c then fail "%b, but the image's checking is %b" b (keeps c);
           c) }
 
 let trail () =
   let entries = List (Pair (trap_kind (), Str)) in
   Into
-    { enc = (fun c -> write entries (Cpu.trail_entries c));
+    { enc = (fun o c -> write o entries (Cpu.trail_entries c));
       dec =
-        (fun _ c n ->
-          let l = read None entries n and slots = if keeps c then Cpu.trail_depth else 0 in
+        (fun _ c i ->
+          let l = read None entries i and slots = if keeps c then Cpu.trail_depth else 0 in
           if List.length l > slots then fail "%d entries, this CPU keeps %d" (List.length l) slots;
           Cpu.load_trail c l;
           c) }
@@ -219,7 +225,7 @@ let cpu () =
   Cpu.(
     record
       [ field "pc" word pc (Set set_pc);
-        field "regs" (fixed nregs get_reg set_reg word) Fun.id In_place;
+        field "regs" (words nregs (fun c -> c.regs)) Fun.id In_place;
         field "pstate" (pstate ()) (fun c -> c.pstate) (Set (fun c p -> c.pstate <- p));
         field "sysregs" (sysreg_file ()) (fun c -> c.sysregs) In_place;
         field "features" (features ()) (fun c -> c.features) (Set (fun c f -> c.features <- f));
@@ -311,24 +317,29 @@ let shadow_of_view mem v =
 let shadow () =
   let view = Opt (shadow_view ()) in
   Into
-    { enc = (fun h -> write view (Option.map view_of_shadow h.Host_hyp.shadow));
+    { enc = (fun o h -> write o view (Option.map view_of_shadow h.Host_hyp.shadow));
       dec =
-        (fun _ h n ->
+        (fun _ h i ->
           let mem = h.Host_hyp.cpu.Cpu.mem in
-          h.Host_hyp.shadow <- Option.map (shadow_of_view mem) (read None view n);
+          h.Host_hyp.shadow <- Option.map (shadow_of_view mem) (read None view i);
           h) }
 
 (* Derived view of the NEVE deferred access page, slot by register name:
    lets diff say "deferred_page.SPSR_EL1" instead of a raw memory
    address.  Restore skips it — the words section already carries the
    page. *)
-let rec page_slots page = function
-  | [] -> []
-  | r :: tl -> (Sysreg.name r, I (Core.Deferred_page.read page r)) :: page_slots page tl
-
-let deferred_page =
+let deferred_page () =
+  let slot = Bytes.create 8 in
   Into
-    { enc = (fun page -> R (page_slots page Sysreg.vncr_layout));
+    { enc =
+        (fun o (page : Core.Deferred_page.t) ->
+          put_record o Core.Deferred_page.layout_len;
+          List.iter
+            (fun r ->
+              put_name o (Sysreg.name r);
+              Memory.load_into page.mem ~base:page.base (Sysreg.vncr_slot r) slot 0;
+              put_word_at o slot 0)
+            Sysreg.vncr_layout);
       dec = (fun _ _ _ -> invalid_arg "Snap.Image: the deferred-page view is not read") }
 
 let host () =
@@ -352,16 +363,20 @@ let host () =
         field "l2_is_hyp" Bool (fun h -> h.l2_is_hyp) (Set (fun h v -> h.l2_is_hyp <- v));
         field "l2_vncr" (Opt word) (fun h -> h.l2_vncr) (Set (fun h v -> h.l2_vncr <- v));
         field "shadow" (shadow ()) Fun.id In_place;
-        field "deferred_page" deferred_page (fun h -> h.page) Skip ])
+        field "deferred_page" (deferred_page ()) (fun h -> h.page) Skip ])
 
 (* The corruption thunk is a pure function of the plan, whose PRNG
    cursor is itself restored — re-arming reproduces the same mask. *)
 let tamper =
   Into
-    { enc = (fun t -> B (Option.is_some t));
+    { enc = (fun o t -> put_bool o (Option.is_some t));
       dec =
-        (fun plan _ n ->
-          match plan with Some p when get_b n -> Some (Plan.corrupt p) | _ -> None) }
+        (fun plan _ i ->
+          match plan with
+          | Some p -> if read None Bool i then Some (Plan.corrupt p) else None
+          | None ->
+            skip i;
+            None) }
 
 let ghyp () =
   Guest_hyp.(
@@ -411,29 +426,38 @@ let violation () =
         field "events" (List Str) (fun v -> v.v_events)
           (Update (fun v v_events -> { v with v_events })) ])
 
-(* Memory: the canonical nonzero-word list, read straight into the
-   machine's memory at 8-byte-aligned addresses, and the MMIO layout. *)
-let word_node (a, v) = L [ I a; I v ]
-
-let rec write_words mem = function
-  | [] -> ()
-  | L [ a; v ] :: tl ->
-    Memory.write64 mem (read None (Word 8) a) (get_i v);
-    write_words mem tl
-  | _ -> fail "bad memory word"
-
-let words =
+(* Memory: the canonical nonzero-word list, [address; value] in address
+   order, written page by page from each page's nonzero words and read
+   straight into the machine's memory at 8-byte-aligned addresses; and
+   the MMIO layout.  [pairs] holds one page's words while they are
+   written. *)
+let memory_words () =
+  let pairs = Bytes.create (Mmu.Walk.page_size / 8 * 16) in
+  let put_page mem o n pi =
+    let e = Memory.page_nonzero mem pi pairs 0 in
+    for k = 0 to (e / 16) - 1 do
+      put_list o 2;
+      put_word_at o pairs (16 * k);
+      put_word_at o pairs ((16 * k) + 8)
+    done;
+    n + (e / 16)
+  in
   Into
-    { enc = (fun mem -> L (List.map word_node (Memory.sorted_words mem)));
+    { enc =
+        (fun o mem ->
+          put_list_of o (fun o -> List.fold_left (put_page mem o) 0 (Memory.sorted_pages mem)));
       dec =
-        (fun _ mem n ->
+        (fun _ mem i ->
           Memory.clear mem;
-          write_words mem (get_l n);
+          for _ = 1 to list_node i do
+            let a = word_pair i ~align:8 ~bad:"bad memory word" in
+            Memory.store_be mem i.s ~addr:a ~value:(a + 9)
+          done;
           mem) }
 
 let memory () =
   record
-    [ field "words" words Fun.id In_place;
+    [ field "words" (memory_words ()) Fun.id In_place;
       field ~topology:true "mmio" (List (Triple (word, word, Str))) (fun mem -> mem.Memory.mmio)
         (Set (fun mem l -> mem.Memory.mmio <- l)) ]
 
@@ -450,6 +474,7 @@ let watermarks () =
    [restore] reads them by themselves, first. *)
 type declaration = {
   machine : Machine.t field list;
+  out : out;  (* where this domain's images are written *)
   magic_f : (Machine.t, unit) fld;
   version_f : (Machine.t, int) fld;
   config_f : (Machine.t, Config.t) fld;
@@ -505,8 +530,8 @@ let declare () =
         field "irq_fault" (each (Opt (fault_kind ()))) (fun m -> m.irq_fault) In_place;
         field "hung" (each Bool) (fun m -> m.hung) In_place ]
   in
-  { machine; magic_f; version_f; config_f; scenario_f; expose_f; ncpus_f; table_f; checking_f;
-    fault_f }
+  { machine; out = out (); magic_f; version_f; config_f; scenario_f; expose_f; ncpus_f; table_f;
+    checking_f; fault_f }
 
 (* Built on first use in each domain, so that a program that never
    takes a snapshot allocates nothing for the declarations: the
@@ -515,9 +540,9 @@ let declared = Domain.DLS.new_key declare
 
 let declaration () = Domain.DLS.get declared
 
-let machine_node m = write_record (declaration ()).machine m
-
-let to_string m = encode (machine_node m)
+let to_string m =
+  let d = declaration () in
+  Codec.to_string d.out d.machine m
 
 let save m =
   let s = to_string m in
@@ -526,25 +551,25 @@ let save m =
   b
 
 let restore s =
-  let n = decode s in
+  let i = validate s in
   let d = declaration () in
-  read_named None d.magic_f n;
-  ignore (read_named None d.version_f n : int);
-  let config = read_named None d.config_f n in
-  let scenario = read_named None d.scenario_f n in
-  let expose = read_named None d.expose_f n in
-  let ncpus = read_named None d.ncpus_f n in
-  let table = read_named None d.table_f n in
-  let checking = read_named None d.checking_f n in
-  let plan = read_named None d.fault_f n in
+  read_named None d.magic_f i;
+  ignore (read_named None d.version_f i : int);
+  let config = read_named None d.config_f i in
+  let scenario = read_named None d.scenario_f i in
+  let expose = read_named None d.expose_f i in
+  let ncpus = read_named None d.ncpus_f i in
+  let table = read_named None d.table_f i in
+  let checking = read_named None d.checking_f i in
+  let plan = read_named None d.fault_f i in
   (* Rebuild the skeleton — handlers, hooks, IPI wiring, injection point
      — exactly as the original was built, then overwrite every mutable
-     field from the tree. *)
+     field from the image. *)
   let m =
     Machine.create ?fault_plan:plan ~check_invariants:checking ~ncpus ~table ~expose config
       scenario
   in
-  load plan d.machine m n
+  load plan d.machine m i
 
 let leaves m = walk (declaration ()).machine m
 
@@ -553,7 +578,8 @@ let leaves m = walk (declaration ()).machine m
    topology field as a topology mismatch, instead of a misleading
    "cpus: 2 vs 4 elements" state diff. *)
 let diff m1 m2 =
-  let n1 = machine_node m1 and n2 = machine_node m2 in
-  match topology "" (declaration ()).machine n1 n2 with
+  let s1 = to_string m1 in
+  let s2 = to_string m2 in
+  match topology (declaration ()).machine s1 s2 with
   | Some (path, detail) -> Some (path, "topology mismatch: " ^ detail)
-  | None -> diff_node "" n1 n2
+  | None -> Codec.diff s1 s2

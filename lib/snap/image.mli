@@ -4,14 +4,15 @@
     register state and cost meters, the host hypervisors' vCPU contexts
     (virtual EL1 and EL2 files), shadow stage-2 tables, guest-hypervisor
     software state, the fault plan's PRNG cursor, invariant watermarks
-    and recorded violations — into a canonical binary tree: fixed field
-    order, big-endian payloads, hash tables through sorted views.  Saving
-    the same machine twice yields byte-identical buffers.
+    and recorded violations — into canonical bytes (see {!Codec}): fixed
+    field order, big-endian payloads, hash tables through sorted views.
+    Saving the same machine twice yields byte-identical images.
 
     Each component (PSTATE, register file, meter, CPU, vCPU, host and
     guest hypervisor, fault plan, violation, machine) is declared once as
-    named fields with typed codecs; {!save}, {!restore}, {!diff}'s
-    topology check and {!leaves} all derive from the declarations.
+    named fields with typed codecs; {!save}, {!restore}, {!diff} and
+    {!leaves} all derive from the declarations, working on the bytes
+    directly.
     {!restore} checks every field against its codec: NZCV in 0..15,
     list-register counts in 0..[Sysreg.lr_count], [ncpus] in
     1..[Vcpu.max_vcpus], cost-table entries in 0..2^32, event counters
@@ -31,7 +32,7 @@
 
     {!restore} rebuilds the machine through [Machine.create] (so every
     handler, hook and injection point is rewired) and then overwrites all
-    mutable state from the tree.  Closures are rebuilt, not serialized;
+    mutable state from the image.  Closures are rebuilt, not serialized;
     device MMIO backends ([Guest_hyp.on_mmio]) are the caller's to
     re-attach. *)
 
@@ -42,8 +43,9 @@ val version : int
 (** Format version written into and required of every snapshot. *)
 
 val to_string : Hyp.Machine.t -> string
-(** The machine's image: the canonical bytes of its node tree, built in
-    one string of exactly their length. *)
+(** The machine's image: its canonical bytes, written from the
+    declarations into a buffer reused by the calling domain and returned
+    as one string of exactly their length. *)
 
 val save : Hyp.Machine.t -> Buffer.t
 (** {!to_string} in a buffer. *)
@@ -53,7 +55,7 @@ val restore : string -> Hyp.Machine.t
     codec's range, naming the field's path. *)
 
 val diff : Hyp.Machine.t -> Hyp.Machine.t -> (string * string) option
-(** Structural comparison through the serialized tree: [None] when the
+(** Structural comparison of the two machines' images, in place: [None] when the
     machines serialize identically, otherwise the path of the first
     diverging field (e.g. ["cpus[0].meter.cycles"] or
     ["hosts[0].deferred_page.SPSR_EL1"]) and a rendering of both sides.

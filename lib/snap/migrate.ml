@@ -85,6 +85,84 @@ let pp_report ppf r =
     r.r_precopy_cycles r.r_precopy_traps
     r.r_downtime_cycles r.r_final_dirty
 
+(* The copy stream's staging area: the nonzero words of each page as last
+   copied, (address, value) pairs of native-endian words in [words], and
+   where each staged page's latest copy is, by page index: its first
+   pair and its pair count, as [first lsl 10 lor count] (a page holds 512
+   words).  One per domain, emptied and reused by every migration, so
+   staging a page allocates nothing. *)
+type stage = { mutable words : Bytes.t; mutable len : int; copies : (int, int) Hashtbl.t }
+
+let stage_key =
+  Domain.DLS.new_key (fun () ->
+      { words = Bytes.create 65536; len = 0; copies = Hashtbl.create 64 })
+
+let pair_bytes = 16
+let page_room = Mmu.Walk.page_size / 8 * pair_bytes
+
+(* Room for one more page's pairs. *)
+let reserve st =
+  if st.len + page_room > Bytes.length st.words then begin
+    let b = Bytes.create (2 * Bytes.length st.words) in
+    Bytes.blit st.words 0 b 0 st.len;
+    st.words <- b
+  end
+
+let page_index page = Int64.to_int (Int64.shift_right_logical page 12)
+
+let stage_page st tracker page =
+  reserve st;
+  let e = Mmu.Dirty.page_words tracker page st.words st.len in
+  Hashtbl.replace st.copies (page_index page)
+    ((st.len / pair_bytes) lsl 10 lor ((e - st.len) / pair_bytes));
+  st.len <- e
+
+(* Whether bytes [a, a + n) and [b, b + n) of [w] are equal. *)
+let same_bytes w a b n =
+  let rec go k =
+    k >= n || (Bytes.get_int64_ne w (a + k) = Bytes.get_int64_ne w (b + k) && go (k + 8))
+  in
+  go 0
+
+(* The tracker-correctness oracle: whether every page of [mem] that holds
+   a word was staged with exactly its words, and no staged page holds a
+   word [mem] lacks; and how many pages of [mem] hold a word. *)
+let staged_matches st mem =
+  reserve st;
+  let at = st.len in
+  let ok = ref true and pages = ref 0 in
+  List.iter
+    (fun pi ->
+      let e = Memory.page_nonzero mem pi st.words at in
+      if e > at then begin
+        incr pages;
+        match Hashtbl.find st.copies pi with
+        | c ->
+          let first = (c lsr 10) * pair_bytes and n = (c land 1023) * pair_bytes in
+          if n <> e - at || not (same_bytes st.words first at n) then ok := false
+        | exception Not_found -> ok := false
+      end)
+    (Memory.sorted_pages mem);
+  let staged = Hashtbl.fold (fun _ c n -> if c land 1023 > 0 then n + 1 else n) st.copies 0 in
+  (!ok && staged = !pages, !pages)
+
+(* The staged words as an ascending (address, value) list: the oracle's
+   report when it fails. *)
+let staged_words st =
+  Hashtbl.fold
+    (fun _ c acc ->
+      let first = c lsr 10 in
+      let rec go k acc =
+        if k = c land 1023 then acc
+        else
+          let at = (first + k) * pair_bytes in
+          let pair = (Bytes.get_int64_ne st.words at, Bytes.get_int64_ne st.words (at + 8)) in
+          go (k + 1) (pair :: acc)
+      in
+      go 0 acc)
+    st.copies []
+  |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
+
 (* A transfer-stream failure injected by {!resilient}; never escapes it. *)
 exception Stream_failure of string
 
@@ -126,12 +204,14 @@ let run_attempt ?(threshold = 8) ?(max_rounds = 16)
       src.Machine.mem
   in
   try
-  (* page base -> words as last streamed; Hashtbl.replace models the
-     destination overwriting the stale copy *)
-  let staged : (int64, (int64 * int64) list) Hashtbl.t = Hashtbl.create 256 in
+  (* each page's words as last streamed; a later copy replaces the stale
+     one, as the destination overwrites it *)
+  let st = Domain.DLS.get stage_key in
+  st.len <- 0;
+  Hashtbl.clear st.copies;
   let copy_pages pages =
     on_page_batch (List.length pages);
-    List.iter (fun p -> Hashtbl.replace staged p (Mmu.Dirty.page_words tracker p)) pages;
+    List.iter (stage_page st tracker) pages;
     Cost.charge meter (List.length pages * table.Cost.mig_page_copy)
   in
   let rec rounds round copied hist =
@@ -166,12 +246,10 @@ let run_attempt ?(threshold = 8) ?(max_rounds = 16)
   let dst = Image.restore (Image.to_string src) in
   (* Tracker-correctness oracle: the staged stream must reproduce the
      destination's memory exactly. *)
-  let staged_words =
-    Hashtbl.fold (fun _ ws acc -> List.rev_append ws acc) staged []
-    |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
-  in
-  let dst_words = Memory.sorted_words dst.Machine.mem in
-  if staged_words <> dst_words then begin
+  let matches, pages_total = staged_matches st dst.Machine.mem in
+  if not matches then begin
+    let staged_words = staged_words st
+    and dst_words = Memory.sorted_words dst.Machine.mem in
     let rec first_bad = function
       | (a, v) :: _, (a', v') :: _ when a <> a' || v <> v' ->
         Printf.sprintf "at 0x%Lx: staged %Lx, destination has 0x%Lx at 0x%Lx" a v v' a'
@@ -190,9 +268,7 @@ let run_attempt ?(threshold = 8) ?(max_rounds = 16)
     { r_mech = mech_label src;
       r_rounds = nrounds;
       r_dirty_per_round = List.rev hist;
-      r_pages_total =
-        List.length
-          (List.sort_uniq Int64.compare (List.map (fun (a, _) -> Mmu.Walk.page_base a) dst_words));
+      r_pages_total = pages_total;
       r_pages_copied = copied + nfinal;
       r_write_faults = captures;
       r_trapped_captures = captures - !exposed_captures;

@@ -111,8 +111,6 @@ let run_config ~seed ~faults ~trap_budget ~max_cycles (name, config, scenario) =
   done;
   let timed_out = not (within_cycles ()) in
   let final_sweep = Machine.check_invariants m in
-  (* disarm this domain's stage-2 hook so the next machine starts clean *)
-  Mmu.Walk.clear_inject ();
   let live = Machine.violations m in
   let sample =
     List.filteri

@@ -78,23 +78,59 @@ let test_corrupt_changes_value () =
 
 (* --- the stage-2 walker's injection hook --- *)
 
+(* A mapped page walks; with the memory's hook taking its address, the
+   same walk misses at level 1 without reading the tables, and a walk
+   the hook leaves alone still resolves. *)
 let test_walk_inject () =
   let mem = Arm.Memory.create () in
-  let planted =
-    { Mmu.Walk.f_level = 2; f_ia = 0x2000L; f_reason = `Permission }
+  let s2 = Mmu.Stage2.create mem (Mmu.Walk.allocator ~start:0x10_0000L) ~vmid:1 in
+  List.iter
+    (fun ipa -> Mmu.Stage2.map_page s2 ~ipa ~pa:(Int64.add ipa 0x100_0000L) ~perms:Mmu.Pte.rwx)
+    [ 0x2000L; 0x3000L ];
+  let walk ipa = Mmu.Walk.walk mem ~base:s2.Mmu.Stage2.base ~ia:ipa ~is_write:false in
+  let resolves ipa = match walk ipa with Ok _ -> true | Error _ -> false in
+  check Alcotest.bool "the page walks unarmed" true (resolves 0x2000L);
+  mem.Arm.Memory.s2_inject <- (fun ia -> ia = 0x2000L);
+  check Alcotest.bool "the armed hook fails the walk at level 1" true
+    (walk 0x2000L = Error { Mmu.Walk.f_level = 1; f_ia = 0x2000L; f_reason = `Translation });
+  check Alcotest.bool "a walk the hook leaves alone resolves" true (resolves 0x3000L);
+  mem.Arm.Memory.s2_inject <- (fun _ -> false);
+  check Alcotest.bool "disarmed, the page walks again" true (resolves 0x2000L)
+
+(* A plan's stage-2 faults belong to its machine: machine A's S2_fault
+   event falls due inside its last hypercall, which walks no stage-2
+   table, so the event is still pending when an unplanned machine B
+   walks — and B's walk must not take it.  A's own next walk does. *)
+let test_injection_stays_with_its_machine () =
+  let config = Config.v Config.Hw_v8_3 in
+  let a = Machine.create config Hyp.Host_hyp.Nested in
+  Machine.boot a;
+  let due = Machine.total_traps a + 5 in
+  let plan =
+    Plan.of_raw
+      { Plan.raw_seed = 1; raw_rng = 0L; raw_events = [ (due, Plan.S2_fault, false) ];
+        raw_injected = [] }
   in
-  Mmu.Walk.set_inject
-    (fun ~ia ~is_write:_ -> if ia = 0x2000L then Some planted else None);
-  let r = Mmu.Walk.walk mem ~base:0x1000L ~ia:0x2000L ~is_write:false in
-  Mmu.Walk.clear_inject ();
-  check Alcotest.bool "armed hook fails the walk with the planted fault"
-    true (r = Error planted);
-  (* a natural walk of the same address misses at level 1, not level 2:
-     the hook, not the tables, produced the fault above *)
-  (match Mmu.Walk.walk mem ~base:0x1000L ~ia:0x2000L ~is_write:false with
-   | Error f ->
-     check Alcotest.int "natural fault is a level-1 miss" 1 f.Mmu.Walk.f_level
-   | Ok _ -> Alcotest.fail "walk of empty tables succeeded")
+  let a = Machine.create ~fault_plan:plan config Hyp.Host_hyp.Nested in
+  Machine.boot a;
+  check Alcotest.bool "A's event is ahead of its boot" true (Machine.total_traps a < due);
+  Machine.hypercall a ~cpu:0;
+  check Alcotest.bool "A's event is due" true (Machine.total_traps a >= due);
+  check Alcotest.int "A's hypercall walked no table" 0 (List.length (Plan.injected plan));
+  let walks m =
+    let s2 =
+      Mmu.Stage2.create m.Machine.mem (Mmu.Walk.allocator ~start:0x7_0000_0000L) ~vmid:9
+    in
+    Mmu.Stage2.map_page s2 ~ipa:0x4000L ~pa:0x7_1000_0000L ~perms:Mmu.Pte.rwx;
+    match Mmu.Stage2.translate s2 ~ipa:0x4000L ~is_write:false with
+    | Ok _ -> true
+    | Error _ -> false
+  in
+  let b = Machine.create config Hyp.Host_hyp.Nested in
+  check Alcotest.bool "B's walk resolves" true (walks b);
+  check Alcotest.int "A's event did not fire on B" 0 (List.length (Plan.injected plan));
+  check Alcotest.bool "A's own walk takes its event" false (walks a);
+  check Alcotest.(list int) "A's event fired on A" [ due ] (List.map fst (Plan.injected plan))
 
 (* --- the distributor's injection hook --- *)
 
@@ -748,4 +784,6 @@ let suite =
     qtest test_hvc_fuzz_hw;
     Alcotest.test_case "chaos: reproducible, no anonymous crashes" `Slow
       test_chaos_reproducible;
+    Alcotest.test_case "walk: a plan's faults stay with its machine" `Quick
+      test_injection_stays_with_its_machine;
   ]

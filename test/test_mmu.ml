@@ -266,6 +266,34 @@ let test_tlb_set_eviction () =
   check Alcotest.int "invalidations counted" occ (Mmu.Tlb.invalidations tlb);
   check Alcotest.int "empty after TLBI" 0 (Mmu.Tlb.occupancy tlb)
 
+(* --- dirty tracking: what a round copies of one page --- *)
+
+(* [Dirty.page_words] writes exactly the page's nonzero words, ascending,
+   as (address, value) pairs, whatever else memory holds, and allocates
+   nothing. *)
+let test_dirty_page_words () =
+  let mem = Arm.Memory.create () in
+  List.iter
+    (fun (a, v) -> Arm.Memory.write64 mem a v)
+    [ (0x5008L, 7L); (0x5ff8L, -1L); (0x5010L, 0L); (0x4ff8L, 3L); (0x6000L, 9L);
+      (0x8000_5000L, 5L) ];
+  let t = Mmu.Dirty.attach mem in
+  let buf = Bytes.create (512 * 16) in
+  let pairs page =
+    let e = Mmu.Dirty.page_words t page buf 0 in
+    List.init (e / 16) (fun k ->
+        (Bytes.get_int64_ne buf (16 * k), Bytes.get_int64_ne buf ((16 * k) + 8)))
+  in
+  check
+    Alcotest.(list (pair int64 int64))
+    "page 0x5000's nonzero words" [ (0x5008L, 7L); (0x5ff8L, -1L) ] (pairs 0x5000L);
+  check Alcotest.(list (pair int64 int64)) "an absent page" [] (pairs 0x9000L);
+  ignore (pairs 0x5000L);
+  let w0 = Gc.minor_words () in
+  ignore (Mmu.Dirty.page_words t 0x5000L buf 0 : int);
+  check Alcotest.int "words allocated staging a page" 0 (int_of_float (Gc.minor_words () -. w0));
+  Mmu.Dirty.detach t
+
 let suite =
   [
     qtest test_pte_roundtrip;
@@ -284,4 +312,5 @@ let suite =
     ("tlb: hits, misses, invalidation", `Quick, test_tlb);
     ("tlb: hit rate defined on zero lookups", `Quick, test_tlb_hit_rate_fresh);
     ("tlb: per-set eviction and counters", `Quick, test_tlb_set_eviction);
+    ("dirty: a page's words, and only its", `Quick, test_dirty_page_words);
   ]

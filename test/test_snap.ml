@@ -702,6 +702,480 @@ let test_migrate_expose_dirty_log () =
   check Alcotest.bool "mechanism label names the grant" true
     (ooh.Snap.Migrate.r_mech <> neve.Snap.Migrate.r_mech)
 
+(* --- the decoder's error behaviour, pinned --- *)
+
+(* The image's node syntax, parsed and printed by the test alone, for
+   building images a writer never produces: reordered, duplicated and
+   extra fields, and errors placed one after another.  A bool keeps its
+   byte. *)
+module Tree = struct
+  type t = I of int64 | B of char | S of string | L of t list | R of (string * t) list
+
+  let parse s =
+    let pos = ref 0 in
+    let u32 () =
+      let v = Int32.to_int (String.get_int32_be s !pos) land 0xffff_ffff in
+      pos := !pos + 4;
+      v
+    in
+    let str () =
+      let n = u32 () in
+      let r = String.sub s !pos n in
+      pos := !pos + n;
+      r
+    in
+    let rec node () =
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | 'I' ->
+        let v = String.get_int64_be s !pos in
+        pos := !pos + 8;
+        I v
+      | 'B' ->
+        let b = s.[!pos] in
+        incr pos;
+        B b
+      | 'S' -> S (str ())
+      | 'L' -> L (List.init (u32 ()) (fun _ -> node ()))
+      | 'R' ->
+        R
+          (List.init (u32 ()) (fun _ ->
+               let name = str () in
+               (name, node ())))
+      | c -> Alcotest.failf "Tree.parse: tag %C" c
+    in
+    node ()
+
+  let print t =
+    let b = Buffer.create 65536 in
+    let u32 n = Buffer.add_string b (be32 n) in
+    let str s =
+      u32 (String.length s);
+      Buffer.add_string b s
+    in
+    let rec put = function
+      | I v ->
+        Buffer.add_char b 'I';
+        Buffer.add_string b (be64 v)
+      | B c ->
+        Buffer.add_char b 'B';
+        Buffer.add_char b c
+      | S s ->
+        Buffer.add_char b 'S';
+        str s
+      | L xs ->
+        Buffer.add_char b 'L';
+        u32 (List.length xs);
+        List.iter put xs
+      | R fs ->
+        Buffer.add_char b 'R';
+        u32 (List.length fs);
+        List.iter
+          (fun (n, x) ->
+            str n;
+            put x)
+          fs
+    in
+    put t;
+    Buffer.contents b
+
+  let fields = function R fs -> fs | _ -> Alcotest.fail "Tree: not a record"
+  let field name t = List.assoc name (fields t)
+
+  (* [t] with the node at [path] (field names, or list indices as
+     "[i]") replaced by [f] of it. *)
+  let rec edit path f t =
+    match (path, t) with
+    | [], _ -> f t
+    | p :: tl, L xs when p.[0] = '[' ->
+      let i = int_of_string (String.sub p 1 (String.length p - 2)) in
+      L (List.mapi (fun j x -> if j = i then edit tl f x else x) xs)
+    | p :: tl, R fs -> R (List.map (fun (n, x) -> (n, if n = p then edit tl f x else x)) fs)
+    | p :: _, _ -> Alcotest.failf "Tree.edit: no %s" p
+
+  (* the record at [path] with its fields rearranged by [f] *)
+  let fields_at path f = edit path (fun t -> R (f (fields t)))
+end
+
+(* What [Snap.restore] makes of [s]: "clean" and the digest of the
+   restored machine's image, or the [Format_error] message. *)
+let restore_outcome s =
+  match Snap.restore s with
+  | m -> "clean " ^ String.trim (image_digest (Snap.to_string m))
+  | exception Snap.Format_error msg -> msg
+
+(* Hand-built images: each is one edit of a checked 2-vCPU neve-vhe
+   machine's image [t] (or of a 1-vCPU planned one, [p]), named by what
+   it shows. *)
+let hand_built ~checked ~planned =
+  let open Tree in
+  let t = parse checked and p = parse planned in
+  let image = print in
+  let cpu0 = [ "cpus"; "[0]" ] and cpu1 = [ "cpus"; "[1]" ] in
+  let pstate = cpu0 @ [ "pstate" ] and meter = cpu0 @ [ "meter" ] in
+  let set ?(of_ = t) path v = image (edit path (fun _ -> v) of_) in
+  let change ?(of_ = t) path f = image (edit path f of_) in
+  let fields_of path f = image (fields_at path f t) in
+  let top f = image (R (f (fields t))) in
+  (* field lists: one inserted before or after the field [name], moved,
+     dropped *)
+  let before name fv =
+    List.concat_map (fun (n, x) -> if n = name then [ fv; (n, x) ] else [ (n, x) ])
+  in
+  let after name fv =
+    List.concat_map (fun (n, x) -> if n = name then [ (n, x); fv ] else [ (n, x) ])
+  in
+  let remove name = List.filter (fun (n, _) -> n <> name) in
+  let first name fs = List.filter (fun (n, _) -> n = name) fs @ remove name fs in
+  let last name fs = remove name fs @ List.filter (fun (n, _) -> n = name) fs in
+  let swap2 = function a :: b :: tl -> b :: a :: tl | l -> l in
+  let drop_first = function L (_ :: tl) -> L tl | x -> x in
+  let twice = function L [ x ] -> L [ x; x ] | x -> x in
+  let bad_nzcv = set (pstate @ [ "nzcv" ]) (I 99L) in
+  let len = String.length bad_nzcv in
+  let table_ref alloc = R [ ("base", I 0L); ("vmid", I 0L); ("alloc", I alloc) ] in
+  [ (* reordered, duplicated and extra fields: the first of a name is read *)
+    ("unedited", image t);
+    ("cpu0's pc and regs swapped", fields_of cpu0 swap2);
+    ("cpu1's fields reversed", fields_of cpu1 List.rev);
+    ("fault moved first", top (first "fault"));
+    ("mem moved last", top (last "mem"));
+    ("ncpus moved last", top (last "ncpus"));
+    ("magic moved last", top (last "magic"));
+    ("nzcv 5 ahead of nzcv", fields_of pstate (before "nzcv" ("nzcv", I 5L)));
+    ("nzcv 99 after nzcv", fields_of pstate (after "nzcv" ("nzcv", I 99L)));
+    ("nzcv 99 ahead of nzcv", fields_of pstate (before "nzcv" ("nzcv", I 99L)));
+    ("el 2 after irq_masked", fields_of pstate (after "irq_masked" ("el", I 2L)));
+    ("ncpus 1 ahead of ncpus", top (before "ncpus" ("ncpus", I 1L)));
+    ("mem duplicated", top (after "mem" ("mem", field "mem" t)));
+    ("a bad cpus list after cpus", top (after "cpus" ("cpus", L [ I 0L ])));
+    ("mech 2 ahead of config's mech", fields_of [ "config" ] (before "mech" ("mech", I 2L)));
+    ("an extra field mid-pstate", fields_of pstate (before "irq_masked" ("extra", L [])));
+    ("an extra field ending pstate", fields_of pstate (fun fs -> fs @ [ ("extra", I 0L) ]));
+    ("an extra field ending the machine", top (fun fs -> fs @ [ ("extra", L []) ]));
+    ("hosts[1] without deferred_page", fields_of [ "hosts"; "[1]" ] (remove "deferred_page"));
+    ("hosts[1]'s deferred_page a bool", set [ "hosts"; "[1]"; "deferred_page" ] (B '\000'));
+    (* structural errors win over a semantic one before them *)
+    ("nzcv 99, then a trailing byte", bad_nzcv ^ "\000");
+    ("nzcv 99, then a truncated end", String.sub bad_nzcv 0 (len - 1));
+    ( "nzcv 99, then a bad tag in hung",
+      String.sub bad_nzcv 0 (len - 2) ^ "X" ^ String.sub bad_nzcv (len - 1) 1 );
+    ( "nzcv 99, then an implausible length",
+      "R" ^ be32 0x7fff_ffff ^ String.sub bad_nzcv 5 (len - 5) );
+    (* missing fields and nodes of the wrong kind *)
+    ("cpu1 without pc", fields_of cpu1 (remove "pc"));
+    ("no mem", top (remove "mem"));
+    ("no magic", top (remove "magic"));
+    ("no fault", top (remove "fault"));
+    ("an empty record", image (R []));
+    ("a list", image (L []));
+    ("cpu0's pc a bool", set (cpu0 @ [ "pc" ]) (B '\001'));
+    ("cpu0's pstate a list", set pstate (L []));
+    ("cpu0's el1_vectors byte 7", set (cpu0 @ [ "el1_vectors" ]) (B '\007'));
+    ("cpu0's regs 30 words", change (cpu0 @ [ "regs" ]) drop_first);
+    ("cpu0's regs[3] a string", set (cpu0 @ [ "regs"; "[3]" ]) (S "x"));
+    ("cpu0's sysregs values[7] a bool", set (cpu0 @ [ "sysregs"; "values"; "[7]" ]) (B '\000'));
+    ( "cpu0's dirty one byte short",
+      change (cpu0 @ [ "sysregs"; "dirty" ]) (function
+        | S x -> S (String.sub x 1 (String.length x - 1))
+        | x -> x) );
+    ("cpu0's logging a string", set (meter @ [ "logging" ]) (S ""));
+    ( "cpu0's log[0] a bad kind and an int text",
+      set (meter @ [ "log"; "[0]" ]) (L [ I (-1L); I 0L ]) );
+    ("inv_states[1] three words", change [ "inv_states"; "[1]" ] drop_first);
+    ("ghyps[1] empty", set [ "ghyps"; "[1]" ] (L []));
+    ("ghyps[1] two entries", change [ "ghyps"; "[1]" ] twice);
+    ("tamper_armed an int without a plan", set [ "ghyps"; "[0]"; "[0]"; "tamper_armed" ] (I 0L));
+    (* values out of range *)
+    ("hosts[0]'s exits with bit 63", set [ "hosts"; "[0]"; "exits" ] (I Int64.min_int));
+    ("ncpus 3", set [ "ncpus" ] (I 3L));
+    ("expose bits 0x7fff", set [ "expose" ] (I 0x7fffL));
+    ("version 2", set [ "version" ] (I 2L));
+    ("magic wrong", set [ "magic" ] (S "NEVE-SNAQ"));
+    ("table entry 42 negative", set [ "table"; "[42]" ] (I (-1L)));
+    ("irq_fault[0] code 99", set [ "irq_fault"; "[0]" ] (L [ I 99L ]));
+    ("scenario Bogus", set [ "scenario" ] (S "Bogus"));
+    ("scenario single_vm", set [ "scenario" ] (S "single-vm"));
+    ("scenario code 1", set [ "scenario" ] (I 1L));
+    ("config's mech a list", set [ "config"; "mech" ] (L []));
+    ("config's mech 9", set [ "config"; "mech" ] (I 9L));
+    ( "hosts[0] with a shadow naming allocator 3 of 1",
+      set [ "hosts"; "[0]"; "shadow" ]
+        (L
+           [ R
+               [ ("shadow", table_ref 3L); ("guest", table_ref 0L); ("host", table_ref 0L);
+                 ("faults", I 0L); ("entries", L []); ("allocs", L [ I 0L ]) ] ]) );
+    (* pairs and triples check their last element first *)
+    ("mmio[0] a device", set [ "mem"; "mmio" ] (L [ L [ I 0L; I 8L; S "dev" ] ]));
+    ( "mmio[0] a bad start and a bad name",
+      set [ "mem"; "mmio" ] (L [ L [ B '\000'; I 0L; I 0L ] ]) );
+    ("mmio[0] a pair", set [ "mem"; "mmio" ] (L [ L [ I 0L; I 0L ] ]));
+    ( "words[0] a misaligned address and a bool value",
+      set [ "mem"; "words"; "[0]" ] (L [ I 3L; B '\001' ]) );
+    ("words[0] a misaligned address", change [ "mem"; "words"; "[0]"; "[0]" ] (fun _ -> I 3L));
+    ( "words[1] a triple",
+      change [ "mem"; "words"; "[1]" ] (function L [ a; v ] -> L [ a; v; v ] | x -> x) );
+    ( "by_kind[0] a bad kind and a bool count",
+      set (meter @ [ "by_kind"; "[0]" ]) (L [ I 99L; B '\000' ]) );
+    ("by_kind[0] a bad kind", set (meter @ [ "by_kind"; "[0]"; "[0]" ]) (I 99L));
+    ("by_kind[0] a string", set (meter @ [ "by_kind"; "[0]" ]) (S ""));
+    (* the planned image's fault plan *)
+    ("planned: unedited", image p);
+    ("planned: tamper_armed an int", set ~of_:p [ "ghyps"; "[0]"; "[0]"; "tamper_armed" ] (I 0L));
+    ( "planned: events[0] a bool count, a bad kind and an int flag",
+      set ~of_:p [ "fault"; "[0]"; "events"; "[0]" ] (L [ B '\000'; I 99L; I 0L ]) );
+    ( "planned: events[0] a bool count and a bad kind",
+      change ~of_:p [ "fault"; "[0]"; "events"; "[0]" ] (function
+        | L [ _; _; f ] -> L [ B '\000'; I 99L; f ]
+        | x -> x) );
+    ("planned: events[0] a pair", set ~of_:p [ "fault"; "[0]"; "events" ] (L [ L [ I 1L; I 0L ] ]));
+    ("planned: fault two entries", change ~of_:p [ "fault" ] twice);
+    ("planned: rng a string", set ~of_:p [ "fault"; "[0]"; "rng" ] (S "")) ]
+
+(* The golden's sweep: single-byte flips of the checked image, xor 0x01
+   and xor 0xff, every [error_stride] bytes. *)
+let error_stride = 3
+
+(* A message with its numbers as "#", for the sweep's summary. *)
+let shape msg =
+  let b = Buffer.create (String.length msg) in
+  String.iteri
+    (fun i c ->
+      match c with
+      | '0' .. '9' ->
+        if i = 0 || not (match msg.[i - 1] with '0' .. '9' -> true | _ -> false) then
+          Buffer.add_char b '#'
+      | c -> Buffer.add_char b c)
+    msg;
+  Buffer.contents b
+
+let restore_outcomes () =
+  let neve_vhe = Config.v ~guest_vhe:true Config.Hw_neve in
+  let m = Machine.create ~check_invariants:true ~ncpus:2 neve_vhe Hyp.Host_hyp.Nested in
+  Machine.boot m;
+  exercise m;
+  let checked = Snap.to_string m in
+  let p =
+    Machine.create
+      ~fault_plan:(Plan.make ~seed:5 ~faults:3 ~horizon:max_int)
+      (Config.v Config.Hw_neve) Hyp.Host_hyp.Nested
+  in
+  Machine.boot p;
+  let planned = Snap.to_string p in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (what, s) -> Printf.bprintf b "%s: %s\n" what (restore_outcome s))
+    (hand_built ~checked ~planned);
+  let clean = ref 0 and errors = ref 0 and h = ref 0xcbf29ce484222325L in
+  let shapes = Hashtbl.create 64 in
+  for i = 0 to (String.length checked - 1) / error_stride do
+    let at = i * error_stride in
+    List.iter
+      (fun mask ->
+        let f = Bytes.of_string checked in
+        Bytes.set f at (Char.chr (Char.code checked.[at] lxor mask));
+        let line =
+          match Snap.restore (Bytes.to_string f) with
+          | (_ : Machine.t) ->
+            incr clean;
+            "clean"
+          | exception Snap.Format_error msg ->
+            incr errors;
+            let k = shape msg in
+            Hashtbl.replace shapes k (1 + Option.value ~default:0 (Hashtbl.find_opt shapes k));
+            msg
+        in
+        h := Test_template.fnv1a !h (Printf.sprintf "%d %d %s\n" at mask line))
+      [ 0x01; 0xff ]
+  done;
+  Printf.bprintf b "sweep (every %d bytes of %d): %d clean, %d format errors, outcomes %016Lx\n"
+    error_stride (String.length checked) !clean !errors !h;
+  Hashtbl.fold (fun k n acc -> (n, k) :: acc) shapes []
+  |> List.sort (fun (n, k) (n', k') -> if n <> n' then compare n' n else compare k k')
+  |> List.iter (fun (n, k) -> Printf.bprintf b "%6d %s\n" n k);
+  Buffer.contents b
+
+let test_restore_outcomes () =
+  let got = restore_outcomes () in
+  let path = "snap-restore-outcomes.txt" in
+  let want =
+    match Test_template.golden path with
+    | p -> Test_supervise.read_file p
+    | exception _ -> ""
+  in
+  if got <> want then begin
+    Out_channel.with_open_bin ("actual-" ^ path) (fun oc -> output_string oc got);
+    Alcotest.failf "restore outcomes differ from test/golden/%s (actual written to actual-%s)"
+      path path
+  end
+
+(* --- allocation budgets of the snapshot path --- *)
+
+let words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
+(* Minor words of the snapshot path on a warm, checked 2-vCPU NEVE
+   machine: an image, a restore beyond the [Machine.create] it starts
+   with, and a live migration of an idle guest (pre-copy, image, restore
+   and the staged-page oracle).  Readings, release and development
+   profile (the image itself, 19 KB, is allocated in the major heap):
+
+     to_string                    535      535
+     restore beyond create      2,247    2,253
+     Migrate.run, idle guest    6,627    6,651
+
+   The budgets are the release readings plus 10%.  Building a node tree
+   for every image and decoding into another cost 20,844, 19,798 and
+   50,682 words (development profile). *)
+let snapshot_budgets =
+  [ ("to_string", 589); ("restore beyond create", 2_472); ("Migrate.run", 7_290) ]
+
+let test_snapshot_budgets () =
+  let config = Config.v Config.Hw_neve in
+  let fresh () = Machine.create ~check_invariants:true ~ncpus:2 config Hyp.Host_hyp.Nested in
+  let m = fresh () in
+  Machine.boot m;
+  exercise m;
+  exercise m;
+  let image = Snap.to_string m in
+  let migrate () = ignore (Snap.Migrate.run ~workload:(fun _ ~round:_ -> ()) m) in
+  ignore (Snap.restore image : Machine.t);
+  migrate ();
+  let runs = 4 in
+  let per f = words_during (fun () -> for _ = 1 to runs do f () done) / runs in
+  let encode = per (fun () -> ignore (Snap.to_string m : string)) in
+  let create = per (fun () -> ignore (fresh () : Machine.t)) in
+  let restore = per (fun () -> ignore (Snap.restore image : Machine.t)) - create in
+  let readings =
+    [ ("to_string", encode); ("restore beyond create", restore); ("Migrate.run", per migrate) ]
+  in
+  List.iter (fun (what, words) -> Printf.eprintf "%s: %d minor words\n%!" what words) readings;
+  List.iter
+    (fun (what, words) ->
+      let budget = List.assoc what snapshot_budgets in
+      if words > budget then Alcotest.failf "%s: %d minor words (budget %d)" what words budget)
+    readings
+
+(* --- the staged-page oracle --- *)
+
+(* A store the dirty tracker never sees (the write observer detached
+   around it) is a simulator bug the migration must report: a word on a
+   page never staged, and a changed word on a staged one. *)
+let test_oracle_catches_missed_writes () =
+  let source () =
+    let m = Scenario.make_arm (Scenario.Arm_nested (Config.v Config.Hw_neve)) in
+    exercise m;
+    m
+  in
+  let missed ~addr ~value =
+    let src = source () in
+    let workload m ~round =
+      if round = 0 then begin
+        let mem = m.Machine.mem in
+        let observer = mem.Memory.on_write in
+        mem.Memory.on_write <- None;
+        Memory.write64 mem addr value;
+        mem.Memory.on_write <- observer
+      end
+    in
+    match Snap.Migrate.run ~workload src with
+    | _ -> None
+    | exception Error.Sim_fault (Error.Invariant_broken msg, _) -> Some msg
+  in
+  let prefix =
+    "migration: pre-copied pages diverge from destination memory — dirty tracker missed a \
+     write; "
+  in
+  check Alcotest.(option string) "a word on a page never staged"
+    (Some (prefix ^ "destination word 0x78000000 never staged"))
+    (missed ~addr:0x7800_0000L ~value:42L);
+  let addr, value =
+    match Memory.sorted_words (source ()).Machine.mem with
+    | w :: _ -> w
+    | [] -> Alcotest.fail "an empty memory"
+  in
+  check Alcotest.(option string) "a changed word on a staged page"
+    (Some
+       (Printf.sprintf "%sat 0x%Lx: staged %Lx, destination has 0x%Lx at 0x%Lx" prefix addr
+          value (Int64.succ value) addr))
+    (missed ~addr ~value:(Int64.succ value))
+
+(* --- Snap.diff's renderings, pinned --- *)
+
+(* What [Snap.diff] reports for machines that differ in one way each:
+   a topology field, a counter, a bool, a string, a list's length, a
+   memory word and a deferred-page slot. *)
+let diff_renderings () =
+  let neve = Config.v Config.Hw_neve in
+  let nested ?ncpus ?expose config =
+    let m = Machine.create ?ncpus ?expose config Hyp.Host_hyp.Nested in
+    Machine.boot m;
+    m
+  in
+  let twin ?(setup = ignore) f =
+    let m = nested neve in
+    setup m;
+    let m' = Snap.restore (Snap.to_string m) in
+    f m';
+    (m, m')
+  in
+  let cases =
+    [ ("identical", twin ignore);
+      ("ncpus", (nested neve, nested ~ncpus:2 neve));
+      ("config", (nested neve, nested (Config.v Config.Hw_v8_3)));
+      ("scenario", (nested neve, Machine.create neve Hyp.Host_hyp.Single_vm));
+      ("expose", (nested neve, nested ~expose:ooh_policy neve));
+      ( "mmio",
+        twin (fun m ->
+            m.Machine.mem.Memory.mmio <- (0x10L, 0x8L, "extra") :: m.Machine.mem.Memory.mmio) );
+      ("a hypercall", twin (fun m -> Machine.hypercall m ~cpu:0));
+      ("el1_vectors", twin (fun m -> m.Machine.cpus.(0).Cpu.el1_vectors <- false));
+      ( "a violation",
+        twin (fun m ->
+            m.Machine.violations <- [ Invariants.v m.Machine.cpus.(0) "pinned" "detail" ]) );
+      ( "a violation's detail",
+        let v m d = m.Machine.violations <- [ Invariants.v m.Machine.cpus.(0) "pinned" d ] in
+        let m, m' = twin (fun m -> v m "b") in
+        v m "a";
+        (m, m') );
+      ("a new memory word", twin (fun m -> Memory.write64 m.Machine.mem 0x7800_0000L 1L));
+      ( "a changed memory word",
+        twin (fun m ->
+            match Memory.sorted_words m.Machine.mem with
+            | (a, v) :: _ -> Memory.write64 m.Machine.mem a (Int64.succ v)
+            | [] -> ()) );
+      ( "a deferred-page slot",
+        let spsr m v =
+          Core.Deferred_page.write m.Machine.hosts.(0).Hyp.Host_hyp.page Arm.Sysreg.SPSR_EL1 v
+        in
+        twin ~setup:(fun m -> spsr m 0x3c5L) (fun m -> spsr m 0x3c4L) ) ]
+  in
+  String.concat ""
+    (List.map
+       (fun (what, (a, b)) ->
+         Printf.sprintf "%s: %s\n" what
+           (match Snap.diff a b with
+            | None -> "none"
+            | Some (path, detail) -> Printf.sprintf "%s: %s" path detail))
+       cases)
+
+let test_diff_renderings () =
+  let got = diff_renderings () in
+  let path = "snap-diffs.txt" in
+  let want =
+    match Test_template.golden path with
+    | p -> Test_supervise.read_file p
+    | exception _ -> ""
+  in
+  if got <> want then begin
+    Out_channel.with_open_bin ("actual-" ^ path) (fun oc -> output_string oc got);
+    Alcotest.failf "Snap.diff renderings differ from test/golden/%s (actual written to actual-%s)"
+      path path
+  end
+
 let suite =
   [
     Alcotest.test_case "save is byte-deterministic" `Quick
@@ -740,4 +1214,12 @@ let suite =
       test_expose_policy_round_trip;
     Alcotest.test_case "OoH dirty-log beats both baselines per round"
       `Quick test_migrate_expose_dirty_log;
+    Alcotest.test_case "restore outcomes match the golden" `Quick
+      test_restore_outcomes;
+    Alcotest.test_case "the snapshot path stays within its allocation budgets" `Quick
+      test_snapshot_budgets;
+    Alcotest.test_case "the staged-page oracle catches a missed write" `Quick
+      test_oracle_catches_missed_writes;
+    Alcotest.test_case "Snap.diff renderings match the golden" `Quick
+      test_diff_renderings;
   ]

@@ -221,8 +221,6 @@ let unmarked = [ "fault" ]
 let test_rewind_covers_declaration () =
   let plan = Fault.Plan.make ~seed:1 ~faults:1 ~horizon:10 in
   let planned = Machine.create ~fault_plan:plan Hyp.Config.(v Hw_neve) Host_hyp.Nested in
-  (* the plan armed the stage-2 injection hook; disarm it for the walk *)
-  Mmu.Walk.clear_inject ();
   check Alcotest.bool "mark refuses a fault plan" true
     (match Machine.mark planned with
      | (_ : Machine.mark) -> false

@@ -672,8 +672,7 @@ let test_checked_allocates_like_unchecked () =
           | None -> Alcotest.fail "the device interrupt was not pending" ) ]
   in
   let far_plan () = Fault.Plan.make ~seed:3 ~faults:4 ~horizon:max_int in
-  Fun.protect ~finally:Mmu.Walk.clear_inject (fun () ->
-      List.iter
+  List.iter
         (fun (slug, config) ->
           let twin ?fault_plan check_invariants =
             let m =
@@ -711,7 +710,7 @@ let test_checked_allocates_like_unchecked () =
             (Fault.Plan.injected (Option.get planned.Machine.fault) = []))
         [ ("v8.3", Config.v Config.Hw_v8_3);
           ("neve", Config.v Config.Hw_neve);
-          ("neve-vhe", Config.v ~guest_vhe:true Config.Hw_neve) ])
+          ("neve-vhe", Config.v ~guest_vhe:true Config.Hw_neve) ]
 
 (* A VM acknowledging and completing a virtual interrupt works on its
    list registers in place. *)
