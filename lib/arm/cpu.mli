@@ -144,8 +144,6 @@ val do_eret : t -> unit
     and PC from SPSR/ELR, copies the top frame back into the GPRs and
     pops it (at EL2, when one is live), charges the return cost. *)
 
-val write_sysreg_hw : t -> Sysreg.t -> int64 -> unit
-
 val advance_pc : t -> unit
 
 val scratch_reg : int

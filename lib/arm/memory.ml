@@ -249,25 +249,33 @@ let track_code t ~lo ~hi =
 
 let code_gen t = t.code_gen
 
-(* Every backed nonzero word, in no particular order. *)
-let iter_nonzero t f =
-  Hashtbl.iter
-    (fun pi p ->
-      let base = Int64.shift_left (Int64.of_int pi) 12 in
-      for i = 0 to page_words - 1 do
-        let v = get_word p (i * 8) in
-        if v <> 0L then f (Int64.add base (Int64.of_int (i * 8))) v
-      done)
-    t.pages
-
 (* Every backed, nonzero word in ascending address order.  A canonical
    view: an absent word and a stored zero read identically, so zeros are
    dropped — two memories with the same contents produce the same list
    regardless of allocation history. *)
 let sorted_words t =
   let acc = ref [] in
-  iter_nonzero t (fun addr v -> acc := (addr, v) :: !acc);
+  Hashtbl.iter
+    (fun pi p ->
+      let base = Int64.shift_left (Int64.of_int pi) 12 in
+      for i = 0 to page_words - 1 do
+        let v = get_word p (i * 8) in
+        if v <> 0L then acc := (Int64.add base (Int64.of_int (i * 8)), v) :: !acc
+      done)
+    t.pages;
   List.sort (fun (a, _) (b, _) -> Int64.compare a b) !acc
+
+(* The index of every backed page holding a nonzero word, in no
+   particular order; each page's words are tested unboxed, up to its
+   first nonzero one. *)
+let iter_nonzero_pages t f =
+  Hashtbl.iter
+    (fun pi p ->
+      let rec nonzero w =
+        w < page_bytes && (get_word p w <> 0L || nonzero (w + 8))
+      in
+      if nonzero 0 then f pi)
+    t.pages
 
 (* Every backed page's index, in ascending address order as
    [sorted_words] orders addresses (signed): an index is an address's top

@@ -80,9 +80,9 @@ val sorted_words : t -> (int64 * int64) list
     view of the contents (absent and stored-zero words read identically
     and are both omitted). *)
 
-val iter_nonzero : t -> (int64 -> int64 -> unit) -> unit
-(** Apply [f addr v] to every backed nonzero word, in no particular
-    order (use {!sorted_words} for a canonical view). *)
+val iter_nonzero_pages : t -> (int -> unit) -> unit
+(** Apply [f pi] to the index ([address lsr 12]) of every backed page
+    holding a nonzero word, once each, in no particular order. *)
 
 val sorted_pages : t -> int list
 (** Every backed page's index ([address lsr 12]), in the address order

@@ -49,12 +49,14 @@ let site (insn : Insn.t) =
   | Insn.Msr (_, Insn.Imm _) -> invalid_arg "Route_key.site: immediate MSR"
   | _ -> { insn; key = Xlate.unrouted; action = Trap_rules.Undef }
 
-let exec cpu s =
+let action cpu s =
   if not (holds s.key cpu) then begin
     s.action <- Cpu.route cpu s.insn;
     s.key <- current cpu
   end;
-  Cpu.exec_with_action cpu s.insn s.action
+  s.action
+
+let exec cpu s = Cpu.exec_with_action cpu s.insn (action cpu s)
 
 (* --- tables ---
 

@@ -34,11 +34,15 @@ val site : Insn.t -> site
     @raise Invalid_argument for an immediate MSR, which {!Cpu.exec}
     rewrites before it routes. *)
 
-val exec : Cpu.t -> site -> unit
-(** [exec cpu s] is [Cpu.exec cpu insn] for the site's instruction: the
-    cached action is replayed ({!Cpu.exec_with_action}) while its key
-    holds; otherwise the instruction is routed afresh first.  A hit
+val action : Cpu.t -> site -> Trap_rules.action
+(** The site's action under [cpu]'s routing state: the cached one while
+    its key holds, otherwise routed afresh (and cached).  A hit
     allocates nothing. *)
+
+val exec : Cpu.t -> site -> unit
+(** [exec cpu s] is [Cpu.exec cpu insn] for the site's instruction: its
+    {!action} replayed through {!Cpu.exec_with_action}.  A hit allocates
+    nothing. *)
 
 (** {1 Site tables} *)
 

@@ -105,8 +105,6 @@ val exposed_index : Expose.Policy.feature -> int
 (** Dense index of an OoH feature into a meter's [exposed] counter
     array, mirroring {!kind_index}. *)
 
-val exposed_count : int
-
 (** A meter accumulates cycles, instruction counts and trap counts for one
     measured region. *)
 type meter = {

@@ -175,18 +175,6 @@ let gich_access t (reg : Sysreg.t) ~is_write =
           iss = (if is_write then 0x40 else 0); fault_addr = Some addr }
     end
 
-let gicv2_gic t : World_switch.gic_ops =
-  {
-    World_switch.gic_rd =
-      (fun r ->
-        gich_access t r ~is_write:false;
-        Cpu.get_reg t.cpu data_reg);
-    gic_wr =
-      (fun r v ->
-        Cpu.set_reg t.cpu data_reg v;
-        gich_access t r ~is_write:true);
-  }
-
 (* The funnel's ops close over [t], which holds them in its copier: the
    knot is tied through a lazy value. *)
 let v cpu config ~page_base =
@@ -218,15 +206,12 @@ let ops t = World_switch.ops_of t.copier
    loops. *)
 let compiled t = (not (Config.is_paravirt t.config)) && t.tamper == None
 
-let save_ctx t ~el12 ~ctx regs =
-  if compiled t then World_switch.save t.copier ~el12 ~ctx regs
-  else
-    World_switch.save_array (ops t) ~ctx
-      ~via:(World_switch.vm_el1_access ~vhe:el12) regs
+let save_ctx t ~alias ~ctx regs =
+  if compiled t then World_switch.save t.copier ~alias ~ctx regs
+  else World_switch.save_array (ops t) ~ctx ~via:(World_switch.via alias) regs
 
-let restore_ctx t ~el12 ~ctx regs =
-  if compiled t then World_switch.restore t.copier ~el12 ~ctx regs
+let restore_ctx t ~alias ~ctx regs =
+  if compiled t then World_switch.restore t.copier ~alias ~ctx regs
   else
-    World_switch.restore_array (ops t) ~ctx
-      ~via:(World_switch.vm_el1_access ~vhe:el12) regs
+    World_switch.restore_array (ops t) ~ctx ~via:(World_switch.via alias) regs
 

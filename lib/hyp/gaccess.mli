@@ -59,17 +59,16 @@ val gich_access : t -> Sysreg.t -> is_write:bool -> unit
     GICH mapping injects UNDEF when deprivileged and raises
     {!Fault.Error.Sim_fault} at EL2. *)
 
-val gicv2_gic : t -> World_switch.gic_ops
-(** vGIC accessors backed by the memory-mapped interface. *)
-
 val ops : t -> World_switch.ops
 (** The funnel as world-switch operations, built once by {!v}. *)
 
-val save_ctx : t -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
+val save_ctx : t -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit
 (** Save the given registers to their context slots:
-    {!World_switch.save_array} over {!ops} (through [vm_el1_access] when
-    [el12] is set), run through {!World_switch.save}'s compiled plan
-    except under a paravirt config or a pending fault-injection
-    corruption, which take the reference loop. *)
+    {!World_switch.save_array} over {!ops} (each register through
+    [World_switch.via alias]), run through {!World_switch.save}'s
+    compiled plan except under a paravirt config or a pending
+    fault-injection corruption, which take the reference loop.  [regs]
+    must be a preallocated array (plans are keyed on it). *)
 
-val restore_ctx : t -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
+val restore_ctx :
+  t -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit

@@ -119,12 +119,43 @@ let rewind t m =
   t.on_mmio <- m.mk_on_mmio;
   t.ga.Gaccess.tamper <- m.mk_tamper
 
-let ops t = Gaccess.ops t.ga
+(* The single accesses of the exit path, built once (an access record
+   per call is garbage).  A hypervisor reaches its own EL2 registers in
+   the form its design uses: the E2H-redirected EL1 form where one
+   exists under VHE (no trap when deprivileged), the EL2 register
+   otherwise. *)
+type own = {
+  esr : Sysreg.access;
+  elr : Sysreg.access;
+  spsr : Sysreg.access;
+  far : Sysreg.access;
+  hpfar : Sysreg.access;
+  cnthctl : Sysreg.access;
+}
 
-(* GICv2 machines use the memory-mapped hypervisor control interface. *)
-let gic t =
-  if t.ga.Gaccess.config.Config.gicv2 then Some (Gaccess.gicv2_gic t.ga)
-  else None
+let own_regs ~vhe =
+  let a = WS.own_el2_access ~vhe in
+  { esr = a Sysreg.ESR_EL2; elr = a Sysreg.ELR_EL2; spsr = a Sysreg.SPSR_EL2;
+    far = a Sysreg.FAR_EL2; hpfar = a Sysreg.HPFAR_EL2;
+    cnthctl = a Sysreg.CNTHCTL_EL2 }
+
+let own_vhe = own_regs ~vhe:true
+let own_nvhe = own_regs ~vhe:false
+let own t = if t.vhe then own_vhe else own_nvhe
+
+let ich_hcr = Sysreg.direct Sysreg.ICH_HCR_EL2
+let sgi1r = Sysreg.direct Sysreg.ICC_SGI1R_EL1
+let cntvoff = Sysreg.direct Sysreg.CNTVOFF_EL2
+let cntv_ctl = Sysreg.direct Sysreg.CNTV_CTL_EL0
+let cntv_ctl02 = Sysreg.el02 Sysreg.CNTV_CTL_EL0
+let cntv_cval = Sysreg.direct Sysreg.CNTV_CVAL_EL0
+let vpidr = Sysreg.direct Sysreg.VPIDR_EL2
+let vmpidr = Sysreg.direct Sysreg.VMPIDR_EL2
+
+(* The alias of the VM's EL1 context loops ([_EL12] under VHE) and of
+   its EL0-accessible timer ([_EL02] under VHE, Section 7.1). *)
+let vm_el1 t = if t.vhe then Sysreg.EL12 else Sysreg.Direct
+let vm_timer t = if t.vhe then Sysreg.EL02 else Sysreg.Direct
 
 (* HCR value the guest hypervisor programs for its nested VM. *)
 let nested_hcr = Arm.Hcr.(List.fold_left set 0L [ vm; imo; fmo; tsc; twi ])
@@ -140,54 +171,80 @@ let virtual_vttbr = 0x5000_0000L
    HPFAR_EL2, which has no EL1 twin; a non-VHE hypervisor reads the EL2
    registers directly and each read traps on ARMv8.3. *)
 let read_exit_info t =
-  let o = ops t in
-  if t.vhe then begin
-    let _esr = o.WS.rd (Sysreg.direct Sysreg.ESR_EL1) in
-    let elr = o.WS.rd (Sysreg.direct Sysreg.ELR_EL1) in
-    let spsr = o.WS.rd (Sysreg.direct Sysreg.SPSR_EL1) in
-    let _far = o.WS.rd (Sysreg.direct Sysreg.FAR_EL1) in
-    let _hpfar = o.WS.rd (Sysreg.direct Sysreg.HPFAR_EL2) in
-    t.nested_elr <- elr;
-    t.nested_spsr <- spsr
+  let o = own t and ga = t.ga in
+  let _esr = Gaccess.rd ga o.esr in
+  let elr = Gaccess.rd ga o.elr in
+  let spsr = Gaccess.rd ga o.spsr in
+  let _far = Gaccess.rd ga o.far in
+  let _hpfar = Gaccess.rd ga o.hpfar in
+  t.nested_elr <- elr;
+  t.nested_spsr <- spsr
+
+(* The vGIC interface (Section 4): KVM reads the interface state on exit
+   and disables the interface, then re-enables and re-programs it on
+   entry, touching only the list registers in use.  GICv3's interface is
+   system registers, copied by the funnel's loops; GICv2's is the
+   memory-mapped GICH frame, one trapping access per register, the value
+   in the data register.  Only the accessor differs, as on hardware. *)
+let gich_rd ga r =
+  Gaccess.gich_access ga r ~is_write:false;
+  Arm.Cpu.get_reg ga.Gaccess.cpu Gaccess.data_reg
+
+let gich_wr ga r v =
+  Arm.Cpu.set_reg ga.Gaccess.cpu Gaccess.data_reg v;
+  Gaccess.gich_access ga r ~is_write:true
+
+let save_vgic t =
+  let regs = Reglists.vgic_saved.(t.used_lrs) and ga = t.ga in
+  if ga.Gaccess.config.Config.gicv2 then begin
+    Array.iter (fun r -> Gaccess.st ga (WS.slot t.vm_ctx r) (gich_rd ga r)) regs;
+    gich_wr ga Sysreg.ICH_HCR_EL2 0L
   end
   else begin
-    let _esr = o.WS.rd (Sysreg.direct Sysreg.ESR_EL2) in
-    let elr = o.WS.rd (Sysreg.direct Sysreg.ELR_EL2) in
-    let spsr = o.WS.rd (Sysreg.direct Sysreg.SPSR_EL2) in
-    let _far = o.WS.rd (Sysreg.direct Sysreg.FAR_EL2) in
-    let _hpfar = o.WS.rd (Sysreg.direct Sysreg.HPFAR_EL2) in
-    t.nested_elr <- elr;
-    t.nested_spsr <- spsr
+    Gaccess.save_ctx ga ~alias:Sysreg.Direct ~ctx:t.vm_ctx regs;
+    Gaccess.wr ga ich_hcr 0L
+  end
+
+let restore_vgic t =
+  let regs = Reglists.vgic_restored.(t.used_lrs) and ga = t.ga in
+  if ga.Gaccess.config.Config.gicv2 then begin
+    gich_wr ga Sysreg.ICH_HCR_EL2 Gic.Vgic.ich_hcr_en;
+    Array.iter (fun r -> gich_wr ga r (Gaccess.ld ga (WS.slot t.vm_ctx r))) regs
+  end
+  else begin
+    Gaccess.wr ga ich_hcr Gic.Vgic.ich_hcr_en;
+    Gaccess.restore_ctx ga ~alias:Sysreg.Direct ~ctx:t.vm_ctx regs
   end
 
 (* Phase B: world switch away from the nested VM (__guest_exit). *)
 let switch_to_host t =
-  let o = ops t in
-  (* the array loops run through the funnel's compiled plans (element
-     for element WS.save_array/restore_array over [o]) *)
-  Gaccess.save_ctx t.ga ~el12:t.vhe ~ctx:t.vm_ctx Reglists.el1_state_arr;
-  Gaccess.save_ctx t.ga ~el12:false ~ctx:t.vm_ctx Reglists.el0_state_arr;
+  let ga = t.ga and ctx = t.vm_ctx in
+  (* every list runs through the funnel's compiled plans (element for
+     element WS.save_array/restore_array over the funnel's ops) *)
+  Gaccess.save_ctx ga ~alias:(vm_el1 t) ~ctx Reglists.el1_state_arr;
+  Gaccess.save_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.el0_state_arr;
   if t.debug_active then
-    Gaccess.save_ctx t.ga ~el12:false ~ctx:t.vm_ctx Reglists.debug_state_arr;
+    Gaccess.save_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.debug_state_arr;
   if t.pmu_active then
-    Gaccess.save_ctx t.ga ~el12:false ~ctx:t.vm_ctx Reglists.pmu_state_arr;
-  WS.save_vgic ?gic:(gic t) o ~ctx:t.vm_ctx ~used_lrs:t.used_lrs;
-  WS.save_vm_timer o ~vhe:t.vhe ~ctx:t.vm_ctx;
+    Gaccess.save_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.pmu_state_arr;
+  save_vgic t;
+  Gaccess.save_ctx ga ~alias:(vm_timer t) ~ctx Reglists.timer_el0_state_arr;
+  (* mask the VM timer while the host runs *)
+  Gaccess.wr ga (if t.vhe then cntv_ctl02 else cntv_ctl) 0L;
   if not t.vhe then begin
-    Gaccess.restore_ctx t.ga ~el12:false ~ctx:t.host_ctx
-      Reglists.el1_state_arr;
-    Gaccess.restore_ctx t.ga ~el12:false ~ctx:t.host_ctx
-      Reglists.el0_state_arr
+    let ctx = t.host_ctx in
+    Gaccess.restore_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.el1_state_arr;
+    Gaccess.restore_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.el0_state_arr
   end;
-  WS.deactivate_traps o ~vhe:t.vhe
+  WS.deactivate_traps (Gaccess.ops ga) ~vhe:t.vhe
 
 (* Non-VHE only: the lowvisor returns to the host kernel at (virtual) EL1.
    Setting up the return and the eret itself all trap on ARMv8.3; under
    NEVE the ELR/SPSR writes are redirected and only the eret traps. *)
 let eret_to_kernel t =
-  let o = ops t in
-  o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.ELR_EL2) 0x7100_0000L;
-  o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.SPSR_EL2) spsr_el1h;
+  let o = own t in
+  Gaccess.wr t.ga o.elr 0x7100_0000L;
+  Gaccess.wr t.ga o.spsr spsr_el1h;
   Gaccess.eret t.ga
 
 (* Non-VHE only: the host kernel calls back into the lowvisor. *)
@@ -196,7 +253,7 @@ let kernel_to_lowvisor t = Gaccess.hvc t.ga 1
 (* Phase C: what KVM's host-side code does with the exit.  Bookkeeping is
    plain loads/stores against the hypervisor's own structures. *)
 let handle_in_kernel t (reason : Vcpu.nested_exit) =
-  let o = ops t in
+  let ga = t.ga in
   match reason with
   | Vcpu.Exit_hypercall ->
     (* kvm-unit-test hypercall: no work, straight back in *)
@@ -208,27 +265,27 @@ let handle_in_kernel t (reason : Vcpu.nested_exit) =
         (* no device attached: generic emulation bookkeeping *)
         for i = 0 to 9 do
           let a = Int64.add t.host_ctx (Int64.of_int (0x800 + (8 * i))) in
-          o.WS.st a (Int64.of_int i)
+          Gaccess.st ga a (Int64.of_int i)
         done
     end
   | Vcpu.Exit_virq intid ->
     (* vgic: mark the interrupt pending for the nested VM; it will be
        placed in a list register on the way back in *)
     Queue.add intid t.pending_virqs;
-    o.WS.st (Int64.add t.host_ctx 0x900L) (Int64.of_int intid)
+    Gaccess.st ga (Int64.add t.host_ctx 0x900L) (Int64.of_int intid)
   | Vcpu.Exit_sgi { target; intid; rt = _ } ->
     (* the nested VM sent an IPI: KVM resolves the target vCPU, then kicks
        it by sending a physical SGI — an ICC_SGI1R write that itself traps
        to the host hypervisor (part of exit multiplication) *)
-    o.WS.st (Int64.add t.host_ctx 0x908L) (Int64.of_int intid);
+    Gaccess.st ga (Int64.add t.host_ctx 0x908L) (Int64.of_int intid);
     let payload =
       Int64.logor (Int64.of_int target)
         (Int64.shift_left (Int64.of_int intid) 24)
     in
-    o.WS.wr (Sysreg.direct Sysreg.ICC_SGI1R_EL1) payload
+    Gaccess.wr ga sgi1r payload
   | Vcpu.Exit_wfi ->
     (* yield: scheduler bookkeeping *)
-    o.WS.st (Int64.add t.host_ctx 0x910L) 1L
+    Gaccess.st ga (Int64.add t.host_ctx 0x910L) 1L
   | Vcpu.Exit_hyp_insn { access; rt = _; is_read } ->
     (* its nested VM is a hypervisor (Section 6.2): emulate the trapped
        instruction against the virtual-EL2 structure it maintains for it —
@@ -237,21 +294,22 @@ let handle_in_kernel t (reason : Vcpu.nested_exit) =
       Int64.add t.host_ctx
         (Int64.of_int (0xa00 + Reglists.ctx_slot access.Sysreg.reg))
     in
-    if is_read then ignore (o.WS.ld slot) else o.WS.st slot 1L
+    if is_read then ignore (Gaccess.ld ga slot) else Gaccess.st ga slot 1L
   | Vcpu.Exit_hyp_eret ->
     (* the L2 hypervisor enters its own nested VM (L3): the L1 guest
        hypervisor loads the L3 state it tracks — modeled as draining the
        virtual-EL1-for-L3 structure *)
     for i = 0 to 9 do
-      ignore (o.WS.ld (Int64.add t.host_ctx (Int64.of_int (0xa00 + (8 * i)))))
+      ignore (Gaccess.ld ga (Int64.add t.host_ctx (Int64.of_int (0xa00 + (8 * i)))))
     done
 
 (* Phase D: world switch back into the nested VM (__guest_enter). *)
 let switch_to_guest t =
-  let o = ops t in
+  let ga = t.ga in
   if not t.vhe then begin
-    Gaccess.save_ctx t.ga ~el12:false ~ctx:t.host_ctx Reglists.el1_state_arr;
-    Gaccess.save_ctx t.ga ~el12:false ~ctx:t.host_ctx Reglists.el0_state_arr
+    let ctx = t.host_ctx in
+    Gaccess.save_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.el1_state_arr;
+    Gaccess.save_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.el0_state_arr
   end;
   (* drain pending virtual interrupts into free list registers; overflow
      stays queued until a later entry frees slots (the hardware would
@@ -266,39 +324,48 @@ let switch_to_guest t =
     in
     (* only fill slots whose saved content is free: occupied LRs (still
        pending or active in the VM) must survive the switch *)
-    if Gic.Vgic.lr_is_free (o.WS.ld addr) then begin
+    if Gic.Vgic.lr_is_free (Gaccess.ld ga addr) then begin
       let intid = Queue.pop t.pending_virqs in
       let lr =
         Gic.Vgic.encode_lr
           { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Pending;
                                    lr_vintid = intid }
       in
-      o.WS.st addr lr;
+      Gaccess.st ga addr lr;
       t.used_lrs <- max t.used_lrs (!slot + 1)
     end;
     incr slot
   done;
-  Gaccess.restore_ctx t.ga ~el12:t.vhe ~ctx:t.vm_ctx Reglists.el1_state_arr;
-  Gaccess.restore_ctx t.ga ~el12:false ~ctx:t.vm_ctx Reglists.el0_state_arr;
+  let ctx = t.vm_ctx in
+  Gaccess.restore_ctx ga ~alias:(vm_el1 t) ~ctx Reglists.el1_state_arr;
+  Gaccess.restore_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.el0_state_arr;
   if t.debug_active then
-    Gaccess.restore_ctx t.ga ~el12:false ~ctx:t.vm_ctx
-      Reglists.debug_state_arr;
+    Gaccess.restore_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.debug_state_arr;
   if t.pmu_active then
-    Gaccess.restore_ctx t.ga ~el12:false ~ctx:t.vm_ctx Reglists.pmu_state_arr;
-  WS.restore_vgic ?gic:(gic t) o ~ctx:t.vm_ctx ~used_lrs:t.used_lrs;
-  WS.restore_vm_timer o ~vhe:t.vhe ~ctx:t.vm_ctx;
-  WS.write_timer_controls o ~vhe:t.vhe ~cntvoff:t.cntvoff;
-  if t.vhe then WS.arm_vhe_hyp_timer o ~cval:0x7fff_ffff_ffffL;
-  WS.write_vpidr o ~midr:0x410f_d070L ~mpidr:0x8000_0000L;
+    Gaccess.restore_ctx ga ~alias:Sysreg.Direct ~ctx Reglists.pmu_state_arr;
+  restore_vgic t;
+  Gaccess.restore_ctx ga ~alias:(vm_timer t) ~ctx Reglists.timer_el0_state_arr;
+  (* the timer's EL2 controls (CNTVOFF always traps when deprivileged);
+     a VHE hypervisor programs its own timer through the E2H-redirected
+     EL1 timer instructions, which never trap *)
+  Gaccess.wr ga cntvoff t.cntvoff;
+  Gaccess.wr ga (own t).cnthctl 0x3L;
+  if t.vhe then begin
+    Gaccess.wr ga cntv_cval 0x7fff_ffff_ffffL;
+    Gaccess.wr ga cntv_ctl 1L
+  end;
+  Gaccess.wr ga vpidr 0x410f_d070L;
+  Gaccess.wr ga vmpidr 0x8000_0000L;
+  let o = Gaccess.ops ga in
   WS.activate_traps o ~vhe:t.vhe ~hcr:nested_hcr;
   WS.write_stage2 o ~vttbr:virtual_vttbr
 
 (* Enter the nested VM: set the return target and eret; the eret traps to
    the host hypervisor, which performs the real switch. *)
 let enter_nested t =
-  let o = ops t in
-  o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.ELR_EL2) t.nested_elr;
-  o.WS.wr (WS.own_el2_access ~vhe:t.vhe Sysreg.SPSR_EL2) t.nested_spsr;
+  let o = own t in
+  Gaccess.wr t.ga o.elr t.nested_elr;
+  Gaccess.wr t.ga o.spsr t.nested_spsr;
   Gaccess.eret t.ga
 
 (* The full exit-handling path, invoked by the host hypervisor when it

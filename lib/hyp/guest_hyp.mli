@@ -15,7 +15,6 @@
     and the VM timer through [_EL02]. *)
 
 module Sysreg = Arm.Sysreg
-module WS = World_switch
 
 type t = {
   ga : Gaccess.t;

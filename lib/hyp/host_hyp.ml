@@ -265,8 +265,8 @@ let l0_enter t =
   Cost.charge t.cpu.Cpu.meter (table t).Cost.l0_exit_dispatch;
   (* save whoever was running at EL1, restore the host's EL1 world *)
   let c = t.l0 in
-  WS.save c ~el12:false ~ctx:t.guest_stash ctx_regs;
-  WS.restore c ~el12:false ~ctx:t.l0_ctx Reglists.el1_state_arr;
+  WS.save c ~alias:Sysreg.Direct ~ctx:t.guest_stash ctx_regs;
+  WS.restore c ~alias:Sysreg.Direct ~ctx:t.l0_ctx Reglists.el1_state_arr;
   WS.deactivate_traps (WS.ops_of c) ~vhe:false;
   if !Trace.on then
     Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
@@ -278,7 +278,7 @@ let l0_exit t =
   let copies0 = copies_now () in
   (* put the interrupted guest context back *)
   let c = t.l0 in
-  WS.restore c ~el12:false ~ctx:t.guest_stash ctx_regs;
+  WS.restore c ~alias:Sysreg.Direct ~ctx:t.guest_stash ctx_regs;
   WS.activate_traps (WS.ops_of c) ~vhe:false
     ~hcr:(hcr_for t ~vel2:t.vcpu.Vcpu.in_vel2);
   WS.write_stage2 (WS.ops_of c) ~vttbr:t.shadow_vttbr;

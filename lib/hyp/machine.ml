@@ -48,6 +48,9 @@ type t = {
   (* each CPU's [hvc #0], the hypercall its guest executes, routed once
      per routing state; a cache, neither marked nor serialized *)
   hvc_sites : Arm.Route_key.site array;
+  (* each CPU's [msr ICC_SGI1R_EL1, x9], the IPI its guest sends; a
+     cache like [hvc_sites] *)
+  ipi_sites : Arm.Route_key.site array;
   (* [vm_ack]'s results, one [Some vintid] per vintid; a cache *)
   acks : int option Arm.Memo.t;
 }
@@ -130,6 +133,10 @@ let deliver_filtered t ~cpu ~intid =
     once ()
   | _ -> once ()
 
+(* [send_ipi]'s write, and its form normalized through x9 *)
+let sgi1r = Sysreg.direct Sysreg.ICC_SGI1R_EL1
+let sgi1r_x9 = Insn.Msr (sgi1r, Insn.Reg Cpu.scratch_reg)
+
 let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
     ?(expose = Expose.Policy.none) config scenario =
   (* Reject impossible shapes before any allocation: a non-positive count
@@ -210,6 +217,7 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       dist;
       smp = None;
       hvc_sites = Array.init ncpus (fun _ -> Arm.Route_key.site (Insn.Hvc 0));
+      ipi_sites = Array.init ncpus (fun _ -> Arm.Route_key.site sgi1r_x9);
       acks = Arm.Memo.create Option.some;
     }
   in
@@ -477,8 +485,17 @@ let send_ipi t ~cpu ~target ~intid =
       Int64.logor (Int64.of_int target)
         (Int64.shift_left (Int64.of_int intid) 24)
     in
-    Cpu.exec t.cpus.(cpu)
-      (Insn.Msr (Sysreg.direct Sysreg.ICC_SGI1R_EL1, Insn.Imm payload))
+    let c = t.cpus.(cpu) and s = t.ipi_sites.(cpu) in
+    match Arm.Route_key.action c s with
+    | Arm.Trap_rules.Execute ->
+      Cpu.exec_with_action c (Insn.Msr (sgi1r, Insn.Imm payload))
+        Arm.Trap_rules.Execute
+    | _ ->
+      (* what [Cpu.exec] makes of [msr ICC_SGI1R_EL1, #payload] that
+         does not simply execute: "mov x9, #payload; msr ..., x9" *)
+      Cpu.set_reg c Cpu.scratch_reg payload;
+      Cost.charge_insn c.Cpu.meter (Cpu.table c).Cost.insn_base;
+      Arm.Route_key.exec c s
   end
 
 (* Acknowledge the highest-priority pending virtual interrupt: served by

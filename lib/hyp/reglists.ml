@@ -107,6 +107,21 @@ let debug_state_arr = Array.of_list debug_state
 let pmu_state_arr = Array.of_list pmu_state
 let timer_el0_state_arr = Array.of_list timer_el0_state
 
+(* The vGIC loops, one array per [used_lrs] in [0..Sysreg.lr_count]: the
+   interface state, then the list registers in use, the only ones KVM
+   touches (which matters for trap counts). *)
+let vgic_prefixes head =
+  let lrs = List.init Sysreg.lr_count (fun n -> Sysreg.ICH_LR_EL2 n) in
+  let all = Array.of_list (head @ lrs) in
+  Array.init (Sysreg.lr_count + 1) (fun n ->
+      Array.sub all 0 (List.length head + n))
+
+let vgic_saved =
+  vgic_prefixes
+    Sysreg.[ ICH_VMCR_EL2; ICH_MISR_EL2; ICH_ELRSR_EL2; ICH_AP1R_EL2 0 ]
+
+let vgic_restored = vgic_prefixes [ Sysreg.ICH_VMCR_EL2 ]
+
 (* Offsets of each register in a vCPU's in-memory context-save area; the
    world-switch code stores to and loads from these slots.  Slot order
    follows [Sysreg.all] (the layout guest images were built against), the

@@ -44,6 +44,14 @@ val debug_state_arr : Sysreg.t array
 val pmu_state_arr : Sysreg.t array
 val timer_el0_state_arr : Sysreg.t array
 
+val vgic_saved : Sysreg.t array array
+(** [vgic_saved.(used_lrs)], for [used_lrs] in [0..Sysreg.lr_count]:
+    ICH_VMCR, ICH_MISR, ICH_ELRSR and ICH_AP1R0, then the list registers
+    in use, saved on exit; [vgic_restored.(used_lrs)]: ICH_VMCR, then
+    the list registers in use, restored on entry. *)
+
+val vgic_restored : Sysreg.t array array
+
 val ctx_slot : Sysreg.t -> int
 (** Byte offset of a register in a context save area; unique per
     register.  One array load keyed by {!Sysreg.index}. *)

@@ -87,7 +87,6 @@ let read_vel2 t r = Sysreg_file.read t.vel2 r
 let write_vel2 t r v = Sysreg_file.hw_write t.vel2 r v
 
 let read_vel1 t r = Sysreg_file.read t.vel1 r
-let write_vel1 t r v = Sysreg_file.hw_write t.vel1 r v
 
 (* Is the guest hypervisor in this vCPU configured as VHE?  Its virtual
    HCR_EL2.E2H bit says so. *)

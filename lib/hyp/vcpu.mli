@@ -45,7 +45,6 @@ val rewind : t -> mark -> unit
 val read_vel2 : t -> Sysreg.t -> int64
 val write_vel2 : t -> Sysreg.t -> int64 -> unit
 val read_vel1 : t -> Sysreg.t -> int64
-val write_vel1 : t -> Sysreg.t -> int64 -> unit
 
 val guest_is_vhe : t -> bool
 (** The guest hypervisor's own virtual HCR_EL2.E2H bit. *)

@@ -6,7 +6,10 @@
    The functions move register state between the hardware and a context
    save area in memory, following KVM/ARM's __sysreg_save/restore_state
    structure.  What traps is decided entirely by who executes them and
-   under which architecture — the code is identical, which is the point. *)
+   under which architecture — the code is identical, which is the point.
+
+   Every register list either hypervisor switches is one loop of the
+   copier below; [save_array]/[restore_array] are its reference. *)
 
 module Sysreg = Arm.Sysreg
 module Cpu = Arm.Cpu
@@ -31,15 +34,6 @@ let own_el2_access ~vhe r =
     match Arm.Trap_rules.el1_form_of_el2 r with
     | Some el1 -> Sysreg.direct el1
     | None -> Sysreg.direct r
-  else Sysreg.direct r
-
-(* Access form a hypervisor uses to reach a *VM's* EL1 register: a VHE
-   hypervisor must use the _EL12 alias where one exists (plain EL1
-   accesses are E2H-redirected to its own EL2 registers); a non-VHE
-   hypervisor uses the register directly.  Membership is an O(1) dense-
-   index lookup: this runs once per register per world switch. *)
-let vm_el1_access ~vhe r =
-  if vhe && Reglists.is_el12_capable r then Sysreg.el12 r
   else Sysreg.direct r
 
 (* Register copies performed by save/restore loops since startup,
@@ -122,12 +116,12 @@ type step =
 type plan = { key : Arm.Route_key.t; steps : step array }
 
 (* a loop: [regs] (by physical identity) copied to or from the context
-   area at [ctx], through the [_EL12] aliases when [el12]; one plan per
-   key met *)
+   area at [ctx], each through its access form under [alias]; one plan
+   per key met *)
 type loop = {
   ctx : int64;
   save : bool;
-  el12 : bool;
+  alias : Sysreg.alias;
   regs : Sysreg.t array;
   mutable plans : plan list;
 }
@@ -150,7 +144,19 @@ let plan_keys c = List.map (fun l -> List.map (fun p -> p.key) l.plans) c.loops
 let hw_special (r : Sysreg.t) =
   match r with Sysreg.CurrentEL | Sysreg.CNTVCT_EL0 -> true | _ -> false
 
-let via ~el12 = if el12 then vm_el1_access ~vhe:true else Sysreg.direct
+(* The access form of each register in a loop under [alias].  A VHE
+   hypervisor reaches a VM's EL1 registers through [_EL12] where one
+   exists (plain EL1 accesses are E2H-redirected to its own EL2
+   registers), and the VM timer through [_EL02].  Membership is an O(1)
+   dense-index lookup. *)
+let el12_or_direct r =
+  if Reglists.is_el12_capable r then Sysreg.el12 r else Sysreg.direct r
+
+let via (alias : Sysreg.alias) =
+  match alias with
+  | Sysreg.Direct -> Sysreg.direct
+  | Sysreg.EL12 -> el12_or_direct
+  | Sysreg.EL02 -> Sysreg.el02
 
 let compile c (l : loop) =
   let cpu = c.cpu in
@@ -160,7 +166,7 @@ let compile c (l : loop) =
   (* each copy: [Ok] with the register the kernel moves, or the step it
      needs *)
   let classify k r =
-    let access = via ~el12:l.el12 r in
+    let access = via l.alias r in
     let insn =
       if l.save then Insn.Mrs (c.data, access)
       else Insn.Msr (access, Insn.Reg c.data)
@@ -218,14 +224,14 @@ let compile c (l : loop) =
   let steps = if run = [] then steps else kernel run :: steps in
   { key = Arm.Route_key.current cpu; steps = Array.of_list (List.rev steps) }
 
-let rec find_loop c ~ctx ~save ~el12 regs = function
+let rec find_loop c ~ctx ~save ~alias regs = function
   | l :: tl ->
     if l.regs == regs && Int64.equal l.ctx ctx && l.save = save
-       && l.el12 = el12
+       && l.alias == alias
     then l
-    else find_loop c ~ctx ~save ~el12 regs tl
+    else find_loop c ~ctx ~save ~alias regs tl
   | [] ->
-    let l = { ctx; save; el12; regs; plans = [] } in
+    let l = { ctx; save; alias; regs; plans = [] } in
     c.loops <- l :: c.loops;
     l
 
@@ -310,104 +316,21 @@ let run c (l : loop) (p : plan) =
          flush c l ~pcb:!pcb ~last:!last;
          pcb := 0;
          last := -1;
-         copy_from c.ops ~save:l.save ~ctx:l.ctx ~via:(via ~el12:l.el12)
-           l.regs (cp.at + 1);
+         copy_from c.ops ~save:l.save ~ctx:l.ctx ~via:(via l.alias) l.regs
+           (cp.at + 1);
          i := n
        end);
     incr i
   done;
   flush c l ~pcb:!pcb ~last:!last
 
-let run_loop c ~save ~el12 ~ctx regs =
+let run_loop c ~save ~alias ~ctx regs =
   add_copies (Array.length regs);
-  let l = find_loop c ~ctx ~save ~el12 regs c.loops in
+  let l = find_loop c ~ctx ~save ~alias regs c.loops in
   run c l (find_plan c l l.plans)
 
-let save c ~el12 ~ctx regs = run_loop c ~save:true ~el12 ~ctx regs
-let restore c ~el12 ~ctx regs = run_loop c ~save:false ~el12 ~ctx regs
-
-(* --- vGIC hypervisor interface ---
-
-   KVM reads the interface state on exit and disables the interface, then
-   re-enables and re-programs it on entry.  Only list registers in use are
-   touched (used_lrs), which matters for trap counts.
-
-   The interface comes in two flavours (Section 4): GICv3's system
-   registers (accessed through the normal ops) and GICv2's memory-mapped
-   GICH frame (accessed through a [gic_ops], whose accesses trap via
-   stage 2 when deprivileged).  The code paths are identical — only the
-   accessor differs, as on real hardware. *)
-
-type gic_ops = {
-  gic_rd : Sysreg.t -> int64;
-  gic_wr : Sysreg.t -> int64 -> unit;
-}
-
-(* GICv3: the interface registers are system registers. *)
-let sysreg_gic ops =
-  { gic_rd = (fun r -> ops.rd (Sysreg.direct r));
-    gic_wr = (fun r v -> ops.wr (Sysreg.direct r) v) }
-
-(* The registers the loops below walk: the interface state, then the
-   list registers in order.  A switch touches the first [4 + used_lrs]
-   (save) or [1 + used_lrs] (restore). *)
-let vgic_lrs = Array.init Sysreg.lr_count (fun n -> Sysreg.ICH_LR_EL2 n)
-
-let vgic_saved =
-  Array.append
-    [| Sysreg.ICH_VMCR_EL2; Sysreg.ICH_MISR_EL2; Sysreg.ICH_ELRSR_EL2;
-       Sysreg.ICH_AP1R_EL2 0 |]
-    vgic_lrs
-
-let vgic_restored = Array.append [| Sysreg.ICH_VMCR_EL2 |] vgic_lrs
-
-let save_vgic ?gic ops ~ctx ~used_lrs =
-  let g = match gic with Some g -> g | None -> sysreg_gic ops in
-  for i = 0 to 3 + used_lrs do
-    let r = vgic_saved.(i) in
-    ops.st (slot ctx r) (g.gic_rd r)
-  done;
-  (* disable the virtual interface while in the host *)
-  g.gic_wr Sysreg.ICH_HCR_EL2 0L
-
-let restore_vgic ?gic ops ~ctx ~used_lrs =
-  let g = match gic with Some g -> g | None -> sysreg_gic ops in
-  g.gic_wr Sysreg.ICH_HCR_EL2 Gic.Vgic.ich_hcr_en;
-  for i = 0 to used_lrs do
-    let r = vgic_restored.(i) in
-    g.gic_wr r (ops.ld (slot ctx r))
-  done
-
-(* --- timers ---
-
-   The VM's EL1 virtual timer is EL0-accessible; a non-VHE hypervisor
-   reaches it directly (no trap) while a VHE hypervisor needs the _EL02
-   forms, which always trap (Section 7.1).  A VHE hypervisor additionally
-   runs its own EL2 virtual timer via E2H-redirected CNTV accesses. *)
-
-let vm_timer_access ~vhe r = if vhe then Sysreg.el02 r else Sysreg.direct r
-
-let save_vm_timer ops ~vhe ~ctx =
-  save_array ops ~ctx ~via:(vm_timer_access ~vhe) Reglists.timer_el0_state_arr;
-  (* mask the VM timer while the host runs *)
-  ops.wr (vm_timer_access ~vhe Sysreg.CNTV_CTL_EL0) 0L
-
-let restore_vm_timer ops ~vhe ~ctx =
-  restore_array ops ~ctx ~via:(vm_timer_access ~vhe)
-    Reglists.timer_el0_state_arr
-
-(* Timer EL2 controls, written per transition.  CNTVOFF has no EL1 form
-   and always traps when deprivileged; a VHE hypervisor reaches CNTHCTL
-   through the redirected CNTKCTL_EL1 form. *)
-let write_timer_controls ops ~vhe ~cntvoff =
-  ops.wr (Sysreg.direct Sysreg.CNTVOFF_EL2) cntvoff;
-  ops.wr (own_el2_access ~vhe Sysreg.CNTHCTL_EL2) 0x3L
-
-(* A VHE hypervisor programs its own hypervisor timer through the
-   E2H-redirected EL1 timer instructions — never traps. *)
-let arm_vhe_hyp_timer ops ~cval =
-  ops.wr (Sysreg.direct Sysreg.CNTV_CVAL_EL0) cval;
-  ops.wr (Sysreg.direct Sysreg.CNTV_CTL_EL0) 1L
+let save c ~alias ~ctx regs = run_loop c ~save:true ~alias ~ctx regs
+let restore c ~alias ~ctx regs = run_loop c ~save:false ~alias ~ctx regs
 
 (* --- trap controls around VM entry/exit ---
 
@@ -423,8 +346,6 @@ let cpacr_a = Sysreg.direct Sysreg.CPACR_EL1
 let mdcr_a = Sysreg.direct Sysreg.MDCR_EL2
 let hstr_a = Sysreg.direct Sysreg.HSTR_EL2
 let vttbr_a = Sysreg.direct Sysreg.VTTBR_EL2
-let vpidr_a = Sysreg.direct Sysreg.VPIDR_EL2
-let vmpidr_a = Sysreg.direct Sysreg.VMPIDR_EL2
 
 let cptr_access ~vhe = if vhe then cpacr_a else cptr_a
 
@@ -441,7 +362,3 @@ let deactivate_traps ops ~vhe =
   if not vhe then ops.wr hstr_a 0L
 
 let write_stage2 ops ~vttbr = ops.wr vttbr_a vttbr
-
-let write_vpidr ops ~midr ~mpidr =
-  ops.wr vpidr_a midr;
-  ops.wr vmpidr_a mpidr

@@ -6,7 +6,13 @@
     The functions move register state between the hardware and a context
     save area, following KVM/ARM's __sysreg_save/restore structure.  What
     traps is decided entirely by who executes them and under which
-    configuration — the code is identical, which is the point. *)
+    configuration — the code is identical, which is the point.
+
+    Every register list either hypervisor switches is one loop of a
+    {!copier}: the host's EL1/EL0 context, and the guest hypervisor's
+    EL1, EL0, debug, PMU, vGIC and VM-timer lists.  {!save_array} and
+    {!restore_array} are the reference loops a copier is tested against
+    and falls back to; the paravirtualized funnel runs them directly. *)
 
 module Sysreg = Arm.Sysreg
 
@@ -32,10 +38,13 @@ val own_el2_access : vhe:bool -> Sysreg.t -> Sysreg.access
     EL1 form where one exists for VHE (no trap when deprivileged), the
     EL2 register directly otherwise. *)
 
-val vm_el1_access : vhe:bool -> Sysreg.t -> Sysreg.access
-(** How a hypervisor reaches a {e VM's} EL1 register: the [_EL12] alias
-    for VHE (plain EL1 accesses are redirected to its own EL2 state),
-    direct otherwise. *)
+val via : Sysreg.alias -> Sysreg.t -> Sysreg.access
+(** The access form of each register in a loop under an alias: [via
+    EL12] is how a VHE hypervisor reaches a {e VM's} EL1 registers, the
+    [_EL12] alias where one exists (plain EL1 accesses are redirected to
+    its own EL2 state), direct otherwise; [via EL02] is {!Sysreg.el02}
+    (a VHE hypervisor's VM timer, Section 7.1); [via Direct] is
+    {!Sysreg.direct}. *)
 
 val save_array : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
   Sysreg.t array -> unit
@@ -75,36 +84,14 @@ val plan_keys : copier -> Arm.Route_key.t list list
 (** The routing keys of the compiled plans, one list per loop met: a
     plan replays while its key holds. *)
 
-val save : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
-(** [save c ~el12 ~ctx regs] is [save_array (ops_of c) ~ctx ~via regs] with
-    [via] the [el12] alias form, run through the loop's compiled plan. *)
+val save : copier -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit
+(** [save c ~alias ~ctx regs] is [save_array (ops_of c) ~ctx ~via:(via
+    alias) regs], run through the loop's compiled plan.  A loop is keyed
+    on [regs] by physical identity: callers pass preallocated arrays. *)
 
-val restore : copier -> el12:bool -> ctx:int64 -> Sysreg.t array -> unit
-
-(** vGIC interface accessors: GICv3 system registers or GICv2's
-    memory-mapped GICH frame — identical code paths, different accessor,
-    as on real hardware. *)
-type gic_ops = {
-  gic_rd : Sysreg.t -> int64;
-  gic_wr : Sysreg.t -> int64 -> unit;
-}
-
-val save_vgic : ?gic:gic_ops -> ops -> ctx:int64 -> used_lrs:int -> unit
-(** Read interface state (only in-use list registers — this matters for
-    trap counts) and disable the interface.  [used_lrs] is in
-    [0..Sysreg.lr_count]. *)
-
-val restore_vgic : ?gic:gic_ops -> ops -> ctx:int64 -> used_lrs:int -> unit
-
-val save_vm_timer : ops -> vhe:bool -> ctx:int64 -> unit
-val restore_vm_timer : ops -> vhe:bool -> ctx:int64 -> unit
-val write_timer_controls : ops -> vhe:bool -> cntvoff:int64 -> unit
-
-val arm_vhe_hyp_timer : ops -> cval:int64 -> unit
-(** The VHE hypervisor's own EL2 virtual timer, programmed through
-    E2H-redirected EL1 timer instructions — never traps. *)
+val restore :
+  copier -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit
 
 val activate_traps : ops -> vhe:bool -> hcr:int64 -> unit
 val deactivate_traps : ops -> vhe:bool -> unit
 val write_stage2 : ops -> vttbr:int64 -> unit
-val write_vpidr : ops -> midr:int64 -> mpidr:int64 -> unit

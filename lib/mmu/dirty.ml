@@ -29,8 +29,8 @@ type t = {
    dirty — the first pre-copy round must transfer everything. *)
 let attach ?(on_fault = fun _ -> ()) mem =
   let t = { mem; pages = Hashtbl.create 64; write_faults = 0; on_fault } in
-  Memory.iter_nonzero mem (fun addr _v ->
-      Hashtbl.replace t.pages (page_base addr) ());
+  Memory.iter_nonzero_pages mem (fun pi ->
+      Hashtbl.replace t.pages (Int64.shift_left (Int64.of_int pi) 12) ());
   mem.Memory.on_write <-
     Some
       (fun addr ->

@@ -31,7 +31,6 @@ type table_row = {
 
 val arm_columns_table1 : (string * Scenario.arm_column) list
 val arm_columns_neve : (string * Scenario.arm_column) list
-val x86_columns : (string * Scenario.x86_column) list
 
 val table1 : ?iters:int -> unit -> table_row list
 (** VM and nested VM on ARMv8.3 (non-VHE and VHE) and x86. *)

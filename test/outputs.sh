@@ -42,6 +42,8 @@ run traps-v83.txt traps
 run traps-neve.txt traps -m neve
 run traps-v83-vhe.txt traps --vhe
 run traps-neve-vhe.txt traps -m neve --vhe
+run traps-v83-pv.txt traps -m v8.3-pv
+run traps-neve-pv.txt traps -m neve-pv
 run traps-neve-verbose.txt traps -m neve -v 2> "$out/traps-neve-verbose.stderr"
 run chaos-42.txt chaos --seed 42 --traps 10000
 run fuzz-0.json fuzz --seed 0 -n 300 --json

@@ -440,7 +440,7 @@ let test_tampered_ops () =
       Cpu.poke_sysreg cpu r 7L;
       ga.Hyp.Gaccess.tamper <- Some (Int64.logxor mask);
       WS.save_array (Hyp.Gaccess.ops ga) ~ctx:0x1000L
-        ~via:(WS.vm_el1_access ~vhe:false) [| r |];
+        ~via:(WS.via Sysreg.Direct) [| r |];
       check Alcotest.bool "the corruption is one-shot" true
         (Option.is_none ga.Hyp.Gaccess.tamper))
     Hyp.Reglists.el1_state_arr;
@@ -684,7 +684,9 @@ let test_trail_rewinds () =
 
 (* [neve_sim traps] lists every trap of one nested hypercall, byte for
    byte as the goldens hold it: Table 7's 121 on ARMv8.3 and 13 with
-   NEVE, and 57 and 13 under a VHE guest hypervisor. *)
+   NEVE, 57 and 13 under a VHE guest hypervisor, and the paravirtualized
+   reference paths (the funnel's rewritten instructions through the
+   reference copy loops). *)
 let test_traps_listings () =
   List.iter
     (fun (args, golden) ->
@@ -695,7 +697,8 @@ let test_traps_listings () =
            (Test_supervise.locate [ "golden/" ^ golden; "test/golden/" ^ golden ]))
         out)
     [ ("", "traps-v83.txt"); ("-m neve", "traps-neve.txt");
-      ("--vhe", "traps-v83-vhe.txt"); ("-m neve --vhe", "traps-neve-vhe.txt") ]
+      ("--vhe", "traps-v83-vhe.txt"); ("-m neve --vhe", "traps-neve-vhe.txt");
+      ("-m v8.3-pv", "traps-v83-pv.txt"); ("-m neve-pv", "traps-neve-pv.txt") ]
 
 (* Two checked-machine reports, byte for byte as the goldens hold them:
    the chaos sweep at seed 42 and the serving campaign's JSON.  The

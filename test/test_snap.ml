@@ -1176,6 +1176,60 @@ let test_diff_renderings () =
       path path
   end
 
+(* --- domain-local scratch state ---
+
+   A snapshot writes through its domain's image buffer and declarations
+   ([Image.declared]), a migration stages pages in its domain's buffer
+   ([Migrate.stage_key]), and trail texts come from its domain's
+   rendered-instruction table ([Insn.rendered]).  Each is scratch: two
+   different checked machines interleaved step by step on one domain
+   must produce, each, the images, reports and texts it produces run
+   alone. *)
+
+let test_scratch_state_interleaved () =
+  let fresh (config, ncpus) () =
+    let m =
+      Machine.create ~check_invariants:true ~ncpus config Hyp.Host_hyp.Nested
+    in
+    Machine.boot m;
+    ref m
+  in
+  let trails m =
+    String.concat "; "
+      (List.concat_map
+         (fun c ->
+           List.map
+             (fun (k, s) -> Cost.trap_kind_name k ^ " " ^ s)
+             (Cpu.trail_entries c))
+         (Array.to_list m.Machine.cpus))
+  in
+  (* one step of a machine's sequence, as text; a migration continues on
+     the destination *)
+  let steps =
+    [ (fun m -> exercise !m; Snap.to_string !m);
+      (fun m -> trails !m);
+      (fun m ->
+        let dst, r = Snap.Migrate.run ~workload:(migrate_workload 3) !m in
+        m := dst;
+        Format.asprintf "%a" Snap.Migrate.pp_report r);
+      (fun m -> trails !m ^ Snap.to_string !m);
+      (fun m -> exercise !m; trails !m) ]
+  in
+  let a = fresh (Config.v ~guest_vhe:true Config.Hw_neve, 2)
+  and b = fresh (Config.v Config.Hw_v8_3, 1) in
+  let alone make = let m = make () in List.map (fun step -> step m) steps in
+  let alone_a = alone a and alone_b = alone b in
+  let ma = a () and mb = b () in
+  let inter_a, inter_b =
+    List.split (List.map (fun step -> let x = step ma in (x, step mb)) steps)
+  in
+  check Alcotest.(list string) "neve-vhe interleaved == alone" alone_a inter_a;
+  check Alcotest.(list string) "v8.3 interleaved == alone" alone_b inter_b;
+  check Alcotest.bool "the trails are rendered" true
+    (List.nth alone_a 1 <> "" && List.nth alone_b 1 <> "");
+  check Alcotest.bool "the two machines' outputs differ" true
+    (alone_a <> alone_b)
+
 let suite =
   [
     Alcotest.test_case "save is byte-deterministic" `Quick
@@ -1222,4 +1276,6 @@ let suite =
       test_oracle_catches_missed_writes;
     Alcotest.test_case "Snap.diff renderings match the golden" `Quick
       test_diff_renderings;
+    Alcotest.test_case "scratch state: two machines interleaved on a domain"
+      `Quick test_scratch_state_interleaved;
   ]

@@ -118,13 +118,26 @@ let as_guest_hypervisor (m : Machine.t) f =
     ~finally:(fun () -> host.Host_hyp.on_vel2_entry <- saved)
     (fun () -> Machine.hypercall m ~cpu:0)
 
+(* Every list the guest hypervisor's world switch copies, with the
+   aliases it is copied under: the EL1 context through [_EL12] on a VHE
+   configuration, the vGIC prefixes directly, and the VM timer under all
+   three aliases.  Each is saved and restored, so a vGIC prefix is also
+   restored and a restore prefix saved. *)
 let reg_sets =
+  let vgic name prefixes =
+    List.map
+      (fun n -> (Printf.sprintf "%s.(%d)" name n, prefixes.(n), `Direct))
+      [ 0; 1; 4; Sysreg.lr_count ]
+  in
   [
-    ("el1", Reglists.el1_state_arr);
-    ("el0", Reglists.el0_state_arr);
-    ("debug", Reglists.debug_state_arr);
-    ("pmu", Reglists.pmu_state_arr);
+    ("el1", Reglists.el1_state_arr, `El12_on_vhe);
+    ("el0", Reglists.el0_state_arr, `Direct);
+    ("debug", Reglists.debug_state_arr, `Direct);
+    ("pmu", Reglists.pmu_state_arr, `Direct);
+    ("timer", Reglists.timer_el0_state_arr, `All);
   ]
+  @ vgic "vgic_saved" Reglists.vgic_saved
+  @ vgic "vgic_restored" Reglists.vgic_restored
 
 (* Two context areas of the guest hypervisor's own region. *)
 let m_ctx (m : Machine.t) =
@@ -143,22 +156,27 @@ let test_gaccess_equivalence () =
       in
       let ctx = m_ctx compiled and ctx2 = Int64.add (m_ctx compiled) 0x1000L in
       List.iter
-        (fun (set, regs) ->
+        (fun (set, regs, aliases) ->
           List.iter
-            (fun el12 ->
-              let el12 = el12 && vhe in
-              let what = Printf.sprintf "%s %s el12=%b" slug set el12 in
+            (fun alias ->
+              let what =
+                Printf.sprintf "%s %s %s" slug set
+                  (match alias with
+                   | Sysreg.Direct -> "direct"
+                   | Sysreg.EL12 -> "_EL12"
+                   | Sysreg.EL02 -> "_EL02")
+              in
               let run m ~compiled_path =
                 let copies0 = WS.reg_copies () in
                 as_guest_hypervisor m (fun () ->
                     seed_state m ~ctxs:[ ctx; ctx2 ] regs;
                     let g = ga m in
                     if compiled_path then begin
-                      Gaccess.save_ctx g ~el12 ~ctx regs;
-                      Gaccess.restore_ctx g ~el12 ~ctx:ctx2 regs
+                      Gaccess.save_ctx g ~alias ~ctx regs;
+                      Gaccess.restore_ctx g ~alias ~ctx:ctx2 regs
                     end
                     else begin
-                      let via = WS.vm_el1_access ~vhe:el12 in
+                      let via = WS.via alias in
                       WS.save_array (Gaccess.ops g) ~ctx ~via regs;
                       WS.restore_array (Gaccess.ops g) ~ctx:ctx2 ~via regs
                     end);
@@ -167,7 +185,11 @@ let test_gaccess_equivalence () =
               let a = run compiled ~compiled_path:true in
               let b = run interpreted ~compiled_path:false in
               check_same what a b)
-            [ false; true ])
+            (match aliases with
+             | `Direct -> [ Sysreg.Direct ]
+             | `El12_on_vhe when vhe -> [ Sysreg.Direct; Sysreg.EL12 ]
+             | `El12_on_vhe -> [ Sysreg.Direct ]
+             | `All -> [ Sysreg.Direct; Sysreg.EL12; Sysreg.EL02 ]))
         reg_sets)
     configs
 
@@ -556,8 +578,8 @@ let test_kernels_allocate_nothing () =
             let g = gh.Hyp.Guest_hyp.ga and ctx = m_ctx m in
             let ga_words regs =
               let pair () =
-                Gaccess.save_ctx g ~el12:false ~ctx regs;
-                Gaccess.restore_ctx g ~el12:false ~ctx regs
+                Gaccess.save_ctx g ~alias:Sysreg.Direct ~ctx regs;
+                Gaccess.restore_ctx g ~alias:Sysreg.Direct ~ctx regs
               in
               pair ();
               words_during pair
@@ -598,28 +620,29 @@ let test_bare_trap_allocates_nothing () =
 
 (* Minor words per trap of warm nested operations (the whole operation,
    guest side included), as measured by [dune runtest] (development
-   profile) once the guest hypervisor's accesses replay their route
-   sites and the host moves trapped values as words:
+   profile) once every loop of the guest hypervisor's world switch runs
+   through the funnel's copier, its single accesses are built once, and
+   a guest's IPI write replays its route site:
 
                   hypercall   Device I/O   Virtual IPI
-     v8.3              28.6          29.2          29.5
-     neve              32.5          37.7          40.2
-     neve-vhe          31.3          34.7          38.4
-     neve-ooh          39.0          46.4          46.7
-     neve-vhe-ooh      34.7          42.1          42.6
+     v8.3              28.2          28.8          29.0
+     neve              27.6          32.8          33.9
+     neve-vhe          27.3          30.7          33.0
+     neve-ooh          31.9          39.3          37.7
+     neve-vhe-ooh      28.9          36.3          34.9
 
    What is left is mostly values boxed where they cross a module
    boundary (the development profile inlines nothing across modules).
    The bounds allow 10% on top; boxing or routing creeping back into the
    per-trap path exceeds them. *)
 let op_budgets =
-  [ ("v8.3", Config.v Config.Hw_v8_3, Expose.Policy.none, (31.4, 32.1, 32.5));
-    ("neve", Config.v Config.Hw_neve, Expose.Policy.none, (35.8, 41.3, 44.2));
+  [ ("v8.3", Config.v Config.Hw_v8_3, Expose.Policy.none, (31.0, 31.7, 31.8));
+    ("neve", Config.v Config.Hw_neve, Expose.Policy.none, (30.3, 36.0, 37.3));
     ( "neve-vhe", Config.v ~guest_vhe:true Config.Hw_neve,
-      Expose.Policy.none, (34.5, 38.0, 42.2) );
-    ("neve-ooh", Config.v Config.Hw_neve, Fuzz.Diff.ooh_grant, (42.9, 50.8, 51.4));
+      Expose.Policy.none, (30.0, 33.7, 36.2) );
+    ("neve-ooh", Config.v Config.Hw_neve, Fuzz.Diff.ooh_grant, (35.0, 43.2, 41.5));
     ( "neve-vhe-ooh", Config.v ~guest_vhe:true Config.Hw_neve,
-      Fuzz.Diff.ooh_grant, (38.1, 46.1, 46.9) ) ]
+      Fuzz.Diff.ooh_grant, (31.7, 39.9, 38.3) ) ]
 
 let test_op_budgets () =
   List.iter
