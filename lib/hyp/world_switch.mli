@@ -92,6 +92,8 @@ val save : copier -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit
 val restore :
   copier -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit
 
+(** {1 Trap controls}, written by both hypervisors around a VM entry. *)
+
 val activate_traps : ops -> vhe:bool -> hcr:int64 -> unit
 val deactivate_traps : ops -> vhe:bool -> unit
 val write_stage2 : ops -> vttbr:int64 -> unit
