@@ -79,7 +79,7 @@ let pp ppf = function
 let to_string i = Fmt.str "%a" pp i
 
 (* Does this instruction access a system register, and how?  Used by the
-   trap router and the paravirtualization rewriter. *)
+   trap router and the paravirtualization patcher. *)
 type sysreg_use =
   | No_sysreg
   | Read_sysreg of Sysreg.access

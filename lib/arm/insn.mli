@@ -45,7 +45,7 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Whether (and how) an instruction accesses a system register — used by
-    the trap router and the paravirtualization rewriter. *)
+    the trap router and the paravirtualization patcher. *)
 type sysreg_use =
   | No_sysreg
   | Read_sysreg of Sysreg.access

@@ -24,8 +24,6 @@ type kind =
       (* a GICv2 frame access to a register with no GICH mapping *)
   | Unknown_access_form of string
       (* paravirt registry lookup failed for a form the simulator built *)
-  | Unsupported_rewrite of string
-      (* the rewriter met an instruction shape it cannot encode *)
   | Invariant_broken of string
       (* an architectural invariant check failed hard *)
   | Oracle_divergence of string
@@ -46,7 +44,6 @@ let kind_to_string = function
   | Bad_hvc_operand op -> Printf.sprintf "bad hvc operand 0x%x" op
   | Not_gich_register r -> "no GICH frame register backs " ^ r
   | Unknown_access_form a -> "access form outside the paravirt registry: " ^ a
-  | Unsupported_rewrite i -> "no rewrite for instruction: " ^ i
   | Invariant_broken s -> "invariant broken: " ^ s
   | Oracle_divergence s -> "oracle divergence: " ^ s
   | Bad_topology s -> "bad machine topology: " ^ s

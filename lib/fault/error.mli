@@ -15,8 +15,6 @@ type kind =
       (** a GICv2 frame access to a register with no GICH mapping *)
   | Unknown_access_form of string
       (** paravirt registry lookup failed for a simulator-built form *)
-  | Unsupported_rewrite of string
-      (** the rewriter met an instruction shape it cannot encode *)
   | Invariant_broken of string
   | Oracle_divergence of string
       (** differential fuzzing: two trap mechanisms disagreed on an

@@ -4,16 +4,16 @@
    through this module as an instruction executed on the simulated CPU at
    EL1.  Under a hardware mechanism (Hw_v8_3 / Hw_neve) the instruction is
    executed as written and the CPU's trap router does the rest; under a
-   paravirtualized mechanism the instruction is first rewritten
-   (Paravirt.rewrite) exactly as the paper's compile-time wrappers do.
+   paravirtualized mechanism it is the instruction the paper's
+   compile-time wrappers put in its place (Paravirt.patch), one for one.
 
-   Under a hardware mechanism each access the guest hypervisor executes —
-   a register and alias, read or written — is a route site
-   (Arm.Route_key): its instruction is built once, and its action is
-   routed once per routing state and replayed while that state holds,
-   the memo World_switch's copy plans keep on the same key.  A guest
-   hypervisor touches a few dozen such sites; NEVE turns each into the
-   same load, store or EL1 access on every exit (Section 6.1). *)
+   Each access the guest hypervisor executes — a register and alias,
+   read or written — is a route site (Arm.Route_key): its instruction is
+   built and patched once, and its action is routed once per routing
+   state and replayed while that state holds, the memo World_switch's
+   copy plans keep on the same key.  A guest hypervisor touches a few
+   dozen such sites; NEVE turns each into the same load, store or EL1
+   access on every exit (Section 6.1). *)
 
 module Cpu = Arm.Cpu
 module Insn = Arm.Insn
@@ -34,27 +34,6 @@ type t = {
   sites : Arm.Route_key.table;
   mutable hvc_site : (int * Arm.Route_key.site) option;
 }
-
-let exec t insn =
-  try
-    if Config.is_paravirt t.config then
-      List.iter (Cpu.exec t.cpu)
-        (Paravirt.rewrite t.config ~page_base:t.page_base insn)
-    else Cpu.exec t.cpu insn
-  with Paravirt.Would_undef _ ->
-    (* The rewriter found the instruction UNDEFINED on the target
-       architecture.  Deliver the UNDEF the target hardware would: an
-       EL1 exception for deprivileged code.  At EL2 this is the
-       simulator emitting instructions it cannot rewrite — a bug. *)
-    if t.cpu.Cpu.pstate.Arm.Pstate.el = Arm.Pstate.EL2 then
-      Fault.Error.sim_bug ~cpu:t.cpu
-        (Fault.Error.Unsupported_rewrite (Insn.to_string insn))
-    else begin
-      Cpu.advance_pc t.cpu;
-      Cpu.exception_entry t.cpu
-        { Arm.Exn.target = Arm.Pstate.EL1; ec = Arm.Exn.EC_unknown; iss = 0;
-          fault_addr = None }
-    end
 
 (* Data-moving register for MRS results and MSR sources. *)
 let data_reg = 10
@@ -82,34 +61,42 @@ let access_id (a : Sysreg.access) ~write =
 let eret_id = Sysreg.count * 6
 let data_src = Insn.Reg data_reg
 
-let insn_of_id id =
-  if id = eret_id then Insn.Eret
-  else
-    let reg = Sysreg.of_index (id / 6) in
-    let access =
-      match id / 2 mod 3 with
-      | 0 -> Sysreg.direct reg
-      | 1 -> Sysreg.el12 reg
-      | _ -> Sysreg.el02 reg
-    in
-    if id land 1 = 0 then Insn.Mrs (data_reg, access)
-    else Insn.Msr (access, data_src)
+(* The instruction the guest hypervisor's code holds for [insn]: as
+   written under a hardware mechanism, patched under a paravirtualized
+   one. *)
+let image config ~page_base =
+  if Config.is_paravirt config then
+    Paravirt.patch config ~page_base ~slot:Paravirt.Absolute
+  else Fun.id
 
-(* The rewriter may expand one instruction into several, so a
-   paravirtualized funnel routes each of them as it runs. *)
-let memoized t = not (Config.is_paravirt t.config)
+let patched t insn = image t.config ~page_base:t.page_base insn
 
+let insn_of_id image id =
+  image
+    (if id = eret_id then Insn.Eret
+     else
+       let reg = Sysreg.of_index (id / 6) in
+       let access =
+         match id / 2 mod 3 with
+         | 0 -> Sysreg.direct reg
+         | 1 -> Sysreg.el12 reg
+         | _ -> Sysreg.el02 reg
+       in
+       if id land 1 = 0 then Insn.Mrs (data_reg, access)
+       else Insn.Msr (access, data_src))
+
+(* A banked register past its bank (no site number) runs afresh. *)
 let rd t access =
-  if memoized t && Sysreg.in_range access.Sysreg.reg then
+  if Sysreg.in_range access.Sysreg.reg then
     Arm.Route_key.exec_id t.cpu t.sites (access_id access ~write:false)
-  else exec t (Insn.Mrs (data_reg, access));
+  else Cpu.exec t.cpu (patched t (Insn.Mrs (data_reg, access)));
   tampered t (Cpu.get_reg t.cpu data_reg)
 
 let wr t access v =
   Cpu.set_reg t.cpu data_reg v;
-  if memoized t && Sysreg.in_range access.Sysreg.reg then
+  if Sysreg.in_range access.Sysreg.reg then
     Arm.Route_key.exec_id t.cpu t.sites (access_id access ~write:true)
-  else exec t (Insn.Msr (access, data_src))
+  else Cpu.exec t.cpu (patched t (Insn.Msr (access, data_src)))
 
 (* Plain memory accesses (to the hypervisor's own data structures): a
    load or store executes as written under every mechanism. *)
@@ -122,22 +109,17 @@ let st t addr v =
   Cpu.str t.cpu data_reg addr
 
 let hvc t imm =
-  if memoized t then begin
-    let s =
-      match t.hvc_site with
-      | Some (i, s) when i = imm -> s
-      | _ ->
-        let s = Arm.Route_key.site (Insn.Hvc imm) in
-        t.hvc_site <- Some (imm, s);
-        s
-    in
-    Arm.Route_key.exec t.cpu s
-  end
-  else exec t (Insn.Hvc imm)
+  let s =
+    match t.hvc_site with
+    | Some (i, s) when i = imm -> s
+    | _ ->
+      let s = Arm.Route_key.site (patched t (Insn.Hvc imm)) in
+      t.hvc_site <- Some (imm, s);
+      s
+  in
+  Arm.Route_key.exec t.cpu s
 
-let eret t =
-  if memoized t then Arm.Route_key.exec_id t.cpu t.sites eret_id
-  else exec t Insn.Eret
+let eret t = Arm.Route_key.exec_id t.cpu t.sites eret_id
 
 (* GICv2: the hypervisor control interface is a memory-mapped frame.  The
    host leaves it unmapped at stage 2 for deprivileged software, so every
@@ -178,11 +160,12 @@ let gich_access t (reg : Sysreg.t) ~is_write =
 (* The funnel's ops close over [t], which holds them in its copier: the
    knot is tied through a lazy value. *)
 let v cpu config ~page_base =
+  let image = image config ~page_base in
   let rec t =
     lazy
       {
         cpu; config; page_base; tamper = None;
-        sites = Arm.Route_key.table (eret_id + 1) insn_of_id;
+        sites = Arm.Route_key.table (eret_id + 1) (insn_of_id image);
         hvc_site = None;
         copier =
           World_switch.copier cpu
@@ -192,7 +175,7 @@ let v cpu config ~page_base =
               ld = (fun addr -> ld (Lazy.force t) addr);
               st = (fun addr v -> st (Lazy.force t) addr v);
             }
-            ~data:data_reg ~imm_msr:false;
+            ~data:data_reg ~imm_msr:false ~patch:image;
       }
   in
   Lazy.force t
@@ -200,11 +183,9 @@ let v cpu config ~page_base =
 (* The world-switch operation record used by World_switch. *)
 let ops t = World_switch.ops_of t.copier
 
-(* The compiled plans replay what the plain hardware funnel does: a
-   paravirt config rewrites each instruction first, and a pending fault
-   corruption applies to the next value read, so both run the reference
-   loops. *)
-let compiled t = (not (Config.is_paravirt t.config)) && t.tamper == None
+(* A pending fault corruption applies to the next value read, which
+   only the reference loops read one at a time. *)
+let compiled t = t.tamper == None
 
 let save_ctx t ~alias ~ctx regs =
   if compiled t then World_switch.save t.copier ~alias ~ctx regs

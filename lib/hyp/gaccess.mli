@@ -4,20 +4,19 @@
     through this module as an instruction executed on the simulated CPU at
     EL1.  Under a hardware mechanism the instruction executes as written
     and the trap router does the rest; under a paravirtualized mechanism
-    it is first rewritten ({!Paravirt.rewrite}), exactly as the paper's
-    compile-time wrappers do (Section 4).  The world-switch context loops
-    run through {!World_switch}'s compiled plans, the compiler the host's
-    exit path uses too.
+    the CPU runs the instruction {!Paravirt.patch} puts in its place, as
+    the paper's compile-time wrappers do (Section 4).  The world-switch
+    context loops run through {!World_switch}'s compiled plans, the
+    compiler the host's exit path uses too, over the same instructions.
 
-    Under a hardware mechanism, {!rd}, {!wr}, {!hvc} and {!eret} run
-    through route sites ({!Arm.Route_key}): each access's instruction is
-    built on its first use and routed once per routing state, so a
-    repeated access replays its action and allocates nothing.  {!ld} and
-    {!st} build no instruction at all ({!Arm.Cpu.ldr}/{!Arm.Cpu.str}).
-    Sites survive {!Machine.rewind} and are never serialized. *)
+    {!rd}, {!wr}, {!hvc} and {!eret} run through route sites
+    ({!Arm.Route_key}): each access's instruction is built (and patched)
+    on its first use and routed once per routing state, so a repeated
+    access replays its action and allocates nothing.  {!ld} and {!st}
+    build no instruction at all ({!Arm.Cpu.ldr}/{!Arm.Cpu.str}).  Sites
+    survive {!Machine.rewind} and are never serialized. *)
 
 module Cpu = Arm.Cpu
-module Insn = Arm.Insn
 module Sysreg = Arm.Sysreg
 
 type t = {
@@ -39,8 +38,6 @@ type t = {
 }
 
 val v : Cpu.t -> Config.t -> page_base:int64 -> t
-
-val exec : t -> Insn.t -> unit
 
 val data_reg : int
 (** x10: carries MRS results and MSR sources through the funnel. *)
@@ -66,9 +63,9 @@ val save_ctx : t -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit
 (** Save the given registers to their context slots:
     {!World_switch.save_array} over {!ops} (each register through
     [World_switch.via alias]), run through {!World_switch.save}'s
-    compiled plan except under a paravirt config or a pending
-    fault-injection corruption, which take the reference loop.  [regs]
-    must be a preallocated array (plans are keyed on it). *)
+    compiled plan except under a pending fault-injection corruption,
+    which takes the reference loop.  [regs] must be a preallocated array
+    (plans are keyed on it). *)
 
 val restore_ctx :
   t -> alias:Sysreg.alias -> ctx:int64 -> Sysreg.t array -> unit

@@ -185,7 +185,8 @@ let read_exit_info t =
    entry, touching only the list registers in use.  GICv3's interface is
    system registers, copied by the funnel's loops; GICv2's is the
    memory-mapped GICH frame, one trapping access per register, the value
-   in the data register.  Only the accessor differs, as on hardware. *)
+   in the data register.  Only the accessor differs, as on hardware, and
+   both count their copies in [World_switch.reg_copies]. *)
 let gich_rd ga r =
   Gaccess.gich_access ga r ~is_write:false;
   Arm.Cpu.get_reg ga.Gaccess.cpu Gaccess.data_reg
@@ -197,6 +198,7 @@ let gich_wr ga r v =
 let save_vgic t =
   let regs = Reglists.vgic_saved.(t.used_lrs) and ga = t.ga in
   if ga.Gaccess.config.Config.gicv2 then begin
+    WS.add_copies (Array.length regs);
     Array.iter (fun r -> Gaccess.st ga (WS.slot t.vm_ctx r) (gich_rd ga r)) regs;
     gich_wr ga Sysreg.ICH_HCR_EL2 0L
   end
@@ -209,6 +211,7 @@ let restore_vgic t =
   let regs = Reglists.vgic_restored.(t.used_lrs) and ga = t.ga in
   if ga.Gaccess.config.Config.gicv2 then begin
     gich_wr ga Sysreg.ICH_HCR_EL2 Gic.Vgic.ich_hcr_en;
+    WS.add_copies (Array.length regs);
     Array.iter (fun r -> gich_wr ga r (Gaccess.ld ga (WS.slot t.vm_ctx r))) regs
   end
   else begin

@@ -991,7 +991,8 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       shadow = None;
       l2_is_hyp = false;
       l2_vncr = None;
-      l0 = WS.copier cpu (make_l0_ops cpu) ~data:Cpu.scratch_reg ~imm_msr:true;
+      l0 = WS.copier cpu (make_l0_ops cpu) ~data:Cpu.scratch_reg ~imm_msr:true
+          ~patch:Fun.id;
       twins = twins_for config;
       exposed_regs = exposed_regs_of expose;
       drain_skip = [||];

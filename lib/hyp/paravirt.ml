@@ -13,9 +13,9 @@
      corresponding EL1 registers, and only the residual trapping accesses
      become [hvc] (Section 6.4).
 
-   The rewriter does not guess: it asks the trap router what the target
+   The patcher does not guess: it asks the trap router what the target
    architecture would do with the instruction and translates the answer
-   into ARMv8.0 instructions.  This is exactly why hardware and
+   into one ARMv8.0 instruction.  This is exactly why hardware and
    paravirtualized runs produce identical trap counts.
 
    Operand encoding (16 bits): bits [15:6] = form index + 1 (0 marks a real
@@ -45,8 +45,8 @@ let form_index : Sysreg.access -> int =
     match Hashtbl.find_opt tbl a with
     | Some i -> i
     | None ->
-      (* Only the rewriter calls this, with forms it built itself — a
-         miss is a simulator bug, not guest input. *)
+      (* Only the patcher calls this, with accesses the funnel or the
+         decoder built — a miss is a simulator bug, not guest input. *)
       Fault.Error.sim_bug
         (Fault.Error.Unknown_access_form (Sysreg.access_name a))
 
@@ -102,117 +102,59 @@ let target_route (config : Config.t) ~page_base insn =
   in
   Trap_rules.route features ~hcr ~vncr ~el:Arm.Pstate.EL1 insn
 
-(* The value-carrying scratch register used when a write's operand is an
-   immediate and must be materialized for the hvc protocol. *)
-let value_reg = 10
+(* --- patching (Section 4: compile-time wrappers, or a "fully automated
+   approach, for example by binary patching a guest hypervisor image") ---
 
-(* The instruction is UNDEFINED on the target architecture: the rewriter
-   cannot produce a mimicking sequence and the caller must deliver the
-   UNDEF the target hardware would. *)
-exception Would_undef of Insn.t
-
-(* Rewrite one guest-hypervisor instruction into the ARMv8.0 instruction
-   sequence that mimics the target architecture (Section 4's compile-time
-   wrappers produce exactly these). *)
-let rewrite (config : Config.t) ~page_base (insn : Insn.t) : Insn.t list =
-  match target_route config ~page_base insn with
-  (* [target_route] never grants OoH exposure (paravirt guests reach L0
-     through the hvc protocol instead), but an exposed access would run
-     unchanged just like [Execute]. *)
-  | Trap_rules.Execute | Trap_rules.Execute_exposed _ -> [ insn ]
-  | Trap_rules.Execute_redirected target -> begin
-      match insn with
-      | Insn.Mrs (rt, _) -> [ Insn.Mrs (rt, target) ]
-      | Insn.Msr (_, v) -> [ Insn.Msr (target, v) ]
-      | _ -> assert false
-    end
-  | Trap_rules.Defer_to_memory { addr; reg = _ } -> begin
-      match insn with
-      | Insn.Mrs (rt, _) -> [ Insn.Ldr (rt, Insn.Abs addr) ]
-      | Insn.Msr (_, Insn.Reg rt) -> [ Insn.Str (rt, Insn.Abs addr) ]
-      | Insn.Msr (_, Insn.Imm v) ->
-        [ Insn.Mov (value_reg, Insn.Imm v);
-          Insn.Str (value_reg, Insn.Abs addr) ]
-      | _ -> assert false
-    end
-  | Trap_rules.Read_disguised v -> begin
-      (* "reading the CurrentEL special register is paravirtualized to
-         return EL2 as the current exception level" (Section 4) *)
-      match insn with
-      | Insn.Mrs (rt, _) -> [ Insn.Mov (rt, Insn.Imm v) ]
-      | _ -> assert false
-    end
-  | Trap_rules.Trap_to_el2 { ec; _ } -> begin
-      match (ec, insn) with
-      | Arm.Exn.EC_eret, Insn.Eret -> [ Insn.Hvc encode_eret_op ]
-      | Arm.Exn.EC_hvc64, Insn.Hvc imm -> [ Insn.Hvc imm ]
-      | _, Insn.Mrs (rt, access) ->
-        [ Insn.Hvc (encode_sysreg_op ~access ~rt ~is_read:true) ]
-      | _, Insn.Msr (access, Insn.Reg rt) ->
-        [ Insn.Hvc (encode_sysreg_op ~access ~rt ~is_read:false) ]
-      | _, Insn.Msr (access, Insn.Imm v) ->
-        [ Insn.Mov (value_reg, Insn.Imm v);
-          Insn.Hvc (encode_sysreg_op ~access ~rt:value_reg ~is_read:false) ]
-      | _, Insn.Wfi -> [ Insn.Hvc (encode_sysreg_op ~access:(Sysreg.direct Sysreg.CurrentEL) ~rt:0 ~is_read:true) ]
-      | _ ->
-        Fault.Error.sim_bug
-          (Fault.Error.Unsupported_rewrite (Insn.to_string insn))
-    end
-  | Trap_rules.Undef ->
-    (* UNDEFINED on the target architecture too: the caller injects the
-       UNDEF the target hardware would deliver. *)
-    raise (Would_undef insn)
-
-(* --- binary patching (Section 4: "fully automated approach, for example
-   by binary patching a guest hypervisor image") ---
-
-   Word-for-word patching of an A64 text section.  Multi-word rewrites are
-   impossible in place, so the binary patcher uses the convention that x28
-   holds the shared-page base (set once at hypervisor entry), keeping every
-   replacement a single word. *)
+   Every replacement is one instruction in place of one.  A deferred
+   access becomes a load or store of its shared-page slot, named by
+   absolute address where the funnel patches the instruction it is about
+   to run, and as an offset from x28 in binary text, where x28 holds the
+   shared-page base by convention (set once at hypervisor entry). *)
 
 let page_base_reg = 28
+
+type slot = Absolute | Page_relative
+
+let slot_addr slot ~page_base addr =
+  match slot with
+  | Absolute -> Insn.Abs addr
+  | Page_relative -> Insn.Based (page_base_reg, Int64.sub addr page_base)
+
+(* Patch one guest-hypervisor instruction into the ARMv8.0 instruction
+   that mimics the target architecture.  An instruction the target
+   executes as written, finds UNDEFINED, or would trap in a shape the
+   hvc protocol does not encode (an immediate MSR, WFI) is returned as it
+   is: the ARMv8.0 hardware then runs it or raises the UNDEF. *)
+let patch (config : Config.t) ~page_base ~slot (insn : Insn.t) : Insn.t =
+  match (target_route config ~page_base insn, insn) with
+  | Trap_rules.Execute_redirected target, Insn.Mrs (rt, _) ->
+    Insn.Mrs (rt, target)
+  | Trap_rules.Execute_redirected target, Insn.Msr (_, v) ->
+    Insn.Msr (target, v)
+  | Trap_rules.Defer_to_memory { addr; reg = _ }, Insn.Mrs (rt, _) ->
+    Insn.Ldr (rt, slot_addr slot ~page_base addr)
+  | Trap_rules.Defer_to_memory { addr; reg = _ }, Insn.Msr (_, Insn.Reg rt) ->
+    Insn.Str (rt, slot_addr slot ~page_base addr)
+  | Trap_rules.Read_disguised v, Insn.Mrs (rt, _) ->
+    (* "reading the CurrentEL special register is paravirtualized to
+       return EL2 as the current exception level" (Section 4) *)
+    Insn.Mov (rt, Insn.Imm v)
+  | Trap_rules.Trap_to_el2 _, Insn.Eret -> Insn.Hvc encode_eret_op
+  | Trap_rules.Trap_to_el2 _, Insn.Mrs (rt, access) ->
+    Insn.Hvc (encode_sysreg_op ~access ~rt ~is_read:true)
+  | Trap_rules.Trap_to_el2 _, Insn.Msr (access, Insn.Reg rt) ->
+    Insn.Hvc (encode_sysreg_op ~access ~rt ~is_read:false)
+  (* [target_route] never grants OoH exposure (paravirt guests reach L0
+     through the hvc protocol instead); an exposed access, like every
+     other case, runs as written. *)
+  | _ -> insn
 
 let patch_word (config : Config.t) ~page_base (w : int) : int =
   match Arm.Encode.decode w with
   | Arm.Encode.D_unknown _ -> w
-  | Arm.Encode.D_insn insn -> begin
-      match target_route config ~page_base insn with
-      | Trap_rules.Execute | Trap_rules.Execute_exposed _ -> w
-      | Trap_rules.Execute_redirected target -> begin
-          match insn with
-          | Insn.Mrs (rt, _) -> Arm.Encode.encode (Insn.Mrs (rt, target))
-          | Insn.Msr (_, v) -> Arm.Encode.encode (Insn.Msr (target, v))
-          | _ -> w
-        end
-      | Trap_rules.Defer_to_memory { addr; reg = _ } -> begin
-          let off = Int64.sub addr page_base in
-          match insn with
-          | Insn.Mrs (rt, _) ->
-            Arm.Encode.encode (Insn.Ldr (rt, Insn.Based (page_base_reg, off)))
-          | Insn.Msr (_, Insn.Reg rt) ->
-            Arm.Encode.encode (Insn.Str (rt, Insn.Based (page_base_reg, off)))
-          | _ -> w
-        end
-      | Trap_rules.Read_disguised v -> begin
-          match insn with
-          | Insn.Mrs (rt, _) -> Arm.Encode.encode (Insn.Mov (rt, Insn.Imm v))
-          | _ -> w
-        end
-      | Trap_rules.Trap_to_el2 { ec; _ } -> begin
-          match (ec, insn) with
-          | Arm.Exn.EC_eret, Insn.Eret ->
-            Arm.Encode.encode (Insn.Hvc encode_eret_op)
-          | _, Insn.Mrs (rt, access) ->
-            Arm.Encode.encode
-              (Insn.Hvc (encode_sysreg_op ~access ~rt ~is_read:true))
-          | _, Insn.Msr (access, Insn.Reg rt) ->
-            Arm.Encode.encode
-              (Insn.Hvc (encode_sysreg_op ~access ~rt ~is_read:false))
-          | _ -> w
-        end
-      | Trap_rules.Undef -> w
-    end
+  | Arm.Encode.D_insn insn ->
+    let p = patch config ~page_base ~slot:Page_relative insn in
+    if p == insn then w else Arm.Encode.encode p
 
 let patch_text config ~page_base words =
   let out = Array.map (patch_word config ~page_base) words in

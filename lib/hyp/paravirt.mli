@@ -11,9 +11,12 @@
       shared memory region, control-register accesses become EL1-register
       accesses, and only the residual traps become [hvc].
 
-    The rewriter does not guess: it asks {!Arm.Trap_rules.route} what the
-    target architecture would do and translates the answer — which is why
-    hardware and paravirtualized runs produce identical trap counts.
+    The patcher does not guess: it asks {!Arm.Trap_rules.route} what the
+    target architecture would do and translates the answer into one
+    instruction — which is why hardware and paravirtualized runs produce
+    identical trap counts.  The guest hypervisor's funnel ({!Gaccess})
+    patches each access once, where it builds the access's route site or
+    compiles a copy loop; {!patch_text} patches binary text.
 
     Operand encoding (16 bits): bits [15:6] = form index + 1 (0 marks a
     real hypercall), [5:1] = Rt, [0] = direction. *)
@@ -48,19 +51,29 @@ val target_route :
 (** What the configuration's target architecture does with an instruction
     executed at EL1 by the guest hypervisor. *)
 
-exception Would_undef of Insn.t
-(** The instruction is UNDEFINED on the target architecture: callers
-    deliver the UNDEF the target hardware would. *)
-
-val rewrite : Config.t -> page_base:int64 -> Insn.t -> Insn.t list
-(** The compile-time wrapper: one guest-hypervisor instruction to the
-    ARMv8.0 sequence mimicking the target architecture.
-    @raise Would_undef for instructions UNDEFINED on the target.
-    @raise Fault.Error.Sim_fault for trapping shapes the rewriter cannot
-    encode. *)
-
 val page_base_reg : int
 (** x28, holding the shared-page base by convention, so binary patching
     stays word-for-word. *)
 
+(** How a patched load or store names its shared-page slot. *)
+type slot =
+  | Absolute       (** [Abs addr]: the funnel's form *)
+  | Page_relative  (** [Based (x28, addr - page_base)]: binary text's form *)
+
+val patch : Config.t -> page_base:int64 -> slot:slot -> Insn.t -> Insn.t
+(** One guest-hypervisor instruction to the one ARMv8.0 instruction
+    mimicking the target architecture (Section 4's compile-time wrappers
+    and binary patcher): an [hvc] carrying the access where the target
+    traps, a load or store of the access's shared-page slot where it
+    defers to memory, the access retargeted where it redirects, a [mov]
+    of EL2 for a disguised CurrentEL read.  Anything else (an access the
+    target executes as written or finds UNDEFINED, an immediate MSR,
+    WFI) is returned physically unchanged, so the ARMv8.0 hardware runs
+    it or raises the UNDEF, as it does for unpatched text.
+    @raise Fault.Error.Sim_fault for a trapping access outside
+    {!forms}. *)
+
 val patch_text : Config.t -> page_base:int64 -> int array -> int array
+(** Binary patching: each word decoded, {!patch}ed with [Page_relative]
+    slots and encoded again; words that decode to nothing or need no
+    patch are kept as they are. *)

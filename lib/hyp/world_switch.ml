@@ -77,18 +77,23 @@ let restore_array ops ~ctx ~via regs =
 
    Both hypervisors run the loops above on every world switch: the host
    72 copies per trap at EL2, the guest hypervisor ~50 per exit through
-   its access funnel.  Under a fixed routing state every copy resolves
-   to one of three things, so a loop compiles once per state to:
+   its access funnel.  A copy is the instruction the hypervisor's code
+   holds for its access: the [mrs]/[msr], or, for a paravirtualized
+   guest hypervisor, the one [Paravirt.patch] puts in its place.  Under
+   a fixed routing state every copy resolves to one of three things, so
+   a loop compiles once per state to:
 
    - [Regs]: a run of copies the router executes against the register
      file ([Execute], or [Execute_redirected] to a twin), moved by one
      [Sysreg_file.save]/[restore] word kernel;
-   - [Page]: an NV2-deferred copy, one [Memory.copy64] between the
-     deferred access page and the context slot;
-   - [Replay]: anything else (traps, disguised reads, UNDEFs, registers
-     whose read is not a register-file load, writes that change the
-     routing state), executed as its preallocated instruction under its
-     precomputed route ([Cpu.exec_with_action]).
+   - [Page]: an NV2-deferred copy, or a paravirtualized one patched to a
+     load or store of the shared page, one [Memory.copy64] between the
+     page and the context slot;
+   - [Replay]: anything else (traps and the [hvc]s standing for them,
+     disguised reads and their [mov]s, UNDEFs, registers whose read is
+     not a register-file load, writes that change the routing state),
+     executed as its preallocated instruction under its precomputed
+     route ([Cpu.exec_with_action]).
 
    Instructions, cycles and memory accesses are charged per step; the
    PC advance and the data register (which ends holding the last copy's
@@ -131,10 +136,12 @@ type copier = {
   ops : ops;
   data : int;
   imm_msr : bool;
+  patch : Insn.t -> Insn.t;
   mutable loops : loop list;
 }
 
-let copier cpu ops ~data ~imm_msr = { cpu; ops; data; imm_msr; loops = [] }
+let copier cpu ops ~data ~imm_msr ~patch =
+  { cpu; ops; data; imm_msr; patch; loops = [] }
 let ops_of c = c.ops
 let plan_keys c = List.map (fun l -> List.map (fun p -> p.key) l.plans) c.loops
 
@@ -163,30 +170,33 @@ let compile c (l : loop) =
   let on_slot addr =
     Array.exists (fun r -> Int64.equal addr (slot l.ctx r)) l.regs
   in
-  (* each copy: [Ok] with the register the kernel moves, or the step it
-     needs *)
+  (* each copy: [Ok] with the register the kernel moves (the one its
+     instruction names, or is redirected to), or the step it needs *)
   let classify k r =
     let access = via l.alias r in
     let insn =
-      if l.save then Insn.Mrs (c.data, access)
-      else Insn.Msr (access, Insn.Reg c.data)
+      c.patch
+        (if l.save then Insn.Mrs (c.data, access)
+         else Insn.Msr (access, Insn.Reg c.data))
     in
     let action = Cpu.route cpu insn in
     let copy =
       { insn; action; at = k; off = Reglists.ctx_slot r; slot = slot l.ctx r;
         norm = c.imm_msr && (not l.save) && action <> Arm.Trap_rules.Execute }
     in
-    match action with
-    | (Arm.Trap_rules.Execute | Arm.Trap_rules.Execute_redirected _)
-      when (not l.save) && (r = Sysreg.HCR_EL2 || r = Sysreg.VNCR_EL2) ->
-      (* the write moves the key itself: replay it, then re-check *)
-      Error (Replay copy)
-    | Arm.Trap_rules.Execute when not (l.save && hw_special r) ->
-      Ok (r, copy)
-    | Arm.Trap_rules.Execute_redirected a
-      when not (l.save && hw_special a.Sysreg.reg) ->
-      Ok (a.Sysreg.reg, copy)
-    | Arm.Trap_rules.Defer_to_memory { addr; reg = _ }
+    match (action, insn) with
+    | Arm.Trap_rules.Execute_redirected { Sysreg.reg; _ }, _
+    | Arm.Trap_rules.Execute,
+      (Insn.Mrs (_, { Sysreg.reg; _ }) | Insn.Msr ({ Sysreg.reg; _ }, _)) ->
+      if l.save && hw_special reg then Error (Replay copy)
+      else if (not l.save) && (reg = Sysreg.HCR_EL2 || reg = Sysreg.VNCR_EL2)
+      then
+        (* the write moves the key itself: replay it, then re-check *)
+        Error (Replay copy)
+      else Ok (reg, copy)
+    | Arm.Trap_rules.Defer_to_memory { addr; reg = _ }, _
+    | Arm.Trap_rules.Execute,
+      (Insn.Ldr (_, Insn.Abs addr) | Insn.Str (_, Insn.Abs addr))
       when l.save || not (on_slot addr) ->
       (* the data register ends holding the last copy's value, read back
          from that copy's slot; a deferred store onto a slot of the same

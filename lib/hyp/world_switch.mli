@@ -11,8 +11,10 @@
     Every register list either hypervisor switches is one loop of a
     {!copier}: the host's EL1/EL0 context, and the guest hypervisor's
     EL1, EL0, debug, PMU, vGIC and VM-timer lists.  {!save_array} and
-    {!restore_array} are the reference loops a copier is tested against
-    and falls back to; the paravirtualized funnel runs them directly. *)
+    {!restore_array} are the reference loops: a copier is tested against
+    them and falls back to them mid-loop, the guest hypervisor runs them
+    while a fault-injection corruption is pending, and perfbench times
+    them. *)
 
 module Sysreg = Arm.Sysreg
 
@@ -32,6 +34,11 @@ val reg_copies : unit -> int
     tracer takes deltas around enter/exit to attribute a copy count to
     each switch; the counter is domain-local so fleet shards never race
     on it. *)
+
+val add_copies : int -> unit
+(** Count register copies a hypervisor makes outside the copy loops:
+    the guest hypervisor's GICv2 vGIC switch, which moves each register
+    through the memory-mapped GICH frame. *)
 
 val own_el2_access : vhe:bool -> Sysreg.t -> Sysreg.access
 (** How a hypervisor reaches its {e own} EL2 register: the E2H-redirected
@@ -70,13 +77,21 @@ val restore_array : ops -> ctx:int64 -> via:(Sysreg.t -> Sysreg.access) ->
 type copier
 (** One hypervisor's copy loops and their compiled plans. *)
 
-val copier : Arm.Cpu.t -> ops -> data:int -> imm_msr:bool -> copier
-(** [copier cpu ops ~data ~imm_msr]: the loops run on [cpu], whose
-    reference [ops] the fallback runs.  Values move through general
+val copier :
+  Arm.Cpu.t -> ops -> data:int -> imm_msr:bool ->
+  patch:(Arm.Insn.t -> Arm.Insn.t) -> copier
+(** [copier cpu ops ~data ~imm_msr ~patch]: the loops run on [cpu],
+    whose reference [ops] the fallback runs.  Values move through general
     register [data] (x9 for the host, x10 for the guest hypervisor).
     Restores write with [msr r, x<data>], or, when [imm_msr], with an
     immediate MSR (the host's {!Arm.Cpu.msr}), which costs one
-    normalizing [mov] whenever the access does not simply execute. *)
+    normalizing [mov] whenever the access does not simply execute.
+    [patch] maps each copy's [mrs]/[msr] to the instruction [ops] really
+    executes for it: the identity for the host, {!Paravirt.patch} for a
+    paravirtualized guest hypervisor, whose redirected copies then run
+    in the register kernels, its loads and stores of the shared page as
+    page copies, and its [hvc]s and [mov]s as replays.  It is applied
+    once per copy, when a plan is compiled. *)
 
 val ops_of : copier -> ops
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Write the simulator's deterministic outputs into OUTDIR, one file per
 # run: `neve_sim paper`, the trap listings, chaos, fuzz (plain, snapshot
-# oracle and SMP), serve, fleet, recover, migrate, three snapshot
+# oracle and SMP), serve, fleet, recover, two migrations, four snapshot
 # images, the trace exports and every example.  Two checkouts that
 # behave the same write byte-identical directories, so
 #
@@ -44,6 +44,8 @@ run traps-v83-vhe.txt traps --vhe
 run traps-neve-vhe.txt traps -m neve --vhe
 run traps-v83-pv.txt traps -m v8.3-pv
 run traps-neve-pv.txt traps -m neve-pv
+run traps-v83-pv-vhe.txt traps -m v8.3-pv --vhe
+run traps-neve-pv-vhe.txt traps -m neve-pv --vhe
 run traps-neve-verbose.txt traps -m neve -v 2> "$out/traps-neve-verbose.stderr"
 run chaos-42.txt chaos --seed 42 --traps 10000
 run fuzz-0.json fuzz --seed 0 -n 300 --json
@@ -56,8 +58,10 @@ run serve-30.json serve -n 30 --json
 run fleet-200.json fleet -n 200 --json
 run recover.txt recover
 run migrate.txt migrate
+run migrate-v83-pv.txt migrate --mech v8.3-pv
 in_out snapshot-neve-vhe.txt snapshot snapshot-neve-vhe.img --mech neve --vhe
 in_out snapshot-v83.txt snapshot snapshot-v83.img --mech v8.3
+in_out snapshot-neve-pv-vhe.txt snapshot snapshot-neve-pv-vhe.img --mech neve-pv --vhe
 in_out snapshot-single-vm.txt snapshot snapshot-single-vm.img --single-vm
 in_out trace.txt trace --json trace-metrics.json --chrome trace-chrome.json
 for src in examples/*.ml; do

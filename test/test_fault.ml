@@ -684,9 +684,9 @@ let test_trail_rewinds () =
 
 (* [neve_sim traps] lists every trap of one nested hypercall, byte for
    byte as the goldens hold it: Table 7's 121 on ARMv8.3 and 13 with
-   NEVE, 57 and 13 under a VHE guest hypervisor, and the paravirtualized
-   reference paths (the funnel's rewritten instructions through the
-   reference copy loops). *)
+   NEVE, 57 and 13 under a VHE guest hypervisor, and the same four under
+   a paravirtualized guest hypervisor (the funnel's patched
+   instructions). *)
 let test_traps_listings () =
   List.iter
     (fun (args, golden) ->
@@ -698,7 +698,9 @@ let test_traps_listings () =
         out)
     [ ("", "traps-v83.txt"); ("-m neve", "traps-neve.txt");
       ("--vhe", "traps-v83-vhe.txt"); ("-m neve --vhe", "traps-neve-vhe.txt");
-      ("-m v8.3-pv", "traps-v83-pv.txt"); ("-m neve-pv", "traps-neve-pv.txt") ]
+      ("-m v8.3-pv", "traps-v83-pv.txt"); ("-m neve-pv", "traps-neve-pv.txt");
+      ("-m v8.3-pv --vhe", "traps-v83-pv-vhe.txt");
+      ("-m neve-pv --vhe", "traps-neve-pv-vhe.txt") ]
 
 (* Two checked-machine reports, byte for byte as the goldens hold them:
    the chaos sweep at seed 42 and the serving campaign's JSON.  The

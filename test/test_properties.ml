@@ -154,19 +154,22 @@ let test_rewrite_runs_on_v80 =
         if is_read then Insn.Mrs (rt, access)
         else Insn.Msr (access, Insn.Reg rt)
       in
-      match Hyp.Paravirt.rewrite config ~page_base:page insn with
-      | exception Hyp.Paravirt.Would_undef _ ->
-        (* legitimate only when the target architecture itself rejects the
-           instruction (e.g. a write to the read-only CurrentEL) *)
-        Hyp.Paravirt.target_route config ~page_base:page insn = TR.Undef
-      | insns ->
-        let cpu = Cpu.create () in
-        cpu.Cpu.el2_handler <- Some (fun c _ -> Cpu.do_eret c);
-        cpu.Cpu.pstate <- Pstate.at Pstate.EL1;
-        (try
-           List.iter (Cpu.exec cpu) insns;
-           true
-         with Cpu.Undefined_instruction _ -> false))
+      let patched =
+        Hyp.Paravirt.patch config ~page_base:page ~slot:Hyp.Paravirt.Absolute
+          insn
+      in
+      let cpu = Cpu.create () in
+      cpu.Cpu.el2_handler <- Some (fun c _ -> Cpu.do_eret c);
+      cpu.Cpu.pstate <- Pstate.at Pstate.EL1;
+      let runs =
+        match Cpu.exec cpu patched with
+        | () -> true
+        | exception Cpu.Undefined_instruction _ -> false
+      in
+      (* an access stays UNDEFINED exactly when the target architecture
+         itself rejects it (e.g. a write to the read-only CurrentEL) *)
+      runs
+      = (Hyp.Paravirt.target_route config ~page_base:page insn <> TR.Undef))
 
 (* --- instruction-level hardware/paravirt equivalence --- *)
 
@@ -179,12 +182,11 @@ let traps_of_one_insn ~mech ~vhe insn =
   if Config.is_neve config && not (Config.is_paravirt config) then
     Arm.Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 (Int64.logor page 1L);
   cpu.Cpu.pstate <- Pstate.at Pstate.EL1;
-  let insns =
-    if Config.is_paravirt config then
-      Hyp.Paravirt.rewrite config ~page_base:page insn
-    else [ insn ]
-  in
-  List.iter (Cpu.exec cpu) insns;
+  Cpu.exec cpu
+    (if Config.is_paravirt config then
+       Hyp.Paravirt.patch config ~page_base:page ~slot:Hyp.Paravirt.Absolute
+         insn
+     else insn);
   cpu.Cpu.meter.Cost.traps
 
 let test_insn_level_equivalence =
@@ -197,23 +199,14 @@ let test_insn_level_equivalence =
       in
       let hw_mech = if neve then Config.Hw_neve else Config.Hw_v8_3 in
       let pv_mech = if neve then Config.Pv_neve else Config.Pv_v8_3 in
-      match
-        ( traps_of_one_insn ~mech:hw_mech ~vhe insn,
-          traps_of_one_insn ~mech:pv_mech ~vhe insn )
-      with
-      | hw, pv -> hw = pv
-      | exception Cpu.Undefined_instruction _ -> begin
-          (* both worlds must agree the instruction is invalid *)
-          match traps_of_one_insn ~mech:pv_mech ~vhe insn with
-          | _ -> false
-          | exception Cpu.Undefined_instruction _ -> true
-          | exception Hyp.Paravirt.Would_undef _ -> true
-        end
-      | exception Hyp.Paravirt.Would_undef _ -> begin
-          match traps_of_one_insn ~mech:hw_mech ~vhe insn with
-          | _ -> false
-          | exception Cpu.Undefined_instruction _ -> true
-        end)
+      (* the same trap count, or both worlds agree the instruction is
+         invalid *)
+      let outcome mech =
+        match traps_of_one_insn ~mech ~vhe insn with
+        | n -> Some n
+        | exception Cpu.Undefined_instruction _ -> None
+      in
+      outcome hw_mech = outcome pv_mech)
 
 (* --- machine-level robustness: arbitrary workloads leave the stack
    consistent --- *)

@@ -102,6 +102,16 @@ let configs =
       Fuzz.Diff.ooh_grant );
   ]
 
+(* The paravirtualized guest hypervisors: the funnel runs the patched
+   instructions through the same sites and compiled copies. *)
+let pv_configs =
+  [
+    ("pv-v8.3", Config.v Config.Pv_v8_3, Expose.Policy.none);
+    ("pv-v8.3-vhe", Config.v ~guest_vhe:true Config.Pv_v8_3, Expose.Policy.none);
+    ("pv-neve", Config.v Config.Pv_neve, Expose.Policy.none);
+    ("pv-neve-vhe", Config.v ~guest_vhe:true Config.Pv_neve, Expose.Policy.none);
+  ]
+
 let booted config expose =
   let m = Machine.create ~expose config Host_hyp.Nested in
   Machine.boot m;
@@ -191,7 +201,7 @@ let test_gaccess_equivalence () =
              | `El12_on_vhe -> [ Sysreg.Direct ]
              | `All -> [ Sysreg.Direct; Sysreg.EL12; Sysreg.EL02 ]))
         reg_sets)
-    configs
+    (configs @ pv_configs)
 
 (* The host's exit-path loops, interpreted through Cpu.exec with no EL2
    shortcut: what l0_enter/l0_exit replay. *)
@@ -443,15 +453,24 @@ let test_route_memo_exact () =
                   | Some g -> g.Hyp.Guest_hyp.ga
                   | None -> Alcotest.fail "no guest hypervisor"
                 in
+                (* the instruction the funnel stands for: patched under
+                   a paravirt config *)
+                let image insn =
+                  if Config.is_paravirt config then
+                    Hyp.Paravirt.patch config ~page_base:ga.Gaccess.page_base
+                      ~slot:Hyp.Paravirt.Absolute insn
+                  else insn
+                in
                 let access a ~is_read v =
                   if memo then
                     if is_read then ignore (Gaccess.rd ga a)
                     else Gaccess.wr ga a v
                   else if is_read then
-                    Cpu.exec cpu (Insn.Mrs (Gaccess.data_reg, a))
+                    Cpu.exec cpu (image (Insn.Mrs (Gaccess.data_reg, a)))
                   else begin
                     Cpu.set_reg cpu Gaccess.data_reg v;
-                    Cpu.exec cpu (Insn.Msr (a, Insn.Reg Gaccess.data_reg))
+                    Cpu.exec cpu
+                      (image (Insn.Msr (a, Insn.Reg Gaccess.data_reg)))
                   end
                 in
                 trail := memo_sequence m ~seed ~epochs:60 access);
@@ -463,7 +482,7 @@ let test_route_memo_exact () =
           check Alcotest.string (what ^ ": per-step trail") trail_b trail_a;
           check_same what a b)
         [ 1; 2; 3 ])
-    configs
+    (configs @ pv_configs)
 
 (* The host's EL2 accesses test HCR_EL2.E2H as a raw bit: running
    between HCR_EL2 = 0 (deactivate_traps) and the guest's value, they
@@ -642,7 +661,9 @@ let op_budgets =
       Expose.Policy.none, (30.0, 33.7, 36.2) );
     ("neve-ooh", Config.v Config.Hw_neve, Fuzz.Diff.ooh_grant, (35.0, 43.2, 41.5));
     ( "neve-vhe-ooh", Config.v ~guest_vhe:true Config.Hw_neve,
-      Fuzz.Diff.ooh_grant, (31.7, 39.9, 38.3) ) ]
+      Fuzz.Diff.ooh_grant, (31.7, 39.9, 38.3) );
+    ("pv-v8.3", Config.v Config.Pv_v8_3, Expose.Policy.none, (30.4, 31.0, 30.9));
+    ("pv-neve", Config.v Config.Pv_neve, Expose.Policy.none, (33.4, 39.1, 37.4)) ]
 
 let test_op_budgets () =
   List.iter

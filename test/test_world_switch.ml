@@ -240,6 +240,81 @@ let test_vgic_disabled_on_exit () =
         (ich_hcr ()))
     [ false; true ]
 
+(* --- the register-copy counter --- *)
+
+(* GICv2's vGIC switch moves the registers GICv3's copies, through the
+   GICH frame instead of system registers, and counts them alike. *)
+let test_gicv2_copies_counted () =
+  let delta ~gicv2 used_lrs =
+    let m = booted ~gicv2 () in
+    (ghyp m).Hyp.Guest_hyp.used_lrs <- used_lrs;
+    Machine.hypercall m ~cpu:0;
+    let c0 = WS.reg_copies () in
+    Machine.hypercall m ~cpu:0;
+    WS.reg_copies () - c0
+  in
+  List.iter
+    (fun n ->
+      check Alcotest.int
+        (Printf.sprintf "hypercall copies, %d LRs in use: GICv2 = GICv3" n)
+        (delta ~gicv2:false n) (delta ~gicv2:true n))
+    [ 0; 3 ]
+
+(* The copy counter is per domain, and the host reads it only around its
+   own exit-path loops: with a second machine's operations interleaved
+   on the same domain, every traced world switch of either machine
+   reports exactly those loops' copies, the EL1 + EL0 context saved and
+   the host's EL1 context restored on entry, the EL1 + EL0 context
+   restored on exit. *)
+let test_ws_deltas_are_per_switch () =
+  let el1 = Array.length Reglists.el1_state_arr
+  and el0 = Array.length Reglists.el0_state_arr in
+  let configs =
+    List.concat_map
+      (fun mech ->
+        [ Config.v mech; Config.v ~guest_vhe:true mech ])
+      Config.[ Hw_v8_3; Hw_neve; Pv_v8_3; Pv_neve ]
+  in
+  List.iteri
+    (fun i config ->
+      let other = List.nth configs ((i + 1) mod List.length configs) in
+      let machine c =
+        Workloads.Scenario.make_arm (Workloads.Scenario.Arm_nested c)
+      in
+      let a = machine config and b = machine other in
+      let ops m =
+        List.map (Workloads.Micro.arm_op m)
+          Workloads.Micro.[ Hypercall; Device_io; Virtual_ipi ]
+      in
+      let ops_a = ops a and ops_b = ops b in
+      Trace.enable ~capacity:(1 lsl 17) ();
+      Fun.protect ~finally:Trace.disable (fun () ->
+          for _ = 1 to 2 do
+            List.iter2
+              (fun op_a op_b ->
+                op_a ();
+                op_b ())
+              ops_a ops_b
+          done;
+          let what = Config.name config ^ " beside " ^ Config.name other in
+          check Alcotest.int (what ^ ": nothing dropped") 0 (Trace.dropped ());
+          let deltas kind =
+            List.filter_map
+              (fun (v : Trace.view) ->
+                if v.Trace.v_kind = kind then Some (Int64.to_int v.Trace.v_a0)
+                else None)
+              (Trace.events ())
+          in
+          let enters = deltas Trace.Ws_enter and exits = deltas Trace.Ws_exit in
+          check Alcotest.bool (what ^ ": switches traced") true (enters <> []);
+          List.iter
+            (fun (kind, ds, want) ->
+              check Alcotest.(list int) (what ^ ": " ^ kind)
+                (List.map (fun _ -> want) ds) ds)
+            [ ("Ws_enter copies", enters, el1 + el0 + el1);
+              ("Ws_exit copies", exits, el1 + el0) ]))
+    configs
+
 (* --- save/restore round-trips state through the context area --- *)
 
 let test_save_restore_roundtrip () =
@@ -318,4 +393,8 @@ let suite =
     ("context slots are disjoint", `Quick, test_context_slots_disjoint);
     ("debug context size", `Quick, test_debug_state_size);
     ("PMU context is mostly unprivileged", `Quick, test_pmu_mostly_el0);
+    ("GICv2 vGIC copies are counted like GICv3's", `Quick,
+     test_gicv2_copies_counted);
+    ("traced switch copy deltas ignore other machines", `Quick,
+     test_ws_deltas_are_per_switch);
   ]
