@@ -96,6 +96,8 @@ let entry_of_key k =
 let[@inline] pc t = get_word t.regs pc_offset
 let[@inline] set_pc t v = set_word t.regs pc_offset v
 
+let pc_is t base off = Int64.equal (pc t) (Int64.add base (Int64.of_int off))
+
 let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter
     ?(trail = false) () =
   let mem = match mem with Some m -> m | None -> Memory.create () in

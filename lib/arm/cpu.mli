@@ -67,8 +67,9 @@ type t = {
   mutable xlate : Xlate.t;
       (** superblock translation + decode cache (each CPU gets its own;
           the interpreter executes through it).  CPUs that never run
-          while another of them runs may share one if each flushes it
-          ({!Xlate.flush}) before running, as {!rewind} does *)
+          while another of them runs may share one if each flushes its
+          blocks ({!Xlate.flush}) before running, as {!rewind} does; the
+          decoded words they share are never stale *)
   trap_entries : Exn.entry Memo.t;
       (** memo of EL2 trap entries keyed by (EC, ISS), so a repeated
           trap reuses its immutable entry record *)
@@ -97,16 +98,27 @@ type mark
 
 val mark : t -> mark
 val rewind : t -> mark -> unit
-(** Put back every marked field, and empty the translation cache and
-    the trap-entry memo: a rewind is a code change ({!Memory.rewind}),
-    so no cached block could validate again, and a CPU rewound for a
-    whole campaign must not keep every program's decoded words. *)
+(** Put back every marked field, and empty the translation cache's
+    blocks ({!Xlate.flush}) and the trap-entry memo: a rewind is a code
+    change ({!Memory.rewind}), so no cached block could validate again.
+    Decoded words stay: a word decodes the same whatever memory holds,
+    so they cannot go stale (the owner of a cache rewound for a whole
+    campaign drops them with {!Xlate.forget_words}, as the fuzzer does
+    once per program). *)
 
 val nregs : int
 (** 31: the general registers x0..x30, the words of one frame. *)
 
 val pc : t -> int64
 val set_pc : t -> int64 -> unit
+
+val pc_offset : int
+(** The PC's byte offset in {!field-regs}, where {!Xlate.lookup} reads
+    it. *)
+
+val pc_is : t -> int64 -> int -> bool
+(** [pc_is t base off] is whether the PC is [base + off], tested
+    unboxed: the interpreter's side-exit check. *)
 
 val get_reg : t -> int -> int64
 (** Register 31 is XZR and reads zero.

@@ -8,8 +8,9 @@
    patched word-for-word in memory and then run from memory.
 
    There is one execution engine: it runs through the per-CPU {!Xlate}
-   superblock cache.  Straight-line code is decoded once per
-   (block-entry PC, CPU) and replayed with two integer compares of
+   superblock cache.  Straight-line code is formed into a block once per
+   (block-entry PC, CPU), each distinct word decoded once while the
+   decode cache keeps it, and replayed with two integer compares of
    side-exit validation per instruction.  Side exits return control to
    the dispatch loop whenever PC diverges from the straight line (a
    branch, an exception, a handler redirect), a store lands in the
@@ -67,11 +68,74 @@ let load mem ~base (words : int array) =
 let load_program mem ~base insns =
   load mem ~base (Array.of_list (List.map Encode.encode insns))
 
-(* A PC an instruction cannot be fetched from: A64 instructions are
-   4-byte aligned.  [fetch32] would silently read the containing aligned
-   word and run a skewed stream; the run loop turns this into a
-   deterministic alignment halt instead. *)
-let misaligned pc = Int64.logand pc 3L <> 0L
+(* The dispatch loop is three top-level functions that pass what they
+   share as arguments, so entering a block builds no closure, and the PC
+   stays in the CPU's word file ([Xlate.lookup] and [Cpu.pc_is] read it
+   unboxed): a warm dispatch allocates nothing. *)
+
+(* A block's key no longer holds (or it was never routed): route its
+   ops under the current state and take the cache's shared key. *)
+let re_route cpu (blk : Xlate.block) =
+  let ops = blk.Xlate.ops in
+  for i = 0 to Array.length ops - 1 do
+    match Array.unsafe_get ops i with
+    | Xlate.Plain _ -> ()
+    | Xlate.Routed r -> r.action <- Cpu.route cpu r.insn
+  done;
+  blk.Xlate.key <- Route_key.share (Xlate.shared cpu.Cpu.xlate) cpu
+
+(* Enter the block at PC, stop and budget checked first. *)
+let rec dispatch stop cpu budget =
+  if stop cpu then Stopped
+  else if budget <= 0 then Limit
+  else begin
+    let mem = cpu.Cpu.mem in
+    let gen = Memory.code_gen mem in
+    let blk = Xlate.lookup cpu.Cpu.xlate mem cpu.Cpu.regs Cpu.pc_offset ~gen in
+    if Array.length blk.Xlate.ops = 0 then
+      (* entry sits on the halt marker, an unknown word or a misaligned
+         address; stop/budget were checked above, and the lookup
+         validated the code generation *)
+      match blk.Xlate.term with
+      | Xlate.T_halt -> Breakpoint
+      | Xlate.T_unknown -> Halted blk.Xlate.entry
+      | Xlate.T_fallthrough | Xlate.T_branch -> assert false
+    else exec_op stop cpu blk gen 0 budget
+  end
+
+(* Execute op [i] of [blk]; stop/budget already checked for it (by
+   [dispatch] for op 0, by the previous op for the rest — once per
+   instruction). *)
+and exec_op stop cpu (blk : Xlate.block) gen i budget =
+  (match Array.unsafe_get blk.Xlate.ops i with
+   | Xlate.Plain insn -> Cpu.exec_local cpu insn
+   | Xlate.Routed r ->
+     if not (Route_key.holds blk.Xlate.key cpu) then re_route cpu blk;
+     Cpu.exec_with_action cpu r.insn r.action);
+  let budget = budget - 1 in
+  let next = (i + 1) * 4 in
+  (* Side exits: control left the straight line (branch taken,
+     exception, handler redirect) or code was modified under our feet —
+     back to the dispatcher, which re-validates. *)
+  if
+    (not (Cpu.pc_is cpu blk.Xlate.entry next))
+    || Memory.code_gen cpu.Cpu.mem <> gen
+  then dispatch stop cpu budget
+  else if i + 1 >= Array.length blk.Xlate.ops then begin
+    match blk.Xlate.term with
+    | Xlate.T_branch | Xlate.T_fallthrough -> dispatch stop cpu budget
+    | Xlate.T_halt ->
+      if stop cpu then Stopped
+      else if budget <= 0 then Limit
+      else Breakpoint
+    | Xlate.T_unknown ->
+      if stop cpu then Stopped
+      else if budget <= 0 then Limit
+      else Halted (Int64.add blk.Xlate.entry (Int64.of_int next))
+  end
+  else if stop cpu then Stopped
+  else if budget <= 0 then Limit
+  else exec_op stop cpu blk gen (i + 1) budget
 
 (* Run from [entry] until the halt marker, an unencodable word, a
    misaligned PC, or the instruction budget runs out.  Any non-positive
@@ -81,77 +145,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:entry
       ~a1:(Int64.of_int max_insns) Trace.Run_begin;
-  let mem = cpu.Cpu.mem in
-  let xc = cpu.Cpu.xlate in
-  (* A block's key no longer holds (or it was never routed): route its
-     ops under the current state and take the cache's shared key. *)
-  let re_route (blk : Xlate.block) =
-    let ops = blk.Xlate.ops in
-    for i = 0 to Array.length ops - 1 do
-      match Array.unsafe_get ops i with
-      | Xlate.Plain _ -> ()
-      | Xlate.Routed r -> r.action <- Cpu.route cpu r.insn
-    done;
-    blk.Xlate.key <- Route_key.share (Xlate.shared xc) cpu
-  in
-  let rec step budget =
-    if stop cpu then Stopped
-    else if budget <= 0 then Limit
-    else
-      let pc = Cpu.pc cpu in
-      if misaligned pc then Halted pc
-      else begin
-        let gen = Memory.code_gen mem in
-        let blk = Xlate.lookup xc mem ~pc ~gen in
-        let ops = blk.Xlate.ops in
-        let n = Array.length ops in
-        if n = 0 then
-          (* entry sits on the halt marker or an unknown word;
-             stop/budget/alignment were checked above, and the lookup
-             validated the code generation *)
-          match blk.Xlate.term with
-          | Xlate.T_halt -> Breakpoint
-          | Xlate.T_unknown -> Halted pc
-          | Xlate.T_fallthrough | Xlate.T_branch -> assert false
-        else
-          (* Execute op [i]; stop/budget/alignment already checked for
-             it (by this dispatcher for op 0, by the previous iteration
-             for the rest — once per instruction). *)
-          let rec go i budget =
-            (match Array.unsafe_get ops i with
-            | Xlate.Plain insn -> Cpu.exec_local cpu insn
-            | Xlate.Routed r ->
-              if not (Route_key.holds blk.Xlate.key cpu) then re_route blk;
-              Cpu.exec_with_action cpu r.insn r.action);
-            let budget = budget - 1 in
-            let expected =
-              Int64.add blk.Xlate.entry (Int64.of_int ((i + 1) * 4))
-            in
-            (* Side exits: control left the straight line (branch taken,
-               exception, handler redirect) or code was modified under
-               our feet — back to the dispatcher, which re-validates. *)
-            if Cpu.pc cpu <> expected || Memory.code_gen mem <> gen then
-              step budget
-            else if i + 1 >= n then begin
-              match blk.Xlate.term with
-              | Xlate.T_branch | Xlate.T_fallthrough -> step budget
-              | Xlate.T_halt ->
-                if stop cpu then Stopped
-                else if budget <= 0 then Limit
-                else Breakpoint
-              | Xlate.T_unknown ->
-                if stop cpu then Stopped
-                else if budget <= 0 then Limit
-                else Halted expected
-            end
-            else if stop cpu then Stopped
-            else if budget <= 0 then Limit
-            else go (i + 1) budget
-          in
-          go 0 budget
-      end
-  in
-  let outcome = step max_insns in
+  let outcome = dispatch stop cpu max_insns in
   if !Trace.on then
     Trace.emit ~cycles:cpu.Cpu.meter.Cost.cycles ~tid:cpu.Cpu.meter.Cost.tid ~a0:(Cpu.pc cpu)
       ~detail:(outcome_to_string outcome) Trace.Run_end;
@@ -163,7 +157,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
 let disassemble mem ~base ~count =
   List.init count (fun i ->
       let addr = Int64.add base (Int64.of_int (i * 4)) in
-      let w = fetch32 mem addr in
+      let w = fetch32 mem ~base:addr 0 in
       let text =
         match Encode.decode w with
         | Encode.D_insn insn -> Insn.to_string insn

@@ -8,9 +8,11 @@
     memory ({!Hyp.Paravirt.patch_text}) and run it from memory.
 
     The one execution loop runs through the per-CPU superblock
-    translation cache ({!Xlate}): straight-line code is decoded once per
-    (block-entry PC, CPU), routed once per routing state
-    ({!Route_key.t}), and replayed with cheap side-exit validation.
+    translation cache ({!Xlate}): straight-line code is formed into a
+    block once per (block-entry PC, CPU) from words decoded once while
+    the decode cache keeps them, routed once per routing state
+    ({!Route_key.t}), and replayed with cheap side-exit validation.  A
+    warm dispatch allocates nothing.
     Traced and untraced runs use the same loop, and its observations
     equal a fetch/decode/{!Cpu.exec} loop's. *)
 
@@ -28,7 +30,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val halt_marker : int
 (** The parking instruction ([b .+0]) terminating loaded programs. *)
 
-val fetch32 : Memory.t -> int64 -> int
+val fetch32 : Memory.t -> base:int64 -> int -> int
+(** {!Memory.fetch32}: the instruction word at [base + off]. *)
 
 val load : Memory.t -> base:int64 -> int array -> unit
 (** Store an encoded program, append the halt marker, and grow the

@@ -223,6 +223,21 @@ let store32 t ~base off v =
     (Int64.logor (Int64.logand (get_word p i) keep) (Int64.shift_left v64 sh));
   stored t waddr
 
+(* A 32-bit fetch (instruction words): the half of the aligned word at
+   [base + off] that bit 2 of the address names, as an [int] — the
+   mirror of [store32], observably one [read64] of that word.  Inlined
+   into the translator's fetch loop, it allocates nothing. *)
+let[@inline] fetch32 t ~base off =
+  let addr = Int64.add base (Int64.of_int off) in
+  let p = find_page t (page_index addr) in
+  if p == no_page then 0
+  else
+    let word = get_word p (byte_index (Int64.logand addr (Int64.lognot 7L))) in
+    Int64.to_int
+      (if Int64.logand addr 4L <> 0L then Int64.shift_right_logical word 32
+       else word)
+    land 0xffff_ffff
+
 let copy64 t ~src ~dst =
   check_aligned src;
   let sp = find_page t (page_index src) in

@@ -72,6 +72,12 @@ val store32 : t -> base:int64 -> int -> int -> unit
     the low or high half of its aligned word by bit 2 of the address:
     one {!read64} and one {!write64} of that word, unboxed. *)
 
+val fetch32 : t -> base:int64 -> int -> int
+(** [fetch32 t ~base off] is the 32-bit word at [base + off] (an
+    instruction), the low or high half of its aligned word by bit 2 of
+    the address: {!store32}'s mirror, one {!read64} of that word, as an
+    unboxed [int]. *)
+
 val copy64 : t -> src:int64 -> dst:int64 -> unit
 (** [copy64 t ~src ~dst] is [write64 t dst (read64 t src)], unboxed. *)
 

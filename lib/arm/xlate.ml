@@ -1,9 +1,12 @@
 (* Superblock translation cache: the interpreter's escape from
    one-instruction-at-a-time fetch/decode/route.
 
-   Straight-line code is decoded once into a flat, pre-resolved op array
+   Straight-line code is formed once into a flat, pre-resolved op array
    per (block-entry PC, CPU) — ending at a branch, the halt marker, an
-   undecodable word, or a size cap.  Ops come in two classes:
+   undecodable word, or a size cap — and each distinct instruction word
+   is decoded once while it stays in the decode cache: decoding depends
+   on the word alone, so a decoded word never goes stale and survives
+   [flush] (only [forget_words] drops it).  Ops come in two classes:
 
    - [Plain]: constructors for which [Trap_rules.route] returns [Execute]
      unconditionally (loads, stores, ALU, barriers, TLBI, branches, SVC).
@@ -28,13 +31,7 @@
 
 (* --- program memory packing (two A64 words per 64-bit memory word) --- *)
 
-let fetch32 mem addr =
-  let word = Memory.read64 mem (Int64.logand addr (Int64.lognot 7L)) in
-  let hi = Int64.logand addr 4L <> 0L in
-  Int64.to_int
-    (Int64.logand
-       (if hi then Int64.shift_right_logical word 32 else word)
-       0xffff_ffffL)
+let fetch32 = Memory.fetch32
 
 (* The halt marker: an architecturally-valid instruction a test program
    ends with ([hvc #0x3f] would be a real hypercall, so use a branch-to-
@@ -100,10 +97,11 @@ let empty_block =
   { entry = -1L; ops = [||]; term = T_fallthrough; gen = -1; key = unrouted }
 
 type t = {
-  (* direct-mapped decode cache keyed by the 32-bit instruction word;
-     the empty-slot sentinel is -1, which no fetched word can equal
-     ([fetch32] masks to 32 bits).  Per-CPU state: sharing it across
-     machines was a correctness bug for any multi-machine future. *)
+  (* decode cache keyed by the 32-bit instruction word, one word per
+     slot ([decode_slot]); the empty-slot sentinel is -1, which no
+     fetched word can equal ([fetch32] masks to 32 bits).  Per-CPU state:
+     sharing it across machines was a correctness bug for any
+     multi-machine future. *)
   dec_keys : int array;
   dec_vals : Encode.decoded array;
   (* direct-mapped superblock cache keyed by block-entry PC *)
@@ -129,8 +127,15 @@ let decode_cache_size = decode_size
 
 let shared t = t.shared
 
+(* A word's decode slot: a multiplicative hash, not the word's low bits.
+   Generated code reuses a few registers, so many of a program's words
+   share their low bits (the Rt/Rn fields) and differ only above them; a
+   slot of the low bits would put them all on one. *)
+let[@inline] decode_slot t w =
+  ((w * 0x9E3779B1) lsr 20) land (Array.length t.dec_keys - 1)
+
 let decode t w =
-  let slot = w land (Array.length t.dec_keys - 1) in
+  let slot = decode_slot t w in
   if Array.unsafe_get t.dec_keys slot = w then Array.unsafe_get t.dec_vals slot
   else begin
     let d = Encode.decode w in
@@ -139,8 +144,9 @@ let decode t w =
     d
   end
 
-let flush t =
-  Array.fill t.blocks 0 (Array.length t.blocks) empty_block;
+let flush t = Array.fill t.blocks 0 (Array.length t.blocks) empty_block
+
+let forget_words t =
   Array.fill t.dec_keys 0 (Array.length t.dec_keys) (-1);
   Array.fill t.dec_vals 0 (Array.length t.dec_vals) (Encode.D_unknown 0)
 
@@ -165,36 +171,68 @@ let ends_block (insn : Insn.t) =
   | Insn.B _ | Insn.Cbz _ | Insn.Cbnz _ | Insn.Eret | Insn.Svc _ -> true
   | _ -> false
 
-(* Decode straight-line code starting at [pc] into a block.  Routed ops
-   get a placeholder action under the never-holding key: the first one
+(* The number of ops of the block entered at [pc], from op [i] on: up
+   to and including the first that ends a block, short of the halt
+   marker or an undecodable word, at most [max_block_ops]. *)
+let rec block_length t mem pc i =
+  if i >= max_block_ops then i
+  else
+    let w = Memory.fetch32 mem ~base:pc (i * 4) in
+    if w = halt_marker then i
+    else
+      match decode t w with
+      | Encode.D_unknown _ -> i
+      | Encode.D_insn insn ->
+        if ends_block insn then i + 1 else block_length t mem pc (i + 1)
+
+let insn_at t mem pc i =
+  match decode t (Memory.fetch32 mem ~base:pc (i * 4)) with
+  | Encode.D_insn insn -> insn
+  | Encode.D_unknown _ -> assert false
+
+(* Decode straight-line code starting at [pc] into a block, in two
+   passes: the first finds its length, the second fills an op array of
+   exactly that length (its words hit the decode cache).  Routed ops get
+   a placeholder action under the never-holding key: the first one
    executed routes them all. *)
 let build t mem ~pc ~gen =
-  let buf = Array.make max_block_ops (Plain Insn.Nop) in
-  let rec scan i addr =
-    if i >= max_block_ops then (i, T_fallthrough)
-    else
-      let w = fetch32 mem addr in
-      if w = halt_marker then (i, T_halt)
-      else
-        match decode t w with
-        | Encode.D_unknown _ -> (i, T_unknown)
-        | Encode.D_insn insn ->
-          buf.(i) <-
-            (if is_plain insn then Plain insn
-             else Routed { insn; action = Trap_rules.Undef });
-          if ends_block insn then (i + 1, T_branch)
-          else scan (i + 1) (Int64.add addr 4L)
+  let n = block_length t mem pc 0 in
+  let ops = Array.make n (Plain Insn.Nop) in
+  for i = 0 to n - 1 do
+    let insn = insn_at t mem pc i in
+    Array.unsafe_set ops i
+      (if is_plain insn then Plain insn
+       else Routed { insn; action = Trap_rules.Undef })
+  done;
+  let term =
+    if n > 0 && ends_block (insn_at t mem pc (n - 1)) then T_branch
+    else if n = max_block_ops then T_fallthrough
+    else if Memory.fetch32 mem ~base:pc (n * 4) = halt_marker then T_halt
+    else T_unknown
   in
-  let n, term = scan 0 pc in
-  { entry = pc; ops = Array.sub buf 0 n; term; gen; key = unrouted }
+  { entry = pc; ops; term; gen; key = unrouted }
 
-(* Cached block for [pc] decoded under generation [gen], or rebuild. *)
-let lookup t mem ~pc ~gen =
-  let slot = (Int64.to_int pc lsr 2) land (Array.length t.blocks - 1) in
-  let blk = Array.unsafe_get t.blocks slot in
-  if blk.entry = pc && blk.gen = gen then blk
-  else begin
-    let blk = build t mem ~pc ~gen in
-    t.blocks.(slot) <- blk;
-    blk
-  end
+(* A misaligned entry: no op, and the interpreter halts there.
+   [fetch32] would read the containing aligned word and run a skewed
+   stream.  Not cached: it would evict the aligned entry's block. *)
+let[@inline never] misaligned_block pc =
+  { empty_block with entry = pc; term = T_unknown }
+
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Cached block entered at the address in word [at] of [file], decoded
+   under generation [gen], or rebuild.  The address is read unboxed, so
+   a hit allocates nothing. *)
+let lookup t mem (file : Bytes.t) at ~gen =
+  if at < 0 || at > Bytes.length file - 8 then invalid_arg "Xlate.lookup";
+  let pc = get_word file at in
+  if Int64.logand pc 3L <> 0L then misaligned_block pc
+  else
+    let slot = (Int64.to_int pc lsr 2) land (Array.length t.blocks - 1) in
+    let blk = Array.unsafe_get t.blocks slot in
+    if blk.entry = pc && blk.gen = gen then blk
+    else begin
+      let blk = build t mem ~pc ~gen in
+      t.blocks.(slot) <- blk;
+      blk
+    end

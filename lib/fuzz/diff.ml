@@ -151,10 +151,15 @@ let start config expose =
 
    A template kept for a whole campaign is live data, and the major GC
    sizes the heap in proportion to live data, so a template keeps as
-   little as it can: every rewind empties its translation cache and
-   trap memos (only the plans stay), and the templates of a domain
-   share one small translation cache — they never run at the same
-   time, every rewind flushes it, and a program is a few dozen words.
+   little as it can: every rewind empties its translation cache's
+   blocks and its trap memos (only the plans stay), and the templates of
+   a domain share one small translation cache — they never run at the
+   same time, every rewind flushes its blocks, and a program is a few
+   dozen words.  Its decoded words stay across the columns of a program
+   (a word decodes the same on every column, and only a paravirtualized
+   column's patched sites differ), so each distinct word is decoded once
+   per program; [run_words] drops them before each program, so the
+   cache never keeps an old program's words alive.
    For the same reason they share the memory pages a program creates
    (the same few on every column: text, scratch): a rewind drops them
    into [spare], and the next run, on whichever template, adopts them
@@ -521,7 +526,36 @@ let snapshot_divergences ~budget res_obs words =
         (diff_obs straight o @ trap_div))
     res_obs
 
+(* Within each group, every column against the group's first, then the
+   trap-count ordering. *)
+let group_divergences res_obs =
+  List.concat_map
+    (fun (group, cols) ->
+      let cols_obs =
+        List.filter (fun (c, _) -> List.memq c cols) res_obs
+      in
+      match cols_obs with
+      | [] -> []
+      | (ref_c, ref_o) :: rest ->
+        List.concat_map
+          (fun (c, o) ->
+            List.map
+              (fun (field, detail) ->
+                {
+                  dv_group = group;
+                  dv_ref = ref_c.col_name;
+                  dv_col = c.col_name;
+                  dv_field = field;
+                  dv_detail = detail;
+                  dv_context = o.ob_ctx;
+                })
+              (diff_obs ref_o o))
+          rest
+        @ ordering_divergences group cols_obs)
+    groups
+
 let run_words ?traced ?(snap_oracle = false) words =
+  Arm.Xlate.forget_words (Domain.DLS.get templates).xlate;
   let budget = budget_for words in
   (* the distinct register dumps so far, for [observe] to share *)
   let seen = ref [] in
@@ -537,32 +571,7 @@ let run_words ?traced ?(snap_oracle = false) words =
         (c, o))
       columns
   in
-  let divergences =
-    List.concat_map
-      (fun (group, cols) ->
-        let cols_obs =
-          List.filter (fun (c, _) -> List.memq c cols) res_obs
-        in
-        match cols_obs with
-        | [] -> []
-        | (ref_c, ref_o) :: rest ->
-          List.concat_map
-            (fun (c, o) ->
-              List.map
-                (fun (field, detail) ->
-                  {
-                    dv_group = group;
-                    dv_ref = ref_c.col_name;
-                    dv_col = c.col_name;
-                    dv_field = field;
-                    dv_detail = detail;
-                    dv_context = o.ob_ctx;
-                  })
-                (diff_obs ref_o o))
-            rest
-          @ ordering_divergences group cols_obs)
-      groups
-  in
+  let divergences = group_divergences res_obs in
   let divergences =
     if snap_oracle then
       divergences @ snapshot_divergences ~budget res_obs words

@@ -127,6 +127,12 @@ type result = {
   res_divergences : divergence list;
 }
 
+val group_divergences : (column * obs) list -> divergence list
+(** The cross-mechanism comparison of a program's observations: within
+    each group, every column against the group's first, then the
+    trap-count ordering.  What {!run_words} reports without
+    [snap_oracle]. *)
+
 val run_words : ?traced:bool -> ?snap_oracle:bool -> int array -> result
 (** The full oracle: run under every column, compare architectural
     observations within each group, then check trap-count ordering

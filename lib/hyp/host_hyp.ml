@@ -700,25 +700,29 @@ let handle_hvc t operand =
      hardware mechanism every hvc is a real hypercall no matter what the
      guest put in the immediate. *)
   if Config.is_paravirt t.config && operand >= 64 then begin
-    (* paravirtualized hypervisor instruction (Section 4) *)
-    let op = Paravirt.decode_op operand in
+    (* paravirtualized hypervisor instruction (Section 4); the operand's
+       fields are read as ints, so the untraced path builds no record *)
     if !Trace.on then
       Trace.emit ~cycles:t.cpu.Cpu.meter.Cost.cycles ~tid:t.cpu.Cpu.meter.Cost.tid
-        ~a0:(Int64.of_int operand) ~detail:(Paravirt.op_name op) Trace.Pv_hvc;
-    match op with
-    | Paravirt.Op_sysreg { access; rt; is_read } ->
-      let switched = emulate_sysreg t ~access ~rt ~is_read in
+        ~a0:(Int64.of_int operand)
+        ~detail:(Paravirt.op_name (Paravirt.decode_op operand)) Trace.Pv_hvc;
+    match Paravirt.op_kind operand with
+    | Paravirt.K_sysreg ->
+      let switched =
+        emulate_sysreg t ~access:(Paravirt.op_access operand)
+          ~rt:(Paravirt.op_rt operand) ~is_read:(Paravirt.op_is_read operand)
+      in
       if not switched then begin
         l0_exit t;
         Cpu.do_eret t.cpu
       end
-    | Paravirt.Op_eret -> emulate_eret t
-    | Paravirt.Op_invalid _ ->
+    | Paravirt.K_eret -> emulate_eret t
+    | Paravirt.K_invalid ->
       (* guest-built operand outside the registry: the wrappers never
          emit this, so treat it as the UNDEF the target hardware would
          deliver for the unrecognized instruction *)
       inject_undef t
-    | Paravirt.Op_hypercall _ -> plain_hypercall ()
+    | Paravirt.K_hypercall -> plain_hypercall ()
   end
   else plain_hypercall ()
 

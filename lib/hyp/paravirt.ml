@@ -65,22 +65,41 @@ type op =
   | Op_eret
   | Op_invalid of int             (* outside the registry: guest gets UNDEF *)
 
-(* Total: a guest can execute [hvc] with any operand it likes, so an
+type kind = K_hypercall | K_sysreg | K_eret | K_invalid
+
+(* The decoder, in pieces that allocate nothing: which kind of operation
+   an operand names, then a sysreg operand's fields.  [decode_op] builds
+   its record from them; the host's hvc path reads them directly.
+
+   Total: a guest can execute [hvc] with any operand it likes, so an
    out-of-registry index is guest input, not an error — the host injects
-   UNDEF for [Op_invalid] exactly as ARMv8.3 hardware UNDEFs an
+   UNDEF for [K_invalid] exactly as ARMv8.3 hardware UNDEFs an
    instruction the paravirt registry would never have produced. *)
+let[@inline] form_of operand = ((operand lsr 6) land 0x3ff) - 1
+
+let op_kind operand =
+  let form = form_of operand in
+  if form < 0 then K_hypercall
+  else if form = eret_index then K_eret
+  else if form < Array.length forms then K_sysreg
+  else K_invalid
+
+let op_access operand = forms.(form_of operand)
+let op_rt operand = (operand lsr 1) land 0x1f
+let op_is_read operand = operand land 1 = 1
+
 let decode_op operand =
-  let idx = (operand lsr 6) land 0x3ff in
-  if idx = 0 then Op_hypercall (operand land 0x3f)
-  else if idx - 1 = eret_index then Op_eret
-  else if idx - 1 < Array.length forms then
+  match op_kind operand with
+  | K_hypercall -> Op_hypercall (operand land 0x3f)
+  | K_eret -> Op_eret
+  | K_sysreg ->
     Op_sysreg
       {
-        access = forms.(idx - 1);
-        rt = (operand lsr 1) land 0x1f;
-        is_read = operand land 1 = 1;
+        access = op_access operand;
+        rt = op_rt operand;
+        is_read = op_is_read operand;
       }
-  else Op_invalid operand
+  | K_invalid -> Op_invalid operand
 
 let op_name = function
   | Op_hypercall n -> Printf.sprintf "hypercall#%d" n
@@ -125,8 +144,8 @@ let slot_addr slot ~page_base addr =
    executes as written, finds UNDEFINED, or would trap in a shape the
    hvc protocol does not encode (an immediate MSR, WFI) is returned as it
    is: the ARMv8.0 hardware then runs it or raises the UNDEF. *)
-let patch (config : Config.t) ~page_base ~slot (insn : Insn.t) : Insn.t =
-  match (target_route config ~page_base insn, insn) with
+let patch_routed ~page_base ~slot action (insn : Insn.t) : Insn.t =
+  match (action, insn) with
   | Trap_rules.Execute_redirected target, Insn.Mrs (rt, _) ->
     Insn.Mrs (rt, target)
   | Trap_rules.Execute_redirected target, Insn.Msr (_, v) ->
@@ -149,15 +168,32 @@ let patch (config : Config.t) ~page_base ~slot (insn : Insn.t) : Insn.t =
      other case, runs as written. *)
   | _ -> insn
 
-let patch_word (config : Config.t) ~page_base (w : int) : int =
-  match Arm.Encode.decode w with
-  | Arm.Encode.D_unknown _ -> w
-  | Arm.Encode.D_insn insn ->
-    let p = patch config ~page_base ~slot:Page_relative insn in
-    if p == insn then w else Arm.Encode.encode p
+let patch config ~page_base ~slot insn =
+  patch_routed ~page_base ~slot (target_route config ~page_base insn) insn
 
+(* The target's routing state is built once per text, never at module
+   initialization (a table built at load time is garbage every process
+   pays for).  A word that decodes to nothing, or to an instruction the
+   router executes under every state ([Xlate.is_plain]), is kept without
+   routing. *)
 let patch_text config ~page_base words =
-  let out = Array.map (patch_word config ~page_base) words in
+  let features = Config.target_features config in
+  let hcr = Arm.Hcr.decode (Config.target_hcr config) in
+  let vncr =
+    if Config.is_neve config then Int64.logor page_base 1L else 0L
+  in
+  let patch_word w =
+    match Arm.Encode.decode w with
+    | Arm.Encode.D_unknown _ -> w
+    | Arm.Encode.D_insn insn when Arm.Xlate.is_plain insn -> w
+    | Arm.Encode.D_insn insn ->
+      let action =
+        Trap_rules.route features ~hcr ~vncr ~el:Arm.Pstate.EL1 insn
+      in
+      let p = patch_routed ~page_base ~slot:Page_relative action insn in
+      if p == insn then w else Arm.Encode.encode p
+  in
+  let out = Array.map patch_word words in
   if !Trace.on then begin
     let changed = ref 0 in
     Array.iteri (fun i w -> if w <> out.(i) then incr changed) words;

@@ -41,7 +41,20 @@ type op =
 
 val decode_op : int -> op
 (** Total — a guest can pass any operand, so malformed ones decode to
-    {!Op_invalid} instead of raising. *)
+    {!Op_invalid} instead of raising.  Built from {!op_kind} and the
+    field readers below. *)
+
+type kind = K_hypercall | K_sysreg | K_eret | K_invalid
+
+val op_kind : int -> kind
+(** The constructor {!decode_op} returns, without allocating. *)
+
+val op_access : int -> Sysreg.access
+val op_rt : int -> int
+val op_is_read : int -> bool
+(** A [K_sysreg] operand's {!Op_sysreg} fields, read without
+    allocating.  [op_access] raises [Invalid_argument] on any other
+    kind. *)
 
 val op_name : op -> string
 (** Human-readable form for trace-event details. *)
@@ -75,5 +88,7 @@ val patch : Config.t -> page_base:int64 -> slot:slot -> Insn.t -> Insn.t
 
 val patch_text : Config.t -> page_base:int64 -> int array -> int array
 (** Binary patching: each word decoded, {!patch}ed with [Page_relative]
-    slots and encoded again; words that decode to nothing or need no
-    patch are kept as they are. *)
+    slots and encoded again; words that decode to nothing, to a
+    route-free instruction ({!Arm.Xlate.is_plain}, kept without routing)
+    or need no patch are kept as they are.  The target's routing state
+    is built once per call. *)

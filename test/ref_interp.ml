@@ -20,7 +20,7 @@ let run ?(stop = fun _ -> false) (cpu : Cpu.t) ~entry ~max_insns =
       let pc = Cpu.pc cpu in
       if Int64.logand pc 3L <> 0L then Interp.Halted pc
       else
-        let w = Arm.Xlate.fetch32 cpu.Cpu.mem pc in
+        let w = Arm.Xlate.fetch32 cpu.Cpu.mem ~base:pc 0 in
         if w = Arm.Xlate.halt_marker then Interp.Breakpoint
         else
           match Arm.Encode.decode w with

@@ -147,13 +147,20 @@ let test_decode_cache_collisions =
     ~name:"decode_cached = decode under adversarial slot collisions"
     QCheck.(pair arb_encodable (int_range 1 4096))
     (fun (insn, k) ->
-      (* two words congruent modulo the cache size fight over one
-         direct-mapped slot; alternating lookups force evictions *)
-      let w1 = Encode.encode insn in
-      let w2 = (w1 + (k * Arm.Xlate.decode_cache_size)) land 0xffff_ffff in
+      (* two words fight over one slot: [w2] is the first word from
+         [w1 + k] on that [Xlate.decode_slot] puts on [w1]'s slot;
+         alternating lookups force evictions *)
       let xc = Arm.Xlate.create () in
+      let w1 = Encode.encode insn in
+      let slot = Arm.Xlate.decode_slot xc w1 in
+      let rec colliding w =
+        if w <> w1 && Arm.Xlate.decode_slot xc w = slot then w
+        else colliding ((w + 1) land 0xffff_ffff)
+      in
+      let w2 = colliding ((w1 + k) land 0xffff_ffff) in
       let agree w = Arm.Xlate.decode xc w = Encode.decode w in
-      agree w1 && agree w2 && agree w1 && agree w2)
+      slot >= 0 && slot < Arm.Xlate.decode_cache_size
+      && agree w1 && agree w2 && agree w1 && agree w2)
 
 (* --- satellite: coverage matrix -------------------------------------- *)
 
@@ -261,6 +268,46 @@ let test_register_dumps_shared () =
               Alcotest.failf "columns %d and %d hold equal dumps apart" i j)
           dumps)
       dumps
+  done
+
+(* [run_words] decodes each distinct word once per program: the columns
+   share their decoded words.  Keeping them cannot change an outcome:
+   over 200 programs, every column observes exactly what it observes
+   when it decodes its words afresh (a runner that empties the decode
+   cache before [Interp.run]), and the divergences are those of the
+   afresh observations. *)
+let test_decoded_words_shared () =
+  let afresh : Fuzz.Diff.runner =
+   fun ?stop cpu ~entry ~max_insns ->
+    Arm.Xlate.forget_words cpu.Arm.Cpu.xlate;
+    Interp.run ?stop cpu ~entry ~max_insns
+  in
+  let gen = Fuzz.Gen.create ~seed:34 in
+  for i = 1 to 200 do
+    let words = Fuzz.Prog.to_words (Fuzz.Gen.program gen) in
+    let budget = Fuzz.Diff.budget_for words in
+    let res = Fuzz.Diff.run_words words in
+    let alone =
+      List.map
+        (fun (c : Fuzz.Diff.column) ->
+          ( c,
+            Fuzz.Diff.run_column ~run:afresh ~expose:c.Fuzz.Diff.col_expose
+              ~budget c.Fuzz.Diff.col_config words ))
+        Fuzz.Diff.columns
+    in
+    List.iter2
+      (fun (c, (o : Fuzz.Diff.obs)) (_, (a : Fuzz.Diff.obs)) ->
+        if o <> a then
+          Alcotest.failf "program %d, %s: %s (%d traps) shared, %s (%d traps) afresh"
+            i c.Fuzz.Diff.col_name o.Fuzz.Diff.ob_outcome o.Fuzz.Diff.ob_traps
+            a.Fuzz.Diff.ob_outcome a.Fuzz.Diff.ob_traps)
+      res.Fuzz.Diff.res_obs alone;
+    check
+      (Alcotest.list Alcotest.string)
+      (Printf.sprintf "program %d: divergences" i)
+      (List.map Fuzz.Diff.divergence_to_string
+         (Fuzz.Diff.group_divergences alone))
+      (List.map Fuzz.Diff.divergence_to_string res.Fuzz.Diff.res_divergences)
   done
 
 (* --- shrinker --------------------------------------------------------- *)
@@ -497,6 +544,8 @@ let suite =
       test_trap_reduction_direction;
     Alcotest.test_case "oracle: one register dump per distinct file" `Quick
       test_register_dumps_shared;
+    Alcotest.test_case "oracle: decoded words shared across columns" `Quick
+      test_decoded_words_shared;
     Alcotest.test_case "shrinker minimizes to the failing snippet" `Quick
       test_shrinker_minimizes;
     Alcotest.test_case "corpus repros replay cleanly" `Quick

@@ -18,8 +18,8 @@ let test_store_fetch32 () =
   let mem = Arm.Memory.create () in
   Arm.Memory.store32 mem ~base:0x1000L 0 0xdeadbeef;
   Arm.Memory.store32 mem ~base:0x1000L 4 0x12345678;
-  check Alcotest.int "low word" 0xdeadbeef (Interp.fetch32 mem 0x1000L);
-  check Alcotest.int "high word" 0x12345678 (Interp.fetch32 mem 0x1004L);
+  check Alcotest.int "low word" 0xdeadbeef (Interp.fetch32 mem ~base:0x1000L 0);
+  check Alcotest.int "high word" 0x12345678 (Interp.fetch32 mem ~base:0x1000L 4);
   (* the two 32-bit halves live in one 64-bit word *)
   check Alcotest.int64 "packed" 0x12345678_deadbeefL
     (Arm.Memory.read64 mem 0x1000L)
@@ -40,9 +40,9 @@ let test_load_allocation () =
   let b = load_words many in
   check Alcotest.int "words allocated: 512-word load = 1-word load" a b;
   check Alcotest.int "last word" 0x11ff
-    (Interp.fetch32 mem (Int64.add base (Int64.of_int (511 * 4))));
+    (Interp.fetch32 mem ~base (511 * 4));
   check Alcotest.int "halt marker after the program" Interp.halt_marker
-    (Interp.fetch32 mem (Int64.add base (Int64.of_int (512 * 4))))
+    (Interp.fetch32 mem ~base (512 * 4))
 
 let test_straight_line () =
   let cpu = fresh () in
