@@ -65,10 +65,6 @@ type t = {
      here so every machine gets its own — the former module-global decode
      cache in Interp was shared across machines. *)
   mutable xlate : Xlate.t;
-  (* EL2 trap entries keyed by (EC, ISS).  A trap site raises the same
-     syndrome every time it traps, and entries are immutable, so the
-     record handed to the handler is reused instead of rebuilt per trap. *)
-  trap_entries : Exn.entry Memo.t;
   trail : trail option;  (* what a [Sim_fault] reports; checked machines only *)
 }
 
@@ -82,16 +78,6 @@ external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let nregs = 31
 let frame_bytes = nregs * 8
 let pc_offset = frame_bytes
-
-(* Trap-entry memo keys: the EC above the 25-bit ISS. *)
-let iss_bits = 25
-
-let entry_of_key k =
-  match Exn.ec_of_code (k lsr iss_bits) with
-  | Some ec ->
-    { Exn.target = Pstate.EL2; ec; iss = k land ((1 lsl iss_bits) - 1);
-      fault_addr = None }
-  | None -> assert false
 
 let[@inline] pc t = get_word t.regs pc_offset
 let[@inline] set_pc t v = set_word t.regs pc_offset v
@@ -120,7 +106,6 @@ let create ?(features = Features.v Features.V8_0) ?table ?mem ?meter
       hcr_raw = 0L;
       hcr_cached = Hcr.decode 0L;
       xlate = Xlate.create ();
-      trap_entries = Memo.create entry_of_key;
       trail =
         (if trail then
            Some
@@ -181,14 +166,14 @@ let load_trail t entries =
     r.len <- 0;
     List.iter (fun (kind, text) -> trail_push r kind Insn.Nop text) (List.rev entries)
 
-(* A mark copies every mutable field except the caches.  Rewinding
-   empties the translation cache and the trap-entry memo instead of
-   restoring them: no cached block can validate again (the memory's
-   rewind moves its code generation on), and a machine kept for many
-   rewinds would otherwise hold a program's worth of decoded words and
-   entries for good.  Memory is the machine's to mark: CPUs share it.  The
-   live frames are copied both ways because trap handlers update them
-   in place; the trail is marked as its entries' text. *)
+(* A mark copies every mutable field except the translation cache.
+   Rewinding empties its blocks instead of restoring them: no cached
+   block can validate again (the memory's rewind moves its code
+   generation on), and a machine kept for many rewinds would otherwise
+   hold a program's worth of blocks for good.  Memory is the machine's
+   to mark: CPUs share it.  The live frames are copied both ways
+   because trap handlers update them in place; the trail is marked as
+   its entries' text. *)
 type mark = {
   mk_regs : Bytes.t;
   mk_pstate : Pstate.t;
@@ -239,8 +224,7 @@ let rewind t m =
   t.hcr_raw <- m.mk_hcr_raw;
   t.hcr_cached <- m.mk_hcr_cached;
   load_trail t m.mk_trail;
-  Xlate.flush t.xlate;
-  Memo.clear t.trap_entries
+  Xlate.flush t.xlate
 
 (* Register 31 is XZR: A64's 5-bit register fields encode it, and the
    decoder passes it through.  It reads zero and ignores writes, the
@@ -318,12 +302,6 @@ let peek_sysreg t r = Sysreg_file.read t.sysregs r
 let poke_sysreg t r v = Sysreg_file.hw_write t.sysregs r v
 
 (* --- exception entry and return --- *)
-
-(* The entry for an EL2 trap with this syndrome, from the per-CPU memo. *)
-let trap_entry t ec iss =
-  if iss >= 0 && iss < 1 lsl iss_bits then
-    Memo.find t.trap_entries ((Exn.ec_code ec lsl iss_bits) lor iss)
-  else { Exn.target = Pstate.EL2; ec; iss; fault_addr = None }
 
 let exception_entry t (e : Exn.entry) =
   let c = table t in
@@ -445,15 +423,20 @@ let[@inline] count_access t cost =
   t.meter.Cost.mem_accesses <- t.meter.Cost.mem_accesses + 1;
   Cost.charge_insn t.meter cost
 
-let load_reg t rt addr =
-  if word_reg rt then Memory.load_into t.mem ~base:addr 0 t.regs rt
-  else set_reg t rt (Memory.read64 t.mem addr);
+(* [base + off], the address given as a base and a byte offset so that
+   callers computing it need not box it. *)
+let load_reg_at t rt ~base off =
+  if word_reg rt then Memory.load_into t.mem ~base off t.regs rt
+  else set_reg t rt (Memory.read64 t.mem (Int64.add base (Int64.of_int off)));
   count_access t (table t).Cost.mem_load
 
-let store_reg t rt addr =
-  if word_reg rt then Memory.store_from t.mem ~base:addr 0 t.regs rt
-  else Memory.write64 t.mem addr (get_reg t rt);
+let store_reg_at t rt ~base off =
+  if word_reg rt then Memory.store_from t.mem ~base off t.regs rt
+  else Memory.write64 t.mem (Int64.add base (Int64.of_int off)) (get_reg t rt);
   count_access t (table t).Cost.mem_store
+
+let load_reg t rt addr = load_reg_at t rt ~base:addr 0
+let store_reg t rt addr = store_reg_at t rt ~base:addr 0
 
 let exec_local t (insn : Insn.t) =
   let c = table t in
@@ -605,7 +588,7 @@ and exec_action t (insn : Insn.t) action =
         advance_pc t
       | _ -> assert false
     end
-  | Trap_rules.Trap_to_el2 { ec; iss; kind } ->
+  | Trap_rules.Trap_to_el2 { entry; kind } ->
     (* Only the tracer sees the instruction rendered; the trail keeps the
        instruction itself. *)
     if !Trace.on then
@@ -616,7 +599,7 @@ and exec_action t (insn : Insn.t) action =
     (* ELR on a trapped instruction points at the *next* instruction once
        the handler has emulated it; we advance first so the handler's eret
        resumes after the trapping instruction. *)
-    exception_entry t (trap_entry t ec iss)
+    exception_entry t entry
   | Trap_rules.Undef ->
     if
       t.pstate.Pstate.el <> Pstate.EL2
@@ -629,19 +612,30 @@ and exec_action t (insn : Insn.t) action =
 
 let exec_with_action = exec_action
 
-let ldr t rt addr =
-  load_reg t rt addr;
+let ldr_at t rt ~base off =
+  load_reg_at t rt ~base off;
   advance_pc t
 
-let str t rt addr =
-  store_reg t rt addr;
+let str_at t rt ~base off =
+  store_reg_at t rt ~base off;
   advance_pc t
+
+let get_reg_into t n dst off =
+  if word_reg n then set_word dst off (get_word t.regs (n * 8))
+  else set_word dst off (get_reg t n)
+
+let set_reg_from t n src off =
+  if word_reg n then set_word t.regs (n * 8) (get_word src off)
+  else set_reg t n (get_word src off)
 
 (* The HCR_EL2 bits tested outside routing are read raw: [hcr_view]
    keeps one decoded value, and asking it at an operation boundary or
    from the host's EL2 code, where HCR_EL2 differs from the value the
    last route decoded, would build a fresh view every time. *)
 let[@inline] hcr_bit t bit = Int64.logand (sr_get t i_hcr) bit <> 0L
+
+let irq_entry =
+  { Exn.target = Pstate.EL2; ec = Exn.EC_irq; iss = 0; fault_addr = None }
 
 (* A physical interrupt arrives while the CPU runs below EL2 with IMO set:
    route to EL2 (the host hypervisor). *)
@@ -650,7 +644,7 @@ let deliver_irq t =
   if t.pstate.Pstate.el <> Pstate.EL2 && hcr_bit t Hcr.imo then begin
     record_trap t ~detail:"irq" Cost.Trap_irq;
     Cost.charge t.meter c.Cost.irq_delivery;
-    exception_entry t (trap_entry t Exn.EC_irq 0);
+    exception_entry t irq_entry;
     true
   end
   else false

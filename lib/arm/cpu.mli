@@ -70,9 +70,6 @@ type t = {
           while another of them runs may share one if each flushes its
           blocks ({!Xlate.flush}) before running, as {!rewind} does; the
           decoded words they share are never stale *)
-  trap_entries : Exn.entry Memo.t;
-      (** memo of EL2 trap entries keyed by (EC, ISS), so a repeated
-          trap reuses its immutable entry record *)
   trail : trail option;
       (** what a [Sim_fault] reports; only a checked machine's CPUs
           keep one *)
@@ -94,13 +91,15 @@ val create :
 type mark
 (** Every mutable field of a CPU as it was when marked, its register
     file, meter and trail included.  Not included: the shared memory
-    (marked by its owner) and the caches ([xlate], [trap_entries]). *)
+    (marked by its owner) and the translation cache ([xlate]). *)
 
 val mark : t -> mark
 val rewind : t -> mark -> unit
 (** Put back every marked field, and empty the translation cache's
-    blocks ({!Xlate.flush}) and the trap-entry memo: a rewind is a code
-    change ({!Memory.rewind}), so no cached block could validate again.
+    blocks ({!Xlate.flush}): a rewind is a code change
+    ({!Memory.rewind}), so no cached block could validate again.  A
+    trap's exception entry travels in its routed action
+    ({!Trap_rules.action}), so there is no trap cache to empty.
     Decoded words stay: a word decodes the same whatever memory holds,
     so they cannot go stale (the owner of a cache rewound for a whole
     campaign drops them with {!Xlate.forget_words}, as the fuzzer does
@@ -185,12 +184,22 @@ val exec_with_action : t -> Insn.t -> Trap_rules.action -> unit
     route [Msr (_, Imm _)] with a non-[Execute] action through {!exec}
     instead. *)
 
-val ldr : t -> int -> int64 -> unit
-(** [ldr t rt addr] is [exec t (Ldr (rt, Abs addr))], with no
-    instruction built and the loaded word moved unboxed. *)
+val ldr_at : t -> int -> base:int64 -> int -> unit
+(** [ldr_at t rt ~base off] is [exec t (Ldr (rt, Abs (base + off)))],
+    with no instruction built, the address never boxed and the loaded
+    word moved unboxed. *)
 
-val str : t -> int -> int64 -> unit
-(** [str t rt addr] is [exec t (Str (rt, Abs addr))], likewise. *)
+val str_at : t -> int -> base:int64 -> int -> unit
+(** [str_at t rt ~base off] is [exec t (Str (rt, Abs (base + off)))],
+    likewise. *)
+
+val get_reg_into : t -> int -> Bytes.t -> int -> unit
+(** [get_reg_into t n b off] stores {!get_reg}[ t n] as the 64-bit
+    word at byte [off] of [b], unboxed.  Costs nothing. *)
+
+val set_reg_from : t -> int -> Bytes.t -> int -> unit
+(** [set_reg_from t n b off] is {!set_reg}[ t n] of the 64-bit word at
+    byte [off] of [b], unboxed.  Costs nothing. *)
 
 val record_trap : t -> detail:string -> Cost.trap_kind -> unit
 (** [Cost.record_trap ~detail] on the CPU's meter, and [detail] in its

@@ -136,15 +136,10 @@ let decode (w : int) : decoded =
   else if w land 0xfff0_0000 = 0xd510_0000 || w land 0xfff0_0000 = 0xd530_0000
   then begin
     let is_read = field w 21 1 = 1 in
-    let enc =
-      ( 2 + field w 19 1,
-        field w 16 3,
-        field w 12 4,
-        field w 8 4,
-        field w 5 3 )
-    in
     let rt = field w 0 5 in
-    match Sysreg.access_of_enc enc with
+    (* bits [20:5] are the packed (op0, op1, CRn, CRm, op2), op0 being
+       2 + bit 19 *)
+    match Sysreg.access_of_code (field w 5 16) with
     | None -> D_unknown w
     | Some access ->
       if is_read then D_insn (Insn.Mrs (rt, access))

@@ -83,6 +83,20 @@ let sysreg_iss ~(access : Sysreg.access) ~rt ~is_read =
   lor (op2 lsl 17)
   lor (op0 lsl 20)
 
+(* The same fields read one at a time, allocating nothing: the host
+   decodes every trapped access this way.  The packed code is the
+   16-bit (op0, op1, CRn, CRm, op2) field of the MRS/MSR instruction
+   (its bits [20:5]), the key of {!Sysreg.access_of_code}. *)
+let[@inline] sysreg_iss_rt iss = (iss lsr 5) land 0x1f
+let[@inline] sysreg_iss_is_read iss = iss land 1 = 1
+
+let sysreg_iss_code iss =
+  (((iss lsr 20) land 0x3) lsl 14)
+  lor (((iss lsr 14) land 0x7) lsl 11)
+  lor (((iss lsr 10) land 0xf) lsl 7)
+  lor (((iss lsr 1) land 0xf) lsl 3)
+  lor ((iss lsr 17) land 0x7)
+
 type decoded_sysreg = {
   ds_enc : int * int * int * int * int;
   ds_rt : int;

@@ -35,6 +35,18 @@ val sysreg_iss : access:Sysreg.access -> rt:int -> is_read:bool -> int
 (** ISS for a trapped MSR/MRS per the ARM ARM: direction bit 0, CRm[4:1],
     Rt[9:5], CRn[13:10], Op1[16:14], Op2[19:17], Op0[21:20]. *)
 
+val sysreg_iss_rt : int -> int
+(** Rt of a trapped MSR/MRS syndrome. *)
+
+val sysreg_iss_is_read : int -> bool
+(** The direction bit of a trapped MSR/MRS syndrome: [true] for MRS. *)
+
+val sysreg_iss_code : int -> int
+(** The packed 16-bit encoding a trapped MSR/MRS syndrome names, op0 in
+    [15:14], op1 [13:11], CRn [10:7], CRm [6:3], op2 [2:0] (the
+    instruction's bits [20:5]): the key of {!Sysreg.access_of_code}.
+    These three accessors allocate nothing. *)
+
 type decoded_sysreg = {
   ds_enc : int * int * int * int * int;
   ds_rt : int;

@@ -1,6 +1,9 @@
-(** A small set-associative memo of an [int -> 'a] function, for values
-    the trap path would otherwise rebuild on every trap (a trap site
-    raises the same syndrome each time).
+(** A small set-associative memo of an [int -> 'a] function, for small
+    immutable values a hot path would otherwise rebuild on every call
+    (a VM's acknowledge returns [Some vintid] for the few vintids it
+    sees).  It can thrash: keys past its capacity miss and rebuild, so
+    a working set the guest controls, such as the syndromes of a world
+    switch, does not belong in one.
 
     Only non-negative keys are stored.  The table starts empty and doubles
     while misses outnumber twice its size (up to 128 slots), so a machine

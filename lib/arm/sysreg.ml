@@ -583,15 +583,6 @@ let read_only_flags =
 let read_only r =
   in_range r && Bytes.unsafe_get read_only_flags (index r) = '\001'
 
-(* Reverse encoding lookup (used when decoding trapped-access syndromes and
-   when decoding 32-bit MSR/MRS words). *)
-(* domain-safety: allowlisted global — the closed-over table is fully
-   populated at module load and read-only afterwards. *)
-let of_enc : (int * int * int * int * int) -> t option =
-  let tbl = Hashtbl.create 128 in
-  List.iter (fun (r, _, e, _, _) -> Hashtbl.replace tbl e r) rows;
-  fun e -> Hashtbl.find_opt tbl e
-
 (* Access records, one per (register, alias), built once: hypervisor code
    names accesses on every world switch, and an access is immutable, so
    handing out a shared record is unobservable.
@@ -611,16 +602,67 @@ let direct reg = shared_access direct_tbl reg Direct
 let el12 reg = shared_access el12_tbl reg EL12
 let el02 reg = shared_access el02_tbl reg EL02
 
-(* The access an encoding names: a register's own encoding, or the op1=5
-   VHE alias of an EL1 (op1=0) or EL0 (op1=3) register. *)
-let access_of_enc ((op0, op1, crn, crm, op2) as e) =
-  match of_enc e with
-  | Some reg -> Some (direct reg)
-  | None when op1 = 5 -> (
-      match of_enc (op0, 0, crn, crm, op2) with
-      | Some reg -> Some (el12 reg)
-      | None -> Option.map el02 (of_enc (op0, 3, crn, crm, op2)))
-  | None -> None
+(* --- Reverse encoding lookup ---
+
+   An encoding packed into 16 bits, in the order (and at the position,
+   shifted down 5) of the MRS/MSR instruction's system-register field:
+   the key trapped-access syndromes and instruction words are decoded
+   by.  Out-of-range fields pack to -1, which names nothing. *)
+let code_of_enc (op0, op1, crn, crm, op2) =
+  if op0 lor 0x3 <> 0x3 || op1 lor 0x7 <> 0x7 || crn lor 0xf <> 0xf
+     || crm lor 0xf <> 0xf || op2 lor 0x7 <> 0x7
+  then -1
+  else (op0 lsl 14) lor (op1 lsl 11) lor (crn lsl 7) lor (crm lsl 3) lor op2
+
+(* Every code that names an access, mapped to its shared [Some access]:
+   an open-addressed table with linear probing, filled at module load
+   and never written again, so a lookup is exact and allocates nothing.
+   A register's own encoding names it directly; an op1=5 encoding that
+   is no register's own names the [_EL12] alias of the op1=0 register
+   with the same remaining fields, else the [_EL02] alias of the op1=3
+   one (the order the table is filled in, first entry wins). *)
+type code_table = { keys : int array; vals : access option array }
+
+let code_slots = 1024
+
+let rec code_slot keys c i =
+  let k = Array.unsafe_get keys i in
+  if k = c || k < 0 then i else code_slot keys c ((i + 1) land (code_slots - 1))
+
+let[@inline] code_home c = ((c * 0x9E3779B1) lsr 16) land (code_slots - 1)
+
+(* domain-safety: allowlisted global — populated at module load,
+   read-only afterwards. *)
+let codes =
+  let t = { keys = Array.make code_slots (-1); vals = Array.make code_slots None } in
+  let add c a =
+    let i = code_slot t.keys c (code_home c) in
+    if t.keys.(i) < 0 then begin
+      t.keys.(i) <- c;
+      t.vals.(i) <- Some a
+    end
+  in
+  List.iter (fun (r, _, e, _, _) -> add (code_of_enc e) (direct r)) rows;
+  List.iter
+    (fun (alias, op1, tbl) ->
+      List.iter
+        (fun (r, _, (op0, op1', crn, crm, op2), _, _) ->
+          if op1' = op1 then
+            add (code_of_enc (op0, 5, crn, crm, op2)) (shared_access tbl r alias))
+        rows)
+    [ (EL12, 0, el12_tbl); (EL02, 3, el02_tbl) ];
+  t
+
+let access_of_code c =
+  if c < 0 || c > 0xffff then None
+  else Array.unsafe_get codes.vals (code_slot codes.keys c (code_home c))
+
+let access_of_enc e = access_of_code (code_of_enc e)
+
+let of_enc e =
+  match access_of_enc e with
+  | Some { reg; alias = Direct } -> Some reg
+  | Some _ | None -> None
 
 (* --- Deferred-access-page layout ---
 

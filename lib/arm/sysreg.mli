@@ -194,14 +194,26 @@ val neve_class : t -> neve_class
 val all : t list
 (** The full register universe (including all 16 LRs and 8 APRs). *)
 
-val of_enc : int * int * int * int * int -> t option
-(** Reverse encoding lookup (trapped-access syndromes, binary decoding). *)
+val code_of_enc : int * int * int * int * int -> int
+(** An encoding packed into 16 bits: op0 in [15:14], op1 [13:11], CRn
+    [10:7], CRm [6:3], op2 [2:0], the layout of an MRS/MSR instruction's
+    bits [20:5] and of {!Exn.sysreg_iss_code}.  [-1] for a field out of
+    range. *)
+
+val access_of_code : int -> access option
+(** The access a packed encoding names, from one exact table filled at
+    module load: the shared [Some] of the shared access record
+    ({!direct}, {!el12}, {!el02}), so a lookup allocates nothing.  A
+    register's own encoding names it directly; an op1=5 encoding that is
+    no register's own names the [_EL12] alias of the op1=0 register with
+    the same remaining fields, else the [_EL02] alias of the op1=3 one.
+    [None] for a code that names nothing, or is outside [0, 0xffff]. *)
 
 val access_of_enc : int * int * int * int * int -> access option
-(** Inverse of {!access_enc}: the access an encoding names.  An op1=5
-    encoding that is no register's own names the [_EL12] alias of the
-    op1=0 register with the same remaining fields, else the [_EL02] alias
-    of the op1=3 one. *)
+(** Inverse of {!access_enc}: {!access_of_code} of {!code_of_enc}. *)
+
+val of_enc : int * int * int * int * int -> t option
+(** Reverse encoding lookup: the register whose own encoding this is. *)
 
 val count : int
 (** Size of the dense index space: [index] is a bijection between the

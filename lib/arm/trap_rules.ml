@@ -26,7 +26,10 @@ type action =
       (* NV2: the access becomes a 64-bit load/store at [addr] *)
   | Read_disguised of int64
       (* NV: CurrentEL read returns EL2 while physically at EL1 *)
-  | Trap_to_el2 of { ec : Exn.ec; iss : int; kind : Cost.trap_kind }
+  | Trap_to_el2 of { entry : Exn.entry; kind : Cost.trap_kind }
+      (* the EL2 exception the trap raises, built with the action: an
+         action cached per routing state hands the same entry to every
+         trap it takes *)
   | Undef
       (* UNDEFINED at the current EL: exception to the current EL's handler *)
 
@@ -59,13 +62,19 @@ let trap_kind_of (a : Sysreg.access) =
       if Sysreg.min_el a.reg = Pstate.EL2 then Cost.Trap_sysreg_el2
       else Cost.Trap_sysreg_el1
 
-let sysreg_trap ~access ~rt ~is_read =
+let trap_to_el2 ec iss kind =
   Trap_to_el2
-    {
-      ec = Exn.EC_sysreg;
-      iss = Exn.sysreg_iss ~access ~rt ~is_read;
-      kind = trap_kind_of access;
-    }
+    { entry = { Exn.target = Pstate.EL2; ec; iss; fault_addr = None }; kind }
+
+let sysreg_trap ~access ~rt ~is_read =
+  trap_to_el2 Exn.EC_sysreg
+    (Exn.sysreg_iss ~access ~rt ~is_read)
+    (trap_kind_of access)
+
+(* The traps whose syndrome is fixed, one shared action each. *)
+let smc_trap = trap_to_el2 Exn.EC_smc64 0 Cost.Trap_smc
+let eret_trap = trap_to_el2 Exn.EC_eret 0 Cost.Trap_eret
+let wfi_trap = trap_to_el2 Exn.EC_wfx 0 Cost.Trap_wfx
 
 (* VHE E2H redirection at EL2: EL1 access instructions operate on the EL2
    counterpart.  This is the redirection of Section 2 that lets an OS kernel
@@ -259,12 +268,9 @@ let route_sysreg_vm ~(hcr : Hcr.view) ~(access : Sysreg.access) ~rt ~is_read =
         if is_vm_ctl && min_el = Pstate.EL1
            && ((is_read && hcr.h_trvm) || ((not is_read) && hcr.h_tvm))
         then
-          Trap_to_el2
-            {
-              ec = Exn.EC_sysreg;
-              iss = Exn.sysreg_iss ~access ~rt ~is_read;
-              kind = Cost.Trap_sysreg_vm;
-            }
+          trap_to_el2 Exn.EC_sysreg
+            (Exn.sysreg_iss ~access ~rt ~is_read)
+            Cost.Trap_sysreg_vm
         else Execute
     end
 
@@ -291,12 +297,11 @@ let route ?(mask = nv2_full) ?(expose = Expose.Policy.none)
       match el with
       | Pstate.EL0 -> Undef
       | Pstate.EL1 | Pstate.EL2 ->
-        Trap_to_el2
-          { ec = Exn.EC_hvc64; iss = Exn.hvc_iss imm; kind = Cost.Trap_hvc }
+        trap_to_el2 Exn.EC_hvc64 (Exn.hvc_iss imm) Cost.Trap_hvc
     end
   | Insn.Smc _ ->
     if el = Pstate.EL1 && hcr.h_tsc then
-      Trap_to_el2 { ec = Exn.EC_smc64; iss = 0; kind = Cost.Trap_smc }
+      smc_trap
     else Execute
   | Insn.Svc _ -> Execute
   | Insn.Eret -> begin
@@ -304,13 +309,13 @@ let route ?(mask = nv2_full) ?(expose = Expose.Policy.none)
       | Pstate.EL0 -> Undef
       | Pstate.EL1 ->
         if hcr.h_nv && Features.has_nv features then
-          Trap_to_el2 { ec = Exn.EC_eret; iss = 0; kind = Cost.Trap_eret }
+          eret_trap
         else Execute
       | Pstate.EL2 -> Execute
     end
   | Insn.Wfi ->
     if el = Pstate.EL1 && hcr.h_twi then
-      Trap_to_el2 { ec = Exn.EC_wfx; iss = 0; kind = Cost.Trap_wfx }
+      wfi_trap
     else Execute
   | Insn.Mrs (rt, access) -> begin
       match el with
@@ -369,5 +374,6 @@ let pp_action ppf = function
   | Defer_to_memory { addr; reg } ->
     Fmt.pf ppf "defer %s -> mem[0x%Lx]" (Sysreg.name reg) addr
   | Read_disguised v -> Fmt.pf ppf "disguised read (0x%Lx)" v
-  | Trap_to_el2 { ec; _ } -> Fmt.pf ppf "trap to EL2 (%s)" (Exn.ec_name ec)
+  | Trap_to_el2 { entry; _ } ->
+    Fmt.pf ppf "trap to EL2 (%s)" (Exn.ec_name entry.Exn.ec)
   | Undef -> Fmt.string ppf "UNDEFINED"

@@ -26,7 +26,10 @@ type action =
       (** NV2: the access becomes a 64-bit load/store at [addr] *)
   | Read_disguised of int64
       (** NV: CurrentEL reads return EL2 while physically at EL1 *)
-  | Trap_to_el2 of { ec : Exn.ec; iss : int; kind : Cost.trap_kind }
+  | Trap_to_el2 of { entry : Exn.entry; kind : Cost.trap_kind }
+      (** the EL2 exception the trap raises (no fault address), built
+          with the action, so a cached action raises its trap without
+          building or looking up an entry *)
   | Undef
       (** UNDEFINED at the current exception level *)
 

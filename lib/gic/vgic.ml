@@ -139,6 +139,14 @@ let pending_bits = 1
 let active_bits = 2
 let pending_and_active_bits = 3
 
+(* [encode_lr { empty_lr with lr_state = Pending; lr_vintid }], the
+   empty word with the pending state (0x50a0...: state 1 in [63:62],
+   group 1, priority 0xa0) and the vintid in [31:0] *)
+let pending_lr_word = 0x50a0_0000_0000_0000L
+
+let[@inline] pending_lr vintid =
+  Int64.logor pending_lr_word (Int64.of_int (vintid land 0xffff_ffff))
+
 (* The pending LR with the lowest priority value, the first of equals. *)
 let[@inline] better_pending v ~than = lr_state_bits v = pending_bits && lr_priority_of v < than
 

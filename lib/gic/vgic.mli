@@ -36,6 +36,11 @@ val compute_elrsr : int64 array -> int64
 val compute_misr : int64 array -> int64
 (** Maintenance-interrupt status: bit 0 (EOI) when any EISR bit is set. *)
 
+val pending_lr : int -> int64
+(** [encode_lr { empty_lr with lr_state = Pending; lr_vintid }] built
+    from integer operations: the list-register word a hypervisor writes
+    to inject [lr_vintid]. *)
+
 val lr_is_free : int64 -> bool
 (** An empty slot: zero, or inactive with no vintid left behind. *)
 

@@ -38,14 +38,14 @@ type t = {
 (* Data-moving register for MRS results and MSR sources. *)
 let data_reg = 10
 
-let tampered t v =
+(* Apply a pending corruption to the value just read into the data
+   register. *)
+let tamper_data t =
   match t.tamper with
-  | None -> v
+  | None -> ()
   | Some f ->
     t.tamper <- None;
-    let v' = f v in
-    Cpu.set_reg t.cpu data_reg v';
-    v'
+    Cpu.set_reg t.cpu data_reg (f (Cpu.get_reg t.cpu data_reg))
 
 (* Site numbers: two per (register, alias) of the model, the read
    first, then one for eret. *)
@@ -85,28 +85,46 @@ let insn_of_id image id =
        if id land 1 = 0 then Insn.Mrs (data_reg, access)
        else Insn.Msr (access, data_src))
 
-(* A banked register past its bank (no site number) runs afresh. *)
-let rd t access =
+(* A banked register past its bank (no site number) runs afresh.  The
+   [_data] forms leave the value read in the data register, or write
+   the one already there, so a caller that keeps it as a word boxes
+   nothing. *)
+let rd_data t access =
   if Sysreg.in_range access.Sysreg.reg then
     Arm.Route_key.exec_id t.cpu t.sites (access_id access ~write:false)
   else Cpu.exec t.cpu (patched t (Insn.Mrs (data_reg, access)));
-  tampered t (Cpu.get_reg t.cpu data_reg)
+  tamper_data t
 
-let wr t access v =
-  Cpu.set_reg t.cpu data_reg v;
+let rd t access =
+  rd_data t access;
+  Cpu.get_reg t.cpu data_reg
+
+let wr_data t access =
   if Sysreg.in_range access.Sysreg.reg then
     Arm.Route_key.exec_id t.cpu t.sites (access_id access ~write:true)
   else Cpu.exec t.cpu (patched t (Insn.Msr (access, data_src)))
 
+let wr t access v =
+  Cpu.set_reg t.cpu data_reg v;
+  wr_data t access
+
 (* Plain memory accesses (to the hypervisor's own data structures): a
-   load or store executes as written under every mechanism. *)
+   load or store executes as written under every mechanism.  The [_at]
+   forms take the address as a base and a byte offset and move the
+   value through the data register, boxing neither. *)
+let ld_at t ~base off =
+  Cpu.ldr_at t.cpu data_reg ~base off;
+  tamper_data t
+
+let st_at t ~base off = Cpu.str_at t.cpu data_reg ~base off
+
 let ld t addr =
-  Cpu.ldr t.cpu data_reg addr;
-  tampered t (Cpu.get_reg t.cpu data_reg)
+  ld_at t ~base:addr 0;
+  Cpu.get_reg t.cpu data_reg
 
 let st t addr v =
   Cpu.set_reg t.cpu data_reg v;
-  Cpu.str t.cpu data_reg addr
+  st_at t ~base:addr 0
 
 let hvc t imm =
   let s =

@@ -13,7 +13,7 @@
     ({!Arm.Route_key}): each access's instruction is built (and patched)
     on its first use and routed once per routing state, so a repeated
     access replays its action and allocates nothing.  {!ld} and {!st}
-    build no instruction at all ({!Arm.Cpu.ldr}/{!Arm.Cpu.str}).  Sites
+    build no instruction at all ({!Arm.Cpu.ldr_at}/{!Arm.Cpu.str_at}).  Sites
     survive {!Machine.rewind} and are never serialized. *)
 
 module Cpu = Arm.Cpu
@@ -46,6 +46,20 @@ val rd : t -> Sysreg.access -> int64
 val wr : t -> Sysreg.access -> int64 -> unit
 val ld : t -> int64 -> int64
 val st : t -> int64 -> int64 -> unit
+
+val rd_data : t -> Sysreg.access -> unit
+(** {!rd} with the value left in {!data_reg} instead of returned, so a
+    caller that keeps it as a word allocates nothing. *)
+
+val wr_data : t -> Sysreg.access -> unit
+(** {!wr} of the value already in {!data_reg}. *)
+
+val ld_at : t -> base:int64 -> int -> unit
+(** {!ld} of [base + off] into {!data_reg}, the address never boxed. *)
+
+val st_at : t -> base:int64 -> int -> unit
+(** {!st} of the value in {!data_reg} at [base + off], likewise. *)
+
 val hvc : t -> int -> unit
 val eret : t -> unit
 

@@ -47,8 +47,10 @@ type t = {
       (* interrupts awaiting a free list register; drained on entry, the
          overflow kept for the next pass (the maintenance-interrupt
          pattern) *)
-  mutable nested_elr : int64;   (* where the nested VM resumes *)
-  mutable nested_spsr : int64;
+  resume : Bytes.t;
+      (* where the nested VM resumes, as words: its ELR at [elr_at], its
+         SPSR at [spsr_at], and the two words the exit path reads them
+         into before committing them ([read_exit_info]) *)
   mutable exits_handled : int;
   mutable debug_active : bool;  (* the nested VM is being debugged *)
   mutable pmu_active : bool;    (* perf events are counting in the VM *)
@@ -60,22 +62,35 @@ type t = {
 (* The vEL2 vector base the L0 hypervisor jumps to on injection; symbolic. *)
 let vector_base = 0x7000_0000L
 
+let elr_at = 0
+let spsr_at = 8
+let read_at = 16
+
+let nested_elr t = Bytes.get_int64_ne t.resume elr_at
+let nested_spsr t = Bytes.get_int64_ne t.resume spsr_at
+let set_nested_elr t v = Bytes.set_int64_ne t.resume elr_at v
+let set_nested_spsr t v = Bytes.set_int64_ne t.resume spsr_at v
+
 let create (ga : Gaccess.t) ~(vcpu : Vcpu.t) =
-  {
-    ga;
-    vhe = ga.Gaccess.config.Config.guest_vhe;
-    vm_ctx = vcpu.Vcpu.ctx_base;
-    host_ctx = Int64.add vcpu.Vcpu.ctx_base 0x2000L;
-    used_lrs = 0;
-    cntvoff = 0x1000L;
-    pending_virqs = Queue.create ();
-    nested_elr = 0x9000_0000L;
-    nested_spsr = spsr_el1h;
-    exits_handled = 0;
-    debug_active = false;
-    pmu_active = false;
-    on_mmio = None;
-  }
+  let t =
+    {
+      ga;
+      vhe = ga.Gaccess.config.Config.guest_vhe;
+      vm_ctx = vcpu.Vcpu.ctx_base;
+      host_ctx = Int64.add vcpu.Vcpu.ctx_base 0x2000L;
+      used_lrs = 0;
+      cntvoff = 0x1000L;
+      pending_virqs = Queue.create ();
+      resume = Bytes.make 32 '\000';
+      exits_handled = 0;
+      debug_active = false;
+      pmu_active = false;
+      on_mmio = None;
+    }
+  in
+  set_nested_elr t 0x9000_0000L;
+  set_nested_spsr t spsr_el1h;
+  t
 
 (* A mark: every mutable field, the access funnel's one-shot corruption
    included (its compiled sequences are a cache and stay). *)
@@ -97,8 +112,8 @@ let mark t =
     mk_used_lrs = t.used_lrs;
     mk_cntvoff = t.cntvoff;
     mk_pending_virqs = List.of_seq (Queue.to_seq t.pending_virqs);
-    mk_nested_elr = t.nested_elr;
-    mk_nested_spsr = t.nested_spsr;
+    mk_nested_elr = nested_elr t;
+    mk_nested_spsr = nested_spsr t;
     mk_exits_handled = t.exits_handled;
     mk_debug_active = t.debug_active;
     mk_pmu_active = t.pmu_active;
@@ -111,8 +126,8 @@ let rewind t m =
   t.cntvoff <- m.mk_cntvoff;
   Queue.clear t.pending_virqs;
   List.iter (fun v -> Queue.add v t.pending_virqs) m.mk_pending_virqs;
-  t.nested_elr <- m.mk_nested_elr;
-  t.nested_spsr <- m.mk_nested_spsr;
+  set_nested_elr t m.mk_nested_elr;
+  set_nested_spsr t m.mk_nested_spsr;
   t.exits_handled <- m.mk_exits_handled;
   t.debug_active <- m.mk_debug_active;
   t.pmu_active <- m.mk_pmu_active;
@@ -169,16 +184,20 @@ let virtual_vttbr = 0x5000_0000L
 (* Phase A: read the exit syndrome.  A VHE hypervisor reads its (virtual)
    EL2 registers through E2H-redirected EL1 instructions — no traps except
    HPFAR_EL2, which has no EL1 twin; a non-VHE hypervisor reads the EL2
-   registers directly and each read traps on ARMv8.3. *)
+   registers directly and each read traps on ARMv8.3.  Each value stays
+   a word: ELR and SPSR are copied from the data register into [resume]
+   and committed once all five reads are done. *)
 let read_exit_info t =
   let o = own t and ga = t.ga in
-  let _esr = Gaccess.rd ga o.esr in
-  let elr = Gaccess.rd ga o.elr in
-  let spsr = Gaccess.rd ga o.spsr in
-  let _far = Gaccess.rd ga o.far in
-  let _hpfar = Gaccess.rd ga o.hpfar in
-  t.nested_elr <- elr;
-  t.nested_spsr <- spsr
+  let cpu = ga.Gaccess.cpu in
+  Gaccess.rd_data ga o.esr;
+  Gaccess.rd_data ga o.elr;
+  Arm.Cpu.get_reg_into cpu Gaccess.data_reg t.resume read_at;
+  Gaccess.rd_data ga o.spsr;
+  Arm.Cpu.get_reg_into cpu Gaccess.data_reg t.resume (read_at + 8);
+  Gaccess.rd_data ga o.far;
+  Gaccess.rd_data ga o.hpfar;
+  Bytes.blit t.resume read_at t.resume elr_at 16
 
 (* The vGIC interface (Section 4): KVM reads the interface state on exit
    and disables the interface, then re-enables and re-programs it on
@@ -267,25 +286,27 @@ let handle_in_kernel t (reason : Vcpu.nested_exit) =
       | None ->
         (* no device attached: generic emulation bookkeeping *)
         for i = 0 to 9 do
-          let a = Int64.add t.host_ctx (Int64.of_int (0x800 + (8 * i))) in
-          Gaccess.st ga a (Int64.of_int i)
+          Arm.Cpu.set_reg ga.Gaccess.cpu Gaccess.data_reg (Int64.of_int i);
+          Gaccess.st_at ga ~base:t.host_ctx (0x800 + (8 * i))
         done
     end
   | Vcpu.Exit_virq intid ->
     (* vgic: mark the interrupt pending for the nested VM; it will be
        placed in a list register on the way back in *)
     Queue.add intid t.pending_virqs;
-    Gaccess.st ga (Int64.add t.host_ctx 0x900L) (Int64.of_int intid)
+    Arm.Cpu.set_reg ga.Gaccess.cpu Gaccess.data_reg (Int64.of_int intid);
+    Gaccess.st_at ga ~base:t.host_ctx 0x900
   | Vcpu.Exit_sgi { target; intid; rt = _ } ->
     (* the nested VM sent an IPI: KVM resolves the target vCPU, then kicks
        it by sending a physical SGI — an ICC_SGI1R write that itself traps
        to the host hypervisor (part of exit multiplication) *)
-    Gaccess.st ga (Int64.add t.host_ctx 0x908L) (Int64.of_int intid);
-    let payload =
-      Int64.logor (Int64.of_int target)
-        (Int64.shift_left (Int64.of_int intid) 24)
-    in
-    Gaccess.wr ga sgi1r payload
+    let cpu = ga.Gaccess.cpu in
+    Arm.Cpu.set_reg cpu Gaccess.data_reg (Int64.of_int intid);
+    Gaccess.st_at ga ~base:t.host_ctx 0x908;
+    Arm.Cpu.set_reg cpu Gaccess.data_reg
+      (Int64.logor (Int64.of_int target)
+         (Int64.shift_left (Int64.of_int intid) 24));
+    Gaccess.wr_data ga sgi1r
   | Vcpu.Exit_wfi ->
     (* yield: scheduler bookkeeping *)
     Gaccess.st ga (Int64.add t.host_ctx 0x910L) 1L
@@ -318,23 +339,17 @@ let switch_to_guest t =
      stays queued until a later entry frees slots (the hardware would
      raise a maintenance interrupt when LRs drain — here the next exit
      provides the opportunity) *)
-  let slot = ref 0 in
+  let slot = ref 0 and cpu = ga.Gaccess.cpu in
   while (not (Queue.is_empty t.pending_virqs)) && !slot < Reglists.vgic_lrs_in_use
   do
-    let addr =
-      Int64.add t.vm_ctx
-        (Int64.of_int (Reglists.ctx_slot (Sysreg.ICH_LR_EL2 !slot)))
-    in
+    let off = Reglists.ctx_slot (Sysreg.ICH_LR_EL2 !slot) in
     (* only fill slots whose saved content is free: occupied LRs (still
        pending or active in the VM) must survive the switch *)
-    if Gic.Vgic.lr_is_free (Gaccess.ld ga addr) then begin
+    Gaccess.ld_at ga ~base:t.vm_ctx off;
+    if Gic.Vgic.lr_is_free (Arm.Cpu.get_reg cpu Gaccess.data_reg) then begin
       let intid = Queue.pop t.pending_virqs in
-      let lr =
-        Gic.Vgic.encode_lr
-          { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Pending;
-                                   lr_vintid = intid }
-      in
-      Gaccess.st ga addr lr;
+      Arm.Cpu.set_reg cpu Gaccess.data_reg (Gic.Vgic.pending_lr intid);
+      Gaccess.st_at ga ~base:t.vm_ctx off;
       t.used_lrs <- max t.used_lrs (!slot + 1)
     end;
     incr slot
@@ -366,10 +381,13 @@ let switch_to_guest t =
 (* Enter the nested VM: set the return target and eret; the eret traps to
    the host hypervisor, which performs the real switch. *)
 let enter_nested t =
-  let o = own t in
-  Gaccess.wr t.ga o.elr t.nested_elr;
-  Gaccess.wr t.ga o.spsr t.nested_spsr;
-  Gaccess.eret t.ga
+  let o = own t and ga = t.ga in
+  let cpu = ga.Gaccess.cpu in
+  Arm.Cpu.set_reg_from cpu Gaccess.data_reg t.resume elr_at;
+  Gaccess.wr_data ga o.elr;
+  Arm.Cpu.set_reg_from cpu Gaccess.data_reg t.resume spsr_at;
+  Gaccess.wr_data ga o.spsr;
+  Gaccess.eret ga
 
 (* The full exit-handling path, invoked by the host hypervisor when it
    injects a virtual EL2 exception for a nested-VM exit. *)
@@ -392,7 +410,7 @@ let handle_exit t (reason : Vcpu.nested_exit) =
 
 (* First launch of the nested VM (no prior exit to unwind). *)
 let launch_nested t ~entry =
-  t.nested_elr <- entry;
-  t.nested_spsr <- spsr_el1h;
+  set_nested_elr t entry;
+  set_nested_spsr t spsr_el1h;
   switch_to_guest t;
   enter_nested t

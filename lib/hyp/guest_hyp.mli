@@ -25,8 +25,9 @@ type t = {
   mutable cntvoff : int64;
   pending_virqs : int Queue.t;
       (** interrupts awaiting a free list register; drained on entry *)
-  mutable nested_elr : int64;
-  mutable nested_spsr : int64;
+  resume : Bytes.t;
+      (** where the nested VM resumes, as words ({!nested_elr},
+          {!nested_spsr}); the exit path reads them without boxing *)
   mutable exits_handled : int;
   mutable debug_active : bool;  (** the nested VM is being debugged *)
 
@@ -40,6 +41,13 @@ val vector_base : int64
 (** The vEL2 vector the host jumps to on injection (symbolic). *)
 
 val create : Gaccess.t -> vcpu:Vcpu.t -> t
+
+val nested_elr : t -> int64
+(** The ELR the nested VM resumes at. *)
+
+val nested_spsr : t -> int64
+val set_nested_elr : t -> int64 -> unit
+val set_nested_spsr : t -> int64 -> unit
 
 type mark
 (** Every mutable field as when marked, including the access funnel's

@@ -37,14 +37,6 @@ type scenario = Single_vm | Nested
 
 let scenario_name = function Single_vm -> "single-vm" | Nested -> "nested"
 
-(* A decoded trapped-access syndrome. *)
-type sysreg_trap = {
-  st_iss : int;
-  st_access : Sysreg.access option;  (* [None]: no register the model knows *)
-  st_rt : int;
-  st_is_read : bool;
-}
-
 type t = {
   cpu : Cpu.t;
   config : Config.t;
@@ -90,7 +82,6 @@ type t = {
   exposed_regs : Sysreg.t array; (* the OoH grant's install/fold surface *)
   mutable drain_skip : bool array;
       (* page slots [neve_drain] leaves alone, built by the first drain *)
-  sysreg_traps : sysreg_trap Arm.Memo.t;  (* decoded syndromes, by ISS *)
 }
 
 let table t = Cpu.table t.cpu
@@ -890,17 +881,6 @@ let kill_l2 t ~resume_pc =
   t.cpu.Cpu.pstate <- Arm.Pstate.at Arm.Pstate.EL1;
   Cpu.set_pc t.cpu resume_pc
 
-(* Decode a trapped-access syndrome: the access it names (an op1=5
-   encoding names an _EL12/_EL02 alias), Rt and the direction. *)
-let decode_sysreg_trap iss =
-  let d = Exn.decode_sysreg_iss iss in
-  { st_iss = iss; st_access = Sysreg.access_of_enc d.Exn.ds_enc;
-    st_rt = d.Exn.ds_rt; st_is_read = d.Exn.ds_is_read }
-
-(* The same, memoized per host: a trap site raises the same syndrome
-   every time. *)
-let sysreg_trap t iss = Arm.Memo.find t.sysreg_traps iss
-
 let handler t _cpu (e : Exn.entry) =
   t.exits <- t.exits + 1;
   if debug_on () then
@@ -909,8 +889,10 @@ let handler t _cpu (e : Exn.entry) =
   l0_enter t;
   match e.Exn.ec with
   | Exn.EC_sysreg -> begin
-    let d = sysreg_trap t e.Exn.iss in
-    match d.st_access with
+    (* decode the syndrome by its bits: the access it names (an op1=5
+       encoding names an _EL12/_EL02 alias), Rt and the direction *)
+    let iss = e.Exn.iss in
+    match Sysreg.access_of_code (Exn.sysreg_iss_code iss) with
     | None ->
       (* A trap syndrome naming no register the simulator knows.  The
          encoding is guest-controlled (the guest executed the access),
@@ -918,17 +900,15 @@ let handler t _cpu (e : Exn.entry) =
          unhandled sysreg trap and inject UNDEF into the guest. *)
       inject_undef t
     | Some access ->
+    let rt = Exn.sysreg_iss_rt iss and is_read = Exn.sysreg_iss_is_read iss in
     if t.l2_is_hyp && (not t.vcpu.Vcpu.in_vel2) && not t.in_l1 then
       (* the L2 hypervisor executed a hypervisor instruction: forward it
          to the L1 guest hypervisor for emulation (Section 4: "trap on
          hypervisor instructions to the L0 host hypervisor, which can
          then forward it to the L1 guest hypervisor") *)
-      inject_vel2 t
-        (Vcpu.Exit_hyp_insn { access; rt = d.st_rt; is_read = d.st_is_read })
+      inject_vel2 t (Vcpu.Exit_hyp_insn { access; rt; is_read })
     else begin
-      let switched =
-        emulate_sysreg t ~access ~rt:d.st_rt ~is_read:d.st_is_read
-      in
+      let switched = emulate_sysreg t ~access ~rt ~is_read in
       if not switched then begin
         l0_exit t;
         Cpu.do_eret t.cpu
@@ -1000,7 +980,6 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
       twins = twins_for config;
       exposed_regs = exposed_regs_of expose;
       drain_skip = [||];
-      sysreg_traps = Arm.Memo.create decode_sysreg_trap;
     }
   in
   cpu.Cpu.el2_handler <- Some (fun cpu e -> handler t cpu e);
@@ -1010,8 +989,7 @@ let create ?(id = 0) ?(expose = Expose.Policy.none) cpu config scenario =
 (* A mark: the vCPU and every mutable field but the caches.  The
    compiled plans and the drain's skip set are functions of the
    configuration and stay warm across a rewind — reusing the plans is
-   much of what a rewind saves over a fresh machine; the syndrome memo
-   is emptied, as the CPU's trap-entry memo is (Cpu.rewind).  A shadow
+   much of what a rewind saves over a fresh machine.  A shadow
    stage-2 carries its own counters and bump allocators; they are
    marked with it.  The CPU and memory are the machine's to mark. *)
 type mark = {
@@ -1082,8 +1060,7 @@ let rewind t m =
    | None -> ());
   List.iter (fun (a, next) -> a.Mmu.Walk.next <- next) m.mk_allocs;
   t.l2_is_hyp <- m.mk_l2_is_hyp;
-  t.l2_vncr <- m.mk_l2_vncr;
-  Arm.Memo.clear t.sysreg_traps
+  t.l2_vncr <- m.mk_l2_vncr
 
 (* Put the machine in "guest hypervisor running in virtual EL2" state,
    ready for the first nested launch. *)

@@ -26,15 +26,6 @@ val scenario_name : scenario -> string
 (** ["single-vm"] or ["nested"]: the name snapshot images, reports and
     the CLI print for a scenario.  ({!pp} keeps its shorter ["vm"].) *)
 
-(** A decoded trapped-access syndrome: the access it names ([None] when
-    the encoding names no register of the model), Rt and direction. *)
-type sysreg_trap = {
-  st_iss : int;
-  st_access : Sysreg.access option;
-  st_rt : int;
-  st_is_read : bool;
-}
-
 type t = {
   cpu : Cpu.t;
   config : Config.t;
@@ -88,8 +79,6 @@ type t = {
       (** deferred-page slots the trapped-eret drain leaves alone (twin-
           backed and exposed registers), by dense index; built by the
           first drain *)
-  sysreg_traps : sysreg_trap Arm.Memo.t;
-      (** memo of decoded syndromes, keyed by the ISS *)
 }
 
 val table : t -> Cost.table
@@ -150,9 +139,11 @@ val create :
 type mark
 (** The vCPU ({!Vcpu.mark}) and every mutable field as when marked, a
     shadow stage-2's counters and allocators included.  The caches
-    [l0]'s plans and [drain_skip] are kept warm and [sysreg_traps] is
-    emptied by {!rewind}; the CPU and memory are marked by their owner,
-    {!Machine.mark}. *)
+    [l0]'s plans and [drain_skip] are kept warm across {!rewind}; the
+    CPU and memory are marked by their owner, {!Machine.mark}.  A
+    trapped access's syndrome is decoded by its bits on every trap
+    ({!Arm.Exn.sysreg_iss_code}, {!Arm.Sysreg.access_of_code}), with no
+    memo to keep or empty. *)
 
 val mark : t -> mark
 val rewind : t -> mark -> unit

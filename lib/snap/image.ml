@@ -389,9 +389,8 @@ let ghyp () =
              (fun g l ->
                Queue.clear g.pending_virqs;
                List.iter (fun v -> Queue.add v g.pending_virqs) l));
-        field "nested_elr" word (fun g -> g.nested_elr) (Set (fun g v -> g.nested_elr <- v));
-        field "nested_spsr" word (fun g -> g.nested_spsr)
-          (Set (fun g v -> g.nested_spsr <- v));
+        field "nested_elr" word nested_elr (Set set_nested_elr);
+        field "nested_spsr" word nested_spsr (Set set_nested_spsr);
         field "exits_handled" nat (fun g -> g.exits_handled)
           (Set (fun g v -> g.exits_handled <- v));
         field "debug_active" Bool (fun g -> g.debug_active)

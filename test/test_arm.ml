@@ -502,6 +502,94 @@ let test_e2h_pairs_and_aliases () =
   check Alcotest.bool "unmodelled op1=5 encoding" true
     (Sysreg.access_of_enc (3, 5, 15, 0, 0) = None)
 
+(* --- exhaustive syndrome and encoding decode ---
+
+   The reference is the reverse lookup as it was built before the packed
+   code table: a hash table keyed by the encoding tuple, the op1=5 alias
+   rule on top of it, and the ISS decoded into a record. *)
+let ref_of_enc =
+  let tbl = Hashtbl.create 128 in
+  List.iter (fun r -> Hashtbl.replace tbl (Sysreg.enc r) r) Sysreg.all;
+  Hashtbl.find_opt tbl
+
+let ref_access_of_enc ((op0, op1, crn, crm, op2) as e) =
+  match ref_of_enc e with
+  | Some reg -> Some (Sysreg.direct reg)
+  | None when op1 = 5 -> (
+      match ref_of_enc (op0, 0, crn, crm, op2) with
+      | Some reg -> Some (Sysreg.el12 reg)
+      | None -> Option.map Sysreg.el02 (ref_of_enc (op0, 3, crn, crm, op2)))
+  | None -> None
+
+let access_opt = function
+  | None -> "none"
+  | Some a -> Sysreg.access_name a
+
+(* The same access, and the same shared record. *)
+let same_access what expected got =
+  match (expected, got) with
+  | None, None -> ()
+  | Some a, Some b when a == b -> ()
+  | _ ->
+    Alcotest.failf "%s: expected %s, got %s%s" what (access_opt expected)
+      (access_opt got)
+      (if expected = got then " (not the shared record)" else "")
+
+let enc_of_code c =
+  (c lsr 14, (c lsr 11) land 7, (c lsr 7) land 15, (c lsr 3) land 15, c land 7)
+
+let test_decode_exhaustive () =
+  (* every register, alias, Rt and direction through its syndrome *)
+  List.iter
+    (fun r ->
+      List.iter
+        (fun access ->
+          for rt = 0 to 30 do
+            List.iter
+              (fun is_read ->
+                let iss = Exn.sysreg_iss ~access ~rt ~is_read in
+                let d = Exn.decode_sysreg_iss iss in
+                let what = Printf.sprintf "iss 0x%x" iss in
+                check Alcotest.int (what ^ ": Rt") d.Exn.ds_rt (Exn.sysreg_iss_rt iss);
+                check Alcotest.bool (what ^ ": direction") d.Exn.ds_is_read
+                  (Exn.sysreg_iss_is_read iss);
+                check Alcotest.int (what ^ ": code")
+                  (Sysreg.code_of_enc d.Exn.ds_enc) (Exn.sysreg_iss_code iss);
+                same_access what (ref_access_of_enc d.Exn.ds_enc)
+                  (Sysreg.access_of_code (Exn.sysreg_iss_code iss)))
+              [ true; false ]
+          done)
+        [ Sysreg.direct r; Sysreg.el12 r; Sysreg.el02 r ])
+    Sysreg.all;
+  (* every packed code, through the table, the tuple lookups and the
+     instruction decoder (MRS/MSR words exist for op0 = 2 and 3) *)
+  for c = 0 to 0xffff do
+    let e = enc_of_code c in
+    let what = Printf.sprintf "code 0x%04x" c in
+    let expected = ref_access_of_enc e in
+    check Alcotest.int (what ^ ": code_of_enc") c (Sysreg.code_of_enc e);
+    same_access what expected (Sysreg.access_of_code c);
+    same_access (what ^ " (access_of_enc)") expected (Sysreg.access_of_enc e);
+    check Alcotest.bool (what ^ ": of_enc") true (Sysreg.of_enc e = ref_of_enc e);
+    if c lsr 14 >= 2 then
+      List.iter
+        (fun is_read ->
+          let w = (if is_read then 0xd520_0000 else 0xd500_0000) lor (c lsl 5) lor 7 in
+          match (Encode.decode w, expected) with
+          | Encode.D_unknown w', None when w' = w -> ()
+          | Encode.D_insn (Insn.Mrs (7, a)), Some b when is_read && a == b -> ()
+          | Encode.D_insn (Insn.Msr (a, Insn.Reg 7)), Some b
+            when (not is_read) && a == b -> ()
+          | _ -> Alcotest.failf "%s: word 0x%08x decodes wrongly" what w)
+        [ true; false ]
+  done;
+  List.iter
+    (fun c ->
+      check Alcotest.bool (Printf.sprintf "code %d names nothing" c) true
+        (Sysreg.access_of_code c = None))
+    [ -1; 0x10000; max_int; min_int ];
+  check Alcotest.int "out-of-range field" (-1) (Sysreg.code_of_enc (3, 0, 16, 0, 0))
+
 let suite =
   [
     ("pstate: CurrentEL bits", `Quick, test_currentel_bits);
@@ -538,4 +626,6 @@ let suite =
      test_out_of_range_banked);
     ("sysreg: E2H pairs and alias encodings agree", `Quick,
      test_e2h_pairs_and_aliases);
+    ("exn/sysreg: every syndrome and packed code decodes as the reference",
+     `Quick, test_decode_exhaustive);
   ]

@@ -258,6 +258,21 @@ let test_gicv2_frame_addressing () =
   check Alcotest.bool "address outside decodes to None" true
     (Gicv2.decode_access 0x1000L = None)
 
+(* The guest hypervisor fills a list register with [pending_lr]'s word,
+   built without a record: it must be the record encoding's word for
+   every interrupt ID the model has (SGIs, PPIs, SPIs and the special
+   IDs up to 1023), and for the ends of the 32-bit field. *)
+let test_pending_lr_word () =
+  List.iter
+    (fun lr_vintid ->
+      let expected =
+        Vgic.encode_lr { Vgic.empty_lr with lr_state = Irq.Pending; lr_vintid }
+      in
+      if not (Int64.equal (Vgic.pending_lr lr_vintid) expected) then
+        Alcotest.failf "pending_lr %d: 0x%Lx, encode_lr gives 0x%Lx" lr_vintid
+          (Vgic.pending_lr lr_vintid) expected)
+    (List.init 1024 Fun.id @ [ Irq.virtio_net_spi; 8192; 0xffff_ffff ])
+
 let suite =
   [
     qtest test_state_bits_roundtrip;
@@ -275,6 +290,8 @@ let suite =
     ("vgic: EOI with wrong vintid", `Quick, test_eoi_wrong_vintid);
     ("vgic: EISR/ELRSR/MISR", `Quick, test_status_registers);
     qtest test_lr_words_match_records;
+    ("vgic: pending LR word == encode_lr of the record", `Quick,
+     test_pending_lr_word);
     ("gicv2: MMIO offset decoding", `Quick, test_gicv2_decode);
     ("gicv2: mapping to ICH registers", `Quick, test_gicv2_to_ich);
     ("gicv2: frame addressing", `Quick, test_gicv2_frame_addressing);

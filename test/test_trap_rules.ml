@@ -104,7 +104,7 @@ let test_v83_el2_access_traps () =
 
 let test_v83_eret_traps () =
   match route Insn.Eret with
-  | TR.Trap_to_el2 { ec = Exn.EC_eret; _ } -> ()
+  | TR.Trap_to_el2 { entry = { Exn.ec = Exn.EC_eret; _ }; _ } -> ()
   | a -> Alcotest.failf "eret should trap with EC_eret, got %a" TR.pp_action a
 
 let test_v83_currentel_disguise () =
