@@ -282,7 +282,6 @@ let i_hpfar_el2 = Sysreg.index Sysreg.HPFAR_EL2
 let i_esr_el1 = Sysreg.index Sysreg.ESR_EL1
 let i_elr_el1 = Sysreg.index Sysreg.ELR_EL1
 let i_spsr_el1 = Sysreg.index Sysreg.SPSR_EL1
-let i_far_el1 = Sysreg.index Sysreg.FAR_EL1
 
 let hcr_view t =
   let raw = sr_get t i_hcr in
@@ -298,7 +297,7 @@ let table t = t.meter.Cost.table
 
 (* Raw register-file access for hardware-internal updates and for inspecting
    state from tests; does not model an instruction and costs nothing. *)
-let peek_sysreg t r = Sysreg_file.read t.sysregs r
+let[@inline] peek_sysreg t r = Sysreg_file.read t.sysregs r
 let poke_sysreg t r v = Sysreg_file.hw_write t.sysregs r v
 
 (* --- exception entry and return --- *)
@@ -310,11 +309,6 @@ let exception_entry t (e : Exn.entry) =
     sr_set t i_esr_el2 (Int64.of_int (Exn.esr_bits ~ec:e.ec ~iss:e.iss));
     sr_set t i_elr_el2 (pc t);
     sr_set t i_spsr_el2 (Int64.of_int (Pstate.spsr_bits t.pstate));
-    (match e.fault_addr with
-     | Some a ->
-       sr_set t i_far_el2 a;
-       sr_set t i_hpfar_el2 (Int64.shift_right_logical a 8)
-     | None -> ());
     t.pstate <- Pstate.at Pstate.EL2;
     reserve_frames t (t.depth + 1);
     Bytes.blit t.regs 0 t.frames (t.depth * frame_bytes) frame_bytes;
@@ -331,9 +325,6 @@ let exception_entry t (e : Exn.entry) =
     sr_set t i_esr_el1 (Int64.of_int (Exn.esr_bits ~ec:e.ec ~iss:e.iss));
     sr_set t i_elr_el1 (pc t);
     sr_set t i_spsr_el1 (Int64.of_int (Pstate.spsr_bits t.pstate));
-    (match e.fault_addr with
-     | Some a -> sr_set t i_far_el1 a
-     | None -> ());
     t.pstate <- Pstate.at Pstate.EL1;
     Cost.charge t.meter c.Cost.exc_entry_el1;
     if !Trace.on then
@@ -344,6 +335,17 @@ let exception_entry t (e : Exn.entry) =
      | Some h -> h t e
      | None -> ())
   | Pstate.EL0 -> invalid_arg "Cpu.exception_entry: EL0 cannot take exceptions"
+
+(* The two stage-2 data aborts to EL2, shared: [data_abort] passes the
+   faulting address in FAR_EL2 and HPFAR_EL2. *)
+let dabt_read = { Exn.target = Pstate.EL2; ec = Exn.EC_dabt_lower; iss = 0 }
+
+let dabt_write = { dabt_read with Exn.iss = 0x40 }
+
+let data_abort t ~is_write ~addr =
+  sr_set t i_far_el2 addr;
+  sr_set t i_hpfar_el2 (Int64.shift_right_logical addr 8);
+  exception_entry t (if is_write then dabt_write else dabt_read)
 
 (* Architectural eret at the current EL. *)
 let do_eret t =
@@ -387,7 +389,7 @@ let read_sysreg_hw t (r : Sysreg.t) =
       (Sysreg_file.read t.sysregs Sysreg.CNTVOFF_EL2)
   | _ -> Sysreg_file.read t.sysregs r
 
-let write_sysreg_hw t r v = Sysreg_file.write t.sysregs r v
+let[@inline] write_sysreg_hw t r v = Sysreg_file.write t.sysregs r v
 
 (* --- the execution engine --- *)
 
@@ -483,8 +485,7 @@ let exec_local t (insn : Insn.t) =
      (* exception to EL1 *)
      Cost.charge_insn t.meter c.Cost.insn_base;
      exception_entry t
-       { target = Pstate.EL1; ec = Exn.EC_svc64; iss = imm land 0xffff;
-         fault_addr = None }
+       { target = Pstate.EL1; ec = Exn.EC_svc64; iss = imm land 0xffff }
    | Insn.B off ->
      Cost.charge_insn t.meter c.Cost.insn_base;
      set_pc t (Int64.add (pc t) (Int64.of_int (off * 4)))
@@ -505,7 +506,7 @@ let exec_local t (insn : Insn.t) =
   | _ -> advance_pc t
 
 let undef_entry =
-  { Exn.target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0; fault_addr = None }
+  { Exn.target = Pstate.EL1; ec = Exn.EC_unknown; iss = 0 }
 
 let route t insn =
   Trap_rules.route ~mask:t.nv2_mask ~expose:t.expose t.features
@@ -635,7 +636,7 @@ let set_reg_from t n src off =
 let[@inline] hcr_bit t bit = Int64.logand (sr_get t i_hcr) bit <> 0L
 
 let irq_entry =
-  { Exn.target = Pstate.EL2; ec = Exn.EC_irq; iss = 0; fault_addr = None }
+  { Exn.target = Pstate.EL2; ec = Exn.EC_irq; iss = 0 }
 
 (* A physical interrupt arrives while the CPU runs below EL2 with IMO set:
    route to EL2 (the host hypervisor). *)
@@ -683,7 +684,7 @@ let deliver_vserror t =
       Trace.emit ~cycles:t.meter.Cost.cycles ~tid:t.meter.Cost.tid ~a0:vsesr
         ~detail:"vserror->EL1" Trace.Serror_deliver;
     exception_entry t
-      { target = Pstate.EL1; ec = Exn.EC_serror; iss; fault_addr = None };
+      { target = Pstate.EL1; ec = Exn.EC_serror; iss };
     true
   end
   else false
@@ -734,7 +735,8 @@ let mrs_into t access (dst : Sysreg_file.t) r =
 let writable_access (a : Sysreg.access) =
   match a.Sysreg.reg with Sysreg.CurrentEL -> false | _ -> true
 
-let msr t access v =
+(* Inlined, so that a value computed for an EL2 write is not boxed. *)
+let[@inline] msr t access v =
   if el2_executes t access && writable_access access then begin
     write_sysreg_hw t access.Sysreg.reg v;
     Cost.charge_insn t.meter (table t).Cost.sysreg_write;

@@ -150,6 +150,12 @@ val exception_entry : t -> Exn.entry -> unit
     (EL2 targets), charges the entry cost and invokes the installed
     handler. *)
 
+val data_abort : t -> is_write:bool -> addr:int64 -> unit
+(** A stage-2 data abort on [addr] taken to EL2: writes [addr] to FAR_EL2
+    (and its page to HPFAR_EL2), then {!exception_entry} of a shared
+    [EC_dabt_lower] entry, so it allocates nothing.  The handler reads the
+    address from FAR_EL2.  Every stage-2 data abort is raised here. *)
+
 val do_eret : t -> unit
 (** Architectural eret at the current exception level: restores PSTATE
     and PC from SPSR/ELR, copies the top frame back into the GPRs and

@@ -120,15 +120,13 @@ type entry = {
   target : Pstate.el;     (* EL taking the exception *)
   ec : ec;
   iss : int;
-  (* Fault address for aborts (FAR/HPFAR material). *)
-  fault_addr : int64 option;
 }
 
-let pp_entry ppf e =
+let pp_entry ?far ppf e =
   Fmt.pf ppf "%s -> %s (iss=0x%x%a)" (ec_name e.ec)
     (Pstate.el_name e.target) e.iss
     Fmt.(option (fun ppf a -> pf ppf ", far=0x%Lx" a))
-    e.fault_addr
+    far
 
 (* Compact one-line form for trace events (class, target EL, syndrome).
    Only built when tracing is on — callers guard the allocation. *)

@@ -63,10 +63,12 @@ type entry = {
   target : Pstate.el;        (** exception level taking the exception *)
   ec : ec;
   iss : int;
-  fault_addr : int64 option; (** FAR/HPFAR material for aborts *)
 }
+(** An abort's faulting address is not part of the entry: it travels in
+    FAR_EL2/HPFAR_EL2 (see {!Cpu.data_abort}). *)
 
-val pp_entry : Format.formatter -> entry -> unit
+val pp_entry : ?far:int64 -> Format.formatter -> entry -> unit
+(** [far] is an abort's faulting address, printed after the syndrome. *)
 
 val entry_label : entry -> string
 (** Compact ["EC->EL iss=0x.."] form for trace-event details.  Allocates;

@@ -552,12 +552,15 @@ let access_name { reg; alias } =
       String.sub base 0 (String.length base - 1) ^ "02"
     else base ^ "(EL02)"
 
-(* Encoding of the VHE alias forms: _EL12/_EL02 registers use op1=5. *)
+(* Encoding of the VHE alias forms: _EL12/_EL02 registers use op1=5.  A
+   direct access's encoding is its register's tuple, shared with the
+   table, so encoding it allocates nothing. *)
 let access_enc { reg; alias } =
-  let (op0, op1, crn, crm, op2) = enc reg in
   match alias with
-  | Direct -> (op0, op1, crn, crm, op2)
-  | EL12 | EL02 -> (op0, 5, crn, crm, op2)
+  | Direct -> enc reg
+  | EL12 | EL02 ->
+    let (op0, _, crn, crm, op2) = enc reg in
+    (op0, 5, crn, crm, op2)
 
 (* The GIC hypervisor control interface (the ICH_* registers) occupies
    op0=3, op1=4, CRn=12, CRm=8..13. *)

@@ -56,7 +56,7 @@ let writable : Bytes.t =
 
 let writable_index i = Bytes.get writable i = '\001'
 
-let write t r v =
+let[@inline] write t r v =
   let i = Sysreg.index r in
   if writable_index i then begin
     set_index t i v;
@@ -65,7 +65,7 @@ let write t r v =
 
 (* Unchecked write, for hardware-internal updates (e.g. the CPU setting
    ESR_EL2 on exception entry, the GIC updating ICH_MISR). *)
-let hw_write t r v =
+let[@inline] hw_write t r v =
   let i = Sysreg.index r in
   set_index t i v;
   Bytes.unsafe_set t.dirty i '\001'

@@ -64,7 +64,7 @@ let trap_kind_of (a : Sysreg.access) =
 
 let trap_to_el2 ec iss kind =
   Trap_to_el2
-    { entry = { Exn.target = Pstate.EL2; ec; iss; fault_addr = None }; kind }
+    { entry = { Exn.target = Pstate.EL2; ec; iss }; kind }
 
 let sysreg_trap ~access ~rt ~is_read =
   trap_to_el2 Exn.EC_sysreg

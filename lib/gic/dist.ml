@@ -12,14 +12,34 @@ type irq_record = {
 let fresh_record () =
   { state = Irq.Inactive; enabled = false; priority = 0xa0; target = 0 }
 
+(* The empty slot of [bank]; never handed out, never written. *)
+let absent = fresh_record ()
+
 (* Fault-injection verdict for one raised interrupt. *)
 type disposition = Deliver | Drop | Duplicate
+
+(* [best_pending] scans the records in the tables' iteration order, which
+   breaks its priority ties: banked records, then shared ones, each as
+   [Hashtbl.iter] visits them.  The scan reads arrays listing them in
+   that order, rebuilt from the tables when a record was added since. *)
+type order = {
+  cpus : int array;  (* a banked record's CPU; -1 for a shared one *)
+  intids : int array;
+  records : irq_record array;
+}
+
+let no_order = { cpus = [||]; intids = [||]; records = [||] }
 
 type t = {
   ncpus : int;
   (* banked SGI/PPI state: (cpu, intid<32) -> record; SPI: intid -> record *)
   banked : (int * int, irq_record) Hashtbl.t;
   shared : (int, irq_record) Hashtbl.t;
+  (* [banked]'s records of CPUs 0..ncpus-1 by [cpu * 32 + intid],
+     [absent] where none was created *)
+  bank : irq_record array;
+  mutable order : order;  (* stale when it lists fewer records than [banked]
+                             and [shared] hold *)
   mutable enabled : bool;
   (* Fault-injection hook consulted on every raise_irq; [None] (and a
      [Deliver] verdict) is normal delivery. *)
@@ -31,9 +51,36 @@ let create ~ncpus =
     ncpus;
     banked = Hashtbl.create 64;
     shared = Hashtbl.create 64;
+    bank = Array.make (max ncpus 0 * 32) absent;
+    order = no_order;
     enabled = true;
     inject = None;
   }
+
+let order_of t =
+  let n = Hashtbl.length t.banked + Hashtbl.length t.shared in
+  let cpus = Array.make n 0 and intids = Array.make n 0 in
+  let records = Array.make n absent and k = ref 0 in
+  let add cpu intid r =
+    cpus.(!k) <- cpu;
+    intids.(!k) <- intid;
+    records.(!k) <- r;
+    incr k
+  in
+  Hashtbl.iter (fun (cpu, intid) r -> add cpu intid r) t.banked;
+  Hashtbl.iter (fun intid r -> add (-1) intid r) t.shared;
+  { cpus; intids; records }
+
+let set_inject t f = t.inject <- f
+let enabled t = t.enabled
+
+let records t =
+  let o = order_of t in
+  List.init (Array.length o.records) (fun k ->
+      (o.cpus.(k), o.intids.(k), o.records.(k)))
+
+let banked_slot t ~cpu ~intid =
+  if cpu >= 0 && cpu < t.ncpus && intid >= 0 then (cpu * 32) + intid else -1
 
 (* A mark: the flags plus a copy of every record.  Records are never
    removed, so a table holding as many records as its mark holds the
@@ -71,8 +118,9 @@ let mark t =
     mk_shared_records = shared_records;
   }
 
+(* Rewind one table; [true] when it was rebuilt, with new records. *)
 let refill tbl keys records =
-  if Hashtbl.length tbl = Array.length keys then
+  if Hashtbl.length tbl = Array.length keys then begin
     Array.iteri
       (fun i k ->
         let r = Hashtbl.find tbl k and s = records.(i) in
@@ -80,31 +128,53 @@ let refill tbl keys records =
         r.enabled <- s.enabled;
         r.priority <- s.priority;
         r.target <- s.target)
-      keys
+      keys;
+    false
+  end
   else begin
     Hashtbl.reset tbl;
-    Array.iteri (fun i k -> Hashtbl.add tbl k (copy_record records.(i))) keys
+    Array.iteri (fun i k -> Hashtbl.add tbl k (copy_record records.(i))) keys;
+    true
   end
 
 let rewind t m =
   t.enabled <- m.mk_enabled;
   t.inject <- m.mk_inject;
-  refill t.banked m.mk_banked m.mk_banked_records;
-  refill t.shared m.mk_shared m.mk_shared_records
+  if refill t.banked m.mk_banked m.mk_banked_records then begin
+    Array.fill t.bank 0 (Array.length t.bank) absent;
+    Hashtbl.iter
+      (fun (cpu, intid) r ->
+        let i = banked_slot t ~cpu ~intid in
+        if i >= 0 then t.bank.(i) <- r)
+      t.banked;
+    t.order <- no_order
+  end;
+  if refill t.shared m.mk_shared m.mk_shared_records then t.order <- no_order
 
+let new_banked t ~cpu ~intid i =
+  let r = fresh_record () in
+  Hashtbl.replace t.banked (cpu, intid) r;
+  if i >= 0 then t.bank.(i) <- r;
+  r
+
+(* A record lookup allocates nothing once the record exists (but for a
+   banked one of a CPU outside the distributor). *)
 let record t ~cpu ~intid =
   if intid < 32 then begin
-    match Hashtbl.find_opt t.banked (cpu, intid) with
-    | Some r -> r
-    | None ->
-      let r = fresh_record () in
-      Hashtbl.replace t.banked (cpu, intid) r;
-      r
+    let i = banked_slot t ~cpu ~intid in
+    if i >= 0 then begin
+      let r = Array.unsafe_get t.bank i in
+      if r != absent then r else new_banked t ~cpu ~intid i
+    end
+    else
+      match Hashtbl.find_opt t.banked (cpu, intid) with
+      | Some r -> r
+      | None -> new_banked t ~cpu ~intid i
   end
   else begin
-    match Hashtbl.find_opt t.shared intid with
-    | Some r -> r
-    | None ->
+    match Hashtbl.find t.shared intid with
+    | r -> r
+    | exception Not_found ->
       let r = fresh_record () in
       Hashtbl.replace t.shared intid r;
       r
@@ -153,34 +223,52 @@ let send_sgi t ~src:_ ~dst ~intid =
             (t.ncpus - 1)));
   raise_irq t ~cpu:dst ~intid
 
+(* The position in [t.order] of the highest-priority pending enabled
+   interrupt for a CPU, the first of equal priorities; -1 if none. *)
+let best_index t ~cpu =
+  if not t.enabled then -1
+  else begin
+    let o =
+      if Array.length t.order.records
+         = Hashtbl.length t.banked + Hashtbl.length t.shared
+      then t.order
+      else begin
+        let o = order_of t in
+        t.order <- o;
+        o
+      end
+    in
+    let best = ref (-1) and best_prio = ref 0 in
+    for k = 0 to Array.length o.records - 1 do
+      let r = Array.unsafe_get o.records k in
+      let c = Array.unsafe_get o.cpus k in
+      if
+        (if c >= 0 then c = cpu else r.target = cpu)
+        && r.enabled
+        && (r.state = Irq.Pending || r.state = Irq.Pending_and_active)
+        && (!best < 0 || r.priority < !best_prio)
+      then begin
+        best := k;
+        best_prio := r.priority
+      end
+    done;
+    !best
+  end
+
 (* Highest-priority pending enabled interrupt for a CPU, if any. *)
 let best_pending t ~cpu =
-  if not t.enabled then None
-  else begin
-    let best = ref None in
-    let consider intid (r : irq_record) =
-      let pending =
-        r.enabled
-        && (r.state = Irq.Pending || r.state = Irq.Pending_and_active)
-      in
-      if pending then
-        match !best with
-        | Some (_, bp) when bp <= r.priority -> ()
-        | _ -> best := Some (intid, r.priority)
-    in
-    Hashtbl.iter (fun (c, intid) r -> if c = cpu then consider intid r) t.banked;
-    Hashtbl.iter (fun intid r -> if r.target = cpu then consider intid r) t.shared;
-    Option.map fst !best
-  end
+  match best_index t ~cpu with
+  | -1 -> None
+  | k -> Irq.some t.order.intids.(k)
 
 (* CPU interface acknowledge: pending -> active, returns the intid. *)
 let acknowledge t ~cpu =
-  match best_pending t ~cpu with
-  | None -> None
-  | Some intid ->
-    let r = record t ~cpu ~intid in
+  match best_index t ~cpu with
+  | -1 -> None
+  | k ->
+    let r = t.order.records.(k) in
     r.state <- Irq.activate r.state;
-    Some intid
+    Irq.some t.order.intids.(k)
 
 (* End of interrupt: active -> inactive (or back to pending). *)
 let eoi t ~cpu ~intid =

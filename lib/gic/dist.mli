@@ -12,16 +12,21 @@ type irq_record = {
 type disposition = Deliver | Drop | Duplicate
 (** Fault-injection verdict for one raised interrupt. *)
 
-type t = {
-  ncpus : int;
-  banked : (int * int, irq_record) Hashtbl.t;
-  shared : (int, irq_record) Hashtbl.t;
-  mutable enabled : bool;
-  mutable inject : (cpu:int -> intid:int -> disposition) option;
-      (** fault-injection hook consulted on every {!raise_irq} *)
-}
+type t
 
 val create : ncpus:int -> t
+
+val set_inject : t -> (cpu:int -> intid:int -> disposition) option -> unit
+(** Install (or, with [None], remove) the fault-injection hook consulted
+    on every {!raise_irq}. *)
+
+val enabled : t -> bool
+
+val records : t -> (int * int * irq_record) list
+(** Every record with its CPU ([-1] for a shared one) and INTID, in the
+    tables' iteration order: the order {!best_pending} breaks priority
+    ties by. *)
+
 type mark
 (** The distributor's flags and a copy of every interrupt record. *)
 
@@ -47,10 +52,13 @@ val send_sgi : t -> src:int -> dst:int -> intid:int -> unit
     trip here is simulator misuse. *)
 
 val best_pending : t -> cpu:int -> int option
-(** Highest-priority pending enabled interrupt for a CPU. *)
+(** Highest-priority pending enabled interrupt for a CPU; of equal
+    priorities, the first in the tables' iteration order. *)
 
 val acknowledge : t -> cpu:int -> int option
-(** Pending -> active; returns the acknowledged intid. *)
+(** Pending -> active; returns the acknowledged intid.  Once the
+    distributor's records exist, acknowledging, raising and completing
+    an interrupt allocate nothing. *)
 
 val eoi : t -> cpu:int -> intid:int -> unit
 val state : t -> cpu:int -> intid:int -> Irq.state

@@ -16,6 +16,15 @@ let kind_name = function SGI -> "SGI" | PPI -> "PPI" | SPI -> "SPI"
 (* The device interrupt the workloads raise (a virtio-net SPI). *)
 let virtio_net_spi = 40
 
+(* [Some id] for every architectural INTID (0..1019, the rest of the
+   10-bit space being special), one shared value each, filled once.
+   domain-safety: allowlisted global — read-only after module load. *)
+let max_intid = 1019
+let somes = Array.init (max_intid + 1) Option.some
+
+let some id =
+  if id >= 0 && id <= max_intid then Array.unsafe_get somes id else Some id
+
 type state = Inactive | Pending | Active | Pending_and_active
 
 let state_name = function

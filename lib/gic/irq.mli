@@ -11,6 +11,11 @@ val kind_name : kind -> string
 val virtio_net_spi : int
 (** The device interrupt the workloads raise (a virtio-net SPI). *)
 
+val some : int -> int option
+(** [Some id]: one shared value per architectural INTID (0..1019), so a
+    hot path that returns an interrupt allocates nothing; a fresh option
+    outside that range. *)
+
 type state = Inactive | Pending | Active | Pending_and_active
 
 val state_name : state -> string

@@ -158,8 +158,7 @@ let gich_access t (reg : Sysreg.t) ~is_write =
     else begin
       Cpu.advance_pc cpu;
       Cpu.exception_entry cpu
-        { Arm.Exn.target = Arm.Pstate.EL1; ec = Arm.Exn.EC_unknown; iss = 0;
-          fault_addr = None }
+        { Arm.Exn.target = Arm.Pstate.EL1; ec = Arm.Exn.EC_unknown; iss = 0 }
     end
   | Some gich ->
     let addr = Gic.Gicv2.address_of gich in
@@ -170,9 +169,7 @@ let gich_access t (reg : Sysreg.t) ~is_write =
     else begin
       Cpu.record_trap cpu ~detail:(Sysreg.name reg) Cost.Trap_mmio;
       Cost.charge cpu.Cpu.meter (Cpu.table cpu).Cost.insn_base;
-      Cpu.exception_entry cpu
-        { Arm.Exn.target = Arm.Pstate.EL2; ec = Arm.Exn.EC_dabt_lower;
-          iss = (if is_write then 0x40 else 0); fault_addr = Some addr }
+      Cpu.data_abort cpu ~is_write ~addr
     end
 
 (* The funnel's ops close over [t], which holds them in its copier: the

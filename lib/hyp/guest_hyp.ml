@@ -38,15 +38,17 @@ let spsr_el1h = Arm.Pstate.to_spsr (Arm.Pstate.at Arm.Pstate.EL1)
 
 type t = {
   ga : Gaccess.t;
+  vcpu : Vcpu.t;  (* where the host leaves each exit's details *)
   vhe : bool;
   vm_ctx : int64;     (* its software struct holding the nested VM's state *)
   host_ctx : int64;   (* its host kernel's saved context *)
   mutable used_lrs : int;
   mutable cntvoff : int64;
-  pending_virqs : int Queue.t;
-      (* interrupts awaiting a free list register; drained on entry, the
-         overflow kept for the next pass (the maintenance-interrupt
-         pattern) *)
+  mutable virqs : int array;
+  mutable virqs_len : int;
+      (* interrupts awaiting a free list register, oldest first, in
+         [virqs.(0 .. virqs_len - 1)]; drained on entry, the overflow
+         kept for the next pass (the maintenance-interrupt pattern) *)
   resume : Bytes.t;
       (* where the nested VM resumes, as words: its ELR at [elr_at], its
          SPSR at [spsr_at], and the two words the exit path reads them
@@ -75,12 +77,14 @@ let create (ga : Gaccess.t) ~(vcpu : Vcpu.t) =
   let t =
     {
       ga;
+      vcpu;
       vhe = ga.Gaccess.config.Config.guest_vhe;
       vm_ctx = vcpu.Vcpu.ctx_base;
       host_ctx = Int64.add vcpu.Vcpu.ctx_base 0x2000L;
       used_lrs = 0;
       cntvoff = 0x1000L;
-      pending_virqs = Queue.create ();
+      virqs = [||];
+      virqs_len = 0;
       resume = Bytes.make 32 '\000';
       exits_handled = 0;
       debug_active = false;
@@ -91,6 +95,29 @@ let create (ga : Gaccess.t) ~(vcpu : Vcpu.t) =
   set_nested_elr t 0x9000_0000L;
   set_nested_spsr t spsr_el1h;
   t
+
+(* The pending-interrupt queue: [push_virq] grows the array when it is
+   full, so a queue that has held n interrupts allocates nothing for n. *)
+let push_virq t intid =
+  if t.virqs_len = Array.length t.virqs then begin
+    let grown = Array.make (max 4 (2 * t.virqs_len)) 0 in
+    Array.blit t.virqs 0 grown 0 t.virqs_len;
+    t.virqs <- grown
+  end;
+  t.virqs.(t.virqs_len) <- intid;
+  t.virqs_len <- t.virqs_len + 1
+
+let pop_virq t =
+  let intid = t.virqs.(0) in
+  t.virqs_len <- t.virqs_len - 1;
+  Array.blit t.virqs 1 t.virqs 0 t.virqs_len;
+  intid
+
+let pending_virqs t = Array.to_list (Array.sub t.virqs 0 t.virqs_len)
+
+let set_pending_virqs t l =
+  t.virqs_len <- 0;
+  List.iter (push_virq t) l
 
 (* A mark: every mutable field, the access funnel's one-shot corruption
    included (its compiled sequences are a cache and stay). *)
@@ -111,7 +138,7 @@ let mark t =
   {
     mk_used_lrs = t.used_lrs;
     mk_cntvoff = t.cntvoff;
-    mk_pending_virqs = List.of_seq (Queue.to_seq t.pending_virqs);
+    mk_pending_virqs = pending_virqs t;
     mk_nested_elr = nested_elr t;
     mk_nested_spsr = nested_spsr t;
     mk_exits_handled = t.exits_handled;
@@ -124,8 +151,7 @@ let mark t =
 let rewind t m =
   t.used_lrs <- m.mk_used_lrs;
   t.cntvoff <- m.mk_cntvoff;
-  Queue.clear t.pending_virqs;
-  List.iter (fun v -> Queue.add v t.pending_virqs) m.mk_pending_virqs;
+  set_pending_virqs t m.mk_pending_virqs;
   set_nested_elr t m.mk_nested_elr;
   set_nested_spsr t m.mk_nested_spsr;
   t.exits_handled <- m.mk_exits_handled;
@@ -280,9 +306,10 @@ let handle_in_kernel t (reason : Vcpu.nested_exit) =
   | Vcpu.Exit_hypercall ->
     (* kvm-unit-test hypercall: no work, straight back in *)
     ()
-  | Vcpu.Exit_mmio { addr; is_write } -> begin
+  | Vcpu.Exit_mmio -> begin
       match t.on_mmio with
-      | Some f -> f ~addr ~is_write
+      | Some f ->
+        f ~addr:(Vcpu.exit_far t.vcpu) ~is_write:t.vcpu.Vcpu.exit_is_write
       | None ->
         (* no device attached: generic emulation bookkeeping *)
         for i = 0 to 9 do
@@ -290,17 +317,19 @@ let handle_in_kernel t (reason : Vcpu.nested_exit) =
           Gaccess.st_at ga ~base:t.host_ctx (0x800 + (8 * i))
         done
     end
-  | Vcpu.Exit_virq intid ->
+  | Vcpu.Exit_virq ->
     (* vgic: mark the interrupt pending for the nested VM; it will be
        placed in a list register on the way back in *)
-    Queue.add intid t.pending_virqs;
+    let intid = t.vcpu.Vcpu.exit_intid in
+    push_virq t intid;
     Arm.Cpu.set_reg ga.Gaccess.cpu Gaccess.data_reg (Int64.of_int intid);
     Gaccess.st_at ga ~base:t.host_ctx 0x900
-  | Vcpu.Exit_sgi { target; intid; rt = _ } ->
+  | Vcpu.Exit_sgi ->
     (* the nested VM sent an IPI: KVM resolves the target vCPU, then kicks
        it by sending a physical SGI — an ICC_SGI1R write that itself traps
        to the host hypervisor (part of exit multiplication) *)
     let cpu = ga.Gaccess.cpu in
+    let target = t.vcpu.Vcpu.exit_target and intid = t.vcpu.Vcpu.exit_intid in
     Arm.Cpu.set_reg cpu Gaccess.data_reg (Int64.of_int intid);
     Gaccess.st_at ga ~base:t.host_ctx 0x908;
     Arm.Cpu.set_reg cpu Gaccess.data_reg
@@ -327,6 +356,10 @@ let handle_in_kernel t (reason : Vcpu.nested_exit) =
       ignore (Gaccess.ld ga (Int64.add t.host_ctx (Int64.of_int (0xa00 + (8 * i)))))
     done
 
+(* Each list register's slot in the VM's context. *)
+let lr_offs =
+  Array.init Sysreg.lr_count (fun i -> Reglists.ctx_slot (Sysreg.ICH_LR_EL2 i))
+
 (* Phase D: world switch back into the nested VM (__guest_enter). *)
 let switch_to_guest t =
   let ga = t.ga in
@@ -340,14 +373,13 @@ let switch_to_guest t =
      raise a maintenance interrupt when LRs drain — here the next exit
      provides the opportunity) *)
   let slot = ref 0 and cpu = ga.Gaccess.cpu in
-  while (not (Queue.is_empty t.pending_virqs)) && !slot < Reglists.vgic_lrs_in_use
-  do
-    let off = Reglists.ctx_slot (Sysreg.ICH_LR_EL2 !slot) in
+  while t.virqs_len > 0 && !slot < Reglists.vgic_lrs_in_use do
+    let off = lr_offs.(!slot) in
     (* only fill slots whose saved content is free: occupied LRs (still
        pending or active in the VM) must survive the switch *)
     Gaccess.ld_at ga ~base:t.vm_ctx off;
     if Gic.Vgic.lr_is_free (Arm.Cpu.get_reg cpu Gaccess.data_reg) then begin
-      let intid = Queue.pop t.pending_virqs in
+      let intid = pop_virq t in
       Arm.Cpu.set_reg cpu Gaccess.data_reg (Gic.Vgic.pending_lr intid);
       Gaccess.st_at ga ~base:t.vm_ctx off;
       t.used_lrs <- max t.used_lrs (!slot + 1)
@@ -396,7 +428,7 @@ let handle_exit t (reason : Vcpu.nested_exit) =
   if debug_on () then
     Log.debug (fun m ->
         m "guest hypervisor handling nested exit #%d: %s" t.exits_handled
-          (Vcpu.exit_name reason));
+          (Vcpu.exit_name t.vcpu reason));
   (* the guest hypervisor's C-code overhead per exit *)
   let cpu = t.ga.Gaccess.cpu in
   Cost.charge cpu.Arm.Cpu.meter (Arm.Cpu.table cpu).Cost.guest_hyp_logic;

@@ -18,13 +18,17 @@ module Sysreg = Arm.Sysreg
 
 type t = {
   ga : Gaccess.t;
+  vcpu : Vcpu.t;  (** where the host leaves each exit's details *)
   vhe : bool;
   vm_ctx : int64;    (** its software struct holding the nested VM state *)
   host_ctx : int64;  (** its host kernel's saved context *)
   mutable used_lrs : int;
   mutable cntvoff : int64;
-  pending_virqs : int Queue.t;
-      (** interrupts awaiting a free list register; drained on entry *)
+  mutable virqs : int array;
+  mutable virqs_len : int;
+      (** interrupts awaiting a free list register, oldest first, in
+          [virqs.(0 .. virqs_len - 1)] ({!pending_virqs}); drained on
+          entry *)
   resume : Bytes.t;
       (** where the nested VM resumes, as words ({!nested_elr},
           {!nested_spsr}); the exit path reads them without boxing *)
@@ -41,6 +45,11 @@ val vector_base : int64
 (** The vEL2 vector the host jumps to on injection (symbolic). *)
 
 val create : Gaccess.t -> vcpu:Vcpu.t -> t
+
+val pending_virqs : t -> int list
+(** The interrupts awaiting a free list register, oldest first. *)
+
+val set_pending_virqs : t -> int list -> unit
 
 val nested_elr : t -> int64
 (** The ELR the nested VM resumes at. *)

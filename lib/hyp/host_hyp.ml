@@ -217,9 +217,10 @@ let vel2_publish ~to_hw t r =
     Core.Deferred_page.write_from t.page r vel2
   end
 
-let vel2_write ?(to_hw = true) t r v =
+(* Inlined, so that a value computed for the write is not boxed. *)
+let[@inline] vel2_write t r v =
   Vcpu.write_vel2 t.vcpu r v;
-  vel2_publish ~to_hw t r
+  vel2_publish ~to_hw:true t r
 
 (* [vel2_write t r (Cpu.peek_sysreg t.cpu r)]: the hardware register's
    value, moved as a word. *)
@@ -479,7 +480,7 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
   if debug_on () then
     Log.debug (fun m ->
         m "vcpu%d: inject %s into virtual EL2" vcpu.Vcpu.id
-          (Vcpu.exit_name reason));
+          (Vcpu.exit_name vcpu reason));
   Cost.charge cpu.Cpu.meter c.Cost.l0_inject_vel2;
   (* the stashed EL1 state is the nested VM's (or vEL1 kernel's) state *)
   Arm.Sysreg_file.restore vcpu.Vcpu.vel1 ctx_idx cpu.Cpu.mem
@@ -493,30 +494,32 @@ let inject_vel2 t (reason : Vcpu.nested_exit) =
   (* virtual exception bookkeeping: syndrome, return address, SPSR *)
   let esr =
     match reason with
-    | Vcpu.Exit_hypercall -> Exn.esr ~ec:Exn.EC_hvc64 ~iss:0
-    | Vcpu.Exit_mmio { addr = _; is_write } ->
-      Exn.esr ~ec:Exn.EC_dabt_lower ~iss:(if is_write then 0x40 else 0)
-    | Vcpu.Exit_virq _ -> Exn.esr ~ec:Exn.EC_irq ~iss:0
-    | Vcpu.Exit_sgi { rt; _ } ->
+    | Vcpu.Exit_hypercall -> Exn.esr_bits ~ec:Exn.EC_hvc64 ~iss:0
+    | Vcpu.Exit_mmio ->
+      Exn.esr_bits ~ec:Exn.EC_dabt_lower
+        ~iss:(if vcpu.Vcpu.exit_is_write then 0x40 else 0)
+    | Vcpu.Exit_virq -> Exn.esr_bits ~ec:Exn.EC_irq ~iss:0
+    | Vcpu.Exit_sgi ->
       (* a faithful syndrome for the trapped ICC_SGI1R_EL1 write — the
          guest hypervisor (and the tracer) can identify the SGI source
          register instead of seeing an all-zero ISS *)
-      Exn.esr ~ec:Exn.EC_sysreg
+      Exn.esr_bits ~ec:Exn.EC_sysreg
         ~iss:
-          (Exn.sysreg_iss ~access:(Sysreg.direct Sysreg.ICC_SGI1R_EL1) ~rt
-             ~is_read:false)
-    | Vcpu.Exit_wfi -> Exn.esr ~ec:Exn.EC_wfx ~iss:0
+          (Exn.sysreg_iss ~access:(Sysreg.direct Sysreg.ICC_SGI1R_EL1)
+             ~rt:vcpu.Vcpu.exit_rt ~is_read:false)
+    | Vcpu.Exit_wfi -> Exn.esr_bits ~ec:Exn.EC_wfx ~iss:0
     | Vcpu.Exit_hyp_insn { access; rt; is_read } ->
-      Exn.esr ~ec:Exn.EC_sysreg ~iss:(Exn.sysreg_iss ~access ~rt ~is_read)
-    | Vcpu.Exit_hyp_eret -> Exn.esr ~ec:Exn.EC_eret ~iss:0
+      Exn.esr_bits ~ec:Exn.EC_sysreg ~iss:(Exn.sysreg_iss ~access ~rt ~is_read)
+    | Vcpu.Exit_hyp_eret -> Exn.esr_bits ~ec:Exn.EC_eret ~iss:0
   in
-  vel2_write t Sysreg.ESR_EL2 esr;
+  vel2_write t Sysreg.ESR_EL2 (Int64.of_int esr);
   vel2_write_hw t Sysreg.ELR_EL2;
   vel2_write_hw t Sysreg.SPSR_EL2;
   (match reason with
-   | Vcpu.Exit_mmio { addr; _ } ->
-     vel2_write t Sysreg.FAR_EL2 addr;
-     vel2_write t Sysreg.HPFAR_EL2 (Int64.shift_right_logical addr 8)
+   | Vcpu.Exit_mmio ->
+     let far = Vcpu.exit_far vcpu in
+     vel2_write t Sysreg.FAR_EL2 far;
+     vel2_write t Sysreg.HPFAR_EL2 (Int64.shift_right_logical far 8)
    | _ -> ());
   (* load the virtual-EL2 execution mapping into hardware EL1 *)
   for k = 0 to Array.length mapping_el2 - 1 do
@@ -619,7 +622,11 @@ let emulate_sysreg t ~(access : Sysreg.access) ~rt ~is_read =
     end
     else begin
       (* the nested VM sends: the guest hypervisor must emulate it *)
-      inject_vel2 t (Vcpu.Exit_sgi { target; intid; rt });
+      let vcpu = t.vcpu in
+      vcpu.Vcpu.exit_target <- target;
+      vcpu.Vcpu.exit_intid <- intid;
+      vcpu.Vcpu.exit_rt <- rt;
+      inject_vel2 t Vcpu.Exit_sgi;
       true
     end
   end
@@ -725,12 +732,7 @@ let handle_irq t =
   | Single_vm ->
     (* inject a virtual interrupt directly into a hardware list register *)
     Cost.charge t.cpu.Cpu.meter c.Cost.l0_vgic_sync;
-    let lr =
-      Gic.Vgic.encode_lr
-        { Gic.Vgic.empty_lr with Gic.Vgic.lr_state = Gic.Irq.Pending;
-                                 lr_vintid = intid }
-    in
-    Cpu.msr t.cpu (Sysreg.direct (Sysreg.ICH_LR_EL2 0)) lr;
+    Cpu.msr t.cpu lr_access.(0) (Gic.Vgic.pending_lr intid);
     t.vcpu.Vcpu.used_lrs <- max t.vcpu.Vcpu.used_lrs 1;
     l0_exit t;
     Cpu.do_eret t.cpu
@@ -742,11 +744,15 @@ let handle_irq t =
       l0_exit t;
       Cpu.do_eret t.cpu
     end
-    else inject_vel2 t (Vcpu.Exit_virq intid)
+    else begin
+      t.vcpu.Vcpu.exit_intid <- intid;
+      inject_vel2 t Vcpu.Exit_virq
+    end
 
+(* The faulting address is read from FAR_EL2, where [Cpu.data_abort]
+   wrote it. *)
 let handle_dabt t (e : Exn.entry) =
   let c = table t in
-  let addr = Option.value ~default:Gic.Gicv2.gich_base e.Exn.fault_addr in
   let is_write = e.Exn.iss land 0x40 <> 0 in
   (* Shadow stage-2 refill: a nested-VM translation fault the host can
      resolve alone by collapsing the guest and host stage-2 tables — no
@@ -755,7 +761,8 @@ let handle_dabt t (e : Exn.entry) =
     match (t.scenario, t.vcpu.Vcpu.in_vel2, t.shadow) with
     | Nested, false, Some (sh, guest_s2, host_s2) -> begin
         match
-          Mmu.Shadow.handle_fault sh ~guest_s2 ~host_s2 ~l2_ipa:addr ~is_write
+          Mmu.Shadow.handle_fault sh ~guest_s2 ~host_s2
+            ~l2_ipa:(Cpu.peek_sysreg t.cpu Sysreg.FAR_EL2) ~is_write
         with
         | Mmu.Shadow.Resolved _ ->
           Cost.charge t.cpu.Cpu.meter c.Cost.l0_mem_fault;
@@ -778,7 +785,8 @@ let handle_dabt t (e : Exn.entry) =
     if t.vcpu.Vcpu.in_vel2 then begin
       (* GICv2: the guest hypervisor's memory-mapped GICH access traps via
          stage-2; emulate against the virtual EL2 vgic state *)
-      (match Gic.Gicv2.decode_access addr with
+      let far = Cpu.peek_sysreg t.cpu Sysreg.FAR_EL2 in
+      (match Gic.Gicv2.decode_access far with
        | Some gich ->
          Cost.charge t.cpu.Cpu.meter c.Cost.l0_vgic_sync;
          (match Gic.Gicv2.to_ich gich with
@@ -787,7 +795,8 @@ let handle_dabt t (e : Exn.entry) =
               let v = Cpu.get_trapped_reg t.cpu Gaccess.data_reg in
               (* the coherent writer: also refreshes the NEVE page's
                  cached copy, as the system-register trap path does *)
-              vel2_write ~to_hw:false t ich v;
+              Vcpu.write_vel2 t.vcpu ich v;
+              vel2_publish ~to_hw:false t ich;
               match ich with
               | Sysreg.ICH_LR_EL2 i ->
                 if not (Gic.Vgic.lr_is_free v) then
@@ -802,7 +811,13 @@ let handle_dabt t (e : Exn.entry) =
       l0_exit t;
       Cpu.do_eret t.cpu
     end
-    else inject_vel2 t (Vcpu.Exit_mmio { addr; is_write })
+    else begin
+      let vcpu = t.vcpu in
+      Bytes.set_int64_ne vcpu.Vcpu.exit_far 0
+        (Cpu.peek_sysreg t.cpu Sysreg.FAR_EL2);
+      vcpu.Vcpu.exit_is_write <- is_write;
+      inject_vel2 t Vcpu.Exit_mmio
+    end
 
 let handle_wfi t =
   match (t.scenario, t.vcpu.Vcpu.in_vel2) with
@@ -885,7 +900,14 @@ let handler t _cpu (e : Exn.entry) =
   t.exits <- t.exits + 1;
   if debug_on () then
     Log.debug (fun m ->
-        m "vcpu%d: exit #%d, %a" t.vcpu.Vcpu.id t.exits Exn.pp_entry e);
+        (* a [Cpu.data_abort] leaves its address in FAR_EL2 *)
+        let far =
+          match e.Exn.ec with
+          | Exn.EC_dabt_lower -> Some (Cpu.peek_sysreg t.cpu Sysreg.FAR_EL2)
+          | _ -> None
+        in
+        m "vcpu%d: exit #%d, %a" t.vcpu.Vcpu.id t.exits (Exn.pp_entry ?far)
+          e);
   l0_enter t;
   match e.Exn.ec with
   | Exn.EC_sysreg -> begin

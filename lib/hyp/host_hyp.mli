@@ -91,7 +91,9 @@ val vel2_read : ?from_stash:bool -> t -> Sysreg.t -> int64
     [from_stash] reads twin-backed registers from the stash after
     l0_enter switched the hardware away. *)
 
-val vel2_write : ?to_hw:bool -> t -> Sysreg.t -> int64 -> unit
+val vel2_write : t -> Sysreg.t -> int64 -> unit
+(** Write a virtual EL2 register where it lives: the virtual file, and
+    its hardware twin or deferred-page slot when it has one. *)
 
 val l0_enter : t -> unit
 (** The host's exit path, run on every trap: save the interrupted EL1

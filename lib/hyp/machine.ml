@@ -51,8 +51,6 @@ type t = {
   (* each CPU's [msr ICC_SGI1R_EL1, x9], the IPI its guest sends; a
      cache like [hvc_sites] *)
   ipi_sites : Arm.Route_key.site array;
-  (* [vm_ack]'s results, one [Some vintid] per vintid; a cache *)
-  acks : int option Arm.Memo.t;
 }
 
 let ncpus t = Array.length t.cpus
@@ -118,20 +116,20 @@ let check_neve_sync t i s =
       Sysreg.table4_trap_on_write
   end
 
+let deliver_once t ~cpu ~intid =
+  t.hosts.(cpu).Host_hyp.pending_irq <- Gic.Irq.some intid;
+  ignore (Cpu.deliver_irq t.cpus.(cpu))
+
 (* Deliver an interrupt to a CPU, honoring a pending drop/duplicate
    verdict from the fault plan. *)
 let deliver_filtered t ~cpu ~intid =
-  let once () =
-    t.hosts.(cpu).Host_hyp.pending_irq <- Some intid;
-    ignore (Cpu.deliver_irq t.cpus.(cpu))
-  in
   match t.irq_fault.(cpu) with
   | Some Fault.Plan.Drop_irq -> t.irq_fault.(cpu) <- None
   | Some Fault.Plan.Duplicate_irq ->
     t.irq_fault.(cpu) <- None;
-    once ();
-    once ()
-  | _ -> once ()
+    deliver_once t ~cpu ~intid;
+    deliver_once t ~cpu ~intid
+  | _ -> deliver_once t ~cpu ~intid
 
 (* [send_ipi]'s write, and its form normalized through x9 *)
 let sgi1r = Sysreg.direct Sysreg.ICC_SGI1R_EL1
@@ -218,7 +216,6 @@ let create ?fault_plan ?(check_invariants = false) ?(ncpus = 1) ?table
       smp = None;
       hvc_sites = Array.init ncpus (fun _ -> Arm.Route_key.site (Insn.Hvc 0));
       ipi_sites = Array.init ncpus (fun _ -> Arm.Route_key.site sgi1r_x9);
-      acks = Arm.Memo.create Option.some;
     }
   in
   if checking then
@@ -361,8 +358,7 @@ let apply_fault t ~cpu kind =
   | Fault.Plan.Spurious_trap ->
     if c.Cpu.pstate.Arm.Pstate.el <> Arm.Pstate.EL2 then
       Cpu.exception_entry c
-        { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_unknown; iss = 0;
-          fault_addr = None }
+        { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_unknown; iss = 0 }
   | Fault.Plan.Corrupt_sysreg -> begin
       match (t.fault, t.ghyps.(cpu)) with
       | Some plan, Some g ->
@@ -384,10 +380,7 @@ let apply_fault t ~cpu kind =
       Int64.of_int (0x0dea_0000 + (Fault.Plan.pick plan 16 * 0x1000))
     in
     Cpu.record_trap c ~detail:"injected-s2-fault" Cost.Trap_mem_fault;
-    Cpu.exception_entry c
-      { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_dabt_lower;
-        iss = (if Fault.Plan.flip plan then 0x40 else 0);
-        fault_addr = Some addr }
+    Cpu.data_abort c ~is_write:(Fault.Plan.flip plan) ~addr
   | Fault.Plan.Serror ->
     (* a physical SError arrives while the guest runs: HCR_EL2.AMO routes
        it to EL2, where the host contains it (EC_serror handler) and
@@ -399,8 +392,7 @@ let apply_fault t ~cpu kind =
       let iss = 0x11 lor (Fault.Plan.pick plan 0x100 lsl 8) in
       Cpu.record_trap c ~detail:"injected-serror" Cost.Trap_serror;
       Cpu.exception_entry c
-        { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_serror; iss;
-          fault_addr = None }
+        { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_serror; iss }
     end
   | Fault.Plan.Hang_vcpu -> t.hung.(cpu) <- true
 
@@ -441,9 +433,7 @@ let mmio_access t ~cpu ~addr ~is_write =
     let c = t.cpus.(cpu) in
     Cpu.record_trap c ~detail:"mmio" Cost.Trap_mmio;
     Cost.charge c.Cpu.meter (Cpu.table c).Cost.insn_base;
-    Cpu.exception_entry c
-      { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_dabt_lower;
-        iss = (if is_write then 0x40 else 0); fault_addr = Some addr }
+    Cpu.data_abort c ~is_write ~addr
   end
 
 (* A data abort at stage 2 that is *not* an emulated-device access: either
@@ -457,9 +447,7 @@ let data_abort t ~cpu ~addr ~is_write =
     let c = t.cpus.(cpu) in
     Cpu.record_trap c ~detail:"s2-fault" Cost.Trap_mem_fault;
     Cost.charge c.Cpu.meter (Cpu.table c).Cost.insn_base;
-    Cpu.exception_entry c
-      { Exn.target = Arm.Pstate.EL2; ec = Exn.EC_dabt_lower;
-        iss = (if is_write then 0x40 else 0); fault_addr = Some addr }
+    Cpu.data_abort c ~is_write ~addr
   end
 
 (* Configure shadow stage-2 translation for a CPU's nested VM: the guest
@@ -507,7 +495,7 @@ let vm_ack t ~cpu =
     Gic.Vgic.acknowledge_in c.Cpu.sysregs ~lrs:Reglists.vgic_lrs_in_use
   in
   Cost.charge c.Cpu.meter (Cpu.table c).Cost.sysreg_read;
-  if vintid < 0 then None else Arm.Memo.find t.acks vintid
+  if vintid < 0 then None else Gic.Irq.some vintid
 
 (* Complete a virtual interrupt (Virtual EOI): hardware-only, the constant
    71-cycle operation of Tables 1 and 6. *)

@@ -44,9 +44,6 @@ type t = {
   ipi_sites : Arm.Route_key.site array;
       (** each CPU's {!send_ipi} write, [msr ICC_SGI1R_EL1, x9], with
           its route memo; a cache like [hvc_sites] *)
-  acks : int option Arm.Memo.t;
-      (** the [Some vintid] values {!vm_ack} returns, built once per
-          vintid; a cache, neither marked nor serialized *)
 }
 
 val ncpus : t -> int

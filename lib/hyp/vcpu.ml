@@ -39,6 +39,18 @@ type t = {
   mutable in_vel2 : bool;  (* guest hypervisor (vEL2) vs nested VM running *)
   mutable nested_launched : bool; (* an L2 context exists *)
   mutable used_lrs : int;  (* list registers the guest hypervisor has in use *)
+  (* The details of the exit being injected into virtual EL2, as KVM
+     keeps a vCPU's fault information: the host writes them before it
+     injects an [Exit_mmio], [Exit_virq] or [Exit_sgi], and the guest
+     hypervisor reads them while it handles that exit.  Fields rather
+     than constructor payloads, so an exit allocates nothing; neither
+     marked nor serialized, since each is written before the injection
+     that reads it. *)
+  exit_far : Bytes.t;          (* Exit_mmio: the faulting address, a word *)
+  mutable exit_is_write : bool;  (* Exit_mmio *)
+  mutable exit_intid : int;    (* Exit_virq, Exit_sgi *)
+  mutable exit_target : int;   (* Exit_sgi: the target vCPU *)
+  mutable exit_rt : int;       (* Exit_sgi: the register its write moved *)
 }
 
 let region_of id = Int64.add vcpu_region_base (Int64.mul (Int64.of_int id) vcpu_region_size)
@@ -55,6 +67,11 @@ let create ~id =
     in_vel2 = false;
     nested_launched = false;
     used_lrs = 0;
+    exit_far = Bytes.make 8 '\000';
+    exit_is_write = false;
+    exit_intid = 0;
+    exit_target = 0;
+    exit_rt = 0;
   }
 
 (* A mark: the run flags and both virtual register files. *)
@@ -84,7 +101,7 @@ let rewind t m =
 
 (* Reads/writes of the virtual EL2 file. *)
 let read_vel2 t r = Sysreg_file.read t.vel2 r
-let write_vel2 t r v = Sysreg_file.hw_write t.vel2 r v
+let[@inline] write_vel2 t r v = Sysreg_file.hw_write t.vel2 r v
 
 let read_vel1 t r = Sysreg_file.read t.vel1 r
 
@@ -97,15 +114,18 @@ let pp ppf t =
     (if t.in_vel2 then "vEL2" else "vEL1/0")
     (if t.nested_launched then " nested" else "")
 
+let exit_far t = Bytes.get_int64_ne t.exit_far 0
+
 (* Why a nested VM exited — the reason the host hypervisor forwards to the
    guest hypervisor along with the virtual EL2 exception. *)
 type nested_exit =
   | Exit_hypercall
-  | Exit_mmio of { addr : int64; is_write : bool }
-  | Exit_virq of int  (* a physical interrupt meant for the nested VM *)
-  | Exit_sgi of { target : int; intid : int; rt : int }
-    (* nested VM sent an IPI; [rt] is the register the trapped
-       ICC_SGI1R_EL1 write moved, needed to encode a faithful ISS *)
+  | Exit_mmio
+    (* a data abort on an emulated device: [exit_far], [exit_is_write] *)
+  | Exit_virq  (* a physical interrupt meant for the nested VM: [exit_intid] *)
+  | Exit_sgi
+    (* nested VM sent an IPI: [exit_target], [exit_intid], and [exit_rt],
+       needed to encode a faithful ISS *)
   | Exit_wfi
   (* recursive virtualization (Section 6.2): the nested VM is itself a
      hypervisor, and executed a hypervisor instruction the guest
@@ -113,13 +133,13 @@ type nested_exit =
   | Exit_hyp_insn of { access : Arm.Sysreg.access; rt : int; is_read : bool }
   | Exit_hyp_eret
 
-let exit_name = function
+let exit_name t = function
   | Exit_hypercall -> "hypercall"
-  | Exit_mmio { addr; is_write } ->
-    Printf.sprintf "mmio-%s@0x%Lx" (if is_write then "w" else "r") addr
-  | Exit_virq n -> Printf.sprintf "virq%d" n
-  | Exit_sgi { target; intid; rt = _ } ->
-    Printf.sprintf "sgi%d->cpu%d" intid target
+  | Exit_mmio ->
+    Printf.sprintf "mmio-%s@0x%Lx" (if t.exit_is_write then "w" else "r")
+      (exit_far t)
+  | Exit_virq -> Printf.sprintf "virq%d" t.exit_intid
+  | Exit_sgi -> Printf.sprintf "sgi%d->cpu%d" t.exit_intid t.exit_target
   | Exit_wfi -> "wfi"
   | Exit_hyp_insn { access; is_read; _ } ->
     Printf.sprintf "hyp-insn-%s-%s"

@@ -32,7 +32,19 @@ type t = {
   mutable in_vel2 : bool; (** guest hypervisor vs nested VM running *)
   mutable nested_launched : bool;
   mutable used_lrs : int; (** list registers the guest hypervisor uses *)
+  exit_far : Bytes.t;
+      (** the current {!Exit_mmio}'s faulting address, one word (see
+          {!exit_far}) *)
+  mutable exit_is_write : bool;  (** the current {!Exit_mmio}'s direction *)
+  mutable exit_intid : int;  (** the current {!Exit_virq}'s or {!Exit_sgi}'s *)
+  mutable exit_target : int;  (** the current {!Exit_sgi}'s target vCPU *)
+  mutable exit_rt : int;
+      (** the register the current {!Exit_sgi}'s trapped write moved *)
 }
+(** The [exit_] fields are the details of the exit being injected into
+    virtual EL2: the host writes them before it injects the exit and the
+    guest hypervisor reads them while it handles it, so an exit carries
+    no payload to allocate.  They are neither marked nor serialized. *)
 
 val create : id:int -> t
 
@@ -46,6 +58,8 @@ val read_vel2 : t -> Sysreg.t -> int64
 val write_vel2 : t -> Sysreg.t -> int64 -> unit
 val read_vel1 : t -> Sysreg.t -> int64
 
+val exit_far : t -> int64
+
 val guest_is_vhe : t -> bool
 (** The guest hypervisor's own virtual HCR_EL2.E2H bit. *)
 
@@ -55,13 +69,14 @@ val pp : Format.formatter -> t -> unit
     hypervisor along with the virtual EL2 exception. *)
 type nested_exit =
   | Exit_hypercall
-  | Exit_mmio of { addr : int64; is_write : bool }
-  | Exit_virq of int
-  | Exit_sgi of { target : int; intid : int; rt : int }
+  | Exit_mmio  (** details in [exit_far] and [exit_is_write] *)
+  | Exit_virq  (** details in [exit_intid] *)
+  | Exit_sgi   (** details in [exit_target], [exit_intid] and [exit_rt] *)
   | Exit_wfi
   | Exit_hyp_insn of { access : Arm.Sysreg.access; rt : int; is_read : bool }
       (** recursive virtualization (Section 6.2): the nested VM is itself
           a hypervisor and executed a hypervisor instruction *)
   | Exit_hyp_eret
 
-val exit_name : nested_exit -> string
+val exit_name : t -> nested_exit -> string
+(** The exit and its details, for debug logs. *)

@@ -165,14 +165,54 @@ let via (alias : Sysreg.alias) =
   | Sysreg.EL12 -> el12_or_direct
   | Sysreg.EL02 -> Sysreg.el02
 
+(* The dense index of the register a copy's kernel moves (the one its
+   instruction names, or is redirected to), or -1 when the copy needs a
+   step of its own. *)
+let kernel_index (l : loop) action insn =
+  match (action, insn) with
+  | Arm.Trap_rules.Execute_redirected { Sysreg.reg; _ }, _
+  | Arm.Trap_rules.Execute,
+    (Insn.Mrs (_, { Sysreg.reg; _ }) | Insn.Msr ({ Sysreg.reg; _ }, _)) ->
+    if l.save && hw_special reg then -1
+    else if (not l.save) && (reg = Sysreg.HCR_EL2 || reg = Sysreg.VNCR_EL2)
+    then (* the write moves the key itself: replay it, then re-check *)
+      -1
+    else Sysreg.index reg
+  | _ -> -1
+
+let no_step = Regs { n = 0; norms = 0; idx = [||]; offs = [||]; last = 0 }
+
+(* One pass over the loop's registers.  Maximal runs of register-file
+   copies become kernel steps, their registers and slots gathered in two
+   working arrays and kept as exact copies (a restore's kernel skips the
+   registers an MSR cannot write); only the other steps keep a [copy]. *)
 let compile c (l : loop) =
-  let cpu = c.cpu in
+  let cpu = c.cpu and regs = l.regs in
   let on_slot addr =
-    Array.exists (fun r -> Int64.equal addr (slot l.ctx r)) l.regs
+    Array.exists (fun r -> Int64.equal addr (slot l.ctx r)) regs
   in
-  (* each copy: [Ok] with the register the kernel moves (the one its
-     instruction names, or is redirected to), or the step it needs *)
-  let classify k r =
+  let len = Array.length regs in
+  let idx = Array.make len 0 and offs = Array.make len 0 in
+  let steps = Array.make (2 * len) no_step in
+  let nsteps = ref 0 and n = ref 0 and kept = ref 0 in
+  let norms = ref 0 and last = ref 0 in
+  let push step =
+    steps.(!nsteps) <- step;
+    incr nsteps
+  in
+  let end_run () =
+    if !n > 0 then begin
+      push
+        (Regs
+           { n = !n; norms = !norms; idx = Array.sub idx 0 !kept;
+             offs = Array.sub offs 0 !kept; last = !last });
+      n := 0;
+      kept := 0;
+      norms := 0
+    end
+  in
+  for k = 0 to len - 1 do
+    let r = regs.(k) in
     let access = via l.alias r in
     let insn =
       c.patch
@@ -180,59 +220,36 @@ let compile c (l : loop) =
          else Insn.Msr (access, Insn.Reg c.data))
     in
     let action = Cpu.route cpu insn in
-    let copy =
-      { insn; action; at = k; off = Reglists.ctx_slot r; slot = slot l.ctx r;
-        norm = c.imm_msr && (not l.save) && action <> Arm.Trap_rules.Execute }
-    in
-    match (action, insn) with
-    | Arm.Trap_rules.Execute_redirected { Sysreg.reg; _ }, _
-    | Arm.Trap_rules.Execute,
-      (Insn.Mrs (_, { Sysreg.reg; _ }) | Insn.Msr ({ Sysreg.reg; _ }, _)) ->
-      if l.save && hw_special reg then Error (Replay copy)
-      else if (not l.save) && (reg = Sysreg.HCR_EL2 || reg = Sysreg.VNCR_EL2)
-      then
-        (* the write moves the key itself: replay it, then re-check *)
-        Error (Replay copy)
-      else Ok (reg, copy)
-    | Arm.Trap_rules.Defer_to_memory { addr; reg = _ }, _
-    | Arm.Trap_rules.Execute,
-      (Insn.Ldr (_, Insn.Abs addr) | Insn.Str (_, Insn.Abs addr))
-      when l.save || not (on_slot addr) ->
-      (* the data register ends holding the last copy's value, read back
-         from that copy's slot; a deferred store onto a slot of the same
-         loop would change it, so such a restore replays *)
-      Error (Page (addr, copy))
-    | _ -> Error (Replay copy)
-  in
-  (* maximal runs of register-file copies become kernel steps; a
-     restore's kernel skips the registers an MSR cannot write *)
-  let kernel run =
-    let run = List.rev run in
-    let kept =
-      List.filter
-        (fun (r, _) ->
-          l.save || Arm.Sysreg_file.writable_index (Sysreg.index r))
-        run
-    in
-    Regs
-      { n = List.length run;
-        norms = List.length (List.filter (fun (_, cp) -> cp.norm) run);
-        idx = Array.of_list (List.map (fun (r, _) -> Sysreg.index r) kept);
-        offs = Array.of_list (List.map (fun (_, cp) -> cp.off) kept);
-        last = (snd (List.nth run (List.length run - 1))).off }
-  in
-  let steps, run =
-    Array.fold_left
-      (fun (steps, run) x ->
-        match x with
-        | Ok copy -> (steps, copy :: run)
-        | Error step ->
-          if run = [] then (step :: steps, [])
-          else (step :: kernel run :: steps, []))
-      ([], []) (Array.mapi classify l.regs)
-  in
-  let steps = if run = [] then steps else kernel run :: steps in
-  { key = Arm.Route_key.current cpu; steps = Array.of_list (List.rev steps) }
+    let off = Reglists.ctx_slot r in
+    let norm = c.imm_msr && (not l.save) && action <> Arm.Trap_rules.Execute in
+    let i = kernel_index l action insn in
+    if i >= 0 then begin
+      if l.save || Arm.Sysreg_file.writable_index i then begin
+        idx.(!kept) <- i;
+        offs.(!kept) <- off;
+        incr kept
+      end;
+      incr n;
+      if norm then incr norms;
+      last := off
+    end
+    else begin
+      end_run ();
+      let copy = { insn; action; at = k; off; slot = slot l.ctx r; norm } in
+      match (action, insn) with
+      | Arm.Trap_rules.Defer_to_memory { addr; reg = _ }, _
+      | Arm.Trap_rules.Execute,
+        (Insn.Ldr (_, Insn.Abs addr) | Insn.Str (_, Insn.Abs addr))
+        when l.save || not (on_slot addr) ->
+        (* the data register ends holding the last copy's value, read
+           back from that copy's slot; a deferred store onto a slot of
+           the same loop would change it, so such a restore replays *)
+        push (Page (addr, copy))
+      | _ -> push (Replay copy)
+    end
+  done;
+  end_run ();
+  { key = Arm.Route_key.current cpu; steps = Array.sub steps 0 !nsteps }
 
 let rec find_loop c ~ctx ~save ~alias regs = function
   | l :: tl ->

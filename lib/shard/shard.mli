@@ -9,11 +9,13 @@
     Two rules make that guarantee hold:
 
     - {b jobs must be independent}: a job may not read or write state
-      another job mutates.  Per-domain simulator state ({!Trace}'s sink,
-      [World_switch]'s copy counter, [Mmu.Walk]'s injection hook) is
-      domain-local storage, so jobs on different domains cannot observe
-      each other through it; jobs on the {e same} domain run to
-      completion one at a time, in index order.
+      another job mutates.  Per-domain simulator state is domain-local
+      storage ([Domain.DLS]): [Hyp.World_switch]'s copy counter,
+      {!Trace}'s sink, [Snap.Image]'s snapshot declaration,
+      [Snap.Migrate]'s page staging, [Fuzz.Diff]'s template machines and
+      [Arm.Insn]'s rendered instruction texts.  Jobs on different domains
+      cannot observe each other through it; jobs on the {e same} domain
+      run to completion one at a time, in index order.
     - {b seeds must be position-independent}: any PRNG a job uses must be
       derived from [(campaign seed, job index)] via {!derive}, never from
       a stream shared across jobs, so job [i] behaves identically

@@ -383,12 +383,7 @@ let ghyp () =
     record
       [ field "used_lrs" (lrs ()) (fun g -> g.used_lrs) (Set (fun g n -> g.used_lrs <- n));
         field "cntvoff" word (fun g -> g.cntvoff) (Set (fun g v -> g.cntvoff <- v));
-        field "pending_virqs" (List int)
-          (fun g -> List.of_seq (Queue.to_seq g.pending_virqs))
-          (Set
-             (fun g l ->
-               Queue.clear g.pending_virqs;
-               List.iter (fun v -> Queue.add v g.pending_virqs) l));
+        field "pending_virqs" (List int) pending_virqs (Set set_pending_virqs);
         field "nested_elr" word nested_elr (Set set_nested_elr);
         field "nested_spsr" word nested_spsr (Set set_nested_spsr);
         field "exits_handled" nat (fun g -> g.exits_handled)

@@ -91,7 +91,6 @@ let run_serror ~seed ((name, _, _) as sc) =
       Exn.target = Arm.Pstate.EL2;
       ec = Exn.EC_serror;
       iss = 0x11 lor ((seed lxor Shard.fnv1a_32 name) land 0x3f lsl 8);
-      fault_addr = None;
     };
   let contained = Machine.serror_containments m = 1 in
   (* asynchronous delivery: the virtual SError lands at an operation

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Write the simulator's deterministic outputs into OUTDIR, one file per
 # run: `neve_sim paper`, the trap listings, chaos, fuzz (plain, snapshot
-# oracle and SMP), serve, fleet, recover, two migrations, four snapshot
-# images, the trace exports and every example.  Two checkouts that
-# behave the same write byte-identical directories, so
+# oracle and SMP), serve, fleet, recover, three migrations (one under an
+# OoH dirty-log grant), five snapshot images (one under an OoH timer and
+# list-register grant), the trace exports and every example.  Two
+# checkouts that behave the same write byte-identical directories, so
 #
 #   test/outputs.sh /tmp/a && (cd ../other && test/outputs.sh /tmp/b)
 #   diff -r /tmp/a /tmp/b
@@ -59,10 +60,12 @@ run fleet-200.json fleet -n 200 --json
 run recover.txt recover
 run migrate.txt migrate
 run migrate-v83-pv.txt migrate --mech v8.3-pv
+run migrate-neve-vhe-dirty-log.txt migrate --mech neve --vhe --expose dirty-log
 in_out snapshot-neve-vhe.txt snapshot snapshot-neve-vhe.img --mech neve --vhe
 in_out snapshot-v83.txt snapshot snapshot-v83.img --mech v8.3
 in_out snapshot-neve-pv-vhe.txt snapshot snapshot-neve-pv-vhe.img --mech neve-pv --vhe
 in_out snapshot-single-vm.txt snapshot snapshot-single-vm.img --single-vm
+in_out snapshot-neve-vhe-ooh.txt snapshot snapshot-neve-vhe-ooh.img --mech neve --vhe --expose timer,gic-lrs
 in_out trace.txt trace --json trace-metrics.json --chrome trace-chrome.json
 for src in examples/*.ml; do
   ex=$(basename "$src" .ml)

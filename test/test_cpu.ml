@@ -94,7 +94,7 @@ let test_exception_entry_state () =
     (cpu.Cpu.pstate.Pstate.el = Pstate.EL1)
 
 let hvc_entry =
-  { Exn.target = Pstate.EL2; ec = Exn.EC_hvc64; iss = 0; fault_addr = None }
+  { Exn.target = Pstate.EL2; ec = Exn.EC_hvc64; iss = 0 }
 
 let frame_reg cpu k n = (List.nth (Cpu.saved_frames cpu) k).(n)
 

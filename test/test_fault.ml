@@ -137,11 +137,11 @@ let test_injection_stays_with_its_machine () =
 let test_dist_drop () =
   let d = Gic.Dist.create ~ncpus:1 in
   Gic.Dist.enable d ~cpu:0 ~intid:40;
-  d.Gic.Dist.inject <- Some (fun ~cpu:_ ~intid:_ -> Gic.Dist.Drop);
+  Gic.Dist.set_inject d (Some (fun ~cpu:_ ~intid:_ -> Gic.Dist.Drop));
   Gic.Dist.raise_irq d ~cpu:0 ~intid:40;
   check Alcotest.bool "dropped interrupt never becomes pending" true
     (Gic.Dist.best_pending d ~cpu:0 = None);
-  d.Gic.Dist.inject <- None;
+  Gic.Dist.set_inject d None;
   Gic.Dist.raise_irq d ~cpu:0 ~intid:40;
   check Alcotest.bool "hook removed, delivery resumes" true
     (Gic.Dist.best_pending d ~cpu:0 = Some 40)
@@ -149,7 +149,7 @@ let test_dist_drop () =
 let test_dist_duplicate () =
   let d = Gic.Dist.create ~ncpus:1 in
   Gic.Dist.enable d ~cpu:0 ~intid:41;
-  d.Gic.Dist.inject <- Some (fun ~cpu:_ ~intid:_ -> Gic.Dist.Duplicate);
+  Gic.Dist.set_inject d (Some (fun ~cpu:_ ~intid:_ -> Gic.Dist.Duplicate));
   (* a duplicate on an inactive interrupt collapses into one pending copy,
      exactly as level-triggered hardware would *)
   Gic.Dist.raise_irq d ~cpu:0 ~intid:41;
@@ -160,10 +160,10 @@ let test_dist_duplicate () =
     (Gic.Dist.acknowledge d ~cpu:0 = None);
   (* raised while the first instance is active, the duplicate survives as
      a pending copy across the EOI *)
-  d.Gic.Dist.inject <- None;
+  Gic.Dist.set_inject d None;
   Gic.Dist.raise_irq d ~cpu:0 ~intid:41;
   ignore (Gic.Dist.acknowledge d ~cpu:0);
-  d.Gic.Dist.inject <- Some (fun ~cpu:_ ~intid:_ -> Gic.Dist.Duplicate);
+  Gic.Dist.set_inject d (Some (fun ~cpu:_ ~intid:_ -> Gic.Dist.Duplicate));
   Gic.Dist.raise_irq d ~cpu:0 ~intid:41;
   Gic.Dist.eoi d ~cpu:0 ~intid:41;
   check Alcotest.bool "duplicate re-pends across the EOI" true
@@ -387,7 +387,7 @@ let test_unknown_sysreg_trap_injects_undef () =
   let cpu = m.Machine.cpus.(0) in
   check Alcotest.int "no UNDEFs yet" 0 (Machine.undef_injections m);
   Cpu.exception_entry cpu
-    { Exn.target = Pstate.EL2; ec = Exn.EC_sysreg; iss; fault_addr = None };
+    { Exn.target = Pstate.EL2; ec = Exn.EC_sysreg; iss };
   check Alcotest.int "exactly one UNDEF injected" 1
     (Machine.undef_injections m);
   check Alcotest.bool "guest resumed at EL1" true

@@ -85,6 +85,73 @@ let test_dist_sgi_bad_intid () =
   | _ -> Alcotest.fail "out-of-range destination cpu should be rejected"
   | exception Fault.Error.Sim_fault (Fault.Error.Bad_intid _, _) -> ()
 
+(* Equal-priority interrupts pending together are acknowledged in the
+   distributor's own record order (its tables' iteration order, which
+   depends on the order records were created in), banked records before
+   shared ones: SGIs and PPIs of CPU 0 and SPIs targeting it, one of
+   each kind at a higher priority, and an SGI pending on CPU 1 that CPU 0
+   must not see.  The order is pinned for a fresh distributor, after a
+   rewind that only copies fields back, and after one that drops
+   records created since the mark and rebuilds the tables. *)
+let tie_sgis = [ 5; 0; 15; 3; 9; 12 ]
+let tie_ppis = [ 27; 16; 31; 20 ]
+let tie_spis = [ 40; 33; 1019; 32; 100; 64; 57 ]
+
+let tie_dist () =
+  let d = Dist.create ~ncpus:2 in
+  for cpu = 0 to 1 do
+    for intid = 0 to 15 do
+      Dist.enable d ~cpu ~intid
+    done
+  done;
+  List.iter (fun intid -> Dist.enable d ~cpu:0 ~intid) tie_ppis;
+  List.iter
+    (fun intid ->
+      Dist.enable d ~cpu:0 ~intid;
+      Dist.set_target d ~intid ~cpu:0)
+    tie_spis;
+  List.iter
+    (fun intid -> Dist.set_priority d ~cpu:0 ~intid 0x80)
+    [ 12; 20; 64 ];
+  d
+
+let pend_all d =
+  Dist.send_sgi d ~src:0 ~dst:1 ~intid:7;
+  List.iter (fun intid -> Dist.send_sgi d ~src:1 ~dst:0 ~intid) tie_sgis;
+  List.iter (fun intid -> Dist.raise_irq d ~cpu:0 ~intid) (tie_ppis @ tie_spis)
+
+let rec ack_order d acc =
+  match Dist.acknowledge d ~cpu:0 with
+  | None -> List.rev acc
+  | Some intid ->
+    Dist.eoi d ~cpu:0 ~intid;
+    ack_order d (intid :: acc)
+
+let tie_order =
+  [ 20; 12; 64; 0; 31; 9; 27; 16; 15; 5; 3; 100; 57; 33; 1019; 40; 32 ]
+
+let test_dist_tie_break_order () =
+  let d = tie_dist () in
+  let m = Dist.mark d in
+  pend_all d;
+  check Alcotest.(list int) "fresh" tie_order (ack_order d []);
+  check Alcotest.bool "CPU 1's SGI stays pending" true
+    (Dist.best_pending d ~cpu:1 = Some 7);
+  Dist.rewind d m;
+  pend_all d;
+  check Alcotest.(list int) "after a rewind in place" tie_order (ack_order d []);
+  (* records created after the mark: the rewind drops them *)
+  List.iter
+    (fun intid ->
+      Dist.enable d ~cpu:0 ~intid;
+      Dist.set_target d ~intid ~cpu:0;
+      Dist.raise_irq d ~cpu:0 ~intid)
+    [ 34; 35; 200; 21 ];
+  Dist.rewind d m;
+  pend_all d;
+  check Alcotest.(list int) "after a rewind that rebuilds" tie_order
+    (ack_order d [])
+
 (* --- list registers --- *)
 
 let lr_gen =
@@ -283,6 +350,7 @@ let suite =
     ("dist: priority order", `Quick, test_dist_priority);
     ("dist: SGI routing", `Quick, test_dist_sgi_routing);
     ("dist: SGI intid validation", `Quick, test_dist_sgi_bad_intid);
+    ("dist: equal-priority tie-break order", `Quick, test_dist_tie_break_order);
     qtest test_lr_roundtrip;
     ("vgic: inject/ack/EOI lifecycle", `Quick, test_inject_ack_eoi);
     ("vgic: acknowledge priority order", `Quick, test_ack_priority_order);

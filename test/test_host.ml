@@ -164,8 +164,7 @@ let test_unknown_sysreg_trap_rejected () =
     (* op0 *)
   in
   Cpu.exception_entry cpu
-    { Arm.Exn.target = Arm.Pstate.EL2; ec = Arm.Exn.EC_sysreg; iss;
-      fault_addr = None };
+    { Arm.Exn.target = Arm.Pstate.EL2; ec = Arm.Exn.EC_sysreg; iss };
   check Alcotest.int "UNDEF injected into the guest" 1
     host.Host.undef_injected;
   check Alcotest.bool "guest resumed at EL1" true
