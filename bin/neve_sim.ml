@@ -73,23 +73,26 @@ let iters_arg =
   let doc = "Iterations per measurement." in
   Arg.(value & opt int default_iters & info [ "iters"; "n" ] ~doc)
 
-(* sharding flags shared by fleet/chaos/fuzz/recover: sharded runs are
-   byte-identical to serial ones, so these only change wall-clock time *)
+(* --shards of fleet/serve/chaos/fuzz/recover: sharded runs are
+   byte-identical to serial ones, so it only changes wall-clock time.
+   A count past Shard.max_shards is a CLI error, not a failed spawn
+   halfway through the campaign. *)
 let shards_arg =
   let doc =
-    "Fan the campaign out over $(docv) strided shards on a pool of OCaml \
-     domains.  Per-job seeds are position-independent and results merge \
-     in job order, so the output is byte-identical whatever the shard \
-     count."
+    "Fan the campaign out over $(docv) OCaml domains (at most 127), which \
+     take jobs one at a time.  Per-job seeds are position-independent and \
+     results merge in job order, so the output is byte-identical whatever \
+     the shard count."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"SHARDS" ~doc)
-
-let domains_arg =
-  let doc =
-    "Force the domain-pool size (default: the smaller of the shard count \
-     and the runtime's recommended domain count)."
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > Shard.max_shards ->
+      Error
+        (`Msg (Printf.sprintf "%d shards: at most %d" n Shard.max_shards))
+    | r -> r
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"DOMAINS" ~doc)
+  let shards = Arg.conv (parse, Arg.conv_printer Arg.int) in
+  Arg.(value & opt shards 1 & info [ "shards" ] ~docv:"SHARDS" ~doc)
 
 (* --- table printers with paper-style relative overheads --- *)
 
@@ -343,9 +346,9 @@ let chaos_cmd =
        same seed and budget, same truncation, byte-identical report.  A \
        budgeted-out run exits with the timeout status."
   in
-  let run () seed faults traps max_cycles shards domains =
+  let run () seed faults traps max_cycles shards =
     let report =
-      Workloads.Chaos.run ~seed ~faults ~traps ~max_cycles ~shards ?domains ()
+      Workloads.Chaos.run ~seed ~faults ~traps ~max_cycles ~shards ()
     in
     Fmt.pr "%a@." Workloads.Chaos.pp_report report;
     if Workloads.Chaos.crashes report <> [] then exit fault_exit;
@@ -359,7 +362,7 @@ let chaos_cmd =
     Term.(
       const run $ logs
       $ seed_arg "PRNG seed for the fault plans (same seed, same report)."
-      $ faults_arg $ traps_arg $ max_cycles_arg $ shards_arg $ domains_arg)
+      $ faults_arg $ traps_arg $ max_cycles_arg $ shards_arg)
 
 (* --- exit-attribution tracing --- *)
 
@@ -544,7 +547,7 @@ let fuzz_cmd =
     Arg.(value & opt int Fuzz.Smp.default_ops & info [ "smp-ops" ] ~doc)
   in
   let run () seed n max_seconds max_cycles json corpus_dir traced snap_oracle
-      smp smp_ops shards domains =
+      smp smp_ops shards =
     if smp then begin
       let r = Fuzz.Smp.run ~ops:smp_ops ~seed ~n () in
       if json then print_endline (Json.to_string (Fuzz.Smp.json r))
@@ -569,7 +572,7 @@ let fuzz_cmd =
     if not (Sys.file_exists corpus_dir) then Unix.mkdir corpus_dir 0o755;
     let stats =
       Fuzz.Campaign.run ~should_stop ~corpus_dir ~traced ~snap_oracle
-        ~max_cycles ~shards ?domains ~seed ~n ()
+        ~max_cycles ~shards ~seed ~n ()
     in
     if json then print_endline (Json.to_string (Fuzz.Campaign.json stats))
     else Fmt.pr "%a@." Fuzz.Campaign.pp_stats stats;
@@ -590,7 +593,7 @@ let fuzz_cmd =
       $ n_arg $ max_seconds_arg $ max_cycles_arg
       $ json_flag "Emit deterministic JSON stats instead of the text report."
       $ corpus_arg $ trace_arg $ snap_oracle_arg $ smp_arg $ smp_ops_arg
-      $ shards_arg $ domains_arg)
+      $ shards_arg)
 
 (* --- snapshot / restore / live migration --- *)
 
@@ -906,8 +909,8 @@ let recover_cmd =
       & opt policy_conv Supervise.Restart_from_snapshot
       & info [ "policy"; "p" ] ~doc)
   in
-  let run () seed policy shards domains =
-    let r = Workloads.Recover.run ~seed ~policy ~shards ?domains () in
+  let run () seed policy shards =
+    let r = Workloads.Recover.run ~seed ~policy ~shards () in
     Fmt.pr "%a@." Workloads.Recover.pp_report r;
     (* rerun the whole campaign and require byte-identity — recovery
        behavior is under the same determinism contract as everything
@@ -915,7 +918,7 @@ let recover_cmd =
     let d1 = Workloads.Recover.digest r in
     let d2 =
       Workloads.Recover.digest
-        (Workloads.Recover.run ~seed ~policy ~shards ?domains ())
+        (Workloads.Recover.run ~seed ~policy ~shards ())
     in
     if String.equal d1 d2 then Fmt.pr "digest: %s (rerun identical)@." d1
     else Fmt.epr "DETERMINISM BUG: rerun digest %s differs from %s@." d2 d1;
@@ -938,7 +941,7 @@ let recover_cmd =
     Term.(
       const run $ logs
       $ seed_arg "Campaign seed (same seed and policy, byte-identical report)."
-      $ policy_arg $ shards_arg $ domains_arg)
+      $ policy_arg $ shards_arg)
 
 (* --- the sharded fleet --- *)
 
@@ -999,11 +1002,11 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "traced" ] ~doc)
   in
-  let run () n seed profile configs ops shards domains json traced =
+  let run () n seed profile configs ops shards json traced =
     let configs = Option.value configs ~default:Fleet.columns in
     let t0 = Unix.gettimeofday () in
     let t =
-      Fleet.run ?domains ~shards ~traced ~ops ~configs ~n ~seed ~profile ()
+      Fleet.run ~shards ~traced ~ops ~configs ~n ~seed ~profile ()
     in
     let dt = Unix.gettimeofday () -. t0 in
     if json then print_endline (Json.to_string (Fleet.json t))
@@ -1027,7 +1030,7 @@ let fleet_cmd =
           "Campaign seed.  Machine $(i,i)'s seed is derived from (seed, i) \
            with a splitmix64 mix, so it is independent of the fleet size \
            and the shard count."
-      $ profile_arg $ configs_arg $ ops_arg $ shards_arg $ domains_arg
+      $ profile_arg $ configs_arg $ ops_arg $ shards_arg
       $ json_flag
           "Emit the canonical aggregate JSON (no shard count, no wall \
            clock: byte-identical across shard counts) instead of the text \
@@ -1048,9 +1051,9 @@ let serve_cmd =
       & opt int Serve.default_migrate_every
       & info [ "migrate-every" ] ~doc)
   in
-  let run () n seed requests migrate_every shards domains json expose =
+  let run () n seed requests migrate_every shards json expose =
     let t =
-      Serve.run ?domains ~shards ~requests ~migrate_every ~expose ~n ~seed ()
+      Serve.run ~shards ~requests ~migrate_every ~expose ~n ~seed ()
     in
     if json then print_endline (Json.to_string (Serve.json t))
     else Fmt.pr "%a@." Serve.pp_summary t;
@@ -1077,7 +1080,7 @@ let serve_cmd =
           "Campaign seed.  Machine $(i,i)'s seed (and so its fault plan and \
            request stream) is derived from (seed, i), independent of fleet \
            size and shard count."
-      $ requests_arg $ migrate_every_arg $ shards_arg $ domains_arg
+      $ requests_arg $ migrate_every_arg $ shards_arg
       $ json_flag
           "Emit the canonical SLO report JSON (schema neve-slo-report/1; no \
            shard count, no wall clock: byte-identical across shard counts) \

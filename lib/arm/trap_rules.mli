@@ -34,7 +34,11 @@ type action =
       (** UNDEFINED at the current exception level *)
 
 val vncr_enable : int64 -> bool
+(** Bit 0 of a VNCR_EL2 value (Table 2): NEVE's master enable. *)
+
 val vncr_baddr : int64 -> int64
+(** Bits [52:12] of a VNCR_EL2 value (Table 2): the deferred access
+    page's physical base. *)
 
 (** Ablation mask: NEVE is three mechanisms (Section 6) — deferral,
     redirection and cached copies — each independently disableable to

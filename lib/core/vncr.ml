@@ -4,31 +4,29 @@
    page), bits [11:1] reserved, bit [0] Enable.  The architecture mandates a
    page-aligned BADDR so the implementation needs no alignment checks or
    translation-fault handling on redirected accesses (Section 6.3); we
-   enforce that at construction. *)
+   enforce that at construction.  The fields are read with the trap
+   router's own decoder, so a value means here what it means to an
+   access it redirects. *)
 
 module Sysreg = Arm.Sysreg
+module Trap_rules = Arm.Trap_rules
 
 type t = { baddr : int64; enable : bool }
-
-let baddr_mask = 0x000f_ffff_ffff_f000L
 
 exception Invalid_vncr of string
 
 let v ~baddr ~enable =
   if Int64.logand baddr 0xfffL <> 0L then
     raise (Invalid_vncr (Printf.sprintf "BADDR 0x%Lx is not page-aligned" baddr));
-  if Int64.logand baddr (Int64.lognot baddr_mask) <> 0L then
+  if Trap_rules.vncr_baddr baddr <> baddr then
     raise (Invalid_vncr (Printf.sprintf "BADDR 0x%Lx exceeds bits [52:12]" baddr));
   { baddr; enable }
 
 let encode t =
-  Int64.logor (Int64.logand t.baddr baddr_mask) (if t.enable then 1L else 0L)
+  Int64.logor (Trap_rules.vncr_baddr t.baddr) (if t.enable then 1L else 0L)
 
 let decode v =
-  { baddr = Int64.logand v baddr_mask; enable = Int64.logand v 1L <> 0L }
-
-let enabled v = Int64.logand v 1L <> 0L
-let baddr v = Int64.logand v baddr_mask
+  { baddr = Trap_rules.vncr_baddr v; enable = Trap_rules.vncr_enable v }
 
 let disabled_value = 0L
 
@@ -41,10 +39,6 @@ let program (cpu : Arm.Cpu.t) t =
     Trace.emit ~a0:t.baddr
       ~a1:(if t.enable then 1L else 0L)
       Trace.Vncr_program
-
-let disable (cpu : Arm.Cpu.t) =
-  Arm.Cpu.poke_sysreg cpu Sysreg.VNCR_EL2 disabled_value;
-  if !Trace.on then Trace.emit ~detail:"disable" Trace.Vncr_program
 
 let read (cpu : Arm.Cpu.t) = decode (Arm.Cpu.peek_sysreg cpu Sysreg.VNCR_EL2)
 

@@ -25,13 +25,8 @@ val encode : t -> int64
 (** Architectural encoding per Table 2. *)
 
 val decode : int64 -> t
-(** Inverse of {!encode}; reserved bits are ignored. *)
-
-val enabled : int64 -> bool
-(** [enabled raw] reads the Enable bit of a raw register value. *)
-
-val baddr : int64 -> int64
-(** [baddr raw] extracts the BADDR field of a raw register value. *)
+(** Inverse of {!encode}, through [Arm.Trap_rules.vncr_baddr] and
+    [vncr_enable]; reserved bits are ignored. *)
 
 val disabled_value : int64
 (** The all-clear value a host writes to turn NEVE off. *)
@@ -40,10 +35,6 @@ val program : Arm.Cpu.t -> t -> unit
 (** Write the hardware VNCR_EL2 of a simulated CPU.  A host-hypervisor
     (EL2) operation; performed as a raw write because the host owns the
     register. *)
-
-val disable : Arm.Cpu.t -> unit
-(** Clear the hardware VNCR_EL2 (e.g. before running the nested VM, which
-    must see its real EL1 registers). *)
 
 val read : Arm.Cpu.t -> t
 (** Decode the current hardware VNCR_EL2. *)

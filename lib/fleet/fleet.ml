@@ -5,7 +5,7 @@
    else.  Machine specs are pure functions of the machine index; seeds
    come from Shard.derive (position-independent); Shard.map puts machine
    i's result in slot i; and every fold below walks slots in index
-   order.  Shard count, domain count and scheduling can only change how
+   order.  Shard count and scheduling can only change how
    fast the answer arrives, never the answer. *)
 
 module Machine = Hyp.Machine
@@ -278,14 +278,14 @@ let merge ~n ~seed ~profile ~configs results =
     a_digest = !digest;
   }
 
-let run ?domains ?(shards = 1) ?(traced = false) ?(ops = default_ops)
+let run ?(shards = 1) ?(traced = false) ?(ops = default_ops)
     ?(configs = columns) ~n ~seed ~profile () =
   if n <= 0 then invalid_arg "Fleet.run: n must be positive";
   (* resolve the profile eagerly so a bad name fails before any domain
      spawns *)
   ignore (profile_of ~profile 0);
   let results =
-    Shard.map ?domains ~shards ~jobs:n (fun i ->
+    Shard.map ~shards ~jobs:n (fun i ->
         run_spec ~traced ~ops (spec_of ~seed ~profile ~configs i))
   in
   (* traced fleets own the tracer: workers stood down with [detach];

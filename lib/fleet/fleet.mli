@@ -98,15 +98,13 @@ type aggregate = {
 type t = { agg : aggregate; results : result array }
 
 val run :
-  ?domains:int ->
   ?shards:int ->
   ?traced:bool ->
   ?ops:int ->
   ?configs:(string * Scenario.arm_column) list ->
   n:int -> seed:int -> profile:string -> unit -> t
-(** Run an [n]-machine fleet over [shards] strided shards (default 1).
-    [domains] forces the pool size (tests use it to exercise real
-    multi-domain runs on small hosts).  The returned value — including
+(** Run an [n]-machine fleet on [shards] domains (default 1) through
+    {!Shard.map}.  The returned value — including
     {!json} of it — is a function of [(n, seed, profile, configs, ops,
     traced)] alone.
     @raise Invalid_argument on an unknown profile name. *)

@@ -52,7 +52,7 @@ let streams_of ?snap_oracle words =
 
 let run ?(should_stop = fun () -> false) ?corpus_dir ?(max_found = 3)
     ?(traced = false) ?(snap_oracle = false) ?(max_cycles = 0) ?(shards = 1)
-    ?domains ~seed ~n () =
+    ~seed ~n () =
   if shards > 1 && max_cycles <> 0 then
     invalid_arg
       "Campaign.run: a sim-cycle budget requires a serial campaign \
@@ -159,7 +159,7 @@ let run ?(should_stop = fun () -> false) ?corpus_dir ?(max_found = 3)
     let progs = Array.init n (fun _ -> Gen.program gen) in
     let words = Array.map Prog.to_words progs in
     let results =
-      Shard.map ?domains ~shards ~jobs:n (fun i ->
+      Shard.map ~shards ~jobs:n (fun i ->
           Diff.run_words ~snap_oracle words.(i))
     in
     Array.iteri (fun i res -> fold_program i progs.(i) words.(i) res) results

@@ -46,7 +46,6 @@ val run :
   ?snap_oracle:bool ->
   ?max_cycles:int ->
   ?shards:int ->
-  ?domains:int ->
   seed:int ->
   n:int ->
   unit ->
@@ -67,15 +66,14 @@ val run :
     program: snapshot-at-k/restore/resume must match the uninterrupted
     run bit for bit ({!Diff.run_words}).
 
-    [shards] (default 1) fans the per-program oracle runs out over
-    {!Shard.map}: generation stays serial (the coverage-directed
+    [shards] (default 1) fans the per-program oracle runs out over that
+    many domains with {!Shard.map}: generation stays serial (the coverage-directed
     generator is the campaign's one entropy stream), each program's
     oracle runs on some domain into slot [i], and the fold walks slots
     in program order — so the sharded report is byte-identical to the
     serial one.  Sharded campaigns do not consult [should_stop] (a wall
     clock cannot cut a parallel campaign at a well-defined program) and
-    reject a nonzero [max_cycles] with [Invalid_argument]; [domains]
-    forces the pool size. *)
+    reject a nonzero [max_cycles] with [Invalid_argument]. *)
 
 val replay : ?snap_oracle:bool -> int array -> string list
 (** Run one encoded program through the oracle; rendered divergence

@@ -284,7 +284,7 @@ let merge ~n ~seed ~requests ~migrate_every ~expose results =
     s_results = results;
   }
 
-let run ?domains ?(shards = 1) ?(requests = default_requests)
+let run ?(shards = 1) ?(requests = default_requests)
     ?(migrate_every = default_migrate_every)
     ?(expose = Expose.Policy.none) ~n ~seed () =
   if n <= 0 then invalid_arg "Serve.run: n must be positive";
@@ -292,7 +292,7 @@ let run ?domains ?(shards = 1) ?(requests = default_requests)
   if migrate_every <= 0 then
     invalid_arg "Serve.run: migrate-every must be positive";
   let results =
-    Shard.map ?domains ~shards ~jobs:n (fun i ->
+    Shard.map ~shards ~jobs:n (fun i ->
         run_spec ~requests ~migrate_every ~expose (spec_of ~seed i))
   in
   merge ~n ~seed ~requests ~migrate_every ~expose results

@@ -82,7 +82,6 @@ type t = {
 }
 
 val run :
-  ?domains:int ->
   ?shards:int ->
   ?requests:int ->
   ?migrate_every:int ->
@@ -91,7 +90,8 @@ val run :
   seed:int ->
   unit ->
   t
-(** Run [n] serving machines ({!spec_of}) over [Shard.map]. *)
+(** Run [n] serving machines ({!spec_of}) on [shards] domains (default
+    1) through [Shard.map]. *)
 
 val json : t -> Json.t
 (** Tail-latency SLO report, schema [neve-slo-report/1]: string-valued

@@ -1,13 +1,12 @@
 (* Deterministic sharded execution on OCaml 5 domains.
 
-   Determinism comes from structure, not synchronization: the partition
-   (strided by job index) and the result placement (slot i for job i)
-   are fixed before any domain starts, every result slot is written by
-   exactly one job, and the caller only reads after Domain.join — which
-   publishes every worker write.  The only cross-domain communication
-   while work is in flight is an atomic shard counter handing slices to
-   the pool, and which domain runs which slice is the one thing the
-   results cannot depend on. *)
+   Determinism comes from structure, not synchronization: the result
+   placement (slot i for job i) is fixed before any domain starts, every
+   result slot is written by exactly one job, and the caller only reads
+   after Domain.join — which publishes every worker write.  The only
+   cross-domain communication while work is in flight is an atomic
+   counter handing out job indices one at a time, and which domain runs
+   which job is the one thing the results cannot depend on. *)
 
 (* --- splitmix64 --- *)
 
@@ -56,59 +55,41 @@ let fnv1a_32 s =
 
 (* --- the engine --- *)
 
-let recommended_domains () = Domain.recommended_domain_count ()
+(* OCaml 5.1 runs at most 128 domains, the main one included: the most
+   it can spawn beside it.  A larger count is refused up front rather
+   than failing in [Domain.spawn] with the campaign half started. *)
+let max_shards = 127
 
-let map ?domains ~shards ~jobs f =
+let map ~shards ~jobs f =
+  if shards > max_shards then
+    invalid_arg
+      (Printf.sprintf "Shard.map: %d shards (at most %d)" shards max_shards);
   if jobs <= 0 then [||]
   else begin
-    let shards = max 1 (min shards jobs) in
-    let pool =
-      match domains with
-      | Some d -> max 1 (min d shards)
-      | None -> max 1 (min shards (recommended_domains ()))
-    in
+    (* slot i holds job i's outcome; a failure is kept with its job so
+       that the lowest failing index can be re-raised after the join *)
     let results = Array.make jobs None in
-    (* first failure per shard, by job index; re-raised after the join so
-       the surfaced error does not depend on domain scheduling *)
-    let failures = Array.make shards None in
-    let run_shard s =
-      let i = ref s in
-      try
-        while !i < jobs do
-          results.(!i) <- Some (f !i);
-          i := !i + shards
-        done
-      with e -> failures.(s) <- Some (!i, e, Printexc.get_raw_backtrace ())
+    let next = Atomic.make 0 in
+    let rec worker () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < jobs then begin
+        results.(i) <-
+          Some
+            (match f i with
+            | r -> Ok r
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+        worker ()
+      end
     in
-    if pool = 1 then
-      for s = 0 to shards - 1 do
-        run_shard s
-      done
-    else begin
-      let next = Atomic.make 0 in
-      let worker () =
-        let rec loop () =
-          let s = Atomic.fetch_and_add next 1 in
-          if s < shards then begin
-            run_shard s;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let ds = Array.init pool (fun _ -> Domain.spawn worker) in
-      Array.iter Domain.join ds
-    end;
-    (match
-       Array.fold_left
-         (fun acc fl ->
-           match (acc, fl) with
-           | None, f -> f
-           | Some (i, _, _), Some (j, _, _) when j < i -> fl
-           | acc, _ -> acc)
-         None failures
-     with
-     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-     | None -> ());
-    Array.map (function Some r -> r | None -> assert false) results
+    let helpers =
+      Array.init (max 1 (min shards jobs) - 1) (fun _ -> Domain.spawn worker)
+    in
+    worker ();
+    Array.iter Domain.join helpers;
+    Array.map
+      (function
+        | Some (Ok r) -> r
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+        | None -> assert false)
+      results
   end

@@ -1,9 +1,9 @@
 (** Deterministic sharded execution on OCaml 5 domains.
 
-    The engine runs [jobs] independent pieces of work, partitioned into
-    [shards] strided slices, on a small pool of domains — and guarantees
-    that the result array is a function of the job function alone, never
-    of the shard count or of domain scheduling: job [i]'s result lands in
+    The engine runs [jobs] independent pieces of work on up to [shards]
+    domains, handing job indices out one at a time, and guarantees that
+    the result array is a function of the job function alone, never of
+    the shard count or of domain scheduling: job [i]'s result lands in
     slot [i], and the caller folds slots in index order.
 
     Two rules make that guarantee hold:
@@ -15,11 +15,11 @@
       [Snap.Migrate]'s page staging, [Fuzz.Diff]'s template machines and
       [Arm.Insn]'s rendered instruction texts.  Jobs on different domains
       cannot observe each other through it; jobs on the {e same} domain
-      run to completion one at a time, in index order.
+      run to completion one at a time, in increasing index order.
     - {b seeds must be position-independent}: any PRNG a job uses must be
       derived from [(campaign seed, job index)] via {!derive}, never from
       a stream shared across jobs, so job [i] behaves identically
-      whatever [jobs], [shards] or the pool size are. *)
+      whatever [jobs] or [shards] are. *)
 
 (** {1 Position-independent seed derivation} *)
 
@@ -46,20 +46,22 @@ val fnv1a_32 : string -> int
 
 (** {1 The engine} *)
 
-val map : ?domains:int -> shards:int -> jobs:int -> (int -> 'a) -> 'a array
-(** [map ~shards ~jobs f] runs [f i] for every [i] in [0 .. jobs-1] and
-    returns the results in job-index order.  Shard [s] owns the strided
-    slice [{i | i mod shards = s}] and runs it in increasing index
-    order; shards are served by a pool of
-    [min shards (recommended_domains ())] domains (overridable with
-    [domains], e.g. to force real concurrency in tests on small hosts).
-    [shards] is clamped to [1 .. jobs].
+val max_shards : int
+(** 127: OCaml 5.1 runs at most 128 domains, the main one included, so
+    this is the most it can spawn beside the main domain. *)
 
-    With one domain everything runs on the calling domain, in the same
-    per-shard order — results are identical either way, which is the
-    engine's whole contract.
+val map : shards:int -> jobs:int -> (int -> 'a) -> 'a array
+(** [map ~shards ~jobs f] runs [f i] for every [i] in [0 .. jobs-1] on
+    [min shards jobs] domains and returns the results in job-index
+    order.  The calling domain is one of them, so [shards <= 1] runs
+    everything on it, in index order; each further domain is spawned
+    for the call and joined before it returns.  Every domain takes the
+    next unclaimed index from one atomic counter until none is left.
+    Results are identical whatever [shards] is, which is the engine's
+    whole contract.
 
-    If jobs raise, every other shard still runs to completion; the
-    exception of the {e lowest failing job index} is re-raised in the
-    caller with its backtrace, so the surfaced error is also independent
-    of scheduling. *)
+    If jobs raise, every other job still runs; the exception of the
+    {e lowest failing job index} is re-raised in the caller with its
+    backtrace, so the surfaced error is also independent of scheduling.
+    @raise Invalid_argument if [shards > max_shards], before any domain
+    is spawned. *)

@@ -133,14 +133,14 @@ let run_config ~seed ~faults ~trap_budget ~max_cycles (name, config, scenario) =
   }
 
 let run ?(seed = 42) ?(faults = 24) ?(traps = 10_000) ?(max_cycles = 0)
-    ?(shards = 1) ?domains () =
+    ?(shards = 1) () =
   (* per-configuration seeds come from the configuration *name*, never
      from a shared stream, so fanning the matrix out over shards returns
      the exact report the serial loop produces: Shard.map fills slot i
      with configuration i's report and the fold below is in slot order *)
   let scens = Array.of_list scenarios in
   let reports =
-    Shard.map ?domains ~shards ~jobs:(Array.length scens) (fun i ->
+    Shard.map ~shards ~jobs:(Array.length scens) (fun i ->
         run_config ~seed ~faults ~trap_budget:traps ~max_cycles scens.(i))
   in
   {

@@ -39,14 +39,14 @@ val scenarios : (string * Hyp.Config.t * Hyp.Host_hyp.scenario) list
 
 val run :
   ?seed:int -> ?faults:int -> ?traps:int -> ?max_cycles:int ->
-  ?shards:int -> ?domains:int -> unit -> report
+  ?shards:int -> unit -> report
 (** Run every scenario under a fault plan of [faults] events scheduled
     within a budget of [traps] traps per configuration.  [max_cycles]
     (default 0 = unlimited) additionally bounds each configuration to a
     deterministic sim-cycle budget; a configuration stopped by it is
     marked [cr_timed_out].  [shards] (default 1) fans the configuration
-    matrix out over {!Shard.map} — per-configuration seeds are derived
-    from the configuration names, so the report is byte-identical to the
-    serial one; [domains] forces the pool size. *)
+    matrix out over that many domains with {!Shard.map} —
+    per-configuration seeds are derived from the configuration names,
+    so the report is byte-identical to the serial one. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -237,7 +237,7 @@ let run_mig ~seed ((name, _, _) as sc) =
   }
 
 let run ?(seed = 42) ?(policy = Supervise.Restart_from_snapshot) ?(shards = 1)
-    ?domains () =
+    () =
   let was_tracing = Trace.is_on () in
   (* the campaign flattened: scenario i/3, fault family i mod 3 — the
      same order the serial concat_map produced.  Per-scenario seeds are
@@ -248,7 +248,7 @@ let run ?(seed = 42) ?(policy = Supervise.Restart_from_snapshot) ?(shards = 1)
   let scens = Array.of_list scenarios in
   let jobs = 3 * Array.length scens in
   let results =
-    Shard.map ?domains ~shards ~jobs (fun i ->
+    Shard.map ~shards ~jobs (fun i ->
         let sc = scens.(i / 3) in
         match i mod 3 with
         | 0 -> run_serror ~seed sc

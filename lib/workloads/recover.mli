@@ -40,14 +40,12 @@ val scenarios : (string * Hyp.Config.t * Hyp.Host_hyp.scenario) list
     mechanisms. *)
 
 val run :
-  ?seed:int -> ?policy:Supervise.policy -> ?shards:int -> ?domains:int ->
-  unit -> report
+  ?seed:int -> ?policy:Supervise.policy -> ?shards:int -> unit -> report
 (** Run all [5 configs x 3 fault families] scenarios.  Deterministic:
     same [seed] and [policy], byte-identical report — including under
-    [shards] > 1, which fans the 15 flattened scenarios out over
-    {!Shard.map} (each body traces into its own domain's sink and
-    stands down with [Trace.detach]).  [domains] forces the pool
-    size. *)
+    [shards] > 1, which fans the 15 flattened scenarios out over that
+    many domains with {!Shard.map} (each body traces into its own
+    domain's sink and stands down with [Trace.detach]). *)
 
 val pp_report : Format.formatter -> report -> unit
 

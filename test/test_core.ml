@@ -15,7 +15,8 @@ let test_vncr_fields () =
   let v = Vncr.v ~baddr:0x4_5000L ~enable:true in
   let e = Vncr.encode v in
   check Alcotest.bool "Enable is bit 0" true (Int64.logand e 1L = 1L);
-  check Alcotest.int64 "BADDR occupies [52:12]" 0x4_5000L (Vncr.baddr e);
+  check Alcotest.int64 "BADDR occupies [52:12]" 0x4_5000L
+    (Arm.Trap_rules.vncr_baddr e);
   check Alcotest.bool "decode inverts encode" true (Vncr.decode e = v)
 
 let test_vncr_alignment_mandated () =
@@ -25,7 +26,15 @@ let test_vncr_alignment_mandated () =
   | exception Vncr.Invalid_vncr _ -> ()
 
 let test_vncr_baddr_range () =
-  match Vncr.v ~baddr:0x40_0000_0000_0000L ~enable:true with
+  (* bit 52 is BADDR's top bit: accepted, encoded and decoded back, and
+     read the same way by the router that redirects accesses *)
+  let top = 0x10_0000_0000_0000L in
+  let e = Vncr.encode (Vncr.v ~baddr:top ~enable:true) in
+  check Alcotest.int64 "bit 52 encoded" (Int64.logor top 1L) e;
+  check Alcotest.int64 "bit 52 decoded" top (Vncr.decode e).Vncr.baddr;
+  check Alcotest.int64 "router reads the same BADDR" top
+    (Arm.Trap_rules.vncr_baddr e);
+  match Vncr.v ~baddr:0x20_0000_0000_0000L ~enable:true with
   | _ -> Alcotest.fail "BADDR above bit 52 must be rejected"
   | exception Vncr.Invalid_vncr _ -> ()
 

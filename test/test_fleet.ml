@@ -1,8 +1,9 @@
 (* The fleet engine's contract, tested from both ends:
 
    - the generic shard engine (Shard.map) returns serial results
-     whatever the shard count, pool size or scheduling, and re-raises
-     the lowest failing job's exception;
+     whatever the shard count or scheduling, re-raises the lowest
+     failing job's exception, and rejects a shard count OCaml cannot
+     spawn before starting any domain;
    - per-machine seeds are position-independent: machine k is the same
      machine in an 8-member fleet and a 10,000-member fleet;
    - the fleet's aggregate JSON is byte-identical across shard counts
@@ -12,10 +13,10 @@
    - the chaos, fuzz and recover campaigns produce byte-identical
      reports when fanned out over the same engine.
 
-   The host may have a single core; [~domains] forces a real
-   multi-domain pool so these tests still exercise cross-domain
-   execution (domain-local trace sinks, injection hooks, copy counters)
-   rather than degenerating to the inline path. *)
+   A shard count is a domain count, so every case with [~shards] > 1
+   exercises cross-domain execution (domain-local trace sinks, injection
+   hooks, copy counters) even on a single-core host.  No case starts
+   more than 8 domains. *)
 
 open Alcotest
 
@@ -46,28 +47,64 @@ let test_shard_map_matches_serial () =
         (Printf.sprintf "shards=%d" shards)
         serial
         (Shard.map ~shards ~jobs:100 f))
-    [ 1; 2; 4; 8; 13; 100 ];
-  (* a forced multi-domain pool must change nothing *)
-  check (array int) "forced 4-domain pool" serial
-    (Shard.map ~domains:4 ~shards:8 ~jobs:100 f)
+    [ 1; 2; 3; 8 ];
+  (* a count below 1 runs serially; more shards than jobs starts one
+     domain per job *)
+  check (array int) "shards=0" serial (Shard.map ~shards:0 ~jobs:100 f);
+  check (array int) "shards=-3" serial (Shard.map ~shards:(-3) ~jobs:100 f);
+  check (array int) "shards=8, jobs=3" (Array.init 3 f)
+    (Shard.map ~shards:8 ~jobs:3 f);
+  check (array int) "no jobs" [||] (Shard.map ~shards:4 ~jobs:0 f)
 
 let test_shard_map_exception_lowest () =
-  match
-    Shard.map ~domains:4 ~shards:4 ~jobs:20 (fun i ->
-        if i mod 7 = 3 then failwith (string_of_int i) else i)
-  with
+  (* jobs 3, 10 and 17 fail.  Job 3 holds its domain until job 10 has
+     failed, so job 10 runs on another domain and fails first; the
+     surfaced error must still be job 3's.  The wait gives up after 10 s
+     of CPU time, so an engine that ran everything on one domain fails
+     the domain check below instead of hanging. *)
+  let failed_10 = Atomic.make false in
+  let domain_of = Array.make 20 (-1) in
+  let job i =
+    domain_of.(i) <- (Domain.self () :> int);
+    if i = 3 then begin
+      let give_up = Sys.time () +. 10.0 in
+      while (not (Atomic.get failed_10)) && Sys.time () < give_up do
+        Domain.cpu_relax ()
+      done
+    end;
+    if i mod 7 = 3 then begin
+      if i = 10 then Atomic.set failed_10 true;
+      failwith (string_of_int i)
+    end;
+    i
+  in
+  (match Shard.map ~shards:4 ~jobs:20 job with
   | _ -> fail "expected a re-raised job exception"
-  | exception Failure m ->
-    (* jobs 3, 10 and 17 fail on different shards; the surfaced error
-       must be the lowest job index, independent of scheduling *)
-    check string "lowest failing job wins" "3" m
+  | exception Failure m -> check string "lowest failing job wins" "3" m);
+  check bool "jobs 3 and 10 failed on different domains" true
+    (domain_of.(3) <> domain_of.(10));
+  check bool "job 3 failed after job 10" true (Atomic.get failed_10)
+
+let test_shard_map_rejects_unspawnable () =
+  let ran = Atomic.make false in
+  let job i = Atomic.set ran true; i in
+  check_raises "200 shards"
+    (Invalid_argument "Shard.map: 200 shards (at most 127)")
+    (fun () -> ignore (Shard.map ~shards:200 ~jobs:200 job));
+  check_raises "128 shards"
+    (Invalid_argument "Shard.map: 128 shards (at most 127)")
+    (fun () -> ignore (Shard.map ~shards:128 ~jobs:2 job));
+  check bool "no job ran" false (Atomic.get ran);
+  (* the largest accepted count still starts only one domain per job *)
+  check (array int) "127 shards, 2 jobs" [| 0; 1 |]
+    (Shard.map ~shards:Shard.max_shards ~jobs:2 job)
 
 (* --- the fleet determinism matrix --- *)
 
 let small_ops = 12
 
-let run_fleet ?domains ?(traced = false) ~shards ~n ~seed ~profile () =
-  Fleet.run ?domains ~traced ~shards ~ops:small_ops ~n ~seed ~profile ()
+let run_fleet ?(traced = false) ~shards ~n ~seed ~profile () =
+  Fleet.run ~traced ~shards ~ops:small_ops ~n ~seed ~profile ()
 
 let digests (t : Fleet.t) =
   Array.to_list (Array.map (fun r -> r.Fleet.r_digest) t.Fleet.results)
@@ -78,7 +115,7 @@ let test_fleet_matrix () =
   List.iter
     (fun shards ->
       let t =
-        run_fleet ~domains:4 ~shards ~n:24 ~seed:7 ~profile:"mixed" ()
+        run_fleet ~shards ~n:24 ~seed:7 ~profile:"mixed" ()
       in
       check string
         (Printf.sprintf "aggregate JSON, shards=%d" shards)
@@ -87,7 +124,7 @@ let test_fleet_matrix () =
       check (list int64)
         (Printf.sprintf "per-machine digests, shards=%d" shards)
         (digests base) (digests t))
-    [ 2; 4; 8 ];
+    [ 2; 3; 4; 8 ];
   (* rerun in-process: no state leaks between campaigns *)
   check string "rerun is byte-identical" base_json
     (Json.to_string
@@ -96,7 +133,7 @@ let test_fleet_matrix () =
 let test_serial_vs_fleet_equivalence () =
   let n = 16 and seed = 11 and profile = "mixed" in
   let fleet =
-    run_fleet ~domains:4 ~shards:4 ~n ~seed ~profile ()
+    run_fleet ~shards:4 ~n ~seed ~profile ()
   in
   (* the serial oracle: the same 16 machines, run one by one on this
      domain with the same derived seeds *)
@@ -126,7 +163,7 @@ let test_seed_position_independence_in_fleet () =
      it: machine k of an 8-fleet equals machine k of a 16-fleet, and the
      shard count is irrelevant to both *)
   let small = run_fleet ~shards:1 ~n:8 ~seed:3 ~profile:"mixed" () in
-  let large = run_fleet ~domains:4 ~shards:4 ~n:16 ~seed:3 ~profile:"mixed" () in
+  let large = run_fleet ~shards:4 ~n:16 ~seed:3 ~profile:"mixed" () in
   for k = 0 to 7 do
     check int64
       (Printf.sprintf "machine %d unchanged by fleet growth" k)
@@ -136,7 +173,7 @@ let test_seed_position_independence_in_fleet () =
 
 let test_traced_fleet_class_sums () =
   let t =
-    run_fleet ~domains:3 ~traced:true ~shards:3 ~n:10 ~seed:5
+    run_fleet ~traced:true ~shards:3 ~n:10 ~seed:5
       ~profile:"hackbench" ()
   in
   check bool "aggregate trace_ok" true t.Fleet.agg.Fleet.a_trace_ok;
@@ -179,7 +216,7 @@ let test_fleet_rejects_unknown_profile () =
 let test_chaos_fanout_equals_serial () =
   let serial = Workloads.Chaos.run ~seed:13 ~traps:400 () in
   let sharded =
-    Workloads.Chaos.run ~seed:13 ~traps:400 ~shards:4 ~domains:4 ()
+    Workloads.Chaos.run ~seed:13 ~traps:400 ~shards:4 ()
   in
   check string "chaos report is byte-identical"
     (Fmt.str "%a" Workloads.Chaos.pp_report serial)
@@ -187,7 +224,7 @@ let test_chaos_fanout_equals_serial () =
 
 let test_fuzz_fanout_equals_serial () =
   let serial = Fuzz.Campaign.run ~seed:5 ~n:12 () in
-  let sharded = Fuzz.Campaign.run ~seed:5 ~n:12 ~shards:4 ~domains:4 () in
+  let sharded = Fuzz.Campaign.run ~seed:5 ~n:12 ~shards:4 () in
   check string "fuzz stats are byte-identical"
     (Json.to_string (Fuzz.Campaign.json serial))
     (Json.to_string (Fuzz.Campaign.json sharded))
@@ -200,7 +237,7 @@ let test_fuzz_fanout_rejects_cycle_budget () =
 
 let test_recover_fanout_equals_serial () =
   let serial = Workloads.Recover.run ~seed:21 () in
-  let sharded = Workloads.Recover.run ~seed:21 ~shards:5 ~domains:4 () in
+  let sharded = Workloads.Recover.run ~seed:21 ~shards:5 () in
   check string "recover digest is identical"
     (Workloads.Recover.digest serial)
     (Workloads.Recover.digest sharded)
@@ -222,6 +259,8 @@ let suite =
       test_shard_map_matches_serial;
     test_case "Shard.map re-raises the lowest failing job" `Quick
       test_shard_map_exception_lowest;
+    test_case "Shard.map rejects more shards than OCaml can spawn" `Quick
+      test_shard_map_rejects_unspawnable;
     test_case "determinism matrix: shards 1/2/4/8 byte-identical" `Quick
       test_fleet_matrix;
     test_case "serial-vs-fleet equivalence oracle (16 machines)" `Quick

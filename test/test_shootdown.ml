@@ -298,15 +298,15 @@ let test_percentiles_known_distributions () =
 
 let serve_args = (5, 97, 6, 4)  (* n, seed, requests, migrate_every *)
 
-let run_serve ~shards ?domains () =
+let run_serve ~shards () =
   let n, seed, requests, migrate_every = serve_args in
-  Serve.run ?domains ~shards ~requests ~migrate_every ~n ~seed ()
+  Serve.run ~shards ~requests ~migrate_every ~n ~seed ()
 
 let test_serve_shard_determinism () =
   let json t = Json.to_string (Serve.json t) in
   let a = json (run_serve ~shards:1 ()) in
-  let b = json (run_serve ~shards:4 ~domains:2 ()) in
-  let c = json (run_serve ~shards:8 ~domains:3 ()) in
+  let b = json (run_serve ~shards:4 ()) in
+  let c = json (run_serve ~shards:8 ()) in
   check Alcotest.string "shards 1 = shards 4" a b;
   check Alcotest.string "shards 1 = shards 8" a c
 

@@ -369,12 +369,10 @@ let option_surface =
     ("validate", ""); ("ablation", "--vhe"); ("recursive", "");
     ("sweep", ""); ("riscv", ""); ("compare", "");
     ("chaos",
-     "--domains -f --faults --max-cycles -s --seed --shards -t --traps -v \
-      --verbose");
+     "-f --faults --max-cycles -s --seed --shards -t --traps -v --verbose");
     ("fuzz",
-     "--corpus-dir --domains --json --max-cycles -n --iterations -s --seed \
-      --shards --smp --smp-ops --snap-oracle -t --max-seconds --trace -v \
-      --verbose");
+     "--corpus-dir --json --max-cycles -n --iterations -s --seed --shards \
+      --smp --smp-ops --snap-oracle -t --max-seconds --trace -v --verbose");
     ("trace", "--chrome --json -n --iters -v --verbose");
     ("snapshot", "--expose -m --mech --ops --single-vm -v --verbose --vhe");
     ("restore", "--resume-ops -v --verbose");
@@ -382,13 +380,13 @@ let option_surface =
      "--busy-rounds --expose --fail-rate --fail-seed -m --mech \
       --max-retries --max-rounds --single-vm --threshold -v --verbose --vhe \
       --writes");
-    ("recover", "--domains -p --policy -s --seed --shards -v --verbose");
+    ("recover", "-p --policy -s --seed --shards -v --verbose");
     ("fleet",
-     "--configs --domains --json -n --ops -p --profile -s --seed --shards \
-      --traced -v --verbose");
+     "--configs --json -n --ops -p --profile -s --seed --shards --traced \
+      -v --verbose");
     ("serve",
-     "--domains --expose --json --migrate-every -n --requests -s --seed \
-      --shards -v --verbose");
+     "--expose --json --migrate-every -n --requests -s --seed --shards -v \
+      --verbose");
     ("paper", "") ]
 
 (* option names on the entry lines (indented seven columns) of a plain
@@ -431,7 +429,8 @@ let exit_status_table =
   [ ("snapshot --expose bogus F", 1); ("serve -n 1 --expose bogus", 1);
     ("migrate --expose bogus", 1); ("restore /nonexistent", 1);
     ("fleet -n 2 --configs bogus", 124); ("fleet -n 2 --profile bogus", 124);
-    ("fuzz --shards 2 -t 1 -n 2", 124); ("recover --policy bogus", 124);
+    ("fuzz --shards 2 -t 1 -n 2", 124); ("fleet -n 1 --shards 200", 124);
+    ("recover --policy bogus", 124);
     ("traps -m bogus", 124); ("snapshot --expose bogus", 124);
     ("snapshot --mech bogus --expose bogus F", 124);
     ("migrate --expose bogus --mech bogus", 124) ]
